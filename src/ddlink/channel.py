@@ -17,6 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .frame import FrameConfig, SPEED_OF_LIGHT
 from .modem import (DelayDopplerGrid, TimeSignal, Waveform, _demod_core,
@@ -242,6 +243,28 @@ def cp_channel_matrix(ch: LtvChannel) -> np.ndarray:
     return H[cp:] @ acp
 
 
+def time_domain_matrix(ch: LtvChannel) -> sparse.csr_array:
+    """Sparse CP-bounded channel, equal to :func:`cp_channel_matrix`.
+
+    Output sample i (after CP removal) of a tap with delay d reads block
+    sample (i - d) mod M*N through the CP, or nothing where i + cp_len < d
+    (as in :func:`_apply_taps`). Taps sharing a delay are summed in tap
+    order, as in the dense build, so the two agree exactly.
+    """
+    frame = ch.frame
+    grid, cp = frame.grid_size, frame.cp_len
+    gains = {}
+    for tap in ch.taps:
+        kappa = np.arange(max(tap.delay, cp), grid + cp)
+        g = tap.gain * np.exp(2j * np.pi * tap.doppler * kappa / grid)
+        gains[tap.delay] = gains[tap.delay] + g if tap.delay in gains else g
+    rows = [np.arange(max(d, cp), grid + cp) - cp for d in gains]
+    cols = [(r - d) % grid for d, r in zip(gains, rows)]
+    return sparse.csr_array((np.concatenate(list(gains.values())),
+                             (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(grid, grid))
+
+
 def build_dd_matrix(ch: LtvChannel, waveform: Waveform) -> DdChannelMatrix:
     """Exact equivalent delay-Doppler channel for one waveform.
 
@@ -274,49 +297,3 @@ def linearized_io(grid: DelayDopplerGrid, ch: LtvChannel,
     r = apply_channel(x, ch, noise=noise)
     received = demodulate_direct(r, waveform)
     return received, build_dd_matrix(ch, waveform)
-
-
-class DdChannelOperator:
-    """Matrix-free equivalent-channel operator for iterative solvers.
-
-    Applies the modulate -> channel -> demodulate pipeline (and its
-    adjoint: the (de)modulations are unitary, the channel adjoint is the
-    conjugate banded correlation) without materializing the dense matrix.
-    """
-
-    def __init__(self, ch: LtvChannel, waveform: Waveform):
-        self.ch = ch
-        self.waveform = waveform
-        n = ch.frame.grid_size
-        self.shape = (n, n)
-        self.dtype = np.dtype(complex)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        frame = self.ch.frame
-        D = v.reshape((frame.M, frame.N), order="F")
-        x = _mod_core(D, frame, self.waveform, spread=False)
-        r = _apply_taps(x, self.ch, 0, x.shape[0])
-        G = _demod_core(r[frame.cp_len:], frame, self.waveform, spread=False)
-        return G.flatten(order="F")
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        frame = self.ch.frame
-        grid, cp = frame.grid_size, frame.cp_len
-        D = v.reshape((frame.M, frame.N), order="F")
-        # adjoint of demod-after-CP-removal: remodulate, zero where the CP was
-        y = _mod_core(D, frame, self.waveform, spread=False).copy()
-        if cp:
-            y[:cp] = 0.0
-        # adjoint of the banded LTV convolution
-        z = np.zeros_like(y)
-        kappa = np.arange(grid + cp)
-        for tap in self.ch.taps:
-            rows = kappa[tap.delay:]
-            z[rows - tap.delay] += np.conj(
-                tap.gain * np.exp(2j * np.pi * tap.doppler * rows / grid)) * y[rows]
-        # adjoint of CP-addition folds the prefix back onto the block tail
-        w = z[cp:].copy() if cp else z
-        if cp:
-            w[grid - cp:] += z[:cp]
-        G = _demod_core(w, frame, self.waveform, spread=False)
-        return G.flatten(order="F")

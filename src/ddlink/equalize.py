@@ -1,21 +1,24 @@
 """Delay-Doppler domain equalization.
 
-Two routes solve the same regularized problem
+Every route solves the regularized problem
 
     min ||H d - received||^2 + noise_var * ||d||^2
 
-a direct normal-equation solve (the oracle) and a Golub-Kahan
-bidiagonalization iteration that also accepts a matrix-free channel
-operator, which is what makes large grids practical.
+by a direct normal-equation solve or by LSMR. The (de)modulators are
+unitary, so H = U H_t U^H with H_t the sparse CP-bounded time-domain
+channel: :func:`equalize_time_domain` solves for the transmitted block
+with H_t and demodulates once; the harness runs it. The dense
+:func:`equalize_mmse` and :func:`equalize_iterative` are its oracles.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lsmr
+from scipy import sparse
+from scipy.sparse.linalg import lsmr, spsolve
 
-from .channel import DdChannelMatrix, DdChannelOperator
-from .modem import DelayDopplerGrid
+from .channel import DdChannelMatrix
+from .modem import DelayDopplerGrid, TimeSignal, Waveform, _strip, demodulate_direct
 
 
 def _as_matrix(H):
@@ -47,9 +50,8 @@ def equalize_iterative(received: DelayDopplerGrid, H, noise_var: float,
                        max_iter: int = 200, tol: float = 1e-10) -> IterativeResult:
     """Damped least-squares equalization via LSMR.
 
-    ``H`` may be a dense matrix, a DdChannelMatrix, or a DdChannelOperator
-    (matrix-free). On convergence the solution agrees with
-    :func:`equalize_mmse` to solver tolerance.
+    ``H`` is a dense matrix or a DdChannelMatrix. On convergence the
+    solution agrees with :func:`equalize_mmse` to solver tolerance.
     """
     frame = received.frame
     if max_iter < 0:
@@ -57,10 +59,7 @@ def equalize_iterative(received: DelayDopplerGrid, H, noise_var: float,
     if max_iter == 0:
         zero = DelayDopplerGrid.zeros(frame)
         return IterativeResult(zero, False, 0, float(np.linalg.norm(received.vec)))
-    if isinstance(H, DdChannelOperator):
-        op = LinearOperator(H.shape, matvec=H.matvec, rmatvec=H.rmatvec, dtype=complex)
-    else:
-        op = _as_matrix(H)
+    op = _as_matrix(H)
     damp = float(np.sqrt(noise_var))
     sol = lsmr(op, received.vec, damp=damp, atol=tol, btol=tol, maxiter=max_iter)
     x, istop, itn, normr = sol[0], sol[1], sol[2], sol[3]
@@ -70,3 +69,31 @@ def equalize_iterative(received: DelayDopplerGrid, H, noise_var: float,
         iterations=int(itn),
         residual=float(normr),
     )
+
+
+def equalize_time_domain(received: TimeSignal, H_t, waveform: Waveform,
+                         noise_var: float, method: str = "mmse",
+                         max_iter: int = 200, tol: float = 1e-10) -> DelayDopplerGrid:
+    """Equalize one CP-included frame on the sparse time-domain channel.
+
+    ``mmse`` solves (H_t^H H_t + noise_var I) t = H_t^H z by sparse LU,
+    ``iterative`` runs LSMR on H_t; the estimate t of the transmitted
+    block is demodulated in ``waveform``'s convention. This equals
+    :func:`equalize_mmse` (:func:`equalize_iterative`) on the demodulated
+    frame with the dense delay-Doppler matrix of the same channel. A
+    channel of the wrong size raises ValueError.
+    """
+    z = _strip(received)
+    if method == "mmse":
+        Hh = H_t.conj().T
+        A = Hh @ H_t + noise_var * sparse.eye_array(z.size)
+        t = spsolve(A.tocsc(), Hh @ z)
+    elif method == "iterative":
+        if max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
+        t = lsmr(H_t, z, damp=float(np.sqrt(noise_var)), atol=tol, btol=tol,
+                 maxiter=max_iter)[0]
+    else:
+        raise ValueError(f"unknown equalizer method {method!r}")
+    return demodulate_direct(TimeSignal(t, received.frame, cp_included=False),
+                             waveform)

@@ -31,12 +31,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chanest import PilotConfig, embed_pilot, estimate_channel, overlay_mask
+from .chanest import (PilotConfig, embed_pilot, estimate_channel, overlay_mask,
+                      to_ltv_channel)
 from .channel import (LtvChannel, apply_channel, build_dd_matrix,
-                      draw_noise, make_channel, taps_from_profile)
+                      draw_noise, make_channel, taps_from_profile,
+                      time_domain_matrix)
 from .config import ConfigError, ExperimentSpec
-from .equalize import equalize_iterative, equalize_mmse
-from .frame import FrameConfig
+from .equalize import equalize_time_domain
 from .mapping import (DATA, PILOT, data_bin_count, demap_bits,
                       get_constellation, map_bits)
 from .modem import (DelayDopplerGrid, TimeSignal, Waveform, demodulate_direct,
@@ -99,13 +100,14 @@ def _pilot_value(spec: ExperimentSpec, waveform: Waveform) -> complex:
     return complex(pc.amplitude)
 
 
-def _equalize(spec: ExperimentSpec, received: DelayDopplerGrid, H,
-              noise_var: float) -> np.ndarray:
-    if spec.eq.method == "iterative":
-        res = equalize_iterative(received, H, noise_var,
-                                 max_iter=spec.eq.max_iter, tol=spec.eq.tol)
-        return res.grid.vec
-    return equalize_mmse(received, H, noise_var).vec
+def _equalize(spec: ExperimentSpec, corrected: TimeSignal, ch: LtvChannel,
+              waveform: Waveform, noise_var: float) -> np.ndarray:
+    """Equalized delay-Doppler vec of one receiver chain, solved in the
+    time domain on the sparse CP-bounded channel of ``ch``."""
+    eq = spec.eq
+    return equalize_time_domain(corrected, time_domain_matrix(ch), waveform,
+                                noise_var, method=eq.method,
+                                max_iter=eq.max_iter, tol=eq.tol).vec
 
 
 def link_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
@@ -151,15 +153,13 @@ def link_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
     for w in spec.waveforms:
         received = demodulate_direct(corrected, w)
         if spec.csi == "genie":
-            H = build_dd_matrix(ch, w)
-            empty = False
+            h = ch
         else:
-            est_ch = estimate_channel(received, spec.pilot, w,
-                                      pilot_value=_pilot_value(spec, w))
-            empty = est_ch.is_empty
-            H = None if empty else build_dd_matrix(
-                _est_to_channel(est_ch, frame), w)
-        d_hat = received.vec if empty else _equalize(spec, received, H, noise_var)
+            est = estimate_channel(received, spec.pilot, w,
+                                   pilot_value=_pilot_value(spec, w))
+            h = None if est.is_empty else to_ltv_channel(est, frame)
+        d_hat = (received.vec if h is None
+                 else _equalize(spec, corrected, h, w, noise_var))
         if w is Waveform.SC_IFDMA:
             d_hat = d_hat * np.conj(W).flatten(order="F")
         hat_grid = DelayDopplerGrid.from_vec(d_hat, frame)
@@ -168,14 +168,9 @@ def link_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
             "bit_errors": int(np.count_nonzero(bits_hat != bits)),
             "bits": int(bits.size),
             "decisions": decisions,
-            "estimate_empty": bool(empty),
+            "estimate_empty": h is None,
         }
     return out
-
-
-def _est_to_channel(est, frame: FrameConfig) -> LtvChannel:
-    from .chanest import to_ltv_channel
-    return to_ltv_channel(est, frame)
 
 
 def sync_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
@@ -342,7 +337,7 @@ def _estimated_compound(spec, received, channels, alloc, pilots, w):
         est = estimate_channel(received, pc, w, pilot_value=pilot_value)
         if est.is_empty:
             continue
-        Hq = build_dd_matrix(_est_to_channel(est, frame), w).matrix
+        Hq = build_dd_matrix(to_ltv_channel(est, frame), w).matrix
         cols = alloc.vec_indices(q)
         H[:, cols] = Hq[:, cols]
     return DdChannelMatrix(H, w)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import LinearOperator
 
-from ddlink.channel import (ChannelTap, DdChannelOperator, LtvChannel,
-                            NoiseSpec, apply_channel, build_dd_matrix,
-                            cp_channel_matrix, eva_channel, linearized_io,
-                            make_channel, taps_from_profile)
+from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec, apply_channel,
+                            build_dd_matrix, cp_channel_matrix, eva_channel,
+                            linearized_io, make_channel, taps_from_profile,
+                            time_domain_matrix)
 from ddlink.frame import FrameConfig
 from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform,
                           demodulate_direct, modulate_direct)
@@ -278,26 +281,97 @@ class TestLinearizedIo:
         np.testing.assert_allclose(b, wv * a, atol=1e-12)
 
 
+def td_operator(ch, w):
+    """demod_w o H_t o mod_w with H_t = time_domain_matrix(ch). The
+    (de)modulators are unitary, so the adjoint is demod_w o H_t^H o mod_w."""
+    frame = ch.frame
+    n, cp = frame.grid_size, frame.cp_len
+    Ht = time_domain_matrix(ch)
+
+    def through(H):
+        def apply(v):
+            s = modulate_direct(DelayDopplerGrid.from_vec(v, frame), w).samples[cp:]
+            return demodulate_direct(TimeSignal(H @ s, frame, cp_included=False),
+                                     w).vec
+        return apply
+
+    return LinearOperator((n, n), matvec=through(Ht),
+                          rmatvec=through(Ht.conj().T), dtype=complex)
+
+
 class TestOperator:
     @pytest.mark.parametrize("w", [Waveform.OTFS, Waveform.SC_IFDMA])
     def test_matvec_and_adjoint_match_dense(self, w):
+        # delays up to 7 > cp_len: the taps reaching past the CP drop
+        # their leading samples, in the sparse matrix and the dense build
         frame = FrameConfig(8, 8, cp_len=5)
-        ch = random_channel(frame)
-        op = DdChannelOperator(ch, w)
+        ch = random_channel(frame, n_taps=4, max_delay=7)
+        op = td_operator(ch, w)
         H = build_dd_matrix(ch, w).matrix
         v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        np.testing.assert_allclose(op.matvec(v), H @ v, atol=1e-10)
-        np.testing.assert_allclose(op.rmatvec(v), H.conj().T @ v, atol=1e-10)
+        np.testing.assert_allclose(op.matvec(v), H @ v, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(op.rmatvec(v), H.conj().T @ v, rtol=0, atol=1e-10)
 
     def test_adjoint_inner_product(self):
         frame = FrameConfig(4, 8, cp_len=3)
-        ch = random_channel(frame)
-        op = DdChannelOperator(ch, Waveform.OTFS)
+        ch = random_channel(frame, max_delay=5)
+        op = td_operator(ch, Waveform.OTFS)
         u = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         lhs = np.vdot(u, op.matvec(v))
         rhs = np.vdot(op.rmatvec(u), v)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+@st.composite
+def channels(draw):
+    """Random geometry and taps: cp_len 0 allowed, delays up to past the
+    whole CP-included frame, fractional Doppler of either sign."""
+    M = draw(st.integers(1, 8))
+    N = draw(st.integers(1, 8))
+    frame = FrameConfig(M, N, cp_len=draw(st.integers(0, M * N - 1)))
+    finite = st.floats(-2.0, 2.0, allow_nan=False)
+    taps = draw(st.lists(
+        st.builds(ChannelTap,
+                  delay=st.integers(0, frame.frame_len),
+                  gain=st.builds(complex, finite, finite),
+                  doppler=st.floats(-N, N, allow_nan=False)),
+        min_size=1, max_size=5))
+    return LtvChannel(tuple(taps), frame)
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+
+class TestTimeDomainMatrix:
+    @PROPERTY
+    @given(channels())
+    def test_equals_dense_cp_channel_exactly(self, ch):
+        Ht = time_domain_matrix(ch)
+        assert Ht.nnz <= len(ch.taps) * ch.frame.grid_size
+        assert np.array_equal(Ht.toarray(), cp_channel_matrix(ch))
+
+    @PROPERTY
+    @given(channels())
+    def test_unitary_sandwich_equals_dd_matrix(self, ch):
+        n = ch.frame.grid_size
+        eye = np.eye(n, dtype=complex)
+        for w in (Waveform.OTFS, Waveform.SC_IFDMA):
+            op = td_operator(ch, w)
+            H = build_dd_matrix(ch, w).matrix
+            np.testing.assert_allclose(op.matmat(eye), H, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(op.rmatmat(eye), H.conj().T,
+                                       rtol=0, atol=1e-10)
+
+    def test_drops_samples_before_the_frame(self):
+        # a tap delayed past the CP reads nothing for its first
+        # delay - cp_len output samples
+        frame = FrameConfig(4, 2, cp_len=1)
+        Ht = time_domain_matrix(LtvChannel((ChannelTap(3, 1.0, 0.0),), frame))
+        assert np.array_equal(Ht.toarray()[:2], np.zeros((2, 8)))
+        assert np.array_equal(Ht.toarray()[2:], np.eye(8, k=-3)[2:]
+                              + np.eye(8, k=5)[2:])
 
 
 class TestValidation:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from ddlink.channel import (ChannelTap, DdChannelOperator, LtvChannel,
-                            NoiseSpec, linearized_io)
-from ddlink.equalize import equalize_iterative, equalize_mmse
+from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec, apply_channel,
+                            build_dd_matrix, time_domain_matrix)
+from ddlink.equalize import (equalize_iterative, equalize_mmse,
+                             equalize_time_domain)
 from ddlink.frame import FrameConfig
-from ddlink.modem import DelayDopplerGrid, Waveform
+from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform,
+                          demodulate_direct, modulate_direct)
 from ddlink.transforms import coupling_op
 
 rng = np.random.default_rng(21)
@@ -75,19 +77,21 @@ class TestIterative:
         assert not res.grid.vec.any()
         assert res.residual == pytest.approx(np.linalg.norm(y))
 
-    def test_matrix_free_operator_agrees_with_dense(self):
+    def test_time_domain_lsmr_agrees_with_dense(self):
         frame = FrameConfig(8, 8, cp_len=4)
         ch = LtvChannel((ChannelTap(0, 0.9, 0.8), ChannelTap(2, 0.4j, -1.1),
                          ChannelTap(4, 0.2, 1.7)), frame)
         grid = DelayDopplerGrid(rng.standard_normal((8, 8))
                                 + 1j * rng.standard_normal((8, 8)), frame)
-        rx, H = linearized_io(grid, ch, NoiseSpec(0.01, np.random.default_rng(2)),
-                              Waveform.OTFS)
-        dense = equalize_iterative(rx, H, 0.01, max_iter=500, tol=1e-12)
-        op = equalize_iterative(rx, DdChannelOperator(ch, Waveform.OTFS), 0.01,
-                                max_iter=500, tol=1e-12)
-        assert dense.converged and op.converged
-        np.testing.assert_allclose(op.grid.vec, dense.grid.vec, atol=1e-8)
+        r = apply_channel(modulate_direct(grid, Waveform.OTFS), ch,
+                          NoiseSpec(0.01, np.random.default_rng(2)))
+        rx = demodulate_direct(r, Waveform.OTFS)
+        dense = equalize_iterative(rx, build_dd_matrix(ch, Waveform.OTFS), 0.01,
+                                   max_iter=500, tol=1e-12)
+        td = equalize_time_domain(r, time_domain_matrix(ch), Waveform.OTFS, 0.01,
+                                  method="iterative", max_iter=500, tol=1e-12)
+        assert dense.converged
+        np.testing.assert_allclose(td.vec, dense.grid.vec, atol=1e-8)
 
     def test_solves_the_damped_problem(self):
         # gradient of ||Hd - y||^2 + s2*||d||^2 vanishes at the solution
@@ -98,3 +102,41 @@ class TestIterative:
         res = equalize_iterative(grid_of(y, frame), H, s2, max_iter=400, tol=1e-13)
         grad = H.conj().T @ (H @ res.grid.vec - y) + s2 * res.grid.vec
         assert np.linalg.norm(grad) <= 1e-6 * np.linalg.norm(y)
+
+
+class TestTimeDomain:
+    @pytest.mark.parametrize("w", [Waveform.OTFS, Waveform.SC_IFDMA])
+    @pytest.mark.parametrize("cp_len", [0, 3, 6])
+    def test_mmse_matches_dense_oracle(self, w, cp_len):
+        # the tap at delay 5 reaches past the CP unless cp_len is 6
+        frame = FrameConfig(4, 6, cp_len=cp_len)
+        ch = LtvChannel((ChannelTap(0, 0.8, 0.3), ChannelTap(2, 0.3 - 0.4j, -1.6),
+                         ChannelTap(5, 0.25j, 0.9)), frame)
+        r = TimeSignal(rng.standard_normal(frame.frame_len)
+                       + 1j * rng.standard_normal(frame.frame_len), frame)
+        for s2 in (0.0, 0.05, 1.0):
+            oracle = equalize_mmse(demodulate_direct(r, w), build_dd_matrix(ch, w), s2)
+            td = equalize_time_domain(r, time_domain_matrix(ch), w, s2)
+            err = np.linalg.norm(td.vec - oracle.vec) / np.linalg.norm(oracle.vec)
+            assert err <= 1e-10
+
+    def test_iterative_zero_budget_returns_zero(self):
+        frame = FrameConfig(4, 4, cp_len=2)
+        ch = LtvChannel((ChannelTap(0, 1.0, 0.0),), frame)
+        r = TimeSignal(np.ones(frame.frame_len), frame)
+        out = equalize_time_domain(r, time_domain_matrix(ch), Waveform.OTFS, 0.1,
+                                   method="iterative", max_iter=0)
+        assert not out.vec.any()
+
+    def test_rejects_mismatched_channel_and_unknown_method(self):
+        frame = FrameConfig(4, 4, cp_len=2)
+        r = TimeSignal(np.ones(frame.frame_len), frame)
+        other = LtvChannel((ChannelTap(0, 1.0, 0.0),), FrameConfig(4, 2))
+        for method in ("mmse", "iterative"):
+            with pytest.raises(ValueError):
+                equalize_time_domain(r, time_domain_matrix(other), Waveform.OTFS,
+                                     0.1, method=method)
+        ch = LtvChannel((ChannelTap(0, 1.0, 0.0),), frame)
+        with pytest.raises(ValueError):
+            equalize_time_domain(r, time_domain_matrix(ch), Waveform.OTFS, 0.1,
+                                 method="zf")
