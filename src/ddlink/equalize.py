@@ -9,6 +9,8 @@ unitary, so H = U H_t U^H with H_t the sparse CP-bounded time-domain
 channel: :func:`equalize_time_domain` solves for the transmitted block
 with H_t and demodulates once; the harness runs it. The dense
 :func:`equalize_mmse` and :func:`equalize_iterative` are its oracles.
+Its sparse normal-equation solve, :func:`solve_regularized`, also serves
+the multiuser detector.
 """
 
 from dataclasses import dataclass
@@ -71,6 +73,13 @@ def equalize_iterative(received: DelayDopplerGrid, H, noise_var: float,
     )
 
 
+def solve_regularized(A, z: np.ndarray, noise_var: float) -> np.ndarray:
+    """Solve (A^H A + noise_var I) x = A^H z for a sparse A by sparse LU."""
+    Ah = A.conj().T
+    G = Ah @ A + noise_var * sparse.eye_array(A.shape[1])
+    return spsolve(G.tocsc(), Ah @ z)
+
+
 def equalize_time_domain(received: TimeSignal, H_t, waveform: Waveform,
                          noise_var: float, method: str = "mmse",
                          max_iter: int = 200, tol: float = 1e-10) -> DelayDopplerGrid:
@@ -85,9 +94,7 @@ def equalize_time_domain(received: TimeSignal, H_t, waveform: Waveform,
     """
     z = _strip(received)
     if method == "mmse":
-        Hh = H_t.conj().T
-        A = Hh @ H_t + noise_var * sparse.eye_array(z.size)
-        t = spsolve(A.tocsc(), Hh @ z)
+        t = solve_regularized(H_t, z, noise_var)
     elif method == "iterative":
         if max_iter < 0:
             raise ValueError("max_iter must be >= 0")

@@ -25,6 +25,7 @@ import hashlib
 import io
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,16 +34,15 @@ import numpy as np
 from . import __version__
 from .chanest import (PilotConfig, embed_pilot, estimate_channel, overlay_mask,
                       to_ltv_channel)
-from .channel import (LtvChannel, apply_channel, build_dd_matrix,
-                      draw_noise, make_channel, taps_from_profile,
-                      time_domain_matrix)
+from .channel import (LtvChannel, apply_channel, draw_noise, make_channel,
+                      taps_from_profile, time_domain_matrix)
 from .config import ConfigError, ExperimentSpec
 from .equalize import equalize_time_domain
 from .mapping import (DATA, PILOT, data_bin_count, demap_bits,
                       get_constellation, map_bits)
 from .modem import (DelayDopplerGrid, TimeSignal, Waveform, demodulate_direct,
                     modulate_direct)
-from .multiuser import (Allocation, compound_matrix, detect_users,
+from .multiuser import (Allocation, detect_users_time_domain,
                         even_split_allocation, extract_user, load_allocation,
                         place_user)
 from .sync import correct, estimate_sync
@@ -90,14 +90,18 @@ def _noise_var(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def _pilot_value(spec: ExperimentSpec, waveform: Waveform) -> complex:
-    """Pilot amplitude as seen in the waveform's own domain for the shared
-    transmit record (built with the OTFS structure)."""
-    pc = spec.pilot
+def _estimated_channel(received: DelayDopplerGrid, pc: PilotConfig,
+                       waveform: Waveform) -> LtvChannel | None:
+    """Channel estimated from the pilot ``pc`` of the shared transmit record
+    (built with the OTFS structure, so the SC-IFDMA receiver sees the pilot
+    rotated by its coupling phase); None when the estimate comes back empty."""
+    frame = received.frame
+    pilot_value = complex(pc.amplitude)
     if waveform is Waveform.SC_IFDMA:
-        W = coupling_phases(spec.frame.M, spec.frame.N)
-        return pc.amplitude * W[pc.pilot_delay, pc.pilot_doppler]
-    return complex(pc.amplitude)
+        W = coupling_phases(frame.M, frame.N)
+        pilot_value = pc.amplitude * W[pc.pilot_delay, pc.pilot_doppler]
+    est = estimate_channel(received, pc, waveform, pilot_value=pilot_value)
+    return None if est.is_empty else to_ltv_channel(est, frame)
 
 
 def _equalize(spec: ExperimentSpec, corrected: TimeSignal, ch: LtvChannel,
@@ -152,12 +156,7 @@ def link_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
     out = {}
     for w in spec.waveforms:
         received = demodulate_direct(corrected, w)
-        if spec.csi == "genie":
-            h = ch
-        else:
-            est = estimate_channel(received, spec.pilot, w,
-                                   pilot_value=_pilot_value(spec, w))
-            h = None if est.is_empty else to_ltv_channel(est, frame)
+        h = ch if spec.csi == "genie" else _estimated_channel(received, spec.pilot, w)
         d_hat = (received.vec if h is None
                  else _equalize(spec, corrected, h, w, noise_var))
         if w is Waveform.SC_IFDMA:
@@ -250,11 +249,14 @@ def _mu_user_pilot(spec: ExperimentSpec, alloc: Allocation, q: int) -> PilotConf
 def mu_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
              alloc: Allocation) -> dict:
     """One multiuser uplink trial: superposed per-user transmissions, joint
-    MMSE detection on the compound model, paired across waveforms by the
-    same shared-record construction as :func:`link_trial`.
+    MMSE detection in the time domain on the per-user channels, paired
+    across waveforms by the same shared-record construction as
+    :func:`link_trial`.
 
     Per-user CSI is either known (genie) or estimated from a pilot
-    embedded inside each user's own allocation.
+    embedded inside each user's own allocation; a user whose estimate
+    comes back empty contributes zero columns (regularized detection then
+    drives its symbols toward zero).
     """
     frame = spec.frame
     const = get_constellation(spec.constellation)
@@ -297,12 +299,12 @@ def mu_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
     W = coupling_phases(frame.M, frame.N)
     out = {}
     for w in spec.waveforms:
-        received = demodulate_direct(shared, w)
         if estimated:
-            H = _estimated_compound(spec, received, channels, alloc, pilots, w)
+            received = demodulate_direct(shared, w)
+            hs = [_estimated_channel(received, pc, w) for pc in pilots]
         else:
-            H = compound_matrix(channels, alloc, w)
-        d_hat = detect_users(received, H, alloc, noise_var).vec
+            hs = channels
+        d_hat = detect_users_time_domain(shared, hs, alloc, w, noise_var).vec
         if w is Waveform.SC_IFDMA:
             d_hat = d_hat * np.conj(W).flatten(order="F")
         hat_grid = DelayDopplerGrid.from_vec(d_hat, frame)
@@ -319,28 +321,6 @@ def mu_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
         out[w.value] = {"bit_errors": errors, "bits": bits,
                         "decisions": np.concatenate(decisions)}
     return out
-
-
-def _estimated_compound(spec, received, channels, alloc, pilots, w):
-    """Compound matrix rebuilt from per-user pilot estimates; a user whose
-    estimate comes back empty contributes zero columns (regularized
-    detection then drives those symbols toward zero)."""
-    from .channel import DdChannelMatrix
-    frame = spec.frame
-    Wm = coupling_phases(frame.M, frame.N)
-    n = frame.grid_size
-    H = np.zeros((n, n), dtype=complex)
-    for q in range(alloc.n_users):
-        pc = pilots[q]
-        pilot_value = pc.amplitude * (Wm[pc.pilot_delay, pc.pilot_doppler]
-                                      if w is Waveform.SC_IFDMA else 1.0)
-        est = estimate_channel(received, pc, w, pilot_value=pilot_value)
-        if est.is_empty:
-            continue
-        Hq = build_dd_matrix(to_ltv_channel(est, frame), w).matrix
-        cols = alloc.vec_indices(q)
-        H[:, cols] = Hq[:, cols]
-    return DdChannelMatrix(H, w)
 
 
 def _run_chunk(args):
@@ -367,20 +347,21 @@ def run(spec: ExperimentSpec, out_dir=None, parallelism: int = 1):
     t0 = time.monotonic()
     alloc = _mu_setup(spec) if spec.kind == "mu_uplink" else None
     rows = []
-    for si, snr in enumerate(spec.snr_db):
-        trial_ids = _cell_trials(spec, si)
-        per_trial = {}
-        if parallelism > 1:
-            chunks = np.array_split(trial_ids, parallelism)
-            jobs = [(spec, snr, [int(t) for t in c], alloc)
-                    for c in chunks if len(c)]
-            with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    with (ProcessPoolExecutor(max_workers=parallelism) if parallelism > 1
+          else nullcontext()) as pool:
+        for si, snr in enumerate(spec.snr_db):
+            trial_ids = _cell_trials(spec, si)
+            per_trial = {}
+            if pool is not None:
+                chunks = np.array_split(trial_ids, parallelism)
+                jobs = [(spec, snr, [int(t) for t in c], alloc)
+                        for c in chunks if len(c)]
                 for part in pool.map(_run_chunk, jobs):
                     per_trial.update(dict(part))
-        else:
-            per_trial = dict(_run_chunk((spec, snr, trial_ids, alloc)))
-        ordered = [per_trial[t] for t in trial_ids]
-        rows.extend(_aggregate(spec, snr, ordered))
+            else:
+                per_trial = dict(_run_chunk((spec, snr, trial_ids, alloc)))
+            ordered = [per_trial[t] for t in trial_ids]
+            rows.extend(_aggregate(spec, snr, ordered))
     elapsed = time.monotonic() - t0
     if out_dir is not None:
         write_outputs(spec, rows, Path(out_dir), elapsed)

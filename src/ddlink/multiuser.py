@@ -3,19 +3,29 @@
 Each user owns a set of delay bins and a set of Doppler bins; user data
 grids embed into the full frame on the Cartesian product of those sets.
 The base station sees the superposition of all users' transmissions, each
-through its own channel, and detects jointly against a compound matrix
-whose columns over a user's bins come from that user's equivalent channel.
+through its own channel, and detects jointly against a compound model
+whose columns over a user's bins come from that user's channel.
+
+:func:`detect_users_time_domain` detects on the CP-stripped record: user
+q's columns are its sparse CP-bounded time-domain channel times the
+closed-form modulator restricted to its bins (:func:`user_modulator`), so
+no delay-Doppler matrix is built; the harness runs it. The demodulators
+are unitary, so it equals :func:`detect_users` on the demodulated record
+with the dense :func:`compound_matrix`, which stay as its oracles.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
-from .channel import (DdChannelMatrix, LtvChannel, NoiseSpec, apply_channel,
-                      build_dd_matrix, draw_noise)
+from .channel import (DdChannelMatrix, NoiseSpec, apply_channel,
+                      build_dd_matrix, draw_noise, time_domain_matrix)
+from .equalize import solve_regularized
 from .frame import FrameConfig
-from .modem import (DelayDopplerGrid, TimeSignal, Waveform, demodulate_direct,
-                    modulate_direct)
+from .modem import (DelayDopplerGrid, TimeSignal, Waveform, _strip,
+                    demodulate_direct, modulate_direct)
+from .transforms import coupling_phases
 
 
 @dataclass(frozen=True)
@@ -83,10 +93,6 @@ class Allocation:
         v = np.asarray(u.doppler_bins)
         return (v[None, :] * self.M + d[:, None]).flatten(order="F")
 
-    def is_full(self) -> bool:
-        total = sum(len(u.delay_bins) * len(u.doppler_bins) for u in self.users)
-        return total == self.M * self.N
-
 
 def place_user(data: np.ndarray, alloc: Allocation, q: int,
                frame: FrameConfig) -> DelayDopplerGrid:
@@ -106,15 +112,6 @@ def place_user(data: np.ndarray, alloc: Allocation, q: int,
 def extract_user(grid: DelayDopplerGrid, alloc: Allocation, q: int) -> np.ndarray:
     u = alloc.users[q]
     return grid.data[np.ix_(u.delay_bins, u.doppler_bins)]
-
-
-def selection_matrix(alloc: Allocation, q: int) -> np.ndarray:
-    """Dense MN-by-(M_q N_q) selector, column j picking the full-grid vec
-    position of the user's j-th symbol."""
-    idx = alloc.vec_indices(q)
-    G = np.zeros((alloc.M * alloc.N, idx.size))
-    G[idx, np.arange(idx.size)] = 1.0
-    return G
 
 
 def compound_matrix(channels, alloc: Allocation, waveform: Waveform) -> DdChannelMatrix:
@@ -170,6 +167,61 @@ def detect_users(received: DelayDopplerGrid, H: DdChannelMatrix,
     out = np.zeros(alloc.M * alloc.N, dtype=complex)
     out[cols] = x
     return DelayDopplerGrid.from_vec(out, received.frame)
+
+
+def user_modulator(alloc: Allocation, q: int, waveform: Waveform) -> sparse.csc_array:
+    """Direct-path modulator without CP, restricted to user q's bins.
+
+    Column j belongs to the user's j-th bin (m, n) in vec order and holds
+    exp(2j*pi*n*k/N)/sqrt(N) on sample k*M + m for k = 0..N-1, times
+    conj(W[m, n]) for SC-IFDMA: N nonzeros per column.
+    """
+    M, N = alloc.M, alloc.N
+    idx = alloc.vec_indices(q)
+    m, n = idx % M, idx // M
+    k = np.arange(N)
+    vals = np.exp(2j * np.pi * (np.outer(n, k) % N) / N) / np.sqrt(N)
+    if waveform is Waveform.SC_IFDMA:
+        vals *= np.conj(coupling_phases(M, N)[m, n])[:, None]
+    rows = k[None, :] * M + m[:, None]
+    return sparse.csc_array((vals.ravel(), rows.ravel(),
+                             np.arange(0, idx.size * N + 1, N)),
+                            shape=(M * N, idx.size))
+
+
+def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
+                             waveform: Waveform, noise_var: float) -> DelayDopplerGrid:
+    """Joint MMSE detection over the allocated bins of one CP-included
+    superposed record, in ``waveform``'s delay-Doppler convention.
+
+    User q's columns are C_q = H_t,q B_q: the sparse CP-bounded channel
+    of ``channels[q]`` times :func:`user_modulator`, at most P*N nonzeros
+    each; a ``None`` channel contributes zero columns. With C = [C_1 ...
+    C_Q] and z the record without its CP, solves (C^H C + noise_var I) x
+    = C^H z by sparse LU, or by dense least squares when noise_var is 0.
+    Equals :func:`detect_users` on the demodulated record with the
+    compound matrix of the same channels.
+    """
+    if len(channels) != alloc.n_users:
+        raise ValueError(f"{len(channels)} channels for {alloc.n_users} allocations")
+    frame = received.frame
+    if (frame.M, frame.N) != (alloc.M, alloc.N):
+        raise ValueError("frame does not match the allocation grid")
+    z = _strip(received)
+    blocks = []
+    for q, ch in enumerate(channels):
+        B = user_modulator(alloc, q, waveform)
+        blocks.append(sparse.csr_array(B.shape, dtype=complex) if ch is None
+                      else time_domain_matrix(ch) @ B)
+    C = sparse.hstack(blocks, format="csr")
+    if noise_var > 0.0:
+        x = solve_regularized(C, z, noise_var)
+    else:
+        x = np.linalg.lstsq(C.toarray(), z, rcond=None)[0]
+    cols = np.concatenate([alloc.vec_indices(q) for q in range(alloc.n_users)])
+    out = np.zeros(frame.grid_size, dtype=complex)
+    out[cols] = x
+    return DelayDopplerGrid.from_vec(out, frame)
 
 
 def load_allocation(path: str, M: int, N: int, relax: bool = False) -> Allocation:

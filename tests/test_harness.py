@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ddlink import harness
+from ddlink import chanest, channel, harness, multiuser
 from ddlink.chanest import PilotConfig
 from ddlink.channel import build_dd_matrix
 from ddlink.config import EqSettings, ExperimentSpec, ImpairSettings, SyncSettings
@@ -11,6 +13,7 @@ from ddlink.harness import (link_trial, mu_trial, rows_to_csv, run,
                             seed_stream, sync_trial)
 from ddlink.modem import Waveform, demodulate_direct
 from ddlink.multiuser import even_split_allocation
+from oracles import dense_detect
 
 FRAME = FrameConfig(32, 16, cp_len=8)
 PILOT = PilotConfig(4, 8, 1000.0, 4, 4)
@@ -201,6 +204,65 @@ class TestMuTrial:
             bits += out["otfs"]["bits"]
         assert errors / bits < 0.05
 
+    @staticmethod
+    def detector_calls(monkeypatch, spec, alloc, trials=2):
+        """Run mu_trial with the joint detector spied on and every dense
+        delay-Doppler build made to fail."""
+        calls = []
+        real = harness.detect_users_time_domain
+
+        def spy(received, channels, alloc, waveform, noise_var):
+            out = real(received, channels, alloc, waveform, noise_var)
+            calls.append((received, list(channels), waveform, noise_var, out.vec))
+            return out
+
+        def no_dd_matrix(*args, **kwargs):
+            raise AssertionError("mu_trial built a dense delay-Doppler matrix")
+
+        with monkeypatch.context() as m:
+            m.setattr(harness, "detect_users_time_domain", spy)
+            for module in (harness, channel, chanest, multiuser):
+                m.setattr(module, "build_dd_matrix", no_dd_matrix, raising=False)
+            for t in range(trials):
+                mu_trial(spec, t, 15.0, alloc)
+        assert {c[2] for c in calls} == set(BOTH)
+        return calls
+
+    @staticmethod
+    def estimated_spec():
+        return make_spec(kind="mu_uplink", channel_profile="eva3",
+                         velocity_kmh=120.0, constellation="qpsk",
+                         csi="estimated", pilot=PilotConfig(4, 8, 1000.0, 3, 3))
+
+    @pytest.mark.parametrize("csi", ["genie", "estimated"])
+    def test_detector_matches_dense_compound(self, monkeypatch, csi):
+        spec = (self.estimated_spec() if csi == "estimated" else
+                make_spec(kind="mu_uplink", constellation="qpsk", csi="genie"))
+        alloc = even_split_allocation(FRAME.M, FRAME.N, 2)
+        for received, channels, w, s2, out in self.detector_calls(monkeypatch,
+                                                                  spec, alloc):
+            assert all(ch is not None for ch in channels)
+            oracle = dense_detect(received, channels, alloc, w, s2).vec
+            assert np.linalg.norm(out - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+    def test_empty_user_estimate_contributes_zero_columns(self, monkeypatch):
+        spec = self.estimated_spec()
+        alloc = even_split_allocation(FRAME.M, FRAME.N, 2)
+        silenced = harness._mu_user_pilot(spec, alloc, 1)
+        real = harness.estimate_channel
+
+        def estimate(received, pc, waveform, **kw):
+            est = real(received, pc, waveform, **kw)
+            return replace(est, taps=()) if pc == silenced else est
+
+        monkeypatch.setattr(harness, "estimate_channel", estimate)
+        for received, channels, w, s2, out in self.detector_calls(monkeypatch,
+                                                                  spec, alloc):
+            assert channels[0] is not None and channels[1] is None
+            assert not np.any(out[alloc.vec_indices(1)])
+            oracle = dense_detect(received, channels, alloc, w, s2).vec
+            assert np.linalg.norm(out - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
     def test_guards_must_fit_inside_the_allocation(self):
         from ddlink.config import ConfigError
         spec = make_spec(kind="mu_uplink", csi="estimated",
@@ -240,6 +302,21 @@ class TestRun:
         serial = rows_to_csv(run(spec, parallelism=1))
         parallel = rows_to_csv(run(spec, parallelism=2))
         assert serial == parallel
+
+    def test_one_worker_pool_per_run(self, monkeypatch):
+        pools = []
+
+        class CountedPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+        spec = make_spec(kind="sync_vs_snr", channel_profile="single_tap",
+                         trials=2, snr_db=(10.0, 20.0),
+                         sync=SyncSettings(enabled=True))
+        run(spec, parallelism=2)
+        assert len(pools) == 1
 
     def test_seed_changes_results(self):
         spec_a = make_spec(trials=2)

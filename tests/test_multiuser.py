@@ -1,19 +1,36 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec,
-                            linearized_io)
+from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec, apply_channel,
+                            linearized_io, make_channel)
 from ddlink.frame import FrameConfig
-from ddlink.modem import DelayDopplerGrid, Waveform
+from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform, _mod_core,
+                          modulate_direct)
 from ddlink.multiuser import (Allocation, UserBins, compound_matrix,
                               compound_uplink, detect_users,
-                              even_split_allocation, extract_user,
-                              load_allocation, place_user, selection_matrix)
+                              detect_users_time_domain, even_split_allocation,
+                              extract_user, load_allocation, place_user,
+                              user_modulator)
 from ddlink.transforms import coupling_phases
+from oracles import dense_detect
 
 rng = np.random.default_rng(33)
 
 FRAME = FrameConfig(8, 8, cp_len=4)
+ALLOCATION_FILE = Path(__file__).resolve().parents[1] / "configs" / "mu_allocation.txt"
+
+
+def selection_matrix(alloc: Allocation, q: int) -> np.ndarray:
+    """Dense MN-by-(M_q N_q) selector, column j picking the full-grid vec
+    position of the user's j-th symbol."""
+    idx = alloc.vec_indices(q)
+    G = np.zeros((alloc.M * alloc.N, idx.size))
+    G[idx, np.arange(idx.size)] = 1.0
+    return G
 
 
 def two_user_alloc(M=8, N=8):
@@ -187,6 +204,153 @@ class TestCompound:
         with pytest.raises(ValueError):
             compound_uplink([(np.zeros(a.user_shape(0)), random_channel(FRAME, 0))],
                             a, Waveform.OTFS, FRAME)
+
+
+def doppler_channel(frame, delays, seed):
+    """Random complex gains with fractional Doppler on the given delays."""
+    g = np.random.default_rng(seed)
+    return LtvChannel(tuple(
+        ChannelTap(int(d), complex(g.standard_normal(), g.standard_normal()) / 2,
+                   float(g.uniform(-2.5, 2.5)))
+        for d in delays), frame)
+
+
+def uplink_case(name):
+    """(frame, allocation, per-user channels) for one oracle scenario."""
+    if name == "even_split":
+        return FRAME, even_split_allocation(8, 8, 2), \
+            [doppler_channel(FRAME, (0, 1, 3), s) for s in (1, 2)]
+    if name == "allocation_file":
+        frame = FrameConfig(32, 16, cp_len=8)
+        g = np.random.default_rng(3)
+        return frame, load_allocation(str(ALLOCATION_FILE), 32, 16), \
+            [make_channel("eva3", frame, 500.0, g) for _ in range(2)]
+    if name == "relaxed":
+        # users 0 and 1 share delay bins, users 0 and 2 share Doppler bins
+        alloc = Allocation((UserBins((0, 1, 2), (0, 1, 2, 3)),
+                            UserBins((0, 1, 2), (4, 5, 6)),
+                            UserBins((4, 5, 6, 7), (0, 1, 2))), 8, 8,
+                           relax_disjointness=True)
+        return FRAME, alloc, [doppler_channel(FRAME, (0, 2), s) for s in (4, 5, 6)]
+    if name == "none_user":
+        return FRAME, two_user_alloc(), [doppler_channel(FRAME, (0, 2), 7), None]
+    if name == "past_cp":
+        frame = FrameConfig(8, 8, cp_len=2)
+        return frame, two_user_alloc(), \
+            [doppler_channel(frame, (0, 5, 9), 8), doppler_channel(frame, (3, 70), 9)]
+    raise KeyError(name)
+
+
+def superposed_record(frame, alloc, channels, noise_var, seed):
+    """CP-included record of every user's random grid through its channel
+    (a None channel stays silent), plus noise."""
+    g = np.random.default_rng(seed)
+    rx = np.zeros(frame.frame_len, dtype=complex)
+    for q, ch in enumerate(channels):
+        shape = alloc.user_shape(q)
+        data = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+        if ch is not None:
+            x = modulate_direct(place_user(data, alloc, q, frame), Waveform.OTFS)
+            rx += apply_channel(x, ch).samples
+    noise = g.standard_normal(rx.size) + 1j * g.standard_normal(rx.size)
+    return TimeSignal(rx + np.sqrt(noise_var / 2) * noise, frame)
+
+
+def assert_matches_dense(received, channels, alloc, w, noise_var):
+    out = detect_users_time_domain(received, channels, alloc, w, noise_var).vec
+    oracle = dense_detect(received, channels, alloc, w, noise_var).vec
+    assert np.linalg.norm(out - oracle) <= 1e-10 * np.linalg.norm(oracle)
+    return out
+
+
+@st.composite
+def uplinks(draw):
+    """Random geometry, a random disjoint allocation of 1-3 users (bins may
+    stay unallocated), and per-user random tap sets with delays up to past
+    the CP-included frame and fractional Doppler; a user may be silent."""
+    M = draw(st.integers(1, 8))
+    N = draw(st.integers(1, 8))
+    frame = FrameConfig(M, N, cp_len=draw(st.integers(0, M * N - 1)))
+    Q = draw(st.integers(1, min(M, N, 3)))
+
+    def split(total):
+        bins = draw(st.permutations(range(total)))[:draw(st.integers(Q, total))]
+        cuts = sorted(draw(st.lists(st.integers(1, len(bins) - 1), min_size=Q - 1,
+                                    max_size=Q - 1, unique=True))) if Q > 1 else []
+        return [tuple(bins[a:b]) for a, b in zip([0] + cuts, cuts + [len(bins)])]
+
+    alloc = Allocation(tuple(UserBins(d, v) for d, v in zip(split(M), split(N))),
+                       M, N)
+    finite = st.floats(-2.0, 2.0, allow_nan=False)
+    taps = st.lists(st.builds(ChannelTap, delay=st.integers(0, frame.frame_len),
+                              gain=st.builds(complex, finite, finite),
+                              doppler=st.floats(-N, N, allow_nan=False)),
+                    min_size=1, max_size=4)
+    channels = [draw(st.none() | taps.map(lambda t: LtvChannel(tuple(t), frame)))
+                for _ in range(Q)]
+    return frame, alloc, channels, draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestTimeDomainDetector:
+    @pytest.mark.parametrize("w", [Waveform.OTFS, Waveform.SC_IFDMA])
+    @pytest.mark.parametrize("case", ["even_split", "relaxed"])
+    def test_user_modulator_is_mod_core_on_unit_grids(self, case, w):
+        frame, alloc, _ = uplink_case(case)
+        M, N = frame.M, frame.N
+        for q in range(alloc.n_users):
+            idx = alloc.vec_indices(q)
+            units = np.zeros((M, N, idx.size), dtype=complex)
+            units[idx % M, idx // M, np.arange(idx.size)] = 1.0
+            expected = _mod_core(units, frame, w, spread=False)[frame.cp_len:]
+            B = user_modulator(alloc, q, w)
+            assert B.nnz == idx.size * N
+            np.testing.assert_allclose(B.toarray(), expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.filterwarnings("ignore:channel delay spread")
+    @pytest.mark.parametrize("noise_var", [0.0, 0.05])
+    @pytest.mark.parametrize("w", [Waveform.OTFS, Waveform.SC_IFDMA])
+    @pytest.mark.parametrize("case", ["even_split", "allocation_file", "relaxed",
+                                      "none_user", "past_cp"])
+    def test_matches_dense_compound_detection(self, case, w, noise_var):
+        frame, alloc, channels = uplink_case(case)
+        received = superposed_record(frame, alloc, channels, noise_var, 11)
+        out = assert_matches_dense(received, channels, alloc, w, noise_var)
+        for q, ch in enumerate(channels):
+            if ch is None:
+                assert not np.any(out[alloc.vec_indices(q)])
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(uplinks(), st.sampled_from([Waveform.OTFS, Waveform.SC_IFDMA]),
+           st.sampled_from([0.01, 0.5]))
+    def test_random_uplinks_match_dense_compound_detection(self, uplink, w,
+                                                           noise_var):
+        frame, alloc, channels, seed = uplink
+        g = np.random.default_rng(seed)
+        received = TimeSignal(g.standard_normal(frame.frame_len)
+                              + 1j * g.standard_normal(frame.frame_len), frame)
+        assert_matches_dense(received, channels, alloc, w, noise_var)
+
+    def test_noiseless_recovery(self):
+        frame, alloc, channels = uplink_case("even_split")
+        g = np.random.default_rng(5)
+        datas = [g.standard_normal(alloc.user_shape(q))
+                 + 1j * g.standard_normal(alloc.user_shape(q)) for q in range(2)]
+        rx = sum(apply_channel(modulate_direct(place_user(d, alloc, q, frame),
+                                               Waveform.OTFS), ch).samples
+                 for q, (d, ch) in enumerate(zip(datas, channels)))
+        hat = detect_users_time_domain(TimeSignal(rx, frame), channels, alloc,
+                                       Waveform.OTFS, 0.0)
+        for q, d in enumerate(datas):
+            assert np.max(np.abs(extract_user(hat, alloc, q) - d)) <= 1e-8
+
+    def test_mismatched_inputs_rejected(self):
+        frame, alloc, channels = uplink_case("even_split")
+        received = TimeSignal(np.zeros(frame.frame_len, dtype=complex), frame)
+        with pytest.raises(ValueError):
+            detect_users_time_domain(received, channels[:1], alloc, Waveform.OTFS, 0.1)
+        with pytest.raises(ValueError):
+            detect_users_time_domain(received, channels, even_split_allocation(4, 8, 2),
+                                     Waveform.OTFS, 0.1)
 
 
 class TestAllocationFile:
