@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelTap, DdChannelMatrix, LtvChannel, build_dd_matrix
+from .channel import ChannelTap, LtvChannel
 from .frame import FrameConfig
 from .mapping import DATA, GUARD, PILOT, full_data_mask
 from .modem import DelayDopplerGrid, Waveform
@@ -156,13 +156,3 @@ def to_ltv_channel(est: EstimatedChannel, frame: FrameConfig) -> LtvChannel:
         raise ValueError("empty channel estimate")
     return LtvChannel(tuple(ChannelTap(t.delay, t.gain, float(t.doppler))
                             for t in est.taps), frame)
-
-
-def reconstruct_dd_matrix(est: EstimatedChannel, frame: FrameConfig,
-                          waveform: Waveform) -> DdChannelMatrix:
-    """Rebuild the full equivalent channel from the estimated taps.
-
-    The reference-phase convention above makes the rebuilt matrix
-    reproduce the observed pilot responses exactly.
-    """
-    return build_dd_matrix(to_ltv_channel(est, frame), waveform)

@@ -55,10 +55,6 @@ class LtvChannel:
         """Delay spread in samples: 1 + the largest tap delay."""
         return 1 + max(t.delay for t in self.taps)
 
-    @property
-    def is_static(self) -> bool:
-        return all(t.doppler == 0.0 for t in self.taps)
-
 
 @dataclass(frozen=True)
 class NoiseSpec:

@@ -2,13 +2,12 @@
 
 import argparse
 import sys
-import warnings
+from dataclasses import replace
 
 from .channel import CHANNEL_PROFILES
 from .config import ConfigError, load_spec
 
 REFERENCE_SCALE = (128, 32)
-_LARGE_GRID = 4096
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -29,8 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--parallelism", type=int, default=1,
                        help="worker processes for the trial loop")
     run_p.add_argument("--reference-scale", action="store_true",
-                       help="force the 128x32 grid of the reference setup "
-                            "(slow: minutes to tens of minutes)")
+                       help="force the 128x32 grid of the reference setup")
 
     val_p = sub.add_parser("validate", help="check a config and exit")
     val_p.add_argument("config")
@@ -47,16 +45,17 @@ def _load(args):
     if getattr(args, "trials", None) is not None:
         overrides["trials"] = args.trials
     if getattr(args, "reference_scale", False):
-        from dataclasses import replace as dc_replace
-        frame = dc_replace(spec.frame, M=REFERENCE_SCALE[0], N=REFERENCE_SCALE[1])
+        frame = replace(spec.frame, M=REFERENCE_SCALE[0], N=REFERENCE_SCALE[1])
+        if (spec.kind == "mu_uplink" and spec.mu_allocation_path
+                and frame != spec.frame):
+            raise ConfigError(
+                f"mu.allocation = {spec.mu_allocation_path} lists bins of the "
+                f"{spec.frame.M}x{spec.frame.N} grid, not of the "
+                f"{frame.M}x{frame.N} reference grid; drop mu.allocation for "
+                f"an even split")
         overrides["frame"] = frame
     if overrides:
-        from dataclasses import replace
         spec = replace(spec, **overrides)
-    if spec.frame.grid_size >= _LARGE_GRID:
-        warnings.warn(
-            f"grid {spec.frame.M}x{spec.frame.N} is reference scale; expect "
-            f"runtimes of minutes to tens of minutes", stacklevel=1)
     return spec
 
 

@@ -238,11 +238,6 @@ class ImpairSettings:
             cfo=self._draw(self.epsilon, rng),
         )
 
-    @property
-    def is_none(self) -> bool:
-        return (self.theta_d == ("fixed", 0.0) and self.theta_t == 0
-                and self.epsilon == ("fixed", 0.0))
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:

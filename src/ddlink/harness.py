@@ -18,6 +18,14 @@ per-trial hard decisions of the two waveforms comparable one-to-one.
 Synchronization experiments transmit per-waveform signals with shared
 channel/noise/impairment draws instead, since the timing metric needs no
 cross-waveform coupling.
+
+Trial skeleton: ``_draw`` draws one channel, bit array and grid per data
+mask (one mask for a link, one per uplink user), ``_transmit`` superposes
+the grids through their channels, and detection trials hand the noisy
+record to ``_receive`` (CSI, the trial's solve, SC-IFDMA derotation,
+demapping per mask). ``_KINDS`` maps each kind to its trial and its result
+rows; it names ``link_trial``, ``sync_trial`` and ``mu_trial`` at call
+time, so rebinding them on this module intercepts every trial.
 """
 
 import csv
@@ -38,14 +46,13 @@ from .channel import (LtvChannel, apply_channel, draw_noise, make_channel,
                       taps_from_profile, time_domain_matrix)
 from .config import ConfigError, ExperimentSpec
 from .equalize import equalize_time_domain
-from .mapping import (DATA, PILOT, data_bin_count, demap_bits,
+from .mapping import (GUARD, data_bin_count, demap_bits, full_data_mask,
                       get_constellation, map_bits)
 from .modem import (DelayDopplerGrid, TimeSignal, Waveform, demodulate_direct,
                     modulate_direct)
 from .multiuser import (Allocation, detect_users_time_domain,
-                        even_split_allocation, extract_user, load_allocation,
-                        place_user)
-from .sync import correct, estimate_sync
+                        even_split_allocation, load_allocation)
+from .sync import correct, estimate_sync, fine_timing, timing_metric
 from .transforms import coupling_phases
 
 _COMPONENTS = {"channel": 0, "noise": 1, "data": 2, "impairment": 3}
@@ -90,6 +97,41 @@ def _noise_var(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
+def _draw(spec: ExperimentSpec, trial_id: int, masks, pilots):
+    """One channel, one bit array and one grid per data mask, in mask
+    order, from the trial's channel and data substreams; a grid carries
+    its pilot when one is given."""
+    const = get_constellation(spec.constellation)
+    rng_ch = seed_stream(spec.seed, trial_id, "channel")
+    rng_data = seed_stream(spec.seed, trial_id, "data")
+    channels, bits, grids = [], [], []
+    for mask, pc in zip(masks, pilots):
+        channels.append(_draw_channel(spec, rng_ch))
+        b = rng_data.integers(0, 2, data_bin_count(mask) * const.bits_per_symbol)
+        grid = map_bits(b, const, spec.frame, mask)
+        bits.append(b)
+        grids.append(grid if pc is None else embed_pilot(grid, pc))
+    return channels, bits, grids
+
+
+def _transmit(grids, channels, waveform: Waveform, impair=None,
+              record_len=None) -> np.ndarray:
+    """Noiseless received record: the grids, each through its own channel,
+    superposed."""
+    return sum(apply_channel(modulate_direct(g, waveform), ch, impair=impair,
+                             record_len=record_len).samples
+               for g, ch in zip(grids, channels))
+
+
+def _estimate_sync(spec: ExperimentSpec, record: np.ndarray):
+    sync = spec.sync
+    return estimate_sync(record, spec.frame, spec.pilot.pilot_delay,
+                         pilot_doppler=spec.pilot.pilot_doppler,
+                         threshold=sync.threshold, n_rows=sync.search_rows,
+                         max_blocks=sync.max_blocks,
+                         cfo_convention=sync.cfo_convention)
+
+
 def _estimated_channel(received: DelayDopplerGrid, pc: PilotConfig,
                        waveform: Waveform) -> LtvChannel | None:
     """Channel estimated from the pilot ``pc`` of the shared transmit record
@@ -102,6 +144,40 @@ def _estimated_channel(received: DelayDopplerGrid, pc: PilotConfig,
         pilot_value = pc.amplitude * W[pc.pilot_delay, pc.pilot_doppler]
     est = estimate_channel(received, pc, waveform, pilot_value=pilot_value)
     return None if est.is_empty else to_ltv_channel(est, frame)
+
+
+def _receive(spec: ExperimentSpec, signal: TimeSignal, channels, pilots,
+             masks, bits, solve) -> dict:
+    """Both receiver chains of one shared OTFS-structured record.
+
+    Per waveform: CSI (the drawn ``channels``, or one estimate per pilot),
+    ``solve(received, hs, waveform)`` for the equalized delay-Doppler vec,
+    derotation by the coupling phases for SC-IFDMA, then hard decisions
+    on the data bins of each mask against that mask's bits.
+    """
+    const = get_constellation(spec.constellation)
+    W = coupling_phases(spec.frame.M, spec.frame.N)
+    out = {}
+    for w in spec.waveforms:
+        received = demodulate_direct(signal, w)
+        hs = (channels if spec.csi == "genie" else
+              [_estimated_channel(received, pc, w) for pc in pilots])
+        d_hat = solve(received, hs, w)
+        if w is Waveform.SC_IFDMA:
+            d_hat = d_hat * np.conj(W).flatten(order="F")
+        hat_grid = DelayDopplerGrid.from_vec(d_hat, spec.frame)
+        errors, decisions = 0, []
+        for mask, b in zip(masks, bits):
+            bits_hat, idx = demap_bits(hat_grid, const, mask)
+            errors += int(np.count_nonzero(bits_hat != b))
+            decisions.append(idx)
+        out[w.value] = {
+            "bit_errors": errors,
+            "bits": sum(b.size for b in bits),
+            "decisions": np.concatenate(decisions),
+            "estimate_empty": any(h is None for h in hs),
+        }
+    return out
 
 
 def _equalize(spec: ExperimentSpec, corrected: TimeSignal, ch: LtvChannel,
@@ -119,57 +195,34 @@ def link_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
     chain per waveform. Returns per-waveform bit errors, bit counts, and
     symbol decisions."""
     frame = spec.frame
-    const = get_constellation(spec.constellation)
     mask = overlay_mask(spec.pilot, frame)
     noise_var = _noise_var(snr_db)
-
-    ch = _draw_channel(spec, seed_stream(spec.seed, trial_id, "channel"))
+    (ch,), bits, grids = _draw(spec, trial_id, [mask], [spec.pilot])
     impair = spec.impair.draw(seed_stream(spec.seed, trial_id, "impairment"))
-    rng_data = seed_stream(spec.seed, trial_id, "data")
-    bits = rng_data.integers(0, 2, data_bin_count(mask) * const.bits_per_symbol)
-    grid = embed_pilot(map_bits(bits, const, frame, mask), spec.pilot)
 
-    x = modulate_direct(grid, Waveform.OTFS)
     shift = impair.total_offset(frame.M)
     if spec.sync.enabled:
         record_len = shift + 2 * frame.grid_size + frame.cp_len
     else:
         record_len = shift + frame.frame_len + (ch.n_spread if shift else 0)
-    r = apply_channel(x, ch, noise=None, impair=impair, record_len=record_len)
-    eta = draw_noise(seed_stream(spec.seed, trial_id, "noise"), noise_var, record_len)
-    record = r.samples + eta
+    rng_noise = seed_stream(spec.seed, trial_id, "noise")
+    record = (_transmit(grids, [ch], Waveform.OTFS, impair, record_len)
+              + draw_noise(rng_noise, noise_var, record_len))
 
     if spec.sync.enabled:
-        est = estimate_sync(record, frame, spec.pilot.pilot_delay,
-                            pilot_doppler=spec.pilot.pilot_doppler,
-                            threshold=spec.sync.threshold,
-                            n_rows=spec.sync.search_rows,
-                            max_blocks=spec.sync.max_blocks,
-                            cfo_convention=spec.sync.cfo_convention)
+        est = _estimate_sync(spec, record)
         offset = min(max(est.total_offset(frame.M), 0),
                      record_len - frame.frame_len)
         corrected = correct(record, offset, est.cfo, frame)
     else:
         corrected = TimeSignal(record[:frame.frame_len], frame, cp_included=True)
 
-    W = coupling_phases(frame.M, frame.N)
-    out = {}
-    for w in spec.waveforms:
-        received = demodulate_direct(corrected, w)
-        h = ch if spec.csi == "genie" else _estimated_channel(received, spec.pilot, w)
-        d_hat = (received.vec if h is None
-                 else _equalize(spec, corrected, h, w, noise_var))
-        if w is Waveform.SC_IFDMA:
-            d_hat = d_hat * np.conj(W).flatten(order="F")
-        hat_grid = DelayDopplerGrid.from_vec(d_hat, frame)
-        bits_hat, decisions = demap_bits(hat_grid, const, mask)
-        out[w.value] = {
-            "bit_errors": int(np.count_nonzero(bits_hat != bits)),
-            "bits": int(bits.size),
-            "decisions": decisions,
-            "estimate_empty": h is None,
-        }
-    return out
+    def solve(received, hs, w):
+        if hs[0] is None:
+            return received.vec
+        return _equalize(spec, corrected, hs[0], w, noise_var)
+
+    return _receive(spec, corrected, [ch], [spec.pilot], [mask], bits, solve)
 
 
 def sync_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
@@ -178,32 +231,19 @@ def sync_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
     errors (samples) and the CFO estimate error, plus per-threshold fine
     errors for sweeps."""
     frame = spec.frame
-    const = get_constellation(spec.constellation)
     mask = overlay_mask(spec.pilot, frame)
-    noise_var = _noise_var(snr_db)
-
-    ch = _draw_channel(spec, seed_stream(spec.seed, trial_id, "channel"))
+    channels, _, grids = _draw(spec, trial_id, [mask], [spec.pilot])
     impair = spec.impair.draw(seed_stream(spec.seed, trial_id, "impairment"))
-    rng_data = seed_stream(spec.seed, trial_id, "data")
-    bits = rng_data.integers(0, 2, data_bin_count(mask) * const.bits_per_symbol)
-    grid = embed_pilot(map_bits(bits, const, frame, mask), spec.pilot)
 
-    shift = impair.total_offset(frame.M)
-    record_len = shift + 2 * frame.grid_size + frame.cp_len
-    eta = draw_noise(seed_stream(spec.seed, trial_id, "noise"), noise_var, record_len)
+    true_offset = impair.total_offset(frame.M)
+    record_len = true_offset + 2 * frame.grid_size + frame.cp_len
+    eta = draw_noise(seed_stream(spec.seed, trial_id, "noise"),
+                     _noise_var(snr_db), record_len)
 
     out = {}
-    true_offset = impair.total_offset(frame.M)
     for w in spec.waveforms:
-        x = modulate_direct(grid, w)
-        r = apply_channel(x, ch, noise=None, impair=impair, record_len=record_len)
-        record = r.samples + eta
-        est = estimate_sync(record, frame, spec.pilot.pilot_delay,
-                            pilot_doppler=spec.pilot.pilot_doppler,
-                            threshold=spec.sync.threshold,
-                            n_rows=spec.sync.search_rows,
-                            max_blocks=spec.sync.max_blocks,
-                            cfo_convention=spec.sync.cfo_convention)
+        record = _transmit(grids, channels, w, impair, record_len) + eta
+        est = _estimate_sync(spec, record)
         coarse_total = est.coarse_delay + frame.M * est.block_offset
         res = {
             "coarse_err": abs(coarse_total - true_offset),
@@ -211,7 +251,6 @@ def sync_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
             "cfo_sq_err": (est.cfo - impair.cfo) ** 2,
         }
         if spec.kind == "threshold_sweep":
-            from .sync import fine_timing, timing_metric
             _, row_metric = timing_metric(record, frame, n_rows=spec.sync.search_rows)
             for ts in spec.sweep_thresholds:
                 fine = fine_timing(row_metric, ts, spec.pilot.pilot_delay,
@@ -246,6 +285,17 @@ def _mu_user_pilot(spec: ExperimentSpec, alloc: Allocation, q: int) -> PilotConf
                        pc.detection_threshold)
 
 
+def _mu_user_mask(spec: ExperimentSpec, alloc: Allocation, q: int,
+                  pc: PilotConfig | None) -> np.ndarray:
+    """Full-frame overlay of user q: its pilot and guards when ``pc`` is
+    given, data on the rest of its bins, guard outside them."""
+    base = full_data_mask(spec.frame) if pc is None else overlay_mask(pc, spec.frame)
+    bins = np.ix_(alloc.users[q].delay_bins, alloc.users[q].doppler_bins)
+    mask = np.full_like(base, GUARD)
+    mask[bins] = base[bins]
+    return mask
+
+
 def mu_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
              alloc: Allocation) -> dict:
     """One multiuser uplink trial: superposed per-user transmissions, joint
@@ -259,81 +309,62 @@ def mu_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
     drives its symbols toward zero).
     """
     frame = spec.frame
-    const = get_constellation(spec.constellation)
     noise_var = _noise_var(snr_db)
-    estimated = spec.csi == "estimated"
-    pilots = [_mu_user_pilot(spec, alloc, q) for q in range(alloc.n_users)] \
-        if estimated else None
+    pilots = [_mu_user_pilot(spec, alloc, q) if spec.csi == "estimated" else None
+              for q in range(alloc.n_users)]
+    masks = [_mu_user_mask(spec, alloc, q, pc) for q, pc in enumerate(pilots)]
+    channels, bits, grids = _draw(spec, trial_id, masks, pilots)
+    rng_noise = seed_stream(spec.seed, trial_id, "noise")
+    record = (_transmit(grids, channels, Waveform.OTFS)
+              + draw_noise(rng_noise, noise_var, frame.frame_len))
+    shared = TimeSignal(record, frame, cp_included=True)
 
-    rng_ch = seed_stream(spec.seed, trial_id, "channel")
-    rng_data = seed_stream(spec.seed, trial_id, "data")
-    channels, grids, bits_all, masks = [], [], [], []
-    for q in range(alloc.n_users):
-        channels.append(_draw_channel(spec, rng_ch))
-        mq, nq = alloc.user_shape(q)
-        if estimated:
-            full_mask = overlay_mask(pilots[q], frame)
-            u = alloc.users[q]
-            local_mask = full_mask[np.ix_(u.delay_bins, u.doppler_bins)]
-        else:
-            local_mask = np.zeros((mq, nq), dtype=np.int8)  # all data
-        bits = rng_data.integers(0, 2, data_bin_count(local_mask) * const.bits_per_symbol)
-        bits_all.append(bits)
-        masks.append(local_mask)
-        vec = np.zeros(mq * nq, dtype=complex)
-        vec[local_mask.flatten(order="F") == DATA] = const.bits_to_symbols(bits)
-        local = vec.reshape((mq, nq), order="F")
-        if estimated:
-            local[local_mask == PILOT] = pilots[q].amplitude
-        grids.append(local)
+    def solve(received, hs, w):
+        return detect_users_time_domain(shared, hs, alloc, w, noise_var).vec
 
-    rx = np.zeros(frame.frame_len, dtype=complex)
-    for q in range(alloc.n_users):
-        grid = place_user(grids[q], alloc, q, frame)
-        x = modulate_direct(grid, Waveform.OTFS)
-        rx = rx + apply_channel(x, channels[q]).samples
-    rx = rx + draw_noise(seed_stream(spec.seed, trial_id, "noise"),
-                         noise_var, rx.size)
-    shared = TimeSignal(rx, frame, cp_included=True)
+    return _receive(spec, shared, channels, pilots, masks, bits, solve)
 
-    W = coupling_phases(frame.M, frame.N)
-    out = {}
-    for w in spec.waveforms:
-        if estimated:
-            received = demodulate_direct(shared, w)
-            hs = [_estimated_channel(received, pc, w) for pc in pilots]
-        else:
-            hs = channels
-        d_hat = detect_users_time_domain(shared, hs, alloc, w, noise_var).vec
-        if w is Waveform.SC_IFDMA:
-            d_hat = d_hat * np.conj(W).flatten(order="F")
-        hat_grid = DelayDopplerGrid.from_vec(d_hat, frame)
-        errors = bits = 0
-        decisions = []
-        for q in range(alloc.n_users):
-            sym = extract_user(hat_grid, alloc, q).flatten(order="F")
-            sym = sym[masks[q].flatten(order="F") == DATA]
-            idx = const.nearest_indices(sym)
-            bh = const.indices_to_bits(idx)
-            errors += int(np.count_nonzero(bh != bits_all[q]))
-            bits += bits_all[q].size
-            decisions.append(idx)
-        out[w.value] = {"bit_errors": errors, "bits": bits,
-                        "decisions": np.concatenate(decisions)}
-    return out
+
+def _ber_metrics(spec: ExperimentSpec, per_trial: list) -> list:
+    errors = sum(t["bit_errors"] for t in per_trial)
+    bits = sum(t["bits"] for t in per_trial)
+    return [("BER", errors / bits)]
+
+
+def _mean(per_trial: list, key: str) -> float:
+    return float(np.mean([t[key] for t in per_trial]))
+
+
+def _sync_metrics(spec: ExperimentSpec, per_trial: list) -> list:
+    return [("TO_mean_error", _mean(per_trial, "coarse_err")),
+            ("TO_fine_mean_error", _mean(per_trial, "fine_err")),
+            ("CFO_MSE", _mean(per_trial, "cfo_sq_err"))]
+
+
+def _sweep_metrics(spec: ExperimentSpec, per_trial: list) -> list:
+    return _sync_metrics(spec, per_trial) + [
+        (f"TO_fine_mean_error@Ts={ts:g}", _mean(per_trial, f"fine_err@{ts:g}"))
+        for ts in spec.sweep_thresholds]
+
+
+# kind -> (trial, per-waveform (metric, value) rows); the lambdas look the
+# trial functions up at call time (see the module docstring).
+_KINDS = {
+    "ber_vs_snr": (lambda spec, t, snr, alloc: link_trial(spec, t, snr),
+                   _ber_metrics),
+    "sync_vs_snr": (lambda spec, t, snr, alloc: sync_trial(spec, t, snr),
+                    _sync_metrics),
+    "threshold_sweep": (lambda spec, t, snr, alloc: sync_trial(spec, t, snr),
+                        _sweep_metrics),
+    "mu_uplink": (lambda spec, t, snr, alloc: mu_trial(spec, t, snr, alloc),
+                  _ber_metrics),
+}
 
 
 def _run_chunk(args):
     spec, snr_db, trial_ids, alloc = args
-    results = []
-    for t in trial_ids:
-        if spec.kind in ("ber_vs_snr",):
-            results.append((t, link_trial(spec, t, snr_db)))
-        elif spec.kind == "mu_uplink":
-            results.append((t, mu_trial(spec, t, snr_db, alloc)))
-        else:
-            results.append((t, sync_trial(spec, t, snr_db)))
-    return results
+    trial, _ = _KINDS[spec.kind]
+    return [(t, trial(spec, t, snr_db, alloc)) for t in trial_ids]
 
 
 def _cell_trials(spec: ExperimentSpec, snr_index: int):
@@ -369,32 +400,11 @@ def run(spec: ExperimentSpec, out_dir=None, parallelism: int = 1):
 
 
 def _aggregate(spec: ExperimentSpec, snr: float, trials: list) -> list:
-    rows = []
-    for w in spec.waveforms:
-        name = w.value
-        if spec.kind in ("ber_vs_snr", "mu_uplink"):
-            errors = sum(t[name]["bit_errors"] for t in trials)
-            bits = sum(t[name]["bits"] for t in trials)
-            rows.append(ResultRow(spec.kind, name, snr, "BER", errors / bits,
-                                  spec.trials, spec.seed))
-        else:
-            coarse = float(np.mean([t[name]["coarse_err"] for t in trials]))
-            fine = float(np.mean([t[name]["fine_err"] for t in trials]))
-            cfo = float(np.mean([t[name]["cfo_sq_err"] for t in trials]))
-            rows.append(ResultRow(spec.kind, name, snr, "TO_mean_error",
-                                  coarse, spec.trials, spec.seed))
-            rows.append(ResultRow(spec.kind, name, snr, "TO_fine_mean_error",
-                                  fine, spec.trials, spec.seed))
-            rows.append(ResultRow(spec.kind, name, snr, "CFO_MSE",
-                                  cfo, spec.trials, spec.seed))
-            if spec.kind == "threshold_sweep":
-                for ts in spec.sweep_thresholds:
-                    key = f"fine_err@{ts:g}"
-                    val = float(np.mean([t[name][key] for t in trials]))
-                    rows.append(ResultRow(spec.kind, name, snr,
-                                          f"TO_fine_mean_error@Ts={ts:g}",
-                                          val, spec.trials, spec.seed))
-    return rows
+    _, metrics = _KINDS[spec.kind]
+    return [ResultRow(spec.kind, w.value, snr, metric, value, spec.trials,
+                      spec.seed)
+            for w in spec.waveforms
+            for metric, value in metrics(spec, [t[w.value] for t in trials])]
 
 
 def rows_to_csv(rows) -> str:

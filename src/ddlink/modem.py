@@ -171,13 +171,3 @@ def demodulate_spread(sig: TimeSignal, waveform: Waveform) -> DelayDopplerGrid:
     """Full-band DFT, comb gathering, per-column IDFTs; equals the direct path."""
     z = _strip(sig)
     return DelayDopplerGrid(_demod_core(z, sig.frame, waveform, spread=True), sig.frame)
-
-
-def frequency_symbols(grid: DelayDopplerGrid, waveform: Waveform) -> np.ndarray:
-    """The spread path's full-band frequency vector: bin n + k*N carries the
-    k-th DFT output of Doppler column n (phase-rotated first for OTFS)."""
-    M, N = grid.frame.M, grid.frame.N
-    W = coupling_phases(M, N)
-    Dw = grid.data * W if waveform is Waveform.OTFS else grid.data
-    C = np.fft.fft(Dw, axis=0, norm="ortho")
-    return C.reshape(M * N)

@@ -37,10 +37,6 @@ class Impairments:
     def total_offset(self, M: int) -> int:
         return self.timing_delay + M * self.timing_blocks
 
-    @property
-    def is_none(self) -> bool:
-        return self.timing_delay == 0 and self.timing_blocks == 0 and self.cfo == 0.0
-
 
 @dataclass(frozen=True)
 class SyncEstimate:

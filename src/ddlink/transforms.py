@@ -1,37 +1,9 @@
-"""Shared linear-algebra substrate: unitary DFTs, phase diagonals,
-interleaving permutations, and the upsampling/aliasing helpers the
-modulator structures are built from.
+"""The per-bin coupling phases by which the OTFS and SC-IFDMA structures
+differ, cached per grid shape as read-only arrays."""
 
-Everything here is a pure function over immutable inputs. Permutations
-and diagonals are kept as index maps / vectors, never dense matrices.
-"""
-
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-
-def dft(v, size=None):
-    """Unitary DFT of ``v``. ``size`` is a length assertion, not zero-padding."""
-    v = np.asarray(v)
-    if size is not None and v.shape[0] != size:
-        raise ValueError(f"expected length {size}, got {v.shape[0]}")
-    return np.fft.fft(v, axis=0, norm="ortho")
-
-
-def idft(v, size=None):
-    """Unitary inverse DFT of ``v``; exact inverse of :func:`dft`."""
-    v = np.asarray(v)
-    if size is not None and v.shape[0] != size:
-        raise ValueError(f"expected length {size}, got {v.shape[0]}")
-    return np.fft.ifft(v, axis=0, norm="ortho")
-
-
-def dft_matrix(size: int) -> np.ndarray:
-    """Dense unitary DFT matrix with entries exp(-2j*pi*p*q/size)/sqrt(size)."""
-    pq = np.outer(np.arange(size), np.arange(size))
-    return np.exp(-2j * np.pi * pq / size) / np.sqrt(size)
 
 
 @lru_cache(maxsize=32)
@@ -50,131 +22,3 @@ def coupling_phases(M: int, N: int) -> np.ndarray:
     differ; applied entrywise to a delay-Doppler grid.
     """
     return _coupling_cached(M, N)
-
-
-@dataclass(frozen=True)
-class PhaseOperator:
-    """A unit-modulus diagonal of length M*N, indexed vec-style (n*M + m)."""
-
-    kind: str
-    M: int
-    N: int
-    diag: np.ndarray
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return apply_phase(self, v)
-
-
-def shift_ramp_op(M: int, N: int, shift: int) -> PhaseOperator:
-    """Frequency-domain ramp exp(-2j*pi*shift*k/(M*N)) realizing a circular
-    time shift by ``shift`` samples."""
-    k = np.arange(M * N)
-    return PhaseOperator("shift_ramp", M, N, np.exp(-2j * np.pi * shift * k / (M * N)))
-
-
-def coupling_op(M: int, N: int) -> PhaseOperator:
-    """Diagonal of the delay-Doppler coupling phases; entry n*M + m is
-    exp(-2j*pi*m*n/(M*N))."""
-    diag = coupling_phases(M, N).flatten(order="F")
-    return PhaseOperator("coupling", M, N, diag)
-
-
-def coupling_conj_op(M: int, N: int) -> PhaseOperator:
-    diag = np.conj(coupling_phases(M, N)).flatten(order="F")
-    return PhaseOperator("coupling_conj", M, N, diag)
-
-
-def apply_phase(op: PhaseOperator, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v)
-    if v.shape[0] != op.M * op.N:
-        raise ValueError(f"expected length {op.M * op.N}, got {v.shape[0]}")
-    return op.diag * v
-
-
-def interleave_rows(rows) -> np.ndarray:
-    """Interleave R equal-length streams sample by sample.
-
-    With rows[r] of length C, output index r + c*R holds rows[r][c]: the
-    column-major vectorization of the R-by-C matrix whose rows are the
-    streams.
-    """
-    arr = _as_matrix(rows)
-    return arr.flatten(order="F")
-
-
-def deinterleave_rows(v, n_rows: int) -> np.ndarray:
-    """Exact inverse of :func:`interleave_rows`; returns the R-by-C matrix."""
-    v = np.asarray(v)
-    if v.ndim != 1 or v.size % n_rows:
-        raise ValueError(f"cannot split length {v.size} into {n_rows} rows")
-    return v.reshape((n_rows, v.size // n_rows), order="F")
-
-
-def _as_matrix(rows) -> np.ndarray:
-    if isinstance(rows, np.ndarray):
-        if rows.ndim != 2:
-            raise ValueError(f"expected 2-D row stack, got shape {rows.shape}")
-        return rows
-    lengths = {len(r) for r in rows}
-    if len(lengths) != 1:
-        raise ValueError(f"ragged rows, lengths {sorted(lengths)}")
-    return np.asarray(rows)
-
-
-@dataclass(frozen=True)
-class BlockInterleaver:
-    """Bijection on {0, ..., n_blocks*block_len - 1} that spreads each
-    contiguous block across comb positions with stride n_blocks:
-
-        out[b + k*n_blocks] = in[b*block_len + k]
-
-    Stored as index maps, applied by fancy indexing.
-    """
-
-    n_blocks: int
-    block_len: int
-
-    @property
-    def size(self) -> int:
-        return self.n_blocks * self.block_len
-
-    @property
-    def source_index(self) -> np.ndarray:
-        """p with (forward(v))[i] = v[p[i]]."""
-        i = np.arange(self.size)
-        b, k = i % self.n_blocks, i // self.n_blocks
-        return b * self.block_len + k
-
-    def forward(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v)
-        if v.shape[0] != self.size:
-            raise ValueError(f"expected length {self.size}, got {v.shape[0]}")
-        return v[self.source_index]
-
-    def inverse(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v)
-        if v.shape[0] != self.size:
-            raise ValueError(f"expected length {self.size}, got {v.shape[0]}")
-        out = np.empty_like(v)
-        out[self.source_index] = v
-        return out
-
-
-def upsample(v: np.ndarray, factor: int) -> np.ndarray:
-    """Insert factor-1 zeros after each sample."""
-    v = np.asarray(v)
-    out = np.zeros(v.size * factor, dtype=complex)
-    out[::factor] = v
-    return out
-
-
-def alias_fold(v: np.ndarray, folds: int) -> np.ndarray:
-    """Fold a length folds*N vector into N bins: out[n] is the scaled sum
-    of the ``folds`` entries spaced N apart, (1/sqrt(folds)) * sum_k v[n + k*N].
-
-    The frequency-domain image of decimation by ``folds``.
-    """
-    v = np.asarray(v)
-    if v.size % folds:
-        raise ValueError(f"length {v.size} not divisible by {folds}")
-    return v.reshape(folds, v.size // folds).sum(axis=0) / np.sqrt(folds)

@@ -1,5 +1,7 @@
 """Dense reference computations shared by several test modules."""
 
+import numpy as np
+
 from ddlink.channel import ChannelTap, DdChannelMatrix, LtvChannel
 from ddlink.modem import demodulate_direct
 from ddlink.multiuser import compound_matrix, detect_users
@@ -17,3 +19,17 @@ def dense_detect(received, channels, alloc, waveform, noise_var):
             H[:, alloc.vec_indices(q)] = 0.0
     return detect_users(demodulate_direct(received, waveform),
                         DdChannelMatrix(H, waveform), alloc, noise_var)
+
+
+def dft_matrix(size: int) -> np.ndarray:
+    """Dense unitary DFT matrix with entries exp(-2j*pi*p*q/size)/sqrt(size)."""
+    pq = np.outer(np.arange(size), np.arange(size))
+    return np.exp(-2j * np.pi * pq / size) / np.sqrt(size)
+
+
+def interleaver_source_index(n_blocks: int, block_len: int) -> np.ndarray:
+    """Source index p of the block interleaver that spreads each contiguous
+    block across comb positions with stride ``n_blocks``: output i takes
+    input p[i], out[b + k*n_blocks] = in[b*block_len + k]."""
+    i = np.arange(n_blocks * block_len)
+    return (i % n_blocks) * block_len + i // n_blocks

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from ddlink.chanest import (EstimatedChannel, PilotConfig, embed_pilot,
-                            estimate_channel, overlay_mask,
-                            reconstruct_dd_matrix, to_ltv_channel)
+                            estimate_channel, overlay_mask, to_ltv_channel)
 from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec, apply_channel,
                             build_dd_matrix)
 from ddlink.frame import FrameConfig
@@ -142,7 +141,7 @@ class TestReconstruct:
     def test_one_tap_reconstruction_matches_truth(self, w):
         ch = LtvChannel((ChannelTap(2, 0.6 + 0.3j, 1.0),), FRAME)
         est = estimate_channel(received_grid(ch, w), PC, w, noise_std=1e-9)
-        H = reconstruct_dd_matrix(est, FRAME, w).matrix
+        H = build_dd_matrix(to_ltv_channel(est, FRAME), w).matrix
         Htrue = build_dd_matrix(ch, w).matrix
         assert np.max(np.abs(H - Htrue)) <= 1e-8
 
@@ -150,8 +149,9 @@ class TestReconstruct:
         ch = LtvChannel((ChannelTap(0, 0.9, 1.0), ChannelTap(2, 0.4, -1.0)), FRAME)
         est = estimate_channel(received_grid(ch, Waveform.OTFS), PC,
                                Waveform.OTFS, noise_std=1e-9)
-        Ho = reconstruct_dd_matrix(est, FRAME, Waveform.OTFS).matrix
-        Hs = reconstruct_dd_matrix(est, FRAME, Waveform.SC_IFDMA).matrix
+        h = to_ltv_channel(est, FRAME)
+        Ho = build_dd_matrix(h, Waveform.OTFS).matrix
+        Hs = build_dd_matrix(h, Waveform.SC_IFDMA).matrix
         wv = coupling_phases(16, 16).flatten(order="F")
         rel = np.linalg.norm(Hs - wv[:, None] * Ho * np.conj(wv)[None, :])
         assert rel / np.linalg.norm(Ho) <= 1e-9
@@ -160,5 +160,3 @@ class TestReconstruct:
         est = EstimatedChannel((), Waveform.OTFS, 1.0)
         with pytest.raises(ValueError):
             to_ltv_channel(est, FRAME)
-        with pytest.raises(ValueError):
-            reconstruct_dd_matrix(est, FRAME, Waveform.OTFS)

@@ -12,7 +12,8 @@ from ddlink.frame import FrameConfig
 from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform,
                           demodulate_direct, modulate_direct)
 from ddlink.sync import Impairments
-from ddlink.transforms import BlockInterleaver, coupling_phases, dft_matrix
+from ddlink.transforms import coupling_phases
+from oracles import dft_matrix, interleaver_source_index
 
 rng = np.random.default_rng(42)
 
@@ -158,7 +159,7 @@ def reference_dd_matrix(ch, waveform):
     frame = ch.frame
     M, N, n = frame.M, frame.N, frame.grid_size
     FMN, FM = dft_matrix(n), dft_matrix(M)
-    perm = BlockInterleaver(n_blocks=N, block_len=M).source_index
+    perm = interleaver_source_index(n_blocks=N, block_len=M)
     Psi = np.eye(n)[:, perm].T  # row i = unit at perm[i]
     A = FMN.conj().T @ Psi @ np.kron(np.eye(N), FM)
     if waveform is Waveform.OTFS:

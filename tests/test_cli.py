@@ -65,3 +65,33 @@ class TestRun:
         main(["run", cfg, "--out", str(a)])
         main(["run", cfg, "--out", str(b), "--parallelism", "2"])
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
+
+
+MU = """
+experiment = mu_uplink
+trials = 1
+snr_db = 20
+seed = 1
+constellation = qpsk
+channel.profile = single_tap
+"""
+
+
+class TestReferenceScale:
+    def test_stale_allocation_file_is_a_config_error(self, tmp_path, capsys):
+        alloc = tmp_path / "alloc.txt"
+        alloc.write_text("user0.delay_bins = 0,1\nuser0.doppler_bins = 0,1\n"
+                         "user1.delay_bins = 2,3\nuser1.doppler_bins = 2,3\n")
+        cfg = write(tmp_path, MU + f"mu.allocation = {alloc}\n")
+        out = tmp_path / "results"
+        assert main(["run", cfg, "--out", str(out), "--reference-scale"]) == 2
+        err = capsys.readouterr().err
+        assert "mu.allocation" in err and "128x32" in err
+        assert not out.exists()
+
+    def test_even_split_runs_on_the_reference_grid(self, tmp_path):
+        out = tmp_path / "results"
+        assert main(["run", write(tmp_path, MU), "--out", str(out),
+                     "--reference-scale"]) == 0
+        lines = (out / "results.csv").read_text().splitlines()
+        assert len(lines) == 3 and all(",BER," in line for line in lines[1:])

@@ -114,7 +114,3 @@ class TestImpairDraws:
             imp = s.draw(g)
             assert 0 <= imp.timing_delay <= 7
             assert -0.4 <= imp.cfo <= 0.4
-
-    def test_is_none(self):
-        assert ImpairSettings().is_none
-        assert not ImpairSettings(epsilon=("fixed", 0.1)).is_none

@@ -8,7 +8,7 @@ from ddlink.equalize import (equalize_iterative, equalize_mmse,
 from ddlink.frame import FrameConfig
 from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform,
                           demodulate_direct, modulate_direct)
-from ddlink.transforms import coupling_op
+from ddlink.transforms import coupling_phases
 
 rng = np.random.default_rng(21)
 
@@ -33,7 +33,7 @@ class TestMmse:
 
     def test_unitary_diagonal_closed_form(self):
         frame = FrameConfig(4, 4)
-        diag = coupling_op(4, 4).diag
+        diag = coupling_phases(4, 4).flatten(order="F")
         y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         s2 = 0.3
         out = equalize_mmse(grid_of(y, frame), np.diag(diag), s2)

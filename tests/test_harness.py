@@ -318,6 +318,28 @@ class TestRun:
         run(spec, parallelism=2)
         assert len(pools) == 1
 
+    @pytest.mark.parametrize("kind,name", [("ber_vs_snr", "link_trial"),
+                                           ("sync_vs_snr", "sync_trial"),
+                                           ("threshold_sweep", "sync_trial"),
+                                           ("mu_uplink", "mu_trial")])
+    def test_trials_run_through_the_module_attributes(self, monkeypatch, kind,
+                                                      name):
+        # ddbench times trials by rebinding these attributes; a dispatch
+        # that held the functions themselves would bypass the rebinding
+        calls = []
+        real = getattr(harness, name)
+
+        def spy(spec, trial_id, *args):
+            calls.append(trial_id)
+            return real(spec, trial_id, *args)
+
+        monkeypatch.setattr(harness, name, spy)
+        spec = make_spec(kind=kind, trials=2, snr_db=(10.0, 20.0),
+                         channel_profile="single_tap", constellation="qpsk",
+                         csi="genie", sync=SyncSettings(enabled=True))
+        run(spec)
+        assert calls == [0, 1, 2, 3]
+
     def test_seed_changes_results(self):
         spec_a = make_spec(trials=2)
         spec_b = make_spec(trials=2, seed=99)

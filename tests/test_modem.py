@@ -4,7 +4,7 @@ import pytest
 from ddlink.frame import FrameConfig
 from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform,
                           demodulate_direct, demodulate_spread,
-                          frequency_symbols, modulate_direct, modulate_spread)
+                          modulate_direct, modulate_spread)
 
 rng = np.random.default_rng(99)
 
@@ -127,7 +127,8 @@ class TestSpreadStructure:
         # degenerate N=1 grid: the spread vector is the two-point DFT
         frame = FrameConfig(2, 1, cp_len=0)
         D = np.array([[1.0], [0.0]], dtype=complex)
-        dbar = frequency_symbols(DelayDopplerGrid(D, frame), Waveform.OTFS)
+        x = modulate_spread(DelayDopplerGrid(D, frame), Waveform.OTFS).samples
+        dbar = np.fft.fft(x, norm="ortho")
         np.testing.assert_allclose(dbar, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-12)
 
     def test_sc_equals_otfs_at_origin_bin(self):

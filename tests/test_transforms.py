@@ -1,144 +1,17 @@
 import numpy as np
-import pytest
 
-from ddlink.transforms import (BlockInterleaver, alias_fold, apply_phase,
-                               coupling_conj_op, coupling_op, coupling_phases,
-                               deinterleave_rows, dft, dft_matrix, idft,
-                               interleave_rows, shift_ramp_op, upsample)
-
-rng = np.random.default_rng(1234)
+from ddlink.transforms import coupling_phases
 
 
-class TestDft:
-    def test_impulse_is_flat(self):
-        out = dft(np.array([1, 0, 0, 0], dtype=complex), size=4)
-        np.testing.assert_allclose(out, np.full(4, 0.5), atol=1e-12)
-
-    def test_two_point_by_hand(self):
-        # direct evaluation of the unitary definition at K=2
-        out = dft(np.array([1.0, 1.0]))
-        np.testing.assert_allclose(out, [np.sqrt(2), 0.0], atol=1e-12)
-
-    def test_idft_four_ones(self):
-        out = idft(np.ones(4, dtype=complex), size=4)
-        np.testing.assert_allclose(out, [2, 0, 0, 0], atol=1e-12)
-
-    def test_idft_zero(self):
-        np.testing.assert_array_equal(idft(np.zeros(3)), np.zeros(3))
-
-    @pytest.mark.parametrize("k", [2, 3, 4, 5, 7, 16, 31])
-    def test_unitary_roundtrip(self, k):
-        v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        np.testing.assert_allclose(idft(dft(v)), v, atol=1e-12)
-        assert abs(np.linalg.norm(dft(v)) - np.linalg.norm(v)) <= 1e-10 * np.linalg.norm(v)
-        assert abs(np.linalg.norm(idft(v)) - np.linalg.norm(v)) <= 1e-10 * np.linalg.norm(v)
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            dft(np.ones(3), size=4)
-        with pytest.raises(ValueError):
-            idft(np.ones(5), size=4)
-
-    @pytest.mark.parametrize("k", [4, 5, 8])
-    def test_matches_dense_matrix(self, k):
-        v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        np.testing.assert_allclose(dft(v), dft_matrix(k) @ v, atol=1e-12)
-        F = dft_matrix(k)
-        np.testing.assert_allclose(F @ F.conj().T, np.eye(k), atol=1e-12)
-
-
-class TestPhaseOperators:
+class TestCouplingPhases:
     def test_unit_modulus(self):
-        for op in (coupling_op(4, 6), coupling_conj_op(4, 6), shift_ramp_op(4, 6, 3)):
-            np.testing.assert_allclose(np.abs(op.diag), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(coupling_phases(4, 6)), 1.0, atol=1e-12)
 
-    def test_coupling_entry_value(self):
-        # index n*M + m with M = N = 2: entry at (n=1, m=1) is exp(-j*pi/2)
-        op = coupling_op(2, 2)
-        assert abs(op.diag[3] - (-1j)) <= 1e-12
+    def test_entry_value(self):
+        # (m=1, n=1) with M = N = 2 is exp(-j*pi/2)
+        assert abs(coupling_phases(2, 2)[1, 1] - (-1j)) <= 1e-12
 
-    def test_first_block_unchanged(self):
-        op = coupling_op(5, 3)
-        v = rng.standard_normal(15) + 1j * rng.standard_normal(15)
-        np.testing.assert_allclose(apply_phase(op, v)[:5], v[:5], atol=1e-12)
-
-    def test_conjugate_inverts(self):
-        v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        out = apply_phase(coupling_op(3, 4), apply_phase(coupling_conj_op(3, 4), v))
-        np.testing.assert_allclose(out, v, atol=1e-12)
-
-    def test_norm_preserved(self):
-        v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        out = apply_phase(coupling_op(4, 3), v)
-        assert abs(np.linalg.norm(out) - np.linalg.norm(v)) <= 1e-12
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_phase(coupling_op(2, 2), np.ones(5))
-
-    def test_shift_ramp_realizes_circular_shift(self):
-        v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        shifted = idft(apply_phase(shift_ramp_op(3, 4, 5), dft(v)))
-        np.testing.assert_allclose(shifted, np.roll(v, 5), atol=1e-10)
-
-    def test_coupling_matches_matrix_layout(self):
-        W = coupling_phases(3, 4)
-        op = coupling_op(3, 4)
-        np.testing.assert_array_equal(op.diag, W.flatten(order="F"))
-
-
-class TestInterleaving:
-    def test_two_by_two_hand_trace(self):
-        a, b, c, d = 1 + 1j, 2.0, 3 - 1j, 4j
-        out = interleave_rows([[a, b], [c, d]])
-        np.testing.assert_array_equal(out, [a, c, b, d])
-
-    def test_single_row_identity(self):
-        v = rng.standard_normal(6)
-        np.testing.assert_array_equal(interleave_rows([v]), v)
-
-    def test_roundtrip(self):
-        rows = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
-        np.testing.assert_array_equal(deinterleave_rows(interleave_rows(rows), 5), rows)
-
-    def test_ragged_rejected(self):
-        with pytest.raises(ValueError):
-            interleave_rows([[1, 2], [3, 4, 5]])
-
-    def test_block_interleaver_bijective(self):
-        il = BlockInterleaver(n_blocks=4, block_len=6)
-        v = rng.standard_normal(24) + 1j * rng.standard_normal(24)
-        np.testing.assert_array_equal(il.inverse(il.forward(v)), v)
-        np.testing.assert_array_equal(np.sort(il.source_index), np.arange(24))
-
-    def test_block_interleaver_matches_row_interleaving(self):
-        # spreading N blocks of length M equals interleaving the blocks as rows
-        M, N = 3, 4
-        il = BlockInterleaver(n_blocks=N, block_len=M)
-        v = rng.standard_normal(M * N)
-        np.testing.assert_array_equal(il.forward(v), interleave_rows(v.reshape(N, M)))
-
-    def test_block_interleaver_length_check(self):
-        with pytest.raises(ValueError):
-            BlockInterleaver(2, 3).forward(np.ones(5))
-
-
-class TestMultirateIdentities:
-    @pytest.mark.parametrize("M,N", [(2, 4), (4, 4), (3, 5), (8, 16)])
-    def test_upsampling_identity(self, M, N):
-        # M-fold expansion of an N-point IDFT equals the MN-point IDFT of the
-        # scaled M-fold replication
-        d = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        lhs = upsample(idft(d), M)
-        rhs = idft(np.tile(d, M) / np.sqrt(M))
-        np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-
-    @pytest.mark.parametrize("M,N", [(2, 4), (4, 4), (3, 5), (8, 16)])
-    def test_aliasing_identity(self, M, N):
-        # N-point DFT of the M-fold decimation equals the fold of the full DFT
-        z = rng.standard_normal(M * N) + 1j * rng.standard_normal(M * N)
-        np.testing.assert_allclose(dft(z[::M]), alias_fold(dft(z), M), atol=1e-10)
-
-    def test_alias_fold_validates_length(self):
-        with pytest.raises(ValueError):
-            alias_fold(np.ones(7), 2)
+    def test_first_delay_row_and_doppler_column_unchanged(self):
+        W = coupling_phases(5, 3)
+        np.testing.assert_array_equal(W[0, :], 1.0)
+        np.testing.assert_array_equal(W[:, 0], 1.0)
