@@ -239,24 +239,41 @@ def cp_channel_matrix(ch: LtvChannel) -> np.ndarray:
     return H[cp:] @ acp
 
 
-def time_domain_matrix(ch: LtvChannel) -> sparse.csr_array:
-    """Sparse CP-bounded channel, equal to :func:`cp_channel_matrix`.
+def delay_diagonals(ch: LtvChannel):
+    """CP-bounded channel as cyclic diagonals: ``(delays, gains)`` with
+    ``H_t[i, (i - delays[p]) mod M*N] = gains[p, i]``.
 
     Output sample i (after CP removal) of a tap with delay d reads block
     sample (i - d) mod M*N through the CP, or nothing where i + cp_len < d
-    (as in :func:`_apply_taps`). Taps sharing a delay are summed in tap
-    order, as in the dense build, so the two agree exactly.
+    (as in :func:`_apply_taps`), so those gains are zero. Taps sharing a
+    delay are summed in tap order, as in :func:`cp_channel_matrix`.
     """
     frame = ch.frame
     grid, cp = frame.grid_size, frame.cp_len
-    gains = {}
-    for tap in ch.taps:
-        kappa = np.arange(max(tap.delay, cp), grid + cp)
-        g = tap.gain * np.exp(2j * np.pi * tap.doppler * kappa / grid)
-        gains[tap.delay] = gains[tap.delay] + g if tap.delay in gains else g
-    rows = [np.arange(max(d, cp), grid + cp) - cp for d in gains]
-    cols = [(r - d) % grid for d, r in zip(gains, rows)]
-    return sparse.csr_array((np.concatenate(list(gains.values())),
+    kappa = np.arange(cp, grid + cp)
+    turns = np.array([2j * np.pi * tap.doppler for tap in ch.taps])
+    per_tap = (np.array([tap.gain for tap in ch.taps])[:, None]
+               * np.exp(turns[:, None] * kappa / grid))
+    sums = {}
+    for tap, g in zip(ch.taps, per_tap):
+        sums[tap.delay] = sums[tap.delay] + g if tap.delay in sums else g
+    delays = np.fromiter(sums, dtype=int, count=len(sums))
+    gains = np.array(list(sums.values()))
+    for p, d in enumerate(delays):
+        gains[p, :max(d - cp, 0)] = 0.0
+    return delays, gains
+
+
+def time_domain_matrix(ch: LtvChannel) -> sparse.csr_array:
+    """Sparse CP-bounded channel of :func:`delay_diagonals`, equal to
+    :func:`cp_channel_matrix`; the rows a tap cannot reach hold no entry."""
+    grid, cp = ch.frame.grid_size, ch.frame.cp_len
+    delays, gains = delay_diagonals(ch)
+    starts = [max(d - cp, 0) for d in delays]
+    rows = [np.arange(s, grid) for s in starts]
+    cols = [(r - d) % grid for d, r in zip(delays, rows)]
+    vals = [g[s:] for g, s in zip(gains, starts)]
+    return sparse.csr_array((np.concatenate(vals),
                              (np.concatenate(rows), np.concatenate(cols))),
                             shape=(grid, grid))
 

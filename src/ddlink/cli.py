@@ -2,10 +2,11 @@
 
 import argparse
 import sys
-from dataclasses import replace
+
+import numpy as np
 
 from .channel import CHANNEL_PROFILES
-from .config import ConfigError, load_spec
+from .config import ConfigError, load_config, spec_from_config
 
 REFERENCE_SCALE = (128, 32)
 
@@ -38,25 +39,42 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    spec = load_spec(args.config)
-    overrides = {}
+    """The run's spec: the config file with the command-line overrides
+    applied to its keys, so the metadata echoes what ran."""
+    cfg = load_config(args.config)
     if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
+        cfg["seed"] = args.seed
     if getattr(args, "trials", None) is not None:
-        overrides["trials"] = args.trials
+        cfg["trials"] = args.trials
     if getattr(args, "reference_scale", False):
-        frame = replace(spec.frame, M=REFERENCE_SCALE[0], N=REFERENCE_SCALE[1])
-        if (spec.kind == "mu_uplink" and spec.mu_allocation_path
-                and frame != spec.frame):
+        grid = (cfg["frame.M"], cfg["frame.N"])
+        if (cfg["experiment"] == "mu_uplink" and cfg["mu.allocation"]
+                and grid != REFERENCE_SCALE):
             raise ConfigError(
-                f"mu.allocation = {spec.mu_allocation_path} lists bins of the "
-                f"{spec.frame.M}x{spec.frame.N} grid, not of the "
-                f"{frame.M}x{frame.N} reference grid; drop mu.allocation for "
-                f"an even split")
-        overrides["frame"] = frame
-    if overrides:
-        spec = replace(spec, **overrides)
-    return spec
+                f"mu.allocation = {cfg['mu.allocation']} lists bins of the "
+                f"{grid[0]}x{grid[1]} grid, not of the {REFERENCE_SCALE[0]}x"
+                f"{REFERENCE_SCALE[1]} reference grid; drop mu.allocation "
+                f"for an even split")
+        cfg["frame.M"], cfg["frame.N"] = REFERENCE_SCALE
+    return spec_from_config(cfg)
+
+
+def _spread_warnings(spec) -> list:
+    """Delay-spread warnings for ``validate``. The tap delays of every
+    profile follow from the config alone (only gains and Doppler are
+    drawn), so one draw gives the largest delay of every trial."""
+    from .harness import _draw_channel
+    longest = _draw_channel(spec, np.random.default_rng(0)).n_spread - 1
+    out = []
+    if longest > spec.frame.cp_len:
+        out.append(f"warning: largest tap delay {longest} exceeds frame.L_cp "
+                   f"= {spec.frame.cp_len}; expect inter-block interference")
+    if ((spec.csi == "estimated" or spec.sync.enabled)
+            and longest > spec.pilot.guard_delay):
+        out.append(f"warning: largest tap delay {longest} exceeds the pilot "
+                   f"delay guard {spec.pilot.guard_delay}; channel estimation "
+                   f"and sync do not see the later taps")
+    return out
 
 
 def main(argv=None) -> int:
@@ -78,6 +96,8 @@ def main(argv=None) -> int:
         return 2
 
     if args.command == "validate":
+        for line in _spread_warnings(spec):
+            print(line, file=sys.stderr)
         print(f"ok: {spec.kind}, {len(spec.snr_db)} SNR cells, "
               f"{spec.trials} trials, waveforms "
               f"{','.join(w.value for w in spec.waveforms)}")

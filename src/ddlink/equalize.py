@@ -5,21 +5,24 @@ Every route solves the regularized problem
     min ||H d - received||^2 + noise_var * ||d||^2
 
 by a direct normal-equation solve or by LSMR. The (de)modulators are
-unitary, so H = U H_t U^H with H_t the sparse CP-bounded time-domain
-channel: :func:`equalize_time_domain` solves for the transmitted block
-with H_t and demodulates once; the harness runs it. The dense
-:func:`equalize_mmse` and :func:`equalize_iterative` are its oracles.
-Its sparse normal-equation solve, :func:`solve_regularized`, also serves
-the multiuser detector.
+unitary, so H = U H_t U^H with H_t the CP-bounded time-domain channel:
+:func:`equalize_time_domain` solves for the transmitted block with H_t
+and demodulates once; the harness runs it. H_t is nonzero only on the
+cyclic diagonals of the tap delays, so H_t^H H_t + noise_var I is a
+periodic band; ``mmse`` forms it from the diagonals of
+:func:`~ddlink.channel.delay_diagonals` and solves it by banded Cholesky,
+``iterative`` runs LSMR on the sparse H_t. The dense :func:`equalize_mmse`
+and :func:`equalize_iterative` are its oracles.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import lsmr, spsolve
+from scipy.linalg import solveh_banded
+from scipy.sparse.linalg import lsmr
 
-from .channel import DdChannelMatrix
+from .channel import (DdChannelMatrix, LtvChannel, delay_diagonals,
+                      time_domain_matrix)
 from .modem import DelayDopplerGrid, TimeSignal, Waveform, _strip, demodulate_direct
 
 
@@ -73,34 +76,69 @@ def equalize_iterative(received: DelayDopplerGrid, H, noise_var: float,
     )
 
 
-def solve_regularized(A, z: np.ndarray, noise_var: float) -> np.ndarray:
-    """Solve (A^H A + noise_var I) x = A^H z for a sparse A by sparse LU."""
-    Ah = A.conj().T
-    G = Ah @ A + noise_var * sparse.eye_array(A.shape[1])
-    return spsolve(G.tocsc(), Ah @ z)
+def _fold_positions(n: int) -> np.ndarray:
+    """Position of unknown k in the order 0, n-1, 1, n-2, ...: a periodic
+    band of half-width b becomes an ordinary band of half-width 2b."""
+    k = np.arange(n)
+    return np.where(k <= (n - 1) // 2, 2 * k, 2 * (n - 1 - k) + 1)
 
 
-def equalize_time_domain(received: TimeSignal, H_t, waveform: Waveform,
+def _solve_banded(delays, gains, z: np.ndarray, noise_var: float) -> np.ndarray:
+    """Solve (H^H H + noise_var I) t = H^H z for H[i, (i - delays[p]) mod n]
+    = gains[p, i] by Cholesky on the band of the folded normal matrix.
+
+    Unknown j reaches row i = (j + d_a) mod n through delay d_a, where
+    unknown (j + d_a - d_b) mod n also arrives through delay d_b: each
+    delay pair adds one cyclic diagonal to the normal matrix, and pairs
+    whose offsets coincide mod n add to the same one. A singular normal
+    matrix (zero forcing on a singular H) raises numpy.linalg.LinAlgError.
+    """
+    n, p = z.size, len(delays)
+    j = np.arange(n)
+    rows = (j + delays[:, None]) % n
+    seen = gains[:, rows]                    # seen[b, a, j] = gains[b, rows[a, j]]
+    own = seen[np.arange(p), np.arange(p)].conj()
+    rhs = (own * z[rows]).sum(axis=0)
+    vals = own[:, None] * seen.transpose(1, 0, 2)
+    pos = _fold_positions(n)
+    cols = pos[(j + delays[:, None, None] - delays[None, :, None]) % n]
+    band = pos - cols
+    lower = band >= 0
+    ab = np.zeros((band.max() + 1, n), dtype=complex)
+    np.add.at(ab, (band[lower], cols[lower]), vals[lower])
+    ab[0] += noise_var
+    folded = np.empty(n, dtype=complex)
+    folded[pos] = rhs
+    return solveh_banded(ab, folded, lower=True)[pos]
+
+
+def equalize_time_domain(received: TimeSignal, ch: LtvChannel, waveform: Waveform,
                          noise_var: float, method: str = "mmse",
                          max_iter: int = 200, tol: float = 1e-10) -> DelayDopplerGrid:
-    """Equalize one CP-included frame on the sparse time-domain channel.
+    """Equalize one CP-included frame on the CP-bounded channel of ``ch``.
 
-    ``mmse`` solves (H_t^H H_t + noise_var I) t = H_t^H z by sparse LU,
-    ``iterative`` runs LSMR on H_t; the estimate t of the transmitted
-    block is demodulated in ``waveform``'s convention. This equals
+    ``mmse`` solves (H_t^H H_t + noise_var I) t = H_t^H z by banded
+    Cholesky on the channel's delay diagonals, ``iterative`` runs LSMR on
+    the sparse H_t; the estimate t of the transmitted block is
+    demodulated in ``waveform``'s convention. This equals
     :func:`equalize_mmse` (:func:`equalize_iterative`) on the demodulated
     frame with the dense delay-Doppler matrix of the same channel. A
-    channel of the wrong size raises ValueError.
+    channel of another grid size or CP raises ValueError; zero forcing
+    (noise_var 0) on a singular channel raises numpy.linalg.LinAlgError.
     """
+    frame = received.frame
+    if (ch.frame.grid_size, ch.frame.cp_len) != (frame.grid_size, frame.cp_len):
+        raise ValueError(f"channel of a {ch.frame.grid_size}-sample grid with "
+                         f"CP {ch.frame.cp_len} does not match the received "
+                         f"{frame.grid_size}-sample grid with CP {frame.cp_len}")
     z = _strip(received)
     if method == "mmse":
-        t = solve_regularized(H_t, z, noise_var)
+        t = _solve_banded(*delay_diagonals(ch), z, noise_var)
     elif method == "iterative":
         if max_iter < 0:
             raise ValueError("max_iter must be >= 0")
-        t = lsmr(H_t, z, damp=float(np.sqrt(noise_var)), atol=tol, btol=tol,
-                 maxiter=max_iter)[0]
+        t = lsmr(time_domain_matrix(ch), z, damp=float(np.sqrt(noise_var)),
+                 atol=tol, btol=tol, maxiter=max_iter)[0]
     else:
         raise ValueError(f"unknown equalizer method {method!r}")
-    return demodulate_direct(TimeSignal(t, received.frame, cp_included=False),
-                             waveform)
+    return demodulate_direct(TimeSignal(t, frame, cp_included=False), waveform)

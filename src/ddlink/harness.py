@@ -43,7 +43,7 @@ from . import __version__
 from .chanest import (PilotConfig, embed_pilot, estimate_channel, overlay_mask,
                       to_ltv_channel)
 from .channel import (LtvChannel, apply_channel, draw_noise, make_channel,
-                      taps_from_profile, time_domain_matrix)
+                      taps_from_profile)
 from .config import ConfigError, ExperimentSpec
 from .equalize import equalize_time_domain
 from .mapping import (GUARD, data_bin_count, demap_bits, full_data_mask,
@@ -183,11 +183,11 @@ def _receive(spec: ExperimentSpec, signal: TimeSignal, channels, pilots,
 def _equalize(spec: ExperimentSpec, corrected: TimeSignal, ch: LtvChannel,
               waveform: Waveform, noise_var: float) -> np.ndarray:
     """Equalized delay-Doppler vec of one receiver chain, solved in the
-    time domain on the sparse CP-bounded channel of ``ch``."""
+    time domain on the CP-bounded channel of ``ch``."""
     eq = spec.eq
-    return equalize_time_domain(corrected, time_domain_matrix(ch), waveform,
-                                noise_var, method=eq.method,
-                                max_iter=eq.max_iter, tol=eq.tol).vec
+    return equalize_time_domain(corrected, ch, waveform, noise_var,
+                                method=eq.method, max_iter=eq.max_iter,
+                                tol=eq.tol).vec
 
 
 def link_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:

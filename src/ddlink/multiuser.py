@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from .channel import (DdChannelMatrix, NoiseSpec, apply_channel,
                       build_dd_matrix, draw_noise, time_domain_matrix)
-from .equalize import solve_regularized
 from .frame import FrameConfig
 from .modem import (DelayDopplerGrid, TimeSignal, Waveform, _strip,
                     demodulate_direct, modulate_direct)
@@ -169,6 +169,13 @@ def detect_users(received: DelayDopplerGrid, H: DdChannelMatrix,
     return DelayDopplerGrid.from_vec(out, received.frame)
 
 
+def _solve_regularized(A, z: np.ndarray, noise_var: float) -> np.ndarray:
+    """Solve (A^H A + noise_var I) x = A^H z for a sparse A by sparse LU."""
+    Ah = A.conj().T
+    G = Ah @ A + noise_var * sparse.eye_array(A.shape[1])
+    return spsolve(G.tocsc(), Ah @ z)
+
+
 def user_modulator(alloc: Allocation, q: int, waveform: Waveform) -> sparse.csc_array:
     """Direct-path modulator without CP, restricted to user q's bins.
 
@@ -215,7 +222,7 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
                       else time_domain_matrix(ch) @ B)
     C = sparse.hstack(blocks, format="csr")
     if noise_var > 0.0:
-        x = solve_regularized(C, z, noise_var)
+        x = _solve_regularized(C, z, noise_var)
     else:
         x = np.linalg.lstsq(C.toarray(), z, rcond=None)[0]
     cols = np.concatenate([alloc.vec_indices(q) for q in range(alloc.n_users)])

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given
 from scipy.sparse.linalg import LinearOperator
 
 from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec, apply_channel,
@@ -14,6 +13,7 @@ from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform,
 from ddlink.sync import Impairments
 from ddlink.transforms import coupling_phases
 from oracles import dft_matrix, interleaver_source_index
+from strategies import PROPERTY, channels
 
 rng = np.random.default_rng(42)
 
@@ -322,27 +322,6 @@ class TestOperator:
         lhs = np.vdot(u, op.matvec(v))
         rhs = np.vdot(op.rmatvec(u), v)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
-
-
-@st.composite
-def channels(draw):
-    """Random geometry and taps: cp_len 0 allowed, delays up to past the
-    whole CP-included frame, fractional Doppler of either sign."""
-    M = draw(st.integers(1, 8))
-    N = draw(st.integers(1, 8))
-    frame = FrameConfig(M, N, cp_len=draw(st.integers(0, M * N - 1)))
-    finite = st.floats(-2.0, 2.0, allow_nan=False)
-    taps = draw(st.lists(
-        st.builds(ChannelTap,
-                  delay=st.integers(0, frame.frame_len),
-                  gain=st.builds(complex, finite, finite),
-                  doppler=st.floats(-N, N, allow_nan=False)),
-        min_size=1, max_size=5))
-    return LtvChannel(tuple(taps), frame)
-
-
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
-                    database=None)
 
 
 class TestTimeDomainMatrix:

@@ -36,6 +36,21 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "unknown key" in err and "line" in err
 
+    def test_delay_spread_warnings(self, tmp_path, capsys):
+        # EVA taps reach 19 samples at 7.68 MHz; L_cp is 8 and the pilot
+        # delay guard 4
+        eva = GOOD.replace("single_tap", "eva")
+        assert main(["validate", write(tmp_path, eva)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("warning:") for line in err)
+        assert "frame.L_cp = 8" in err[0] and "guard 4" in err[1]
+        no_pilot = eva.replace("sync.enabled = true", "sync.enabled = false")
+        assert main(["validate", write(tmp_path, no_pilot)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "frame.L_cp" in err[0]
+        assert main(["validate", write(tmp_path, GOOD)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.cfg")]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -58,6 +73,21 @@ class TestRun:
         ra = (a / "results.csv").read_text()
         assert ra != (b / "results.csv").read_text()
         assert ",2," in ra and ",3," in (c / "results.csv").read_text()
+
+    def test_overrides_reach_the_metadata(self, tmp_path):
+        # the overridden run and a file saying the same thing write the
+        # same results and the same config echo and hash
+        a, b = tmp_path / "a", tmp_path / "b"
+        main(["run", write(tmp_path, GOOD.replace("trials = 2", "trials = 4")),
+              "--out", str(a), "--trials", "2", "--seed", "5"])
+        same = GOOD.replace("seed = 1", "seed = 5")
+        main(["run", write(tmp_path, same, "same.cfg"), "--out", str(b)])
+        meta = (a / "metadata.txt").read_text().splitlines()
+        assert "seed = 5" in meta and "trials = 2" in meta
+        assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
+        assert ([line for line in meta if not line.startswith("wall_clock_s")]
+                == [line for line in (b / "metadata.txt").read_text().splitlines()
+                    if not line.startswith("wall_clock_s")])
 
     def test_parallel_run_matches_serial(self, tmp_path):
         cfg = write(tmp_path, GOOD)
@@ -95,3 +125,5 @@ class TestReferenceScale:
                      "--reference-scale"]) == 0
         lines = (out / "results.csv").read_text().splitlines()
         assert len(lines) == 3 and all(",BER," in line for line in lines[1:])
+        meta = (out / "metadata.txt").read_text().splitlines()
+        assert "frame.M = 128" in meta and "frame.N = 32" in meta

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec, apply_channel,
-                            build_dd_matrix, time_domain_matrix)
+                            build_dd_matrix)
 from ddlink.equalize import (equalize_iterative, equalize_mmse,
                              equalize_time_domain)
 from ddlink.frame import FrameConfig
 from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform,
                           demodulate_direct, modulate_direct)
 from ddlink.transforms import coupling_phases
+from strategies import PROPERTY, channels
 
 rng = np.random.default_rng(21)
 
@@ -88,7 +91,7 @@ class TestIterative:
         rx = demodulate_direct(r, Waveform.OTFS)
         dense = equalize_iterative(rx, build_dd_matrix(ch, Waveform.OTFS), 0.01,
                                    max_iter=500, tol=1e-12)
-        td = equalize_time_domain(r, time_domain_matrix(ch), Waveform.OTFS, 0.01,
+        td = equalize_time_domain(r, ch, Waveform.OTFS, 0.01,
                                   method="iterative", max_iter=500, tol=1e-12)
         assert dense.converged
         np.testing.assert_allclose(td.vec, dense.grid.vec, atol=1e-8)
@@ -116,15 +119,44 @@ class TestTimeDomain:
                        + 1j * rng.standard_normal(frame.frame_len), frame)
         for s2 in (0.0, 0.05, 1.0):
             oracle = equalize_mmse(demodulate_direct(r, w), build_dd_matrix(ch, w), s2)
-            td = equalize_time_domain(r, time_domain_matrix(ch), w, s2)
+            td = equalize_time_domain(r, ch, w, s2)
             err = np.linalg.norm(td.vec - oracle.vec) / np.linalg.norm(oracle.vec)
             assert err <= 1e-10
+
+    @PROPERTY
+    @given(channels(), st.floats(1e-3, 1.0), st.integers(0, 2**32 - 1))
+    def test_mmse_matches_dense_oracle_on_random_channels(self, ch, s2, seed):
+        # any delay set, including delays whose offsets coincide mod M*N
+        # and taps that reach past the CP or the whole frame
+        frame = ch.frame
+        g = np.random.default_rng(seed)
+        r = TimeSignal(g.standard_normal(frame.frame_len)
+                       + 1j * g.standard_normal(frame.frame_len), frame)
+        for w in (Waveform.OTFS, Waveform.SC_IFDMA):
+            oracle = equalize_mmse(demodulate_direct(r, w), build_dd_matrix(ch, w), s2)
+            td = equalize_time_domain(r, ch, w, s2)
+            assert (np.linalg.norm(td.vec - oracle.vec)
+                    <= 1e-10 * np.linalg.norm(oracle.vec))
+
+    @pytest.mark.parametrize("delay", [5, 18])
+    def test_zero_forcing_on_a_singular_channel_raises(self, delay):
+        # past the CP the first delay - cp_len samples read nothing, so
+        # H_t has zero columns; past the whole frame it is zero
+        frame = FrameConfig(4, 4, cp_len=2)
+        ch = LtvChannel((ChannelTap(delay, 1.0, 0.0),), frame)
+        r = TimeSignal(np.ones(frame.frame_len), frame)
+        with pytest.raises(np.linalg.LinAlgError):
+            equalize_time_domain(r, ch, Waveform.OTFS, 0.0)
+        if delay >= frame.frame_len:
+            with pytest.raises(np.linalg.LinAlgError):
+                equalize_mmse(demodulate_direct(r, Waveform.OTFS),
+                              build_dd_matrix(ch, Waveform.OTFS), 0.0)
 
     def test_iterative_zero_budget_returns_zero(self):
         frame = FrameConfig(4, 4, cp_len=2)
         ch = LtvChannel((ChannelTap(0, 1.0, 0.0),), frame)
         r = TimeSignal(np.ones(frame.frame_len), frame)
-        out = equalize_time_domain(r, time_domain_matrix(ch), Waveform.OTFS, 0.1,
+        out = equalize_time_domain(r, ch, Waveform.OTFS, 0.1,
                                    method="iterative", max_iter=0)
         assert not out.vec.any()
 
@@ -134,9 +166,9 @@ class TestTimeDomain:
         other = LtvChannel((ChannelTap(0, 1.0, 0.0),), FrameConfig(4, 2))
         for method in ("mmse", "iterative"):
             with pytest.raises(ValueError):
-                equalize_time_domain(r, time_domain_matrix(other), Waveform.OTFS,
+                equalize_time_domain(r, other, Waveform.OTFS,
                                      0.1, method=method)
         ch = LtvChannel((ChannelTap(0, 1.0, 0.0),), frame)
         with pytest.raises(ValueError):
-            equalize_time_domain(r, time_domain_matrix(ch), Waveform.OTFS, 0.1,
+            equalize_time_domain(r, ch, Waveform.OTFS, 0.1,
                                  method="zf")
