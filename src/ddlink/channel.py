@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .frame import FrameConfig, SPEED_OF_LIGHT
 from .modem import (DelayDopplerGrid, TimeSignal, Waveform, _demod_core,
@@ -262,20 +261,6 @@ def delay_diagonals(ch: LtvChannel):
     for p, d in enumerate(delays):
         gains[p, :max(d - cp, 0)] = 0.0
     return delays, gains
-
-
-def time_domain_matrix(ch: LtvChannel) -> sparse.csr_array:
-    """Sparse CP-bounded channel of :func:`delay_diagonals`, equal to
-    :func:`cp_channel_matrix`; the rows a tap cannot reach hold no entry."""
-    grid, cp = ch.frame.grid_size, ch.frame.cp_len
-    delays, gains = delay_diagonals(ch)
-    starts = [max(d - cp, 0) for d in delays]
-    rows = [np.arange(s, grid) for s in starts]
-    cols = [(r - d) % grid for d, r in zip(delays, rows)]
-    vals = [g[s:] for g, s in zip(gains, starts)]
-    return sparse.csr_array((np.concatenate(vals),
-                             (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(grid, grid))
 
 
 def build_dd_matrix(ch: LtvChannel, waveform: Waveform) -> DdChannelMatrix:

@@ -103,6 +103,11 @@ def main(argv=None) -> int:
               f"{','.join(w.value for w in spec.waveforms)}")
         return 0
 
+    if args.parallelism < 1:
+        print(f"--parallelism must be >= 1, got {args.parallelism}",
+              file=sys.stderr)
+        return 2
+
     from .harness import run
     try:
         rows = run(spec, out_dir=args.out, parallelism=args.parallelism)

@@ -265,6 +265,12 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.mu_users < 1:
+            raise ConfigError("mu.q must be >= 1")
+        if self.eq.max_iter < 0:
+            raise ConfigError("eq.max_iter must be >= 0")
         if not self.snr_db:
             raise ConfigError("snr_db must be non-empty")
         if self.pilot is None:

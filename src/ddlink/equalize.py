@@ -8,21 +8,21 @@ by a direct normal-equation solve or by LSMR. The (de)modulators are
 unitary, so H = U H_t U^H with H_t the CP-bounded time-domain channel:
 :func:`equalize_time_domain` solves for the transmitted block with H_t
 and demodulates once; the harness runs it. H_t is nonzero only on the
-cyclic diagonals of the tap delays, so H_t^H H_t + noise_var I is a
-periodic band; ``mmse`` forms it from the diagonals of
-:func:`~ddlink.channel.delay_diagonals` and solves it by banded Cholesky,
-``iterative`` runs LSMR on the sparse H_t. The dense :func:`equalize_mmse`
-and :func:`equalize_iterative` are its oracles.
+cyclic diagonals of the tap delays, which
+:func:`~ddlink.channel.delay_diagonals` returns and both of its methods
+read: ``mmse`` forms the periodic band H_t^H H_t + noise_var I from them
+and solves it by banded Cholesky, ``iterative`` runs LSMR on an operator
+that gathers along them. The dense :func:`equalize_mmse` and
+:func:`equalize_iterative` are its oracles.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solveh_banded
-from scipy.sparse.linalg import lsmr
+from scipy.sparse.linalg import LinearOperator, lsmr
 
-from .channel import (DdChannelMatrix, LtvChannel, delay_diagonals,
-                      time_domain_matrix)
+from .channel import DdChannelMatrix, LtvChannel, delay_diagonals
 from .modem import DelayDopplerGrid, TimeSignal, Waveform, _strip, demodulate_direct
 
 
@@ -112,6 +112,20 @@ def _solve_banded(delays, gains, z: np.ndarray, noise_var: float) -> np.ndarray:
     return solveh_banded(ab, folded, lower=True)[pos]
 
 
+def _diagonal_operator(delays, gains) -> LinearOperator:
+    """H[i, (i - delays[p]) mod n] = gains[p, i] as gathers: H x sums
+    gains[p] * x[(i - d_p) mod n] over p, and H^H y sums
+    conj(gains[p, (j + d_p) mod n]) * y[(j + d_p) mod n]."""
+    n = gains.shape[1]
+    i = np.arange(n)
+    fwd = (i - delays[:, None]) % n
+    back = (i + delays[:, None]) % n
+    adjoint = np.take_along_axis(gains, back, axis=1).conj()
+    return LinearOperator((n, n), dtype=complex,
+                          matvec=lambda x: (gains * x[fwd]).sum(axis=0),
+                          rmatvec=lambda y: (adjoint * y[back]).sum(axis=0))
+
+
 def equalize_time_domain(received: TimeSignal, ch: LtvChannel, waveform: Waveform,
                          noise_var: float, method: str = "mmse",
                          max_iter: int = 200, tol: float = 1e-10) -> DelayDopplerGrid:
@@ -119,12 +133,13 @@ def equalize_time_domain(received: TimeSignal, ch: LtvChannel, waveform: Wavefor
 
     ``mmse`` solves (H_t^H H_t + noise_var I) t = H_t^H z by banded
     Cholesky on the channel's delay diagonals, ``iterative`` runs LSMR on
-    the sparse H_t; the estimate t of the transmitted block is
-    demodulated in ``waveform``'s convention. This equals
-    :func:`equalize_mmse` (:func:`equalize_iterative`) on the demodulated
-    frame with the dense delay-Doppler matrix of the same channel. A
-    channel of another grid size or CP raises ValueError; zero forcing
-    (noise_var 0) on a singular channel raises numpy.linalg.LinAlgError.
+    an operator that gathers along them; the estimate t of the
+    transmitted block is demodulated in ``waveform``'s convention. This
+    equals :func:`equalize_mmse` (:func:`equalize_iterative`) on the
+    demodulated frame with the dense delay-Doppler matrix of the same
+    channel. A channel of another grid size or CP raises ValueError; zero
+    forcing (noise_var 0) on a singular channel raises
+    numpy.linalg.LinAlgError.
     """
     frame = received.frame
     if (ch.frame.grid_size, ch.frame.cp_len) != (frame.grid_size, frame.cp_len):
@@ -132,12 +147,13 @@ def equalize_time_domain(received: TimeSignal, ch: LtvChannel, waveform: Wavefor
                          f"CP {ch.frame.cp_len} does not match the received "
                          f"{frame.grid_size}-sample grid with CP {frame.cp_len}")
     z = _strip(received)
+    diagonals = delay_diagonals(ch)
     if method == "mmse":
-        t = _solve_banded(*delay_diagonals(ch), z, noise_var)
+        t = _solve_banded(*diagonals, z, noise_var)
     elif method == "iterative":
         if max_iter < 0:
             raise ValueError("max_iter must be >= 0")
-        t = lsmr(time_domain_matrix(ch), z, damp=float(np.sqrt(noise_var)),
+        t = lsmr(_diagonal_operator(*diagonals), z, damp=float(np.sqrt(noise_var)),
                  atol=tol, btol=tol, maxiter=max_iter)[0]
     else:
         raise ValueError(f"unknown equalizer method {method!r}")

@@ -375,6 +375,8 @@ def _cell_trials(spec: ExperimentSpec, snr_index: int):
 def run(spec: ExperimentSpec, out_dir=None, parallelism: int = 1):
     """Execute the experiment; returns the result rows and, when ``out_dir``
     is given, writes results.csv and metadata.txt there."""
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     t0 = time.monotonic()
     alloc = _mu_setup(spec) if spec.kind == "mu_uplink" else None
     rows = []

@@ -6,22 +6,25 @@ The base station sees the superposition of all users' transmissions, each
 through its own channel, and detects jointly against a compound model
 whose columns over a user's bins come from that user's channel.
 
-:func:`detect_users_time_domain` detects on the CP-stripped record: user
-q's columns are its sparse CP-bounded time-domain channel times the
-closed-form modulator restricted to its bins (:func:`user_modulator`), so
-no delay-Doppler matrix is built; the harness runs it. The demodulators
-are unitary, so it equals :func:`detect_users` on the demodulated record
-with the dense :func:`compound_matrix`, which stay as its oracles.
+:func:`detect_users_time_domain` detects on the CP-stripped record, and
+the harness runs it. User q's columns are its bins, modulated in closed
+form (N samples each) and carried along the delay diagonals of its
+CP-bounded channel (:func:`~ddlink.channel.delay_diagonals`), the one
+channel form every receiver reads; no delay-Doppler matrix is built.
+The demodulators are unitary, so it equals :func:`detect_users` on the
+demodulated record with the dense :func:`compound_matrix`, which stay as
+its oracles.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .channel import (DdChannelMatrix, NoiseSpec, apply_channel,
-                      build_dd_matrix, draw_noise, time_domain_matrix)
+                      build_dd_matrix, delay_diagonals, draw_noise)
 from .frame import FrameConfig
 from .modem import (DelayDopplerGrid, TimeSignal, Waveform, _strip,
                     demodulate_direct, modulate_direct)
@@ -169,31 +172,28 @@ def detect_users(received: DelayDopplerGrid, H: DdChannelMatrix,
     return DelayDopplerGrid.from_vec(out, received.frame)
 
 
-def _solve_regularized(A, z: np.ndarray, noise_var: float) -> np.ndarray:
-    """Solve (A^H A + noise_var I) x = A^H z for a sparse A by sparse LU."""
-    Ah = A.conj().T
-    G = Ah @ A + noise_var * sparse.eye_array(A.shape[1])
-    return spsolve(G.tocsc(), Ah @ z)
+def _user_columns(ch, alloc: Allocation, q: int, waveform: Waveform, start: int):
+    """Rows, values and columns (from ``start`` on) of C_q = H_t,q B_q,
+    with B_q the direct-path modulator without CP on user q's bins.
 
-
-def user_modulator(alloc: Allocation, q: int, waveform: Waveform) -> sparse.csc_array:
-    """Direct-path modulator without CP, restricted to user q's bins.
-
-    Column j belongs to the user's j-th bin (m, n) in vec order and holds
-    exp(2j*pi*n*k/N)/sqrt(N) on sample k*M + m for k = 0..N-1, times
-    conj(W[m, n]) for SC-IFDMA: N nonzeros per column.
+    Column j belongs to the user's j-th bin (m, n) in vec order. Its
+    modulated block holds exp(2j*pi*n*k/N)/sqrt(N) on sample k*M + m for
+    k = 0..N-1, times conj(W[m, n]) for SC-IFDMA, and delay diagonal p of
+    :func:`~ddlink.channel.delay_diagonals` carries that sample to row
+    r = (k*M + m + delays[p]) mod M*N with gain gains[p, r].
     """
     M, N = alloc.M, alloc.N
     idx = alloc.vec_indices(q)
     m, n = idx % M, idx // M
     k = np.arange(N)
-    vals = np.exp(2j * np.pi * (np.outer(n, k) % N) / N) / np.sqrt(N)
+    phases = np.exp(2j * np.pi * (np.outer(n, k) % N) / N) / np.sqrt(N)
     if waveform is Waveform.SC_IFDMA:
-        vals *= np.conj(coupling_phases(M, N)[m, n])[:, None]
-    rows = k[None, :] * M + m[:, None]
-    return sparse.csc_array((vals.ravel(), rows.ravel(),
-                             np.arange(0, idx.size * N + 1, N)),
-                            shape=(M * N, idx.size))
+        phases *= np.conj(coupling_phases(M, N)[m, n])[:, None]
+    delays, gains = delay_diagonals(ch)
+    rows = (k * M + m[:, None] + delays[:, None, None]) % (M * N)
+    vals = gains[np.arange(len(delays))[:, None, None], rows] * phases
+    cols = np.broadcast_to(start + np.arange(idx.size)[:, None], rows.shape)
+    return rows.ravel(), vals.ravel(), cols.ravel()
 
 
 def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
@@ -201,33 +201,40 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
     """Joint MMSE detection over the allocated bins of one CP-included
     superposed record, in ``waveform``'s delay-Doppler convention.
 
-    User q's columns are C_q = H_t,q B_q: the sparse CP-bounded channel
-    of ``channels[q]`` times :func:`user_modulator`, at most P*N nonzeros
-    each; a ``None`` channel contributes zero columns. With C = [C_1 ...
-    C_Q] and z the record without its CP, solves (C^H C + noise_var I) x
-    = C^H z by sparse LU, or by dense least squares when noise_var is 0.
-    Equals :func:`detect_users` on the demodulated record with the
-    compound matrix of the same channels.
+    User q's columns are C_q = H_t,q B_q: its modulated bins carried
+    along the delay diagonals of ``channels[q]``, at most P*N nonzeros
+    each. A ``None`` channel leaves its user out of the solve, and its
+    bins stay zero. With C the columns of the users that have a channel
+    and z the record without its CP, solves (C^H C + noise_var I) x = C^H z by
+    sparse LU for every noise_var; zero forcing (noise_var 0) on a
+    singular C raises numpy.linalg.LinAlgError. Equals
+    :func:`detect_users` on the demodulated record with the compound
+    matrix of the same channels.
     """
     if len(channels) != alloc.n_users:
         raise ValueError(f"{len(channels)} channels for {alloc.n_users} allocations")
     frame = received.frame
     if (frame.M, frame.N) != (alloc.M, alloc.N):
         raise ValueError("frame does not match the allocation grid")
-    z = _strip(received)
-    blocks = []
-    for q, ch in enumerate(channels):
-        B = user_modulator(alloc, q, waveform)
-        blocks.append(sparse.csr_array(B.shape, dtype=complex) if ch is None
-                      else time_domain_matrix(ch) @ B)
-    C = sparse.hstack(blocks, format="csr")
-    if noise_var > 0.0:
-        x = _solve_regularized(C, z, noise_var)
-    else:
-        x = np.linalg.lstsq(C.toarray(), z, rcond=None)[0]
-    cols = np.concatenate([alloc.vec_indices(q) for q in range(alloc.n_users)])
     out = np.zeros(frame.grid_size, dtype=complex)
-    out[cols] = x
+    users = [q for q, ch in enumerate(channels) if ch is not None]
+    if not users:
+        return DelayDopplerGrid.from_vec(out, frame)
+    bins = [alloc.vec_indices(q) for q in users]
+    starts = np.cumsum([0] + [idx.size for idx in bins])
+    rows, vals, cols = (np.concatenate(a) for a in zip(*(
+        _user_columns(channels[q], alloc, q, waveform, start)
+        for q, start in zip(users, starts))))
+    C = sparse.csr_array((vals, (rows, cols)), shape=(frame.grid_size, starts[-1]))
+    Ch = C.conj().T
+    G = Ch @ C + noise_var * sparse.eye_array(starts[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MatrixRankWarning)
+        try:
+            x = spsolve(G.tocsc(), Ch @ _strip(received))
+        except MatrixRankWarning as exc:
+            raise np.linalg.LinAlgError(f"uplink normal matrix: {exc}") from None
+    out[np.concatenate(bins)] = x
     return DelayDopplerGrid.from_vec(out, frame)
 
 
@@ -267,6 +274,9 @@ def load_allocation(path: str, M: int, N: int, relax: bool = False) -> Allocatio
 def even_split_allocation(M: int, N: int, n_users: int) -> Allocation:
     """Contiguous equal split of both dimensions; remainders go to the
     first users."""
+    if n_users < 1:
+        raise ValueError(f"need at least one user, got {n_users}")
+
     def chunks(total, parts):
         base, extra = divmod(total, parts)
         sizes = [base + (1 if i < extra else 0) for i in range(parts)]

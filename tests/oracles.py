@@ -1,8 +1,10 @@
 """Dense reference computations shared by several test modules."""
 
 import numpy as np
+from scipy import sparse
 
-from ddlink.channel import ChannelTap, DdChannelMatrix, LtvChannel
+from ddlink.channel import (ChannelTap, DdChannelMatrix, LtvChannel,
+                            delay_diagonals)
 from ddlink.modem import demodulate_direct
 from ddlink.multiuser import compound_matrix, detect_users
 
@@ -33,3 +35,17 @@ def interleaver_source_index(n_blocks: int, block_len: int) -> np.ndarray:
     input p[i], out[b + k*n_blocks] = in[b*block_len + k]."""
     i = np.arange(n_blocks * block_len)
     return (i % n_blocks) * block_len + i // n_blocks
+
+
+def time_domain_matrix(ch: LtvChannel) -> sparse.csr_array:
+    """Sparse CP-bounded channel of :func:`delay_diagonals`, equal to
+    :func:`cp_channel_matrix`; the rows a tap cannot reach hold no entry."""
+    grid, cp = ch.frame.grid_size, ch.frame.cp_len
+    delays, gains = delay_diagonals(ch)
+    starts = [max(d - cp, 0) for d in delays]
+    rows = [np.arange(s, grid) for s in starts]
+    cols = [(r - d) % grid for d, r in zip(delays, rows)]
+    vals = [g[s:] for g, s in zip(gains, starts)]
+    return sparse.csr_array((np.concatenate(vals),
+                             (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(grid, grid))

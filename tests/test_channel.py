@@ -5,14 +5,13 @@ from scipy.sparse.linalg import LinearOperator
 
 from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec, apply_channel,
                             build_dd_matrix, cp_channel_matrix, eva_channel,
-                            linearized_io, make_channel, taps_from_profile,
-                            time_domain_matrix)
+                            linearized_io, make_channel, taps_from_profile)
 from ddlink.frame import FrameConfig
 from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform,
                           demodulate_direct, modulate_direct)
 from ddlink.sync import Impairments
 from ddlink.transforms import coupling_phases
-from oracles import dft_matrix, interleaver_source_index
+from oracles import dft_matrix, interleaver_source_index, time_domain_matrix
 from strategies import PROPERTY, channels
 
 rng = np.random.default_rng(42)

@@ -1,3 +1,5 @@
+import pytest
+
 from ddlink.cli import main
 
 GOOD = """
@@ -51,6 +53,18 @@ class TestValidate:
         assert main(["validate", write(tmp_path, GOOD)]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("key, line", [
+        ("seed", "seed = -1"), ("mu.q", "mu.q = 0"),
+        ("eq.max_iter", "eq.method = iterative\neq.max_iter = -1")])
+    def test_values_a_run_cannot_use_exit_2(self, tmp_path, capsys, key, line):
+        path = write(tmp_path, GOOD.replace("seed = 1\n", "") + line + "\n")
+        out = tmp_path / "results"
+        assert main(["validate", path]) == 2
+        assert main(["run", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"config error: {key} must be") == 2
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.cfg")]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -88,6 +102,15 @@ class TestRun:
         assert ([line for line in meta if not line.startswith("wall_clock_s")]
                 == [line for line in (b / "metadata.txt").read_text().splitlines()
                     if not line.startswith("wall_clock_s")])
+
+    def test_parallelism_below_one_exits_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, GOOD)
+        out = tmp_path / "results"
+        for value in ("0", "-1"):
+            assert main(["run", cfg, "--out", str(out),
+                         "--parallelism", value]) == 2
+            assert "--parallelism" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parallel_run_matches_serial(self, tmp_path):
         cfg = write(tmp_path, GOOD)

@@ -96,6 +96,23 @@ class TestIterative:
         assert dense.converged
         np.testing.assert_allclose(td.vec, dense.grid.vec, atol=1e-8)
 
+    @PROPERTY
+    @given(channels(), st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
+    def test_time_domain_lsmr_matches_dense_on_random_channels(self, ch, s2, seed):
+        # the gather operator on any delay set, including taps past the CP
+        # or the whole frame, against LSMR on the dense DD matrix
+        frame = ch.frame
+        g = np.random.default_rng(seed)
+        r = TimeSignal(g.standard_normal(frame.frame_len)
+                       + 1j * g.standard_normal(frame.frame_len), frame)
+        for w in (Waveform.OTFS, Waveform.SC_IFDMA):
+            dense = equalize_iterative(demodulate_direct(r, w), build_dd_matrix(ch, w),
+                                       s2, max_iter=500, tol=1e-12)
+            td = equalize_time_domain(r, ch, w, s2, method="iterative",
+                                      max_iter=500, tol=1e-12)
+            assert (np.linalg.norm(td.vec - dense.grid.vec)
+                    <= 1e-6 * np.linalg.norm(dense.grid.vec))
+
     def test_solves_the_damped_problem(self):
         # gradient of ||Hd - y||^2 + s2*||d||^2 vanishes at the solution
         frame = FrameConfig(4, 4)

@@ -295,6 +295,11 @@ class TestRun:
         assert (tmp_path / "a/results.csv").read_bytes() == \
             (tmp_path / "b/results.csv").read_bytes()
 
+    @pytest.mark.parametrize("parallelism", [0, -1])
+    def test_parallelism_below_one_rejected(self, parallelism):
+        with pytest.raises(ValueError, match="parallelism"):
+            run(make_spec(trials=1, snr_db=(10.0,)), parallelism=parallelism)
+
     def test_parallel_matches_serial(self):
         spec = make_spec(kind="sync_vs_snr", channel_profile="single_tap",
                          trials=4, snr_db=(10.0,),

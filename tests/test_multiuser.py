@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec, apply_channel,
                             linearized_io, make_channel)
 from ddlink.frame import FrameConfig
-from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform, _mod_core,
-                          modulate_direct)
+from ddlink.modem import DelayDopplerGrid, TimeSignal, Waveform, modulate_direct
 from ddlink.multiuser import (Allocation, UserBins, compound_matrix,
                               compound_uplink, detect_users,
                               detect_users_time_domain, even_split_allocation,
-                              extract_user, load_allocation, place_user,
-                              user_modulator)
+                              extract_user, load_allocation, place_user)
 from ddlink.transforms import coupling_phases
 from oracles import dense_detect
 
@@ -75,6 +73,11 @@ class TestAllocation:
         a = even_split_allocation(8, 8, 3)
         assert sorted(b for u in a.users for b in u.delay_bins) == list(range(8))
         assert sorted(b for u in a.users for b in u.doppler_bins) == list(range(8))
+
+    @pytest.mark.parametrize("n_users", [0, -1])
+    def test_even_split_needs_a_user(self, n_users):
+        with pytest.raises(ValueError, match="at least one user"):
+            even_split_allocation(8, 8, n_users)
 
 
 class TestPlacement:
@@ -292,20 +295,6 @@ def uplinks(draw):
 
 
 class TestTimeDomainDetector:
-    @pytest.mark.parametrize("w", [Waveform.OTFS, Waveform.SC_IFDMA])
-    @pytest.mark.parametrize("case", ["even_split", "relaxed"])
-    def test_user_modulator_is_mod_core_on_unit_grids(self, case, w):
-        frame, alloc, _ = uplink_case(case)
-        M, N = frame.M, frame.N
-        for q in range(alloc.n_users):
-            idx = alloc.vec_indices(q)
-            units = np.zeros((M, N, idx.size), dtype=complex)
-            units[idx % M, idx // M, np.arange(idx.size)] = 1.0
-            expected = _mod_core(units, frame, w, spread=False)[frame.cp_len:]
-            B = user_modulator(alloc, q, w)
-            assert B.nnz == idx.size * N
-            np.testing.assert_allclose(B.toarray(), expected, rtol=0, atol=1e-14)
-
     @pytest.mark.filterwarnings("ignore:channel delay spread")
     @pytest.mark.parametrize("noise_var", [0.0, 0.05])
     @pytest.mark.parametrize("w", [Waveform.OTFS, Waveform.SC_IFDMA])
@@ -342,6 +331,14 @@ class TestTimeDomainDetector:
                                        Waveform.OTFS, 0.0)
         for q, d in enumerate(datas):
             assert np.max(np.abs(extract_user(hat, alloc, q) - d)) <= 1e-8
+
+    def test_zero_forcing_on_a_silent_tap_raises(self):
+        # user 1's only tap has gain 0, so its columns of C are zero
+        frame, alloc, channels = uplink_case("even_split")
+        channels = [channels[0], LtvChannel((ChannelTap(2, 0.0, 0.0),), frame)]
+        received = superposed_record(frame, alloc, channels, 0.0, 3)
+        with pytest.raises(np.linalg.LinAlgError):
+            detect_users_time_domain(received, channels, alloc, Waveform.OTFS, 0.0)
 
     def test_mismatched_inputs_rejected(self):
         frame, alloc, channels = uplink_case("even_split")
