@@ -269,6 +269,11 @@ class ExperimentSpec:
             raise ConfigError("seed must be >= 0")
         if self.mu_users < 1:
             raise ConfigError("mu.q must be >= 1")
+        most = min(self.frame.M, self.frame.N)
+        if (self.kind == "mu_uplink" and not self.mu_allocation_path
+                and self.mu_users > most):
+            raise ConfigError(f"mu.q must be <= {most} for an even split of "
+                              f"the {self.frame.M}x{self.frame.N} grid")
         if self.eq.max_iter < 0:
             raise ConfigError("eq.max_iter must be >= 0")
         if not self.snr_db:

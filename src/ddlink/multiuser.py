@@ -7,24 +7,29 @@ through its own channel, and detects jointly against a compound model
 whose columns over a user's bins come from that user's channel.
 
 :func:`detect_users_time_domain` detects on the CP-stripped record, and
-the harness runs it. User q's columns are its bins, modulated in closed
-form (N samples each) and carried along the delay diagonals of its
+the harness runs it. It forms the normal matrix of the allocated bins in
+the delay-Doppler basis straight from the delay diagonals of each user's
 CP-bounded channel (:func:`~ddlink.channel.delay_diagonals`), the one
 channel form every receiver reads; no delay-Doppler matrix is built.
-The demodulators are unitary, so it equals :func:`detect_users` on the
-demodulated record with the dense :func:`compound_matrix`, which stay as
-its oracles.
+That matrix couples a delay row only to the rows a delay difference
+away, so ordered by folded delay row it is a band, solved by banded
+Cholesky; SC-IFDMA gets the same band scaled by the coupling phases.
+The index plan of the band depends only on the allocation and the delay
+sets and is cached. The demodulators are unitary, so the detector equals
+:func:`detect_users` on the demodulated record with the dense
+:func:`compound_matrix`, which stay as its oracles.
 """
 
-import warnings
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.linalg import solveh_banded
 
 from .channel import (DdChannelMatrix, NoiseSpec, apply_channel,
                       build_dd_matrix, delay_diagonals, draw_noise)
+from .equalize import _fold_positions
 from .frame import FrameConfig
 from .modem import (DelayDopplerGrid, TimeSignal, Waveform, _strip,
                     demodulate_direct, modulate_direct)
@@ -172,28 +177,114 @@ def detect_users(received: DelayDopplerGrid, H: DdChannelMatrix,
     return DelayDopplerGrid.from_vec(out, received.frame)
 
 
-def _user_columns(ch, alloc: Allocation, q: int, waveform: Waveform, start: int):
-    """Rows, values and columns (from ``start`` on) of C_q = H_t,q B_q,
-    with B_q the direct-path modulator without CP on user q's bins.
+@dataclass(frozen=True)
+class _UplinkPlan:
+    """Index bookkeeping of the banded uplink solve for one allocation and
+    one delay set per user with a channel; the gains do not enter it.
 
-    Column j belongs to the user's j-th bin (m, n) in vec order. Its
-    modulated block holds exp(2j*pi*n*k/N)/sqrt(N) on sample k*M + m for
-    k = 0..N-1, times conj(W[m, n]) for SC-IFDMA, and delay diagonal p of
-    :func:`~ddlink.channel.delay_diagonals` carries that sample to row
-    r = (k*M + m + delays[p]) mod M*N with gain gains[p, r].
+    Gains are read from the stacked rows of ``delay_diagonals`` (user by
+    user, delays in the order of the key), raveled. All arrays are
+    read-only.
+    """
+
+    bins: np.ndarray    # full-grid vec index of each unknown, in solve order
+    left: np.ndarray    # (pair rows, N) gain index of conj(g_qa[r]) ...
+    right: np.ndarray   # ... and of g_q'b[r], r = (k*M + m + a) mod MN
+    groups: np.ndarray  # first pair row of each (q, q', delta, m)
+    entry: np.ndarray   # index into the raveled (group, f) FFT of each entry
+    slot: np.ndarray    # index into the raveled lower band of each entry
+    shift: np.ndarray   # (delays, MN): index of row p at (j + a_p) mod MN
+    user_rows: np.ndarray  # first stacked delay row of each user
+    rhs_entry: np.ndarray   # index into the raveled (user, f, m) FFT per unknown
+    width: int          # band half-width
+    phases: dict        # waveform -> (entry phases, unknown phases)
+
+
+@lru_cache(maxsize=8)
+def _uplink_plan(alloc: Allocation, users: tuple, delays: tuple) -> _UplinkPlan:
+    """Plan for the users ``users`` (those with a channel), user users[i]
+    with the distinct delays ``delays[i]`` of its delay diagonals.
+
+    Unknowns are each user's bins (m, n), ordered by fold position of m,
+    then user, then n: the normal matrix couples delay rows m and m' only
+    through delay differences, so it is an ordinary band in this order.
+    Per user pair, each delay pair (a, b) with delta = a - b and each
+    delay row m of user q whose m' = (m + delta) mod M is one of user q''s
+    rows gives one pair row; rows of the same (q, q', delta, m) are summed
+    before the FFT. Only the lower band (m at or after m' in fold order)
+    is kept.
     """
     M, N = alloc.M, alloc.N
-    idx = alloc.vec_indices(q)
-    m, n = idx % M, idx // M
+    grid = M * N
+    pos = _fold_positions(M)
     k = np.arange(N)
-    phases = np.exp(2j * np.pi * (np.outer(n, k) % N) / N) / np.sqrt(N)
-    if waveform is Waveform.SC_IFDMA:
-        phases *= np.conj(coupling_phases(M, N)[m, n])[:, None]
-    delays, gains = delay_diagonals(ch)
-    rows = (k * M + m[:, None] + delays[:, None, None]) % (M * N)
-    vals = gains[np.arange(len(delays))[:, None, None], rows] * phases
-    cols = np.broadcast_to(start + np.arange(idx.size)[:, None], rows.shape)
-    return rows.ravel(), vals.ravel(), cols.ravel()
+    rows_of = [np.array(alloc.users[q].delay_bins) for q in users]
+    cols_of = [np.array(alloc.users[q].doppler_bins) for q in users]
+    active = np.zeros((len(users), M, N), dtype=bool)
+    for i, (rows, cols) in enumerate(zip(rows_of, cols_of)):
+        active[i][np.ix_(rows, cols)] = True
+    member = active.any(axis=2)
+    who, m, n = np.nonzero(active)
+    order = np.lexsort((n, who, pos[m]))
+    who, m, n = who[order], m[order], n[order]
+    unknown = np.full(active.shape, -1)
+    unknown[who, m, n] = np.arange(m.size)
+
+    first_gain = np.cumsum([0] + [len(d) for d in delays])
+    offset = max(max(d) for d in delays)          # delta + offset >= 0
+    left, right, groups, entry, carry, row, col = ([] for _ in range(7))
+    n_pairs = n_groups = 0
+    for i, j in itertools.product(range(len(users)), repeat=2):
+        a = np.array(delays[i])[:, None, None]
+        b = np.array(delays[j])[None, :, None]
+        reach = rows_of[i] + a - b                # m + delta, (Pi, Pj, Mi)
+        ia, ib, im = np.nonzero(member[j, reach % M]
+                                & (pos[rows_of[i]] >= pos[reach % M]))
+        if not ia.size:
+            continue
+        key = (a[ia, 0, 0] - b[0, ib, 0] + offset) * M + rows_of[i][im]
+        by_key = np.argsort(key, kind="stable")
+        ia, ib, im = ia[by_key], ib[by_key], im[by_key]
+        keys, starts = np.unique(key[by_key], return_index=True)
+        r = (k * M + (rows_of[i][im] + a[ia, 0, 0])[:, None]) % grid
+        left.append((first_gain[i] + ia)[:, None] * grid + r)
+        right.append((first_gain[j] + ib)[:, None] * grid + r)
+        groups.append(n_pairs + starts)
+        n_pairs += ia.size
+
+        gm = keys % M                             # the group's m ...
+        reach = gm + keys // M - offset           # ... and m + delta
+        e_row = unknown[i][gm[:, None, None], cols_of[i][None, :, None]]
+        e_col = unknown[j][(reach % M)[:, None, None], cols_of[j][None, None, :]]
+        e_row, e_col = np.broadcast_arrays(e_row, e_col)
+        lower = e_row >= e_col
+        f = (cols_of[i][:, None] - cols_of[j][None, :]) % N
+        entry.append(((n_groups + np.arange(keys.size))[:, None, None] * N + f)[lower])
+        carry.append(np.broadcast_to(
+            (reach // M)[:, None, None] * cols_of[j][None, None, :] % N,
+            lower.shape)[lower])
+        row.append(e_row[lower])
+        col.append(e_col[lower])
+        n_groups += keys.size
+    row, col = np.concatenate(row), np.concatenate(col)
+    band = row - col
+    phase = np.exp(2j * np.pi * np.concatenate(carry) / N) / N
+
+    stacked = np.concatenate(delays)
+    shift = (np.arange(stacked.size)[:, None] * grid
+             + (np.arange(grid) + stacked[:, None]) % grid)
+
+    w = coupling_phases(M, N)[m, n]
+    phases = {Waveform.OTFS: (phase, np.full(m.size, 1 / np.sqrt(N))),
+              Waveform.SC_IFDMA: (phase * w[row] * np.conj(w[col]), w / np.sqrt(N))}
+    arrays = dict(
+        bins=n * M + m, left=np.concatenate(left), right=np.concatenate(right),
+        groups=np.concatenate(groups), entry=np.concatenate(entry),
+        slot=band * m.size + col, shift=shift, user_rows=first_gain[:-1],
+        rhs_entry=(who * N + n) * M + m)
+    for a in [*arrays.values(), *phases[Waveform.OTFS], *phases[Waveform.SC_IFDMA]]:
+        a.setflags(write=False)
+    return _UplinkPlan(width=int(band.max()), phases=phases, **arrays)
 
 
 def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
@@ -201,15 +292,26 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
     """Joint MMSE detection over the allocated bins of one CP-included
     superposed record, in ``waveform``'s delay-Doppler convention.
 
-    User q's columns are C_q = H_t,q B_q: its modulated bins carried
-    along the delay diagonals of ``channels[q]``, at most P*N nonzeros
-    each. A ``None`` channel leaves its user out of the solve, and its
-    bins stay zero. With C the columns of the users that have a channel
-    and z the record without its CP, solves (C^H C + noise_var I) x = C^H z by
-    sparse LU for every noise_var; zero forcing (noise_var 0) on a
-    singular C raises numpy.linalg.LinAlgError. Equals
-    :func:`detect_users` on the demodulated record with the compound
-    matrix of the same channels.
+    With C the time-domain columns of the allocated bins of the users
+    that have a channel (user q's bins modulated and carried along the
+    delay diagonals of ``channels[q]``) and z the record without its CP,
+    solves (C^H C + noise_var I) x = C^H z by banded Cholesky. In the
+    delay-Doppler basis, the entry from bin (q, m, n) to bin (q', m', n')
+    sums, over the delay pairs (a of user q, b of user q') with
+    m + a - b = m' + c*M, exp(2j*pi*n'*c/N) F[(n - n') mod N, m] / N,
+    where F is the FFT over k of conj(g_qa[r]) g_q'b[r] at
+    r = (k*M + m + a) mod MN; C^H z is the FFT over k of
+    sum_a conj(g_qa[r]) z[r], over sqrt(N). SC-IFDMA scales entry
+    (row, col) by W_row conj(W_col) and C^H z by W, the phases of
+    :func:`~ddlink.transforms.coupling_phases`. Ordered by
+    fold position of the delay row, the matrix is an ordinary band; its
+    index plan depends only on the allocation and the delay sets and is
+    cached.
+
+    A ``None`` channel leaves its user out of the solve, and its bins
+    stay zero. Zero forcing (noise_var 0) on a singular C raises
+    numpy.linalg.LinAlgError. Equals :func:`detect_users` on the
+    demodulated record with the compound matrix of the same channels.
     """
     if len(channels) != alloc.n_users:
         raise ValueError(f"{len(channels)} channels for {alloc.n_users} allocations")
@@ -217,24 +319,24 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
     if (frame.M, frame.N) != (alloc.M, alloc.N):
         raise ValueError("frame does not match the allocation grid")
     out = np.zeros(frame.grid_size, dtype=complex)
-    users = [q for q, ch in enumerate(channels) if ch is not None]
+    users = tuple(q for q, ch in enumerate(channels) if ch is not None)
     if not users:
         return DelayDopplerGrid.from_vec(out, frame)
-    bins = [alloc.vec_indices(q) for q in users]
-    starts = np.cumsum([0] + [idx.size for idx in bins])
-    rows, vals, cols = (np.concatenate(a) for a in zip(*(
-        _user_columns(channels[q], alloc, q, waveform, start)
-        for q, start in zip(users, starts))))
-    C = sparse.csr_array((vals, (rows, cols)), shape=(frame.grid_size, starts[-1]))
-    Ch = C.conj().T
-    G = Ch @ C + noise_var * sparse.eye_array(starts[-1])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
-        try:
-            x = spsolve(G.tocsc(), Ch @ _strip(received))
-        except MatrixRankWarning as exc:
-            raise np.linalg.LinAlgError(f"uplink normal matrix: {exc}") from None
-    out[np.concatenate(bins)] = x
+    diagonals = [delay_diagonals(channels[q]) for q in users]
+    plan = _uplink_plan(alloc, users, tuple(tuple(d.tolist()) for d, _ in diagonals))
+    gains = np.concatenate([g for _, g in diagonals])
+    flat = gains.ravel()
+    entry_phase, unknown_phase = plan.phases[waveform]
+    h = np.add.reduceat(np.conj(flat[plan.left]) * flat[plan.right], plan.groups)
+    vals = np.fft.fft(h).ravel()[plan.entry] * entry_phase
+    length = (plan.width + 1) * plan.bins.size
+    ab = (np.bincount(plan.slot, vals.real, length)
+          + 1j * np.bincount(plan.slot, vals.imag, length)).reshape(-1, plan.bins.size)
+    ab[0] += noise_var
+    seen = (np.conj(gains) * _strip(received)).ravel()[plan.shift]
+    y = np.add.reduceat(seen, plan.user_rows).reshape(len(users), alloc.N, alloc.M)
+    rhs = np.fft.fft(y, axis=1).ravel()[plan.rhs_entry] * unknown_phase
+    out[plan.bins] = solveh_banded(ab, rhs, lower=True)
     return DelayDopplerGrid.from_vec(out, frame)
 
 

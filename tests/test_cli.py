@@ -55,9 +55,14 @@ class TestValidate:
 
     @pytest.mark.parametrize("key, line", [
         ("seed", "seed = -1"), ("mu.q", "mu.q = 0"),
-        ("eq.max_iter", "eq.method = iterative\neq.max_iter = -1")])
+        ("eq.max_iter", "eq.method = iterative\neq.max_iter = -1"),
+        ("mu.q", "experiment = mu_uplink\nmu.q = 20")])
     def test_values_a_run_cannot_use_exit_2(self, tmp_path, capsys, key, line):
-        path = write(tmp_path, GOOD.replace("seed = 1\n", "") + line + "\n")
+        # the case's lines replace GOOD's lines of the same keys
+        keys = {entry.split("=")[0].strip() for entry in line.splitlines()}
+        kept = [entry for entry in GOOD.splitlines()
+                if entry.split("=")[0].strip() not in keys]
+        path = write(tmp_path, "\n".join(kept + [line]) + "\n")
         out = tmp_path / "results"
         assert main(["validate", path]) == 2
         assert main(["run", path, "--out", str(out)]) == 2

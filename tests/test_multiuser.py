@@ -9,6 +9,7 @@ from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec, apply_channel,
                             linearized_io, make_channel)
 from ddlink.frame import FrameConfig
 from ddlink.modem import DelayDopplerGrid, TimeSignal, Waveform, modulate_direct
+from ddlink import multiuser
 from ddlink.multiuser import (Allocation, UserBins, compound_matrix,
                               compound_uplink, detect_users,
                               detect_users_time_domain, even_split_allocation,
@@ -318,6 +319,41 @@ class TestTimeDomainDetector:
         received = TimeSignal(g.standard_normal(frame.frame_len)
                               + 1j * g.standard_normal(frame.frame_len), frame)
         assert_matches_dense(received, channels, alloc, w, noise_var)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(uplinks(), st.sampled_from([0.01, 0.5]))
+    def test_sc_ifdma_is_otfs_times_the_coupling_phases(self, uplink, noise_var):
+        # the paper's phase absorption, each waveform from its own solve
+        frame, alloc, channels, seed = uplink
+        g = np.random.default_rng(seed)
+        received = TimeSignal(g.standard_normal(frame.frame_len)
+                              + 1j * g.standard_normal(frame.frame_len), frame)
+        otfs, sc = (detect_users_time_domain(received, channels, alloc, w,
+                                             noise_var).data
+                    for w in (Waveform.OTFS, Waveform.SC_IFDMA))
+        absorbed = coupling_phases(frame.M, frame.N) * otfs
+        assert np.linalg.norm(sc - absorbed) <= 1e-10 * np.linalg.norm(absorbed)
+
+    def test_plan_cache_follows_the_delay_sets(self):
+        alloc = two_user_alloc()
+        set_a = [doppler_channel(FRAME, (0, 1, 3), s) for s in (40, 41)]
+        set_b = [doppler_channel(FRAME, (2, 0), 42), doppler_channel(FRAME, (3,), 43)]
+        patterns = [set_a, set_b, [None, set_b[1]], set_a]
+        multiuser._uplink_plan.cache_clear()
+        for w in (Waveform.OTFS, Waveform.SC_IFDMA):
+            for noise_var in (0.0, 0.05):
+                for channels in patterns:
+                    received = superposed_record(FRAME, alloc, channels, noise_var, 12)
+                    assert_matches_dense(received, channels, alloc, w, noise_var)
+        info = multiuser._uplink_plan.cache_info()
+        assert (info.misses, info.hits) == (3, 13)
+        plan = multiuser._uplink_plan(alloc, (1,), ((3,),))
+        arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+        arrays += [a for pair in plan.phases.values() for a in pair]
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
 
     def test_noiseless_recovery(self):
         frame, alloc, channels = uplink_case("even_split")
