@@ -2,9 +2,10 @@
 
 OTFS and SC-IFDMA modems in equivalent direct and DFT-spread structures,
 linear time-varying channel simulation with exact delay-Doppler channel
-matrices, impulse-pilot synchronization and channel estimation, MMSE and
-iterative equalization, multiuser uplink composition, and a seeded
-Monte-Carlo experiment harness with a CLI.
+matrices, impulse-pilot synchronization and channel estimation, MMSE
+equalization by banded Cholesky on the channel's delay diagonals (the
+dense direct and LSMR equalizers are its oracles), multiuser uplink
+composition, and a seeded Monte-Carlo experiment harness with a CLI.
 """
 
 __version__ = "0.1.0"

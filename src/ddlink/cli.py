@@ -56,7 +56,18 @@ def _load(args):
                 f"{REFERENCE_SCALE[1]} reference grid; drop mu.allocation "
                 f"for an even split")
         cfg["frame.M"], cfg["frame.N"] = REFERENCE_SCALE
-    return spec_from_config(cfg)
+    spec = spec_from_config(cfg)
+    if spec.kind == "mu_uplink":
+        # build the allocation and every estimated-CSI user pilot now, so
+        # a run cannot fail on them after its first trial
+        from .harness import _mu_setup
+        try:
+            _mu_setup(spec)
+        except OSError as exc:
+            raise ConfigError(f"cannot read mu.allocation: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    return spec
 
 
 def _spread_warnings(spec) -> list:

@@ -115,9 +115,6 @@ SCHEMA = {
     "pilot.power_db": (float, "30"),
     "pilot.guards": (_parse_int_pair, "4,4"),
     "est.threshold_sigma": (float, "3.0"),
-    "eq.method": (_choice("mmse", "iterative"), "mmse"),
-    "eq.max_iter": (int, "200"),
-    "eq.tol": (float, "1e-10"),
     "sync.enabled": (_parse_bool, "false"),
     "sync.threshold": (float, "0.5"),
     "sync.search_rows": (int, ""),
@@ -206,13 +203,6 @@ class SyncSettings:
 
 
 @dataclass(frozen=True)
-class EqSettings:
-    method: str = "mmse"
-    max_iter: int = 200
-    tol: float = 1e-10
-
-
-@dataclass(frozen=True)
 class ImpairSettings:
     """Per-trial impairment draws; each entry is ('fixed', x) or
     ('uniform', lo, hi)."""
@@ -239,6 +229,12 @@ class ImpairSettings:
         )
 
 
+def _check_thresholds(key: str, values):
+    for v in values:
+        if not 0.0 < v <= 1.0:
+            raise ConfigError(f"{key} must be in (0, 1], got {v:g}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     kind: str
@@ -253,7 +249,6 @@ class ExperimentSpec:
     custom_taps: tuple | None = None
     pilot: PilotConfig = None
     sync: SyncSettings = field(default_factory=SyncSettings)
-    eq: EqSettings = field(default_factory=EqSettings)
     impair: ImpairSettings = field(default_factory=ImpairSettings)
     csi: str = "genie"
     sweep_thresholds: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0)
@@ -274,8 +269,8 @@ class ExperimentSpec:
                 and self.mu_users > most):
             raise ConfigError(f"mu.q must be <= {most} for an even split of "
                               f"the {self.frame.M}x{self.frame.N} grid")
-        if self.eq.max_iter < 0:
-            raise ConfigError("eq.max_iter must be >= 0")
+        _check_thresholds("sync.threshold", (self.sync.threshold,))
+        _check_thresholds("sweep.thresholds", self.sweep_thresholds)
         if not self.snr_db:
             raise ConfigError("snr_db must be non-empty")
         if self.pilot is None:
@@ -297,19 +292,22 @@ def default_pilot(frame: FrameConfig) -> PilotConfig:
 
 
 def spec_from_config(cfg: dict) -> ExperimentSpec:
-    frame = FrameConfig(
-        M=cfg["frame.M"], N=cfg["frame.N"], cp_len=cfg["frame.L_cp"],
-        bandwidth_hz=cfg["frame.bandwidth_hz"], carrier_hz=cfg["frame.carrier_hz"],
-    )
     g_delay, g_doppler = cfg["pilot.guards"]
-    pilot = PilotConfig(
-        pilot_delay=cfg["pilot.m_p"], pilot_doppler=cfg["pilot.n_p"],
-        power=10 ** (cfg["pilot.power_db"] / 10.0),
-        guard_delay=g_delay, guard_doppler=g_doppler,
-        detection_threshold=cfg["est.threshold_sigma"],
-    )
     try:
+        frame = FrameConfig(
+            M=cfg["frame.M"], N=cfg["frame.N"], cp_len=cfg["frame.L_cp"],
+            bandwidth_hz=cfg["frame.bandwidth_hz"], carrier_hz=cfg["frame.carrier_hz"],
+        )
+        pilot = PilotConfig(
+            pilot_delay=cfg["pilot.m_p"], pilot_doppler=cfg["pilot.n_p"],
+            power=10 ** (cfg["pilot.power_db"] / 10.0),
+            guard_delay=g_delay, guard_doppler=g_doppler,
+            detection_threshold=cfg["est.threshold_sigma"],
+        )
         pilot.validate_fit(frame)
+    except OverflowError:
+        raise ConfigError(f"pilot.power_db = {cfg['pilot.power_db']:g} is too "
+                          f"large a power") from None
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     theta = cfg["impair.theta_t"]
@@ -332,8 +330,6 @@ def spec_from_config(cfg: dict) -> ExperimentSpec:
             search_rows=cfg["sync.search_rows"], max_blocks=cfg["sync.max_blocks"],
             cfo_convention=cfg["sync.cfo_convention"],
         ),
-        eq=EqSettings(method=cfg["eq.method"], max_iter=cfg["eq.max_iter"],
-                      tol=cfg["eq.tol"]),
         impair=ImpairSettings(theta_d=cfg["impair.theta_d"],
                               theta_t=theta,
                               epsilon=cfg["impair.epsilon"]),

@@ -180,16 +180,6 @@ def _receive(spec: ExperimentSpec, signal: TimeSignal, channels, pilots,
     return out
 
 
-def _equalize(spec: ExperimentSpec, corrected: TimeSignal, ch: LtvChannel,
-              waveform: Waveform, noise_var: float) -> np.ndarray:
-    """Equalized delay-Doppler vec of one receiver chain, solved in the
-    time domain on the CP-bounded channel of ``ch``."""
-    eq = spec.eq
-    return equalize_time_domain(corrected, ch, waveform, noise_var,
-                                method=eq.method, max_iter=eq.max_iter,
-                                tol=eq.tol).vec
-
-
 def link_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
     """One paired detection trial: a shared physical record, one receiver
     chain per waveform. Returns per-waveform bit errors, bit counts, and
@@ -220,7 +210,7 @@ def link_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
     def solve(received, hs, w):
         if hs[0] is None:
             return received.vec
-        return _equalize(spec, corrected, hs[0], w, noise_var)
+        return equalize_time_domain(corrected, hs[0], w, noise_var).vec
 
     return _receive(spec, corrected, [ch], [spec.pilot], [mask], bits, solve)
 
@@ -261,10 +251,17 @@ def sync_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
 
 
 def _mu_setup(spec: ExperimentSpec) -> Allocation:
+    """The run's allocation; with estimated CSI, every user's bins must
+    host its pilot (ConfigError from :func:`_mu_user_pilot` otherwise)."""
     if spec.mu_allocation_path:
-        return load_allocation(spec.mu_allocation_path, spec.frame.M, spec.frame.N,
-                               relax=spec.mu_relax_disjointness)
-    return even_split_allocation(spec.frame.M, spec.frame.N, spec.mu_users)
+        alloc = load_allocation(spec.mu_allocation_path, spec.frame.M, spec.frame.N,
+                                relax=spec.mu_relax_disjointness)
+    else:
+        alloc = even_split_allocation(spec.frame.M, spec.frame.N, spec.mu_users)
+    if spec.csi == "estimated":
+        for q in range(alloc.n_users):
+            _mu_user_pilot(spec, alloc, q)
+    return alloc
 
 
 def _mu_user_pilot(spec: ExperimentSpec, alloc: Allocation, q: int) -> PilotConfig:

@@ -19,6 +19,21 @@ def write(tmp_path, text, name="exp.cfg"):
     return str(p)
 
 
+def assert_exit_2(tmp_path, capsys, line, message):
+    """``validate`` and ``run`` of GOOD with ``line`` in place of GOOD's
+    lines of the same keys both exit 2 with ``message`` and write nothing."""
+    keys = {entry.split("=")[0].strip() for entry in line.splitlines()}
+    kept = [entry for entry in GOOD.splitlines()
+            if entry.split("=")[0].strip() not in keys]
+    path = write(tmp_path, "\n".join(kept + [line]) + "\n")
+    out = tmp_path / "results"
+    assert main(["validate", path]) == 2
+    assert main(["run", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error: ") == 2 and err.count(message) == 2
+    assert not out.exists()
+
+
 class TestListProfiles:
     def test_lists_builtin_profiles(self, capsys):
         assert main(["list-profiles"]) == 0
@@ -55,20 +70,27 @@ class TestValidate:
 
     @pytest.mark.parametrize("key, line", [
         ("seed", "seed = -1"), ("mu.q", "mu.q = 0"),
-        ("eq.max_iter", "eq.method = iterative\neq.max_iter = -1"),
-        ("mu.q", "experiment = mu_uplink\nmu.q = 20")])
+        ("mu.q", "experiment = mu_uplink\nmu.q = 20"),
+        ("sync.threshold", "sync.threshold = 0"),
+        ("sweep.thresholds",
+         "experiment = threshold_sweep\nsweep.thresholds = 0.5,2")])
     def test_values_a_run_cannot_use_exit_2(self, tmp_path, capsys, key, line):
-        # the case's lines replace GOOD's lines of the same keys
-        keys = {entry.split("=")[0].strip() for entry in line.splitlines()}
-        kept = [entry for entry in GOOD.splitlines()
-                if entry.split("=")[0].strip() not in keys]
-        path = write(tmp_path, "\n".join(kept + [line]) + "\n")
-        out = tmp_path / "results"
-        assert main(["validate", path]) == 2
-        assert main(["run", path, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.count(f"config error: {key} must be") == 2
-        assert not out.exists()
+        assert_exit_2(tmp_path, capsys, line, f"config error: {key} must be")
+
+    @pytest.mark.parametrize("line, message", [
+        ("frame.M = 0", "grid dimensions must be >= 1"),
+        ("frame.L_cp = 600", "cp_len must be < M*N = 512"),
+        ("frame.bandwidth_hz = -1", "bandwidth_hz must be positive"),
+        ("est.threshold_sigma = 0", "detection threshold must be positive"),
+        ("pilot.power_db = 4000", "pilot.power_db = 4000 is too large"),
+        ("experiment = mu_uplink\nmu.q = 8\ndetector.csi = estimated",
+         "user 0 allocation cannot host the pilot guard rectangle"),
+        ("experiment = mu_uplink\nmu.allocation = absent_allocation.txt",
+         "cannot read mu.allocation"),
+        ("eq.method = iterative", "unknown key 'eq.method'")])
+    def test_config_errors_exit_2_before_any_trial(self, tmp_path, capsys,
+                                                   line, message):
+        assert_exit_2(tmp_path, capsys, line, message)
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.cfg")]) == 2

@@ -1,11 +1,54 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from ddlink.config import (ConfigError, ImpairSettings, canonical_text,
+from ddlink.channel import CHANNEL_PROFILES
+from ddlink.config import (EXPERIMENTS, SCHEMA, ConfigError, ExperimentSpec,
+                           ImpairSettings, SyncSettings, canonical_text,
                            load_spec, parse_config_text, spec_from_config)
 from ddlink.modem import Waveform
+from strategies import PROPERTY
 
 MINIMAL = "experiment = ber_vs_snr\n"
+
+_WORDS = (*EXPERIMENTS, *CHANNEL_PROFILES, "custom", "qpsk", "16qam", "otfs",
+          "sc_ifdma", "otfs,sc_ifdma", "genie", "estimated", "wrap_to_negative",
+          "wrap_to_positive", "true", "false", "")
+_INT = st.one_of(st.integers(-2, 40), st.integers()).map(str)
+_FLOAT = st.floats().map(str)
+# value text by parser name; the choice parsers get words
+_VALUES = {
+    "int": _INT,
+    "float": _FLOAT,
+    "str": st.text(max_size=12),
+    "_parse_float_list": st.lists(_FLOAT, max_size=4).map(",".join),
+    "_parse_int_pair": st.lists(_INT, max_size=3).map(",".join),
+    "_parse_draw": st.one_of(
+        _FLOAT, st.tuples(_FLOAT, _FLOAT).map(lambda p: f"uniform:{p[0]}:{p[1]}")),
+    "_parse_taps": st.lists(st.tuples(_FLOAT, _FLOAT, _FLOAT).map(":".join),
+                            max_size=3).map(";".join),
+}
+
+
+@st.composite
+def config_texts(draw):
+    """Lines over the schema's keys, each value well-formed for its key
+    (in range or not) or, one time in eight, garbage; the experiment key
+    is usually present and valid."""
+    keys = draw(st.lists(st.sampled_from(sorted(SCHEMA)), unique=True,
+                         max_size=10))
+    lines = []
+    for key in keys:
+        typed = _VALUES.get(SCHEMA[key][0].__name__, st.sampled_from(_WORDS))
+        garbage = st.text(max_size=12)
+        value = draw(garbage if draw(st.integers(0, 7)) == 0 else typed)
+        lines.append(f"{key} = {value}")
+    if draw(st.integers(0, 9)):
+        lines.insert(0, f"experiment = {draw(st.sampled_from(EXPERIMENTS))}")
+    return "\n".join(lines) + "\n"
 
 
 class TestParsing:
@@ -90,6 +133,25 @@ class TestSpecBuilding:
         cfg = parse_config_text(MINIMAL + "trials = 0\n")
         with pytest.raises(ConfigError, match="trials"):
             spec_from_config(cfg)
+
+    @pytest.mark.parametrize("sync, sweep", [
+        (0.0, (0.5,)), (-0.5, (0.5,)), (1.5, (0.5,)), (float("nan"), (0.5,)),
+        (0.5, (0.5, 2.0)), (0.5, (0.0, 1.0))])
+    def test_thresholds_outside_the_unit_interval_rejected(self, sync, sweep):
+        spec = spec_from_config(parse_config_text(MINIMAL))
+        with pytest.raises(ConfigError, match=r"must be in \(0, 1\]"):
+            replace(spec, sync=SyncSettings(threshold=sync),
+                    sweep_thresholds=sweep)
+
+    @PROPERTY
+    @given(config_texts())
+    @example("experiment = ber_vs_snr\nframe.M = 0\n")
+    def test_any_config_text_gives_a_spec_or_a_config_error(self, text):
+        try:
+            spec = spec_from_config(parse_config_text(text))
+        except ConfigError:
+            return
+        assert isinstance(spec, ExperimentSpec)
 
     def test_load_spec_roundtrip(self, tmp_path):
         p = tmp_path / "exp.cfg"

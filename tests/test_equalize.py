@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec, apply_channel,
-                            build_dd_matrix)
+from ddlink.channel import ChannelTap, LtvChannel, build_dd_matrix
 from ddlink.equalize import (equalize_iterative, equalize_mmse,
                              equalize_time_domain)
 from ddlink.frame import FrameConfig
-from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform,
-                          demodulate_direct, modulate_direct)
+from ddlink.modem import DelayDopplerGrid, TimeSignal, Waveform, demodulate_direct
 from ddlink.transforms import coupling_phases
 from strategies import PROPERTY, channels
 
@@ -80,39 +78,6 @@ class TestIterative:
         assert not res.grid.vec.any()
         assert res.residual == pytest.approx(np.linalg.norm(y))
 
-    def test_time_domain_lsmr_agrees_with_dense(self):
-        frame = FrameConfig(8, 8, cp_len=4)
-        ch = LtvChannel((ChannelTap(0, 0.9, 0.8), ChannelTap(2, 0.4j, -1.1),
-                         ChannelTap(4, 0.2, 1.7)), frame)
-        grid = DelayDopplerGrid(rng.standard_normal((8, 8))
-                                + 1j * rng.standard_normal((8, 8)), frame)
-        r = apply_channel(modulate_direct(grid, Waveform.OTFS), ch,
-                          NoiseSpec(0.01, np.random.default_rng(2)))
-        rx = demodulate_direct(r, Waveform.OTFS)
-        dense = equalize_iterative(rx, build_dd_matrix(ch, Waveform.OTFS), 0.01,
-                                   max_iter=500, tol=1e-12)
-        td = equalize_time_domain(r, ch, Waveform.OTFS, 0.01,
-                                  method="iterative", max_iter=500, tol=1e-12)
-        assert dense.converged
-        np.testing.assert_allclose(td.vec, dense.grid.vec, atol=1e-8)
-
-    @PROPERTY
-    @given(channels(), st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
-    def test_time_domain_lsmr_matches_dense_on_random_channels(self, ch, s2, seed):
-        # the gather operator on any delay set, including taps past the CP
-        # or the whole frame, against LSMR on the dense DD matrix
-        frame = ch.frame
-        g = np.random.default_rng(seed)
-        r = TimeSignal(g.standard_normal(frame.frame_len)
-                       + 1j * g.standard_normal(frame.frame_len), frame)
-        for w in (Waveform.OTFS, Waveform.SC_IFDMA):
-            dense = equalize_iterative(demodulate_direct(r, w), build_dd_matrix(ch, w),
-                                       s2, max_iter=500, tol=1e-12)
-            td = equalize_time_domain(r, ch, w, s2, method="iterative",
-                                      max_iter=500, tol=1e-12)
-            assert (np.linalg.norm(td.vec - dense.grid.vec)
-                    <= 1e-6 * np.linalg.norm(dense.grid.vec))
-
     def test_solves_the_damped_problem(self):
         # gradient of ||Hd - y||^2 + s2*||d||^2 vanishes at the solution
         frame = FrameConfig(4, 4)
@@ -169,23 +134,9 @@ class TestTimeDomain:
                 equalize_mmse(demodulate_direct(r, Waveform.OTFS),
                               build_dd_matrix(ch, Waveform.OTFS), 0.0)
 
-    def test_iterative_zero_budget_returns_zero(self):
-        frame = FrameConfig(4, 4, cp_len=2)
-        ch = LtvChannel((ChannelTap(0, 1.0, 0.0),), frame)
-        r = TimeSignal(np.ones(frame.frame_len), frame)
-        out = equalize_time_domain(r, ch, Waveform.OTFS, 0.1,
-                                   method="iterative", max_iter=0)
-        assert not out.vec.any()
-
-    def test_rejects_mismatched_channel_and_unknown_method(self):
+    def test_rejects_mismatched_channel(self):
         frame = FrameConfig(4, 4, cp_len=2)
         r = TimeSignal(np.ones(frame.frame_len), frame)
         other = LtvChannel((ChannelTap(0, 1.0, 0.0),), FrameConfig(4, 2))
-        for method in ("mmse", "iterative"):
-            with pytest.raises(ValueError):
-                equalize_time_domain(r, other, Waveform.OTFS,
-                                     0.1, method=method)
-        ch = LtvChannel((ChannelTap(0, 1.0, 0.0),), frame)
         with pytest.raises(ValueError):
-            equalize_time_domain(r, ch, Waveform.OTFS, 0.1,
-                                 method="zf")
+            equalize_time_domain(r, other, Waveform.OTFS, 0.1)

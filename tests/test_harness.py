@@ -6,8 +6,8 @@ import pytest
 from ddlink import chanest, channel, harness, multiuser
 from ddlink.chanest import PilotConfig
 from ddlink.channel import build_dd_matrix
-from ddlink.config import EqSettings, ExperimentSpec, ImpairSettings, SyncSettings
-from ddlink.equalize import equalize_iterative, equalize_mmse
+from ddlink.config import ExperimentSpec, ImpairSettings, SyncSettings
+from ddlink.equalize import equalize_mmse
 from ddlink.frame import FrameConfig
 from ddlink.harness import (link_trial, mu_trial, rows_to_csv, run,
                             seed_stream, sync_trial)
@@ -95,16 +95,6 @@ class TestLinkTrial:
             return e / b
         assert ber(0.0) > ber(20.0)
 
-    def test_iterative_equalizer_path_matches_direct(self):
-        from ddlink.config import EqSettings
-        direct = make_spec(csi="genie")
-        iterative = make_spec(csi="genie",
-                              eq=EqSettings(method="iterative", max_iter=500,
-                                            tol=1e-12))
-        a = link_trial(direct, 0, 15.0)["otfs"]
-        b = link_trial(iterative, 0, 15.0)["otfs"]
-        np.testing.assert_array_equal(a["decisions"], b["decisions"])
-
 
 class TestEqualizerOracle:
     """link_trial's time-domain equalizer against the dense delay-Doppler
@@ -113,48 +103,31 @@ class TestEqualizerOracle:
     @staticmethod
     def equalizer_calls(monkeypatch, spec, trials=2):
         calls = []
-        real = harness._equalize
+        real = harness.equalize_time_domain
 
-        def spy(spec, corrected, ch, waveform, noise_var):
-            out = real(spec, corrected, ch, waveform, noise_var)
-            calls.append((corrected, ch, waveform, noise_var, out))
+        def spy(corrected, ch, waveform, noise_var):
+            out = real(corrected, ch, waveform, noise_var)
+            calls.append((corrected, ch, waveform, noise_var, out.vec))
             return out
 
-        monkeypatch.setattr(harness, "_equalize", spy)
+        monkeypatch.setattr(harness, "equalize_time_domain", spy)
         for t in range(trials):
             link_trial(spec, t, 15.0)
         assert {c[2] for c in calls} == set(BOTH)
         return calls
 
-    @staticmethod
-    def spec(csi, sync, **kw):
-        if sync:
-            kw.update(sync=SyncSettings(enabled=True, threshold=0.5),
-                      impair=ImpairSettings(theta_d=("fixed", 3),
-                                            epsilon=("uniform", -0.2, 0.2)))
-        return make_spec(csi=csi, **kw)
-
     @pytest.mark.parametrize("sync", [False, True])
     @pytest.mark.parametrize("csi", ["genie", "estimated"])
     def test_mmse_matches_dense_solve(self, monkeypatch, csi, sync):
-        spec = self.spec(csi, sync)
+        spec = make_spec(csi=csi)
+        if sync:
+            spec = replace(spec, sync=SyncSettings(enabled=True, threshold=0.5),
+                           impair=ImpairSettings(theta_d=("fixed", 3),
+                                                 epsilon=("uniform", -0.2, 0.2)))
         for corrected, ch, w, s2, out in self.equalizer_calls(monkeypatch, spec):
             received = demodulate_direct(corrected, w)
             oracle = equalize_mmse(received, build_dd_matrix(ch, w), s2).vec
             assert np.linalg.norm(out - oracle) <= 1e-10 * np.linalg.norm(oracle)
-
-    @pytest.mark.parametrize("sync", [False, True])
-    @pytest.mark.parametrize("csi", ["genie", "estimated"])
-    def test_iterative_matches_dense_lsmr(self, monkeypatch, csi, sync):
-        eq = EqSettings(method="iterative", max_iter=500, tol=1e-12)
-        spec = self.spec(csi, sync, eq=eq)
-        for corrected, ch, w, s2, out in self.equalizer_calls(monkeypatch, spec):
-            received = demodulate_direct(corrected, w)
-            oracle = equalize_iterative(received, build_dd_matrix(ch, w), s2,
-                                        max_iter=eq.max_iter, tol=eq.tol)
-            assert oracle.converged
-            err = np.linalg.norm(out - oracle.grid.vec)
-            assert err <= 1e-6 * np.linalg.norm(oracle.grid.vec)
 
 
 class TestSyncTrial:
