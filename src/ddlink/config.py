@@ -291,6 +291,21 @@ def default_pilot(frame: FrameConfig) -> PilotConfig:
     )
 
 
+# the config keys behind each FrameConfig and PilotConfig check, by the
+# start of its message
+_CHECK_KEYS = (
+    ("grid dimensions", "frame.M, frame.N"),
+    ("cp_len", "frame.L_cp"),
+    ("bandwidth_hz", "frame.bandwidth_hz"),
+    ("carrier_hz", "frame.carrier_hz"),
+    ("pilot power", "pilot.power_db"),
+    ("guard widths", "pilot.guards"),
+    ("detection threshold", "est.threshold_sigma"),
+    ("delay guard", "pilot.m_p, pilot.guards"),
+    ("Doppler guard", "pilot.n_p, pilot.guards"),
+)
+
+
 def spec_from_config(cfg: dict) -> ExperimentSpec:
     g_delay, g_doppler = cfg["pilot.guards"]
     try:
@@ -309,7 +324,10 @@ def spec_from_config(cfg: dict) -> ExperimentSpec:
         raise ConfigError(f"pilot.power_db = {cfg['pilot.power_db']:g} is too "
                           f"large a power") from None
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        message = str(exc)
+        keys = next((k for start, k in _CHECK_KEYS if message.startswith(start)),
+                    None)
+        raise ConfigError(f"{keys}: {message}" if keys else message) from None
     theta = cfg["impair.theta_t"]
     if theta < 0:
         raise ConfigError("impair.theta_t must be >= 0")

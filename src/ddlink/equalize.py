@@ -10,11 +10,15 @@ harness runs, solves for the transmitted block with H_t and demodulates
 once. H_t is nonzero only on the cyclic diagonals of the tap delays,
 which :func:`~ddlink.channel.delay_diagonals` returns; the periodic band
 H_t^H H_t + noise_var I is formed from them and solved by banded
-Cholesky. The dense direct :func:`equalize_mmse` and LSMR
+Cholesky. The index plan of that band depends only on the delays and the
+grid size and is cached, so a call does only value work. The band solve
+itself, :func:`_solve_band`, is shared with the uplink detector of
+:mod:`ddlink.multiuser`. The dense direct :func:`equalize_mmse` and LSMR
 :func:`equalize_iterative` are its oracles.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import solveh_banded
@@ -81,33 +85,83 @@ def _fold_positions(n: int) -> np.ndarray:
     return np.where(k <= (n - 1) // 2, 2 * k, 2 * (n - 1 - k) + 1)
 
 
+def _solve_band(slot: np.ndarray, vals: np.ndarray, width: int, noise_var: float,
+                rhs: np.ndarray) -> np.ndarray:
+    """Solve (A + noise_var I) x = rhs for Hermitian A whose lower band of
+    half-width ``width`` is the sum of ``vals`` at the raveled band slots
+    ``slot`` (band row * rhs.size + column, values sharing a slot added in
+    order), by banded Cholesky. A matrix that is not positive definite
+    raises numpy.linalg.LinAlgError.
+    """
+    length = (width + 1) * rhs.size
+    ab = (np.bincount(slot, vals.real, length)
+          + 1j * np.bincount(slot, vals.imag, length)).reshape(width + 1, rhs.size)
+    ab[0] += noise_var
+    return solveh_banded(ab, rhs, lower=True)
+
+
+@dataclass(frozen=True)
+class _LinkPlan:
+    """Index bookkeeping of :func:`_solve_banded` for one delay set and
+    grid size; the gains do not enter it. Gain indices point into the
+    raveled (delays, n) gains of ``delay_diagonals``. All arrays are
+    read-only.
+    """
+
+    left: np.ndarray   # gain index of conj(g_a[r]) ...
+    right: np.ndarray  # ... and of g_b[r] per lower-band value, r = (j + d_a) mod n
+    slot: np.ndarray   # index into the raveled lower band of each value
+    rows: np.ndarray   # (delays, n): row (j + d_p) mod n of H^H z
+    own: np.ndarray    # (delays, n): gain index of g_p[rows[p, j]]
+    pos: np.ndarray    # fold position of each unknown
+    width: int         # band half-width
+
+
+@lru_cache(maxsize=8)
+def _link_plan(delays: tuple, n: int) -> _LinkPlan:
+    """Plan for the distinct ``delays`` of a channel on an n-sample block.
+
+    Unknown j reaches row r = (j + d_a) mod n through delay d_a, where
+    unknown (j + d_a - d_b) mod n also arrives through delay d_b: each
+    delay pair adds conj(g_a[r]) g_b[r] to one cyclic diagonal of the
+    normal matrix, and pairs whose offsets coincide mod n share a slot.
+    Only values on or below the diagonal in fold order are kept.
+    """
+    d = np.array(delays)
+    p = d.size
+    j = np.arange(n)
+    rows = (j + d[:, None]) % n
+    own = np.arange(p)[:, None] * n + rows
+    pos = _fold_positions(n)
+    cols = pos[(j + d[:, None, None] - d[None, :, None]) % n]
+    band = pos - cols
+    lower = band >= 0
+    left = np.broadcast_to(own[:, None, :], band.shape)[lower]
+    right = (np.arange(p)[None, :, None] * n + rows[:, None, :])[lower]
+    arrays = dict(left=left, right=right, slot=band[lower] * n + cols[lower],
+                  rows=rows, own=own, pos=pos)
+    for a in arrays.values():
+        a.setflags(write=False)
+    return _LinkPlan(width=int(band.max()), **arrays)
+
+
 def _solve_banded(delays, gains, z: np.ndarray, noise_var: float) -> np.ndarray:
     """Solve (H^H H + noise_var I) t = H^H z for H[i, (i - delays[p]) mod n]
     = gains[p, i] by Cholesky on the band of the folded normal matrix.
 
-    Unknown j reaches row i = (j + d_a) mod n through delay d_a, where
-    unknown (j + d_a - d_b) mod n also arrives through delay d_b: each
-    delay pair adds one cyclic diagonal to the normal matrix, and pairs
-    whose offsets coincide mod n add to the same one. A singular normal
-    matrix (zero forcing on a singular H) raises numpy.linalg.LinAlgError.
+    The index plan (:func:`_link_plan`) depends only on the delays and n
+    and is cached, so a call gathers the gain products of each delay pair
+    into their band slots and solves. A singular normal matrix (zero
+    forcing on a singular H) raises numpy.linalg.LinAlgError.
     """
-    n, p = z.size, len(delays)
-    j = np.arange(n)
-    rows = (j + delays[:, None]) % n
-    seen = gains[:, rows]                    # seen[b, a, j] = gains[b, rows[a, j]]
-    own = seen[np.arange(p), np.arange(p)].conj()
-    rhs = (own * z[rows]).sum(axis=0)
-    vals = own[:, None] * seen.transpose(1, 0, 2)
-    pos = _fold_positions(n)
-    cols = pos[(j + delays[:, None, None] - delays[None, :, None]) % n]
-    band = pos - cols
-    lower = band >= 0
-    ab = np.zeros((band.max() + 1, n), dtype=complex)
-    np.add.at(ab, (band[lower], cols[lower]), vals[lower])
-    ab[0] += noise_var
+    n = z.size
+    plan = _link_plan(tuple(delays.tolist()), n)
+    flat = gains.ravel()
+    vals = flat[plan.left].conj() * flat[plan.right]
+    rhs = (flat[plan.own].conj() * z[plan.rows]).sum(axis=0)
     folded = np.empty(n, dtype=complex)
-    folded[pos] = rhs
-    return solveh_banded(ab, folded, lower=True)[pos]
+    folded[plan.pos] = rhs
+    return _solve_band(plan.slot, vals, plan.width, noise_var, folded)[plan.pos]
 
 
 def equalize_time_domain(received: TimeSignal, ch: LtvChannel, waveform: Waveform,

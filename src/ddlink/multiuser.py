@@ -15,9 +15,10 @@ That matrix couples a delay row only to the rows a delay difference
 away, so ordered by folded delay row it is a band, solved by banded
 Cholesky; SC-IFDMA gets the same band scaled by the coupling phases.
 The index plan of the band depends only on the allocation and the delay
-sets and is cached. The demodulators are unitary, so the detector equals
-:func:`detect_users` on the demodulated record with the dense
-:func:`compound_matrix`, which stay as its oracles.
+sets and is cached; the band solve is the link equalizer's
+(:func:`~ddlink.equalize._solve_band`). The demodulators are unitary, so
+the detector equals :func:`detect_users` on the demodulated record with
+the dense :func:`compound_matrix`, which stay as its oracles.
 """
 
 import itertools
@@ -25,11 +26,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .channel import (DdChannelMatrix, NoiseSpec, apply_channel,
                       build_dd_matrix, delay_diagonals, draw_noise)
-from .equalize import _fold_positions
+from .equalize import _fold_positions, _solve_band
 from .frame import FrameConfig
 from .modem import (DelayDopplerGrid, TimeSignal, Waveform, _strip,
                     demodulate_direct, modulate_direct)
@@ -329,14 +329,10 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
     entry_phase, unknown_phase = plan.phases[waveform]
     h = np.add.reduceat(np.conj(flat[plan.left]) * flat[plan.right], plan.groups)
     vals = np.fft.fft(h).ravel()[plan.entry] * entry_phase
-    length = (plan.width + 1) * plan.bins.size
-    ab = (np.bincount(plan.slot, vals.real, length)
-          + 1j * np.bincount(plan.slot, vals.imag, length)).reshape(-1, plan.bins.size)
-    ab[0] += noise_var
     seen = (np.conj(gains) * _strip(received)).ravel()[plan.shift]
     y = np.add.reduceat(seen, plan.user_rows).reshape(len(users), alloc.N, alloc.M)
     rhs = np.fft.fft(y, axis=1).ravel()[plan.rhs_entry] * unknown_phase
-    out[plan.bins] = solveh_banded(ab, rhs, lower=True)
+    out[plan.bins] = _solve_band(plan.slot, vals, plan.width, noise_var, rhs)
     return DelayDopplerGrid.from_vec(out, frame)
 
 

@@ -78,10 +78,21 @@ class TestValidate:
         assert_exit_2(tmp_path, capsys, line, f"config error: {key} must be")
 
     @pytest.mark.parametrize("line, message", [
-        ("frame.M = 0", "grid dimensions must be >= 1"),
-        ("frame.L_cp = 600", "cp_len must be < M*N = 512"),
-        ("frame.bandwidth_hz = -1", "bandwidth_hz must be positive"),
-        ("est.threshold_sigma = 0", "detection threshold must be positive"),
+        ("frame.M = 0", "config error: frame.M, frame.N: grid dimensions must be >= 1"),
+        ("frame.L_cp = 600", "config error: frame.L_cp: cp_len must be < M*N = 512"),
+        ("frame.L_cp = -1", "config error: frame.L_cp: cp_len must be >= 0"),
+        ("frame.bandwidth_hz = -1",
+         "config error: frame.bandwidth_hz: bandwidth_hz must be positive"),
+        ("frame.carrier_hz = 0",
+         "config error: frame.carrier_hz: carrier_hz must be positive"),
+        ("est.threshold_sigma = 0",
+         "config error: est.threshold_sigma: detection threshold must be positive"),
+        ("pilot.power_db = -4000",
+         "config error: pilot.power_db: pilot power must be positive"),
+        ("pilot.guards = -1,4", "config error: pilot.guards: guard widths must be >= 0"),
+        ("pilot.m_p = 1", "config error: pilot.m_p, pilot.guards: delay guard [-3, 5]"),
+        ("pilot.n_p = 14",
+         "config error: pilot.n_p, pilot.guards: Doppler guard [10, 18]"),
         ("pilot.power_db = 4000", "pilot.power_db = 4000 is too large"),
         ("experiment = mu_uplink\nmu.q = 8\ndetector.csi = estimated",
          "user 0 allocation cannot host the pilot guard rectangle"),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ddlink import equalize
 from ddlink.channel import ChannelTap, LtvChannel, build_dd_matrix
 from ddlink.equalize import (equalize_iterative, equalize_mmse,
                              equalize_time_domain)
@@ -140,3 +141,34 @@ class TestTimeDomain:
         other = LtvChannel((ChannelTap(0, 1.0, 0.0),), FrameConfig(4, 2))
         with pytest.raises(ValueError):
             equalize_time_domain(r, other, Waveform.OTFS, 0.1)
+
+    def test_plan_cache_follows_the_delay_sets(self):
+        # delays (0, 1, 2) put the pairs (1, 0) and (2, 1) on one cyclic
+        # diagonal; on the 6-sample grid delays (0, 3) give +3 = -3 mod 6,
+        # so the two off-diagonal pairs share their band slots
+        frames = (FrameConfig(4, 6, cp_len=3), FrameConfig(2, 3, cp_len=3))
+        delay_sets = ((0, 1, 2), (0, 3), (0, 1, 2))
+        g = np.random.default_rng(33)
+        equalize._link_plan.cache_clear()
+        for frame in frames:
+            r = TimeSignal(g.standard_normal(frame.frame_len)
+                           + 1j * g.standard_normal(frame.frame_len), frame)
+            for delays in delay_sets:
+                ch = LtvChannel(tuple(
+                    ChannelTap(d, complex(*g.standard_normal(2)), g.uniform(-1, 1))
+                    for d in delays), frame)
+                for w in (Waveform.OTFS, Waveform.SC_IFDMA):
+                    for s2 in (0.05, 1.0):
+                        oracle = equalize_mmse(demodulate_direct(r, w),
+                                               build_dd_matrix(ch, w), s2)
+                        td = equalize_time_domain(r, ch, w, s2)
+                        assert (np.linalg.norm(td.vec - oracle.vec)
+                                <= 1e-10 * np.linalg.norm(oracle.vec))
+        info = equalize._link_plan.cache_info()
+        assert (info.misses, info.hits) == (4, 20)
+        plan = equalize._link_plan((0, 3), 6)
+        assert plan.width == 5
+        for a in (v for v in vars(plan).values() if isinstance(v, np.ndarray)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
