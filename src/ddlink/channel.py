@@ -13,7 +13,6 @@ with kappa indexed over the full transmitted record including the CP.
 """
 
 import cmath
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,11 +202,6 @@ def apply_channel(sig: TimeSignal, ch: LtvChannel, noise: NoiseSpec | None = Non
     """
     x = sig.samples
     frame = ch.frame
-    if sig.cp_included and ch.n_spread > frame.cp_len + 1:
-        warnings.warn(
-            f"channel delay spread {ch.n_spread} exceeds the CP "
-            f"({frame.cp_len}); expect inter-block interference",
-            stacklevel=2)
     impair = Impairments() if impair is None else impair
     shift = impair.total_offset(frame.M)
     n = x.shape[0] + shift if record_len is None else record_len

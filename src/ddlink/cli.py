@@ -3,10 +3,9 @@
 import argparse
 import sys
 
-import numpy as np
-
 from .channel import CHANNEL_PROFILES
 from .config import ConfigError, load_config, spec_from_config
+from .harness import prepare, run, spread_warnings
 
 REFERENCE_SCALE = (128, 32)
 
@@ -40,7 +39,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     """The run's spec: the config file with the command-line overrides
-    applied to its keys, so the metadata echoes what ran."""
+    applied to its keys, so the metadata echoes what ran, checked by
+    :func:`harness.prepare` so a run cannot fail on it after its first
+    trial."""
     cfg = load_config(args.config)
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
@@ -57,35 +58,8 @@ def _load(args):
                 f"for an even split")
         cfg["frame.M"], cfg["frame.N"] = REFERENCE_SCALE
     spec = spec_from_config(cfg)
-    if spec.kind == "mu_uplink":
-        # build the allocation and every estimated-CSI user pilot now, so
-        # a run cannot fail on them after its first trial
-        from .harness import _mu_setup
-        try:
-            _mu_setup(spec)
-        except OSError as exc:
-            raise ConfigError(f"cannot read mu.allocation: {exc}") from None
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    prepare(spec)
     return spec
-
-
-def _spread_warnings(spec) -> list:
-    """Delay-spread warnings for ``validate``. The tap delays of every
-    profile follow from the config alone (only gains and Doppler are
-    drawn), so one draw gives the largest delay of every trial."""
-    from .harness import _draw_channel
-    longest = _draw_channel(spec, np.random.default_rng(0)).n_spread - 1
-    out = []
-    if longest > spec.frame.cp_len:
-        out.append(f"warning: largest tap delay {longest} exceeds frame.L_cp "
-                   f"= {spec.frame.cp_len}; expect inter-block interference")
-    if ((spec.csi == "estimated" or spec.sync.enabled)
-            and longest > spec.pilot.guard_delay):
-        out.append(f"warning: largest tap delay {longest} exceeds the pilot "
-                   f"delay guard {spec.pilot.guard_delay}; channel estimation "
-                   f"and sync do not see the later taps")
-    return out
 
 
 def main(argv=None) -> int:
@@ -106,9 +80,9 @@ def main(argv=None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
 
+    for line in spread_warnings(spec):
+        print(line, file=sys.stderr)
     if args.command == "validate":
-        for line in _spread_warnings(spec):
-            print(line, file=sys.stderr)
         print(f"ok: {spec.kind}, {len(spec.snr_db)} SNR cells, "
               f"{spec.trials} trials, waveforms "
               f"{','.join(w.value for w in spec.waveforms)}")
@@ -119,7 +93,6 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    from .harness import run
     try:
         rows = run(spec, out_dir=args.out, parallelism=args.parallelism)
     except (ValueError, OSError) as exc:

@@ -119,8 +119,6 @@ SCHEMA = {
     "sync.threshold": (float, "0.5"),
     "sync.search_rows": (int, ""),
     "sync.max_blocks": (int, "2"),
-    "sync.cfo_convention": (_choice("wrap_to_negative", "wrap_to_positive"),
-                            "wrap_to_negative"),
     "impair.theta_d": (_parse_draw, "0"),
     "impair.theta_t": (int, "0"),
     "impair.epsilon": (_parse_draw, "0"),
@@ -199,7 +197,6 @@ class SyncSettings:
     threshold: float = 0.5
     search_rows: int | None = None
     max_blocks: int = 2
-    cfo_convention: str = "wrap_to_negative"
 
 
 @dataclass(frozen=True)
@@ -346,7 +343,6 @@ def spec_from_config(cfg: dict) -> ExperimentSpec:
         sync=SyncSettings(
             enabled=cfg["sync.enabled"], threshold=cfg["sync.threshold"],
             search_rows=cfg["sync.search_rows"], max_blocks=cfg["sync.max_blocks"],
-            cfo_convention=cfg["sync.cfo_convention"],
         ),
         impair=ImpairSettings(theta_d=cfg["impair.theta_d"],
                               theta_t=theta,

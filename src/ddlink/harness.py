@@ -26,15 +26,19 @@ record to ``_receive`` (CSI, the trial's solve, SC-IFDMA derotation,
 demapping per mask). ``_KINDS`` maps each kind to its trial and its result
 rows; it names ``link_trial``, ``sync_trial`` and ``mu_trial`` at call
 time, so rebinding them on this module intercepts every trial.
+``prepare`` builds and checks what the trials of a spec share (the
+uplink allocation) once, before the first trial.
 """
 
 import csv
 import hashlib
 import io
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +56,7 @@ from .modem import (DelayDopplerGrid, TimeSignal, Waveform, demodulate_direct,
                     modulate_direct)
 from .multiuser import (Allocation, detect_users_time_domain,
                         even_split_allocation, load_allocation)
-from .sync import correct, estimate_sync, fine_timing, timing_metric
+from .sync import correct, estimate_sync, fine_timing
 from .transforms import coupling_phases
 
 _COMPONENTS = {"channel": 0, "noise": 1, "data": 2, "impairment": 3}
@@ -128,8 +132,7 @@ def _estimate_sync(spec: ExperimentSpec, record: np.ndarray):
     return estimate_sync(record, spec.frame, spec.pilot.pilot_delay,
                          pilot_doppler=spec.pilot.pilot_doppler,
                          threshold=sync.threshold, n_rows=sync.search_rows,
-                         max_blocks=sync.max_blocks,
-                         cfo_convention=sync.cfo_convention)
+                         max_blocks=sync.max_blocks)
 
 
 def _estimated_channel(received: DelayDopplerGrid, pc: PilotConfig,
@@ -241,27 +244,57 @@ def sync_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
             "cfo_sq_err": (est.cfo - impair.cfo) ** 2,
         }
         if spec.kind == "threshold_sweep":
-            _, row_metric = timing_metric(record, frame, n_rows=spec.sync.search_rows)
             for ts in spec.sweep_thresholds:
-                fine = fine_timing(row_metric, ts, spec.pilot.pilot_delay,
+                fine = fine_timing(est.metric, ts, spec.pilot.pilot_delay,
                                    frame.cp_len) + frame.M * est.block_offset
                 res[f"fine_err@{ts:g}"] = abs(fine - true_offset)
         out[w.value] = res
     return out
 
 
-def _mu_setup(spec: ExperimentSpec) -> Allocation:
-    """The run's allocation; with estimated CSI, every user's bins must
-    host its pilot (ConfigError from :func:`_mu_user_pilot` otherwise)."""
-    if spec.mu_allocation_path:
-        alloc = load_allocation(spec.mu_allocation_path, spec.frame.M, spec.frame.N,
-                                relax=spec.mu_relax_disjointness)
-    else:
-        alloc = even_split_allocation(spec.frame.M, spec.frame.N, spec.mu_users)
+def prepare(spec: ExperimentSpec) -> Allocation | None:
+    """Pre-flight of a run: the uplink allocation (None for other kinds),
+    checked before the first trial. Raises ConfigError for an unreadable
+    or invalid allocation, a ``mu.q`` that disagrees with the allocation
+    file, or an estimated-CSI user whose bins cannot host its pilot."""
+    if spec.kind != "mu_uplink":
+        return None
+    frame = spec.frame
+    try:
+        if spec.mu_allocation_path:
+            alloc = load_allocation(spec.mu_allocation_path, frame.M, frame.N,
+                                    relax=spec.mu_relax_disjointness)
+        else:
+            alloc = even_split_allocation(frame.M, frame.N, spec.mu_users)
+    except OSError as exc:
+        raise ConfigError(f"cannot read mu.allocation: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if alloc.n_users != spec.mu_users:
+        raise ConfigError(f"mu.q = {spec.mu_users} but mu.allocation lists "
+                          f"{alloc.n_users} users")
     if spec.csi == "estimated":
         for q in range(alloc.n_users):
             _mu_user_pilot(spec, alloc, q)
     return alloc
+
+
+def spread_warnings(spec: ExperimentSpec) -> list:
+    """``warning:`` lines for a delay spread beyond the CP or the pilot
+    delay guard. The tap delays of every profile follow from the spec
+    alone (only gains and Doppler are drawn), so one draw gives the
+    largest delay of every trial."""
+    longest = _draw_channel(spec, np.random.default_rng(0)).n_spread - 1
+    out = []
+    if longest > spec.frame.cp_len:
+        out.append(f"warning: largest tap delay {longest} exceeds frame.L_cp "
+                   f"= {spec.frame.cp_len}; expect inter-block interference")
+    if ((spec.csi == "estimated" or spec.sync.enabled)
+            and longest > spec.pilot.guard_delay):
+        out.append(f"warning: largest tap delay {longest} exceeds the pilot "
+                   f"delay guard {spec.pilot.guard_delay}; channel estimation "
+                   f"and sync do not see the later taps")
+    return out
 
 
 def _mu_user_pilot(spec: ExperimentSpec, alloc: Allocation, q: int) -> PilotConfig:
@@ -358,40 +391,36 @@ _KINDS = {
 }
 
 
-def _run_chunk(args):
-    spec, snr_db, trial_ids, alloc = args
+def _summary(spec: ExperimentSpec, snr_db: float, alloc: Allocation | None,
+             trial_id: int) -> dict:
+    """One trial, reduced to new per-waveform dicts of its scalars (what
+    ``_aggregate`` reads); the dict the trial returned keeps its decisions."""
     trial, _ = _KINDS[spec.kind]
-    return [(t, trial(spec, t, snr_db, alloc)) for t in trial_ids]
-
-
-def _cell_trials(spec: ExperimentSpec, snr_index: int):
-    base = snr_index * spec.trials
-    return list(range(base, base + spec.trials))
+    out = trial(spec, trial_id, snr_db, alloc)
+    return {w: {k: v for k, v in r.items() if k != "decisions"}
+            for w, r in out.items()}
 
 
 def run(spec: ExperimentSpec, out_dir=None, parallelism: int = 1):
     """Execute the experiment; returns the result rows and, when ``out_dir``
-    is given, writes results.csv and metadata.txt there."""
+    is given, writes results.csv and metadata.txt there.
+
+    Every cell maps its trial ids through ``_summary``: in this process,
+    or over ``parallelism`` worker processes in one chunk per worker.
+    """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     t0 = time.monotonic()
-    alloc = _mu_setup(spec) if spec.kind == "mu_uplink" else None
+    alloc = prepare(spec)
     rows = []
     with (ProcessPoolExecutor(max_workers=parallelism) if parallelism > 1
           else nullcontext()) as pool:
+        trial_map = (map if pool is None else
+                     partial(pool.map, chunksize=math.ceil(spec.trials / parallelism)))
         for si, snr in enumerate(spec.snr_db):
-            trial_ids = _cell_trials(spec, si)
-            per_trial = {}
-            if pool is not None:
-                chunks = np.array_split(trial_ids, parallelism)
-                jobs = [(spec, snr, [int(t) for t in c], alloc)
-                        for c in chunks if len(c)]
-                for part in pool.map(_run_chunk, jobs):
-                    per_trial.update(dict(part))
-            else:
-                per_trial = dict(_run_chunk((spec, snr, trial_ids, alloc)))
-            ordered = [per_trial[t] for t in trial_ids]
-            rows.extend(_aggregate(spec, snr, ordered))
+            ids = range(si * spec.trials, (si + 1) * spec.trials)
+            trials = list(trial_map(partial(_summary, spec, snr, alloc), ids))
+            rows.extend(_aggregate(spec, snr, trials))
     elapsed = time.monotonic() - t0
     if out_dir is not None:
         write_outputs(spec, rows, Path(out_dir), elapsed)

@@ -115,28 +115,19 @@ def block_offset(window_corr, row: int, max_blocks: int = 2) -> int:
     return int(np.argmax(span))
 
 
-def _wrap(x: float, N: int, convention: str) -> float:
-    if convention == "wrap_to_negative":
-        return ((x + N / 2) % N) - N / 2
-    if convention == "wrap_to_positive":
-        return N / 2 - ((N / 2 - x) % N)
-    raise ValueError(f"unknown CFO wrap convention {convention!r}")
-
-
 def cfo_estimate(row_metric, row: int, frame: FrameConfig,
-                 pilot_doppler: int = 0,
-                 convention: str = "wrap_to_negative") -> float:
+                 pilot_doppler: int = 0) -> float:
     """Phase-slope CFO estimate from the aggregated metric at ``row``.
 
     Each correlated sample pair spans M samples, so the metric phase is
     2*pi*(cfo + pilot Doppler)/N; the estimate is unambiguous for
-    |cfo| < N/2 and wraps at the boundary per the chosen convention.
+    |cfo| < N/2 and wraps into [-N/2, N/2).
     """
     value = np.asarray(row_metric)[row]
     if value == 0:
         raise ValueError(f"zero metric at row {row}")
     raw = frame.N / (2 * np.pi) * np.angle(value) - pilot_doppler
-    return _wrap(raw, frame.N, convention)
+    return ((raw + frame.N / 2) % frame.N) - frame.N / 2
 
 
 def correct(record, offset: int, cfo: float, frame: FrameConfig):
@@ -157,16 +148,14 @@ def correct(record, offset: int, cfo: float, frame: FrameConfig):
 
 def estimate_sync(record, frame: FrameConfig, pilot_delay: int,
                   pilot_doppler: int = 0, threshold: float = 0.5,
-                  n_rows: int | None = None, max_blocks: int = 2,
-                  cfo_convention: str = "wrap_to_negative") -> SyncEstimate:
+                  n_rows: int | None = None, max_blocks: int = 2) -> SyncEstimate:
     """Run the full estimator chain on one received record."""
     window_corr, row_metric = timing_metric(record, frame, n_rows=n_rows)
     coarse = coarse_timing(row_metric, pilot_delay, cp_len=frame.cp_len)
     fine = fine_timing(row_metric, threshold, pilot_delay, cp_len=frame.cp_len)
     peak_row = coarse + pilot_delay + frame.cp_len
     blocks = block_offset(window_corr, peak_row, max_blocks=max_blocks)
-    cfo = cfo_estimate(row_metric, peak_row, frame,
-                       pilot_doppler=pilot_doppler, convention=cfo_convention)
+    cfo = cfo_estimate(row_metric, peak_row, frame, pilot_doppler=pilot_doppler)
     return SyncEstimate(
         coarse_delay=coarse,
         fine_delay=fine,

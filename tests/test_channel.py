@@ -144,13 +144,6 @@ class TestApplyChannel:
         var = np.mean(np.abs(out.samples) ** 2)
         assert abs(var - 1.0) <= 0.05
 
-    def test_spread_beyond_cp_warns(self):
-        frame = FrameConfig(8, 4, cp_len=1)
-        ch = LtvChannel((ChannelTap(0, 1.0, 0.0), ChannelTap(3, 0.5, 0.0)), frame)
-        x = modulate_direct(random_grid(frame), Waveform.OTFS)
-        with pytest.warns(UserWarning, match="delay spread"):
-            apply_channel(x, ch)
-
 
 def reference_dd_matrix(ch, waveform):
     """Explicit dense product of the CP-bounded channel with the unitary

@@ -1,6 +1,11 @@
+import warnings
+from pathlib import Path
+
 import pytest
 
 from ddlink.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GOOD = """
 experiment = sync_vs_snr
@@ -58,15 +63,22 @@ class TestValidate:
         # delay guard 4
         eva = GOOD.replace("single_tap", "eva")
         assert main(["validate", write(tmp_path, eva)]) == 0
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 2 and all(line.startswith("warning:") for line in err)
-        assert "frame.L_cp = 8" in err[0] and "guard 4" in err[1]
+        spread = capsys.readouterr().err.splitlines()
+        assert len(spread) == 2 and all(line.startswith("warning:") for line in spread)
+        assert "frame.L_cp = 8" in spread[0] and "guard 4" in spread[1]
         no_pilot = eva.replace("sync.enabled = true", "sync.enabled = false")
         assert main(["validate", write(tmp_path, no_pilot)]) == 0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "frame.L_cp" in err[0]
         assert main(["validate", write(tmp_path, GOOD)]) == 0
         assert capsys.readouterr().err == ""
+        # run prints the same lines once, and no Python warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", write(tmp_path, eva),
+                         "--out", str(tmp_path / "results")]) == 0
+        assert capsys.readouterr().err.splitlines() == spread
+        assert caught == []
 
     @pytest.mark.parametrize("key, line", [
         ("seed", "seed = -1"), ("mu.q", "mu.q = 0"),
@@ -98,9 +110,14 @@ class TestValidate:
          "user 0 allocation cannot host the pilot guard rectangle"),
         ("experiment = mu_uplink\nmu.allocation = absent_allocation.txt",
          "cannot read mu.allocation"),
+        ("experiment = mu_uplink\nmu.q = 5\nmu.allocation = configs/mu_allocation.txt",
+         "mu.q = 5 but mu.allocation lists 2 users"),
+        ("sync.cfo_convention = wrap_to_negative",
+         "unknown key 'sync.cfo_convention'"),
         ("eq.method = iterative", "unknown key 'eq.method'")])
     def test_config_errors_exit_2_before_any_trial(self, tmp_path, capsys,
-                                                   line, message):
+                                                   monkeypatch, line, message):
+        monkeypatch.chdir(ROOT)  # relative mu.allocation paths, as in configs/
         assert_exit_2(tmp_path, capsys, line, message)
 
     def test_missing_file(self, tmp_path, capsys):

@@ -273,13 +273,37 @@ class TestRun:
         with pytest.raises(ValueError, match="parallelism"):
             run(make_spec(trials=1, snr_db=(10.0,)), parallelism=parallelism)
 
-    def test_parallel_matches_serial(self):
-        spec = make_spec(kind="sync_vs_snr", channel_profile="single_tap",
-                         trials=4, snr_db=(10.0,),
-                         sync=SyncSettings(enabled=True))
+    @pytest.mark.parametrize("kind", ["ber_vs_snr", "sync_vs_snr",
+                                      "threshold_sweep", "mu_uplink"])
+    def test_parallel_matches_serial(self, kind):
+        # 5 trials over 2 workers: chunks of 3 and 2
+        spec = make_spec(kind=kind, channel_profile="single_tap",
+                         constellation="qpsk", csi="genie", trials=5,
+                         snr_db=(10.0, 20.0), sync=SyncSettings(enabled=True))
         serial = rows_to_csv(run(spec, parallelism=1))
         parallel = rows_to_csv(run(spec, parallelism=2))
         assert serial == parallel
+
+    @pytest.mark.parametrize("kind,name", [("ber_vs_snr", "link_trial"),
+                                           ("mu_uplink", "mu_trial")])
+    def test_run_leaves_the_trial_decisions_in_place(self, monkeypatch, kind,
+                                                     name):
+        # ddbench checks the decisions of the dicts the trials returned
+        # after run returns
+        kept = []
+        real = getattr(harness, name)
+
+        def keep(*args):
+            kept.append(real(*args))
+            return kept[-1]
+
+        monkeypatch.setattr(harness, name, keep)
+        run(make_spec(kind=kind, trials=2, snr_db=(10.0, 20.0),
+                      channel_profile="single_tap", csi="genie"))
+        assert len(kept) == 4
+        for out in kept:
+            for w in BOTH:
+                assert out[w.value]["decisions"].size > 0
 
     def test_one_worker_pool_per_run(self, monkeypatch):
         pools = []

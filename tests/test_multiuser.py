@@ -296,7 +296,6 @@ def uplinks(draw):
 
 
 class TestTimeDomainDetector:
-    @pytest.mark.filterwarnings("ignore:channel delay spread")
     @pytest.mark.parametrize("noise_var", [0.0, 0.05])
     @pytest.mark.parametrize("w", [Waveform.OTFS, Waveform.SC_IFDMA])
     @pytest.mark.parametrize("case", ["even_split", "allocation_file", "relaxed",

@@ -147,17 +147,13 @@ class TestCfo:
         est = cfo_estimate(m, row, FRAME, pilot_doppler=PILOT.pilot_doppler)
         assert abs(est - 0.25) <= 1e-6
 
-    def test_half_range_wraps_by_convention(self):
+    def test_half_range_wraps_to_negative(self):
         N = FRAME.N
         r = pilot_record(single_tap(), Impairments(cfo=N / 2))
         _, m = timing_metric(r, FRAME)
         row = FRAME.cp_len + PILOT.pilot_delay
-        neg = cfo_estimate(m, row, FRAME, pilot_doppler=PILOT.pilot_doppler,
-                           convention="wrap_to_negative")
-        pos = cfo_estimate(m, row, FRAME, pilot_doppler=PILOT.pilot_doppler,
-                           convention="wrap_to_positive")
-        assert abs(neg - (-N / 2)) <= 1e-6
-        assert abs(pos - N / 2) <= 1e-6
+        est = cfo_estimate(m, row, FRAME, pilot_doppler=PILOT.pilot_doppler)
+        assert abs(est - (-N / 2)) <= 1e-6
 
     def test_zero_metric_row_rejected(self):
         with pytest.raises(ValueError):
