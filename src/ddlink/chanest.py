@@ -8,14 +8,18 @@ transmitted pilot and by the known per-tap reference phase, gives the
 complex gain. Estimated gains are stored in one canonical phase
 convention (the OTFS one); estimates taken from an SC-IFDMA grid are
 converted using the known coupling phases, which makes a single tap
-store serve both waveforms.
+store serve both waveforms. The receivers read an estimate as the delay
+diagonals of its taps (:func:`estimated_diagonals`): every tap sits on
+an integer Doppler bin of the guard rectangle, so the diagonals are one
+product of the tap gains with a cached table of Doppler ramps.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelTap, LtvChannel
+from .channel import DelayDiagonals, _cp_bounded
 from .frame import FrameConfig
 from .mapping import DATA, GUARD, PILOT, full_data_mask
 from .modem import DelayDopplerGrid, Waveform
@@ -99,12 +103,11 @@ class EstimatedChannel:
         return len(self.taps) == 0
 
 
-def _reference_phase(delay: int, doppler: int, pc: PilotConfig,
-                     frame: FrameConfig) -> complex:
+def _reference_phase(delay, doppler, pc: PilotConfig, frame: FrameConfig):
     """Known response phase of a unit tap probed at the pilot bin: the
     Doppler ramp, evaluated at the pilot's absolute sample position."""
     kappa = frame.cp_len + pc.pilot_delay + delay
-    return complex(np.exp(2j * np.pi * doppler * kappa / frame.grid_size))
+    return np.exp(2j * np.pi * doppler * kappa / frame.grid_size)
 
 
 def estimate_channel(received: DelayDopplerGrid, pc: PilotConfig,
@@ -113,12 +116,12 @@ def estimate_channel(received: DelayDopplerGrid, pc: PilotConfig,
     """Threshold detection over the guard region around the pilot.
 
     Taps are searched on the causal delay side, [0, guard_delay] past the
-    pilot row. When ``noise_std`` is not given it is taken from the guard
-    rows ahead of the pilot; wrapped delay spread from far data bins can
-    reach those rows, so the estimate errs high (a conservative
-    threshold). ``pilot_value`` overrides the transmitted pilot amplitude
-    (the paired harness passes the waveform-domain pilot of a shared
-    transmission).
+    pilot row, and listed by delay, then Doppler. When ``noise_std`` is
+    not given it is taken from the guard rows ahead of the pilot; wrapped
+    delay spread from far data bins can reach those rows, so the estimate
+    errs high (a conservative threshold). ``pilot_value`` overrides the
+    transmitted pilot amplitude (the paired harness passes the
+    waveform-domain pilot of a shared transmission).
     """
     frame = received.frame
     pc.validate_fit(frame)
@@ -134,25 +137,50 @@ def estimate_channel(received: DelayDopplerGrid, pc: PilotConfig,
         noise_std = float(np.sqrt(np.mean(np.abs(lead) ** 2)))
 
     pilot = pc.amplitude if pilot_value is None else pilot_value
-    W = coupling_phases(frame.M, frame.N)
-    taps = []
-    for d_off in range(0, pc.guard_delay + 1):
-        for k_off in range(-pc.guard_doppler, pc.guard_doppler + 1):
-            m, n = mp + d_off, npil + k_off
-            value = D[m, n]
-            if np.abs(value) < pc.detection_threshold * noise_std:
-                continue
-            gain = value / pilot
-            if waveform is Waveform.SC_IFDMA:
-                # convert to the canonical convention via the known phases
-                gain *= np.conj(W[m, n]) * W[mp, npil]
-            gain /= _reference_phase(d_off, k_off, pc, frame)
-            taps.append(EstimatedTap(d_off, k_off, complex(gain)))
-    return EstimatedChannel(tuple(taps), waveform, noise_std)
+    region = D[mp: mp + pc.guard_delay + 1, dop]
+    delay, col = np.nonzero(np.abs(region) >= pc.detection_threshold * noise_std)
+    doppler = col - pc.guard_doppler
+    gains = region[delay, col] / pilot
+    if waveform is Waveform.SC_IFDMA:
+        # convert to the canonical convention via the known phases
+        W = coupling_phases(frame.M, frame.N)
+        gains *= np.conj(W[mp + delay, npil + doppler]) * W[mp, npil]
+    gains /= _reference_phase(delay, doppler, pc, frame)
+    taps = tuple(EstimatedTap(d, k, g) for d, k, g in
+                 zip(delay.tolist(), doppler.tolist(), gains.tolist()))
+    return EstimatedChannel(taps, waveform, noise_std)
 
 
-def to_ltv_channel(est: EstimatedChannel, frame: FrameConfig) -> LtvChannel:
+@lru_cache(maxsize=8)
+def _doppler_ramps(guard_doppler: int, grid: int, cp_len: int) -> np.ndarray:
+    """Read-only (2 * guard_doppler + 1, grid) table of the Doppler ramps
+    exp(2j*pi*k*(i + cp_len)/grid) over the CP-stripped samples i, for k
+    from -guard_doppler to guard_doppler."""
+    k = np.arange(-guard_doppler, guard_doppler + 1)
+    kappa = np.arange(cp_len, grid + cp_len)
+    ramps = np.exp((2j * np.pi * k)[:, None] * kappa / grid)
+    ramps.setflags(write=False)
+    return ramps
+
+
+def estimated_diagonals(est: EstimatedChannel, pc: PilotConfig,
+                        frame: FrameConfig) -> DelayDiagonals:
+    """Delay diagonals, in ascending delay order, of the taps of a
+    non-empty estimate made with pilot ``pc`` on ``frame``.
+
+    An estimated tap has an integer Doppler index k in [-guard_doppler,
+    guard_doppler], so each delay row is the (delays x Doppler taps)
+    matrix of the gains times the cached table of Doppler ramps. As in
+    :func:`~ddlink.channel.delay_diagonals`, which this equals for the
+    channel of the same taps, the gains are zero where i + cp_len < d.
+    An empty estimate raises ValueError.
+    """
     if est.is_empty:
         raise ValueError("empty channel estimate")
-    return LtvChannel(tuple(ChannelTap(t.delay, t.gain, float(t.doppler))
-                            for t in est.taps), frame)
+    delays = sorted({t.delay for t in est.taps})
+    row = {d: p for p, d in enumerate(delays)}
+    taps = np.zeros((len(delays), 2 * pc.guard_doppler + 1), dtype=complex)
+    for t in est.taps:
+        taps[row[t.delay], t.doppler + pc.guard_doppler] = t.gain
+    ramps = _doppler_ramps(pc.guard_doppler, frame.grid_size, frame.cp_len)
+    return _cp_bounded(delays, taps @ ramps, frame)

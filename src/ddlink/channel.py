@@ -232,14 +232,41 @@ def cp_channel_matrix(ch: LtvChannel) -> np.ndarray:
     return H[cp:] @ acp
 
 
-def delay_diagonals(ch: LtvChannel):
-    """CP-bounded channel as cyclic diagonals: ``(delays, gains)`` with
-    ``H_t[i, (i - delays[p]) mod M*N] = gains[p, i]``.
+@dataclass(frozen=True, eq=False)
+class DelayDiagonals:
+    """A CP-bounded channel on ``frame`` as its cyclic diagonals, the one
+    channel form the receivers read: ``H_t[i, (i - delays[p]) mod M*N] =
+    gains[p, i]`` for distinct ``delays``."""
 
-    Output sample i (after CP removal) of a tap with delay d reads block
-    sample (i - d) mod M*N through the CP, or nothing where i + cp_len < d
-    (as in :func:`_apply_taps`), so those gains are zero. Taps sharing a
-    delay are summed in tap order, as in :func:`cp_channel_matrix`.
+    delays: np.ndarray
+    gains: np.ndarray
+    frame: FrameConfig
+
+    def check_frame(self, frame: FrameConfig):
+        """Raise ValueError unless the diagonals are of ``frame``'s grid
+        size and CP, the two numbers they depend on."""
+        mine = self.frame
+        if (mine.grid_size, mine.cp_len) != (frame.grid_size, frame.cp_len):
+            raise ValueError(f"channel of a {mine.grid_size}-sample grid with "
+                             f"CP {mine.cp_len} does not match the received "
+                             f"{frame.grid_size}-sample grid with CP {frame.cp_len}")
+
+
+def _cp_bounded(delays, gains: np.ndarray, frame: FrameConfig) -> DelayDiagonals:
+    """Diagonals of the gain rows of ``delays`` over the CP-stripped
+    samples i, zeroed in place where i + cp_len < d: output sample i of a
+    tap with delay d reads block sample (i - d) mod M*N through the CP,
+    or nothing before the frame (as in :func:`_apply_taps`)."""
+    for p, d in enumerate(delays):
+        gains[p, :max(d - frame.cp_len, 0)] = 0.0
+    return DelayDiagonals(np.asarray(delays), gains, frame)
+
+
+def delay_diagonals(ch: LtvChannel) -> DelayDiagonals:
+    """CP-bounded channel as cyclic diagonals, exactly as in
+    :func:`cp_channel_matrix`, with the gains zero where no sample
+    reaches (see :func:`_cp_bounded`). Taps sharing a delay are summed in
+    tap order, and the delays keep the order of their first tap.
     """
     frame = ch.frame
     grid, cp = frame.grid_size, frame.cp_len
@@ -251,10 +278,7 @@ def delay_diagonals(ch: LtvChannel):
     for tap, g in zip(ch.taps, per_tap):
         sums[tap.delay] = sums[tap.delay] + g if tap.delay in sums else g
     delays = np.fromiter(sums, dtype=int, count=len(sums))
-    gains = np.array(list(sums.values()))
-    for p, d in enumerate(delays):
-        gains[p, :max(d - cp, 0)] = 0.0
-    return delays, gains
+    return _cp_bounded(delays, np.array(list(sums.values())), frame)
 
 
 def build_dd_matrix(ch: LtvChannel, waveform: Waveform) -> DdChannelMatrix:

@@ -7,14 +7,18 @@ Every route solves the regularized problem
 The (de)modulators are unitary, so H = U H_t U^H with H_t the CP-bounded
 time-domain channel: :func:`equalize_time_domain`, the equalizer the
 harness runs, solves for the transmitted block with H_t and demodulates
-once. H_t is nonzero only on the cyclic diagonals of the tap delays,
-which :func:`~ddlink.channel.delay_diagonals` returns; the periodic band
-H_t^H H_t + noise_var I is formed from them and solved by banded
-Cholesky. The index plan of that band depends only on the delays and the
-grid size and is cached, so a call does only value work. The band solve
-itself, :func:`_solve_band`, is shared with the uplink detector of
-:mod:`ddlink.multiuser`. The dense direct :func:`equalize_mmse` and LSMR
-:func:`equalize_iterative` are its oracles.
+once. H_t is nonzero only on the cyclic diagonals of the tap delays, and
+the equalizer takes the channel in that form, a
+:class:`~ddlink.channel.DelayDiagonals` (from
+:func:`~ddlink.channel.delay_diagonals` for a drawn channel, or
+:func:`~ddlink.chanest.estimated_diagonals` for an estimate); the
+periodic band H_t^H H_t + noise_var I is formed from them and solved by
+banded Cholesky. The index plan of that band depends only on the delays
+and the grid size and is cached, so a call does only value work. The
+band solve itself, :func:`_solve_band`, is shared with the uplink
+detector of :mod:`ddlink.multiuser`. The dense direct
+:func:`equalize_mmse` and LSMR :func:`equalize_iterative` are its
+oracles.
 """
 
 from dataclasses import dataclass
@@ -24,7 +28,7 @@ import numpy as np
 from scipy.linalg import solveh_banded
 from scipy.sparse.linalg import lsmr
 
-from .channel import DdChannelMatrix, LtvChannel, delay_diagonals
+from .channel import DdChannelMatrix, DelayDiagonals
 from .modem import DelayDopplerGrid, TimeSignal, Waveform, _strip, demodulate_direct
 
 
@@ -104,8 +108,8 @@ def _solve_band(slot: np.ndarray, vals: np.ndarray, width: int, noise_var: float
 class _LinkPlan:
     """Index bookkeeping of :func:`_solve_banded` for one delay set and
     grid size; the gains do not enter it. Gain indices point into the
-    raveled (delays, n) gains of ``delay_diagonals``. All arrays are
-    read-only.
+    raveled (delays, n) gains of the channel's delay diagonals. All
+    arrays are read-only.
     """
 
     left: np.ndarray   # gain index of conj(g_a[r]) ...
@@ -164,22 +168,20 @@ def _solve_banded(delays, gains, z: np.ndarray, noise_var: float) -> np.ndarray:
     return _solve_band(plan.slot, vals, plan.width, noise_var, folded)[plan.pos]
 
 
-def equalize_time_domain(received: TimeSignal, ch: LtvChannel, waveform: Waveform,
-                         noise_var: float) -> DelayDopplerGrid:
-    """Equalize one CP-included frame on the CP-bounded channel of ``ch``.
+def equalize_time_domain(received: TimeSignal, channel: DelayDiagonals,
+                         waveform: Waveform, noise_var: float) -> DelayDopplerGrid:
+    """Equalize one CP-included frame on a CP-bounded channel given as its
+    delay diagonals.
 
-    Solves (H_t^H H_t + noise_var I) t = H_t^H z by banded Cholesky on the
-    channel's delay diagonals and demodulates the estimate t of the
-    transmitted block in ``waveform``'s convention. This equals
-    :func:`equalize_mmse` on the demodulated frame with the dense
-    delay-Doppler matrix of the same channel. A channel of another grid
-    size or CP raises ValueError; zero forcing (noise_var 0) on a singular
-    channel raises numpy.linalg.LinAlgError.
+    Solves (H_t^H H_t + noise_var I) t = H_t^H z by banded Cholesky on
+    the diagonals and demodulates the estimate t of the transmitted block
+    in ``waveform``'s convention. This equals :func:`equalize_mmse` on the
+    demodulated frame with the dense delay-Doppler matrix of the same
+    channel. Diagonals of another grid size or CP raise ValueError; zero
+    forcing (noise_var 0) on a singular channel raises
+    numpy.linalg.LinAlgError.
     """
     frame = received.frame
-    if (ch.frame.grid_size, ch.frame.cp_len) != (frame.grid_size, frame.cp_len):
-        raise ValueError(f"channel of a {ch.frame.grid_size}-sample grid with "
-                         f"CP {ch.frame.cp_len} does not match the received "
-                         f"{frame.grid_size}-sample grid with CP {frame.cp_len}")
-    t = _solve_banded(*delay_diagonals(ch), _strip(received), noise_var)
+    channel.check_frame(frame)
+    t = _solve_banded(channel.delays, channel.gains, _strip(received), noise_var)
     return demodulate_direct(TimeSignal(t, frame, cp_included=False), waveform)

@@ -44,9 +44,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chanest import (PilotConfig, embed_pilot, estimate_channel, overlay_mask,
-                      to_ltv_channel)
-from .channel import (LtvChannel, apply_channel, draw_noise, make_channel,
+from .chanest import (PilotConfig, embed_pilot, estimate_channel,
+                      estimated_diagonals, overlay_mask)
+from .channel import (DelayDiagonals, LtvChannel, apply_channel,
+                      delay_diagonals, draw_noise, make_channel,
                       taps_from_profile)
 from .config import ConfigError, ExperimentSpec
 from .equalize import equalize_time_domain
@@ -136,34 +137,40 @@ def _estimate_sync(spec: ExperimentSpec, record: np.ndarray):
 
 
 def _estimated_channel(received: DelayDopplerGrid, pc: PilotConfig,
-                       waveform: Waveform) -> LtvChannel | None:
-    """Channel estimated from the pilot ``pc`` of the shared transmit record
-    (built with the OTFS structure, so the SC-IFDMA receiver sees the pilot
-    rotated by its coupling phase); None when the estimate comes back empty."""
+                       waveform: Waveform) -> DelayDiagonals | None:
+    """Delay diagonals of the channel estimated from the pilot ``pc`` of
+    the shared transmit record (built with the OTFS structure, so the
+    SC-IFDMA receiver sees the pilot rotated by its coupling phase); None
+    when the estimate comes back empty."""
     frame = received.frame
     pilot_value = complex(pc.amplitude)
     if waveform is Waveform.SC_IFDMA:
         W = coupling_phases(frame.M, frame.N)
         pilot_value = pc.amplitude * W[pc.pilot_delay, pc.pilot_doppler]
     est = estimate_channel(received, pc, waveform, pilot_value=pilot_value)
-    return None if est.is_empty else to_ltv_channel(est, frame)
+    return None if est.is_empty else estimated_diagonals(est, pc, frame)
 
 
 def _receive(spec: ExperimentSpec, signal: TimeSignal, channels, pilots,
              masks, bits, solve) -> dict:
     """Both receiver chains of one shared OTFS-structured record.
 
-    Per waveform: CSI (the drawn ``channels``, or one estimate per pilot),
-    ``solve(received, hs, waveform)`` for the equalized delay-Doppler vec,
-    derotation by the coupling phases for SC-IFDMA, then hard decisions
-    on the data bins of each mask against that mask's bits.
+    CSI is a list of delay diagonals, one per channel: with genie CSI
+    those of the drawn ``channels``, computed once for both waveforms;
+    with estimated CSI, per waveform, those of one estimate per pilot
+    (None for an empty estimate). Per waveform, ``solve(received, hs,
+    waveform)`` gives the equalized delay-Doppler vec, SC-IFDMA is
+    derotated by the coupling phases, and hard decisions on the data
+    bins of each mask are counted against that mask's bits.
     """
     const = get_constellation(spec.constellation)
     W = coupling_phases(spec.frame.M, spec.frame.N)
+    genie = ([delay_diagonals(ch) for ch in channels] if spec.csi == "genie"
+             else None)
     out = {}
     for w in spec.waveforms:
         received = demodulate_direct(signal, w)
-        hs = (channels if spec.csi == "genie" else
+        hs = (genie if genie is not None else
               [_estimated_channel(received, pc, w) for pc in pilots])
         d_hat = solve(received, hs, w)
         if w is Waveform.SC_IFDMA:

@@ -7,10 +7,11 @@ through its own channel, and detects jointly against a compound model
 whose columns over a user's bins come from that user's channel.
 
 :func:`detect_users_time_domain` detects on the CP-stripped record, and
-the harness runs it. It forms the normal matrix of the allocated bins in
-the delay-Doppler basis straight from the delay diagonals of each user's
-CP-bounded channel (:func:`~ddlink.channel.delay_diagonals`), the one
-channel form every receiver reads; no delay-Doppler matrix is built.
+the harness runs it. It takes each user's CP-bounded channel as its
+delay diagonals (:class:`~ddlink.channel.DelayDiagonals`), the one
+channel form every receiver reads, and forms the normal matrix of the
+allocated bins in the delay-Doppler basis straight from them; no
+delay-Doppler matrix is built.
 That matrix couples a delay row only to the rows a delay difference
 away, so ordered by folded delay row it is a band, solved by banded
 Cholesky; SC-IFDMA gets the same band scaled by the coupling phases.
@@ -28,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import (DdChannelMatrix, NoiseSpec, apply_channel,
-                      build_dd_matrix, delay_diagonals, draw_noise)
+                      build_dd_matrix, draw_noise)
 from .equalize import _fold_positions, _solve_band
 from .frame import FrameConfig
 from .modem import (DelayDopplerGrid, TimeSignal, Waveform, _strip,
@@ -182,9 +183,9 @@ class _UplinkPlan:
     """Index bookkeeping of the banded uplink solve for one allocation and
     one delay set per user with a channel; the gains do not enter it.
 
-    Gains are read from the stacked rows of ``delay_diagonals`` (user by
-    user, delays in the order of the key), raveled. All arrays are
-    read-only.
+    Gains are read from the stacked rows of the users' delay diagonals
+    (user by user, delays in the order of the key), raveled. All arrays
+    are read-only.
     """
 
     bins: np.ndarray    # full-grid vec index of each unknown, in solve order
@@ -292,9 +293,11 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
     """Joint MMSE detection over the allocated bins of one CP-included
     superposed record, in ``waveform``'s delay-Doppler convention.
 
-    With C the time-domain columns of the allocated bins of the users
-    that have a channel (user q's bins modulated and carried along the
-    delay diagonals of ``channels[q]``) and z the record without its CP,
+    ``channels[q]`` is user q's CP-bounded channel as its
+    :class:`~ddlink.channel.DelayDiagonals`, or None. With C the
+    time-domain columns of the allocated bins of the users that have a
+    channel (user q's bins modulated and carried along the delay
+    diagonals of ``channels[q]``) and z the record without its CP,
     solves (C^H C + noise_var I) x = C^H z by banded Cholesky. In the
     delay-Doppler basis, the entry from bin (q, m, n) to bin (q', m', n')
     sums, over the delay pairs (a of user q, b of user q') with
@@ -309,7 +312,8 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
     cached.
 
     A ``None`` channel leaves its user out of the solve, and its bins
-    stay zero. Zero forcing (noise_var 0) on a singular C raises
+    stay zero. Diagonals of another grid size or CP than the record's
+    raise ValueError. Zero forcing (noise_var 0) on a singular C raises
     numpy.linalg.LinAlgError. Equals :func:`detect_users` on the
     demodulated record with the compound matrix of the same channels.
     """
@@ -320,11 +324,13 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
         raise ValueError("frame does not match the allocation grid")
     out = np.zeros(frame.grid_size, dtype=complex)
     users = tuple(q for q, ch in enumerate(channels) if ch is not None)
+    for q in users:
+        channels[q].check_frame(frame)
     if not users:
         return DelayDopplerGrid.from_vec(out, frame)
-    diagonals = [delay_diagonals(channels[q]) for q in users]
-    plan = _uplink_plan(alloc, users, tuple(tuple(d.tolist()) for d, _ in diagonals))
-    gains = np.concatenate([g for _, g in diagonals])
+    plan = _uplink_plan(alloc, users,
+                        tuple(tuple(channels[q].delays.tolist()) for q in users))
+    gains = np.concatenate([channels[q].gains for q in users])
     flat = gains.ravel()
     entry_phase, unknown_phase = plan.phases[waveform]
     h = np.add.reduceat(np.conj(flat[plan.left]) * flat[plan.right], plan.groups)

@@ -3,10 +3,12 @@
 import numpy as np
 from scipy import sparse
 
+from ddlink.chanest import EstimatedChannel, EstimatedTap
 from ddlink.channel import (ChannelTap, DdChannelMatrix, LtvChannel,
                             delay_diagonals)
-from ddlink.modem import demodulate_direct
+from ddlink.modem import Waveform, demodulate_direct
 from ddlink.multiuser import compound_matrix, detect_users
+from ddlink.transforms import coupling_phases
 
 
 def dense_detect(received, channels, alloc, waveform, noise_var):
@@ -41,7 +43,8 @@ def time_domain_matrix(ch: LtvChannel) -> sparse.csr_array:
     """Sparse CP-bounded channel of :func:`delay_diagonals`, equal to
     :func:`cp_channel_matrix`; the rows a tap cannot reach hold no entry."""
     grid, cp = ch.frame.grid_size, ch.frame.cp_len
-    delays, gains = delay_diagonals(ch)
+    diagonals = delay_diagonals(ch)
+    delays, gains = diagonals.delays, diagonals.gains
     starts = [max(d - cp, 0) for d in delays]
     rows = [np.arange(s, grid) for s in starts]
     cols = [(r - d) % grid for d, r in zip(delays, rows)]
@@ -49,3 +52,41 @@ def time_domain_matrix(ch: LtvChannel) -> sparse.csr_array:
     return sparse.csr_array((np.concatenate(vals),
                              (np.concatenate(rows), np.concatenate(cols))),
                             shape=(grid, grid))
+
+
+def to_ltv_channel(est: EstimatedChannel, frame) -> LtvChannel:
+    """The channel of an estimate's taps, each at its integer Doppler."""
+    if est.is_empty:
+        raise ValueError("empty channel estimate")
+    return LtvChannel(tuple(ChannelTap(t.delay, t.gain, float(t.doppler))
+                            for t in est.taps), frame)
+
+
+def estimate_channel_loop(received, pc, waveform, noise_std=None,
+                          pilot_value=None) -> EstimatedChannel:
+    """Threshold detection bin by bin over the guard rectangle: the scalar
+    reference of :func:`ddlink.chanest.estimate_channel`."""
+    frame = received.frame
+    pc.validate_fit(frame)
+    D = received.data
+    mp, npil = pc.pilot_delay, pc.pilot_doppler
+    dop = slice(npil - pc.guard_doppler, npil + pc.guard_doppler + 1)
+    if noise_std is None:
+        lead = D[mp - pc.guard_delay: mp, dop]
+        noise_std = float(np.sqrt(np.mean(np.abs(lead) ** 2)))
+    pilot = pc.amplitude if pilot_value is None else pilot_value
+    W = coupling_phases(frame.M, frame.N)
+    taps = []
+    for d_off in range(0, pc.guard_delay + 1):
+        for k_off in range(-pc.guard_doppler, pc.guard_doppler + 1):
+            m, n = mp + d_off, npil + k_off
+            value = D[m, n]
+            if np.abs(value) < pc.detection_threshold * noise_std:
+                continue
+            gain = value / pilot
+            if waveform is Waveform.SC_IFDMA:
+                gain *= np.conj(W[m, n]) * W[mp, npil]
+            kappa = frame.cp_len + mp + d_off
+            gain /= complex(np.exp(2j * np.pi * k_off * kappa / frame.grid_size))
+            taps.append(EstimatedTap(d_off, k_off, complex(gain)))
+    return EstimatedChannel(tuple(taps), waveform, noise_std)

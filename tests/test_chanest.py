@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ddlink.chanest import (EstimatedChannel, PilotConfig, embed_pilot,
-                            estimate_channel, overlay_mask, to_ltv_channel)
+from ddlink import chanest
+from ddlink.chanest import (EstimatedChannel, EstimatedTap, PilotConfig,
+                            embed_pilot, estimate_channel, estimated_diagonals,
+                            overlay_mask)
 from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec, apply_channel,
-                            build_dd_matrix)
+                            build_dd_matrix, delay_diagonals)
 from ddlink.frame import FrameConfig
 from ddlink.mapping import DATA, GUARD, PILOT
 from ddlink.modem import (DelayDopplerGrid, Waveform, demodulate_direct,
                           modulate_direct)
 from ddlink.transforms import coupling_phases
+from oracles import estimate_channel_loop, to_ltv_channel
+from strategies import PROPERTY
 
 FRAME = FrameConfig(16, 16, cp_len=6)
 PC = PilotConfig(4, 8, 100.0, 4, 4)
@@ -160,3 +166,111 @@ class TestReconstruct:
         est = EstimatedChannel((), Waveform.OTFS, 1.0)
         with pytest.raises(ValueError):
             to_ltv_channel(est, FRAME)
+        with pytest.raises(ValueError, match="empty"):
+            estimated_diagonals(est, PC, FRAME)
+
+
+@st.composite
+def pilot_frames(draw):
+    """A random frame and a pilot whose guard rectangle fits it; the CP is
+    often shorter than the delay guard, and may be 0."""
+    M = draw(st.integers(1, 16))
+    N = draw(st.integers(1, 16))
+    gd = draw(st.integers(0, (M - 1) // 2))
+    gk = draw(st.integers(0, (N - 1) // 2))
+    short = st.integers(0, max(gd - 1, 0))
+    cp_len = draw(short | short | st.integers(0, M * N - 1))
+    pc = PilotConfig(draw(st.integers(gd, M - 1 - gd)),
+                     draw(st.integers(gk, N - 1 - gk)),
+                     draw(st.floats(1.0, 1e4)), gd, gk,
+                     draw(st.floats(0.5, 5.0)))
+    return FrameConfig(M, N, cp_len=cp_len), pc
+
+
+@st.composite
+def estimates(draw):
+    """A random estimate on a random frame: distinct taps of the pilot's
+    guard rectangle in any order, with any gains."""
+    frame, pc = draw(pilot_frames())
+    bins = st.tuples(st.integers(0, pc.guard_delay),
+                     st.integers(-pc.guard_doppler, pc.guard_doppler))
+    finite = st.floats(-2.0, 2.0, allow_nan=False)
+    taps = tuple(EstimatedTap(d, k, draw(st.builds(complex, finite, finite)))
+                 for d, k in draw(st.lists(bins, min_size=1, max_size=12,
+                                           unique=True)))
+    waveform = draw(st.sampled_from([Waveform.OTFS, Waveform.SC_IFDMA]))
+    return EstimatedChannel(taps, waveform, 1.0), pc, frame
+
+
+class TestEstimatedDiagonals:
+    @PROPERTY
+    @given(estimates())
+    def test_equals_the_diagonals_of_the_estimated_channel(self, case):
+        est, pc, frame = case
+        got = estimated_diagonals(est, pc, frame)
+        want = delay_diagonals(to_ltv_channel(est, frame))
+        order = np.argsort(want.delays)
+        np.testing.assert_array_equal(got.delays, want.delays[order])
+        assert got.frame == frame
+        err = np.linalg.norm(got.gains - want.gains[order])
+        assert err <= 1e-12 * np.linalg.norm(want.gains)
+
+    def test_zeroes_the_samples_before_the_frame(self):
+        # delay 3 past a CP of 1 reads nothing on samples 0 and 1
+        frame = FrameConfig(8, 4, cp_len=1)
+        pc = PilotConfig(3, 2, 10.0, 3, 1)
+        est = EstimatedChannel((EstimatedTap(0, 1, 0.5j), EstimatedTap(3, -1, 1.0),
+                                EstimatedTap(3, 0, -0.5)), Waveform.OTFS, 1.0)
+        got = estimated_diagonals(est, pc, frame)
+        np.testing.assert_array_equal(got.delays, [0, 3])
+        assert not got.gains[1, :2].any() and got.gains[1, 2:].all()
+        assert got.gains[0].all()
+
+    def test_ramp_table_is_cached_and_read_only(self):
+        chanest._doppler_ramps.cache_clear()
+        est = EstimatedChannel((EstimatedTap(1, 2, 1.0),), Waveform.OTFS, 1.0)
+        for _ in range(3):
+            estimated_diagonals(est, PC, FRAME)
+        info = chanest._doppler_ramps.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        table = chanest._doppler_ramps(PC.guard_doppler, FRAME.grid_size,
+                                       FRAME.cp_len)
+        assert table.shape == (2 * PC.guard_doppler + 1, FRAME.grid_size)
+        with pytest.raises(ValueError):
+            table[...] = 0
+
+
+@st.composite
+def received_grids(draw):
+    """A random received grid around a fitting pilot, with guard bins on
+    both sides of the threshold, and the optional arguments of
+    estimate_channel drawn or left out."""
+    frame, pc = draw(pilot_frames())
+    g = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.floats(0.1, 10.0))
+    grid = DelayDopplerGrid(scale * (g.standard_normal((frame.M, frame.N))
+                                     + 1j * g.standard_normal((frame.M, frame.N))),
+                            frame)
+    noise_std = draw(st.none() | st.floats(0.1, 10.0)) if pc.guard_delay else 1.0
+    pilot_value = draw(st.none() | st.builds(complex, st.floats(-50, 50),
+                                             st.floats(0.5, 50)))
+    waveform = draw(st.sampled_from([Waveform.OTFS, Waveform.SC_IFDMA]))
+    return grid, pc, waveform, noise_std, pilot_value
+
+
+class TestVectorizedEstimate:
+    @PROPERTY
+    @given(received_grids())
+    def test_matches_the_bin_by_bin_loop(self, case):
+        grid, pc, waveform, noise_std, pilot_value = case
+        got = estimate_channel(grid, pc, waveform, noise_std=noise_std,
+                               pilot_value=pilot_value)
+        want = estimate_channel_loop(grid, pc, waveform, noise_std=noise_std,
+                                     pilot_value=pilot_value)
+        assert got.noise_std == want.noise_std and got.waveform is want.waveform
+        assert ([(t.delay, t.doppler) for t in got.taps]
+                == [(t.delay, t.doppler) for t in want.taps])
+        for a, b in zip(got.taps, want.taps):
+            assert type(a.delay) is int and type(a.doppler) is int
+            assert type(a.gain) is complex
+            assert abs(a.gain - b.gain) <= 1e-14 * abs(b.gain)

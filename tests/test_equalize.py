@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ddlink import equalize
-from ddlink.channel import ChannelTap, LtvChannel, build_dd_matrix
+from ddlink.channel import (ChannelTap, LtvChannel, build_dd_matrix,
+                            delay_diagonals)
 from ddlink.equalize import (equalize_iterative, equalize_mmse,
                              equalize_time_domain)
 from ddlink.frame import FrameConfig
@@ -102,7 +103,7 @@ class TestTimeDomain:
                        + 1j * rng.standard_normal(frame.frame_len), frame)
         for s2 in (0.0, 0.05, 1.0):
             oracle = equalize_mmse(demodulate_direct(r, w), build_dd_matrix(ch, w), s2)
-            td = equalize_time_domain(r, ch, w, s2)
+            td = equalize_time_domain(r, delay_diagonals(ch), w, s2)
             err = np.linalg.norm(td.vec - oracle.vec) / np.linalg.norm(oracle.vec)
             assert err <= 1e-10
 
@@ -117,7 +118,7 @@ class TestTimeDomain:
                        + 1j * g.standard_normal(frame.frame_len), frame)
         for w in (Waveform.OTFS, Waveform.SC_IFDMA):
             oracle = equalize_mmse(demodulate_direct(r, w), build_dd_matrix(ch, w), s2)
-            td = equalize_time_domain(r, ch, w, s2)
+            td = equalize_time_domain(r, delay_diagonals(ch), w, s2)
             assert (np.linalg.norm(td.vec - oracle.vec)
                     <= 1e-10 * np.linalg.norm(oracle.vec))
 
@@ -129,7 +130,7 @@ class TestTimeDomain:
         ch = LtvChannel((ChannelTap(delay, 1.0, 0.0),), frame)
         r = TimeSignal(np.ones(frame.frame_len), frame)
         with pytest.raises(np.linalg.LinAlgError):
-            equalize_time_domain(r, ch, Waveform.OTFS, 0.0)
+            equalize_time_domain(r, delay_diagonals(ch), Waveform.OTFS, 0.0)
         if delay >= frame.frame_len:
             with pytest.raises(np.linalg.LinAlgError):
                 equalize_mmse(demodulate_direct(r, Waveform.OTFS),
@@ -140,7 +141,15 @@ class TestTimeDomain:
         r = TimeSignal(np.ones(frame.frame_len), frame)
         other = LtvChannel((ChannelTap(0, 1.0, 0.0),), FrameConfig(4, 2))
         with pytest.raises(ValueError):
-            equalize_time_domain(r, other, Waveform.OTFS, 0.1)
+            equalize_time_domain(r, delay_diagonals(other), Waveform.OTFS, 0.1)
+
+    def test_rejects_a_channel_with_another_cp(self):
+        # same grid; the diagonals of another CP zero other samples
+        frame = FrameConfig(4, 4, cp_len=2)
+        r = TimeSignal(np.ones(frame.frame_len), frame)
+        other = LtvChannel((ChannelTap(3, 1.0, 0.0),), FrameConfig(4, 4, cp_len=3))
+        with pytest.raises(ValueError, match="CP 3 does not match"):
+            equalize_time_domain(r, delay_diagonals(other), Waveform.OTFS, 0.1)
 
     def test_plan_cache_follows_the_delay_sets(self):
         # delays (0, 1, 2) put the pairs (1, 0) and (2, 1) on one cyclic
@@ -161,7 +170,7 @@ class TestTimeDomain:
                     for s2 in (0.05, 1.0):
                         oracle = equalize_mmse(demodulate_direct(r, w),
                                                build_dd_matrix(ch, w), s2)
-                        td = equalize_time_domain(r, ch, w, s2)
+                        td = equalize_time_domain(r, delay_diagonals(ch), w, s2)
                         assert (np.linalg.norm(td.vec - oracle.vec)
                                 <= 1e-10 * np.linalg.norm(oracle.vec))
         info = equalize._link_plan.cache_info()

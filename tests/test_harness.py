@@ -2,18 +2,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ddlink import chanest, channel, harness, multiuser
+from ddlink import chanest, channel, equalize, harness, multiuser
 from ddlink.chanest import PilotConfig
-from ddlink.channel import build_dd_matrix
+from ddlink.channel import CHANNEL_PROFILES, build_dd_matrix
 from ddlink.config import ExperimentSpec, ImpairSettings, SyncSettings
 from ddlink.equalize import equalize_mmse
 from ddlink.frame import FrameConfig
-from ddlink.harness import (link_trial, mu_trial, rows_to_csv, run,
+from ddlink.harness import (link_trial, mu_trial, prepare, rows_to_csv, run,
                             seed_stream, sync_trial)
 from ddlink.modem import Waveform, demodulate_direct
 from ddlink.multiuser import even_split_allocation
-from oracles import dense_detect
+from oracles import dense_detect, to_ltv_channel
 
 FRAME = FrameConfig(32, 16, cp_len=8)
 PILOT = PilotConfig(4, 8, 1000.0, 4, 4)
@@ -27,6 +29,31 @@ def make_spec(**kw):
                 csi="estimated")
     args.update(kw)
     return ExperimentSpec(**args)
+
+
+def channel_sources(monkeypatch):
+    """Record, in call order, the channels the receivers' delay diagonals
+    stand for: each draw's channels, and the channel of each estimate's
+    taps (None for an empty estimate). A solve over k channels reads the
+    last k entries. The dense oracles are built from these, never from
+    the diagonals under test."""
+    sources = []
+    real_draw, real_estimate = harness._draw, harness.estimate_channel
+
+    def draw(*args):
+        out = real_draw(*args)
+        sources.extend(out[0])
+        return out
+
+    def estimate(received, pc, waveform, **kw):
+        est = real_estimate(received, pc, waveform, **kw)
+        sources.append(None if est.is_empty else
+                       to_ltv_channel(est, received.frame))
+        return est
+
+    monkeypatch.setattr(harness, "_draw", draw)
+    monkeypatch.setattr(harness, "estimate_channel", estimate)
+    return sources
 
 
 class TestSeedStream:
@@ -104,10 +131,11 @@ class TestEqualizerOracle:
     def equalizer_calls(monkeypatch, spec, trials=2):
         calls = []
         real = harness.equalize_time_domain
+        sources = channel_sources(monkeypatch)
 
-        def spy(corrected, ch, waveform, noise_var):
-            out = real(corrected, ch, waveform, noise_var)
-            calls.append((corrected, ch, waveform, noise_var, out.vec))
+        def spy(corrected, diagonals, waveform, noise_var):
+            out = real(corrected, diagonals, waveform, noise_var)
+            calls.append((corrected, sources[-1], waveform, noise_var, out.vec))
             return out
 
         monkeypatch.setattr(harness, "equalize_time_domain", spy)
@@ -128,6 +156,91 @@ class TestEqualizerOracle:
             received = demodulate_direct(corrected, w)
             oracle = equalize_mmse(received, build_dd_matrix(ch, w), s2).vec
             assert np.linalg.norm(out - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+class TestChannelForm:
+    """The receivers read delay diagonals; a trial computes those of a
+    drawn channel once for both waveforms, and an estimate becomes
+    diagonals without them."""
+
+    @staticmethod
+    def diagonal_builds(monkeypatch, trial):
+        built = []
+        real = channel.delay_diagonals
+
+        def counted(ch):
+            built.append(ch)
+            return real(ch)
+
+        for module in (harness, channel, chanest, equalize, multiuser):
+            monkeypatch.setattr(module, "delay_diagonals", counted, raising=False)
+        trial()
+        return len(built)
+
+    @pytest.mark.parametrize("csi,builds", [("genie", 1), ("estimated", 0)])
+    def test_link_trial(self, monkeypatch, csi, builds):
+        spec = make_spec(csi=csi)
+        assert self.diagonal_builds(
+            monkeypatch, lambda: link_trial(spec, 0, 15.0)) == builds
+
+    @pytest.mark.parametrize("csi,builds", [("genie", 2), ("estimated", 0)])
+    def test_mu_trial(self, monkeypatch, csi, builds):
+        spec = make_spec(kind="mu_uplink", constellation="qpsk", csi=csi,
+                         pilot=PilotConfig(4, 8, 1000.0, 3, 3))
+        alloc = even_split_allocation(FRAME.M, FRAME.N, 2)
+        assert self.diagonal_builds(
+            monkeypatch, lambda: mu_trial(spec, 0, 15.0, alloc)) == builds
+
+
+@st.composite
+def paired_specs(draw):
+    """A small random detection spec: a link, or a two-user even-split
+    uplink, on an M x N grid of up to 8 x 8 with any CP, a built-in
+    profile or random custom taps (delays up to past the whole frame),
+    genie or estimated CSI, and on the link sync on or off (with a timing
+    offset and CFO when on). Estimated CSI gets a leading guard row,
+    which its noise floor needs."""
+    kind = draw(st.sampled_from(["ber_vs_snr", "mu_uplink"]))
+    csi = draw(st.sampled_from(["genie", "estimated"]))
+    users = 2 if kind == "mu_uplink" else 1
+    M = draw(st.integers(3 * users if csi == "estimated" else users, 8))
+    N = draw(st.integers(users, 8))
+    frame = FrameConfig(M, N, cp_len=draw(st.integers(0, M * N - 1)))
+    gd = draw(st.integers(int(csi == "estimated"), (M // users - 1) // 2))
+    gk = draw(st.integers(0, (N // users - 1) // 2))
+    pilot = PilotConfig(draw(st.integers(gd, M - 1 - gd)),
+                        draw(st.integers(gk, N - 1 - gk)), 1000.0, gd, gk)
+    sample_ns, bin_hz = 1e9 / frame.bandwidth_hz, frame.doppler_spacing
+    taps = st.tuples(st.integers(0, frame.frame_len).map(lambda d: d * sample_ns),
+                     st.floats(-10.0, 0.0),
+                     st.floats(-N / 2, N / 2).map(lambda k: k * bin_hz))
+    profile = draw(st.sampled_from(sorted(CHANNEL_PROFILES) + ["custom"]))
+    custom = (tuple(draw(st.lists(taps, min_size=1, max_size=4)))
+              if profile == "custom" else None)
+    sync = kind == "ber_vs_snr" and draw(st.booleans())
+    impair = (ImpairSettings(theta_d=("uniform", 0, 3), epsilon=("uniform", -0.3, 0.3))
+              if sync else ImpairSettings())
+    return ExperimentSpec(
+        kind=kind, frame=frame, waveforms=BOTH,
+        constellation=draw(st.sampled_from(["qpsk", "16qam"])),
+        snr_db=(draw(st.sampled_from([0.0, 15.0, 40.0])),), trials=2,
+        seed=draw(st.integers(0, 2 ** 16)), channel_profile=profile,
+        custom_taps=custom, pilot=pilot, csi=csi,
+        sync=SyncSettings(enabled=sync), impair=impair, mu_users=users)
+
+
+class TestPairedDecisions:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(paired_specs())
+    def test_waveforms_decide_alike(self, spec):
+        # the paper's central claim, trial by trial, on random small specs
+        alloc = prepare(spec)
+        for t in range(spec.trials):
+            out = (link_trial(spec, t, spec.snr_db[0]) if alloc is None
+                   else mu_trial(spec, t, spec.snr_db[0], alloc))
+            np.testing.assert_array_equal(out["otfs"]["decisions"],
+                                          out["sc_ifdma"]["decisions"])
+            assert out["otfs"]["bit_errors"] == out["sc_ifdma"]["bit_errors"]
 
 
 class TestSyncTrial:
@@ -183,10 +296,14 @@ class TestMuTrial:
         delay-Doppler build made to fail."""
         calls = []
         real = harness.detect_users_time_domain
+        sources = channel_sources(monkeypatch)
 
         def spy(received, channels, alloc, waveform, noise_var):
             out = real(received, channels, alloc, waveform, noise_var)
-            calls.append((received, list(channels), waveform, noise_var, out.vec))
+            assert [ch is None for ch in channels] == \
+                [ch is None for ch in sources[-alloc.n_users:]]
+            calls.append((received, sources[-alloc.n_users:], waveform,
+                          noise_var, out.vec))
             return out
 
         def no_dd_matrix(*args, **kwargs):

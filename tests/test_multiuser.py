@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec, apply_channel,
-                            linearized_io, make_channel)
+                            delay_diagonals, linearized_io, make_channel)
 from ddlink.frame import FrameConfig
 from ddlink.modem import DelayDopplerGrid, TimeSignal, Waveform, modulate_direct
 from ddlink import multiuser
@@ -260,8 +260,14 @@ def superposed_record(frame, alloc, channels, noise_var, seed):
     return TimeSignal(rx + np.sqrt(noise_var / 2) * noise, frame)
 
 
+def diagonals(channels):
+    """The receivers' form of per-user channels: delay diagonals, or None."""
+    return [None if ch is None else delay_diagonals(ch) for ch in channels]
+
+
 def assert_matches_dense(received, channels, alloc, w, noise_var):
-    out = detect_users_time_domain(received, channels, alloc, w, noise_var).vec
+    out = detect_users_time_domain(received, diagonals(channels), alloc, w,
+                                   noise_var).vec
     oracle = dense_detect(received, channels, alloc, w, noise_var).vec
     assert np.linalg.norm(out - oracle) <= 1e-10 * np.linalg.norm(oracle)
     return out
@@ -327,8 +333,8 @@ class TestTimeDomainDetector:
         g = np.random.default_rng(seed)
         received = TimeSignal(g.standard_normal(frame.frame_len)
                               + 1j * g.standard_normal(frame.frame_len), frame)
-        otfs, sc = (detect_users_time_domain(received, channels, alloc, w,
-                                             noise_var).data
+        otfs, sc = (detect_users_time_domain(received, diagonals(channels),
+                                             alloc, w, noise_var).data
                     for w in (Waveform.OTFS, Waveform.SC_IFDMA))
         absorbed = coupling_phases(frame.M, frame.N) * otfs
         assert np.linalg.norm(sc - absorbed) <= 1e-10 * np.linalg.norm(absorbed)
@@ -362,8 +368,8 @@ class TestTimeDomainDetector:
         rx = sum(apply_channel(modulate_direct(place_user(d, alloc, q, frame),
                                                Waveform.OTFS), ch).samples
                  for q, (d, ch) in enumerate(zip(datas, channels)))
-        hat = detect_users_time_domain(TimeSignal(rx, frame), channels, alloc,
-                                       Waveform.OTFS, 0.0)
+        hat = detect_users_time_domain(TimeSignal(rx, frame), diagonals(channels),
+                                       alloc, Waveform.OTFS, 0.0)
         for q, d in enumerate(datas):
             assert np.max(np.abs(extract_user(hat, alloc, q) - d)) <= 1e-8
 
@@ -373,16 +379,29 @@ class TestTimeDomainDetector:
         channels = [channels[0], LtvChannel((ChannelTap(2, 0.0, 0.0),), frame)]
         received = superposed_record(frame, alloc, channels, 0.0, 3)
         with pytest.raises(np.linalg.LinAlgError):
-            detect_users_time_domain(received, channels, alloc, Waveform.OTFS, 0.0)
+            detect_users_time_domain(received, diagonals(channels), alloc,
+                                     Waveform.OTFS, 0.0)
 
     def test_mismatched_inputs_rejected(self):
         frame, alloc, channels = uplink_case("even_split")
+        channels = diagonals(channels)
         received = TimeSignal(np.zeros(frame.frame_len, dtype=complex), frame)
         with pytest.raises(ValueError):
             detect_users_time_domain(received, channels[:1], alloc, Waveform.OTFS, 0.1)
         with pytest.raises(ValueError):
             detect_users_time_domain(received, channels, even_split_allocation(4, 8, 2),
                                      Waveform.OTFS, 0.1)
+
+    @pytest.mark.parametrize("other", [FrameConfig(8, 4, cp_len=4),
+                                       FrameConfig(8, 8, cp_len=5)])
+    def test_rejects_a_channel_of_another_frame(self, other):
+        # another grid size, or the same grid with another CP; a user
+        # without a channel is not checked
+        frame, alloc, channels = uplink_case("even_split")
+        received = TimeSignal(np.zeros(frame.frame_len, dtype=complex), frame)
+        mixed = [None, delay_diagonals(LtvChannel(channels[1].taps, other))]
+        with pytest.raises(ValueError, match="does not match"):
+            detect_users_time_domain(received, mixed, alloc, Waveform.OTFS, 0.1)
 
 
 class TestAllocationFile:
