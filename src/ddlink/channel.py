@@ -19,7 +19,7 @@ import numpy as np
 
 from .frame import FrameConfig, SPEED_OF_LIGHT
 from .modem import (DelayDopplerGrid, TimeSignal, Waveform, _demod_core,
-                    _mod_core)
+                    _mod_core, demodulate_direct, modulate_direct)
 from .sync import Impairments
 
 # 3GPP TS 36.101 Annex B Extended Vehicular A power-delay profile
@@ -56,20 +56,14 @@ class LtvChannel:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """AWGN with total complex variance ``variance``; ``rng`` identifies the
-    stream (a Generator, or a seed for one)."""
+    """AWGN with total complex variance ``variance``, drawn from ``rng``."""
 
     variance: float
-    rng: object = None
+    rng: np.random.Generator
 
     def __post_init__(self):
         if self.variance < 0:
             raise ValueError("noise variance must be >= 0")
-
-    def generator(self) -> np.random.Generator:
-        if isinstance(self.rng, np.random.Generator):
-            return self.rng
-        return np.random.default_rng(self.rng)
 
 
 def draw_noise(rng: np.random.Generator, variance: float, n: int) -> np.ndarray:
@@ -86,21 +80,19 @@ class DdChannelMatrix:
 
 
 def taps_from_profile(delays_ns, powers_db, frame: FrameConfig, velocity_kmh: float,
-                      rng: np.random.Generator, carrier_hz: float | None = None,
-                      dopplers_hz=None) -> LtvChannel:
+                      rng: np.random.Generator, dopplers_hz=None) -> LtvChannel:
     """Tapped-delay-line channel from a delay/power profile.
 
     Delays are quantized to the sample grid; powers are normalized to unit
     total energy; gains are independent complex Gaussian. Unless explicit
     Doppler shifts are given, each tap gets nu_max*cos(phi), phi uniform,
-    with nu_max from the velocity and carrier.
+    with nu_max from the velocity and the frame's carrier.
     """
     delays_ns = np.asarray(delays_ns, dtype=float)
     powers = 10.0 ** (np.asarray(powers_db, dtype=float) / 10.0)
     powers = powers / powers.sum()
     delays = np.rint(delays_ns * 1e-9 * frame.bandwidth_hz).astype(int)
-    carrier = frame.carrier_hz if carrier_hz is None else carrier_hz
-    nu_max = carrier * (velocity_kmh / 3.6) / SPEED_OF_LIGHT
+    nu_max = frame.carrier_hz * (velocity_kmh / 3.6) / SPEED_OF_LIGHT
     gains = np.sqrt(powers) * (rng.standard_normal(powers.size)
                                + 1j * rng.standard_normal(powers.size)) / np.sqrt(2)
     if dopplers_hz is None:
@@ -112,12 +104,12 @@ def taps_from_profile(delays_ns, powers_db, frame: FrameConfig, velocity_kmh: fl
 
 
 def eva_channel(frame: FrameConfig, velocity_kmh: float,
-                rng: np.random.Generator, carrier_hz: float | None = None) -> LtvChannel:
+                rng: np.random.Generator) -> LtvChannel:
     """Extended Vehicular A tapped-delay-line realization."""
     if velocity_kmh < 0:
         raise ValueError("velocity must be >= 0")
     return taps_from_profile(EVA_DELAYS_NS, EVA_POWERS_DB, frame, velocity_kmh,
-                             rng, carrier_hz=carrier_hz)
+                             rng)
 
 
 def _eva3_channel(frame, velocity_kmh, rng):
@@ -207,11 +199,9 @@ def apply_channel(sig: TimeSignal, ch: LtvChannel, noise: NoiseSpec | None = Non
     n = x.shape[0] + shift if record_len is None else record_len
     r = _apply_taps(x, ch, shift, n)
     if impair.cfo != 0.0:
-        rot = np.exp(2j * np.pi * impair.cfo * np.arange(n) / frame.grid_size)
-        r = r * (rot if r.ndim == 1 else rot[:, None])
+        r = r * np.exp(2j * np.pi * impair.cfo * np.arange(n) / frame.grid_size)
     if noise is not None and noise.variance > 0.0:
-        eta = draw_noise(noise.generator(), noise.variance, n)
-        r = r + (eta if r.ndim == 1 else eta[:, None])
+        r = r + draw_noise(noise.rng, noise.variance, n)
     return TimeSignal(r, frame, cp_included=sig.cp_included)
 
 
@@ -307,8 +297,6 @@ def linearized_io(grid: DelayDopplerGrid, ch: LtvChannel,
     vec equals matrix @ transmit vec, and with noise the difference is
     exactly the demodulated noise.
     """
-    from .modem import demodulate_direct, modulate_direct
-
     x = modulate_direct(grid, waveform)
     r = apply_channel(x, ch, noise=noise)
     received = demodulate_direct(r, waveform)

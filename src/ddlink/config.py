@@ -11,6 +11,7 @@ from .chanest import PilotConfig
 from .channel import CHANNEL_PROFILES
 from .frame import FrameConfig
 from .modem import Waveform
+from .sync import Impairments
 
 EXPERIMENTS = ("threshold_sweep", "sync_vs_snr", "ber_vs_snr", "mu_uplink")
 
@@ -218,7 +219,6 @@ class ImpairSettings:
         return float(rng.uniform(lo, hi))
 
     def draw(self, rng: np.random.Generator):
-        from .sync import Impairments
         return Impairments(
             timing_delay=self._draw(self.theta_d, rng, integer=True),
             timing_blocks=self.theta_t,
@@ -241,10 +241,10 @@ class ExperimentSpec:
     snr_db: tuple
     trials: int
     seed: int
+    pilot: PilotConfig
     channel_profile: str = "eva3"
     velocity_kmh: float = 500.0
     custom_taps: tuple | None = None
-    pilot: PilotConfig = None
     sync: SyncSettings = field(default_factory=SyncSettings)
     impair: ImpairSettings = field(default_factory=ImpairSettings)
     csi: str = "genie"
@@ -270,22 +270,8 @@ class ExperimentSpec:
         _check_thresholds("sweep.thresholds", self.sweep_thresholds)
         if not self.snr_db:
             raise ConfigError("snr_db must be non-empty")
-        if self.pilot is None:
-            object.__setattr__(self, "pilot", default_pilot(self.frame))
         if self.channel_profile == "custom" and self.custom_taps is None:
             raise ConfigError("channel.profile = custom requires channel.taps")
-
-
-def default_pilot(frame: FrameConfig) -> PilotConfig:
-    g_delay = min(4, (frame.M - 1) // 2)
-    g_doppler = min(4, (frame.N - 1) // 2)
-    return PilotConfig(
-        pilot_delay=g_delay,
-        pilot_doppler=frame.N // 2,
-        power=10 ** 3.0,
-        guard_delay=g_delay,
-        guard_doppler=g_doppler,
-    )
 
 
 # the config keys behind each FrameConfig and PilotConfig check, by the

@@ -56,8 +56,3 @@ class FrameConfig:
     def doppler_spacing(self) -> float:
         """Doppler-bin spacing in Hz."""
         return 1.0 / (self.N * self.block_duration)
-
-    @property
-    def subcarrier_spacing(self) -> float:
-        """Spacing of the N-strided frequency comb in Hz."""
-        return 1.0 / self.block_duration

@@ -261,12 +261,25 @@ def sync_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
 
 def prepare(spec: ExperimentSpec) -> Allocation | None:
     """Pre-flight of a run: the uplink allocation (None for other kinds),
-    checked before the first trial. Raises ConfigError for an unreadable
-    or invalid allocation, a ``mu.q`` that disagrees with the allocation
-    file, or an estimated-CSI user whose bins cannot host its pilot."""
+    checked before the first trial. Raises ConfigError for sync on a
+    one-column grid (no adjacent-sample pair in any metric row),
+    estimated CSI without a guard row ahead of the pilot (the noise level
+    comes from it), an unreadable or invalid allocation, a ``mu.q`` that
+    disagrees with the allocation file, or an estimated-CSI user whose
+    bins cannot host its pilot."""
+    frame = spec.frame
+    runs_sync = spec.kind in ("sync_vs_snr", "threshold_sweep") or (
+        spec.kind == "ber_vs_snr" and spec.sync.enabled)
+    if runs_sync and frame.N == 1:
+        raise ConfigError("frame.N = 1 leaves the sync timing metric no "
+                          "adjacent-sample pair; sync needs frame.N >= 2")
+    if (spec.kind in ("ber_vs_snr", "mu_uplink") and spec.csi == "estimated"
+            and spec.pilot.guard_delay == 0):
+        raise ConfigError("pilot.guards: detector.csi = estimated needs a "
+                          "delay guard >= 1, the guard rows ahead of the "
+                          "pilot that give the noise level")
     if spec.kind != "mu_uplink":
         return None
-    frame = spec.frame
     try:
         if spec.mu_allocation_path:
             alloc = load_allocation(spec.mu_allocation_path, frame.M, frame.N,

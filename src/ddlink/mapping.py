@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frame import FrameConfig
+from .modem import DelayDopplerGrid
 
 DATA, PILOT, GUARD = 0, 1, 2
 
@@ -85,10 +86,8 @@ def data_bin_count(mask: np.ndarray) -> int:
 
 
 def map_bits(bits, constellation: Constellation, frame: FrameConfig,
-             mask: np.ndarray | None = None) -> "DelayDopplerGrid":
+             mask: np.ndarray | None = None) -> DelayDopplerGrid:
     """Pack bits onto the data bins of a frame grid, zeros elsewhere."""
-    from .modem import DelayDopplerGrid
-
     mask = full_data_mask(frame) if mask is None else mask
     bits = np.asarray(bits, dtype=int)
     need = data_bin_count(mask) * constellation.bits_per_symbol

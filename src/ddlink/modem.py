@@ -86,14 +86,6 @@ def _add_cp(s: np.ndarray, cp_len: int) -> np.ndarray:
     return np.concatenate([s[-cp_len:], s], axis=0)
 
 
-def _remove_cp(x: np.ndarray, frame: FrameConfig) -> np.ndarray:
-    if x.shape[0] != frame.frame_len:
-        raise ValueError(
-            f"expected {frame.frame_len} samples with CP, got {x.shape[0]}"
-        )
-    return x[frame.cp_len:]
-
-
 def _strip(sig: TimeSignal) -> np.ndarray:
     """Samples of one frame with the CP removed, validating length."""
     if sig.samples.shape[0] != sig.expected_len:
@@ -101,7 +93,7 @@ def _strip(sig: TimeSignal) -> np.ndarray:
             f"signal length {sig.samples.shape[0]} does not match expected "
             f"{sig.expected_len}"
         )
-    return _remove_cp(sig.samples, sig.frame) if sig.cp_included else sig.samples
+    return sig.samples[sig.frame.cp_len:] if sig.cp_included else sig.samples
 
 
 # batch-aware cores: D has shape (M, N) or (M, N, B); s has shape (MN[, B])

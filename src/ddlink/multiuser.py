@@ -150,7 +150,7 @@ def compound_uplink(users, alloc: Allocation, waveform: Waveform,
         x = modulate_direct(grid, waveform)
         rx = rx + apply_channel(x, ch).samples
     if noise is not None and noise.variance > 0.0:
-        rx = rx + draw_noise(noise.generator(), noise.variance, rx.size)
+        rx = rx + draw_noise(noise.rng, noise.variance, rx.size)
     received = demodulate_direct(TimeSignal(rx, frame, cp_included=True), waveform)
     H = compound_matrix([ch for _, ch in users], alloc, waveform)
     return received, H
@@ -344,9 +344,9 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
 
 def load_allocation(path: str, M: int, N: int, relax: bool = False) -> Allocation:
     """Read per-user bin lists from a flat text file of
-    ``userK.delay_bins = ...`` / ``userK.doppler_bins = ...`` lines;
-    disjointness is validated on construction."""
-    entries = {}
+    ``userK.delay_bins = ...`` / ``userK.doppler_bins = ...`` lines, each
+    key set once; disjointness is validated on construction."""
+    entries, lines = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, src in enumerate(fh, 1):
             line = src.split("#", 1)[0].strip()
@@ -362,8 +362,13 @@ def load_allocation(path: str, M: int, N: int, relax: bool = False) -> Allocatio
                 raise ValueError(f"{path}:{lineno}: bad user name {user!r}")
             if kind not in ("delay_bins", "doppler_bins"):
                 raise ValueError(f"{path}:{lineno}: bad key {key!r}")
+            q = int(user[4:])
+            if (q, kind) in lines:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
+                                 f"(first set on line {lines[q, kind]})")
+            lines[q, kind] = lineno
             bins = tuple(int(b) for b in value.split(",") if b.strip())
-            entries.setdefault(int(user[4:]), {})[kind] = bins
+            entries.setdefault(q, {})[kind] = bins
     if not entries or sorted(entries) != list(range(len(entries))):
         raise ValueError(f"{path}: users must be user0..user{{Q-1}} with no gaps")
     users = []

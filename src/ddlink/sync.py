@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frame import FrameConfig
+from .modem import TimeSignal
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,6 @@ class SyncEstimate:
     block_offset: int
     cfo: float
     metric: np.ndarray = field(repr=False)   # |row metric|, length n_rows
-    peak_set: frozenset = field(repr=False)
 
     def total_offset(self, M: int) -> int:
         return self.fine_delay + M * self.block_offset
@@ -133,8 +133,6 @@ def cfo_estimate(row_metric, row: int, frame: FrameConfig,
 def correct(record, offset: int, cfo: float, frame: FrameConfig):
     """Undo estimated impairments: advance by ``offset`` samples and
     derotate the CFO, returning exactly one CP-included frame."""
-    from .modem import TimeSignal
-
     r = np.asarray(record)
     n = frame.frame_len
     if offset < 0 or offset + n > r.size:
@@ -162,5 +160,4 @@ def estimate_sync(record, frame: FrameConfig, pilot_delay: int,
         block_offset=blocks,
         cfo=cfo,
         metric=np.abs(row_metric),
-        peak_set=frozenset(int(m) for m in metric_peak_set(row_metric, threshold)),
     )

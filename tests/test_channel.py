@@ -357,4 +357,4 @@ class TestValidation:
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
-            NoiseSpec(-0.1)
+            NoiseSpec(-0.1, np.random.default_rng(0))

@@ -1,7 +1,10 @@
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddlink.cli import main
 
@@ -114,6 +117,20 @@ class TestValidate:
          "mu.q = 5 but mu.allocation lists 2 users"),
         ("sync.cfo_convention = wrap_to_negative",
          "unknown key 'sync.cfo_convention'"),
+        # sync needs adjacent-sample pairs in each metric row, so N >= 2
+        ("frame.N = 1\npilot.n_p = 0\npilot.guards = 4,0",
+         "config error: frame.N = 1 leaves the sync timing metric"),
+        ("experiment = threshold_sweep\nframe.N = 1\npilot.n_p = 0\n"
+         "pilot.guards = 4,0",
+         "config error: frame.N = 1 leaves the sync timing metric"),
+        ("experiment = ber_vs_snr\nframe.N = 1\npilot.n_p = 0\npilot.guards = 4,0",
+         "config error: frame.N = 1 leaves the sync timing metric"),
+        # the noise level of an estimate comes from the guard rows ahead
+        # of the pilot; the uplink's per-user pilots reuse that guard
+        ("experiment = ber_vs_snr\ndetector.csi = estimated\npilot.guards = 0,4",
+         "config error: pilot.guards: detector.csi = estimated needs"),
+        ("experiment = mu_uplink\ndetector.csi = estimated\npilot.guards = 0,2",
+         "config error: pilot.guards: detector.csi = estimated needs"),
         ("eq.method = iterative", "unknown key 'eq.method'")])
     def test_config_errors_exit_2_before_any_trial(self, tmp_path, capsys,
                                                    monkeypatch, line, message):
@@ -167,6 +184,13 @@ class TestRun:
             assert "--parallelism" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert main(["run", write(tmp_path, GOOD), "--out", str(taken)]) == 1
+        assert "run failed: " in capsys.readouterr().err
+        assert taken.read_text() == "not a directory"
+
     def test_parallel_run_matches_serial(self, tmp_path):
         cfg = write(tmp_path, GOOD)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -205,3 +229,46 @@ class TestReferenceScale:
         assert len(lines) == 3 and all(",BER," in line for line in lines[1:])
         meta = (out / "metadata.txt").read_text().splitlines()
         assert "frame.M = 128" in meta and "frame.N = 32" in meta
+
+
+def _options(command):
+    """Option lists for ``command``: a run always gets a trial count of 1
+    or 2 and an output path (a new directory, or an existing file that
+    cannot become one), so no example runs a full config."""
+    extras = st.lists(st.sampled_from([
+        ["--seed", "-1"], ["--seed", "7"], ["--reference-scale"],
+        ["--parallelism", "1"], ["--parallelism", "2"], ["--bogus"], ["-h"]]),
+        max_size=3)
+    if command != "run":
+        return extras
+    required = st.tuples(
+        st.sampled_from([["--trials", "1"], ["--trials", "2"]]),
+        st.sampled_from([["--out", "NEW_DIR"], ["--out", "TAKEN_FILE"]]))
+    return st.tuples(required, extras).map(lambda p: list(p[0]) + p[1])
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["run", "validate", "list-profiles"]))
+    argv = [command]
+    if command != "list-profiles":
+        argv.append(draw(st.sampled_from(
+            sorted(str(p) for p in (ROOT / "configs").glob("*.cfg"))
+            + [str(ROOT / "configs"), str(ROOT / "absent.cfg")])))
+    options = draw(st.permutations(draw(_options(command))))
+    return argv + [token for option in options for token in option]
+
+
+class TestExitCodes:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(cli_argv())
+    def test_every_outcome_is_0_1_or_2(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            taken = Path(tmp) / "taken"
+            taken.write_text("")
+            paths = {"NEW_DIR": str(Path(tmp) / "out"), "TAKEN_FILE": str(taken)}
+            try:
+                code = main([paths.get(token, token) for token in argv])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)

@@ -434,3 +434,24 @@ class TestAllocationFile:
         p.write_text("user1.delay_bins = 0,1\nuser1.doppler_bins = 0,1\n")
         with pytest.raises(ValueError):
             load_allocation(str(p), 8, 8)
+
+    def test_repeated_key_rejected_with_both_lines(self, tmp_path):
+        p = tmp_path / "alloc.txt"
+        p.write_text("user0.delay_bins = 0,1\nuser0.doppler_bins = 0,1\n"
+                     "# a later line must not replace an earlier one\n"
+                     "user0.delay_bins = 2,3\n")
+        with pytest.raises(ValueError, match=r"alloc.txt:4: duplicate key "
+                                             r"'user0.delay_bins' \(first set on line 1\)"):
+            load_allocation(str(p), 8, 8)
+
+    @pytest.mark.parametrize("line, message", [
+        ("user0.delay_bins 0,1", r":1: expected 'key = bins'"),
+        ("user0 = 0,1", r":1: bad key 'user0'"),
+        ("user0.bins = 0,1", r":1: bad key 'user0.bins'"),
+        ("usr0.delay_bins = 0,1", r":1: bad user name 'usr0'"),
+        ("userA.delay_bins = 0,1", r":1: bad user name 'userA'")])
+    def test_malformed_line_rejected_with_its_number(self, tmp_path, line, message):
+        p = tmp_path / "alloc.txt"
+        p.write_text(line + "\nuser0.doppler_bins = 0,1\n")
+        with pytest.raises(ValueError, match=message):
+            load_allocation(str(p), 8, 8)
