@@ -16,9 +16,11 @@ periodic band H_t^H H_t + noise_var I is formed from them and solved by
 banded Cholesky. The index plan of that band depends only on the delays
 and the grid size and is cached, so a call does only value work. The
 band solve itself, :func:`_solve_band`, is shared with the uplink
-detector of :mod:`ddlink.multiuser`. The dense direct
-:func:`equalize_mmse` and LSMR :func:`equalize_iterative` are its
-oracles.
+detector of :mod:`ddlink.multiuser`: it builds the band in place in one
+zeroed array, in the column-major layout LAPACK factors without a copy,
+and consumes its right-hand side, which the solution overwrites. The
+dense direct :func:`equalize_mmse` and LSMR :func:`equalize_iterative`
+are its oracles.
 """
 
 from dataclasses import dataclass
@@ -92,16 +94,19 @@ def _fold_positions(n: int) -> np.ndarray:
 def _solve_band(slot: np.ndarray, vals: np.ndarray, width: int, noise_var: float,
                 rhs: np.ndarray) -> np.ndarray:
     """Solve (A + noise_var I) x = rhs for Hermitian A whose lower band of
-    half-width ``width`` is the sum of ``vals`` at the raveled band slots
-    ``slot`` (band row * rhs.size + column, values sharing a slot added in
+    half-width ``width`` is the sum of ``vals`` at the band slots ``slot``
+    (column * (width + 1) + band row, values sharing a slot added in
     order), by banded Cholesky. A matrix that is not positive definite
     raises numpy.linalg.LinAlgError.
+
+    The band is built in place: one zeroed column-major (width + 1, n)
+    array, which LAPACK factors without a copy. ``rhs`` (complex, one
+    contiguous vector) is consumed: the solution overwrites it.
     """
-    length = (width + 1) * rhs.size
-    ab = (np.bincount(slot, vals.real, length)
-          + 1j * np.bincount(slot, vals.imag, length)).reshape(width + 1, rhs.size)
+    ab = np.zeros((width + 1, rhs.size), dtype=complex, order="F")
+    np.add.at(ab.reshape(-1, order="F"), slot, vals)
     ab[0] += noise_var
-    return solveh_banded(ab, rhs, lower=True)
+    return solveh_banded(ab, rhs, lower=True, overwrite_ab=True, overwrite_b=True)
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,7 @@ class _LinkPlan:
 
     left: np.ndarray   # gain index of conj(g_a[r]) ...
     right: np.ndarray  # ... and of g_b[r] per lower-band value, r = (j + d_a) mod n
-    slot: np.ndarray   # index into the raveled lower band of each value
+    slot: np.ndarray   # band slot of each value (see _solve_band)
     rows: np.ndarray   # (delays, n): row (j + d_p) mod n of H^H z
     own: np.ndarray    # (delays, n): gain index of g_p[rows[p, j]]
     pos: np.ndarray    # fold position of each unknown
@@ -142,11 +147,13 @@ def _link_plan(delays: tuple, n: int) -> _LinkPlan:
     lower = band >= 0
     left = np.broadcast_to(own[:, None, :], band.shape)[lower]
     right = (np.arange(p)[None, :, None] * n + rows[:, None, :])[lower]
-    arrays = dict(left=left, right=right, slot=band[lower] * n + cols[lower],
+    width = int(band.max())
+    arrays = dict(left=left, right=right,
+                  slot=cols[lower] * (width + 1) + band[lower],
                   rows=rows, own=own, pos=pos)
     for a in arrays.values():
         a.setflags(write=False)
-    return _LinkPlan(width=int(band.max()), **arrays)
+    return _LinkPlan(width=width, **arrays)
 
 
 def _solve_banded(delays, gains, z: np.ndarray, noise_var: float) -> np.ndarray:

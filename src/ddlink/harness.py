@@ -28,17 +28,26 @@ rows; it names ``link_trial``, ``sync_trial`` and ``mu_trial`` at call
 time, so rebinding them on this module intercepts every trial.
 ``prepare`` builds and checks what the trials of a spec share (the
 uplink allocation) once, before the first trial.
+
+BLAS threads: ``run`` holds every OpenBLAS that numpy and scipy load at
+one thread, in its own process and in each worker, and restores the
+caller's counts when it returns. A trial's largest BLAS call is a band
+factorization of a few hundred to a few thousand unknowns, too small to
+gain from a second thread, whose helper spins and, in a pool, crowds out
+the other workers.
 """
 
 import csv
+import ctypes
 import hashlib
+import importlib
 import io
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -421,29 +430,104 @@ def _summary(spec: ExperimentSpec, snr_db: float, alloc: Allocation | None,
             for w, r in out.items()}
 
 
+# (package, OpenBLAS file in <package>.libs, symbol suffix) of the
+# OpenBLAS each wheel bundles; numpy's has 64-bit integers and suffixed
+# symbols.
+_OPENBLAS = (("numpy", "libscipy_openblas64_*.so", "64_"),
+             ("scipy", "libscipy_openblas-*.so", ""))
+
+
+@dataclass(frozen=True)
+class _Blas:
+    """One OpenBLAS, loaded through ctypes."""
+
+    name: str        # file name
+    config: str      # its get_config string
+    get: object      # () -> thread count
+    set: object      # (thread count) -> None
+
+
+def _load_blas(path: Path, suffix: str) -> _Blas | None:
+    try:
+        lib = ctypes.CDLL(str(path))
+        get, set_, config = (getattr(lib, f"scipy_openblas_{name}{suffix}")
+                             for name in ("get_num_threads", "set_num_threads",
+                                          "get_config"))
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    config.argtypes, config.restype = [], ctypes.c_char_p
+    return _Blas(path.name, config().decode(errors="replace"), get, set_)
+
+
+@cache
+def _openblas() -> dict:
+    """Package -> its OpenBLAS, or None when the package's own ``.libs``
+    directory holds no loadable one with the thread and config symbols."""
+    found = {}
+    for package, pattern, suffix in _OPENBLAS:
+        libs = (Path(importlib.import_module(package).__file__).parent.parent
+                / f"{package}.libs")
+        path = next(libs.glob(pattern), None)
+        found[package] = None if path is None else _load_blas(path, suffix)
+    return found
+
+
+def _set_blas_threads(count: int) -> None:
+    """Set every OpenBLAS found to ``count`` threads (also the initializer
+    of ``run``'s worker processes)."""
+    for lib in _openblas().values():
+        if lib is not None:
+            lib.set(count)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold every OpenBLAS found at one thread and restore the caller's
+    counts on exit. Yields one run-report line per package: the library's
+    file name, its config string and its thread count before and during
+    the run, or ``not found``."""
+    libs = _openblas()
+    before = {package: lib.get() for package, lib in libs.items() if lib is not None}
+    try:
+        _set_blas_threads(1)
+        yield [f"openblas_{package} = not found" if lib is None else
+               f"openblas_{package} = {lib.name} ({lib.config}); threads "
+               f"{before[package]} before the run, {lib.get()} during it"
+               for package, lib in libs.items()]
+    finally:
+        for package, count in before.items():
+            libs[package].set(count)
+
+
 def run(spec: ExperimentSpec, out_dir=None, parallelism: int = 1):
     """Execute the experiment; returns the result rows and, when ``out_dir``
     is given, writes results.csv and metadata.txt there.
 
     Every cell maps its trial ids through ``_summary``: in this process,
     or over ``parallelism`` worker processes in one chunk per worker.
+    Throughout, every OpenBLAS runs one thread per process; the caller's
+    counts come back on return.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     t0 = time.monotonic()
-    alloc = prepare(spec)
-    rows = []
-    with (ProcessPoolExecutor(max_workers=parallelism) if parallelism > 1
-          else nullcontext()) as pool:
-        trial_map = (map if pool is None else
-                     partial(pool.map, chunksize=math.ceil(spec.trials / parallelism)))
-        for si, snr in enumerate(spec.snr_db):
-            ids = range(si * spec.trials, (si + 1) * spec.trials)
-            trials = list(trial_map(partial(_summary, spec, snr, alloc), ids))
-            rows.extend(_aggregate(spec, snr, trials))
+    with _one_blas_thread() as blas_report:
+        alloc = prepare(spec)
+        rows = []
+        with (ProcessPoolExecutor(max_workers=parallelism,
+                                  initializer=_set_blas_threads, initargs=(1,))
+              if parallelism > 1 else nullcontext()) as pool:
+            trial_map = (map if pool is None else
+                         partial(pool.map, chunksize=math.ceil(spec.trials / parallelism)))
+            for si, snr in enumerate(spec.snr_db):
+                ids = range(si * spec.trials, (si + 1) * spec.trials)
+                trials = list(trial_map(partial(_summary, spec, snr, alloc), ids))
+                rows.extend(_aggregate(spec, snr, trials))
     elapsed = time.monotonic() - t0
     if out_dir is not None:
-        write_outputs(spec, rows, Path(out_dir), elapsed)
+        write_outputs(spec, rows, Path(out_dir), elapsed, blas_report)
     return rows
 
 
@@ -471,7 +555,10 @@ def _config_hash(text: str) -> str:
     return hashlib.sha1(blob).hexdigest()
 
 
-def write_outputs(spec: ExperimentSpec, rows, out_dir: Path, elapsed: float):
+def write_outputs(spec: ExperimentSpec, rows, out_dir: Path, elapsed: float,
+                  blas_report=()):
+    """results.csv, and metadata.txt with the run's facts, the OpenBLAS
+    lines of ``blas_report`` and the config echo."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "results.csv").write_text(rows_to_csv(rows), encoding="utf-8")
@@ -485,6 +572,7 @@ def write_outputs(spec: ExperimentSpec, rows, out_dir: Path, elapsed: float):
         "noise_var = 10**(-snr_db/10)",
         f"wall_clock_s = {elapsed:.3f}",
         f"rows = {len(rows)}",
+        *blas_report,
         "",
         "[config]",
         echo.rstrip("\n"),

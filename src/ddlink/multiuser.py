@@ -193,7 +193,7 @@ class _UplinkPlan:
     right: np.ndarray   # ... and of g_q'b[r], r = (k*M + m + a) mod MN
     groups: np.ndarray  # first pair row of each (q, q', delta, m)
     entry: np.ndarray   # index into the raveled (group, f) FFT of each entry
-    slot: np.ndarray    # index into the raveled lower band of each entry
+    slot: np.ndarray    # band slot of each entry (see equalize._solve_band)
     shift: np.ndarray   # (delays, MN): index of row p at (j + a_p) mod MN
     user_rows: np.ndarray  # first stacked delay row of each user
     rhs_entry: np.ndarray   # index into the raveled (user, f, m) FFT per unknown
@@ -275,17 +275,18 @@ def _uplink_plan(alloc: Allocation, users: tuple, delays: tuple) -> _UplinkPlan:
     shift = (np.arange(stacked.size)[:, None] * grid
              + (np.arange(grid) + stacked[:, None]) % grid)
 
+    width = int(band.max())
     w = coupling_phases(M, N)[m, n]
     phases = {Waveform.OTFS: (phase, np.full(m.size, 1 / np.sqrt(N))),
               Waveform.SC_IFDMA: (phase * w[row] * np.conj(w[col]), w / np.sqrt(N))}
     arrays = dict(
         bins=n * M + m, left=np.concatenate(left), right=np.concatenate(right),
         groups=np.concatenate(groups), entry=np.concatenate(entry),
-        slot=band * m.size + col, shift=shift, user_rows=first_gain[:-1],
+        slot=col * (width + 1) + band, shift=shift, user_rows=first_gain[:-1],
         rhs_entry=(who * N + n) * M + m)
     for a in [*arrays.values(), *phases[Waveform.OTFS], *phases[Waveform.SC_IFDMA]]:
         a.setflags(write=False)
-    return _UplinkPlan(width=int(band.max()), phases=phases, **arrays)
+    return _UplinkPlan(width=width, phases=phases, **arrays)
 
 
 def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,

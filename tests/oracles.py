@@ -2,6 +2,7 @@
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import solveh_banded
 
 from ddlink.chanest import EstimatedChannel, EstimatedTap
 from ddlink.channel import (ChannelTap, DdChannelMatrix, LtvChannel,
@@ -23,6 +24,18 @@ def dense_detect(received, channels, alloc, waveform, noise_var):
             H[:, alloc.vec_indices(q)] = 0.0
     return detect_users(demodulate_direct(received, waveform),
                         DdChannelMatrix(H, waveform), alloc, noise_var)
+
+
+def solve_band_bincount(slot, vals, width, noise_var, rhs):
+    """:func:`ddlink.equalize._solve_band` with the band assembled as
+    before it was built in place: two float bincounts (each adding the
+    values of a slot in value order) joined by ``1j * imag``, and a
+    solve that copies the band and the right-hand side."""
+    length = (width + 1) * rhs.size
+    ab = (np.bincount(slot, vals.real, length)
+          + 1j * np.bincount(slot, vals.imag, length)).reshape(rhs.size, width + 1).T
+    ab[0] += noise_var
+    return solveh_banded(ab, rhs, lower=True)
 
 
 def dft_matrix(size: int) -> np.ndarray:

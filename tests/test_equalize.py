@@ -11,6 +11,7 @@ from ddlink.equalize import (equalize_iterative, equalize_mmse,
 from ddlink.frame import FrameConfig
 from ddlink.modem import DelayDopplerGrid, TimeSignal, Waveform, demodulate_direct
 from ddlink.transforms import coupling_phases
+from oracles import solve_band_bincount
 from strategies import PROPERTY, channels
 
 rng = np.random.default_rng(21)
@@ -181,3 +182,46 @@ class TestTimeDomain:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[...] = 0
+
+
+class TestSolveBand:
+    @PROPERTY
+    @given(st.integers(1, 40), st.integers(0, 12), st.integers(0, 200),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_the_bincount_assembly_bit_for_bit(self, n, width, count,
+                                                       repeats, seed):
+        # random values on random slots of the lower band; with repeats
+        # at least one slot takes several values, added in value order
+        g = np.random.default_rng(seed)
+        width = min(width, n - 1)
+        rows = np.concatenate([np.full(n - i, i) for i in range(width + 1)])
+        cols = np.concatenate([np.arange(n - i) for i in range(width + 1)])
+        inside = cols * (width + 1) + rows
+        if repeats:
+            slot = g.choice(inside, size=count + 1)
+            slot[-1] = slot[0]
+        else:
+            slot = g.choice(inside, size=min(count, inside.size), replace=False)
+        vals = g.standard_normal(slot.size) + 1j * g.standard_normal(slot.size)
+        noise_var = 1.0 + 2.0 * np.abs(vals).sum()   # diagonally dominant
+        rhs = g.standard_normal(n) + 1j * g.standard_normal(n)
+        expected = solve_band_bincount(slot, vals, width, noise_var, rhs.copy())
+        got = equalize._solve_band(slot, vals, width, noise_var, rhs.copy())
+        assert np.array_equal(got, expected)
+
+    @PROPERTY
+    @given(channels(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_link_solve_leaves_its_record_untouched(self, ch, s2, seed):
+        # the band solve consumes its right-hand side; the link hands it
+        # a folded copy, never the record itself
+        diagonals = delay_diagonals(ch)
+        g = np.random.default_rng(seed)
+        n = ch.frame.grid_size
+        z = g.standard_normal(n) + 1j * g.standard_normal(n)
+        kept = z.copy()
+        try:
+            t = equalize._solve_banded(diagonals.delays, diagonals.gains, z, s2)
+        except np.linalg.LinAlgError:   # zero forcing on a singular channel
+            t = None
+        assert np.array_equal(z, kept)
+        assert t is None or not np.shares_memory(t, z)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -470,3 +471,92 @@ class TestRun:
         assert [r.metric for r in rows] == ["BER", "BER"]
         assert {r.waveform for r in rows} == {"otfs", "sc_ifdma"}
         assert rows[0].value == rows[1].value  # paired construction
+
+
+def blas_threads():
+    """Thread count of every OpenBLAS the harness finds, by package."""
+    return {package: lib.get() for package, lib in harness._openblas().items()
+            if lib is not None}
+
+
+@pytest.fixture
+def caller_blas_threads():
+    """Every OpenBLAS found at 2 threads for the test (as the caller's
+    setting); the counts before the test come back after it."""
+    saved = blas_threads()
+    harness._set_blas_threads(2)
+    yield blas_threads()
+    for package, count in saved.items():
+        harness._openblas()[package].set(count)
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_trials_run_on_one_blas_thread(self, monkeypatch, caller_blas_threads,
+                                           parallelism):
+        real = harness.mu_trial
+
+        def pinned(*args):
+            if any(count != 1 for count in blas_threads().values()):
+                raise RuntimeError(f"BLAS threads in a trial: {blas_threads()}")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "mu_trial", pinned)
+        spec = make_spec(kind="mu_uplink", channel_profile="single_tap",
+                         constellation="qpsk", csi="genie", trials=3,
+                         snr_db=(10.0, 20.0))
+        assert len(run(spec, parallelism=parallelism)) == 4
+
+    def test_run_restores_the_caller_counts(self, monkeypatch,
+                                            caller_blas_threads):
+        spec = make_spec(trials=1, snr_db=(10.0,), channel_profile="single_tap")
+        run(spec)
+        assert blas_threads() == caller_blas_threads
+
+        def fails(*args):
+            raise RuntimeError("trial failed")
+
+        monkeypatch.setattr(harness, "link_trial", fails)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            run(spec)
+        assert blas_threads() == caller_blas_threads
+
+    def test_finds_the_openblas_each_package_bundles(self):
+        # a library file in a package's .libs directory is found, with
+        # its thread and config symbols
+        for package, pattern, _ in harness._OPENBLAS:
+            mod = __import__(package)
+            libs = Path(mod.__file__).parent.parent / f"{package}.libs"
+            lib = harness._openblas()[package]
+            assert (lib is not None) == any(libs.glob(pattern))
+            if lib is not None:
+                assert lib.name in {p.name for p in libs.glob(pattern)}
+                assert "OpenBLAS" in lib.config and lib.get() >= 1
+
+    def test_metadata_reports_each_library(self, tmp_path, caller_blas_threads):
+        spec = make_spec(trials=1, snr_db=(10.0,), channel_profile="single_tap")
+        run(spec, out_dir=tmp_path)
+        meta = (tmp_path / "metadata.txt").read_text().splitlines()
+        for package, lib in harness._openblas().items():
+            line = next(m for m in meta if m.startswith(f"openblas_{package} = "))
+            if lib is None:
+                assert line == f"openblas_{package} = not found"
+            else:
+                assert line == (
+                    f"openblas_{package} = {lib.name} ({lib.config}); threads "
+                    f"{caller_blas_threads[package]} before the run, 1 during it")
+
+    def test_runs_and_reports_when_no_library_is_found(self, monkeypatch,
+                                                       tmp_path):
+        spec = make_spec(kind="mu_uplink", channel_profile="single_tap",
+                         constellation="qpsk", csi="genie", trials=2,
+                         snr_db=(10.0,))
+        run(spec, out_dir=tmp_path / "found")
+        monkeypatch.setattr(harness, "_openblas",
+                            lambda: {"numpy": None, "scipy": None})
+        run(spec, out_dir=tmp_path / "none")
+        meta = (tmp_path / "none/metadata.txt").read_text().splitlines()
+        assert "openblas_numpy = not found" in meta
+        assert "openblas_scipy = not found" in meta
+        assert ((tmp_path / "none/results.csv").read_bytes()
+                == (tmp_path / "found/results.csv").read_bytes())
