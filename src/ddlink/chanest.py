@@ -64,14 +64,16 @@ class PilotConfig:
                 f"{self.pilot_doppler + self.guard_doppler}] outside [0, {frame.N})")
 
 
+@lru_cache(maxsize=32)
 def overlay_mask(pc: PilotConfig, frame: FrameConfig) -> np.ndarray:
     """Per-bin overlay: the pilot bin, the zero guard rectangle around it,
-    data everywhere else."""
+    data everywhere else. Cached per (pilot, frame) as a read-only array."""
     pc.validate_fit(frame)
     mask = full_data_mask(frame)
     mask[pc.pilot_delay - pc.guard_delay: pc.pilot_delay + pc.guard_delay + 1,
          pc.pilot_doppler - pc.guard_doppler: pc.pilot_doppler + pc.guard_doppler + 1] = GUARD
     mask[pc.pilot_delay, pc.pilot_doppler] = PILOT
+    mask.setflags(write=False)
     return mask
 
 

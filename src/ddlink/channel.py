@@ -14,6 +14,7 @@ with kappa indexed over the full transmitted record including the CP.
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,21 +87,37 @@ def taps_from_profile(delays_ns, powers_db, frame: FrameConfig, velocity_kmh: fl
     Delays are quantized to the sample grid; powers are normalized to unit
     total energy; gains are independent complex Gaussian. Unless explicit
     Doppler shifts are given, each tap gets nu_max*cos(phi), phi uniform,
-    with nu_max from the velocity and the frame's carrier.
+    with nu_max from the velocity and the frame's carrier. What follows
+    from the profile alone is computed once per profile, frame and
+    velocity (:func:`_profile_constants`).
     """
-    delays_ns = np.asarray(delays_ns, dtype=float)
-    powers = 10.0 ** (np.asarray(powers_db, dtype=float) / 10.0)
-    powers = powers / powers.sum()
-    delays = np.rint(delays_ns * 1e-9 * frame.bandwidth_hz).astype(int)
-    nu_max = frame.carrier_hz * (velocity_kmh / 3.6) / SPEED_OF_LIGHT
-    gains = np.sqrt(powers) * (rng.standard_normal(powers.size)
-                               + 1j * rng.standard_normal(powers.size)) / np.sqrt(2)
+    delays, amplitudes, nu_max = _profile_constants(
+        tuple(delays_ns), tuple(powers_db), frame, velocity_kmh)
+    gains = amplitudes * (rng.standard_normal(amplitudes.size)
+                          + 1j * rng.standard_normal(amplitudes.size)) / np.sqrt(2)
     if dopplers_hz is None:
-        dopplers_hz = nu_max * np.cos(rng.uniform(0.0, 2 * np.pi, powers.size))
+        dopplers_hz = nu_max * np.cos(rng.uniform(0.0, 2 * np.pi, amplitudes.size))
     dopplers = np.asarray(dopplers_hz, dtype=float) / frame.doppler_spacing
     taps = tuple(ChannelTap(int(d), complex(g), float(k))
                  for d, g, k in zip(delays, gains, dopplers))
     return LtvChannel(taps, frame)
+
+
+@lru_cache(maxsize=32)
+def _profile_constants(delays_ns: tuple, powers_db: tuple, frame: FrameConfig,
+                       velocity_kmh: float):
+    """Read-only sample delays and tap amplitudes (square roots of the
+    powers normalized to unit total energy) of a profile, and the largest
+    Doppler shift nu_max in Hz."""
+    powers = 10.0 ** (np.asarray(powers_db, dtype=float) / 10.0)
+    powers = powers / powers.sum()
+    delays = np.rint(np.asarray(delays_ns, dtype=float) * 1e-9
+                     * frame.bandwidth_hz).astype(int)
+    nu_max = frame.carrier_hz * (velocity_kmh / 3.6) / SPEED_OF_LIGHT
+    amplitudes = np.sqrt(powers)
+    for a in (delays, amplitudes):
+        a.setflags(write=False)
+    return delays, amplitudes, nu_max
 
 
 def eva_channel(frame: FrameConfig, velocity_kmh: float,
@@ -112,13 +129,16 @@ def eva_channel(frame: FrameConfig, velocity_kmh: float,
                              rng)
 
 
+# the three strongest EVA taps, in delay order
+_EVA3 = sorted(np.argsort(EVA_POWERS_DB)[::-1][:3].tolist())
+_EVA3_DELAYS_NS = tuple(EVA_DELAYS_NS[i] for i in _EVA3)
+_EVA3_POWERS_DB = tuple(EVA_POWERS_DB[i] for i in _EVA3)
+
+
 def _eva3_channel(frame, velocity_kmh, rng):
     # three strongest EVA taps, renormalized
-    order = np.argsort(EVA_POWERS_DB)[::-1][:3]
-    keep = sorted(order)
-    return taps_from_profile([EVA_DELAYS_NS[i] for i in keep],
-                             [EVA_POWERS_DB[i] for i in keep],
-                             frame, velocity_kmh, rng)
+    return taps_from_profile(_EVA3_DELAYS_NS, _EVA3_POWERS_DB, frame,
+                             velocity_kmh, rng)
 
 
 def _single_tap_channel(frame, velocity_kmh, rng):

@@ -218,7 +218,14 @@ class ImpairSettings:
             return int(rng.integers(int(lo), int(hi) + 1))
         return float(rng.uniform(lo, hi))
 
-    def draw(self, rng: np.random.Generator):
+    @property
+    def _random(self) -> bool:
+        """Whether :meth:`draw` reads its generator: some setting is
+        uniform."""
+        return "uniform" in (self.theta_d[0], self.epsilon[0])
+
+    def draw(self, rng: np.random.Generator | None):
+        """One draw; ``rng`` may be None when no setting is uniform."""
         return Impairments(
             timing_delay=self._draw(self.theta_d, rng, integer=True),
             timing_blocks=self.theta_t,

@@ -18,17 +18,18 @@ and the grid size and is cached, so a call does only value work. The
 band solve itself, :func:`_solve_band`, is shared with the uplink
 detector of :mod:`ddlink.multiuser`: it builds the band in place in one
 zeroed array, in the column-major layout LAPACK factors without a copy,
-and consumes its right-hand side, which the solution overwrites. The
-dense direct :func:`equalize_mmse` and LSMR :func:`equalize_iterative`
-are its oracles.
+consumes its right-hand side, which the solution overwrites, and calls
+LAPACK's ``zpbsv`` (``zptsv`` for a tridiagonal band) directly, with the
+checks of ``scipy.linalg.solveh_banded`` but not its per-call wrapper
+cost. The dense direct :func:`equalize_mmse` and LSMR
+:func:`equalize_iterative` are its oracles.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solveh_banded
-from scipy.sparse.linalg import lsmr
+from scipy.linalg import get_lapack_funcs
 
 from .channel import DdChannelMatrix, DelayDiagonals
 from .modem import DelayDopplerGrid, TimeSignal, Waveform, _strip, demodulate_direct
@@ -72,6 +73,10 @@ def equalize_iterative(received: DelayDopplerGrid, H, noise_var: float,
     if max_iter == 0:
         zero = DelayDopplerGrid.zeros(frame)
         return IterativeResult(zero, False, 0, float(np.linalg.norm(received.vec)))
+    # imported here: no trial runs this oracle, and scipy.sparse.linalg
+    # would add tens of milliseconds to every process that imports ddlink
+    from scipy.sparse.linalg import lsmr
+
     op = _as_matrix(H)
     damp = float(np.sqrt(noise_var))
     sol = lsmr(op, received.vec, damp=damp, atol=tol, btol=tol, maxiter=max_iter)
@@ -91,22 +96,39 @@ def _fold_positions(n: int) -> np.ndarray:
     return np.where(k <= (n - 1) // 2, 2 * k, 2 * (n - 1 - k) + 1)
 
 
+_PBSV, _PTSV = get_lapack_funcs(("pbsv", "ptsv"), dtype=np.complex128)
+
+
 def _solve_band(slot: np.ndarray, vals: np.ndarray, width: int, noise_var: float,
                 rhs: np.ndarray) -> np.ndarray:
     """Solve (A + noise_var I) x = rhs for Hermitian A whose lower band of
     half-width ``width`` is the sum of ``vals`` at the band slots ``slot``
     (column * (width + 1) + band row, values sharing a slot added in
     order), by banded Cholesky. A matrix that is not positive definite
-    raises numpy.linalg.LinAlgError.
+    raises numpy.linalg.LinAlgError; inf or NaN in the band or in ``rhs``
+    raises ValueError.
 
     The band is built in place: one zeroed column-major (width + 1, n)
     array, which LAPACK factors without a copy. ``rhs`` (complex, one
-    contiguous vector) is consumed: the solution overwrites it.
+    contiguous vector) is consumed: the solution overwrites it. The
+    LAPACK routines are those ``scipy.linalg.solveh_banded`` picks for a
+    lower band, called with its arguments, so the solution is its own,
+    bit for bit.
     """
     ab = np.zeros((width + 1, rhs.size), dtype=complex, order="F")
     np.add.at(ab.reshape(-1, order="F"), slot, vals)
     ab[0] += noise_var
-    return solveh_banded(ab, rhs, lower=True, overwrite_ab=True, overwrite_b=True)
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if width == 1:
+        _, _, x, info = _PTSV(ab[0].real, ab[1, :-1], rhs, True, True, True)
+    else:
+        _, x, info = _PBSV(ab, rhs, lower=1, overwrite_ab=1, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
+    return x
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,10 @@ Trial skeleton: ``_draw`` draws one channel, bit array and grid per data
 mask (one mask for a link, one per uplink user), ``_transmit`` superposes
 the grids through their channels, and detection trials hand the noisy
 record to ``_receive`` (CSI, the trial's solve, SC-IFDMA derotation,
-demapping per mask). ``_KINDS`` maps each kind to its trial and its result
+demapping per mask). A detection trial demodulates its record at most
+once: estimated CSI reads both waveforms' received grids from one
+demodulation, and genie CSI reads none, since the solves work on the
+time-domain record. ``_KINDS`` maps each kind to its trial and its result
 rows; it names ``link_trial``, ``sync_trial`` and ``mu_trial`` at call
 time, so rebinding them on this module intercepts every trial.
 ``prepare`` builds and checks what the trials of a spec share (the
@@ -43,6 +46,7 @@ import hashlib
 import importlib
 import io
 import math
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
@@ -51,6 +55,7 @@ from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .chanest import (PilotConfig, embed_pilot, estimate_channel,
@@ -60,7 +65,7 @@ from .channel import (DelayDiagonals, LtvChannel, apply_channel,
                       taps_from_profile)
 from .config import ConfigError, ExperimentSpec
 from .equalize import equalize_time_domain
-from .mapping import (GUARD, data_bin_count, demap_bits, full_data_mask,
+from .mapping import (DATA, GUARD, data_bin_count, full_data_mask,
                       get_constellation, map_bits)
 from .modem import (DelayDopplerGrid, TimeSignal, Waveform, demodulate_direct,
                     modulate_direct)
@@ -160,6 +165,17 @@ def _estimated_channel(received: DelayDopplerGrid, pc: PilotConfig,
     return None if est.is_empty else estimated_diagonals(est, pc, frame)
 
 
+def _received_grids(signal: TimeSignal) -> dict:
+    """Waveform -> received delay-Doppler grid of ``signal``, from one
+    demodulation: the SC-IFDMA grid is the OTFS grid times the coupling
+    phases, which is what :func:`demodulate_direct` computes for it, bit
+    for bit."""
+    otfs = demodulate_direct(signal, Waveform.OTFS)
+    W = coupling_phases(signal.frame.M, signal.frame.N)
+    return {Waveform.OTFS: otfs,
+            Waveform.SC_IFDMA: DelayDopplerGrid(otfs.data * W, signal.frame)}
+
+
 def _receive(spec: ExperimentSpec, signal: TimeSignal, channels, pilots,
              masks, bits, solve) -> dict:
     """Both receiver chains of one shared OTFS-structured record.
@@ -167,28 +183,34 @@ def _receive(spec: ExperimentSpec, signal: TimeSignal, channels, pilots,
     CSI is a list of delay diagonals, one per channel: with genie CSI
     those of the drawn ``channels``, computed once for both waveforms;
     with estimated CSI, per waveform, those of one estimate per pilot
-    (None for an empty estimate). Per waveform, ``solve(received, hs,
-    waveform)`` gives the equalized delay-Doppler vec, SC-IFDMA is
-    derotated by the coupling phases, and hard decisions on the data
-    bins of each mask are counted against that mask's bits.
+    (None for an empty estimate), taken from the waveform's received
+    grid. The record is demodulated once for both waveforms
+    (:func:`_received_grids`), and only for estimated CSI: no genie
+    solve reads a received grid, so ``solve`` then gets None. Per
+    waveform, ``solve(received, hs, waveform)`` gives the equalized
+    delay-Doppler vec, SC-IFDMA is derotated by the coupling phases, and
+    hard decisions on the data bins of each mask, sliced straight from
+    that vec, are counted against that mask's bits.
     """
     const = get_constellation(spec.constellation)
     W = coupling_phases(spec.frame.M, spec.frame.N)
+    data_bins = [np.flatnonzero(mask.ravel(order="F") == DATA) for mask in masks]
     genie = ([delay_diagonals(ch) for ch in channels] if spec.csi == "genie"
              else None)
+    grids = (dict.fromkeys(spec.waveforms) if genie is not None
+             else _received_grids(signal))
     out = {}
     for w in spec.waveforms:
-        received = demodulate_direct(signal, w)
+        received = grids[w]
         hs = (genie if genie is not None else
               [_estimated_channel(received, pc, w) for pc in pilots])
         d_hat = solve(received, hs, w)
         if w is Waveform.SC_IFDMA:
             d_hat = d_hat * np.conj(W).flatten(order="F")
-        hat_grid = DelayDopplerGrid.from_vec(d_hat, spec.frame)
         errors, decisions = 0, []
-        for mask, b in zip(masks, bits):
-            bits_hat, idx = demap_bits(hat_grid, const, mask)
-            errors += int(np.count_nonzero(bits_hat != b))
+        for bins, b in zip(data_bins, bits):
+            idx = const.nearest_indices(d_hat[bins])
+            errors += int(np.count_nonzero(const.indices_to_bits(idx) != b))
             decisions.append(idx)
         out[w.value] = {
             "bit_errors": errors,
@@ -199,6 +221,15 @@ def _receive(spec: ExperimentSpec, signal: TimeSignal, channels, pilots,
     return out
 
 
+def _impairments(spec: ExperimentSpec, trial_id: int):
+    """The trial's impairment draw. Fixed settings never read a
+    generator, so the trial's impairment substream is made only when a
+    setting is uniform."""
+    impair = spec.impair
+    return impair.draw(seed_stream(spec.seed, trial_id, "impairment")
+                       if impair._random else None)
+
+
 def link_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
     """One paired detection trial: a shared physical record, one receiver
     chain per waveform. Returns per-waveform bit errors, bit counts, and
@@ -207,7 +238,7 @@ def link_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
     mask = overlay_mask(spec.pilot, frame)
     noise_var = _noise_var(snr_db)
     (ch,), bits, grids = _draw(spec, trial_id, [mask], [spec.pilot])
-    impair = spec.impair.draw(seed_stream(spec.seed, trial_id, "impairment"))
+    impair = _impairments(spec, trial_id)
 
     shift = impair.total_offset(frame.M)
     if spec.sync.enabled:
@@ -242,7 +273,7 @@ def sync_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
     frame = spec.frame
     mask = overlay_mask(spec.pilot, frame)
     channels, _, grids = _draw(spec, trial_id, [mask], [spec.pilot])
-    impair = spec.impair.draw(seed_stream(spec.seed, trial_id, "impairment"))
+    impair = _impairments(spec, trial_id)
 
     true_offset = impair.total_offset(frame.M)
     record_len = true_offset + 2 * frame.grid_size + frame.cp_len
@@ -527,7 +558,12 @@ def run(spec: ExperimentSpec, out_dir=None, parallelism: int = 1):
                 rows.extend(_aggregate(spec, snr, trials))
     elapsed = time.monotonic() - t0
     if out_dir is not None:
-        write_outputs(spec, rows, Path(out_dir), elapsed, blas_report)
+        environment = [f"python = {platform.python_version()}",
+                       f"numpy = {np.__version__}",
+                       f"scipy = {scipy.__version__}",
+                       f"parallelism = {parallelism}",
+                       *blas_report]
+        write_outputs(spec, rows, Path(out_dir), elapsed, environment)
     return rows
 
 
@@ -556,9 +592,10 @@ def _config_hash(text: str) -> str:
 
 
 def write_outputs(spec: ExperimentSpec, rows, out_dir: Path, elapsed: float,
-                  blas_report=()):
-    """results.csv, and metadata.txt with the run's facts, the OpenBLAS
-    lines of ``blas_report`` and the config echo."""
+                  environment=()):
+    """results.csv, and metadata.txt with the run's facts, the lines of
+    ``environment`` (``run`` passes the Python, numpy and scipy versions,
+    its parallelism and the OpenBLAS lines) and the config echo."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "results.csv").write_text(rows_to_csv(rows), encoding="utf-8")
@@ -572,7 +609,7 @@ def write_outputs(spec: ExperimentSpec, rows, out_dir: Path, elapsed: float,
         "noise_var = 10**(-snr_db/10)",
         f"wall_clock_s = {elapsed:.3f}",
         f"rows = {len(rows)}",
-        *blas_report,
+        *environment,
         "",
         "[config]",
         echo.rstrip("\n"),

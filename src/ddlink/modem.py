@@ -101,11 +101,11 @@ def _strip(sig: TimeSignal) -> np.ndarray:
 def _vec(S: np.ndarray) -> np.ndarray:
     """Column-major vectorization along the first two axes."""
     M, N = S.shape[:2]
-    return np.moveaxis(S, 1, 0).reshape((M * N,) + S.shape[2:])
+    return S.swapaxes(0, 1).reshape((M * N,) + S.shape[2:])
 
 
 def _unvec(s: np.ndarray, M: int, N: int) -> np.ndarray:
-    return np.moveaxis(s.reshape((N, M) + s.shape[1:]), 1, 0)
+    return s.reshape((N, M) + s.shape[1:]).swapaxes(0, 1)
 
 
 def _mod_core(D: np.ndarray, frame: FrameConfig, waveform: Waveform,

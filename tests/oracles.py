@@ -1,5 +1,7 @@
 """Dense reference computations shared by several test modules."""
 
+from fractions import Fraction
+
 import numpy as np
 from scipy import sparse
 from scipy.linalg import solveh_banded
@@ -36,6 +38,27 @@ def solve_band_bincount(slot, vals, width, noise_var, rhs):
           + 1j * np.bincount(slot, vals.imag, length)).reshape(rhs.size, width + 1).T
     ab[0] += noise_var
     return solveh_banded(ab, rhs, lower=True)
+
+
+def nearest_indices_argmin(constellation, symbols) -> np.ndarray:
+    """Minimum-distance decisions of :meth:`Constellation.nearest_indices`
+    by an argmin over the rounded complex distances to every point, ties
+    to the lowest index. Far from the constellation the rounding makes
+    distances tie that differ: beyond about 1e8 all of them."""
+    d = np.abs(np.asarray(symbols).reshape(-1, 1) - constellation.points.reshape(1, -1))
+    return np.argmin(d, axis=1)
+
+
+def nearest_indices_exact(constellation, symbols) -> list:
+    """The same decisions from exact squared distances in rational
+    arithmetic, ties to the lowest index."""
+    points = [(Fraction(p.real), Fraction(p.imag)) for p in constellation.points]
+    out = []
+    for s in np.asarray(symbols, dtype=complex).reshape(-1):
+        x, y = Fraction(s.real), Fraction(s.imag)
+        d = [(x - px) ** 2 + (y - py) ** 2 for px, py in points]
+        out.append(d.index(min(d)))
+    return out
 
 
 def dft_matrix(size: int) -> np.ndarray:

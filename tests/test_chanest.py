@@ -60,6 +60,12 @@ class TestEmbedPilot:
         with pytest.raises(ValueError):
             embed_pilot(DelayDopplerGrid(data, FRAME), PC)
 
+    def test_mask_is_cached_read_only(self):
+        mask = overlay_mask(PC, FRAME)
+        assert overlay_mask(PC, FRAME) is mask
+        with pytest.raises(ValueError):
+            mask[0, 0] = GUARD
+
     def test_mask_regions(self):
         mask = overlay_mask(PC, FRAME)
         assert mask[PC.pilot_delay, PC.pilot_doppler] == PILOT

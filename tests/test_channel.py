@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from scipy.sparse.linalg import LinearOperator
 
+from ddlink import channel
 from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec, apply_channel,
                             build_dd_matrix, cp_channel_matrix, eva_channel,
                             linearized_io, make_channel, taps_from_profile)
@@ -79,6 +80,34 @@ class TestEvaProfile:
                                np.random.default_rng(0), dopplers_hz=[0.0, 15000.0])
         assert [t.delay for t in ch.taps] == [0, 2]
         np.testing.assert_allclose([t.doppler for t in ch.taps], [0.0, 1.0], atol=1e-12)
+
+    def test_profile_draw_matches_the_formula_bit_for_bit(self):
+        # the cached profile constants give the gains and Doppler shifts
+        # of the formula evaluated in full on every draw
+        frame = FrameConfig(32, 16, cp_len=8)
+        delays_ns, powers_db = (0.0, 150.0, 370.0), (0.0, -1.4, -0.6)
+        ch = taps_from_profile(delays_ns, powers_db, frame, 500.0,
+                               np.random.default_rng(3))
+        g = np.random.default_rng(3)
+        powers = 10.0 ** (np.asarray(powers_db) / 10.0)
+        powers = powers / powers.sum()
+        gains = np.sqrt(powers) * (g.standard_normal(3)
+                                   + 1j * g.standard_normal(3)) / np.sqrt(2)
+        nu_max = frame.carrier_hz * (500.0 / 3.6) / 3e8
+        dopplers = (nu_max * np.cos(g.uniform(0.0, 2 * np.pi, 3))
+                    / frame.doppler_spacing)
+        assert [t.delay for t in ch.taps] == [0, 1, 3]
+        assert [t.gain for t in ch.taps] == gains.tolist()
+        assert [t.doppler for t in ch.taps] == dopplers.tolist()
+
+    def test_profile_constants_are_cached_read_only(self):
+        key = ((0.0, 260.4), (0.0, -3.0), FrameConfig(32, 16, cp_len=8), 120.0)
+        delays, amplitudes, _ = channel._profile_constants(*key)
+        assert channel._profile_constants(*key)[0] is delays
+        np.testing.assert_array_equal(delays, [0, 2])
+        for a in (delays, amplitudes):
+            with pytest.raises(ValueError):
+                a[0] = 1
 
 
 class TestApplyChannel:

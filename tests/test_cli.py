@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -257,6 +260,17 @@ def cli_argv(draw):
             + [str(ROOT / "configs"), str(ROOT / "absent.cfg")])))
     options = draw(st.permutations(draw(_options(command))))
     return argv + [token for option in options for token in option]
+
+
+class TestImport:
+    def test_the_cli_does_not_load_scipy_sparse(self):
+        # only the LSMR oracle uses scipy.sparse, and it imports it itself
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, ddlink.cli; print('scipy.sparse' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
 
 class TestExitCodes:

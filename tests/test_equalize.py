@@ -209,6 +209,41 @@ class TestSolveBand:
         got = equalize._solve_band(slot, vals, width, noise_var, rhs.copy())
         assert np.array_equal(got, expected)
 
+    @staticmethod
+    def full_band(n, width, seed):
+        """Every lower-band slot of an n-unknown band once, with random
+        values, a diagonally dominant noise_var and a right-hand side."""
+        g = np.random.default_rng(seed)
+        rows = np.concatenate([np.full(n - i, i) for i in range(width + 1)])
+        cols = np.concatenate([np.arange(n - i) for i in range(width + 1)])
+        vals = g.standard_normal(rows.size) + 1j * g.standard_normal(rows.size)
+        rhs = g.standard_normal(n) + 1j * g.standard_normal(n)
+        return cols * (width + 1) + rows, vals, 1.0 + 2.0 * np.abs(vals).sum(), rhs
+
+    @pytest.mark.parametrize("width", [0, 1, 4])
+    def test_each_lapack_routine_matches_the_oracle(self, width):
+        # width 1 is the tridiagonal ptsv branch, the others pbsv
+        slot, vals, noise_var, rhs = self.full_band(12, width, seed=width)
+        expected = solve_band_bincount(slot, vals, width, noise_var, rhs.copy())
+        got = equalize._solve_band(slot, vals, width, noise_var, rhs.copy())
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("width", [0, 1, 4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["vals", "rhs"])
+    def test_non_finite_input_raises(self, width, bad, where):
+        slot, vals, noise_var, rhs = self.full_band(12, width, seed=1)
+        (vals if where == "vals" else rhs)[3] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            equalize._solve_band(slot, vals, width, noise_var, rhs)
+
+    @pytest.mark.parametrize("width", [0, 1, 4])
+    def test_a_band_that_is_not_positive_definite_raises(self, width):
+        # the negated dominant shift makes every diagonal entry negative
+        slot, vals, noise_var, rhs = self.full_band(12, width, seed=2)
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            equalize._solve_band(slot, vals, width, -noise_var, rhs)
+
     @PROPERTY
     @given(channels(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
     def test_link_solve_leaves_its_record_untouched(self, ch, s2, seed):

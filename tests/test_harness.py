@@ -1,8 +1,10 @@
+import platform
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,9 +16,10 @@ from ddlink.equalize import equalize_mmse
 from ddlink.frame import FrameConfig
 from ddlink.harness import (link_trial, mu_trial, prepare, rows_to_csv, run,
                             seed_stream, sync_trial)
-from ddlink.modem import Waveform, demodulate_direct
+from ddlink.modem import TimeSignal, Waveform, demodulate_direct
 from ddlink.multiuser import even_split_allocation
 from oracles import dense_detect, to_ltv_channel
+from strategies import PROPERTY
 
 FRAME = FrameConfig(32, 16, cp_len=8)
 PILOT = PilotConfig(4, 8, 1000.0, 4, 4)
@@ -191,6 +194,73 @@ class TestChannelForm:
         alloc = even_split_allocation(FRAME.M, FRAME.N, 2)
         assert self.diagonal_builds(
             monkeypatch, lambda: mu_trial(spec, 0, 15.0, alloc)) == builds
+
+
+class TestTrialWork:
+    """What a trial computes once: one demodulation of the record for
+    both waveforms (none with genie CSI), and the impairment substream
+    only when an impairment is drawn."""
+
+    @PROPERTY
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 63),
+           st.integers(0, 2**32 - 1))
+    def test_shared_grids_equal_each_demodulation(self, M, N, cp, seed):
+        frame = FrameConfig(M, N, cp_len=cp % (M * N))
+        g = np.random.default_rng(seed)
+        signal = TimeSignal(g.standard_normal(frame.frame_len)
+                            + 1j * g.standard_normal(frame.frame_len), frame)
+        grids = harness._received_grids(signal)
+        for w in BOTH:
+            assert np.array_equal(grids[w].data, demodulate_direct(signal, w).data)
+
+    @staticmethod
+    def demodulations(monkeypatch, trial):
+        """Demodulations a trial runs, by the module that asked."""
+        calls = []
+        real = harness.demodulate_direct
+        for module in (harness, chanest, equalize, multiuser):
+            def counted(signal, waveform, name=module.__name__):
+                calls.append(name)
+                return real(signal, waveform)
+            monkeypatch.setattr(module, "demodulate_direct", counted,
+                                raising=False)
+        trial()
+        return sorted(calls)
+
+    @pytest.mark.parametrize("csi", ["genie", "estimated"])
+    def test_link_trial(self, monkeypatch, csi):
+        # the equalizer demodulates its own solution, once per waveform
+        spec = make_spec(csi=csi)
+        calls = self.demodulations(monkeypatch, lambda: link_trial(spec, 0, 15.0))
+        assert calls == (["ddlink.equalize"] * 2
+                         + (["ddlink.harness"] if csi == "estimated" else []))
+
+    @pytest.mark.parametrize("csi", ["genie", "estimated"])
+    def test_mu_trial(self, monkeypatch, csi):
+        spec = make_spec(kind="mu_uplink", constellation="qpsk", csi=csi,
+                         pilot=PilotConfig(4, 8, 1000.0, 3, 3))
+        alloc = even_split_allocation(FRAME.M, FRAME.N, 2)
+        calls = self.demodulations(monkeypatch,
+                                   lambda: mu_trial(spec, 0, 15.0, alloc))
+        assert calls == (["ddlink.harness"] if csi == "estimated" else [])
+
+    @pytest.mark.parametrize("impair,drawn", [
+        (ImpairSettings(theta_d=("fixed", 2), epsilon=("fixed", 0.1)), False),
+        (ImpairSettings(theta_d=("uniform", 0, 3)), True),
+        (ImpairSettings(epsilon=("uniform", -0.2, 0.2)), True)])
+    def test_impairment_stream_only_when_drawn(self, monkeypatch, impair, drawn):
+        components = []
+        real = harness.seed_stream
+
+        def spy(seed, trial, component):
+            components.append(component)
+            return real(seed, trial, component)
+
+        monkeypatch.setattr(harness, "seed_stream", spy)
+        link_trial(make_spec(impair=impair), 0, 15.0)
+        assert ("impairment" in components) == drawn
+        if not drawn:   # fixed settings never read the generator
+            assert impair.draw(None) == impair.draw(np.random.default_rng(0))
 
 
 @st.composite
@@ -377,6 +447,18 @@ class TestRun:
         assert metrics == {"TO_mean_error", "TO_fine_mean_error", "CFO_MSE"}
         meta = (tmp_path / "metadata.txt").read_text()
         assert "config_hash" in meta and "snr_definition" in meta
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_metadata_reports_versions_and_parallelism(self, tmp_path,
+                                                       parallelism):
+        spec = make_spec(trials=2, snr_db=(10.0,), channel_profile="single_tap")
+        run(spec, out_dir=tmp_path, parallelism=parallelism)
+        meta = (tmp_path / "metadata.txt").read_text().splitlines()
+        for line in (f"python = {platform.python_version()}",
+                     f"numpy = {np.__version__}",
+                     f"scipy = {scipy.__version__}",
+                     f"parallelism = {parallelism}"):
+            assert line in meta
 
     def test_reproducible_csv(self, tmp_path):
         spec = make_spec(trials=2, snr_db=(10.0,))

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ddlink.frame import FrameConfig
-from ddlink.mapping import (GUARD, data_bin_count, demap_bits,
+from ddlink.mapping import (GUARD, Constellation, data_bin_count, demap_bits,
                             full_data_mask, get_constellation, map_bits)
+from oracles import nearest_indices_argmin, nearest_indices_exact
+from strategies import PROPERTY
 
 rng = np.random.default_rng(7)
 
@@ -44,6 +48,62 @@ class TestConstellations:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             get_constellation("64qam")
+
+
+class TestSlicer:
+    """``nearest_indices`` slices each axis on its own; the argmin over
+    every point's rounded complex distance and exact rational distances
+    are its oracles."""
+
+    @PROPERTY
+    @given(st.sampled_from(["qpsk", "16qam"]),
+           st.lists(st.builds(complex, st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+                    min_size=1, max_size=8))
+    def test_matches_the_argmin_and_the_exact_nearest_point(self, name, symbols):
+        # far from the constellation the argmin's rounded distances can
+        # tie where exact ones differ (1e5 - 1.2e-7j on QPSK): there it
+        # decides the lowest tied index, and the slicer one of the tied
+        # points, the exact nearest
+        c = get_constellation(name)
+        s = np.array(symbols)
+        got = c.nearest_indices(s)
+        want = nearest_indices_argmin(c, s)
+        d = np.abs(s[:, None] - c.points)
+        nearest = d.min(axis=1)
+        unique = np.count_nonzero(d == nearest[:, None], axis=1) == 1
+        np.testing.assert_array_equal(got[unique], want[unique])
+        np.testing.assert_array_equal(d[np.arange(s.size), got], nearest)
+        assert got.tolist() == nearest_indices_exact(c, s)
+
+    @pytest.mark.parametrize("name", ["qpsk", "16qam"])
+    def test_exact_ties_go_to_the_lowest_index(self, name):
+        # zero, points on either axis (a tie on the other axis) and every
+        # constellation point
+        c = get_constellation(name)
+        axis = np.concatenate([np.linspace(-2.0, 2.0, 41), c.points.real,
+                               c.points.imag])
+        s = np.concatenate([[0.0], axis, 1j * axis, c.points])
+        got = c.nearest_indices(s)
+        np.testing.assert_array_equal(got, nearest_indices_argmin(c, s))
+        assert got.tolist() == nearest_indices_exact(c, s)
+        assert got[0] == {"qpsk": 0, "16qam": 5}[name]
+        np.testing.assert_array_equal(got[-c.points.size:], np.arange(c.points.size))
+
+    def test_exact_far_from_the_constellation(self):
+        # every rounded complex distance of -0.9+1e9j is 1e9: the argmin
+        # decides index 0, while the nearest point, -3 + 3j up to scale,
+        # is index 8
+        c = get_constellation("16qam")
+        s = np.array([-0.9 + 1e9j])
+        assert c.nearest_indices(s).tolist() == [8] == nearest_indices_exact(c, s)
+        assert nearest_indices_argmin(c, s).tolist() == [0]
+
+    def test_rejects_points_that_are_not_a_square_grid(self):
+        qpsk = get_constellation("qpsk")
+        with pytest.raises(ValueError, match="square QAM"):
+            Constellation("rotated", qpsk.points * 1j, 2)
+        with pytest.raises(ValueError, match="square QAM"):
+            Constellation("bpsk", np.array([1.0, -1.0]), 1)
 
 
 class TestGridPacking:
