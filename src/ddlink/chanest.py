@@ -4,14 +4,15 @@ One boosted pilot bin surrounded by zero guards; at the receiver, every
 guard-region bin whose magnitude clears a threshold (a multiple of the
 noise standard deviation) is a channel tap: its delay/Doppler offset from
 the pilot bin gives the tap coordinates and its value, divided by the
-transmitted pilot and by the known per-tap reference phase, gives the
-complex gain. Estimated gains are stored in one canonical phase
-convention (the OTFS one); estimates taken from an SC-IFDMA grid are
-converted using the known coupling phases, which makes a single tap
-store serve both waveforms. The receivers read an estimate as the delay
-diagonals of its taps (:func:`estimated_diagonals`): every tap sits on
-an integer Doppler bin of the guard rectangle, so the diagonals are one
-product of the tap gains with a cached table of Doppler ramps.
+transmitted pilot and by the tap's Doppler ramp at the pilot's sample (a
+known phase), gives the complex gain. Estimated gains are stored in one
+canonical phase convention (the OTFS one); estimates taken from an
+SC-IFDMA grid are converted using the known coupling phases, which makes
+a single tap store serve both waveforms. The receivers read an estimate
+as the delay diagonals of its taps (:func:`estimated_diagonals`): every
+tap sits on an integer Doppler bin of the guard rectangle, so the
+diagonals are one product of the tap gains with a cached table of
+Doppler ramps, the table the estimate's gains are divided by.
 """
 
 from dataclasses import dataclass
@@ -105,11 +106,16 @@ class EstimatedChannel:
         return len(self.taps) == 0
 
 
-def _reference_phase(delay, doppler, pc: PilotConfig, frame: FrameConfig):
-    """Known response phase of a unit tap probed at the pilot bin: the
-    Doppler ramp, evaluated at the pilot's absolute sample position."""
-    kappa = frame.cp_len + pc.pilot_delay + delay
-    return np.exp(2j * np.pi * doppler * kappa / frame.grid_size)
+@lru_cache(maxsize=8)
+def _doppler_ramps(guard_doppler: int, grid: int, cp_len: int) -> np.ndarray:
+    """Read-only (2 * guard_doppler + 1, grid) table of the Doppler ramps
+    exp(2j*pi*k*(i + cp_len)/grid) over the CP-stripped samples i, for k
+    from -guard_doppler to guard_doppler."""
+    k = np.arange(-guard_doppler, guard_doppler + 1)
+    kappa = np.arange(cp_len, grid + cp_len)
+    ramps = np.exp((2j * np.pi * k)[:, None] * kappa / grid)
+    ramps.setflags(write=False)
+    return ramps
 
 
 def estimate_channel(received: DelayDopplerGrid, pc: PilotConfig,
@@ -118,12 +124,15 @@ def estimate_channel(received: DelayDopplerGrid, pc: PilotConfig,
     """Threshold detection over the guard region around the pilot.
 
     Taps are searched on the causal delay side, [0, guard_delay] past the
-    pilot row, and listed by delay, then Doppler. When ``noise_std`` is
-    not given it is taken from the guard rows ahead of the pilot; wrapped
-    delay spread from far data bins can reach those rows, so the estimate
-    errs high (a conservative threshold). ``pilot_value`` overrides the
-    transmitted pilot amplitude (the paired harness passes the
-    waveform-domain pilot of a shared transmission).
+    pilot row, and listed by delay, then Doppler. A tap's gain is its bin
+    divided by the pilot and by its Doppler ramp at the pilot's sample,
+    read from the cached table (:func:`_doppler_ramps`) that
+    :func:`estimated_diagonals` multiplies the gains back by. When
+    ``noise_std`` is not given it is taken from the guard rows ahead of
+    the pilot; wrapped delay spread from far data bins can reach those
+    rows, so the estimate errs high (a conservative threshold).
+    ``pilot_value`` overrides the transmitted pilot amplitude (the paired
+    harness passes the waveform-domain pilot of a shared transmission).
     """
     frame = received.frame
     pc.validate_fit(frame)
@@ -147,22 +156,11 @@ def estimate_channel(received: DelayDopplerGrid, pc: PilotConfig,
         # convert to the canonical convention via the known phases
         W = coupling_phases(frame.M, frame.N)
         gains *= np.conj(W[mp + delay, npil + doppler]) * W[mp, npil]
-    gains /= _reference_phase(delay, doppler, pc, frame)
+    gains /= _doppler_ramps(pc.guard_doppler, frame.grid_size,
+                            frame.cp_len)[col, mp + delay]
     taps = tuple(EstimatedTap(d, k, g) for d, k, g in
                  zip(delay.tolist(), doppler.tolist(), gains.tolist()))
     return EstimatedChannel(taps, waveform, noise_std)
-
-
-@lru_cache(maxsize=8)
-def _doppler_ramps(guard_doppler: int, grid: int, cp_len: int) -> np.ndarray:
-    """Read-only (2 * guard_doppler + 1, grid) table of the Doppler ramps
-    exp(2j*pi*k*(i + cp_len)/grid) over the CP-stripped samples i, for k
-    from -guard_doppler to guard_doppler."""
-    k = np.arange(-guard_doppler, guard_doppler + 1)
-    kappa = np.arange(cp_len, grid + cp_len)
-    ramps = np.exp((2j * np.pi * k)[:, None] * kappa / grid)
-    ramps.setflags(write=False)
-    return ramps
 
 
 def estimated_diagonals(est: EstimatedChannel, pc: PilotConfig,

@@ -279,6 +279,13 @@ class ExperimentSpec:
             raise ConfigError("snr_db must be non-empty")
         if self.channel_profile == "custom" and self.custom_taps is None:
             raise ConfigError("channel.profile = custom requires channel.taps")
+        if not 0 <= self.velocity_kmh < np.inf:
+            raise ConfigError(f"channel.velocity_kmh must be finite and >= 0, "
+                              f"got {self.velocity_kmh:g}")
+        for delay_ns, _, _ in self.custom_taps or ():
+            if not 0 <= delay_ns < np.inf:
+                raise ConfigError(f"channel.taps: tap delay_ns must be finite "
+                                  f"and >= 0, got {delay_ns:g}")
 
 
 # the config keys behind each FrameConfig and PilotConfig check, by the

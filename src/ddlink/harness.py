@@ -63,9 +63,9 @@ from .chanest import (PilotConfig, embed_pilot, estimate_channel,
 from .channel import (DelayDiagonals, LtvChannel, apply_channel,
                       delay_diagonals, draw_noise, make_channel,
                       taps_from_profile)
-from .config import ConfigError, ExperimentSpec
+from .config import ConfigError, ExperimentSpec, ImpairSettings
 from .equalize import equalize_time_domain
-from .mapping import (DATA, GUARD, data_bin_count, full_data_mask,
+from .mapping import (GUARD, data_bin_count, data_bins, full_data_mask,
                       get_constellation, map_bits)
 from .modem import (DelayDopplerGrid, TimeSignal, Waveform, demodulate_direct,
                     modulate_direct)
@@ -194,7 +194,7 @@ def _receive(spec: ExperimentSpec, signal: TimeSignal, channels, pilots,
     """
     const = get_constellation(spec.constellation)
     W = coupling_phases(spec.frame.M, spec.frame.N)
-    data_bins = [np.flatnonzero(mask.ravel(order="F") == DATA) for mask in masks]
+    bins_of = [data_bins(mask) for mask in masks]
     genie = ([delay_diagonals(ch) for ch in channels] if spec.csi == "genie"
              else None)
     grids = (dict.fromkeys(spec.waveforms) if genie is not None
@@ -208,7 +208,7 @@ def _receive(spec: ExperimentSpec, signal: TimeSignal, channels, pilots,
         if w is Waveform.SC_IFDMA:
             d_hat = d_hat * np.conj(W).flatten(order="F")
         errors, decisions = 0, []
-        for bins, b in zip(data_bins, bits):
+        for bins, b in zip(bins_of, bits):
             idx = const.nearest_indices(d_hat[bins])
             errors += int(np.count_nonzero(const.indices_to_bits(idx) != b))
             decisions.append(idx)
@@ -305,8 +305,9 @@ def prepare(spec: ExperimentSpec) -> Allocation | None:
     one-column grid (no adjacent-sample pair in any metric row),
     estimated CSI without a guard row ahead of the pilot (the noise level
     comes from it), an unreadable or invalid allocation, a ``mu.q`` that
-    disagrees with the allocation file, or an estimated-CSI user whose
-    bins cannot host its pilot."""
+    disagrees with the allocation file, an estimated-CSI user whose bins
+    cannot host its pilot, or sync or impairments on the uplink, whose
+    trial has neither."""
     frame = spec.frame
     runs_sync = spec.kind in ("sync_vs_snr", "threshold_sweep") or (
         spec.kind == "ber_vs_snr" and spec.sync.enabled)
@@ -336,6 +337,13 @@ def prepare(spec: ExperimentSpec) -> Allocation | None:
     if spec.csi == "estimated":
         for q in range(alloc.n_users):
             _mu_user_pilot(spec, alloc, q)
+    unused = (["sync.enabled"] if spec.sync.enabled else []) + [
+        f"impair.{name}" for name in ("theta_d", "theta_t", "epsilon")
+        if getattr(spec.impair, name) != getattr(ImpairSettings(), name)]
+    if unused:
+        raise ConfigError(f"{', '.join(unused)}: mu_uplink runs without sync "
+                          f"and impairments; leave these keys at their "
+                          f"defaults")
     return alloc
 
 

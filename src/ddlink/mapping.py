@@ -1,14 +1,15 @@
 """Gray-mapped QAM constellations and bit <-> grid packing.
 
-Bins reserved for pilots or guards are described by an overlay mask so
-bit mapping and demapping skip them; data bins are filled in vec order
-(column-major, delay index fastest).
+Bins reserved for pilots or guards are described by an overlay mask;
+:func:`data_bins` lists the data bins in vec order (column-major, delay
+index fastest), the order in which :func:`map_bits` fills them and the
+receivers slice them.
 
 Both constellations are square Gray QAM whose point index is the in-phase
-label shifted left by the bits per axis, or'ed with the quadrature label,
-so hard decisions slice each axis on its own: one sorted search of the
-real parts and one of the imaginary parts against threshold tables built
-once per constellation.
+label shifted left by the bits per axis, or'ed with the quadrature label.
+Both axes carry the same levels, so hard decisions slice each axis on its
+own against one threshold table built once per constellation: one sorted
+search of the real parts and one of the imaginary parts.
 """
 
 from dataclasses import dataclass, field
@@ -21,25 +22,8 @@ from .modem import DelayDopplerGrid
 
 DATA, PILOT, GUARD = 0, 1, 2
 
-# 2-bit Gray code to amplitude level, most positive first
-_GRAY2 = {(0, 0): 3, (0, 1): 1, (1, 1): -1, (1, 0): -3}
-
-
-def _square_qam_points(bits_per_axis: int) -> np.ndarray:
-    if bits_per_axis == 1:
-        levels = {(0,): 1, (1,): -1}
-    elif bits_per_axis == 2:
-        levels = _GRAY2
-    else:
-        raise ValueError(f"unsupported bits per axis: {bits_per_axis}")
-    k = 2 * bits_per_axis
-    pts = np.empty(2 ** k, dtype=complex)
-    for idx in range(2 ** k):
-        bits = [(idx >> (k - 1 - b)) & 1 for b in range(k)]
-        i_lvl = levels[tuple(bits[: bits_per_axis])]
-        q_lvl = levels[tuple(bits[bits_per_axis:])]
-        pts[idx] = i_lvl + 1j * q_lvl
-    return pts / np.sqrt(np.mean(np.abs(pts) ** 2))
+# Gray label -> amplitude level of one axis, by bits per axis
+_GRAY_LEVELS = {1: (1, -1), 2: (3, 1, -3, -1)}
 
 
 def _axis_slicer(levels: np.ndarray):
@@ -64,31 +48,29 @@ def _axis_slicer(levels: np.ndarray):
 
 @dataclass(frozen=True)
 class Constellation:
-    """Unit-average-energy square QAM constellation; point index encodes
-    the bit word, the in-phase label in its high half and the quadrature
-    label in its low half. Other point sets raise ValueError."""
+    """Unit-average-energy square Gray QAM with ``bits_per_axis`` bits on
+    each axis; point index encodes the bit word, the in-phase label in its
+    high half and the quadrature label in its low half. Both axes put
+    label j at level ``_GRAY_LEVELS[bits_per_axis][j]`` before scaling,
+    so one slicer serves both."""
 
     name: str
-    points: np.ndarray
-    bits_per_symbol: int
-    _slicers: tuple = field(init=False, repr=False, compare=False)
+    bits_per_axis: int
+    points: np.ndarray = field(init=False, repr=False, compare=False)
+    _slicer: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k = self.bits_per_symbol // 2
-        labels = np.arange(2 ** k)
-        idx = np.arange(self.points.size)
-        square = (self.bits_per_symbol % 2 == 0
-                  and self.points.size == 2 ** self.bits_per_symbol)
-        if square:
-            i_levels = self.points[labels << k].real
-            q_levels = self.points[labels].imag
-            square = np.array_equal(
-                self.points, i_levels[idx >> k] + 1j * q_levels[idx % 2 ** k])
-        if not square:
-            raise ValueError(f"{self.name}: points are not a square QAM grid "
-                             f"indexed (in-phase label << {k}) | quadrature label")
-        object.__setattr__(self, "_slicers",
-                           (k, _axis_slicer(i_levels), _axis_slicer(q_levels)))
+        k = self.bits_per_axis
+        levels = np.array(_GRAY_LEVELS[k], dtype=float)
+        idx = np.arange(4 ** k)
+        points = levels[idx >> k] + 1j * levels[idx % 2 ** k]
+        points /= np.sqrt(np.mean(np.abs(points) ** 2))
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "_slicer", _axis_slicer(points[:2 ** k].imag))
+
+    @property
+    def bits_per_symbol(self) -> int:
+        return 2 * self.bits_per_axis
 
     def bits_to_symbols(self, bits: np.ndarray) -> np.ndarray:
         bits = np.asarray(bits, dtype=int)
@@ -112,9 +94,10 @@ class Constellation:
         point is index 8.
         """
         s = np.asarray(symbols).reshape(-1)
-        k, (i_thr, i_lab), (q_thr, q_lab) = self._slicers
-        return ((i_lab[i_thr.searchsorted(s.real, side="right")] << k)
-                | q_lab[q_thr.searchsorted(s.imag, side="right")])
+        thresholds, labels = self._slicer
+        return ((labels[thresholds.searchsorted(s.real, side="right")]
+                 << self.bits_per_axis)
+                | labels[thresholds.searchsorted(s.imag, side="right")])
 
     def indices_to_bits(self, idx: np.ndarray) -> np.ndarray:
         shifts = np.arange(self.bits_per_symbol - 1, -1, -1)
@@ -122,8 +105,8 @@ class Constellation:
 
 
 _CONSTELLATIONS = {
-    "qpsk": Constellation("qpsk", _square_qam_points(1), 2),
-    "16qam": Constellation("16qam", _square_qam_points(2), 4),
+    "qpsk": Constellation("qpsk", 1),
+    "16qam": Constellation("16qam", 2),
 }
 
 
@@ -143,6 +126,11 @@ def data_bin_count(mask: np.ndarray) -> int:
     return int(np.count_nonzero(mask == DATA))
 
 
+def data_bins(mask: np.ndarray) -> np.ndarray:
+    """Vec indices of the data bins of ``mask``, in vec order."""
+    return np.flatnonzero(mask.ravel(order="F") == DATA)
+
+
 def map_bits(bits, constellation: Constellation, frame: FrameConfig,
              mask: np.ndarray | None = None) -> DelayDopplerGrid:
     """Pack bits onto the data bins of a frame grid, zeros elsewhere."""
@@ -154,18 +142,6 @@ def map_bits(bits, constellation: Constellation, frame: FrameConfig,
                          f"data bins, got {bits.size}")
     symbols = constellation.bits_to_symbols(bits)
     vec = np.zeros(frame.grid_size, dtype=complex)
-    vec[mask.flatten(order="F") == DATA] = symbols
+    vec[data_bins(mask)] = symbols
     return DelayDopplerGrid.from_vec(vec, frame)
 
-
-def demap_bits(grid, constellation: Constellation,
-               mask: np.ndarray | None = None):
-    """Hard-decide the data bins of a received grid.
-
-    Returns (bits, symbol_indices); indices are the per-bin constellation
-    decisions in vec order, useful for decision-level comparisons.
-    """
-    mask = full_data_mask(grid.frame) if mask is None else mask
-    symbols = grid.vec[mask.flatten(order="F") == DATA]
-    idx = constellation.nearest_indices(symbols)
-    return constellation.indices_to_bits(idx), idx

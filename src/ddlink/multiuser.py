@@ -386,17 +386,7 @@ def even_split_allocation(M: int, N: int, n_users: int) -> Allocation:
     first users."""
     if n_users < 1:
         raise ValueError(f"need at least one user, got {n_users}")
-
-    def chunks(total, parts):
-        base, extra = divmod(total, parts)
-        sizes = [base + (1 if i < extra else 0) for i in range(parts)]
-        if min(sizes) < 1:
-            raise ValueError(f"cannot split {total} bins across {parts} users")
-        out, start = [], 0
-        for s in sizes:
-            out.append(tuple(range(start, start + s)))
-            start += s
-        return out
-
-    d, v = chunks(M, n_users), chunks(N, n_users)
-    return Allocation(tuple(UserBins(d[q], v[q]) for q in range(n_users)), M, N)
+    if n_users > min(M, N):
+        raise ValueError(f"cannot split {min(M, N)} bins across {n_users} users")
+    return Allocation(tuple(map(UserBins, np.array_split(np.arange(M), n_users),
+                                np.array_split(np.arange(N), n_users))), M, N)

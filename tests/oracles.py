@@ -40,6 +40,23 @@ def solve_band_bincount(slot, vals, width, noise_var, rhs):
     return solveh_banded(ab, rhs, lower=True)
 
 
+def square_qam_points(bits_per_axis: int) -> np.ndarray:
+    """Unit-average-energy square Gray QAM built bit by bit: each index's
+    in-phase bits (the high half) and quadrature bits (the low half) pick
+    their axis level from a table of Gray codes, 2-bit 00, 01, 11, 10 at
+    3, 1, -1, -3. The reference of :class:`ddlink.mapping.Constellation`."""
+    levels = ({(0,): 1, (1,): -1} if bits_per_axis == 1 else
+              {(0, 0): 3, (0, 1): 1, (1, 1): -1, (1, 0): -3})
+    k = 2 * bits_per_axis
+    pts = np.empty(2 ** k, dtype=complex)
+    for idx in range(2 ** k):
+        bits = [(idx >> (k - 1 - b)) & 1 for b in range(k)]
+        i_lvl = levels[tuple(bits[: bits_per_axis])]
+        q_lvl = levels[tuple(bits[bits_per_axis:])]
+        pts[idx] = i_lvl + 1j * q_lvl
+    return pts / np.sqrt(np.mean(np.abs(pts) ** 2))
+
+
 def nearest_indices_argmin(constellation, symbols) -> np.ndarray:
     """Minimum-distance decisions of :meth:`Constellation.nearest_indices`
     by an argmin over the rounded complex distances to every point, ties
@@ -58,6 +75,19 @@ def nearest_indices_exact(constellation, symbols) -> list:
         x, y = Fraction(s.real), Fraction(s.imag)
         d = [(x - px) ** 2 + (y - py) ** 2 for px, py in points]
         out.append(d.index(min(d)))
+    return out
+
+
+def even_split_chunks(total: int, parts: int) -> list:
+    """Contiguous bin tuples of ``total`` bins split into ``parts``, the
+    first ``total % parts`` one bin longer, written out chunk by chunk:
+    the reference of :func:`ddlink.multiuser.even_split_allocation`."""
+    base, extra = divmod(total, parts)
+    out, start = [], 0
+    for i in range(parts):
+        size = base + (1 if i < extra else 0)
+        out.append(tuple(range(start, start + size)))
+        start += size
     return out
 
 

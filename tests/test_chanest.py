@@ -245,6 +245,21 @@ class TestEstimatedDiagonals:
         with pytest.raises(ValueError):
             table[...] = 0
 
+    @PROPERTY
+    @given(pilot_frames())
+    def test_ramp_table_holds_each_pilot_reference_phase_bit_for_bit(self, case):
+        # estimate_channel divides a tap's gain by the table entry of its
+        # Doppler index at the pilot's sample, in place of the phase it
+        # once computed itself, exp(2j*pi*k*(cp + mp + d)/(M*N)) over the
+        # arrays of detected (d, k)
+        frame, pc = case
+        g, mp = pc.guard_doppler, pc.pilot_delay
+        k, d = (a.ravel() for a in np.meshgrid(np.arange(-g, g + 1),
+                                               np.arange(pc.guard_delay + 1)))
+        want = np.exp(2j * np.pi * k * (frame.cp_len + mp + d) / frame.grid_size)
+        got = chanest._doppler_ramps(g, frame.grid_size, frame.cp_len)[k + g, mp + d]
+        assert got.tobytes() == want.tobytes()
+
 
 @st.composite
 def received_grids(draw):

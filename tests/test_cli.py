@@ -90,6 +90,11 @@ class TestValidate:
         ("seed", "seed = -1"), ("mu.q", "mu.q = 0"),
         ("mu.q", "experiment = mu_uplink\nmu.q = 20"),
         ("sync.threshold", "sync.threshold = 0"),
+        # every profile, including those that draw no Doppler from it
+        ("channel.velocity_kmh", "channel.velocity_kmh = -5"),
+        ("channel.velocity_kmh", "channel.profile = eva\nchannel.velocity_kmh = -5"),
+        ("channel.velocity_kmh", "channel.profile = eva3\nchannel.velocity_kmh = -5"),
+        ("channel.velocity_kmh", "channel.velocity_kmh = nan"),
         ("sweep.thresholds",
          "experiment = threshold_sweep\nsweep.thresholds = 0.5,2")])
     def test_values_a_run_cannot_use_exit_2(self, tmp_path, capsys, key, line):
@@ -134,7 +139,22 @@ class TestValidate:
          "config error: pilot.guards: detector.csi = estimated needs"),
         ("experiment = mu_uplink\ndetector.csi = estimated\npilot.guards = 0,2",
          "config error: pilot.guards: detector.csi = estimated needs"),
-        ("eq.method = iterative", "unknown key 'eq.method'")])
+        ("eq.method = iterative", "unknown key 'eq.method'"),
+        ("channel.profile = custom\nchannel.taps = -200:0:0; 0:-3:100",
+         "config error: channel.taps: tap delay_ns must be finite and >= 0, "
+         "got -200"),
+        ("channel.profile = custom\nchannel.taps = 0:0:0; nan:-3:100",
+         "config error: channel.taps: tap delay_ns must be finite and >= 0, "
+         "got nan"),
+        # the uplink trial has no sync and no impairments
+        ("experiment = mu_uplink",
+         "config error: sync.enabled, impair.epsilon: mu_uplink runs without"),
+        ("experiment = mu_uplink\nmu.allocation = configs/mu_allocation.txt\n"
+         "impair.theta_d = 3\nimpair.epsilon = uniform:-0.4:0.4",
+         "config error: sync.enabled, impair.theta_d, impair.epsilon: mu_uplink"),
+        ("experiment = mu_uplink\nsync.enabled = false\nimpair.epsilon = 0\n"
+         "impair.theta_t = 1",
+         "config error: impair.theta_t: mu_uplink runs without sync")])
     def test_config_errors_exit_2_before_any_trial(self, tmp_path, capsys,
                                                    monkeypatch, line, message):
         monkeypatch.chdir(ROOT)  # relative mu.allocation paths, as in configs/

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from ddlink import chanest, channel, equalize, harness, multiuser
 from ddlink.chanest import PilotConfig
 from ddlink.channel import CHANNEL_PROFILES, build_dd_matrix
-from ddlink.config import ExperimentSpec, ImpairSettings, SyncSettings
+from ddlink.config import (ConfigError, ExperimentSpec, ImpairSettings,
+                           SyncSettings)
 from ddlink.equalize import equalize_mmse
 from ddlink.frame import FrameConfig
 from ddlink.harness import (link_trial, mu_trial, prepare, rows_to_csv, run,
@@ -425,12 +426,34 @@ class TestMuTrial:
             assert np.linalg.norm(out - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
     def test_guards_must_fit_inside_the_allocation(self):
-        from ddlink.config import ConfigError
         spec = make_spec(kind="mu_uplink", csi="estimated",
                          pilot=PilotConfig(4, 8, 1000.0, 4, 4))
         alloc = even_split_allocation(FRAME.M, FRAME.N, 4)  # 4 Doppler bins each
         with pytest.raises(ConfigError, match="guard rectangle"):
             mu_trial(spec, 0, 20.0, alloc)
+
+    @pytest.mark.parametrize("settings, keys", [
+        (dict(sync=SyncSettings(enabled=True)), "sync.enabled"),
+        (dict(impair=ImpairSettings(theta_d=("fixed", 3.0))), "impair.theta_d"),
+        (dict(impair=ImpairSettings(theta_t=1)), "impair.theta_t"),
+        (dict(impair=ImpairSettings(epsilon=("uniform", -0.4, 0.4))),
+         "impair.epsilon"),
+        (dict(sync=SyncSettings(enabled=True),
+              impair=ImpairSettings(theta_d=("fixed", 3.0),
+                                    epsilon=("uniform", -0.4, 0.4))),
+         "sync.enabled, impair.theta_d, impair.epsilon")])
+    def test_sync_and_impairments_are_rejected(self, settings, keys):
+        # mu_trial reads neither, so a run would ignore them
+        spec = make_spec(kind="mu_uplink", csi="genie", **settings)
+        with pytest.raises(ConfigError, match=f"^{keys}: mu_uplink runs without"):
+            prepare(spec)
+
+    def test_settings_equal_to_the_defaults_pass(self):
+        spec = make_spec(kind="mu_uplink", csi="genie",
+                         sync=SyncSettings(enabled=False, threshold=0.3),
+                         impair=ImpairSettings(theta_d=("fixed", 0.0),
+                                               epsilon=("fixed", 0.0)))
+        assert prepare(spec).n_users == 2
 
 
 class TestRun:
@@ -476,10 +499,11 @@ class TestRun:
     @pytest.mark.parametrize("kind", ["ber_vs_snr", "sync_vs_snr",
                                       "threshold_sweep", "mu_uplink"])
     def test_parallel_matches_serial(self, kind):
-        # 5 trials over 2 workers: chunks of 3 and 2
+        # 5 trials over 2 workers: chunks of 3 and 2; the uplink has no sync
         spec = make_spec(kind=kind, channel_profile="single_tap",
                          constellation="qpsk", csi="genie", trials=5,
-                         snr_db=(10.0, 20.0), sync=SyncSettings(enabled=True))
+                         snr_db=(10.0, 20.0),
+                         sync=SyncSettings(enabled=kind != "mu_uplink"))
         serial = rows_to_csv(run(spec, parallelism=1))
         parallel = rows_to_csv(run(spec, parallelism=2))
         assert serial == parallel
@@ -538,7 +562,7 @@ class TestRun:
         monkeypatch.setattr(harness, name, spy)
         spec = make_spec(kind=kind, trials=2, snr_db=(10.0, 20.0),
                          channel_profile="single_tap", constellation="qpsk",
-                         csi="genie", sync=SyncSettings(enabled=True))
+                         csi="genie", sync=SyncSettings(enabled=kind != "mu_uplink"))
         run(spec)
         assert calls == [0, 1, 2, 3]
 

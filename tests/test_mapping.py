@@ -4,12 +4,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ddlink.frame import FrameConfig
-from ddlink.mapping import (GUARD, Constellation, data_bin_count, demap_bits,
+from ddlink.mapping import (DATA, GUARD, PILOT, data_bin_count, data_bins,
                             full_data_mask, get_constellation, map_bits)
-from oracles import nearest_indices_argmin, nearest_indices_exact
+from oracles import (nearest_indices_argmin, nearest_indices_exact,
+                     square_qam_points)
 from strategies import PROPERTY
 
 rng = np.random.default_rng(7)
+
+
+def demap(grid, constellation, mask=None):
+    """Hard-decided bits of the data bins of ``grid``, read as the
+    receivers read them: the data bins in vec order, sliced."""
+    mask = full_data_mask(grid.frame) if mask is None else mask
+    idx = constellation.nearest_indices(grid.vec[data_bins(mask)])
+    return constellation.indices_to_bits(idx)
 
 
 class TestConstellations:
@@ -40,6 +49,12 @@ class TestConstellations:
                     continue
                 if abs(pts[i] - pts[j]) <= 2 / np.sqrt(10) + 1e-9:
                     assert bin(i ^ j).count("1") == 1
+
+    @pytest.mark.parametrize("name, bits_per_axis", [("qpsk", 1), ("16qam", 2)])
+    def test_points_equal_the_bitwise_gray_construction(self, name, bits_per_axis):
+        c = get_constellation(name)
+        assert c.points.tobytes() == square_qam_points(bits_per_axis).tobytes()
+        assert c.bits_per_symbol == 2 * bits_per_axis
 
     def test_bit_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -98,13 +113,6 @@ class TestSlicer:
         assert c.nearest_indices(s).tolist() == [8] == nearest_indices_exact(c, s)
         assert nearest_indices_argmin(c, s).tolist() == [0]
 
-    def test_rejects_points_that_are_not_a_square_grid(self):
-        qpsk = get_constellation("qpsk")
-        with pytest.raises(ValueError, match="square QAM"):
-            Constellation("rotated", qpsk.points * 1j, 2)
-        with pytest.raises(ValueError, match="square QAM"):
-            Constellation("bpsk", np.array([1.0, -1.0]), 1)
-
 
 class TestGridPacking:
     def test_full_grid_roundtrip(self):
@@ -112,8 +120,7 @@ class TestGridPacking:
         c = get_constellation("16qam")
         bits = rng.integers(0, 2, 16 * 4)
         grid = map_bits(bits, c, frame)
-        out, _ = demap_bits(grid, c)
-        np.testing.assert_array_equal(out, bits)
+        np.testing.assert_array_equal(demap(grid, c), bits)
 
     def test_mask_skips_reserved_bins(self):
         frame = FrameConfig(4, 4)
@@ -125,8 +132,7 @@ class TestGridPacking:
         bits = rng.integers(0, 2, n_data * 2)
         grid = map_bits(bits, c, frame, mask)
         assert not grid.data[1:3, 1:3].any()
-        out, _ = demap_bits(grid, c, mask)
-        np.testing.assert_array_equal(out, bits)
+        np.testing.assert_array_equal(demap(grid, c, mask), bits)
 
     def test_wrong_bit_count(self):
         frame = FrameConfig(4, 4)
@@ -140,5 +146,25 @@ class TestGridPacking:
         grid = map_bits(bits, c, frame)
         noisy = grid.data + 0.05 * (rng.standard_normal((8, 8))
                                     + 1j * rng.standard_normal((8, 8)))
-        out, _ = demap_bits(type(grid)(noisy, frame), c)
-        np.testing.assert_array_equal(out, bits)
+        np.testing.assert_array_equal(demap(type(grid)(noisy, frame), c), bits)
+
+    @PROPERTY
+    @given(st.integers(1, 8), st.integers(1, 8), st.sampled_from(["qpsk", "16qam"]),
+           st.data())
+    def test_data_bins_carry_the_symbols_in_vec_order(self, M, N, name, data):
+        # random overlays: the data bins, column-major, hold the mapped
+        # symbols in bit order; every pilot and guard bin stays zero
+        frame = FrameConfig(M, N)
+        mask = np.array(data.draw(st.lists(st.sampled_from([DATA, PILOT, GUARD]),
+                                           min_size=M * N, max_size=M * N)),
+                        dtype=np.int8).reshape(M, N)
+        c = get_constellation(name)
+        n_bits = data_bin_count(mask) * c.bits_per_symbol
+        bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n_bits,
+                                           max_size=n_bits)), dtype=int)
+        vec = map_bits(bits, c, frame, mask).vec
+        bins = data_bins(mask)
+        np.testing.assert_array_equal(bins, [i for i, v in enumerate(mask.T.flat)
+                                             if v == DATA])
+        np.testing.assert_array_equal(vec[bins], c.bits_to_symbols(bits))
+        assert not np.delete(vec, bins).any()

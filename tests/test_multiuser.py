@@ -15,7 +15,7 @@ from ddlink.multiuser import (Allocation, UserBins, compound_matrix,
                               detect_users_time_domain, even_split_allocation,
                               extract_user, load_allocation, place_user)
 from ddlink.transforms import coupling_phases
-from oracles import dense_detect
+from oracles import dense_detect, even_split_chunks
 
 rng = np.random.default_rng(33)
 
@@ -79,6 +79,19 @@ class TestAllocation:
     def test_even_split_needs_a_user(self, n_users):
         with pytest.raises(ValueError, match="at least one user"):
             even_split_allocation(8, 8, n_users)
+
+    @pytest.mark.parametrize("M, N", [(32, 16), (128, 32), (7, 5), (1, 3)])
+    def test_even_split_equals_the_written_out_chunks(self, M, N):
+        for q in range(1, min(M, N) + 1):
+            users = even_split_allocation(M, N, q).users
+            assert users == tuple(map(UserBins, even_split_chunks(M, q),
+                                      even_split_chunks(N, q)))
+            assert all(type(b) is int for u in users
+                       for b in u.delay_bins + u.doppler_bins)
+
+    def test_even_split_needs_a_bin_per_user(self):
+        with pytest.raises(ValueError, match="cannot split 5 bins across 6 users"):
+            even_split_allocation(7, 5, 6)
 
 
 class TestPlacement:
