@@ -29,8 +29,15 @@ def _parse_bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _finite(s):
+    v = float(s)
+    if not np.isfinite(v):
+        raise ValueError(f"not a finite number: {s.strip()!r}")
+    return v
+
+
 def _parse_float_list(s):
-    vals = tuple(float(p) for p in s.split(",") if p.strip())
+    vals = tuple(_finite(p) for p in s.split(",") if p.strip())
     if not vals:
         raise ValueError("empty list")
     return vals
@@ -48,11 +55,21 @@ def _parse_draw(s):
     s = s.strip()
     if s.lower().startswith("uniform:"):
         _, lo, hi = s.split(":")
-        lo, hi = float(lo), float(hi)
+        lo, hi = _finite(lo), _finite(hi)
         if hi < lo:
             raise ValueError(f"empty range in {s!r}")
         return ("uniform", lo, hi)
-    return ("fixed", float(s))
+    return ("fixed", _finite(s))
+
+
+def _parse_offset_draw(s):
+    """A :func:`_parse_draw` of timing offset samples: non-negative
+    integers."""
+    kind, *values = _parse_draw(s)
+    if not all(v >= 0 and v == int(v) for v in values):
+        raise ValueError(f"not a non-negative integer sample count: "
+                         f"{s.strip()!r}")
+    return (kind, *(int(v) for v in values))
 
 
 def _parse_taps(s):
@@ -65,7 +82,7 @@ def _parse_taps(s):
         fields = part.split(":")
         if len(fields) != 3:
             raise ValueError(f"tap {part!r} is not delay_ns:power_db:doppler_hz")
-        taps.append((float(fields[0]), float(fields[1]), float(fields[2])))
+        taps.append(tuple(_finite(f) for f in fields))
     if not taps:
         raise ValueError("empty tap list")
     return tuple(taps)
@@ -106,21 +123,19 @@ SCHEMA = {
     "frame.M": (int, "32"),
     "frame.N": (int, "16"),
     "frame.L_cp": (int, "8"),
-    "frame.bandwidth_hz": (float, "7.68e6"),
-    "frame.carrier_hz": (float, "5.9e9"),
+    "frame.bandwidth_hz": (_finite, "7.68e6"),
+    "frame.carrier_hz": (_finite, "5.9e9"),
     "channel.profile": (_choice(*CHANNEL_PROFILES, "custom"), "eva3"),
-    "channel.velocity_kmh": (float, "500"),
+    "channel.velocity_kmh": (_finite, "500"),
     "channel.taps": (_parse_taps, ""),
     "pilot.m_p": (int, "4"),
     "pilot.n_p": (int, "8"),
-    "pilot.power_db": (float, "30"),
+    "pilot.power_db": (_finite, "30"),
     "pilot.guards": (_parse_int_pair, "4,4"),
-    "est.threshold_sigma": (float, "3.0"),
+    "est.threshold_sigma": (_finite, "3.0"),
     "sync.enabled": (_parse_bool, "false"),
-    "sync.threshold": (float, "0.5"),
-    "sync.search_rows": (int, ""),
-    "sync.max_blocks": (int, "2"),
-    "impair.theta_d": (_parse_draw, "0"),
+    "sync.threshold": (_finite, "0.5"),
+    "impair.theta_d": (_parse_offset_draw, "0"),
     "impair.theta_t": (int, "0"),
     "impair.epsilon": (_parse_draw, "0"),
     "detector.csi": (_choice("genie", "estimated"), "genie"),
@@ -131,7 +146,7 @@ SCHEMA = {
 }
 
 # keys whose empty default means "not set"
-_OPTIONAL_EMPTY = {"channel.taps", "sync.search_rows", "mu.allocation"}
+_OPTIONAL_EMPTY = {"channel.taps", "mu.allocation"}
 
 
 def parse_config_text(text: str) -> dict:
@@ -196,8 +211,6 @@ def canonical_text(cfg: dict) -> str:
 class SyncSettings:
     enabled: bool = False
     threshold: float = 0.5
-    search_rows: int | None = None
-    max_blocks: int = 2
 
 
 @dataclass(frozen=True)
@@ -205,7 +218,7 @@ class ImpairSettings:
     """Per-trial impairment draws; each entry is ('fixed', x) or
     ('uniform', lo, hi)."""
 
-    theta_d: tuple = ("fixed", 0.0)
+    theta_d: tuple = ("fixed", 0)
     theta_t: int = 0
     epsilon: tuple = ("fixed", 0.0)
 
@@ -279,13 +292,13 @@ class ExperimentSpec:
             raise ConfigError("snr_db must be non-empty")
         if self.channel_profile == "custom" and self.custom_taps is None:
             raise ConfigError("channel.profile = custom requires channel.taps")
-        if not 0 <= self.velocity_kmh < np.inf:
-            raise ConfigError(f"channel.velocity_kmh must be finite and >= 0, "
+        if self.velocity_kmh < 0:
+            raise ConfigError(f"channel.velocity_kmh must be >= 0, "
                               f"got {self.velocity_kmh:g}")
         for delay_ns, _, _ in self.custom_taps or ():
-            if not 0 <= delay_ns < np.inf:
-                raise ConfigError(f"channel.taps: tap delay_ns must be finite "
-                                  f"and >= 0, got {delay_ns:g}")
+            if delay_ns < 0:
+                raise ConfigError(f"channel.taps: tap delay_ns must be >= 0, "
+                                  f"got {delay_ns:g}")
 
 
 # the config keys behind each FrameConfig and PilotConfig check, by the
@@ -341,9 +354,7 @@ def spec_from_config(cfg: dict) -> ExperimentSpec:
         custom_taps=cfg["channel.taps"],
         pilot=pilot,
         sync=SyncSettings(
-            enabled=cfg["sync.enabled"], threshold=cfg["sync.threshold"],
-            search_rows=cfg["sync.search_rows"], max_blocks=cfg["sync.max_blocks"],
-        ),
+            enabled=cfg["sync.enabled"], threshold=cfg["sync.threshold"]),
         impair=ImpairSettings(theta_d=cfg["impair.theta_d"],
                               theta_t=theta,
                               epsilon=cfg["impair.epsilon"]),

@@ -71,7 +71,7 @@ from .modem import (DelayDopplerGrid, TimeSignal, Waveform, demodulate_direct,
                     modulate_direct)
 from .multiuser import (Allocation, detect_users_time_domain,
                         even_split_allocation, load_allocation)
-from .sync import correct, estimate_sync, fine_timing
+from .sync import BLOCK_STARTS, correct, estimate_sync, fine_timing
 from .transforms import coupling_phases
 
 _COMPONENTS = {"channel": 0, "noise": 1, "data": 2, "impairment": 3}
@@ -143,11 +143,9 @@ def _transmit(grids, channels, waveform: Waveform, impair=None,
 
 
 def _estimate_sync(spec: ExperimentSpec, record: np.ndarray):
-    sync = spec.sync
     return estimate_sync(record, spec.frame, spec.pilot.pilot_delay,
                          pilot_doppler=spec.pilot.pilot_doppler,
-                         threshold=sync.threshold, n_rows=sync.search_rows,
-                         max_blocks=sync.max_blocks)
+                         threshold=spec.sync.threshold)
 
 
 def _estimated_channel(received: DelayDopplerGrid, pc: PilotConfig,
@@ -302,18 +300,31 @@ def sync_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
 def prepare(spec: ExperimentSpec) -> Allocation | None:
     """Pre-flight of a run: the uplink allocation (None for other kinds),
     checked before the first trial. Raises ConfigError for sync on a
-    one-column grid (no adjacent-sample pair in any metric row),
-    estimated CSI without a guard row ahead of the pilot (the noise level
-    comes from it), an unreadable or invalid allocation, a ``mu.q`` that
-    disagrees with the allocation file, an estimated-CSI user whose bins
-    cannot host its pilot, or sync or impairments on the uplink, whose
-    trial has neither."""
+    one-column grid (no adjacent-sample pair in any metric row), sync
+    whose pilot run can start past the window starts the block search
+    compares (``sync.BLOCK_STARTS``), estimated CSI without a guard row
+    ahead of the pilot (the noise level comes from it), an unreadable or
+    invalid allocation, a ``mu.q`` that disagrees with the allocation
+    file, an estimated-CSI user whose bins cannot host its pilot, or sync
+    or impairments on the uplink, whose trial has neither."""
     frame = spec.frame
     runs_sync = spec.kind in ("sync_vs_snr", "threshold_sweep") or (
         spec.kind == "ber_vs_snr" and spec.sync.enabled)
-    if runs_sync and frame.N == 1:
-        raise ConfigError("frame.N = 1 leaves the sync timing metric no "
-                          "adjacent-sample pair; sync needs frame.N >= 2")
+    if runs_sync:
+        if frame.N == 1:
+            raise ConfigError("frame.N = 1 leaves the sync timing metric no "
+                              "adjacent-sample pair; sync needs frame.N >= 2")
+        # the largest theta_d: a fixed value, or the top of its range
+        terms = (frame.cp_len, spec.pilot.pilot_delay,
+                 int(spec.impair.theta_d[-1]), _largest_tap_delay(spec))
+        block = sum(terms) // frame.M + spec.impair.theta_t
+        if block >= BLOCK_STARTS:
+            raise ConfigError(
+                f"impair.theta_d, impair.theta_t: the pilot run starts in "
+                f"block (frame.L_cp + pilot.m_p + theta_d + largest tap "
+                f"delay) // frame.M + theta_t = ({' + '.join(map(str, terms))})"
+                f" // {frame.M} + {spec.impair.theta_t} = {block}; sync finds "
+                f"it only in blocks 0 to {BLOCK_STARTS - 1}")
     if (spec.kind in ("ber_vs_snr", "mu_uplink") and spec.csi == "estimated"
             and spec.pilot.guard_delay == 0):
         raise ConfigError("pilot.guards: detector.csi = estimated needs a "
@@ -347,12 +358,17 @@ def prepare(spec: ExperimentSpec) -> Allocation | None:
     return alloc
 
 
+def _largest_tap_delay(spec: ExperimentSpec) -> int:
+    """Largest tap delay of the spec's channel, in samples. The tap delays
+    of every profile follow from the spec alone (only gains and Doppler
+    are drawn), so one draw gives the largest delay of every trial."""
+    return _draw_channel(spec, np.random.default_rng(0)).n_spread - 1
+
+
 def spread_warnings(spec: ExperimentSpec) -> list:
     """``warning:`` lines for a delay spread beyond the CP or the pilot
-    delay guard. The tap delays of every profile follow from the spec
-    alone (only gains and Doppler are drawn), so one draw gives the
-    largest delay of every trial."""
-    longest = _draw_channel(spec, np.random.default_rng(0)).n_spread - 1
+    delay guard."""
+    longest = _largest_tap_delay(spec)
     out = []
     if longest > spec.frame.cp_len:
         out.append(f"warning: largest tap delay {longest} exceeds frame.L_cp "

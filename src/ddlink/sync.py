@@ -45,14 +45,14 @@ class SyncEstimate:
     fine_delay: int
     block_offset: int
     cfo: float
-    metric: np.ndarray = field(repr=False)   # |row metric|, length n_rows
+    metric: np.ndarray = field(repr=False)   # |row metric|, length M
 
     def total_offset(self, M: int) -> int:
         return self.fine_delay + M * self.block_offset
 
 
-def timing_metric(record, frame: FrameConfig, n_rows: int | None = None):
-    """Sliding pilot-search correlation over delay rows.
+def timing_metric(record, frame: FrameConfig):
+    """Sliding pilot-search correlation over the M delay rows.
 
     Returns (window_corr, row_metric): window_corr[m, l] sums the N-1
     adjacent-sample products of the length-N window starting at block l of
@@ -64,12 +64,11 @@ def timing_metric(record, frame: FrameConfig, n_rows: int | None = None):
     if r.ndim != 1 or r.size < M * N:
         raise ValueError(f"record too short for the sliding window: "
                          f"{r.size} < {M * N}")
-    n_rows = M if n_rows is None else n_rows
     row_len = 2 * N - 1
-    idx = np.arange(n_rows)[:, None] + M * np.arange(row_len)[None, :]
+    idx = np.arange(M)[:, None] + M * np.arange(row_len)[None, :]
     rows = np.where(idx < r.size, r[np.minimum(idx, r.size - 1)], 0.0)
     prod = np.conj(rows[:, :-1]) * rows[:, 1:]
-    csum = np.concatenate([np.zeros((n_rows, 1), complex), np.cumsum(prod, axis=1)], axis=1)
+    csum = np.concatenate([np.zeros((M, 1), complex), np.cumsum(prod, axis=1)], axis=1)
     window_corr = csum[:, N - 1:N - 1 + N] - csum[:, 0:N]  # starts l = 0..N-1
     row_metric = window_corr.sum(axis=1)
     return window_corr, row_metric
@@ -108,10 +107,20 @@ def fine_timing(row_metric, threshold: float, pilot_delay: int, cp_len: int) -> 
     return int(metric_peak_set(row_metric, threshold).min()) - pilot_delay - cp_len
 
 
-def block_offset(window_corr, row: int, max_blocks: int = 2) -> int:
+# Window starts the block search compares. The estimator resolves whether
+# the pilot run of its metric row starts in block 0 or has wrapped into
+# block 1: the CP, the pilot row, the delay part of the offset and the
+# channel's delay put it in one of the two, and a block part of the offset
+# (theta_t) moves it on by whole blocks. ``harness.prepare`` rejects
+# specs whose pilot run can start in a later block.
+BLOCK_STARTS = 2
+
+
+def block_offset(window_corr, row: int) -> int:
     """Block index at which the pilot sequence starts in the given row:
-    the window-start position with the largest correlation magnitude."""
-    span = np.abs(np.asarray(window_corr)[row, :max_blocks])
+    the one of the first :data:`BLOCK_STARTS` window starts with the
+    largest correlation magnitude."""
+    span = np.abs(np.asarray(window_corr)[row, :BLOCK_STARTS])
     return int(np.argmax(span))
 
 
@@ -145,14 +154,13 @@ def correct(record, offset: int, cfo: float, frame: FrameConfig):
 
 
 def estimate_sync(record, frame: FrameConfig, pilot_delay: int,
-                  pilot_doppler: int = 0, threshold: float = 0.5,
-                  n_rows: int | None = None, max_blocks: int = 2) -> SyncEstimate:
+                  pilot_doppler: int = 0, threshold: float = 0.5) -> SyncEstimate:
     """Run the full estimator chain on one received record."""
-    window_corr, row_metric = timing_metric(record, frame, n_rows=n_rows)
+    window_corr, row_metric = timing_metric(record, frame)
     coarse = coarse_timing(row_metric, pilot_delay, cp_len=frame.cp_len)
     fine = fine_timing(row_metric, threshold, pilot_delay, cp_len=frame.cp_len)
     peak_row = coarse + pilot_delay + frame.cp_len
-    blocks = block_offset(window_corr, peak_row, max_blocks=max_blocks)
+    blocks = block_offset(window_corr, peak_row)
     cfo = cfo_estimate(row_metric, peak_row, frame, pilot_doppler=pilot_doppler)
     return SyncEstimate(
         coarse_delay=coarse,

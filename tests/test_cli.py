@@ -1,3 +1,5 @@
+import csv
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +23,20 @@ seed = 1
 channel.profile = single_tap
 sync.enabled = true
 impair.epsilon = uniform:-0.3:0.3
+"""
+
+# the setup of the block-search boundary: the pilot run starts in block
+# (8 + 4 + theta_d) // 32 + theta_t
+SYNC = """
+experiment = sync_vs_snr
+trials = 4
+snr_db = 30
+seed = 1
+frame.M = 32
+frame.N = 16
+frame.L_cp = 8
+pilot.m_p = 4
+channel.profile = single_tap
 """
 
 
@@ -94,7 +110,6 @@ class TestValidate:
         ("channel.velocity_kmh", "channel.velocity_kmh = -5"),
         ("channel.velocity_kmh", "channel.profile = eva\nchannel.velocity_kmh = -5"),
         ("channel.velocity_kmh", "channel.profile = eva3\nchannel.velocity_kmh = -5"),
-        ("channel.velocity_kmh", "channel.velocity_kmh = nan"),
         ("sweep.thresholds",
          "experiment = threshold_sweep\nsweep.thresholds = 0.5,2")])
     def test_values_a_run_cannot_use_exit_2(self, tmp_path, capsys, key, line):
@@ -141,11 +156,48 @@ class TestValidate:
          "config error: pilot.guards: detector.csi = estimated needs"),
         ("eq.method = iterative", "unknown key 'eq.method'"),
         ("channel.profile = custom\nchannel.taps = -200:0:0; 0:-3:100",
-         "config error: channel.taps: tap delay_ns must be finite and >= 0, "
-         "got -200"),
+         "config error: channel.taps: tap delay_ns must be >= 0, got -200"),
+        # every float is read by one parser, which rejects NaN and +-inf
+        ("channel.velocity_kmh = nan",
+         "config error: line 9: bad value for channel.velocity_kmh: not a "
+         "finite number: 'nan'"),
         ("channel.profile = custom\nchannel.taps = 0:0:0; nan:-3:100",
-         "config error: channel.taps: tap delay_ns must be finite and >= 0, "
-         "got nan"),
+         "config error: line 9: bad value for channel.taps: not a finite "
+         "number: 'nan'"),
+        ("channel.profile = custom\nchannel.taps = 0:nan:0",
+         "config error: line 9: bad value for channel.taps: not a finite "
+         "number: 'nan'"),
+        ("channel.profile = custom\nchannel.taps = 0:0:nan",
+         "config error: line 9: bad value for channel.taps: not a finite "
+         "number: 'nan'"),
+        ("snr_db = nan",
+         "config error: line 8: bad value for snr_db: not a finite number: 'nan'"),
+        ("experiment = ber_vs_snr\ndetector.csi = estimated\n"
+         "est.threshold_sigma = inf",
+         "config error: line 10: bad value for est.threshold_sigma: not a "
+         "finite number: 'inf'"),
+        ("pilot.power_db = inf",
+         "config error: line 9: bad value for pilot.power_db: not a finite "
+         "number: 'inf'"),
+        ("impair.epsilon = nan",
+         "config error: line 8: bad value for impair.epsilon: not a finite "
+         "number: 'nan'"),
+        ("impair.theta_d = uniform:nan:1",
+         "config error: line 9: bad value for impair.theta_d: not a finite "
+         "number: 'nan'"),
+        ("frame.bandwidth_hz = inf",
+         "config error: line 9: bad value for frame.bandwidth_hz: not a "
+         "finite number: 'inf'"),
+        # timing offsets are whole non-negative sample counts
+        ("impair.theta_d = 2.7",
+         "config error: line 9: bad value for impair.theta_d: not a "
+         "non-negative integer sample count: '2.7'"),
+        ("impair.theta_d = -1",
+         "config error: line 9: bad value for impair.theta_d: not a "
+         "non-negative integer sample count: '-1'"),
+        ("impair.theta_d = uniform:-2:3",
+         "config error: line 9: bad value for impair.theta_d: not a "
+         "non-negative integer sample count: 'uniform:-2:3'"),
         # the uplink trial has no sync and no impairments
         ("experiment = mu_uplink",
          "config error: sync.enabled, impair.epsilon: mu_uplink runs without"),
@@ -154,11 +206,40 @@ class TestValidate:
          "config error: sync.enabled, impair.theta_d, impair.epsilon: mu_uplink"),
         ("experiment = mu_uplink\nsync.enabled = false\nimpair.epsilon = 0\n"
          "impair.theta_t = 1",
-         "config error: impair.theta_t: mu_uplink runs without sync")])
+         "config error: impair.theta_t: mu_uplink runs without sync"),
+        # the block search sees a pilot run starting in block 0 or 1 only
+        ("impair.theta_d = 20\nimpair.theta_t = 1",
+         "config error: impair.theta_d, impair.theta_t: the pilot run starts "
+         "in block (frame.L_cp + pilot.m_p + theta_d + largest tap delay) // "
+         "frame.M + theta_t = (8 + 4 + 20 + 0) // 32 + 1 = 2; sync finds it "
+         "only in blocks 0 to 1"),
+        ("impair.theta_d = 52\nimpair.theta_t = 0",
+         "= (8 + 4 + 52 + 0) // 32 + 0 = 2; sync finds it only in blocks"),
+        ("impair.theta_d = 0\nimpair.theta_t = 2",
+         "= (8 + 4 + 0 + 0) // 32 + 2 = 2; sync finds it only in blocks"),
+        ("experiment = ber_vs_snr\nimpair.theta_d = uniform:0:20\n"
+         "impair.theta_t = 1",
+         "= (8 + 4 + 20 + 0) // 32 + 1 = 2; sync finds it only in blocks"),
+        ("experiment = threshold_sweep\nchannel.profile = two_tap_biased\n"
+         "impair.theta_d = 17\nimpair.theta_t = 1",
+         "= (8 + 4 + 17 + 3) // 32 + 1 = 2; sync finds it only in blocks")])
     def test_config_errors_exit_2_before_any_trial(self, tmp_path, capsys,
                                                    monkeypatch, line, message):
         monkeypatch.chdir(ROOT)  # relative mu.allocation paths, as in configs/
         assert_exit_2(tmp_path, capsys, line, message)
+
+    @pytest.mark.parametrize("theta_d, theta_t", [(19, 1), (51, 0)])
+    def test_last_offsets_the_block_search_sees_are_exact(self, tmp_path,
+                                                          theta_d, theta_t):
+        # (8 + 4 + theta_d) // 32 + theta_t = 1, one sample short of block 2
+        cfg = write(tmp_path, SYNC + f"impair.theta_d = {theta_d}\n"
+                                     f"impair.theta_t = {theta_t}\n")
+        out = tmp_path / "results"
+        assert main(["run", cfg, "--out", str(out)]) == 0
+        with open(out / "results.csv", newline="") as fh:
+            fine = [row["value"] for row in csv.DictReader(fh)
+                    if row["metric"] == "TO_fine_mean_error"]
+        assert fine == ["0", "0"]
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.cfg")]) == 2
@@ -230,6 +311,28 @@ seed = 1
 constellation = qpsk
 channel.profile = single_tap
 """
+
+
+class TestRelaxedDisjointness:
+    def test_users_sharing_delay_rows_run_only_when_relaxed(self, tmp_path,
+                                                            capsys):
+        # every delay row to both users, the Doppler bins split
+        alloc = tmp_path / "alloc.txt"
+        rows = ",".join(map(str, range(32)))
+        alloc.write_text(f"user0.delay_bins = {rows}\n"
+                         f"user0.doppler_bins = 0,1,2,3,4,5,6,7\n"
+                         f"user1.delay_bins = {rows}\n"
+                         f"user1.doppler_bins = 8,9,10,11,12,13,14,15\n")
+        shared = MU + f"mu.allocation = {alloc}\n"
+        assert main(["validate", write(tmp_path, shared)]) == 2
+        assert "share delay bins" in capsys.readouterr().err
+        out = tmp_path / "results"
+        relaxed = write(tmp_path, shared + "mu.relax_disjointness = true\n")
+        assert main(["run", relaxed, "--out", str(out)]) == 0
+        with open(out / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["metric"] for row in rows] == ["BER", "BER"]
+        assert all(math.isfinite(float(row["value"])) for row in rows)
 
 
 class TestReferenceScale:

@@ -1,4 +1,7 @@
+import ast
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from ddlink.config import (EXPERIMENTS, SCHEMA, ConfigError, ExperimentSpec,
 from ddlink.modem import Waveform
 from strategies import PROPERTY
 
+ROOT = Path(__file__).resolve().parents[1]
 MINIMAL = "experiment = ber_vs_snr\n"
 
 _WORDS = (*EXPERIMENTS, *CHANNEL_PROFILES, "custom", "qpsk", "16qam", "otfs",
@@ -22,12 +26,14 @@ _FLOAT = st.floats().map(str)
 # value text by parser name; the choice parsers get words
 _VALUES = {
     "int": _INT,
-    "float": _FLOAT,
+    "_finite": _FLOAT,
     "str": st.text(max_size=12),
     "_parse_float_list": st.lists(_FLOAT, max_size=4).map(",".join),
     "_parse_int_pair": st.lists(_INT, max_size=3).map(",".join),
     "_parse_draw": st.one_of(
         _FLOAT, st.tuples(_FLOAT, _FLOAT).map(lambda p: f"uniform:{p[0]}:{p[1]}")),
+    "_parse_offset_draw": st.one_of(
+        _INT, _FLOAT, st.tuples(_INT, _INT).map(lambda p: f"uniform:{p[0]}:{p[1]}")),
     "_parse_taps": st.lists(st.tuples(_FLOAT, _FLOAT, _FLOAT).map(":".join),
                             max_size=3).map(";".join),
 }
@@ -58,7 +64,6 @@ class TestParsing:
         assert cfg["trials"] == 2000
         assert cfg["frame.M"] == 32 and cfg["frame.N"] == 16
         assert cfg["waveforms"] == (Waveform.OTFS, Waveform.SC_IFDMA)
-        assert cfg["sync.search_rows"] is None
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config_text("# a comment\n\nexperiment = sync_vs_snr  # trailing\n")
@@ -88,7 +93,31 @@ class TestParsing:
         cfg = parse_config_text(MINIMAL + "impair.epsilon = uniform:-0.4:0.4\n"
                                           "impair.theta_d = 3\n")
         assert cfg["impair.epsilon"] == ("uniform", -0.4, 0.4)
-        assert cfg["impair.theta_d"] == ("fixed", 3.0)
+        assert cfg["impair.theta_d"] == ("fixed", 3)
+
+    @pytest.mark.parametrize("text, draw", [
+        ("3", ("fixed", 3)), ("0", ("fixed", 0)), ("uniform:0:7", ("uniform", 0, 7)),
+        ("uniform:2:2", ("uniform", 2, 2))])
+    def test_timing_delay_draws_are_integers(self, text, draw):
+        parsed = parse_config_text(MINIMAL + f"impair.theta_d = {text}\n")
+        assert parsed["impair.theta_d"] == draw
+        assert all(type(v) is int for v in parsed["impair.theta_d"][1:])
+
+    @pytest.mark.parametrize("text", [
+        "2.7", "-1", "uniform:-1:3", "uniform:0:7.5", "nan", "uniform:0:inf"])
+    def test_timing_delay_draws_reject_other_numbers(self, text):
+        with pytest.raises(ConfigError, match="bad value for impair.theta_d"):
+            parse_config_text(MINIMAL + f"impair.theta_d = {text}\n")
+
+    @pytest.mark.parametrize("key", sorted(
+        k for k, (parser, _) in SCHEMA.items()
+        if parser.__name__ in ("_finite", "_parse_float_list", "_parse_draw",
+                               "_parse_offset_draw")))
+    @pytest.mark.parametrize("text", ["nan", "-inf", "Infinity"])
+    def test_every_float_key_rejects_non_finite_values(self, key, text):
+        with pytest.raises(ConfigError, match=f"line 2: bad value for {key}: "
+                                              f"not a finite number"):
+            parse_config_text(MINIMAL + f"{key} = {text}\n")
 
     def test_custom_taps(self):
         cfg = parse_config_text(MINIMAL + "channel.taps = 0:0:0; 300:-1.4:120.5\n")
@@ -101,6 +130,20 @@ class TestParsing:
     def test_waveform_subset(self):
         cfg = parse_config_text(MINIMAL + "waveforms = otfs\n")
         assert cfg["waveforms"] == (Waveform.OTFS,)
+
+    def test_every_key_is_set_by_a_config_or_a_cli_or_golden_case(self):
+        # a key that nothing runs with is dead weight: give it a case or
+        # delete it. Keys are read from the configs' lines and from the
+        # lines of every string literal in the two test modules.
+        texts = [p.read_text() for p in (ROOT / "configs").glob("*.cfg")]
+        for name in ("test_cli.py", "test_golden.py"):
+            tree = ast.parse((ROOT / "tests" / name).read_text())
+            texts += [node.value for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)]
+        set_keys = {key for text in texts
+                    for key in re.findall(r"^\s*([\w.]+)\s*=", text, re.M)}
+        assert sorted(set(SCHEMA) - set_keys - {"experiment"}) == []
 
     def test_canonical_text_is_sorted_and_stable(self):
         a = canonical_text(parse_config_text(MINIMAL + "seed = 5\n"))

@@ -19,6 +19,7 @@ from ddlink.harness import (link_trial, mu_trial, prepare, rows_to_csv, run,
                             seed_stream, sync_trial)
 from ddlink.modem import TimeSignal, Waveform, demodulate_direct
 from ddlink.multiuser import even_split_allocation
+from ddlink.sync import BLOCK_STARTS
 from oracles import dense_detect, to_ltv_channel
 from strategies import PROPERTY
 
@@ -271,34 +272,43 @@ def paired_specs(draw):
     profile or random custom taps (delays up to past the whole frame),
     genie or estimated CSI, and on the link sync on or off (with a timing
     offset and CFO when on). Estimated CSI gets a leading guard row,
-    which its noise floor needs."""
-    kind = draw(st.sampled_from(["ber_vs_snr", "mu_uplink"]))
+    which its noise floor needs. A spec with sync is one that ``prepare``
+    accepts: two or more columns, and a CP, pilot row, timing delay and
+    largest tap delay that together stay under 2M samples, so the pilot
+    run starts in a block the block search sees."""
+    kind, sync = draw(st.sampled_from(
+        [("ber_vs_snr", False), ("ber_vs_snr", True), ("mu_uplink", False)]))
     csi = draw(st.sampled_from(["genie", "estimated"]))
     users = 2 if kind == "mu_uplink" else 1
     M = draw(st.integers(3 * users if csi == "estimated" else users, 8))
-    N = draw(st.integers(users, 8))
-    frame = FrameConfig(M, N, cp_len=draw(st.integers(0, M * N - 1)))
+    N = draw(st.integers(max(users, 1 + sync), 8))
     gd = draw(st.integers(int(csi == "estimated"), (M // users - 1) // 2))
     gk = draw(st.integers(0, (N // users - 1) // 2))
     pilot = PilotConfig(draw(st.integers(gd, M - 1 - gd)),
                         draw(st.integers(gk, N - 1 - gk)), 1000.0, gd, gk)
+    room = M * BLOCK_STARTS - 1 - pilot.pilot_delay if sync else None
+    frame = FrameConfig(M, N, cp_len=draw(st.integers(0, room if sync else M * N - 1)))
+    longest = room - frame.cp_len if sync else frame.frame_len
     sample_ns, bin_hz = 1e9 / frame.bandwidth_hz, frame.doppler_spacing
-    taps = st.tuples(st.integers(0, frame.frame_len).map(lambda d: d * sample_ns),
+    taps = st.tuples(st.integers(0, longest).map(lambda d: d * sample_ns),
                      st.floats(-10.0, 0.0),
                      st.floats(-N / 2, N / 2).map(lambda k: k * bin_hz))
-    profile = draw(st.sampled_from(sorted(CHANNEL_PROFILES) + ["custom"]))
+    profiles = [p for p in sorted(CHANNEL_PROFILES) if not sync or channel.make_channel(
+        p, frame, 0.0, np.random.default_rng(0)).n_spread <= longest + 1]
+    profile = draw(st.sampled_from(profiles + ["custom"]))
     custom = (tuple(draw(st.lists(taps, min_size=1, max_size=4)))
               if profile == "custom" else None)
-    sync = kind == "ber_vs_snr" and draw(st.booleans())
-    impair = (ImpairSettings(theta_d=("uniform", 0, 3), epsilon=("uniform", -0.3, 0.3))
-              if sync else ImpairSettings())
-    return ExperimentSpec(
+    spec = ExperimentSpec(
         kind=kind, frame=frame, waveforms=BOTH,
         constellation=draw(st.sampled_from(["qpsk", "16qam"])),
         snr_db=(draw(st.sampled_from([0.0, 15.0, 40.0])),), trials=2,
         seed=draw(st.integers(0, 2 ** 16)), channel_profile=profile,
-        custom_taps=custom, pilot=pilot, csi=csi,
-        sync=SyncSettings(enabled=sync), impair=impair, mu_users=users)
+        custom_taps=custom, pilot=pilot, csi=csi, mu_users=users)
+    if not sync:
+        return spec
+    top = min(3, longest - harness._largest_tap_delay(spec))
+    return replace(spec, sync=SyncSettings(enabled=True), impair=ImpairSettings(
+        theta_d=("uniform", 0, top), epsilon=("uniform", -0.3, 0.3)))
 
 
 class TestPairedDecisions:
