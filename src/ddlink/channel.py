@@ -225,23 +225,6 @@ def apply_channel(sig: TimeSignal, ch: LtvChannel, noise: NoiseSpec | None = Non
     return TimeSignal(r, frame, cp_included=sig.cp_included)
 
 
-def cp_channel_matrix(ch: LtvChannel) -> np.ndarray:
-    """Dense CP-bounded channel: CP removal on the left, the banded
-    time-varying convolution in the middle, CP addition on the right.
-    Square of size M*N; the reference for the equivalent-channel builds."""
-    frame = ch.frame
-    grid, cp = frame.grid_size, frame.cp_len
-    n = grid + cp
-    H = np.zeros((n, n), dtype=complex)
-    kappa = np.arange(n)
-    for tap in ch.taps:
-        rows = kappa[tap.delay:]
-        H[rows, rows - tap.delay] += tap.gain * np.exp(
-            2j * np.pi * tap.doppler * rows / grid)
-    acp = np.vstack([np.eye(grid)[grid - cp:], np.eye(grid)]) if cp else np.eye(grid)
-    return H[cp:] @ acp
-
-
 @dataclass(frozen=True, eq=False)
 class DelayDiagonals:
     """A CP-bounded channel on ``frame`` as its cyclic diagonals, the one
@@ -273,10 +256,11 @@ def _cp_bounded(delays, gains: np.ndarray, frame: FrameConfig) -> DelayDiagonals
 
 
 def delay_diagonals(ch: LtvChannel) -> DelayDiagonals:
-    """CP-bounded channel as cyclic diagonals, exactly as in
-    :func:`cp_channel_matrix`, with the gains zero where no sample
-    reaches (see :func:`_cp_bounded`). Taps sharing a delay are summed in
-    tap order, and the delays keep the order of their first tap.
+    """CP-bounded channel (CP removal, the banded time-varying
+    convolution, CP addition) as cyclic diagonals, with the gains zero
+    where no sample reaches (see :func:`_cp_bounded`). Taps sharing a
+    delay are summed in tap order, and the delays keep the order of their
+    first tap.
     """
     frame = ch.frame
     grid, cp = frame.grid_size, frame.cp_len

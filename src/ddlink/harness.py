@@ -21,16 +21,17 @@ cross-waveform coupling.
 
 Trial skeleton: ``_draw`` draws one channel, bit array and grid per data
 mask (one mask for a link, one per uplink user), ``_transmit`` superposes
-the grids through their channels, and detection trials hand the noisy
-record to ``_receive`` (CSI, the trial's solve, SC-IFDMA derotation,
-demapping per mask). A detection trial demodulates its record at most
-once: estimated CSI reads both waveforms' received grids from one
-demodulation, and genie CSI reads none, since the solves work on the
-time-domain record. ``_KINDS`` maps each kind to its trial and its result
-rows; it names ``link_trial``, ``sync_trial`` and ``mu_trial`` at call
-time, so rebinding them on this module intercepts every trial.
-``prepare`` builds and checks what the trials of a spec share (the
-uplink allocation) once, before the first trial.
+the grids through their channels, and ``_detection_trial`` runs a link or
+uplink trial on one noisy record: impairments and sync only where
+``_runs_sync`` says the spec syncs, then per waveform CSI, the trial's
+detector, SC-IFDMA derotation and demapping per mask. It demodulates its
+record at most once: estimated CSI reads both waveforms' received grids
+from one demodulation, and genie CSI reads none, since the detectors
+work on the time-domain record. ``_KINDS`` maps each kind to its trial
+and its result rows; it names ``link_trial``, ``sync_trial`` and
+``mu_trial`` at call time, so rebinding them on this module intercepts
+every trial. ``prepare`` builds and checks what the trials of a spec
+share (the uplink allocation) once, before the first trial.
 
 BLAS threads: ``run`` holds every OpenBLAS that numpy and scipy load at
 one thread, in its own process and in each worker, and restores the
@@ -174,24 +175,61 @@ def _received_grids(signal: TimeSignal) -> dict:
             Waveform.SC_IFDMA: DelayDopplerGrid(otfs.data * W, signal.frame)}
 
 
-def _receive(spec: ExperimentSpec, signal: TimeSignal, channels, pilots,
-             masks, bits, solve) -> dict:
-    """Both receiver chains of one shared OTFS-structured record.
+def _runs_sync(spec: ExperimentSpec) -> bool:
+    """Whether the trials of ``spec`` sync (an uplink's never do)."""
+    return spec.kind in ("sync_vs_snr", "threshold_sweep") or (
+        spec.kind == "ber_vs_snr" and spec.sync.enabled)
+
+
+def _impairments(spec: ExperimentSpec, trial_id: int):
+    """The trial's impairment draw and record length (its offset plus two
+    grids and a CP) where the spec syncs, else (None, one frame): only
+    sync undoes impairments. Fixed settings never read a generator, so
+    the impairment substream is made only when a setting is uniform."""
+    frame, impair = spec.frame, spec.impair
+    if not _runs_sync(spec):
+        return None, frame.frame_len
+    drawn = impair.draw(seed_stream(spec.seed, trial_id, "impairment")
+                        if impair._random else None)
+    return drawn, drawn.total_offset(frame.M) + 2 * frame.grid_size + frame.cp_len
+
+
+def _detection_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
+                     masks, pilots, detect) -> dict:
+    """One paired detection trial: the grid of each data mask (with its
+    pilot, if any) through its own channel into one shared noisy
+    OTFS-structured record, and one receiver chain per waveform. Where
+    the spec syncs, the record carries the impairments and the receivers
+    read the frame sync finds (clamped into the record), CFO undone.
 
     CSI is a list of delay diagonals, one per channel: with genie CSI
-    those of the drawn ``channels``, computed once for both waveforms;
-    with estimated CSI, per waveform, those of one estimate per pilot
-    (None for an empty estimate), taken from the waveform's received
-    grid. The record is demodulated once for both waveforms
-    (:func:`_received_grids`), and only for estimated CSI: no genie
-    solve reads a received grid, so ``solve`` then gets None. Per
-    waveform, ``solve(received, hs, waveform)`` gives the equalized
-    delay-Doppler vec, SC-IFDMA is derotated by the coupling phases, and
-    hard decisions on the data bins of each mask, sliced straight from
-    that vec, are counted against that mask's bits.
-    """
+    those of the drawn channels, computed once for both waveforms; with
+    estimated CSI, per waveform, those of one estimate per pilot (None
+    for an empty estimate), taken from the waveform's received grid. The
+    frame is demodulated once for both waveforms (:func:`_received_grids`),
+    and only for estimated CSI, so a genie ``detect`` gets None for
+    ``received``. Per waveform, ``detect(signal, received, hs, waveform,
+    noise_var)`` gives the equalized delay-Doppler vec, SC-IFDMA is
+    derotated by the coupling phases, and hard decisions on the data bins
+    of each mask, sliced straight from that vec, are counted against that
+    mask's bits (returned with the decisions and whether an estimate came
+    back empty)."""
+    frame = spec.frame
+    noise_var = _noise_var(snr_db)
+    channels, bits, sent = _draw(spec, trial_id, masks, pilots)
+    impair, record_len = _impairments(spec, trial_id)
+    noise = draw_noise(seed_stream(spec.seed, trial_id, "noise"), noise_var,
+                       record_len)
+    record = _transmit(sent, channels, Waveform.OTFS, impair, record_len) + noise
+    if impair is None:
+        signal = TimeSignal(record, frame, cp_included=True)
+    else:
+        est = _estimate_sync(spec, record)
+        offset = min(max(est.total_offset(frame.M), 0),
+                     record_len - frame.frame_len)
+        signal = correct(record, offset, est.cfo, frame)
     const = get_constellation(spec.constellation)
-    W = coupling_phases(spec.frame.M, spec.frame.N)
+    W = coupling_phases(frame.M, frame.N)
     bins_of = [data_bins(mask) for mask in masks]
     genie = ([delay_diagonals(ch) for ch in channels] if spec.csi == "genie"
              else None)
@@ -202,7 +240,7 @@ def _receive(spec: ExperimentSpec, signal: TimeSignal, channels, pilots,
         received = grids[w]
         hs = (genie if genie is not None else
               [_estimated_channel(received, pc, w) for pc in pilots])
-        d_hat = solve(received, hs, w)
+        d_hat = detect(signal, received, hs, w, noise_var)
         if w is Waveform.SC_IFDMA:
             d_hat = d_hat * np.conj(W).flatten(order="F")
         errors, decisions = 0, []
@@ -219,48 +257,18 @@ def _receive(spec: ExperimentSpec, signal: TimeSignal, channels, pilots,
     return out
 
 
-def _impairments(spec: ExperimentSpec, trial_id: int):
-    """The trial's impairment draw. Fixed settings never read a
-    generator, so the trial's impairment substream is made only when a
-    setting is uniform."""
-    impair = spec.impair
-    return impair.draw(seed_stream(spec.seed, trial_id, "impairment")
-                       if impair._random else None)
-
-
 def link_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
-    """One paired detection trial: a shared physical record, one receiver
-    chain per waveform. Returns per-waveform bit errors, bit counts, and
-    symbol decisions."""
-    frame = spec.frame
-    mask = overlay_mask(spec.pilot, frame)
-    noise_var = _noise_var(snr_db)
-    (ch,), bits, grids = _draw(spec, trial_id, [mask], [spec.pilot])
-    impair = _impairments(spec, trial_id)
+    """One paired link trial (:func:`_detection_trial`) around the
+    configured pilot: MMSE equalization on the one channel, or the
+    received grid as it is when the estimate comes back empty."""
 
-    shift = impair.total_offset(frame.M)
-    if spec.sync.enabled:
-        record_len = shift + 2 * frame.grid_size + frame.cp_len
-    else:
-        record_len = shift + frame.frame_len + (ch.n_spread if shift else 0)
-    rng_noise = seed_stream(spec.seed, trial_id, "noise")
-    record = (_transmit(grids, [ch], Waveform.OTFS, impair, record_len)
-              + draw_noise(rng_noise, noise_var, record_len))
+    def detect(signal, received, hs, waveform, noise_var):
+        return (received.vec if hs[0] is None else
+                equalize_time_domain(signal, hs[0], waveform, noise_var).vec)
 
-    if spec.sync.enabled:
-        est = _estimate_sync(spec, record)
-        offset = min(max(est.total_offset(frame.M), 0),
-                     record_len - frame.frame_len)
-        corrected = correct(record, offset, est.cfo, frame)
-    else:
-        corrected = TimeSignal(record[:frame.frame_len], frame, cp_included=True)
-
-    def solve(received, hs, w):
-        if hs[0] is None:
-            return received.vec
-        return equalize_time_domain(corrected, hs[0], w, noise_var).vec
-
-    return _receive(spec, corrected, [ch], [spec.pilot], [mask], bits, solve)
+    return _detection_trial(spec, trial_id, snr_db,
+                            [overlay_mask(spec.pilot, spec.frame)],
+                            [spec.pilot], detect)
 
 
 def sync_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
@@ -271,10 +279,8 @@ def sync_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
     frame = spec.frame
     mask = overlay_mask(spec.pilot, frame)
     channels, _, grids = _draw(spec, trial_id, [mask], [spec.pilot])
-    impair = _impairments(spec, trial_id)
-
+    impair, record_len = _impairments(spec, trial_id)
     true_offset = impair.total_offset(frame.M)
-    record_len = true_offset + 2 * frame.grid_size + frame.cp_len
     eta = draw_noise(seed_stream(spec.seed, trial_id, "noise"),
                      _noise_var(snr_db), record_len)
 
@@ -305,12 +311,11 @@ def prepare(spec: ExperimentSpec) -> Allocation | None:
     compares (``sync.BLOCK_STARTS``), estimated CSI without a guard row
     ahead of the pilot (the noise level comes from it), an unreadable or
     invalid allocation, a ``mu.q`` that disagrees with the allocation
-    file, an estimated-CSI user whose bins cannot host its pilot, or sync
-    or impairments on the uplink, whose trial has neither."""
+    file, an estimated-CSI user whose bins cannot host its pilot, sync on
+    the uplink, whose trial has none, or impairments where no sync runs
+    to undo them (an uplink, or a link without ``sync.enabled``)."""
     frame = spec.frame
-    runs_sync = spec.kind in ("sync_vs_snr", "threshold_sweep") or (
-        spec.kind == "ber_vs_snr" and spec.sync.enabled)
-    if runs_sync:
+    if _runs_sync(spec):
         if frame.N == 1:
             raise ConfigError("frame.N = 1 leaves the sync timing metric no "
                               "adjacent-sample pair; sync needs frame.N >= 2")
@@ -330,7 +335,14 @@ def prepare(spec: ExperimentSpec) -> Allocation | None:
         raise ConfigError("pilot.guards: detector.csi = estimated needs a "
                           "delay guard >= 1, the guard rows ahead of the "
                           "pilot that give the noise level")
+    impaired = [] if _runs_sync(spec) else [
+        f"impair.{name}" for name in ("theta_d", "theta_t", "epsilon")
+        if getattr(spec.impair, name) != getattr(ImpairSettings(), name)]
     if spec.kind != "mu_uplink":
+        if impaired:
+            raise ConfigError(f"{', '.join(impaired)}: only sync undoes "
+                              f"impairments, and ber_vs_snr syncs only with "
+                              f"sync.enabled = true")
         return None
     try:
         if spec.mu_allocation_path:
@@ -348,9 +360,7 @@ def prepare(spec: ExperimentSpec) -> Allocation | None:
     if spec.csi == "estimated":
         for q in range(alloc.n_users):
             _mu_user_pilot(spec, alloc, q)
-    unused = (["sync.enabled"] if spec.sync.enabled else []) + [
-        f"impair.{name}" for name in ("theta_d", "theta_t", "epsilon")
-        if getattr(spec.impair, name) != getattr(ImpairSettings(), name)]
+    unused = ["sync.enabled"] * spec.sync.enabled + impaired
     if unused:
         raise ConfigError(f"{', '.join(unused)}: mu_uplink runs without sync "
                           f"and impairments; leave these keys at their "
@@ -373,7 +383,7 @@ def spread_warnings(spec: ExperimentSpec) -> list:
     if longest > spec.frame.cp_len:
         out.append(f"warning: largest tap delay {longest} exceeds frame.L_cp "
                    f"= {spec.frame.cp_len}; expect inter-block interference")
-    if ((spec.csi == "estimated" or spec.sync.enabled)
+    if ((spec.csi == "estimated" or _runs_sync(spec))
             and longest > spec.pilot.guard_delay):
         out.append(f"warning: largest tap delay {longest} exceeds the pilot "
                    f"delay guard {spec.pilot.guard_delay}; channel estimation "
@@ -412,31 +422,21 @@ def _mu_user_mask(spec: ExperimentSpec, alloc: Allocation, q: int,
 
 def mu_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
              alloc: Allocation) -> dict:
-    """One multiuser uplink trial: superposed per-user transmissions, joint
-    MMSE detection in the time domain on the per-user channels, paired
-    across waveforms by the same shared-record construction as
-    :func:`link_trial`.
-
-    Per-user CSI is either known (genie) or estimated from a pilot
-    embedded inside each user's own allocation; a user whose estimate
-    comes back empty contributes zero columns (regularized detection then
-    drives its symbols toward zero).
-    """
-    frame = spec.frame
-    noise_var = _noise_var(snr_db)
+    """One multiuser uplink trial (:func:`_detection_trial`): one data
+    mask per user inside its own bins, joint MMSE detection in the time
+    domain. Per-user CSI is either known (genie) or estimated from a
+    pilot inside each user's own bins; a user whose estimate comes back
+    empty contributes zero columns (regularized detection then drives its
+    symbols toward zero)."""
     pilots = [_mu_user_pilot(spec, alloc, q) if spec.csi == "estimated" else None
               for q in range(alloc.n_users)]
     masks = [_mu_user_mask(spec, alloc, q, pc) for q, pc in enumerate(pilots)]
-    channels, bits, grids = _draw(spec, trial_id, masks, pilots)
-    rng_noise = seed_stream(spec.seed, trial_id, "noise")
-    record = (_transmit(grids, channels, Waveform.OTFS)
-              + draw_noise(rng_noise, noise_var, frame.frame_len))
-    shared = TimeSignal(record, frame, cp_included=True)
 
-    def solve(received, hs, w):
-        return detect_users_time_domain(shared, hs, alloc, w, noise_var).vec
+    def detect(signal, received, hs, waveform, noise_var):
+        return detect_users_time_domain(signal, hs, alloc, waveform,
+                                        noise_var).vec
 
-    return _receive(spec, shared, channels, pilots, masks, bits, solve)
+    return _detection_trial(spec, trial_id, snr_db, masks, pilots, detect)
 
 
 def _ber_metrics(spec: ExperimentSpec, per_trial: list) -> list:

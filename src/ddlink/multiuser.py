@@ -368,7 +368,11 @@ def load_allocation(path: str, M: int, N: int, relax: bool = False) -> Allocatio
                 raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
                                  f"(first set on line {lines[q, kind]})")
             lines[q, kind] = lineno
-            bins = tuple(int(b) for b in value.split(",") if b.strip())
+            try:
+                bins = tuple(int(b) for b in value.split(",") if b.strip())
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bins of {key!r} must be "
+                                 f"integers, got {value!r}") from None
             entries.setdefault(q, {})[kind] = bins
     if not entries or sorted(entries) != list(range(len(entries))):
         raise ValueError(f"{path}: users must be user0..user{{Q-1}} with no gaps")

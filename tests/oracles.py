@@ -105,6 +105,24 @@ def interleaver_source_index(n_blocks: int, block_len: int) -> np.ndarray:
     return (i % n_blocks) * block_len + i // n_blocks
 
 
+def cp_channel_matrix(ch: LtvChannel) -> np.ndarray:
+    """Dense CP-bounded channel: CP removal on the left, the banded
+    time-varying convolution in the middle, CP addition on the right.
+    Square of size M*N; the reference for the equivalent-channel builds
+    and :func:`ddlink.channel.delay_diagonals`."""
+    frame = ch.frame
+    grid, cp = frame.grid_size, frame.cp_len
+    n = grid + cp
+    H = np.zeros((n, n), dtype=complex)
+    kappa = np.arange(n)
+    for tap in ch.taps:
+        rows = kappa[tap.delay:]
+        H[rows, rows - tap.delay] += tap.gain * np.exp(
+            2j * np.pi * tap.doppler * rows / grid)
+    acp = np.vstack([np.eye(grid)[grid - cp:], np.eye(grid)]) if cp else np.eye(grid)
+    return H[cp:] @ acp
+
+
 def time_domain_matrix(ch: LtvChannel) -> sparse.csr_array:
     """Sparse CP-bounded channel of :func:`delay_diagonals`, equal to
     :func:`cp_channel_matrix`; the rows a tap cannot reach hold no entry."""

@@ -5,14 +5,15 @@ from scipy.sparse.linalg import LinearOperator
 
 from ddlink import channel
 from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec, apply_channel,
-                            build_dd_matrix, cp_channel_matrix, eva_channel,
-                            linearized_io, make_channel, taps_from_profile)
+                            build_dd_matrix, eva_channel, linearized_io,
+                            make_channel, taps_from_profile)
 from ddlink.frame import FrameConfig
 from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform,
                           demodulate_direct, modulate_direct)
 from ddlink.sync import Impairments
 from ddlink.transforms import coupling_phases
-from oracles import dft_matrix, interleaver_source_index, time_domain_matrix
+from oracles import (cp_channel_matrix, dft_matrix, interleaver_source_index,
+                     time_domain_matrix)
 from strategies import PROPERTY, channels
 
 rng = np.random.default_rng(42)

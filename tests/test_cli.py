@@ -40,6 +40,17 @@ channel.profile = single_tap
 """
 
 
+# a link with no sync line: BER at 30 dB on one tap is 0 without
+# impairments
+LINK = """
+experiment = ber_vs_snr
+trials = 2
+snr_db = 30
+seed = 1
+channel.profile = single_tap
+"""
+
+
 def write(tmp_path, text, name="exp.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -88,10 +99,18 @@ class TestValidate:
         spread = capsys.readouterr().err.splitlines()
         assert len(spread) == 2 and all(line.startswith("warning:") for line in spread)
         assert "frame.L_cp = 8" in spread[0] and "guard 4" in spread[1]
-        no_pilot = eva.replace("sync.enabled = true", "sync.enabled = false")
+        # a link with genie CSI (the default) and no sync reads no pilot
+        no_pilot = LINK.replace("single_tap", "eva")
         assert main(["validate", write(tmp_path, no_pilot)]) == 0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "frame.L_cp" in err[0]
+        # sync_vs_snr syncs whatever sync.enabled says; two_tap_biased
+        # reaches 3 samples
+        guard = (SYNC.replace("single_tap", "two_tap_biased")
+                 + "pilot.guards = 2,2\n")
+        assert main(["validate", write(tmp_path, guard)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "exceeds the pilot delay guard 2" in err[0]
         assert main(["validate", write(tmp_path, GOOD)]) == 0
         assert capsys.readouterr().err == ""
         # run prints the same lines once, and no Python warning
@@ -241,6 +260,26 @@ class TestValidate:
                     if row["metric"] == "TO_fine_mean_error"]
         assert fine == ["0", "0"]
 
+    @pytest.mark.parametrize("line, key", [
+        ("impair.theta_d = 5", "impair.theta_d"),
+        ("impair.epsilon = 0.3", "impair.epsilon")])
+    def test_impairments_without_sync_exit_2(self, tmp_path, capsys, line, key):
+        # nothing would undo them; an uncorrected offset gives a BER near 0.5
+        path = write(tmp_path, LINK + line + "\n")
+        out = tmp_path / "results"
+        assert main(["validate", path]) == 2
+        assert main(["run", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"config error: {key}: only sync undoes impairments") == 2
+        assert not out.exists()
+
+    def test_impairments_with_sync_run(self, tmp_path):
+        path = write(tmp_path, LINK + "impair.theta_d = 5\nsync.enabled = true\n")
+        out = tmp_path / "results"
+        assert main(["run", path, "--out", str(out)]) == 0
+        with open(out / "results.csv", newline="") as fh:
+            assert [row["value"] for row in csv.DictReader(fh)] == ["0", "0"]
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.cfg")]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -333,6 +372,21 @@ class TestRelaxedDisjointness:
             rows = list(csv.DictReader(fh))
         assert [row["metric"] for row in rows] == ["BER", "BER"]
         assert all(math.isfinite(float(row["value"])) for row in rows)
+
+
+class TestAllocationFile:
+    def test_non_integer_bin_names_its_line(self, tmp_path, capsys):
+        alloc = tmp_path / "alloc.txt"
+        alloc.write_text("user0.delay_bins = 0,1\nuser0.doppler_bins = 0,1\n"
+                         "user1.delay_bins = 2,3,x\nuser1.doppler_bins = 2,3\n")
+        cfg = write(tmp_path, MU + f"mu.allocation = {alloc}\n")
+        out = tmp_path / "results"
+        assert main(["validate", cfg]) == 2
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"config error: {alloc}:3: bins of 'user1.delay_bins' "
+                         f"must be integers, got '2,3,x'") == 2
+        assert not out.exists()
 
 
 class TestReferenceScale:

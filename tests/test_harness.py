@@ -259,7 +259,9 @@ class TestTrialWork:
             return real(seed, trial, component)
 
         monkeypatch.setattr(harness, "seed_stream", spy)
-        link_trial(make_spec(impair=impair), 0, 15.0)
+        # impairments exist only where sync runs
+        link_trial(make_spec(impair=impair, sync=SyncSettings(enabled=True)),
+                   0, 15.0)
         assert ("impairment" in components) == drawn
         if not drawn:   # fixed settings never read the generator
             assert impair.draw(None) == impair.draw(np.random.default_rng(0))
