@@ -19,9 +19,12 @@ band solve itself, :func:`_solve_band`, is shared with the uplink
 detector of :mod:`ddlink.multiuser`: it builds the band in place in one
 zeroed array, in the column-major layout LAPACK factors without a copy,
 consumes its right-hand side, which the solution overwrites, and calls
-LAPACK's ``zpbsv`` (``zptsv`` for a tridiagonal band) directly, with the
-checks of ``scipy.linalg.solveh_banded`` but not its per-call wrapper
-cost. The dense direct :func:`equalize_mmse` and LSMR
+LAPACK's ``zpbsv`` (``zptsv`` for a tridiagonal band) with the checks of
+``scipy.linalg.solveh_banded``. The routines are those of the OpenBLAS
+scipy's wheel bundles, called through ctypes
+(:func:`ddlink._blas._lapack`), so no trial imports ``scipy.linalg``; a
+scipy without that library gives ``scipy.linalg``'s wrappers of the same
+routines. The dense direct :func:`equalize_mmse` and LSMR
 :func:`equalize_iterative` are its oracles.
 """
 
@@ -29,8 +32,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
+from ._blas import _lapack
 from .channel import DdChannelMatrix, DelayDiagonals
 from .modem import DelayDopplerGrid, TimeSignal, Waveform, _strip, demodulate_direct
 
@@ -96,9 +99,6 @@ def _fold_positions(n: int) -> np.ndarray:
     return np.where(k <= (n - 1) // 2, 2 * k, 2 * (n - 1 - k) + 1)
 
 
-_PBSV, _PTSV = get_lapack_funcs(("pbsv", "ptsv"), dtype=np.complex128)
-
-
 def _solve_band(slot: np.ndarray, vals: np.ndarray, width: int, noise_var: float,
                 rhs: np.ndarray) -> np.ndarray:
     """Solve (A + noise_var I) x = rhs for Hermitian A whose lower band of
@@ -112,18 +112,19 @@ def _solve_band(slot: np.ndarray, vals: np.ndarray, width: int, noise_var: float
     array, which LAPACK factors without a copy. ``rhs`` (complex, one
     contiguous vector) is consumed: the solution overwrites it. The
     LAPACK routines are those ``scipy.linalg.solveh_banded`` picks for a
-    lower band, called with its arguments, so the solution is its own,
-    bit for bit.
+    lower band, from the library scipy's wrappers link (:func:`_lapack`),
+    called with its arguments, so the solution is its own, bit for bit.
     """
     ab = np.zeros((width + 1, rhs.size), dtype=complex, order="F")
     np.add.at(ab.reshape(-1, order="F"), slot, vals)
     ab[0] += noise_var
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
+    lapack = _lapack()
     if width == 1:
-        _, _, x, info = _PTSV(ab[0].real, ab[1, :-1], rhs, True, True, True)
+        x, info = lapack.ptsv(ab[0].real, ab[1, :-1], rhs)
     else:
-        _, x, info = _PBSV(ab, rhs, lower=1, overwrite_ab=1, overwrite_b=1)
+        x, info = lapack.pbsv(ab, rhs)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
     if info < 0:

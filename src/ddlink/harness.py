@@ -35,30 +35,32 @@ share (the uplink allocation) once, before the first trial.
 
 BLAS threads: ``run`` holds every OpenBLAS that numpy and scipy load at
 one thread, in its own process and in each worker, and restores the
-caller's counts when it returns. A trial's largest BLAS call is a band
+caller's counts when it returns. It finds them through
+:func:`ddlink._blas._openblas`, the finder that also gives the band
+solve its LAPACK routines. A trial's largest BLAS call is a band
 factorization of a few hundred to a few thousand unknowns, too small to
 gain from a second thread, whose helper spins and, in a pool, crowds out
-the other workers.
+the other workers. ``run`` also fixes glibc's malloc thresholds in each
+process (:func:`ddlink._blas._keep_freed_heap`), so the arrays a trial
+frees stay in the heap for the next trial instead of being faulted in
+afresh.
 """
 
 import csv
-import ctypes
 import hashlib
-import importlib
 import io
 import math
 import platform
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
+from ._blas import _keep_freed_heap, _lapack, _openblas
 from .chanest import (PilotConfig, embed_pilot, estimate_channel,
                       estimated_diagonals, overlay_mask)
 from .channel import (DelayDiagonals, LtvChannel, apply_channel,
@@ -485,56 +487,17 @@ def _summary(spec: ExperimentSpec, snr_db: float, alloc: Allocation | None,
             for w, r in out.items()}
 
 
-# (package, OpenBLAS file in <package>.libs, symbol suffix) of the
-# OpenBLAS each wheel bundles; numpy's has 64-bit integers and suffixed
-# symbols.
-_OPENBLAS = (("numpy", "libscipy_openblas64_*.so", "64_"),
-             ("scipy", "libscipy_openblas-*.so", ""))
-
-
-@dataclass(frozen=True)
-class _Blas:
-    """One OpenBLAS, loaded through ctypes."""
-
-    name: str        # file name
-    config: str      # its get_config string
-    get: object      # () -> thread count
-    set: object      # (thread count) -> None
-
-
-def _load_blas(path: Path, suffix: str) -> _Blas | None:
-    try:
-        lib = ctypes.CDLL(str(path))
-        get, set_, config = (getattr(lib, f"scipy_openblas_{name}{suffix}")
-                             for name in ("get_num_threads", "set_num_threads",
-                                          "get_config"))
-    except (OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    config.argtypes, config.restype = [], ctypes.c_char_p
-    return _Blas(path.name, config().decode(errors="replace"), get, set_)
-
-
-@cache
-def _openblas() -> dict:
-    """Package -> its OpenBLAS, or None when the package's own ``.libs``
-    directory holds no loadable one with the thread and config symbols."""
-    found = {}
-    for package, pattern, suffix in _OPENBLAS:
-        libs = (Path(importlib.import_module(package).__file__).parent.parent
-                / f"{package}.libs")
-        path = next(libs.glob(pattern), None)
-        found[package] = None if path is None else _load_blas(path, suffix)
-    return found
-
-
 def _set_blas_threads(count: int) -> None:
-    """Set every OpenBLAS found to ``count`` threads (also the initializer
-    of ``run``'s worker processes)."""
+    """Set every OpenBLAS found to ``count`` threads."""
     for lib in _openblas().values():
         if lib is not None:
             lib.set(count)
+
+
+def _init_worker() -> None:
+    """Initializer of ``run``'s worker processes."""
+    _keep_freed_heap()
+    _set_blas_threads(1)
 
 
 @contextmanager
@@ -568,13 +531,18 @@ def run(spec: ExperimentSpec, out_dir=None, parallelism: int = 1):
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     t0 = time.monotonic()
+    _keep_freed_heap()
     with _one_blas_thread() as blas_report:
         alloc = prepare(spec)
         rows = []
-        with (ProcessPoolExecutor(max_workers=parallelism,
-                                  initializer=_set_blas_threads, initargs=(1,))
-              if parallelism > 1 else nullcontext()) as pool:
-            trial_map = (map if pool is None else
+        pool = nullcontext()
+        if parallelism > 1:
+            # imported here: a serial run never needs the process pool
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(max_workers=parallelism,
+                                       initializer=_init_worker)
+        with pool:
+            trial_map = (map if parallelism == 1 else
                          partial(pool.map, chunksize=math.ceil(spec.trials / parallelism)))
             for si, snr in enumerate(spec.snr_db):
                 ids = range(si * spec.trials, (si + 1) * spec.trials)
@@ -582,11 +550,14 @@ def run(spec: ExperimentSpec, out_dir=None, parallelism: int = 1):
                 rows.extend(_aggregate(spec, snr, trials))
     elapsed = time.monotonic() - t0
     if out_dir is not None:
+        import scipy   # only its version is read
+
         environment = [f"python = {platform.python_version()}",
                        f"numpy = {np.__version__}",
                        f"scipy = {scipy.__version__}",
                        f"parallelism = {parallelism}",
-                       *blas_report]
+                       *blas_report,
+                       f"band_solve_lapack = {_lapack().source}"]
         write_outputs(spec, rows, Path(out_dir), elapsed, environment)
     return rows
 
@@ -619,7 +590,8 @@ def write_outputs(spec: ExperimentSpec, rows, out_dir: Path, elapsed: float,
                   environment=()):
     """results.csv, and metadata.txt with the run's facts, the lines of
     ``environment`` (``run`` passes the Python, numpy and scipy versions,
-    its parallelism and the OpenBLAS lines) and the config echo."""
+    its parallelism, the OpenBLAS lines and the LAPACK of the band solves)
+    and the config echo."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "results.csv").write_text(rows_to_csv(rows), encoding="utf-8")

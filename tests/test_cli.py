@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddlink import _blas
 from ddlink.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -439,15 +440,44 @@ def cli_argv(draw):
     return argv + [token for option in options for token in option]
 
 
+# a serial run of every committed config, one trial per SNR cell, with
+# outputs; then the modules it left loaded among the listed ones
+SERIAL_RUNS = """
+import sys, tempfile
+from ddlink.config import load_config, spec_from_config
+from ddlink.harness import run
+for name in ("ber_vs_snr", "sync_vs_snr", "threshold_sweep", "mu_uplink"):
+    cfg = load_config(f"configs/{name}.cfg")
+    cfg["trials"] = 1
+    with tempfile.TemporaryDirectory() as out:
+        run(spec_from_config(cfg), out_dir=out)
+print([m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules])
+"""
+
+
+def loaded_after(code):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    return out.stdout.strip()
+
+
 class TestImport:
     def test_the_cli_does_not_load_scipy_sparse(self):
-        # only the LSMR oracle uses scipy.sparse, and it imports it itself
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, ddlink.cli; print('scipy.sparse' in sys.modules)"],
-            env=env, capture_output=True, text=True, check=True, timeout=60)
-        assert out.stdout.strip() == "False"
+        # only the LSMR oracle uses scipy.sparse, and it imports it itself;
+        # the band solve picks its LAPACK at its first call, and only a
+        # parallel run imports the process pool
+        assert loaded_after(
+            "import sys, ddlink.cli; print([m for m in ('scipy.sparse', "
+            "'scipy.linalg', 'concurrent.futures.process') if m in sys.modules])"
+        ) == "[]"
+
+    def test_serial_runs_do_not_load_scipy_linalg(self):
+        if _blas._lapack().source.startswith("scipy.linalg"):
+            pytest.skip("scipy bundles no OpenBLAS with zpbsv and zptsv here, "
+                        "so the band solve calls scipy.linalg")
+        # ber_vs_snr.cfg estimates CSI; mu_uplink.cfg is the uplink
+        assert loaded_after(SERIAL_RUNS) == "[]"
 
 
 class TestExitCodes:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ddlink import equalize
+from ddlink import _blas, equalize
 from ddlink.channel import (ChannelTap, LtvChannel, build_dd_matrix,
                             delay_diagonals)
 from ddlink.equalize import (equalize_iterative, equalize_mmse,
@@ -243,6 +243,58 @@ class TestSolveBand:
         slot, vals, noise_var, rhs = self.full_band(12, width, seed=2)
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
             equalize._solve_band(slot, vals, width, -noise_var, rhs)
+
+    @PROPERTY
+    @given(st.integers(1, 600), st.integers(0, 60), st.integers(0, 2**32 - 1))
+    @example(2, 1, 0)   # zptsv where ab[1, :-1] is contiguous, written in place
+    def test_both_routes_match_solveh_banded_bit_for_bit(self, n, width, seed):
+        # each route builds its own band and consumes its own rhs copy
+        width = min(width, n - 1)
+        slot, vals, noise_var, rhs = self.full_band(n, width, seed)
+        expected = solve_band_bincount(slot, vals, width, noise_var, rhs.copy())
+        bundled = equalize._solve_band(slot, vals, width, noise_var, rhs.copy())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(equalize, "_lapack", _blas._linalg_lapack)
+            linalg = equalize._solve_band(slot, vals, width, noise_var, rhs.copy())
+        assert np.array_equal(bundled, expected)
+        assert np.array_equal(linalg, expected)
+
+    @pytest.mark.parametrize("width", [0, 1, 4])
+    def test_the_scipy_linalg_route_raises_the_same_errors(self, monkeypatch,
+                                                           width):
+        slot, vals, noise_var, rhs = self.full_band(12, width, seed=2)
+        nan_vals = vals.copy()
+        nan_vals[3] = np.nan
+        cases = [(vals, -noise_var, np.linalg.LinAlgError),
+                 (nan_vals, noise_var, ValueError)]
+
+        def messages():
+            out = []
+            for v, s2, exc in cases:
+                with pytest.raises(exc) as info:
+                    equalize._solve_band(slot, v, width, s2, rhs.copy())
+                out.append(str(info.value))
+            return out
+
+        bundled = messages()
+        monkeypatch.setattr(equalize, "_lapack", _blas._linalg_lapack)
+        assert messages() == bundled
+
+    def test_the_bundled_routines_check_their_sizes(self):
+        scipy_blas = _blas._openblas()["scipy"]
+        lapack = None if scipy_blas is None else _blas._bundled_lapack(scipy_blas)
+        if lapack is None:
+            pytest.skip("scipy bundles no OpenBLAS with zpbsv and zptsv here")
+        b = np.ones(4, dtype=complex)
+        with pytest.raises(ValueError, match="band of 3 columns for 4"):
+            lapack.pbsv(np.ones((2, 3), dtype=complex, order="F"), b)
+        with pytest.raises(ValueError, match="diagonals of 4 and 2 entries"):
+            lapack.ptsv(np.ones(4), np.zeros(2, dtype=complex), b)
+        # a strided right-hand side is solved in a copy, as scipy's does
+        strided = np.ones(8, dtype=complex)[::2]
+        x, info = lapack.pbsv(np.full((1, 4), 4.0 + 0j, order="F"), strided)
+        assert info == 0 and np.array_equal(x, np.full(4, 0.25))
+        assert np.array_equal(strided, np.ones(4))
 
     @PROPERTY
     @given(channels(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))

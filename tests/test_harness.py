@@ -1,4 +1,8 @@
+import os
 import platform
+import subprocess
+import sys
+from concurrent import futures
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,7 +12,7 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddlink import chanest, channel, equalize, harness, multiuser
+from ddlink import _blas, chanest, channel, equalize, harness, multiuser
 from ddlink.chanest import PilotConfig
 from ddlink.channel import CHANNEL_PROFILES, build_dd_matrix
 from ddlink.config import (ConfigError, ExperimentSpec, ImpairSettings,
@@ -544,12 +548,13 @@ class TestRun:
     def test_one_worker_pool_per_run(self, monkeypatch):
         pools = []
 
-        class CountedPool(harness.ProcessPoolExecutor):
+        class CountedPool(futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 pools.append(self)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+        # run imports the pool class from concurrent.futures when it needs it
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", CountedPool)
         spec = make_spec(kind="sync_vs_snr", channel_profile="single_tap",
                          trials=2, snr_db=(10.0, 20.0),
                          sync=SyncSettings(enabled=True))
@@ -642,7 +647,7 @@ class TestBlasThreads:
     def test_finds_the_openblas_each_package_bundles(self):
         # a library file in a package's .libs directory is found, with
         # its thread and config symbols
-        for package, pattern, _ in harness._OPENBLAS:
+        for package, pattern, _ in _blas._OPENBLAS:
             mod = __import__(package)
             libs = Path(mod.__file__).parent.parent / f"{package}.libs"
             lib = harness._openblas()[package]
@@ -663,6 +668,11 @@ class TestBlasThreads:
                 assert line == (
                     f"openblas_{package} = {lib.name} ({lib.config}); threads "
                     f"{caller_blas_threads[package]} before the run, 1 during it")
+        lapack = _blas._lapack()
+        assert f"band_solve_lapack = {lapack.source}" in meta
+        scipy_blas = harness._openblas()["scipy"]
+        assert lapack.source.startswith(
+            "scipy.linalg" if scipy_blas is None else f"{scipy_blas.name} through ctypes")
 
     def test_runs_and_reports_when_no_library_is_found(self, monkeypatch,
                                                        tmp_path):
@@ -678,3 +688,36 @@ class TestBlasThreads:
         assert "openblas_scipy = not found" in meta
         assert ((tmp_path / "none/results.csv").read_bytes()
                 == (tmp_path / "found/results.csv").read_bytes())
+
+
+# serial uplink runs of one trial per cell after two warm-up runs; prints
+# the minor page faults per trial
+FAULTS_PER_TRIAL = """
+import resource
+from dataclasses import replace
+from ddlink.config import load_config, spec_from_config
+from ddlink.harness import run
+spec = replace(spec_from_config(load_config("configs/mu_uplink.cfg")), trials=1)
+faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for seed in range(2):
+    run(replace(spec, seed=seed))
+before = faults()
+for seed in range(20):
+    run(replace(spec, seed=seed))
+print((faults() - before) / (20 * len(spec.snr_db)))
+"""
+
+
+class TestFreedHeap:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the malloc thresholds are glibc's")
+    def test_serial_trials_fault_in_no_fresh_memory(self):
+        # each uplink trial frees a few hundred KB of arrays; returned to
+        # the kernel, they cost about 200 page faults in the next trial
+        root = Path(__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c", FAULTS_PER_TRIAL], cwd=root,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True, text=True, check=True, timeout=120)
+        assert float(out.stdout) < 10
+        assert _blas._keep_freed_heap()
