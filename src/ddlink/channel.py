@@ -10,6 +10,10 @@ time-domain gain of delay tap ell at output sample kappa is
                            * exp(2j*pi*doppler_i*kappa/(M*N))
 
 with kappa indexed over the full transmitted record including the CP.
+The per-tap factors gain_i * exp(2j*pi*doppler_i*kappa/(M*N)) are the
+tap ramps (:func:`tap_ramps`); a trial evaluates them once per drawn
+channel, by one ``exp`` over (taps, record samples), and both the
+transmit convolution and the channel's delay diagonals read them.
 """
 
 import cmath
@@ -20,7 +24,8 @@ import numpy as np
 
 from .frame import FrameConfig, SPEED_OF_LIGHT
 from .modem import (DelayDopplerGrid, TimeSignal, Waveform, _demod_core,
-                    _mod_core, demodulate_direct, modulate_direct)
+                    _mod_core, _unvec, _vec, demodulate_direct,
+                    modulate_direct)
 from .sync import Impairments
 
 # 3GPP TS 36.101 Annex B Extended Vehicular A power-delay profile
@@ -176,31 +181,41 @@ def make_channel(profile: str, frame: FrameConfig, velocity_kmh: float,
     return factory(frame, velocity_kmh, rng)
 
 
-def _apply_taps(x: np.ndarray, ch: LtvChannel, shift: int, record_len: int) -> np.ndarray:
+def tap_ramps(ch: LtvChannel, n: int) -> np.ndarray:
+    """(taps, n) time-domain gains of the taps at output samples kappa =
+    0 .. n-1: row i is gain_i * exp(2j*pi*doppler_i*kappa/(M*N)), one
+    ``exp`` over all taps. A trial evaluates them once per drawn channel;
+    the transmit convolution (:func:`_apply_taps`) and
+    :func:`delay_diagonals` both read them."""
+    grid = ch.frame.grid_size
+    turns = np.array([2j * np.pi * tap.doppler for tap in ch.taps])
+    return (np.array([tap.gain for tap in ch.taps])[:, None]
+            * np.exp(turns[:, None] * np.arange(n) / grid))
+
+
+def _apply_taps(x: np.ndarray, ch: LtvChannel, ramps: np.ndarray, shift: int,
+                record_len: int) -> np.ndarray:
     """Linear time-varying convolution onto a zero-initialized record.
 
-    x may carry a trailing batch axis; the record is truncated or
-    zero-filled to record_len (one-shot frame, no wraparound).
+    x may carry leading batch axes; the record is truncated or
+    zero-filled to record_len (one-shot frame, no wraparound). ``ramps``
+    are the channel's :func:`tap_ramps` over at least the samples its
+    taps reach, min(record_len, shift + largest delay + len(x)).
     """
-    grid = ch.frame.grid_size
-    out_shape = (record_len,) + x.shape[1:]
-    r = np.zeros(out_shape, dtype=complex)
-    n = x.shape[0]
-    for tap in ch.taps:
+    r = np.zeros(x.shape[:-1] + (record_len,), dtype=complex)
+    n = x.shape[-1]
+    for tap, ramp in zip(ch.taps, ramps):
         start = shift + tap.delay
         stop = min(record_len, start + n)
-        if stop <= start:
-            continue
-        kappa = np.arange(start, stop)
-        phase = tap.gain * np.exp(2j * np.pi * tap.doppler * kappa / grid)
-        seg = x[:stop - start]
-        r[start:stop] += (phase if seg.ndim == 1 else phase[:, None]) * seg
+        if stop > start:
+            r[..., start:stop] += ramp[start:stop] * x[..., :stop - start]
     return r
 
 
 def apply_channel(sig: TimeSignal, ch: LtvChannel, noise: NoiseSpec | None = None,
                   impair: Impairments | None = None,
-                  record_len: int | None = None) -> TimeSignal:
+                  record_len: int | None = None,
+                  ramps: np.ndarray | None = None) -> TimeSignal:
     """Pass one frame through the channel with optional TO/CFO and AWGN.
 
     Output sample kappa is exp(2j*pi*cfo*kappa/(M*N)) times the LTV
@@ -211,13 +226,17 @@ def apply_channel(sig: TimeSignal, ch: LtvChannel, noise: NoiseSpec | None = Non
 
     Delay spreads exceeding the CP are allowed (inter-block interference
     studies); a spread beyond the CP is the caller's concern, not an error.
+    ``ramps`` are the channel's :func:`tap_ramps` (see :func:`_apply_taps`
+    for the samples they must cover), evaluated over the record when not
+    given.
     """
     x = sig.samples
     frame = ch.frame
     impair = Impairments() if impair is None else impair
     shift = impair.total_offset(frame.M)
     n = x.shape[0] + shift if record_len is None else record_len
-    r = _apply_taps(x, ch, shift, n)
+    r = _apply_taps(x, ch, tap_ramps(ch, n) if ramps is None else ramps,
+                    shift, n)
     if impair.cfo != 0.0:
         r = r * np.exp(2j * np.pi * impair.cfo * np.arange(n) / frame.grid_size)
     if noise is not None and noise.variance > 0.0:
@@ -255,21 +274,20 @@ def _cp_bounded(delays, gains: np.ndarray, frame: FrameConfig) -> DelayDiagonals
     return DelayDiagonals(np.asarray(delays), gains, frame)
 
 
-def delay_diagonals(ch: LtvChannel) -> DelayDiagonals:
+def delay_diagonals(ch: LtvChannel, ramps: np.ndarray | None = None) -> DelayDiagonals:
     """CP-bounded channel (CP removal, the banded time-varying
     convolution, CP addition) as cyclic diagonals, with the gains zero
     where no sample reaches (see :func:`_cp_bounded`). Taps sharing a
     delay are summed in tap order, and the delays keep the order of their
-    first tap.
+    first tap. The gains of CP-stripped sample i are the channel's
+    :func:`tap_ramps` at kappa = cp_len + i: ``ramps`` when given (over at
+    least one frame with its CP), else evaluated here.
     """
     frame = ch.frame
     grid, cp = frame.grid_size, frame.cp_len
-    kappa = np.arange(cp, grid + cp)
-    turns = np.array([2j * np.pi * tap.doppler for tap in ch.taps])
-    per_tap = (np.array([tap.gain for tap in ch.taps])[:, None]
-               * np.exp(turns[:, None] * kappa / grid))
+    ramps = tap_ramps(ch, frame.frame_len) if ramps is None else ramps
     sums = {}
-    for tap, g in zip(ch.taps, per_tap):
+    for tap, g in zip(ch.taps, ramps[:, cp:grid + cp]):
         sums[tap.delay] = sums[tap.delay] + g if tap.delay in sums else g
     delays = np.fromiter(sums, dtype=int, count=len(sums))
     return _cp_bounded(delays, np.array(list(sums.values())), frame)
@@ -284,13 +302,12 @@ def build_dd_matrix(ch: LtvChannel, waveform: Waveform) -> DdChannelMatrix:
     """
     frame = ch.frame
     M, N, grid = frame.M, frame.N, frame.grid_size
-    # columns of the identity, viewed as grids: unit at vec index n*M + m
-    D = np.moveaxis(np.eye(grid, dtype=complex).reshape(N, M, grid), 1, 0)
+    # rows of the identity, viewed as grids: unit at vec index n*M + m
+    D = _unvec(np.eye(grid, dtype=complex), M, N)
     x = _mod_core(D, frame, waveform, spread=False)
-    r = _apply_taps(x, ch, 0, x.shape[0])
-    G = _demod_core(r[frame.cp_len:], frame, waveform, spread=False)
-    H = np.moveaxis(G, 1, 0).reshape(grid, grid)
-    return DdChannelMatrix(H, waveform)
+    r = _apply_taps(x, ch, tap_ramps(ch, frame.frame_len), 0, frame.frame_len)
+    G = _demod_core(r[:, frame.cp_len:], frame, waveform, spread=False)
+    return DdChannelMatrix(_vec(G).T, waveform)
 
 
 def linearized_io(grid: DelayDopplerGrid, ch: LtvChannel,

@@ -19,19 +19,26 @@ Synchronization experiments transmit per-waveform signals with shared
 channel/noise/impairment draws instead, since the timing metric needs no
 cross-waveform coupling.
 
-Trial skeleton: ``_draw`` draws one channel, bit array and grid per data
-mask (one mask for a link, one per uplink user), ``_transmit`` superposes
-the grids through their channels, and ``_detection_trial`` runs a link or
-uplink trial on one noisy record: impairments and sync only where
-``_runs_sync`` says the spec syncs, then per waveform CSI, the trial's
-detector, SC-IFDMA derotation and demapping per mask. It demodulates its
-record at most once: estimated CSI reads both waveforms' received grids
-from one demodulation, and genie CSI reads none, since the detectors
-work on the time-domain record. ``_KINDS`` maps each kind to its trial
-and its result rows; it names ``link_trial``, ``sync_trial`` and
-``mu_trial`` at call time, so rebinding them on this module intercepts
-every trial. ``prepare`` builds and checks what the trials of a spec
-share (the uplink allocation) once, before the first trial.
+Trial skeleton: ``prepare`` builds what the trials of a run share once,
+before the first trial: the uplink allocation and the run's layout
+(``_layout``: each transmitted grid's pilot and data bins, one grid for
+a link, one per uplink user), cached so every trial reads it. ``_draw``
+draws one channel, bit array and grid per grid of the layout and stacks
+the grids; ``_ramps`` evaluates each drawn channel's tap ramps once, and
+``_transmit`` modulates the stacked grids in one batch and superposes
+them through their channels, reading those ramps. ``_detection_trial``
+runs a link or uplink trial on one noisy record: impairments and sync
+only where ``_runs_sync`` says the spec syncs, then CSI, the trial's
+detector, SC-IFDMA derotation and demapping per grid. Genie CSI is the
+delay diagonals of the drawn channels, read from the same ramps, and
+serves every waveform, so the detector is called once for all of them;
+estimated CSI is per waveform, and so is the call. A trial demodulates
+its record at most once: estimated CSI reads both waveforms' received
+grids from one demodulation, and genie CSI reads none, since the
+detectors work on the time-domain record. ``_KINDS`` maps each kind to
+its trial and its result rows; it names ``link_trial``, ``sync_trial``
+and ``mu_trial`` at call time, so rebinding them on this module
+intercepts every trial.
 
 BLAS threads: ``run`` holds every OpenBLAS that numpy and scipy load at
 one thread, in its own process and in each worker, and restores the
@@ -54,7 +61,7 @@ import platform
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -65,13 +72,14 @@ from .chanest import (PilotConfig, embed_pilot, estimate_channel,
                       estimated_diagonals, overlay_mask)
 from .channel import (DelayDiagonals, LtvChannel, apply_channel,
                       delay_diagonals, draw_noise, make_channel,
-                      taps_from_profile)
-from .config import ConfigError, ExperimentSpec, ImpairSettings
+                      tap_ramps, taps_from_profile)
+from .config import SCHEMA, ConfigError, ExperimentSpec, ImpairSettings
 from .equalize import equalize_time_domain
-from .mapping import (GUARD, data_bin_count, data_bins, full_data_mask,
-                      get_constellation, map_bits)
-from .modem import (DelayDopplerGrid, TimeSignal, Waveform, demodulate_direct,
-                    modulate_direct)
+from .frame import FrameConfig
+from .mapping import (GUARD, data_bins, full_data_mask, get_constellation,
+                      map_bits)
+from .modem import (DelayDopplerGrid, TimeSignal, Waveform, _mod_core,
+                    demodulate_direct)
 from .multiuser import (Allocation, detect_users_time_domain,
                         even_split_allocation, load_allocation)
 from .sync import BLOCK_STARTS, correct, estimate_sync, fine_timing
@@ -119,30 +127,70 @@ def _noise_var(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def _draw(spec: ExperimentSpec, trial_id: int, masks, pilots):
-    """One channel, one bit array and one grid per data mask, in mask
-    order, from the trial's channel and data substreams; a grid carries
-    its pilot when one is given."""
+@dataclass(frozen=True)
+class _Layout:
+    """The grids every trial of a run transmits: per grid, its pilot (or
+    None) and its data bins in vec order (read-only)."""
+
+    pilots: tuple
+    bins: tuple
+
+
+@lru_cache(maxsize=8)
+def _layout(frame: FrameConfig, pilot: PilotConfig, csi: str,
+            alloc: Allocation | None) -> _Layout:
+    """Layout of a link (``alloc`` None: one grid around ``pilot``) or
+    of an uplink (one grid per user, inside its own bins, with its own
+    pilot under estimated CSI). Built once per run and cached; raises
+    ConfigError for a user whose bins cannot host its pilot."""
+    if alloc is None:
+        pilots = (pilot,)
+        masks = [overlay_mask(pilot, frame)]
+    else:
+        pilots = tuple(_mu_user_pilot(pilot, alloc, q) if csi == "estimated"
+                       else None for q in range(alloc.n_users))
+        masks = [_mu_user_mask(frame, alloc, q, pc) for q, pc in enumerate(pilots)]
+    bins = tuple(data_bins(mask) for mask in masks)
+    for b in bins:
+        b.setflags(write=False)
+    return _Layout(pilots, bins)
+
+
+def _draw(spec: ExperimentSpec, trial_id: int, layout: _Layout):
+    """One channel, one bit array and one grid per grid of ``layout``,
+    in layout order, from the trial's channel and data substreams; a
+    grid carries its pilot when it has one. The grids come stacked,
+    (grids, M, N)."""
     const = get_constellation(spec.constellation)
     rng_ch = seed_stream(spec.seed, trial_id, "channel")
     rng_data = seed_stream(spec.seed, trial_id, "data")
     channels, bits, grids = [], [], []
-    for mask, pc in zip(masks, pilots):
+    for bins, pc in zip(layout.bins, layout.pilots):
         channels.append(_draw_channel(spec, rng_ch))
-        b = rng_data.integers(0, 2, data_bin_count(mask) * const.bits_per_symbol)
-        grid = map_bits(b, const, spec.frame, mask)
+        b = rng_data.integers(0, 2, bins.size * const.bits_per_symbol)
+        grid = map_bits(b, const, spec.frame, bins)
         bits.append(b)
-        grids.append(grid if pc is None else embed_pilot(grid, pc))
-    return channels, bits, grids
+        grids.append((grid if pc is None else embed_pilot(grid, pc)).data)
+    return channels, bits, np.array(grids)
 
 
-def _transmit(grids, channels, waveform: Waveform, impair=None,
-              record_len=None) -> np.ndarray:
-    """Noiseless received record: the grids, each through its own channel,
-    superposed."""
-    return sum(apply_channel(modulate_direct(g, waveform), ch, impair=impair,
-                             record_len=record_len).samples
-               for g, ch in zip(grids, channels))
+def _ramps(frame: FrameConfig, channels, impair, record_len: int) -> list:
+    """Each channel's :func:`~ddlink.channel.tap_ramps` over the record
+    samples its taps reach from a frame sent at the impairment's offset,
+    which cover the frame with its CP that genie CSI reads."""
+    shift = 0 if impair is None else impair.total_offset(frame.M)
+    return [tap_ramps(ch, min(record_len, shift + ch.n_spread - 1 + frame.frame_len))
+            for ch in channels]
+
+
+def _transmit(frame: FrameConfig, grids: np.ndarray, channels, ramps,
+              waveform: Waveform, impair=None, record_len=None) -> np.ndarray:
+    """Noiseless received record: the stacked grids, modulated in one
+    batch, each through its own channel (with its ramps), superposed."""
+    x = _mod_core(grids, frame, waveform, spread=False)
+    return sum(apply_channel(TimeSignal(s, frame), ch, impair=impair,
+                             record_len=record_len, ramps=r).samples
+               for s, ch, r in zip(x, channels, ramps))
 
 
 def _estimate_sync(spec: ExperimentSpec, record: np.ndarray):
@@ -197,32 +245,36 @@ def _impairments(spec: ExperimentSpec, trial_id: int):
 
 
 def _detection_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
-                     masks, pilots, detect) -> dict:
-    """One paired detection trial: the grid of each data mask (with its
+                     layout: _Layout, detect) -> dict:
+    """One paired detection trial: each grid of ``layout`` (with its
     pilot, if any) through its own channel into one shared noisy
     OTFS-structured record, and one receiver chain per waveform. Where
     the spec syncs, the record carries the impairments and the receivers
     read the frame sync finds (clamped into the record), CFO undone.
 
-    CSI is a list of delay diagonals, one per channel: with genie CSI
-    those of the drawn channels, computed once for both waveforms; with
-    estimated CSI, per waveform, those of one estimate per pilot (None
-    for an empty estimate), taken from the waveform's received grid. The
-    frame is demodulated once for both waveforms (:func:`_received_grids`),
-    and only for estimated CSI, so a genie ``detect`` gets None for
-    ``received``. Per waveform, ``detect(signal, received, hs, waveform,
-    noise_var)`` gives the equalized delay-Doppler vec, SC-IFDMA is
-    derotated by the coupling phases, and hard decisions on the data bins
-    of each mask, sliced straight from that vec, are counted against that
-    mask's bits (returned with the decisions and whether an estimate came
-    back empty)."""
+    CSI is a list of delay diagonals, one per channel. Genie CSI reads
+    those of the drawn channels from the tap ramps the transmit used,
+    and, as they serve every waveform, makes one ``detect`` call for all
+    of them. Estimated CSI takes, per waveform, those of one estimate per
+    pilot (None for an empty estimate) from the waveform's received
+    grid, and makes one call per waveform. The frame is demodulated once
+    for both waveforms (:func:`_received_grids`), and only for estimated
+    CSI, so a genie ``detect`` gets None for ``received``.
+    ``detect(signal, received, hs, waveforms, noise_var)`` gives one
+    equalized delay-Doppler vec per waveform of ``waveforms``; SC-IFDMA
+    is derotated by the coupling phases, and hard decisions on the data
+    bins of each grid, sliced straight from that vec, are counted
+    against that grid's bits (returned with the decisions and whether an
+    estimate came back empty)."""
     frame = spec.frame
     noise_var = _noise_var(snr_db)
-    channels, bits, sent = _draw(spec, trial_id, masks, pilots)
+    channels, bits, sent = _draw(spec, trial_id, layout)
     impair, record_len = _impairments(spec, trial_id)
+    ramps = _ramps(frame, channels, impair, record_len)
     noise = draw_noise(seed_stream(spec.seed, trial_id, "noise"), noise_var,
                        record_len)
-    record = _transmit(sent, channels, Waveform.OTFS, impair, record_len) + noise
+    record = _transmit(frame, sent, channels, ramps, Waveform.OTFS, impair,
+                       record_len) + noise
     if impair is None:
         signal = TimeSignal(record, frame, cp_included=True)
     else:
@@ -232,63 +284,71 @@ def _detection_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
         signal = correct(record, offset, est.cfo, frame)
     const = get_constellation(spec.constellation)
     W = coupling_phases(frame.M, frame.N)
-    bins_of = [data_bins(mask) for mask in masks]
-    genie = ([delay_diagonals(ch) for ch in channels] if spec.csi == "genie"
-             else None)
-    grids = (dict.fromkeys(spec.waveforms) if genie is not None
-             else _received_grids(signal))
+    if spec.csi == "genie":
+        calls = [(spec.waveforms, None, [delay_diagonals(ch, r)
+                                         for ch, r in zip(channels, ramps)])]
+    else:
+        grids = _received_grids(signal)
+        # a generator: each waveform estimates just before it detects
+        calls = (((w,), grids[w], [_estimated_channel(grids[w], pc, w)
+                                   for pc in layout.pilots])
+                 for w in spec.waveforms)
     out = {}
-    for w in spec.waveforms:
-        received = grids[w]
-        hs = (genie if genie is not None else
-              [_estimated_channel(received, pc, w) for pc in pilots])
-        d_hat = detect(signal, received, hs, w, noise_var)
-        if w is Waveform.SC_IFDMA:
-            d_hat = d_hat * np.conj(W).flatten(order="F")
-        errors, decisions = 0, []
-        for bins, b in zip(bins_of, bits):
-            idx = const.nearest_indices(d_hat[bins])
-            errors += int(np.count_nonzero(const.indices_to_bits(idx) != b))
-            decisions.append(idx)
-        out[w.value] = {
-            "bit_errors": errors,
-            "bits": sum(b.size for b in bits),
-            "decisions": np.concatenate(decisions),
-            "estimate_empty": any(h is None for h in hs),
-        }
+    for waveforms, received, hs in calls:
+        d_hats = detect(signal, received, hs, waveforms, noise_var)
+        for w, d_hat in zip(waveforms, d_hats, strict=True):
+            if w is Waveform.SC_IFDMA:
+                d_hat = d_hat * np.conj(W).flatten(order="F")
+            errors, decisions = 0, []
+            for bins, b in zip(layout.bins, bits):
+                idx = const.nearest_indices(d_hat[bins])
+                errors += int(np.count_nonzero(const.indices_to_bits(idx) != b))
+                decisions.append(idx)
+            out[w.value] = {
+                "bit_errors": errors,
+                "bits": sum(b.size for b in bits),
+                "decisions": np.concatenate(decisions),
+                "estimate_empty": any(h is None for h in hs),
+            }
     return out
 
 
 def link_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
     """One paired link trial (:func:`_detection_trial`) around the
     configured pilot: MMSE equalization on the one channel, or the
-    received grid as it is when the estimate comes back empty."""
+    received grid as it is when the estimate (of the one waveform it was
+    taken for) comes back empty."""
 
-    def detect(signal, received, hs, waveform, noise_var):
-        return (received.vec if hs[0] is None else
-                equalize_time_domain(signal, hs[0], waveform, noise_var).vec)
+    def detect(signal, received, hs, waveforms, noise_var):
+        if hs[0] is None:
+            return [received.vec]
+        return [equalize_time_domain(signal, hs[0], w, noise_var).vec
+                for w in waveforms]
 
     return _detection_trial(spec, trial_id, snr_db,
-                            [overlay_mask(spec.pilot, spec.frame)],
-                            [spec.pilot], detect)
+                            _layout(spec.frame, spec.pilot, spec.csi, None),
+                            detect)
 
 
 def sync_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
     """One synchronization trial: per-waveform transmissions with shared
-    channel/noise/data/impairment realizations. Returns per-waveform offset
-    errors (samples) and the CFO estimate error, plus per-threshold fine
-    errors for sweeps."""
+    channel/noise/data/impairment realizations (the channel's tap ramps
+    evaluated once for both). Returns per-waveform offset errors
+    (samples) and the CFO estimate error, plus per-threshold fine errors
+    for sweeps."""
     frame = spec.frame
-    mask = overlay_mask(spec.pilot, frame)
-    channels, _, grids = _draw(spec, trial_id, [mask], [spec.pilot])
+    channels, _, grids = _draw(spec, trial_id,
+                               _layout(frame, spec.pilot, spec.csi, None))
     impair, record_len = _impairments(spec, trial_id)
+    ramps = _ramps(frame, channels, impair, record_len)
     true_offset = impair.total_offset(frame.M)
     eta = draw_noise(seed_stream(spec.seed, trial_id, "noise"),
                      _noise_var(snr_db), record_len)
 
     out = {}
     for w in spec.waveforms:
-        record = _transmit(grids, channels, w, impair, record_len) + eta
+        record = _transmit(frame, grids, channels, ramps, w, impair,
+                           record_len) + eta
         est = _estimate_sync(spec, record)
         coarse_total = est.coarse_delay + frame.M * est.block_offset
         res = {
@@ -314,8 +374,10 @@ def prepare(spec: ExperimentSpec) -> Allocation | None:
     ahead of the pilot (the noise level comes from it), an unreadable or
     invalid allocation, a ``mu.q`` that disagrees with the allocation
     file, an estimated-CSI user whose bins cannot host its pilot, sync on
-    the uplink, whose trial has none, or impairments where no sync runs
-    to undo them (an uplink, or a link without ``sync.enabled``)."""
+    the uplink, whose trial has none, impairments where no sync runs to
+    undo them (an uplink, or a link without ``sync.enabled``), or a key
+    the kind never reads set away from its default (:func:`_unread_keys`).
+    Builds the run's :func:`_layout`, which its trials then share."""
     frame = spec.frame
     if _runs_sync(spec):
         if frame.N == 1:
@@ -345,29 +407,57 @@ def prepare(spec: ExperimentSpec) -> Allocation | None:
             raise ConfigError(f"{', '.join(impaired)}: only sync undoes "
                               f"impairments, and ber_vs_snr syncs only with "
                               f"sync.enabled = true")
-        return None
-    try:
-        if spec.mu_allocation_path:
-            alloc = load_allocation(spec.mu_allocation_path, frame.M, frame.N,
-                                    relax=spec.mu_relax_disjointness)
-        else:
-            alloc = even_split_allocation(frame.M, frame.N, spec.mu_users)
-    except OSError as exc:
-        raise ConfigError(f"cannot read mu.allocation: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if alloc.n_users != spec.mu_users:
-        raise ConfigError(f"mu.q = {spec.mu_users} but mu.allocation lists "
-                          f"{alloc.n_users} users")
-    if spec.csi == "estimated":
-        for q in range(alloc.n_users):
-            _mu_user_pilot(spec, alloc, q)
-    unused = ["sync.enabled"] * spec.sync.enabled + impaired
-    if unused:
-        raise ConfigError(f"{', '.join(unused)}: mu_uplink runs without sync "
-                          f"and impairments; leave these keys at their "
-                          f"defaults")
+        alloc = None
+    else:
+        try:
+            if spec.mu_allocation_path:
+                alloc = load_allocation(spec.mu_allocation_path, frame.M,
+                                        frame.N, relax=spec.mu_relax_disjointness)
+            else:
+                alloc = even_split_allocation(frame.M, frame.N, spec.mu_users)
+        except OSError as exc:
+            raise ConfigError(f"cannot read mu.allocation: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if alloc.n_users != spec.mu_users:
+            raise ConfigError(f"mu.q = {spec.mu_users} but mu.allocation lists "
+                              f"{alloc.n_users} users")
+        # each user's bins must host its pilot
+        _layout(frame, spec.pilot, spec.csi, alloc)
+        unused = ["sync.enabled"] * spec.sync.enabled + impaired
+        if unused:
+            raise ConfigError(f"{', '.join(unused)}: mu_uplink runs without "
+                              f"sync and impairments; leave these keys at "
+                              f"their defaults")
+    unread = _unread_keys(spec)
+    if unread:
+        subject = ("ber_vs_snr without sync.enabled = true"
+                   if spec.kind == "ber_vs_snr" and not spec.sync.enabled
+                   else spec.kind)
+        raise ConfigError(f"{', '.join(unread)}: {subject} never reads "
+                          f"these keys; leave them at their defaults")
+    _layout(frame, spec.pilot, spec.csi, alloc)
     return alloc
+
+
+def _unread_keys(spec: ExperimentSpec) -> list:
+    """The keys among ``sweep.thresholds``, ``sync.threshold``,
+    ``detector.csi``, ``est.threshold_sigma`` and ``mu.*`` that the
+    trials of ``spec`` never read, where set away from their defaults in
+    ``config.SCHEMA``."""
+    syncs = spec.kind in ("sync_vs_snr", "threshold_sweep")
+    uplink = spec.kind == "mu_uplink"
+    values = {
+        "sweep.thresholds": (spec.sweep_thresholds, spec.kind == "threshold_sweep"),
+        "sync.threshold": (spec.sync.threshold, _runs_sync(spec)),
+        "detector.csi": (spec.csi, not syncs),
+        "est.threshold_sigma": (spec.pilot.detection_threshold, not syncs),
+        "mu.q": (spec.mu_users, uplink),
+        "mu.allocation": (spec.mu_allocation_path or "", uplink),
+        "mu.relax_disjointness": (spec.mu_relax_disjointness, uplink),
+    }
+    return [key for key, (value, read) in values.items()
+            if not read and value != SCHEMA[key][0](SCHEMA[key][1])]
 
 
 def _largest_tap_delay(spec: ExperimentSpec) -> int:
@@ -393,11 +483,11 @@ def spread_warnings(spec: ExperimentSpec) -> list:
     return out
 
 
-def _mu_user_pilot(spec: ExperimentSpec, alloc: Allocation, q: int) -> PilotConfig:
-    """Per-user pilot for estimated multiuser CSI: the configured guard
-    rectangle, centered on the user's own bins; it must fit inside them."""
+def _mu_user_pilot(pilot: PilotConfig, alloc: Allocation, q: int) -> PilotConfig:
+    """Per-user pilot for estimated multiuser CSI: the guard rectangle of
+    ``pilot``, centered on the user's own bins; it must fit inside them."""
     u = alloc.users[q]
-    pc = spec.pilot
+    pc = pilot
     m_c = u.delay_bins[len(u.delay_bins) // 2]
     n_c = u.doppler_bins[len(u.doppler_bins) // 2]
     rect_d = set(range(m_c - pc.guard_delay, m_c + pc.guard_delay + 1))
@@ -411,11 +501,11 @@ def _mu_user_pilot(spec: ExperimentSpec, alloc: Allocation, q: int) -> PilotConf
                        pc.detection_threshold)
 
 
-def _mu_user_mask(spec: ExperimentSpec, alloc: Allocation, q: int,
+def _mu_user_mask(frame: FrameConfig, alloc: Allocation, q: int,
                   pc: PilotConfig | None) -> np.ndarray:
     """Full-frame overlay of user q: its pilot and guards when ``pc`` is
     given, data on the rest of its bins, guard outside them."""
-    base = full_data_mask(spec.frame) if pc is None else overlay_mask(pc, spec.frame)
+    base = full_data_mask(frame) if pc is None else overlay_mask(pc, frame)
     bins = np.ix_(alloc.users[q].delay_bins, alloc.users[q].doppler_bins)
     mask = np.full_like(base, GUARD)
     mask[bins] = base[bins]
@@ -424,21 +514,21 @@ def _mu_user_mask(spec: ExperimentSpec, alloc: Allocation, q: int,
 
 def mu_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
              alloc: Allocation) -> dict:
-    """One multiuser uplink trial (:func:`_detection_trial`): one data
-    mask per user inside its own bins, joint MMSE detection in the time
-    domain. Per-user CSI is either known (genie) or estimated from a
-    pilot inside each user's own bins; a user whose estimate comes back
-    empty contributes zero columns (regularized detection then drives its
-    symbols toward zero)."""
-    pilots = [_mu_user_pilot(spec, alloc, q) if spec.csi == "estimated" else None
-              for q in range(alloc.n_users)]
-    masks = [_mu_user_mask(spec, alloc, q, pc) for q, pc in enumerate(pilots)]
+    """One multiuser uplink trial (:func:`_detection_trial`): one grid
+    per user inside its own bins (the run's :func:`_layout`), joint MMSE
+    detection in the time domain. Per-user CSI is either known (genie:
+    one detector call for both waveforms) or estimated from a pilot
+    inside each user's own bins (one call per waveform); a user whose
+    estimate comes back empty contributes zero columns (regularized
+    detection then drives its symbols toward zero)."""
 
-    def detect(signal, received, hs, waveform, noise_var):
-        return detect_users_time_domain(signal, hs, alloc, waveform,
-                                        noise_var).vec
+    def detect(signal, received, hs, waveforms, noise_var):
+        return [g.vec for g in detect_users_time_domain(signal, hs, alloc,
+                                                        waveforms, noise_var)]
 
-    return _detection_trial(spec, trial_id, snr_db, masks, pilots, detect)
+    return _detection_trial(spec, trial_id, snr_db,
+                            _layout(spec.frame, spec.pilot, spec.csi, alloc),
+                            detect)
 
 
 def _ber_metrics(spec: ExperimentSpec, per_trial: list) -> list:

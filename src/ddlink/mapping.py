@@ -122,26 +122,24 @@ def full_data_mask(frame: FrameConfig) -> np.ndarray:
     return np.full((frame.M, frame.N), DATA, dtype=np.int8)
 
 
-def data_bin_count(mask: np.ndarray) -> int:
-    return int(np.count_nonzero(mask == DATA))
-
-
 def data_bins(mask: np.ndarray) -> np.ndarray:
     """Vec indices of the data bins of ``mask``, in vec order."""
     return np.flatnonzero(mask.ravel(order="F") == DATA)
 
 
 def map_bits(bits, constellation: Constellation, frame: FrameConfig,
-             mask: np.ndarray | None = None) -> DelayDopplerGrid:
-    """Pack bits onto the data bins of a frame grid, zeros elsewhere."""
-    mask = full_data_mask(frame) if mask is None else mask
+             bins: np.ndarray | None = None) -> DelayDopplerGrid:
+    """Pack bits onto the data bins ``bins`` (vec indices in fill order,
+    as :func:`data_bins` lists them; every bin when not given) of a frame
+    grid, zeros elsewhere."""
+    bins = np.arange(frame.grid_size) if bins is None else bins
     bits = np.asarray(bits, dtype=int)
-    need = data_bin_count(mask) * constellation.bits_per_symbol
+    need = bins.size * constellation.bits_per_symbol
     if bits.size != need:
-        raise ValueError(f"expected {need} bits for {data_bin_count(mask)} "
+        raise ValueError(f"expected {need} bits for {bins.size} "
                          f"data bins, got {bits.size}")
     symbols = constellation.bits_to_symbols(bits)
     vec = np.zeros(frame.grid_size, dtype=complex)
-    vec[data_bins(mask)] = symbols
+    vec[bins] = symbols
     return DelayDopplerGrid.from_vec(vec, frame)
 

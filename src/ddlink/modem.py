@@ -13,8 +13,10 @@ the transmit spreader input and conjugated at the receive despreader
 output, SC-IFDMA omits them. The direct SC-IFDMA path is therefore the
 OTFS path applied to the phase-derotated grid.
 
-All functions accept an optional trailing batch axis on the grid data
-and the signal samples; public single-frame use never sees it.
+The private cores accept optional leading batch axes on the grid data
+and the signal samples; each grid and each signal of a batch gets the
+same arithmetic, bit for bit, as it would alone. Public single-frame use
+never sees them.
 """
 
 import enum
@@ -83,7 +85,7 @@ class TimeSignal:
 def _add_cp(s: np.ndarray, cp_len: int) -> np.ndarray:
     if cp_len == 0:
         return s
-    return np.concatenate([s[-cp_len:], s], axis=0)
+    return np.concatenate([s[..., -cp_len:], s], axis=-1)
 
 
 def _strip(sig: TimeSignal) -> np.ndarray:
@@ -96,32 +98,31 @@ def _strip(sig: TimeSignal) -> np.ndarray:
     return sig.samples[sig.frame.cp_len:] if sig.cp_included else sig.samples
 
 
-# batch-aware cores: D has shape (M, N) or (M, N, B); s has shape (MN[, B])
+# batch-aware cores: D has shape ([B,] M, N); s has shape ([B,] MN)
 
 def _vec(S: np.ndarray) -> np.ndarray:
-    """Column-major vectorization along the first two axes."""
-    M, N = S.shape[:2]
-    return S.swapaxes(0, 1).reshape((M * N,) + S.shape[2:])
+    """Column-major vectorization along the last two axes."""
+    M, N = S.shape[-2:]
+    return S.swapaxes(-1, -2).reshape(S.shape[:-2] + (M * N,))
 
 
 def _unvec(s: np.ndarray, M: int, N: int) -> np.ndarray:
-    return s.reshape((N, M) + s.shape[1:]).swapaxes(0, 1)
+    return s.reshape(s.shape[:-1] + (N, M)).swapaxes(-1, -2)
 
 
 def _mod_core(D: np.ndarray, frame: FrameConfig, waveform: Waveform,
               spread: bool) -> np.ndarray:
     M, N = frame.M, frame.N
     W = coupling_phases(M, N)
-    W = W if D.ndim == 2 else W[..., None]
     if spread:
         Dw = D * W if waveform is Waveform.OTFS else D
-        C = np.fft.fft(Dw, axis=0, norm="ortho")  # per-column M-point DFT
+        C = np.fft.fft(Dw, axis=-2, norm="ortho")  # per-column M-point DFT
         # comb placement: frequency bin n + k*N holds C[k, n]
-        dbar = C.reshape((M * N,) + D.shape[2:])
-        s = np.fft.ifft(dbar, axis=0, norm="ortho")
+        dbar = C.reshape(D.shape[:-2] + (M * N,))
+        s = np.fft.ifft(dbar, axis=-1, norm="ortho")
     else:
         Dw = D * np.conj(W) if waveform is Waveform.SC_IFDMA else D
-        S = np.fft.ifft(Dw, axis=1, norm="ortho")  # per-row N-point IDFT
+        S = np.fft.ifft(Dw, axis=-1, norm="ortho")  # per-row N-point IDFT
         s = _vec(S)
     return _add_cp(s, frame.cp_len)
 
@@ -130,14 +131,13 @@ def _demod_core(z: np.ndarray, frame: FrameConfig, waveform: Waveform,
                 spread: bool) -> np.ndarray:
     M, N = frame.M, frame.N
     W = coupling_phases(M, N)
-    W = W if z.ndim == 1 else W[..., None]
     if spread:
-        zbar = np.fft.fft(z, axis=0, norm="ortho")
-        Z = zbar.reshape((M, N) + z.shape[1:])  # Z[k, n] = zbar[n + k*N]
-        G = np.fft.ifft(Z, axis=0, norm="ortho")
+        zbar = np.fft.fft(z, axis=-1, norm="ortho")
+        Z = zbar.reshape(z.shape[:-1] + (M, N))  # Z[k, n] = zbar[n + k*N]
+        G = np.fft.ifft(Z, axis=-2, norm="ortho")
         return G * np.conj(W) if waveform is Waveform.OTFS else G
     R = _unvec(z, M, N)  # R[m, l] = z[m + l*M]
-    Dt = np.fft.fft(R, axis=1, norm="ortho")
+    Dt = np.fft.fft(R, axis=-1, norm="ortho")
     return Dt * W if waveform is Waveform.SC_IFDMA else Dt
 
 

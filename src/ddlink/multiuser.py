@@ -14,7 +14,11 @@ allocated bins in the delay-Doppler basis straight from them; no
 delay-Doppler matrix is built.
 That matrix couples a delay row only to the rows a delay difference
 away, so ordered by folded delay row it is a band, solved by banded
-Cholesky; SC-IFDMA gets the same band scaled by the coupling phases.
+Cholesky. The waveforms differ only by linear phase shifts, which the
+paper absorbs into the channel, so one call detects for a tuple of
+waveforms: it forms the products that do not depend on the waveform
+once, and each waveform scales them by its own phases and runs its own
+band solve.
 The index plan of the band depends only on the allocation and the delay
 sets and is cached; the band solve is the link equalizer's
 (:func:`~ddlink.equalize._solve_band`). The demodulators are unitary, so
@@ -290,9 +294,10 @@ def _uplink_plan(alloc: Allocation, users: tuple, delays: tuple) -> _UplinkPlan:
 
 
 def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
-                             waveform: Waveform, noise_var: float) -> DelayDopplerGrid:
+                             waveforms: tuple, noise_var: float) -> tuple:
     """Joint MMSE detection over the allocated bins of one CP-included
-    superposed record, in ``waveform``'s delay-Doppler convention.
+    superposed record, once per waveform of ``waveforms``, each in its
+    own delay-Doppler convention; returns one grid per waveform, in order.
 
     ``channels[q]`` is user q's CP-bounded channel as its
     :class:`~ddlink.channel.DelayDiagonals`, or None. With C the
@@ -305,42 +310,52 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
     m + a - b = m' + c*M, exp(2j*pi*n'*c/N) F[(n - n') mod N, m] / N,
     where F is the FFT over k of conj(g_qa[r]) g_q'b[r] at
     r = (k*M + m + a) mod MN; C^H z is the FFT over k of
-    sum_a conj(g_qa[r]) z[r], over sqrt(N). SC-IFDMA scales entry
-    (row, col) by W_row conj(W_col) and C^H z by W, the phases of
-    :func:`~ddlink.transforms.coupling_phases`. Ordered by
-    fold position of the delay row, the matrix is an ordinary band; its
-    index plan depends only on the allocation and the delay sets and is
-    cached.
+    sum_a conj(g_qa[r]) z[r], over sqrt(N). Ordered by fold position of
+    the delay row, the matrix is an ordinary band; its index plan
+    depends only on the allocation and the delay sets and is cached.
+
+    None of this depends on the waveform: the two waveforms differ only
+    by the coupling phases W of :func:`~ddlink.transforms.coupling_phases`,
+    which the paper absorbs into the channel. So the FFTs of the pair
+    products and of C^H z are formed once per call, gathered onto the
+    band entries and the unknowns, and each waveform scales them by its
+    own phases (for SC-IFDMA, entry (row, col) by W_row conj(W_col) and
+    C^H z by W) and runs its own band solve.
 
     A ``None`` channel leaves its user out of the solve, and its bins
     stay zero. Diagonals of another grid size or CP than the record's
     raise ValueError. Zero forcing (noise_var 0) on a singular C raises
-    numpy.linalg.LinAlgError. Equals :func:`detect_users` on the
-    demodulated record with the compound matrix of the same channels.
+    numpy.linalg.LinAlgError. Equals, per waveform, :func:`detect_users`
+    on the demodulated record with the compound matrix of the same
+    channels.
     """
     if len(channels) != alloc.n_users:
         raise ValueError(f"{len(channels)} channels for {alloc.n_users} allocations")
     frame = received.frame
     if (frame.M, frame.N) != (alloc.M, alloc.N):
         raise ValueError("frame does not match the allocation grid")
-    out = np.zeros(frame.grid_size, dtype=complex)
     users = tuple(q for q, ch in enumerate(channels) if ch is not None)
     for q in users:
         channels[q].check_frame(frame)
     if not users:
-        return DelayDopplerGrid.from_vec(out, frame)
+        return tuple(DelayDopplerGrid.zeros(frame) for _ in waveforms)
     plan = _uplink_plan(alloc, users,
                         tuple(tuple(channels[q].delays.tolist()) for q in users))
     gains = np.concatenate([channels[q].gains for q in users])
     flat = gains.ravel()
-    entry_phase, unknown_phase = plan.phases[waveform]
     h = np.add.reduceat(np.conj(flat[plan.left]) * flat[plan.right], plan.groups)
-    vals = np.fft.fft(h).ravel()[plan.entry] * entry_phase
+    entries = np.fft.fft(h).ravel()[plan.entry]
     seen = (np.conj(gains) * _strip(received)).ravel()[plan.shift]
     y = np.add.reduceat(seen, plan.user_rows).reshape(len(users), alloc.N, alloc.M)
-    rhs = np.fft.fft(y, axis=1).ravel()[plan.rhs_entry] * unknown_phase
-    out[plan.bins] = _solve_band(plan.slot, vals, plan.width, noise_var, rhs)
-    return DelayDopplerGrid.from_vec(out, frame)
+    unknowns = np.fft.fft(y, axis=1).ravel()[plan.rhs_entry]
+    grids = []
+    for w in waveforms:
+        entry_phase, unknown_phase = plan.phases[w]
+        out = np.zeros(frame.grid_size, dtype=complex)
+        out[plan.bins] = _solve_band(plan.slot, entries * entry_phase, plan.width,
+                                     noise_var, unknowns * unknown_phase)
+        grids.append(DelayDopplerGrid.from_vec(out, frame))
+    return tuple(grids)
 
 
 def load_allocation(path: str, M: int, N: int, relax: bool = False) -> Allocation:

@@ -8,7 +8,7 @@ from scipy.linalg import solveh_banded
 
 from ddlink.chanest import EstimatedChannel, EstimatedTap
 from ddlink.channel import (ChannelTap, DdChannelMatrix, LtvChannel,
-                            delay_diagonals)
+                            _cp_bounded, delay_diagonals)
 from ddlink.modem import Waveform, demodulate_direct
 from ddlink.multiuser import compound_matrix, detect_users
 from ddlink.transforms import coupling_phases
@@ -121,6 +121,44 @@ def cp_channel_matrix(ch: LtvChannel) -> np.ndarray:
             2j * np.pi * tap.doppler * rows / grid)
     acp = np.vstack([np.eye(grid)[grid - cp:], np.eye(grid)]) if cp else np.eye(grid)
     return H[cp:] @ acp
+
+
+def apply_taps_per_tap(x, ch: LtvChannel, shift: int, record_len: int) -> np.ndarray:
+    """The transmit convolution with each tap's Doppler ramp evaluated on
+    its own, over just the samples the tap reaches: the bit oracle of
+    :func:`ddlink.channel._apply_taps` on the shared
+    :func:`ddlink.channel.tap_ramps`. x may carry a trailing batch axis."""
+    grid = ch.frame.grid_size
+    out_shape = (record_len,) + x.shape[1:]
+    r = np.zeros(out_shape, dtype=complex)
+    n = x.shape[0]
+    for tap in ch.taps:
+        start = shift + tap.delay
+        stop = min(record_len, start + n)
+        if stop <= start:
+            continue
+        kappa = np.arange(start, stop)
+        phase = tap.gain * np.exp(2j * np.pi * tap.doppler * kappa / grid)
+        seg = x[:stop - start]
+        r[start:stop] += (phase if seg.ndim == 1 else phase[:, None]) * seg
+    return r
+
+
+def delay_diagonals_own_ramps(ch: LtvChannel):
+    """:func:`ddlink.channel.delay_diagonals` with the ramps evaluated
+    over the CP-stripped samples alone, by one ``exp`` of its own: the
+    bit oracle of the diagonals read from the shared tap ramps."""
+    frame = ch.frame
+    grid, cp = frame.grid_size, frame.cp_len
+    kappa = np.arange(cp, grid + cp)
+    turns = np.array([2j * np.pi * tap.doppler for tap in ch.taps])
+    per_tap = (np.array([tap.gain for tap in ch.taps])[:, None]
+               * np.exp(turns[:, None] * kappa / grid))
+    sums = {}
+    for tap, g in zip(ch.taps, per_tap):
+        sums[tap.delay] = sums[tap.delay] + g if tap.delay in sums else g
+    delays = np.fromiter(sums, dtype=int, count=len(sums))
+    return _cp_bounded(delays, np.array(list(sums.values())), frame)
 
 
 def time_domain_matrix(ch: LtvChannel) -> sparse.csr_array:

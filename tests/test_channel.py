@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator
 
-from ddlink import channel
+from ddlink import channel, harness
 from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec, apply_channel,
-                            build_dd_matrix, eva_channel, linearized_io,
-                            make_channel, taps_from_profile)
+                            build_dd_matrix, delay_diagonals, eva_channel,
+                            linearized_io, make_channel, taps_from_profile)
 from ddlink.frame import FrameConfig
 from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform,
                           demodulate_direct, modulate_direct)
 from ddlink.sync import Impairments
 from ddlink.transforms import coupling_phases
-from oracles import (cp_channel_matrix, dft_matrix, interleaver_source_index,
-                     time_domain_matrix)
+from oracles import (apply_taps_per_tap, cp_channel_matrix,
+                     delay_diagonals_own_ramps, dft_matrix,
+                     interleaver_source_index, time_domain_matrix)
 from strategies import PROPERTY, channels
 
 rng = np.random.default_rng(42)
@@ -374,6 +376,86 @@ class TestTimeDomainMatrix:
         assert np.array_equal(Ht.toarray()[:2], np.zeros((2, 8)))
         assert np.array_equal(Ht.toarray()[2:], np.eye(8, k=-3)[2:]
                               + np.eye(8, k=5)[2:])
+
+
+@st.composite
+def ramp_cases(draw):
+    """A drawn channel as a trial meets it, on a 32x16 or 128x32 frame: a
+    built-in profile, a ``custom`` profile (delays in ns that may quantize
+    to one sample delay, Doppler in Hz of either sign) or raw taps
+    (delays from a small pool, so taps share delays, up to past the
+    frame, fractional Doppler of either sign); a timing shift; and a
+    record length from one frame with its CP, which truncates the taps'
+    tails, up to the sync record (the shift, two grids and a CP)."""
+    M, N = draw(st.sampled_from([(32, 16), (128, 32)]))
+    frame = FrameConfig(M, N, cp_len=draw(st.sampled_from([0, 8, 20])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["eva", "eva3", "custom", "taps"]))
+    finite = st.floats(-2.0, 2.0, allow_nan=False)
+    if kind == "taps":
+        pool = draw(st.lists(st.integers(0, frame.frame_len), min_size=1,
+                             max_size=4, unique=True))
+        ch = LtvChannel(tuple(draw(st.lists(st.builds(
+            ChannelTap, delay=st.sampled_from(pool),
+            gain=st.builds(complex, finite, finite),
+            doppler=st.floats(-N / 2, N / 2, allow_nan=False)),
+            min_size=1, max_size=9))), frame)
+    elif kind == "custom":
+        n = draw(st.integers(1, 9))
+        ns = st.floats(0.0, 3000.0, allow_nan=False)
+        hz = st.floats(-3000.0, 3000.0, allow_nan=False)
+        ch = taps_from_profile(draw(st.lists(ns, min_size=n, max_size=n)),
+                               draw(st.lists(st.floats(-20.0, 0.0), min_size=n,
+                                             max_size=n)),
+                               frame, 0.0, rng,
+                               dopplers_hz=draw(st.lists(hz, min_size=n, max_size=n)))
+    else:
+        ch = make_channel(kind, frame, draw(st.floats(0.0, 1000.0)), rng)
+    shift = draw(st.integers(0, 2 * M))
+    record_len = draw(st.integers(frame.frame_len,
+                                  shift + 2 * frame.grid_size + frame.cp_len))
+    x = rng.standard_normal(frame.frame_len) + 1j * rng.standard_normal(frame.frame_len)
+    return ch, shift, record_len, x
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64))
+
+
+class TestSharedRamps:
+    """A trial evaluates each drawn channel's tap ramps once, over the
+    samples its taps reach; the transmit convolution and the genie delay
+    diagonals read them and equal, bit for bit, the same computations
+    with each ramp evaluated on its own."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(ramp_cases())
+    def test_transmit_and_diagonals_equal_the_per_tap_ramps(self, case):
+        ch, shift, record_len, x = case
+        frame = ch.frame
+        impair = Impairments(timing_delay=shift)
+        (ramps,) = harness._ramps(frame, [ch], impair, record_len)
+        old = apply_taps_per_tap(x, ch, shift, record_len)
+        assert same_bits(channel._apply_taps(x, ch, ramps, shift, record_len), old)
+        # apply_channel evaluates the ramps over the whole record itself
+        whole = apply_channel(TimeSignal(x, frame), ch, impair=impair,
+                              record_len=record_len).samples
+        assert same_bits(whole, old)
+        want = delay_diagonals_own_ramps(ch)
+        for got in (delay_diagonals(ch, ramps), delay_diagonals(ch)):
+            assert np.array_equal(got.delays, want.delays)
+            assert same_bits(got.gains, want.gains)
+
+    def test_ramps_are_not_changed_by_their_readers(self):
+        frame = FrameConfig(8, 4, cp_len=2)
+        ch = LtvChannel((ChannelTap(9, 1.0, 0.5), ChannelTap(9, 0.5j, -1.0),
+                         ChannelTap(1, 0.3, 0.0)), frame)
+        ramps = channel.tap_ramps(ch, frame.frame_len)
+        kept = ramps.copy()
+        delay_diagonals(ch, ramps)
+        apply_channel(TimeSignal(np.ones(frame.frame_len), frame), ch, ramps=ramps)
+        assert same_bits(ramps, kept)
 
 
 class TestValidation:

@@ -274,6 +274,30 @@ class TestValidate:
         assert err.count(f"config error: {key}: only sync undoes impairments") == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, lines, message", [
+        ("ber_vs_snr", "sweep.thresholds = 0.3,0.9\nsync.threshold = 0.2",
+         "config error: sweep.thresholds, sync.threshold: ber_vs_snr without "
+         "sync.enabled = true never reads these keys; leave them at their "
+         "defaults"),
+        ("sync_vs_snr", "detector.csi = estimated\nmu.q = 3",
+         "config error: detector.csi, mu.q: sync_vs_snr never reads these "
+         "keys; leave them at their defaults"),
+        ("threshold_sweep", "est.threshold_sigma = 4",
+         "config error: est.threshold_sigma: threshold_sweep never reads"),
+        ("mu_uplink", "mu.relax_disjointness = true\nsync.threshold = 0.3",
+         "config error: sync.threshold: mu_uplink never reads these keys")])
+    def test_keys_the_kind_never_reads_exit_2(self, tmp_path, capsys, monkeypatch,
+                                              config, lines, message):
+        # a committed config plus keys its experiment ignores
+        monkeypatch.chdir(ROOT)
+        text = (ROOT / "configs" / f"{config}.cfg").read_text()
+        path = write(tmp_path, text + lines + "\n")
+        out = tmp_path / "results"
+        assert main(["validate", path]) == 2
+        assert main(["run", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count(message) == 2
+        assert not out.exists()
+
     def test_impairments_with_sync_run(self, tmp_path):
         path = write(tmp_path, LINK + "impair.theta_d = 5\nsync.enabled = true\n")
         out = tmp_path / "results"

@@ -12,7 +12,8 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddlink import _blas, chanest, channel, equalize, harness, multiuser
+from ddlink import (_blas, chanest, channel, equalize, harness, mapping,
+                    multiuser)
 from ddlink.chanest import PilotConfig
 from ddlink.channel import CHANNEL_PROFILES, build_dd_matrix
 from ddlink.config import (ConfigError, ExperimentSpec, ImpairSettings,
@@ -178,9 +179,9 @@ class TestChannelForm:
         built = []
         real = channel.delay_diagonals
 
-        def counted(ch):
+        def counted(ch, *args):
             built.append(ch)
-            return real(ch)
+            return real(ch, *args)
 
         for module in (harness, channel, chanest, equalize, multiuser):
             monkeypatch.setattr(module, "delay_diagonals", counted, raising=False)
@@ -309,7 +310,7 @@ def paired_specs(draw):
         constellation=draw(st.sampled_from(["qpsk", "16qam"])),
         snr_db=(draw(st.sampled_from([0.0, 15.0, 40.0])),), trials=2,
         seed=draw(st.integers(0, 2 ** 16)), channel_profile=profile,
-        custom_taps=custom, pilot=pilot, csi=csi, mu_users=users)
+        custom_taps=custom, pilot=pilot, csi=csi)
     if not sync:
         return spec
     top = min(3, longest - harness._largest_tap_delay(spec))
@@ -381,17 +382,18 @@ class TestMuTrial:
     @staticmethod
     def detector_calls(monkeypatch, spec, alloc, trials=2):
         """Run mu_trial with the joint detector spied on and every dense
-        delay-Doppler build made to fail."""
+        delay-Doppler build made to fail; one entry per detected waveform
+        of each call."""
         calls = []
         real = harness.detect_users_time_domain
         sources = channel_sources(monkeypatch)
 
-        def spy(received, channels, alloc, waveform, noise_var):
-            out = real(received, channels, alloc, waveform, noise_var)
+        def spy(received, channels, alloc, waveforms, noise_var):
+            out = real(received, channels, alloc, waveforms, noise_var)
             assert [ch is None for ch in channels] == \
                 [ch is None for ch in sources[-alloc.n_users:]]
-            calls.append((received, sources[-alloc.n_users:], waveform,
-                          noise_var, out.vec))
+            calls.extend((received, sources[-alloc.n_users:], w, noise_var,
+                          grid.vec) for w, grid in zip(waveforms, out, strict=True))
             return out
 
         def no_dd_matrix(*args, **kwargs):
@@ -426,7 +428,7 @@ class TestMuTrial:
     def test_empty_user_estimate_contributes_zero_columns(self, monkeypatch):
         spec = self.estimated_spec()
         alloc = even_split_allocation(FRAME.M, FRAME.N, 2)
-        silenced = harness._mu_user_pilot(spec, alloc, 1)
+        silenced = harness._mu_user_pilot(spec.pilot, alloc, 1)
         real = harness.estimate_channel
 
         def estimate(received, pc, waveform, **kw):
@@ -440,6 +442,29 @@ class TestMuTrial:
             assert not np.any(out[alloc.vec_indices(1)])
             oracle = dense_detect(received, channels, alloc, w, s2).vec
             assert np.linalg.norm(out - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("csi,detector,solves", [("genie", 1, 2),
+                                                      ("estimated", 2, 2)])
+    def test_detector_and_band_solve_calls(self, monkeypatch, csi, detector,
+                                           solves):
+        # genie CSI serves both waveforms, so one detector call forms the
+        # waveform-independent products once; each waveform still runs
+        # its own band solve
+        spec = (self.estimated_spec() if csi == "estimated" else
+                make_spec(kind="mu_uplink", constellation="qpsk", csi="genie"))
+        alloc = even_split_allocation(FRAME.M, FRAME.N, 2)
+        calls = []
+        for module, name in ((harness, "detect_users_time_domain"),
+                             (multiuser, "_solve_band")):
+            def counted(*args, real=getattr(module, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(module, name, counted)
+        for t in range(3):
+            calls.clear()
+            mu_trial(spec, t, 15.0, alloc)
+            assert calls.count("detect_users_time_domain") == detector
+            assert calls.count("_solve_band") == solves
 
     def test_guards_must_fit_inside_the_allocation(self):
         spec = make_spec(kind="mu_uplink", csi="estimated",
@@ -466,15 +491,104 @@ class TestMuTrial:
 
     def test_settings_equal_to_the_defaults_pass(self):
         spec = make_spec(kind="mu_uplink", csi="genie",
-                         sync=SyncSettings(enabled=False, threshold=0.3),
+                         sync=SyncSettings(enabled=False, threshold=0.5),
                          impair=ImpairSettings(theta_d=("fixed", 0.0),
                                                epsilon=("fixed", 0.0)))
         assert prepare(spec).n_users == 2
 
 
+class TestLayout:
+    """``prepare`` builds the run's layout (each grid's pilot and data
+    bins) once; the trials read it and build no mask and no bin list."""
+
+    @pytest.mark.parametrize("spec", [
+        make_spec(kind="mu_uplink", constellation="qpsk", csi="genie"),
+        make_spec(kind="mu_uplink", constellation="qpsk", csi="estimated",
+                  pilot=PilotConfig(4, 8, 1000.0, 3, 3)),
+        make_spec(),
+        make_spec(kind="sync_vs_snr", csi="genie", channel_profile="single_tap",
+                  sync=SyncSettings(enabled=True))],
+        ids=["mu_genie", "mu_estimated", "link", "sync"])
+    def test_trials_build_no_mask_and_no_bins(self, monkeypatch, spec):
+        alloc = prepare(spec)
+        trial, _ = harness._KINDS[spec.kind]
+        calls = []
+        for module, name in ((harness, "_mu_user_mask"), (harness, "_mu_user_pilot"),
+                             (harness, "data_bins"), (mapping, "data_bins"),
+                             (harness, "overlay_mask")):
+            def counted(*args, real=getattr(module, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(module, name, counted)
+        for t in range(3):
+            trial(spec, t, 15.0, alloc)
+        assert calls == []
+        layout = harness._layout(spec.frame, spec.pilot, spec.csi, alloc)
+        assert len(layout.bins) == len(layout.pilots) == (
+            1 if alloc is None else alloc.n_users)
+        for bins in layout.bins:
+            assert not bins.flags.writeable
+
+    def test_uplink_layout_matches_the_user_masks(self):
+        spec = make_spec(kind="mu_uplink", constellation="qpsk", csi="estimated",
+                         pilot=PilotConfig(4, 8, 1000.0, 3, 3))
+        alloc = prepare(spec)
+        layout = harness._layout(spec.frame, spec.pilot, spec.csi, alloc)
+        for q, (pc, bins) in enumerate(zip(layout.pilots, layout.bins)):
+            assert pc == harness._mu_user_pilot(spec.pilot, alloc, q)
+            mask = harness._mu_user_mask(spec.frame, alloc, q, pc)
+            np.testing.assert_array_equal(bins, mapping.data_bins(mask))
+            assert set(bins.tolist()) <= set(alloc.vec_indices(q).tolist())
+
+
+class TestUnreadKeys:
+    """``prepare`` rejects a key the experiment kind never reads when it is
+    set away from its default, and names it."""
+
+    @pytest.mark.parametrize("kind,settings,keys", [
+        ("ber_vs_snr", dict(sweep_thresholds=(0.3, 0.9),
+                            sync=SyncSettings(threshold=0.2)),
+         "sweep.thresholds, sync.threshold: ber_vs_snr without sync.enabled"),
+        ("ber_vs_snr", dict(sweep_thresholds=(0.3,),
+                            sync=SyncSettings(enabled=True, threshold=0.2)),
+         "sweep.thresholds: ber_vs_snr never reads these keys"),
+        ("sync_vs_snr", dict(csi="estimated", mu_users=3),
+         "detector.csi, mu.q: sync_vs_snr never reads these keys"),
+        ("threshold_sweep", dict(pilot=replace(PILOT, detection_threshold=4.0)),
+         "est.threshold_sigma: threshold_sweep"),
+        ("sync_vs_snr", dict(sweep_thresholds=(0.5,)), "sweep.thresholds: sync_vs_snr"),
+        ("ber_vs_snr", dict(mu_allocation_path="configs/mu_allocation.txt",
+                            mu_relax_disjointness=True),
+         "mu.allocation, mu.relax_disjointness: ber_vs_snr"),
+        ("mu_uplink", dict(sync=SyncSettings(threshold=0.3)),
+         "sync.threshold: mu_uplink never reads these keys")])
+    def test_rejected(self, kind, settings, keys):
+        base = dict(csi="genie", channel_profile="single_tap")
+        if kind in ("sync_vs_snr", "threshold_sweep"):
+            base["sync"] = SyncSettings(enabled=True)
+        if kind == "mu_uplink":
+            base["constellation"] = "qpsk"
+        spec = make_spec(kind=kind, **{**base, **settings})
+        with pytest.raises(ConfigError, match=f"^{keys}"):
+            prepare(spec)
+
+    @pytest.mark.parametrize("kind,settings", [
+        ("threshold_sweep", dict(sweep_thresholds=(0.3, 0.9), csi="genie",
+                                 sync=SyncSettings(enabled=True, threshold=0.2))),
+        ("ber_vs_snr", dict(sync=SyncSettings(enabled=True, threshold=0.2),
+                            csi="estimated",
+                            pilot=replace(PILOT, detection_threshold=4.0))),
+        ("mu_uplink", dict(mu_users=3, csi="estimated", constellation="qpsk",
+                           pilot=PilotConfig(4, 8, 1000.0, 1, 1,
+                                             detection_threshold=4.0)))])
+    def test_keys_the_kind_reads_pass(self, kind, settings):
+        prepare(make_spec(kind=kind, **settings))
+
+
 class TestRun:
     def test_csv_and_metadata_written(self, tmp_path):
         spec = make_spec(kind="sync_vs_snr", channel_profile="single_tap",
+                         csi="genie",
                          trials=2, snr_db=(10.0, 20.0),
                          sync=SyncSettings(enabled=True),
                          impair=ImpairSettings(epsilon=("uniform", -0.3, 0.3)))
@@ -556,6 +670,7 @@ class TestRun:
         # run imports the pool class from concurrent.futures when it needs it
         monkeypatch.setattr(futures, "ProcessPoolExecutor", CountedPool)
         spec = make_spec(kind="sync_vs_snr", channel_profile="single_tap",
+                         csi="genie",
                          trials=2, snr_db=(10.0, 20.0),
                          sync=SyncSettings(enabled=True))
         run(spec, parallelism=2)

@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ddlink.frame import FrameConfig
-from ddlink.mapping import (DATA, GUARD, PILOT, data_bin_count, data_bins,
-                            full_data_mask, get_constellation, map_bits)
+from ddlink.mapping import (DATA, GUARD, PILOT, data_bins, full_data_mask,
+                            get_constellation, map_bits)
 from oracles import (nearest_indices_argmin, nearest_indices_exact,
                      square_qam_points)
 from strategies import PROPERTY
@@ -127,10 +127,10 @@ class TestGridPacking:
         mask = full_data_mask(frame)
         mask[1:3, 1:3] = GUARD
         c = get_constellation("qpsk")
-        n_data = data_bin_count(mask)
+        n_data = data_bins(mask).size
         assert n_data == 12
         bits = rng.integers(0, 2, n_data * 2)
-        grid = map_bits(bits, c, frame, mask)
+        grid = map_bits(bits, c, frame, data_bins(mask))
         assert not grid.data[1:3, 1:3].any()
         np.testing.assert_array_equal(demap(grid, c, mask), bits)
 
@@ -159,11 +159,11 @@ class TestGridPacking:
                                            min_size=M * N, max_size=M * N)),
                         dtype=np.int8).reshape(M, N)
         c = get_constellation(name)
-        n_bits = data_bin_count(mask) * c.bits_per_symbol
+        bins = data_bins(mask)
+        n_bits = bins.size * c.bits_per_symbol
         bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n_bits,
                                            max_size=n_bits)), dtype=int)
-        vec = map_bits(bits, c, frame, mask).vec
-        bins = data_bins(mask)
+        vec = map_bits(bits, c, frame, bins).vec
         np.testing.assert_array_equal(bins, [i for i, v in enumerate(mask.T.flat)
                                              if v == DATA])
         np.testing.assert_array_equal(vec[bins], c.bits_to_symbols(bits))

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ddlink.frame import FrameConfig
-from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform,
-                          demodulate_direct, demodulate_spread,
+from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform, _demod_core,
+                          _mod_core, demodulate_direct, demodulate_spread,
                           modulate_direct, modulate_spread)
+from strategies import PROPERTY
 
 rng = np.random.default_rng(99)
 
@@ -161,6 +164,29 @@ class TestSpreadStructure:
         spectrum = np.fft.fft(s, norm="ortho")
         support = np.flatnonzero(np.abs(spectrum) > 1e-12)
         np.testing.assert_array_equal(support, n0 + 4 * np.arange(8))
+
+
+class TestBatchAxis:
+    """The cores take a leading batch axis; every grid and signal of a
+    batch gets its own single-frame arithmetic, bit for bit."""
+
+    @PROPERTY
+    @given(st.sampled_from([(1, 1), (3, 5), (8, 8), (32, 16), (128, 32)]),
+           st.integers(0, 8), st.integers(1, 3), st.sampled_from(WAVEFORMS),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_batch_equals_each_frame_alone(self, shape, cp, batch, w, spread, seed):
+        M, N = shape
+        frame = FrameConfig(M, N, cp_len=min(cp, M * N - 1))
+        g = np.random.default_rng(seed)
+        D = g.standard_normal((batch, M, N)) + 1j * g.standard_normal((batch, M, N))
+        z = g.standard_normal((batch, M * N)) + 1j * g.standard_normal((batch, M * N))
+        x, G = _mod_core(D, frame, w, spread), _demod_core(z, frame, w, spread)
+        assert x.shape == (batch, frame.frame_len) and G.shape == (batch, M, N)
+        for b in range(batch):
+            for got, alone in ((x[b], _mod_core(D[b], frame, w, spread)),
+                               (G[b], _demod_core(z[b], frame, w, spread))):
+                assert np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                                      np.ascontiguousarray(alone).view(np.uint64))
 
 
 class TestGridVec:

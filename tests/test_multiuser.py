@@ -20,6 +20,7 @@ from oracles import dense_detect, even_split_chunks
 rng = np.random.default_rng(33)
 
 FRAME = FrameConfig(8, 8, cp_len=4)
+BOTH = (Waveform.OTFS, Waveform.SC_IFDMA)
 ALLOCATION_FILE = Path(__file__).resolve().parents[1] / "configs" / "mu_allocation.txt"
 
 
@@ -279,8 +280,9 @@ def diagonals(channels):
 
 
 def assert_matches_dense(received, channels, alloc, w, noise_var):
-    out = detect_users_time_domain(received, diagonals(channels), alloc, w,
-                                   noise_var).vec
+    (out,) = detect_users_time_domain(received, diagonals(channels), alloc,
+                                      (w,), noise_var)
+    out = out.vec
     oracle = dense_detect(received, channels, alloc, w, noise_var).vec
     assert np.linalg.norm(out - oracle) <= 1e-10 * np.linalg.norm(oracle)
     return out
@@ -346,11 +348,42 @@ class TestTimeDomainDetector:
         g = np.random.default_rng(seed)
         received = TimeSignal(g.standard_normal(frame.frame_len)
                               + 1j * g.standard_normal(frame.frame_len), frame)
-        otfs, sc = (detect_users_time_domain(received, diagonals(channels),
-                                             alloc, w, noise_var).data
-                    for w in (Waveform.OTFS, Waveform.SC_IFDMA))
+        otfs, sc = (g.data for g in detect_users_time_domain(
+            received, diagonals(channels), alloc, BOTH, noise_var))
         absorbed = coupling_phases(frame.M, frame.N) * otfs
         assert np.linalg.norm(sc - absorbed) <= 1e-10 * np.linalg.norm(absorbed)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(uplinks(), st.sampled_from([BOTH, BOTH[::-1], BOTH[:1], BOTH[1:]]),
+           st.sampled_from([0.01, 0.5]))
+    def test_one_call_equals_a_call_per_waveform(self, uplink, waveforms,
+                                                 noise_var):
+        # the waveform-independent products are formed once per call; each
+        # waveform's grid is the one a call of its own gives, bit for bit,
+        # with silent users and users of different delay sets
+        frame, alloc, channels, seed = uplink
+        g = np.random.default_rng(seed)
+        received = TimeSignal(g.standard_normal(frame.frame_len)
+                              + 1j * g.standard_normal(frame.frame_len), frame)
+        hs = diagonals(channels)
+        joint = detect_users_time_domain(received, hs, alloc, waveforms, noise_var)
+        assert len(joint) == len(waveforms)
+        for w, grid in zip(waveforms, joint):
+            (alone,) = detect_users_time_domain(received, hs, alloc, (w,), noise_var)
+            assert np.array_equal(grid.vec.view(np.uint64),
+                                  alone.vec.view(np.uint64))
+
+    @pytest.mark.parametrize("case", ["none_user", "past_cp", "relaxed"])
+    def test_one_call_on_silent_users_and_distinct_delay_sets(self, case):
+        frame, alloc, channels = uplink_case(case)
+        received = superposed_record(frame, alloc, channels, 0.05, 13)
+        hs = diagonals(channels)
+        joint = detect_users_time_domain(received, hs, alloc, BOTH, 0.05)
+        for w, grid in zip(BOTH, joint):
+            (alone,) = detect_users_time_domain(received, hs, alloc, (w,), 0.05)
+            assert np.array_equal(grid.vec.view(np.uint64),
+                                  alone.vec.view(np.uint64))
+            assert_matches_dense(received, channels, alloc, w, 0.05)
 
     def test_plan_cache_follows_the_delay_sets(self):
         alloc = two_user_alloc()
@@ -381,8 +414,9 @@ class TestTimeDomainDetector:
         rx = sum(apply_channel(modulate_direct(place_user(d, alloc, q, frame),
                                                Waveform.OTFS), ch).samples
                  for q, (d, ch) in enumerate(zip(datas, channels)))
-        hat = detect_users_time_domain(TimeSignal(rx, frame), diagonals(channels),
-                                       alloc, Waveform.OTFS, 0.0)
+        (hat,) = detect_users_time_domain(TimeSignal(rx, frame),
+                                          diagonals(channels), alloc,
+                                          (Waveform.OTFS,), 0.0)
         for q, d in enumerate(datas):
             assert np.max(np.abs(extract_user(hat, alloc, q) - d)) <= 1e-8
 
@@ -393,17 +427,18 @@ class TestTimeDomainDetector:
         received = superposed_record(frame, alloc, channels, 0.0, 3)
         with pytest.raises(np.linalg.LinAlgError):
             detect_users_time_domain(received, diagonals(channels), alloc,
-                                     Waveform.OTFS, 0.0)
+                                     (Waveform.OTFS,), 0.0)
 
     def test_mismatched_inputs_rejected(self):
         frame, alloc, channels = uplink_case("even_split")
         channels = diagonals(channels)
         received = TimeSignal(np.zeros(frame.frame_len, dtype=complex), frame)
         with pytest.raises(ValueError):
-            detect_users_time_domain(received, channels[:1], alloc, Waveform.OTFS, 0.1)
+            detect_users_time_domain(received, channels[:1], alloc,
+                                     (Waveform.OTFS,), 0.1)
         with pytest.raises(ValueError):
             detect_users_time_domain(received, channels, even_split_allocation(4, 8, 2),
-                                     Waveform.OTFS, 0.1)
+                                     (Waveform.OTFS,), 0.1)
 
     @pytest.mark.parametrize("other", [FrameConfig(8, 4, cp_len=4),
                                        FrameConfig(8, 8, cp_len=5)])
@@ -414,7 +449,7 @@ class TestTimeDomainDetector:
         received = TimeSignal(np.zeros(frame.frame_len, dtype=complex), frame)
         mixed = [None, delay_diagonals(LtvChannel(channels[1].taps, other))]
         with pytest.raises(ValueError, match="does not match"):
-            detect_users_time_domain(received, mixed, alloc, Waveform.OTFS, 0.1)
+            detect_users_time_domain(received, mixed, alloc, (Waveform.OTFS,), 0.1)
 
 
 class TestAllocationFile:
