@@ -228,13 +228,15 @@ def apply_channel(sig: TimeSignal, ch: LtvChannel, noise: NoiseSpec | None = Non
     studies); a spread beyond the CP is the caller's concern, not an error.
     ``ramps`` are the channel's :func:`tap_ramps` (see :func:`_apply_taps`
     for the samples they must cover), evaluated over the record when not
-    given.
+    given. The samples may carry leading batch axes, one frame each: every
+    frame goes through the same channel and offsets, with one CFO ramp
+    and one noise draw for all of them.
     """
     x = sig.samples
     frame = ch.frame
     impair = Impairments() if impair is None else impair
     shift = impair.total_offset(frame.M)
-    n = x.shape[0] + shift if record_len is None else record_len
+    n = x.shape[-1] + shift if record_len is None else record_len
     r = _apply_taps(x, ch, tap_ramps(ch, n) if ramps is None else ramps,
                     shift, n)
     if impair.cfo != 0.0:

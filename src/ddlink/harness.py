@@ -15,9 +15,11 @@ signal of a grid is identical to the SC-IFDMA signal of the same grid
 pre-rotated by the known coupling phases, so each receiver simply
 accounts for those phases in its own bookkeeping. This makes the
 per-trial hard decisions of the two waveforms comparable one-to-one.
-Synchronization experiments transmit per-waveform signals with shared
-channel/noise/impairment draws instead, since the timing metric needs no
-cross-waveform coupling.
+Synchronization experiments instead send each waveform's own signal of
+the one drawn grid, with shared channel/noise/impairment draws, since the
+timing metric needs no cross-waveform coupling; the records of all
+waveforms come from one batched transmission, and each is synced on its
+own.
 
 Trial skeleton: ``prepare`` builds what the trials of a run share once,
 before the first trial: the uplink allocation and the run's layout
@@ -25,8 +27,12 @@ before the first trial: the uplink allocation and the run's layout
 a link, one per uplink user), cached so every trial reads it. ``_draw``
 draws one channel, bit array and grid per grid of the layout and stacks
 the grids; ``_ramps`` evaluates each drawn channel's tap ramps once, and
-``_transmit`` modulates the stacked grids in one batch and superposes
-them through their channels, reading those ramps. ``_detection_trial``
+``_transmit`` gives one noisy record per waveform it is asked for, as a
+batch: one modulation of the stacked grids of every waveform, one pass
+through each channel for all of them (reading those ramps, with one CFO
+ramp), the grids superposed and the one noise draw added to each record.
+A detection trial asks for the OTFS record alone, a sync trial for one
+record per waveform of its spec. ``_detection_trial``
 runs a link or uplink trial on one noisy record: impairments and sync
 only where ``_runs_sync`` says the spec syncs, then CSI, the trial's
 detector, SC-IFDMA derotation and demapping per grid. Genie CSI is the
@@ -184,13 +190,21 @@ def _ramps(frame: FrameConfig, channels, impair, record_len: int) -> list:
 
 
 def _transmit(frame: FrameConfig, grids: np.ndarray, channels, ramps,
-              waveform: Waveform, impair=None, record_len=None) -> np.ndarray:
-    """Noiseless received record: the stacked grids, modulated in one
-    batch, each through its own channel (with its ramps), superposed."""
-    x = _mod_core(grids, frame, waveform, spread=False)
-    return sum(apply_channel(TimeSignal(s, frame), ch, impair=impair,
+              waveforms, impair, record_len: int, noise: np.ndarray) -> np.ndarray:
+    """Noisy received records of the stacked grids sent with each
+    waveform of ``waveforms``, as a (waveforms, record_len) batch. One
+    modulation covers every waveform and grid: SC-IFDMA grids are the
+    OTFS structure applied to the grids derotated by the coupling phases,
+    which is the multiply ``_mod_core`` makes for them. Each channel then
+    carries its grid of every waveform in one ``apply_channel`` call
+    (reading its ramps, one CFO ramp for the batch), the grids superpose,
+    and the one noise draw is added to every record."""
+    W = coupling_phases(frame.M, frame.N)
+    x = _mod_core(np.array([grids if w is Waveform.OTFS else grids * np.conj(W)
+                            for w in waveforms]), frame, Waveform.OTFS, spread=False)
+    return sum(apply_channel(TimeSignal(x[:, g], frame), ch, impair=impair,
                              record_len=record_len, ramps=r).samples
-               for s, ch, r in zip(x, channels, ramps))
+               for g, (ch, r) in enumerate(zip(channels, ramps))) + noise
 
 
 def _estimate_sync(spec: ExperimentSpec, record: np.ndarray):
@@ -273,8 +287,8 @@ def _detection_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
     ramps = _ramps(frame, channels, impair, record_len)
     noise = draw_noise(seed_stream(spec.seed, trial_id, "noise"), noise_var,
                        record_len)
-    record = _transmit(frame, sent, channels, ramps, Waveform.OTFS, impair,
-                       record_len) + noise
+    record = _transmit(frame, sent, channels, ramps, (Waveform.OTFS,), impair,
+                       record_len, noise)[0]
     if impair is None:
         signal = TimeSignal(record, frame, cp_included=True)
     else:
@@ -331,11 +345,11 @@ def link_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
 
 
 def sync_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
-    """One synchronization trial: per-waveform transmissions with shared
-    channel/noise/data/impairment realizations (the channel's tap ramps
-    evaluated once for both). Returns per-waveform offset errors
-    (samples) and the CFO estimate error, plus per-threshold fine errors
-    for sweeps."""
+    """One synchronization trial: one transmission per waveform with
+    shared channel/noise/data/impairment realizations, all sent in one
+    batch (:func:`_transmit`), and one sync estimate per waveform.
+    Returns per-waveform offset errors (samples) and the CFO estimate
+    error, plus per-threshold fine errors for sweeps."""
     frame = spec.frame
     channels, _, grids = _draw(spec, trial_id,
                                _layout(frame, spec.pilot, spec.csi, None))
@@ -344,11 +358,11 @@ def sync_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
     true_offset = impair.total_offset(frame.M)
     eta = draw_noise(seed_stream(spec.seed, trial_id, "noise"),
                      _noise_var(snr_db), record_len)
+    records = _transmit(frame, grids, channels, ramps, spec.waveforms, impair,
+                        record_len, eta)
 
     out = {}
-    for w in spec.waveforms:
-        record = _transmit(frame, grids, channels, ramps, w, impair,
-                           record_len) + eta
+    for w, record in zip(spec.waveforms, records):
         est = _estimate_sync(spec, record)
         coarse_total = est.coarse_delay + frame.M * est.block_offset
         res = {
@@ -431,9 +445,13 @@ def prepare(spec: ExperimentSpec) -> Allocation | None:
                               f"their defaults")
     unread = _unread_keys(spec)
     if unread:
-        subject = ("ber_vs_snr without sync.enabled = true"
-                   if spec.kind == "ber_vs_snr" and not spec.sync.enabled
-                   else spec.kind)
+        # name the setting that leaves a detection kind's key unread
+        why = []
+        if spec.kind == "ber_vs_snr" and "sync.threshold" in unread:
+            why.append("without sync.enabled = true")
+        if spec.kind in ("ber_vs_snr", "mu_uplink") and "est.threshold_sigma" in unread:
+            why.append("with detector.csi = genie")
+        subject = f"{spec.kind} {' and '.join(why)}".rstrip()
         raise ConfigError(f"{', '.join(unread)}: {subject} never reads "
                           f"these keys; leave them at their defaults")
     _layout(frame, spec.pilot, spec.csi, alloc)
@@ -444,14 +462,16 @@ def _unread_keys(spec: ExperimentSpec) -> list:
     """The keys among ``sweep.thresholds``, ``sync.threshold``,
     ``detector.csi``, ``est.threshold_sigma`` and ``mu.*`` that the
     trials of ``spec`` never read, where set away from their defaults in
-    ``config.SCHEMA``."""
+    ``config.SCHEMA``. ``est.threshold_sigma`` is read only by the channel
+    estimate of a detection kind with ``detector.csi = estimated``."""
     syncs = spec.kind in ("sync_vs_snr", "threshold_sweep")
     uplink = spec.kind == "mu_uplink"
     values = {
         "sweep.thresholds": (spec.sweep_thresholds, spec.kind == "threshold_sweep"),
         "sync.threshold": (spec.sync.threshold, _runs_sync(spec)),
         "detector.csi": (spec.csi, not syncs),
-        "est.threshold_sigma": (spec.pilot.detection_threshold, not syncs),
+        "est.threshold_sigma": (spec.pilot.detection_threshold,
+                                not syncs and spec.csi == "estimated"),
         "mu.q": (spec.mu_users, uplink),
         "mu.allocation": (spec.mu_allocation_path or "", uplink),
         "mu.relax_disjointness": (spec.mu_relax_disjointness, uplink),

@@ -361,34 +361,45 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
 def load_allocation(path: str, M: int, N: int, relax: bool = False) -> Allocation:
     """Read per-user bin lists from a flat text file of
     ``userK.delay_bins = ...`` / ``userK.doppler_bins = ...`` lines, each
-    key set once; disjointness is validated on construction."""
-    entries, lines = {}, {}
+    key set once; disjointness is validated on construction. The file is
+    read on every call, so an edited file is seen; its parse is cached
+    per path, text, grid and rule (:func:`_parse_allocation`)."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, src in enumerate(fh, 1):
-            line = src.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = bins'")
-            key, value = (p.strip() for p in line.split("=", 1))
-            if "." not in key:
-                raise ValueError(f"{path}:{lineno}: bad key {key!r}")
-            user, kind = key.split(".", 1)
-            if not user.startswith("user") or not user[4:].isdigit():
-                raise ValueError(f"{path}:{lineno}: bad user name {user!r}")
-            if kind not in ("delay_bins", "doppler_bins"):
-                raise ValueError(f"{path}:{lineno}: bad key {key!r}")
-            q = int(user[4:])
-            if (q, kind) in lines:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
-                                 f"(first set on line {lines[q, kind]})")
-            lines[q, kind] = lineno
-            try:
-                bins = tuple(int(b) for b in value.split(",") if b.strip())
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bins of {key!r} must be "
-                                 f"integers, got {value!r}") from None
-            entries.setdefault(q, {})[kind] = bins
+        text = fh.read()
+    return _parse_allocation(path, text, M, N, relax)
+
+
+@lru_cache(maxsize=8)
+def _parse_allocation(path: str, text: str, M: int, N: int,
+                      relax: bool) -> Allocation:
+    """The allocation of the text of the file at ``path``; errors name
+    ``path`` and the line."""
+    entries, lines = {}, {}
+    for lineno, src in enumerate(text.split("\n"), 1):
+        line = src.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = bins'")
+        key, value = (p.strip() for p in line.split("=", 1))
+        if "." not in key:
+            raise ValueError(f"{path}:{lineno}: bad key {key!r}")
+        user, kind = key.split(".", 1)
+        if not user.startswith("user") or not user[4:].isdigit():
+            raise ValueError(f"{path}:{lineno}: bad user name {user!r}")
+        if kind not in ("delay_bins", "doppler_bins"):
+            raise ValueError(f"{path}:{lineno}: bad key {key!r}")
+        q = int(user[4:])
+        if (q, kind) in lines:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
+                             f"(first set on line {lines[q, kind]})")
+        lines[q, kind] = lineno
+        try:
+            bins = tuple(int(b) for b in value.split(",") if b.strip())
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bins of {key!r} must be "
+                             f"integers, got {value!r}") from None
+        entries.setdefault(q, {})[kind] = bins
     if not entries or sorted(entries) != list(range(len(entries))):
         raise ValueError(f"{path}: users must be user0..user{{Q-1}} with no gaps")
     users = []

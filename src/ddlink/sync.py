@@ -11,9 +11,18 @@ The fine estimator refines the row choice: instead of the metric maximum
 (which follows the strongest channel tap and is biased by the delay of
 that tap) it takes the earliest row whose metric clears a relative
 threshold, recovering the first arriving tap.
+
+The metric gathers its rows through an index cached per grid and record
+length, and reads them straight from the record when the record holds
+every indexed sample, M(2N-1) of them; every harness record does (it has
+at least 2MN + CP samples). Shorter records are zero-filled past their
+end. One estimate takes the metric magnitude once: the coarse and fine
+rows follow from it by the rules the public timing functions apply, and
+the block offset and CFO are read at the coarse row.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,27 +60,62 @@ class SyncEstimate:
         return self.fine_delay + M * self.block_offset
 
 
+@lru_cache(maxsize=16)
+def _gather(M: int, N: int, n: int):
+    """Read-only gather index of the metric rows in a record of ``n``
+    samples, one row per column: idx[l, m] = m + M*l, l = 0 .. 2N-2. With
+    it, the read-only mask of the indices inside the record, or None when
+    all are (a record of at least M(2N-1) samples); only an index with a
+    mask is clamped into the record."""
+    idx = np.arange(M)[None, :] + M * np.arange(2 * N - 1)[:, None]
+    inside = idx < n
+    if inside.all():
+        inside = None
+    else:
+        idx = np.minimum(idx, n - 1)
+        inside.setflags(write=False)
+    idx.setflags(write=False)
+    return idx, inside
+
+
 def timing_metric(record, frame: FrameConfig):
     """Sliding pilot-search correlation over the M delay rows.
 
     Returns (window_corr, row_metric): window_corr[m, l] sums the N-1
     adjacent-sample products of the length-N window starting at block l of
     row m; row_metric[m] sums window_corr[m, :] over the N window starts.
-    Rows are zero-filled past the end of the record.
+    Rows are zero-filled past the end of the record. The rows are
+    gathered, one per column, through an index cached per grid and record
+    length (:func:`_gather`), straight from the record when it holds every
+    indexed sample, so the running sums along the rows run across all rows
+    at once.
     """
     r = np.asarray(record)
     M, N = frame.M, frame.N
     if r.ndim != 1 or r.size < M * N:
         raise ValueError(f"record too short for the sliding window: "
                          f"{r.size} < {M * N}")
-    row_len = 2 * N - 1
-    idx = np.arange(M)[:, None] + M * np.arange(row_len)[None, :]
-    rows = np.where(idx < r.size, r[np.minimum(idx, r.size - 1)], 0.0)
-    prod = np.conj(rows[:, :-1]) * rows[:, 1:]
-    csum = np.concatenate([np.zeros((M, 1), complex), np.cumsum(prod, axis=1)], axis=1)
-    window_corr = csum[:, N - 1:N - 1 + N] - csum[:, 0:N]  # starts l = 0..N-1
+    idx, inside = _gather(M, N, r.size)
+    cols = r[idx] if inside is None else np.where(inside, r[idx], 0.0)
+    prod = np.conj(cols[:-1]) * cols[1:]
+    csum = np.zeros((2 * N - 1, M), complex)
+    np.cumsum(prod, axis=0, dtype=prod.dtype, out=csum[1:])
+    # starts l = 0..N-1, laid out by row for the sum along each row
+    window_corr = np.subtract(csum[N - 1:N - 1 + N].T, csum[0:N].T, order="C")
     row_metric = window_corr.sum(axis=1)
     return window_corr, row_metric
+
+
+def _peak_rows(mag, threshold: float):
+    """The rules of coarse and fine timing on the metric magnitude
+    ``mag``: the lowest row of its maximum, and the rows within
+    ``threshold`` of that maximum, in increasing order. A zero metric, or
+    a threshold outside (0, 1], raises ValueError."""
+    if not mag.any():
+        raise ValueError("timing metric is identically zero")
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    return int(np.argmax(mag)), np.flatnonzero(mag >= threshold * mag.max())
 
 
 def coarse_timing(row_metric, pilot_delay: int, cp_len: int) -> int:
@@ -81,30 +125,22 @@ def coarse_timing(row_metric, pilot_delay: int, cp_len: int) -> int:
     the result is only known modulo M (full blocks are resolved separately).
     Ties resolve to the lowest row.
     """
-    mag = np.abs(np.asarray(row_metric))
-    if not mag.any():
-        raise ValueError("timing metric is identically zero")
-    return int(np.argmax(mag)) - pilot_delay - cp_len
+    return _peak_rows(np.abs(np.asarray(row_metric)), 1.0)[0] - pilot_delay - cp_len
 
 
 def metric_peak_set(row_metric, threshold: float) -> np.ndarray:
     """Rows whose metric magnitude is within ``threshold`` of the maximum."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-    mag = np.abs(np.asarray(row_metric))
-    return np.flatnonzero(mag >= threshold * mag.max())
+    return _peak_rows(np.abs(np.asarray(row_metric)), threshold)[1]
 
 
 def fine_timing(row_metric, threshold: float, pilot_delay: int, cp_len: int) -> int:
     """First-peak timing estimate: earliest row above the relative threshold.
 
     The maximum always qualifies, so the peak set is never empty; with
-    threshold 1 and a unique maximum this reduces to :func:`coarse_timing`.
+    threshold 1 this reduces to :func:`coarse_timing`.
     """
-    mag = np.abs(np.asarray(row_metric))
-    if not mag.any():
-        raise ValueError("timing metric is identically zero")
-    return int(metric_peak_set(row_metric, threshold).min()) - pilot_delay - cp_len
+    rows = _peak_rows(np.abs(np.asarray(row_metric)), threshold)[1]
+    return int(rows[0]) - pilot_delay - cp_len
 
 
 # Window starts the block search compares. The estimator resolves whether
@@ -155,17 +191,17 @@ def correct(record, offset: int, cfo: float, frame: FrameConfig):
 
 def estimate_sync(record, frame: FrameConfig, pilot_delay: int,
                   pilot_doppler: int = 0, threshold: float = 0.5) -> SyncEstimate:
-    """Run the full estimator chain on one received record."""
+    """Run the full estimator chain on one received record: coarse and
+    fine timing, the block offset and the CFO, all from one metric
+    magnitude (the block offset and the CFO at the metric-peak row)."""
     window_corr, row_metric = timing_metric(record, frame)
-    coarse = coarse_timing(row_metric, pilot_delay, cp_len=frame.cp_len)
-    fine = fine_timing(row_metric, threshold, pilot_delay, cp_len=frame.cp_len)
-    peak_row = coarse + pilot_delay + frame.cp_len
-    blocks = block_offset(window_corr, peak_row)
-    cfo = cfo_estimate(row_metric, peak_row, frame, pilot_doppler=pilot_doppler)
+    mag = np.abs(row_metric)
+    peak_row, rows = _peak_rows(mag, threshold)
+    lead = pilot_delay + frame.cp_len
     return SyncEstimate(
-        coarse_delay=coarse,
-        fine_delay=fine,
-        block_offset=blocks,
-        cfo=cfo,
-        metric=np.abs(row_metric),
+        coarse_delay=peak_row - lead,
+        fine_delay=int(rows[0]) - lead,
+        block_offset=block_offset(window_corr, peak_row),
+        cfo=cfo_estimate(row_metric, peak_row, frame, pilot_doppler=pilot_doppler),
+        metric=mag,
     )

@@ -6,11 +6,14 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import solveh_banded
 
+from ddlink import harness
 from ddlink.chanest import EstimatedChannel, EstimatedTap
 from ddlink.channel import (ChannelTap, DdChannelMatrix, LtvChannel,
-                            _cp_bounded, delay_diagonals)
-from ddlink.modem import Waveform, demodulate_direct
+                            _cp_bounded, apply_channel, delay_diagonals,
+                            draw_noise)
+from ddlink.modem import TimeSignal, Waveform, _mod_core, demodulate_direct
 from ddlink.multiuser import compound_matrix, detect_users
+from ddlink.sync import BLOCK_STARTS, SyncEstimate, cfo_estimate
 from ddlink.transforms import coupling_phases
 
 
@@ -212,3 +215,110 @@ def estimate_channel_loop(received, pc, waveform, noise_std=None,
             gain /= complex(np.exp(2j * np.pi * k_off * kappa / frame.grid_size))
             taps.append(EstimatedTap(d_off, k_off, complex(gain)))
     return EstimatedChannel(tuple(taps), waveform, noise_std)
+
+
+def bits(x):
+    """The bit pattern of a number or an array, for comparison without
+    tolerance."""
+    return np.asarray(x).view(np.uint64)
+
+
+def timing_metric_by_rows(record, frame):
+    """:func:`ddlink.sync.timing_metric` with the rows gathered by an
+    index of its own, zero-filled past the record by ``np.where`` on every
+    call, and the running sums taken along each row: the bit oracle of
+    the cached, transposed gather and its in-record fast path."""
+    r = np.asarray(record)
+    M, N = frame.M, frame.N
+    if r.ndim != 1 or r.size < M * N:
+        raise ValueError(f"record too short for the sliding window: "
+                         f"{r.size} < {M * N}")
+    row_len = 2 * N - 1
+    idx = np.arange(M)[:, None] + M * np.arange(row_len)[None, :]
+    rows = np.where(idx < r.size, r[np.minimum(idx, r.size - 1)], 0.0)
+    prod = np.conj(rows[:, :-1]) * rows[:, 1:]
+    csum = np.concatenate([np.zeros((M, 1), complex), np.cumsum(prod, axis=1)], axis=1)
+    window_corr = csum[:, N - 1:N - 1 + N] - csum[:, 0:N]  # starts l = 0..N-1
+    row_metric = window_corr.sum(axis=1)
+    return window_corr, row_metric
+
+
+def coarse_row(row_metric) -> int:
+    """Row of the metric-peak timing rule: the first maximum of the
+    metric magnitude; a zero metric raises ValueError."""
+    mag = np.abs(np.asarray(row_metric))
+    if not mag.any():
+        raise ValueError("timing metric is identically zero")
+    return int(np.argmax(mag))
+
+
+def first_peak_row(row_metric, threshold: float) -> int:
+    """Row of the first-peak timing rule: the earliest row whose metric
+    magnitude is within ``threshold`` of the maximum; a zero metric or a
+    threshold outside (0, 1] raises ValueError."""
+    mag = np.abs(np.asarray(row_metric))
+    if not mag.any():
+        raise ValueError("timing metric is identically zero")
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    return int(np.flatnonzero(mag >= threshold * mag.max()).min())
+
+
+def estimate_sync_by_rule(record, frame, pilot_delay: int, pilot_doppler: int = 0,
+                          threshold: float = 0.5) -> SyncEstimate:
+    """:func:`ddlink.sync.estimate_sync` on :func:`timing_metric_by_rows`,
+    each rule taking the metric magnitude on its own: the bit oracle of
+    the estimate from one magnitude."""
+    window_corr, row_metric = timing_metric_by_rows(record, frame)
+    lead = pilot_delay + frame.cp_len
+    peak_row = coarse_row(row_metric)
+    fine = first_peak_row(row_metric, threshold) - lead
+    blocks = int(np.argmax(np.abs(window_corr[peak_row, :BLOCK_STARTS])))
+    cfo = cfo_estimate(row_metric, peak_row, frame, pilot_doppler=pilot_doppler)
+    return SyncEstimate(peak_row - lead, fine, blocks, cfo, np.abs(row_metric))
+
+
+def transmit_one_waveform(frame, grids, channels, ramps, waveform, impair=None,
+                          record_len=None) -> np.ndarray:
+    """Noiseless received record of one waveform: its own modulation of
+    the stacked grids, each through its own channel (with its ramps, and
+    its own CFO ramp), superposed. The bit oracle of a row of
+    :func:`ddlink.harness._transmit` without its noise."""
+    x = _mod_core(grids, frame, waveform, spread=False)
+    return sum(apply_channel(TimeSignal(s, frame), ch, impair=impair,
+                             record_len=record_len, ramps=r).samples
+               for s, ch, r in zip(x, channels, ramps))
+
+
+def sync_trial_per_waveform(spec, trial_id: int, snr_db: float) -> dict:
+    """:func:`ddlink.harness.sync_trial` with one transmission and one
+    estimate by rule per waveform (:func:`transmit_one_waveform`,
+    :func:`estimate_sync_by_rule`), from the same draws."""
+    frame = spec.frame
+    channels, _, grids = harness._draw(
+        spec, trial_id, harness._layout(frame, spec.pilot, spec.csi, None))
+    impair, record_len = harness._impairments(spec, trial_id)
+    ramps = harness._ramps(frame, channels, impair, record_len)
+    true_offset = impair.total_offset(frame.M)
+    eta = draw_noise(harness.seed_stream(spec.seed, trial_id, "noise"),
+                     harness._noise_var(snr_db), record_len)
+    out = {}
+    for w in spec.waveforms:
+        record = transmit_one_waveform(frame, grids, channels, ramps, w, impair,
+                                       record_len) + eta
+        est = estimate_sync_by_rule(record, frame, spec.pilot.pilot_delay,
+                                    pilot_doppler=spec.pilot.pilot_doppler,
+                                    threshold=spec.sync.threshold)
+        coarse_total = est.coarse_delay + frame.M * est.block_offset
+        res = {
+            "coarse_err": abs(coarse_total - true_offset),
+            "fine_err": abs(est.total_offset(frame.M) - true_offset),
+            "cfo_sq_err": (est.cfo - impair.cfo) ** 2,
+        }
+        if spec.kind == "threshold_sweep":
+            for ts in spec.sweep_thresholds:
+                fine = (first_peak_row(est.metric, ts) - spec.pilot.pilot_delay
+                        - frame.cp_len + frame.M * est.block_offset)
+                res[f"fine_err@{ts:g}"] = abs(fine - true_offset)
+        out[w.value] = res
+    return out

@@ -176,6 +176,22 @@ class TestApplyChannel:
         var = np.mean(np.abs(out.samples) ** 2)
         assert abs(var - 1.0) <= 0.05
 
+    @pytest.mark.parametrize("record_len", [None, 40, 70])
+    def test_a_batch_equals_each_frame_alone(self, record_len):
+        # one CFO ramp for the batch; the default record fits a frame
+        frame = FrameConfig(8, 4, cp_len=3)
+        ch = random_channel(frame, max_delay=5)
+        x = np.array([modulate_direct(random_grid(frame), w).samples
+                      for w in (Waveform.OTFS, Waveform.SC_IFDMA, Waveform.OTFS)])
+        imp = Impairments(timing_delay=3, timing_blocks=1, cfo=0.37)
+        batch = apply_channel(TimeSignal(x, frame), ch, impair=imp,
+                              record_len=record_len).samples
+        assert batch.shape == (3, record_len or x.shape[-1] + 11)
+        for row, s in zip(batch, x):
+            alone = apply_channel(TimeSignal(s, frame), ch, impair=imp,
+                                  record_len=record_len).samples
+            assert np.array_equal(row.view(np.uint64), alone.view(np.uint64))
+
 
 def reference_dd_matrix(ch, waveform):
     """Explicit dense product of the CP-bounded channel with the unitary

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -285,13 +286,25 @@ class TestValidate:
         ("threshold_sweep", "est.threshold_sigma = 4",
          "config error: est.threshold_sigma: threshold_sweep never reads"),
         ("mu_uplink", "mu.relax_disjointness = true\nsync.threshold = 0.3",
-         "config error: sync.threshold: mu_uplink never reads these keys")])
+         "config error: sync.threshold: mu_uplink never reads these keys"),
+        # genie CSI estimates no channel, so no detection threshold applies
+        ("ber_vs_snr", "detector.csi = genie\nest.threshold_sigma = 7",
+         "config error: est.threshold_sigma: ber_vs_snr with detector.csi = "
+         "genie never reads these keys; leave them at their defaults"),
+        ("mu_uplink", "est.threshold_sigma = 9",
+         "config error: est.threshold_sigma: mu_uplink with detector.csi = "
+         "genie never reads these keys")])
     def test_keys_the_kind_never_reads_exit_2(self, tmp_path, capsys, monkeypatch,
                                               config, lines, message):
-        # a committed config plus keys its experiment ignores
+        # a committed config with keys its experiment ignores, each line
+        # replacing the config's own setting of its key or added to it
         monkeypatch.chdir(ROOT)
         text = (ROOT / "configs" / f"{config}.cfg").read_text()
-        path = write(tmp_path, text + lines + "\n")
+        for line in lines.split("\n"):
+            key = line.split("=", 1)[0].strip()
+            text, n = re.subn(rf"^{re.escape(key)} = .*$", line, text, flags=re.M)
+            text += "" if n else line + "\n"
+        path = write(tmp_path, text)
         out = tmp_path / "results"
         assert main(["validate", path]) == 2
         assert main(["run", path, "--out", str(out)]) == 2

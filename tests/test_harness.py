@@ -25,7 +25,8 @@ from ddlink.harness import (link_trial, mu_trial, prepare, rows_to_csv, run,
 from ddlink.modem import TimeSignal, Waveform, demodulate_direct
 from ddlink.multiuser import even_split_allocation
 from ddlink.sync import BLOCK_STARTS
-from oracles import dense_detect, to_ltv_channel
+from oracles import (bits, dense_detect, sync_trial_per_waveform,
+                     to_ltv_channel, transmit_one_waveform)
 from strategies import PROPERTY
 
 FRAME = FrameConfig(32, 16, cp_len=8)
@@ -332,7 +333,94 @@ class TestPairedDecisions:
             assert out["otfs"]["bit_errors"] == out["sc_ifdma"]["bit_errors"]
 
 
+@st.composite
+def sync_specs(draw):
+    """A sync_vs_snr or threshold_sweep spec that ``prepare`` accepts, at
+    32x16 or 128x32 with CP 8, on single_tap, two_tap_biased or eva: a
+    fixed or uniform timing delay, a block offset where the pilot run
+    leaves room for one, and a CFO that is zero, fixed or uniform."""
+    kind = draw(st.sampled_from(["sync_vs_snr", "threshold_sweep"]))
+    M, N = draw(st.sampled_from([(32, 16), (128, 32)]))
+    frame = FrameConfig(M, N, cp_len=8)
+    pilot = PilotConfig(draw(st.integers(4, 8)), N // 2, 1000.0, 4, 4)
+    spec = ExperimentSpec(
+        kind=kind, frame=frame,
+        waveforms=draw(st.sampled_from([BOTH, BOTH[::-1], BOTH[:1], BOTH[1:]])),
+        constellation=draw(st.sampled_from(["qpsk", "16qam"])),
+        snr_db=(draw(st.sampled_from([0.0, 10.0, 30.0])),), trials=2,
+        seed=draw(st.integers(0, 2 ** 16)),
+        channel_profile=draw(st.sampled_from(["single_tap", "two_tap_biased", "eva"])),
+        velocity_kmh=draw(st.sampled_from([0.0, 500.0])), pilot=pilot,
+        sync=SyncSettings(enabled=True,
+                          threshold=draw(st.sampled_from([0.3, 0.5, 1.0]))),
+        **({"sweep_thresholds": (0.05, 0.4, 1.0)} if kind == "threshold_sweep"
+           else {}))
+    # the pilot run starts in block (cp + m_p + theta_d + delay) // M + theta_t
+    lead = frame.cp_len + pilot.pilot_delay + harness._largest_tap_delay(spec)
+    theta_t = draw(st.integers(0, int(lead < M)))
+    top = (M if theta_t else 2 * M) - 1 - lead
+    lo = draw(st.integers(0, top))
+    theta_d = draw(st.sampled_from([("fixed", lo), ("uniform", lo, top)]))
+    cfo = draw(st.floats(-0.45, 0.45))
+    epsilon = draw(st.sampled_from([("fixed", 0.0), ("fixed", cfo),
+                                    ("uniform", -abs(cfo), abs(cfo))]))
+    return replace(spec, impair=ImpairSettings(theta_d=theta_d, theta_t=theta_t,
+                                               epsilon=epsilon))
+
+
 class TestSyncTrial:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(sync_specs())
+    def test_batch_equals_a_transmission_and_estimate_per_waveform(self, spec):
+        # one modulation, one pass per channel and one CFO ramp for every
+        # waveform give each waveform's own record and trial, bit for bit
+        prepare(spec)
+        frame = spec.frame
+        for t in range(spec.trials):
+            channels, _, grids = harness._draw(
+                spec, t, harness._layout(frame, spec.pilot, spec.csi, None))
+            impair, record_len = harness._impairments(spec, t)
+            ramps = harness._ramps(frame, channels, impair, record_len)
+            noise = channel.draw_noise(np.random.default_rng(t), 0.1, record_len)
+            records = harness._transmit(frame, grids, channels, ramps,
+                                        spec.waveforms, impair, record_len, noise)
+            assert records.shape == (len(spec.waveforms), record_len)
+            for w, record in zip(spec.waveforms, records):
+                want = transmit_one_waveform(frame, grids, channels, ramps, w,
+                                             impair, record_len) + noise
+                assert np.array_equal(bits(record), bits(want))
+            got = sync_trial(spec, t, spec.snr_db[0])
+            want = sync_trial_per_waveform(spec, t, spec.snr_db[0])
+            assert list(got) == list(want) == [w.value for w in spec.waveforms]
+            for w in got:
+                assert list(got[w]) == list(want[w])
+                for key in got[w]:
+                    assert type(got[w][key]) is type(want[w][key])
+                    assert bits(got[w][key]) == bits(want[w][key]), (w, key)
+
+    def test_one_modulation_one_cfo_ramp_and_an_estimate_per_waveform(
+            self, monkeypatch):
+        calls = {"_mod_core": [], "apply_channel": [], "estimate_sync": []}
+        for name in calls:
+            real = getattr(harness, name)
+
+            def spy(*args, real=real, name=name, **kw):
+                calls[name].append((args, kw))
+                return real(*args, **kw)
+
+            monkeypatch.setattr(harness, name, spy)
+        spec = make_spec(kind="sync_vs_snr", channel_profile="eva",
+                         sync=SyncSettings(enabled=True),
+                         impair=ImpairSettings(theta_d=("uniform", 0, 3),
+                                               epsilon=("fixed", 0.2)))
+        sync_trial(spec, 0, 10.0)
+        assert len(calls["_mod_core"]) == 1
+        assert calls["_mod_core"][0][0][0].shape == (2, 1, FRAME.M, FRAME.N)
+        # each apply_channel call with a CFO evaluates one CFO ramp
+        assert len(calls["apply_channel"]) == 1
+        assert calls["apply_channel"][0][1]["impair"].cfo == 0.2
+        assert len(calls["estimate_sync"]) == 2
+
     def test_waveforms_see_same_quality(self):
         spec = make_spec(kind="sync_vs_snr", channel_profile="single_tap",
                          sync=SyncSettings(enabled=True),
@@ -496,6 +584,13 @@ class TestMuTrial:
                                                epsilon=("fixed", 0.0)))
         assert prepare(spec).n_users == 2
 
+    def test_runs_share_the_parse_of_the_allocation_file(self):
+        # each run reads the file; an unchanged file is parsed once
+        path = Path(__file__).resolve().parents[1] / "configs" / "mu_allocation.txt"
+        spec = make_spec(kind="mu_uplink", csi="genie", constellation="qpsk",
+                         mu_allocation_path=str(path))
+        assert prepare(spec) is prepare(spec)
+
 
 class TestLayout:
     """``prepare`` builds the run's layout (each grid's pilot and data
@@ -561,7 +656,15 @@ class TestUnreadKeys:
                             mu_relax_disjointness=True),
          "mu.allocation, mu.relax_disjointness: ber_vs_snr"),
         ("mu_uplink", dict(sync=SyncSettings(threshold=0.3)),
-         "sync.threshold: mu_uplink never reads these keys")])
+         "sync.threshold: mu_uplink never reads these keys"),
+        ("ber_vs_snr", dict(pilot=replace(PILOT, detection_threshold=7.0)),
+         "est.threshold_sigma: ber_vs_snr with detector.csi = genie never"),
+        ("ber_vs_snr", dict(pilot=replace(PILOT, detection_threshold=7.0),
+                            sync=SyncSettings(threshold=0.2)),
+         "sync.threshold, est.threshold_sigma: ber_vs_snr without "
+         "sync.enabled = true and with detector.csi = genie never"),
+        ("mu_uplink", dict(pilot=replace(PILOT, detection_threshold=9.0)),
+         "est.threshold_sigma: mu_uplink with detector.csi = genie never")])
     def test_rejected(self, kind, settings, keys):
         base = dict(csi="genie", channel_profile="single_tap")
         if kind in ("sync_vs_snr", "threshold_sweep"):

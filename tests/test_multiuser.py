@@ -503,3 +503,20 @@ class TestAllocationFile:
         p.write_text(line + "\nuser0.doppler_bins = 0,1\n")
         with pytest.raises(ValueError, match=message):
             load_allocation(str(p), 8, 8)
+
+    def test_parse_is_cached_and_an_edited_file_is_seen(self, tmp_path):
+        p = tmp_path / "alloc.txt"
+        p.write_text("user0.delay_bins = 0,1\nuser0.doppler_bins = 0,1\n")
+        a = load_allocation(str(p), 8, 8)
+        assert load_allocation(str(p), 8, 8) is a
+        assert load_allocation(str(p), 8, 8, relax=True) is not a
+        assert load_allocation(str(p), 8, 16) is not a
+        p.write_text("user0.delay_bins = 2,3\nuser0.doppler_bins = 0,1\n")
+        assert load_allocation(str(p), 8, 8).users[0].delay_bins == (2, 3)
+
+    def test_a_bad_file_raises_on_every_read(self, tmp_path):
+        p = tmp_path / "alloc.txt"
+        p.write_text("user0.delay_bins = 0,1\r\nuser0.bins = 0,1\r\n")
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"alloc.txt:2: bad key 'user0.bins'"):
+                load_allocation(str(p), 8, 8)

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ddlink.chanest import PilotConfig, embed_pilot
 from ddlink.channel import (ChannelTap, LtvChannel, apply_channel, draw_noise,
                             make_channel)
 from ddlink.frame import FrameConfig
 from ddlink.modem import DelayDopplerGrid, Waveform, modulate_direct
-from ddlink.sync import (Impairments, block_offset, cfo_estimate,
+from ddlink.sync import (Impairments, _gather, block_offset, cfo_estimate,
                          coarse_timing, correct, estimate_sync, fine_timing,
                          metric_peak_set, timing_metric)
+from oracles import (bits, coarse_row, estimate_sync_by_rule, first_peak_row,
+                     timing_metric_by_rows)
+from strategies import PROPERTY
 
 FRAME = FrameConfig(32, 16, cp_len=8)
 PILOT = PilotConfig(4, 8, 1000.0, 4, 4)
@@ -80,6 +85,11 @@ class TestCoarseTiming:
     def test_zero_metric_rejected(self):
         with pytest.raises(ValueError):
             coarse_timing(np.zeros(8), 0, 0)
+        # every rule reads the magnitude through the same checks
+        with pytest.raises(ValueError, match="identically zero"):
+            fine_timing(np.zeros(8), 0.5, 0, 0)
+        with pytest.raises(ValueError, match="identically zero"):
+            metric_peak_set(np.zeros(8), 0.5)
 
 
 class TestFineTiming:
@@ -215,3 +225,68 @@ class TestEstimateSync:
         assert imp.total_offset(32) == 3 + 64
         with pytest.raises(ValueError):
             Impairments(timing_delay=-1)
+
+
+class TestAgainstTheRuleOracles:
+    """The metric from the cached gather index, and the estimate from one
+    metric magnitude, equal the oracles that build every row and apply
+    every rule on its own, bit for bit: on records long enough for the
+    in-record fast path, and on shorter ones that are zero-filled."""
+
+    @PROPERTY
+    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 40),
+           st.integers(0, 10 ** 6), st.floats(0.01, 1.0), st.data())
+    def test_estimate_equals_the_rules_applied_apart(self, M, N, cp, seed,
+                                                     threshold, data):
+        frame = FrameConfig(M, N, cp_len=cp % (M * N))
+        # from one grid up to past the M(2N-1) samples the metric reads
+        n = data.draw(st.integers(M * N, M * (2 * N - 1) + 2 * M))
+        g = np.random.default_rng(seed)
+        record = g.standard_normal(n) + 1j * g.standard_normal(n)
+        record[g.random(n) < data.draw(st.sampled_from([0.0, 0.5, 1.0]))] = 0.0
+        pilot_delay = data.draw(st.integers(0, M - 1))
+        pilot_doppler = data.draw(st.integers(0, N - 1))
+        wc, rm = timing_metric(record, frame)
+        owc, orm = timing_metric_by_rows(record, frame)
+        assert wc.flags.c_contiguous
+        assert np.array_equal(bits(wc), bits(owc))
+        assert np.array_equal(bits(rm), bits(orm))
+        try:
+            want = estimate_sync_by_rule(record, frame, pilot_delay,
+                                         pilot_doppler, threshold)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                estimate_sync(record, frame, pilot_delay, pilot_doppler, threshold)
+            return
+        got = estimate_sync(record, frame, pilot_delay, pilot_doppler, threshold)
+        for name in ("coarse_delay", "fine_delay", "block_offset"):
+            assert getattr(got, name) == getattr(want, name)
+        assert bits(got.cfo) == bits(want.cfo)
+        assert np.array_equal(bits(got.metric), bits(want.metric))
+        lead = pilot_delay + frame.cp_len
+        assert coarse_timing(rm, pilot_delay, frame.cp_len) == coarse_row(orm) - lead
+        assert (fine_timing(rm, threshold, pilot_delay, frame.cp_len)
+                == first_peak_row(orm, threshold) - lead)
+        peaks = metric_peak_set(rm, threshold)
+        assert peaks.min() == first_peak_row(orm, threshold)
+        assert np.array_equal(peaks, np.flatnonzero(
+            np.abs(orm) >= threshold * np.abs(orm).max()))
+
+    @pytest.mark.parametrize("n", [32 * 16, 32 * 31 - 1, 32 * 31, 1035])
+    def test_checks_stay(self, n):
+        record = np.zeros(n, dtype=complex)
+        with pytest.raises(ValueError, match="identically zero"):
+            estimate_sync(record, FRAME, 4)
+        record[:] = np.random.default_rng(n).standard_normal(n)
+        for threshold in (0.0, -0.1, 1.5):
+            with pytest.raises(ValueError, match="threshold must be in"):
+                estimate_sync(record, FRAME, 4, threshold=threshold)
+
+    def test_gather_index_is_cached_and_read_only(self):
+        first = _gather(32, 16, 1035)
+        assert _gather(32, 16, 1035) is first
+        idx, inside = first
+        assert inside is None and not idx.flags.writeable
+        idx, inside = _gather(32, 16, 32 * 31 - 1)
+        assert inside is not None and not inside.all()
+        assert not idx.flags.writeable and not inside.flags.writeable
