@@ -116,8 +116,15 @@ def _profile_constants(delays_ns: tuple, powers_db: tuple, frame: FrameConfig,
     Doppler shift nu_max in Hz."""
     powers = 10.0 ** (np.asarray(powers_db, dtype=float) / 10.0)
     powers = powers / powers.sum()
-    delays = np.rint(np.asarray(delays_ns, dtype=float) * 1e-9
-                     * frame.bandwidth_hz).astype(int)
+    delays_ns = np.asarray(delays_ns, dtype=float)
+    delays = np.rint(delays_ns * 1e-9 * frame.bandwidth_hz)
+    if not (delays < 2.0 ** 63).all():
+        longest = delays_ns.max()
+        raise ValueError(f"a tap delay of {longest:g} ns at {frame.bandwidth_hz:g}"
+                         f" Hz is {delays.max():.3g} samples, more than an int64 "
+                         f"counts; the bandwidth must stay below "
+                         f"{2.0 ** 63 / (longest * 1e-9):.6g} Hz")
+    delays = delays.astype(int)
     nu_max = frame.carrier_hz * (velocity_kmh / 3.6) / SPEED_OF_LIGHT
     amplitudes = np.sqrt(powers)
     for a in (delays, amplitudes):

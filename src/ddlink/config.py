@@ -3,6 +3,8 @@ keys, a closed schema (unknown keys are errors, with line numbers), and the
 typed experiment spec the harness runs from.
 """
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +20,18 @@ EXPERIMENTS = ("threshold_sweep", "sync_vs_snr", "ber_vs_snr", "mu_uplink")
 
 class ConfigError(ValueError):
     pass
+
+
+def _noise_var(snr_db: float) -> float:
+    """Noise variance of a cell at ``snr_db``: unit signal power over it."""
+    return 10.0 ** (-snr_db / 10.0)
+
+
+# the whole-dB SNRs whose noise variance is a finite float of normal
+# range: a subnormal one loses its precision (at 3233 dB, a BER of 0.17
+# where 3200 dB gives the estimated-CSI floor of 0.029)
+_SNR_RANGE = (math.ceil(-10 * math.log10(sys.float_info.max)),
+              math.floor(-10 * math.log10(sys.float_info.min)))
 
 
 def _parse_bool(s):
@@ -290,6 +304,16 @@ class ExperimentSpec:
         _check_thresholds("sweep.thresholds", self.sweep_thresholds)
         if not self.snr_db:
             raise ConfigError("snr_db must be non-empty")
+        for snr in self.snr_db:
+            try:
+                usable = sys.float_info.min <= _noise_var(snr) < math.inf
+            except OverflowError:
+                usable = False
+            if not usable:
+                lo, hi = _SNR_RANGE
+                raise ConfigError(f"snr_db = {snr:g}: the noise variance "
+                                  f"10**(-snr_db/10) is not a finite, normal "
+                                  f"float; use snr_db from {lo} to {hi} dB")
         if self.channel_profile == "custom" and self.custom_taps is None:
             raise ConfigError("channel.profile = custom requires channel.taps")
         if self.velocity_kmh < 0:

@@ -2,8 +2,8 @@
 
 Experiments sweep SNR cells; within a cell every trial draws its channel,
 noise, data, and impairments from collision-free substreams of one master
-seed, so results are bit-identical for a fixed spec + seed regardless of
-execution order or worker count.
+seed (:func:`ddlink._seeds.seed_stream`), so results are bit-identical for
+a fixed spec + seed regardless of execution order or worker count.
 
 SNR convention (printed in the run metadata): data symbols have unit
 average power and channel profiles unit energy, so a cell at S dB uses
@@ -74,12 +74,14 @@ import numpy as np
 
 from . import __version__
 from ._blas import _keep_freed_heap, _lapack, _openblas
+from ._seeds import seed_stream
 from .chanest import (PilotConfig, embed_pilot, estimate_channel,
                       estimated_diagonals, overlay_mask)
 from .channel import (DelayDiagonals, LtvChannel, apply_channel,
                       delay_diagonals, draw_noise, make_channel,
                       tap_ramps, taps_from_profile)
-from .config import SCHEMA, ConfigError, ExperimentSpec, ImpairSettings
+from .config import (SCHEMA, ConfigError, ExperimentSpec, ImpairSettings,
+                     _noise_var)
 from .equalize import equalize_time_domain
 from .frame import FrameConfig
 from .mapping import (GUARD, data_bins, full_data_mask, get_constellation,
@@ -90,22 +92,6 @@ from .multiuser import (Allocation, detect_users_time_domain,
                         even_split_allocation, load_allocation)
 from .sync import BLOCK_STARTS, correct, estimate_sync, fine_timing
 from .transforms import coupling_phases
-
-_COMPONENTS = {"channel": 0, "noise": 1, "data": 2, "impairment": 3}
-
-
-def seed_stream(master_seed: int, trial: int, component: str) -> np.random.Generator:
-    """Deterministic, collision-free RNG substream for one trial component.
-
-    Built on numpy's SeedSequence spawn keys, so distinct (trial, component)
-    pairs never collide and trial indices beyond 2**32 stay well-defined.
-    """
-    if component not in _COMPONENTS:
-        raise ValueError(f"unknown component {component!r}; one of "
-                         f"{sorted(_COMPONENTS)}")
-    ss = np.random.SeedSequence(master_seed,
-                                spawn_key=(trial, _COMPONENTS[component]))
-    return np.random.default_rng(ss)
 
 
 @dataclass(frozen=True)
@@ -127,10 +113,6 @@ def _draw_channel(spec: ExperimentSpec, rng: np.random.Generator) -> LtvChannel:
         return taps_from_profile(delays, powers, spec.frame, spec.velocity_kmh,
                                  rng, dopplers_hz=dopplers)
     return make_channel(spec.channel_profile, spec.frame, spec.velocity_kmh, rng)
-
-
-def _noise_var(snr_db: float) -> float:
-    return 10.0 ** (-snr_db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -381,10 +363,11 @@ def sync_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
 
 def prepare(spec: ExperimentSpec) -> Allocation | None:
     """Pre-flight of a run: the uplink allocation (None for other kinds),
-    checked before the first trial. Raises ConfigError for sync on a
-    one-column grid (no adjacent-sample pair in any metric row), sync
-    whose pilot run can start past the window starts the block search
-    compares (``sync.BLOCK_STARTS``), estimated CSI without a guard row
+    checked before the first trial. Raises ConfigError for a tap delay
+    whose sample count overflows an int64, sync on a one-column grid (no
+    adjacent-sample pair in any metric row), sync whose pilot run can
+    start past the window starts the block search compares
+    (``sync.BLOCK_STARTS``), estimated CSI without a guard row
     ahead of the pilot (the noise level comes from it), an unreadable or
     invalid allocation, a ``mu.q`` that disagrees with the allocation
     file, an estimated-CSI user whose bins cannot host its pilot, sync on
@@ -393,13 +376,19 @@ def prepare(spec: ExperimentSpec) -> Allocation | None:
     the kind never reads set away from its default (:func:`_unread_keys`).
     Builds the run's :func:`_layout`, which its trials then share."""
     frame = spec.frame
+    try:
+        longest = _largest_tap_delay(spec)
+    except ValueError as exc:
+        keys = ("frame.bandwidth_hz, channel.taps"
+                if spec.channel_profile == "custom" else "frame.bandwidth_hz")
+        raise ConfigError(f"{keys}: {exc}") from None
     if _runs_sync(spec):
         if frame.N == 1:
             raise ConfigError("frame.N = 1 leaves the sync timing metric no "
                               "adjacent-sample pair; sync needs frame.N >= 2")
         # the largest theta_d: a fixed value, or the top of its range
         terms = (frame.cp_len, spec.pilot.pilot_delay,
-                 int(spec.impair.theta_d[-1]), _largest_tap_delay(spec))
+                 int(spec.impair.theta_d[-1]), longest)
         block = sum(terms) // frame.M + spec.impair.theta_t
         if block >= BLOCK_STARTS:
             raise ConfigError(

@@ -7,6 +7,7 @@ from scipy import sparse
 from scipy.linalg import solveh_banded
 
 from ddlink import harness
+from ddlink._seeds import COMPONENTS
 from ddlink.chanest import EstimatedChannel, EstimatedTap
 from ddlink.channel import (ChannelTap, DdChannelMatrix, LtvChannel,
                             _cp_bounded, apply_channel, delay_diagonals,
@@ -15,6 +16,18 @@ from ddlink.modem import TimeSignal, Waveform, _mod_core, demodulate_direct
 from ddlink.multiuser import compound_matrix, detect_users
 from ddlink.sync import BLOCK_STARTS, SyncEstimate, cfo_estimate
 from ddlink.transforms import coupling_phases
+
+
+def seed_stream_by_sequence(master_seed: int, trial: int,
+                            component: str) -> np.random.Generator:
+    """:func:`ddlink.harness.seed_stream` with one ``SeedSequence`` per
+    call: numpy's generator of the spawn key (trial, component number)."""
+    if component not in COMPONENTS:
+        raise ValueError(f"unknown component {component!r}; one of "
+                         f"{sorted(COMPONENTS)}")
+    ss = np.random.SeedSequence(master_seed,
+                                spawn_key=(trial, COMPONENTS[component]))
+    return np.random.default_rng(ss)
 
 
 def dense_detect(received, channels, alloc, waveform, noise_var):

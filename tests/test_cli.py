@@ -193,6 +193,22 @@ class TestValidate:
          "number: 'nan'"),
         ("snr_db = nan",
          "config error: line 8: bad value for snr_db: not a finite number: 'nan'"),
+        # the noise variance 10**(-snr_db/10) overflows, or is no normal
+        # float
+        ("snr_db = -1e308",
+         "config error: snr_db = -1e+308: the noise variance 10**(-snr_db/10)"
+         " is not a finite, normal float; use snr_db from -3082 to 3076 dB"),
+        ("snr_db = 10,1e308", "config error: snr_db = 1e+308: the noise variance"),
+        ("snr_db = 3077", "config error: snr_db = 3077: the noise variance"),
+        ("snr_db = -3083", "config error: snr_db = -3083: the noise variance"),
+        # a tap delay in samples must fit an int64
+        ("channel.profile = eva3\nframe.bandwidth_hz = 1e300",
+         "config error: frame.bandwidth_hz: a tap delay of 370 ns at 1e+300 Hz"
+         " is 3.7e+293 samples, more than an int64 counts; the bandwidth must "
+         "stay below 2.4928e+25 Hz"),
+        ("channel.profile = custom\nchannel.taps = 0:0:0; 1e300:-3:0",
+         "config error: frame.bandwidth_hz, channel.taps: a tap delay of "
+         "1e+300 ns at 7.68e+06 Hz"),
         ("experiment = ber_vs_snr\ndetector.csi = estimated\n"
          "est.threshold_sigma = inf",
          "config error: line 10: bad value for est.threshold_sigma: not a "
@@ -317,6 +333,26 @@ class TestValidate:
         assert main(["run", path, "--out", str(out)]) == 0
         with open(out / "results.csv", newline="") as fh:
             assert [row["value"] for row in csv.DictReader(fh)] == ["0", "0"]
+
+    def test_bandwidth_beyond_an_int64_delay_exits_2(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # its EVA taps reach 2.5e294 samples
+        text = (ROOT / "configs" / "ber_vs_snr.cfg").read_text()
+        path = write(tmp_path, text + "frame.bandwidth_hz = 1e300\n")
+        assert main(["validate", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: frame.bandwidth_hz: ")
+        assert "Traceback" not in err
+
+    def test_the_ends_of_the_snr_range_run(self, tmp_path):
+        path = write(tmp_path, LINK.replace("snr_db = 30", "snr_db = -3082,3076"))
+        out = tmp_path / "results"
+        assert main(["run", path, "--out", str(out)]) == 0
+        with open(out / "results.csv", newline="") as fh:
+            ber = {(row["snr_db"], row["waveform"]): float(row["value"])
+                   for row in csv.DictReader(fh)}
+        for w in ("otfs", "sc_ifdma"):
+            assert 0.3 < ber["-3082", w] < 0.7 and ber["3076", w] == 0.0
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.cfg")]) == 2

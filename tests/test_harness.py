@@ -1,5 +1,6 @@
 import os
 import platform
+import re
 import subprocess
 import sys
 from concurrent import futures
@@ -12,12 +13,12 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddlink import (_blas, chanest, channel, equalize, harness, mapping,
-                    multiuser)
+from ddlink import (_blas, _seeds, chanest, channel, equalize, harness,
+                    mapping, multiuser)
 from ddlink.chanest import PilotConfig
 from ddlink.channel import CHANNEL_PROFILES, build_dd_matrix
 from ddlink.config import (ConfigError, ExperimentSpec, ImpairSettings,
-                           SyncSettings)
+                           SyncSettings, load_spec)
 from ddlink.equalize import equalize_mmse
 from ddlink.frame import FrameConfig
 from ddlink.harness import (link_trial, mu_trial, prepare, rows_to_csv, run,
@@ -25,10 +26,12 @@ from ddlink.harness import (link_trial, mu_trial, prepare, rows_to_csv, run,
 from ddlink.modem import TimeSignal, Waveform, demodulate_direct
 from ddlink.multiuser import even_split_allocation
 from ddlink.sync import BLOCK_STARTS
-from oracles import (bits, dense_detect, sync_trial_per_waveform,
-                     to_ltv_channel, transmit_one_waveform)
+from oracles import (bits, dense_detect, seed_stream_by_sequence,
+                     sync_trial_per_waveform, to_ltv_channel,
+                     transmit_one_waveform)
 from strategies import PROPERTY
 
+ROOT = Path(__file__).resolve().parents[1]
 FRAME = FrameConfig(32, 16, cp_len=8)
 PILOT = PilotConfig(4, 8, 1000.0, 4, 4)
 BOTH = (Waveform.OTFS, Waveform.SC_IFDMA)
@@ -96,6 +99,70 @@ class TestSeedStream:
     def test_unknown_component(self):
         with pytest.raises(ValueError):
             seed_stream(0, 0, "weather")
+
+    # one-word masters and trial ids read the block tables; the others,
+    # from 2**32 on, go through a SeedSequence
+    MASTERS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1)
+    TRIALS = (0, 255, 256, 257, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 5)
+
+    @staticmethod
+    def assert_states_equal_the_oracle(master, trial):
+        for c in _seeds.COMPONENTS:
+            assert (seed_stream(master, trial, c).bit_generator.state
+                    == seed_stream_by_sequence(master, trial, c).bit_generator.state)
+
+    def test_states_at_word_and_block_edges(self):
+        for master in self.MASTERS:
+            for trial in self.TRIALS:
+                self.assert_states_equal_the_oracle(master, trial)
+
+    @PROPERTY
+    @given(master=st.one_of(st.sampled_from(MASTERS), st.integers(0, 2 ** 33),
+                            st.integers(0, 2 ** 65)),
+           first=st.one_of(
+               st.sampled_from(TRIALS), st.integers(0, 2 ** 41),
+               # the last two ids of a block and the first two of the next
+               st.builds(lambda block, step: block * 256 + step,
+                         st.integers(1, 2 ** 24 + 2), st.integers(-2, 0))))
+    def test_states_equal_the_seed_sequence_oracle(self, master, first):
+        for trial in (first, first + 1):
+            self.assert_states_equal_the_oracle(master, trial)
+
+    @pytest.mark.parametrize("master, trial", [(-1, 0), (0, -1), (-1, -1),
+                                               (-3, 2 ** 40), (2 ** 40, -3)])
+    def test_negative_master_or_trial_raises_as_the_oracle(self, master, trial):
+        with pytest.raises(ValueError) as want:
+            seed_stream_by_sequence(master, trial, "noise")
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            seed_stream(master, trial, "noise")
+
+    def test_the_table_cache_stays_bounded(self):
+        most = _seeds._block.cache_info().maxsize
+        for master in range(3 * most):
+            seed_stream(master, 0, "data")
+            assert _seeds._block.cache_info().currsize <= most
+
+
+class TestSeedTablesInARun:
+    """A run with the block tables writes what one with a SeedSequence
+    per substream writes."""
+
+    @pytest.mark.parametrize("config, trials, seed", [
+        # cells of 300 trials start mid-block
+        ("sync_vs_snr", 300, None),
+        # its impairment substream is drawn
+        ("threshold_sweep", None, None),
+        # a two-word master: every substream comes from a SeedSequence
+        ("mu_uplink", 20, 2 ** 32 + 3)])
+    def test_results_equal_the_seed_sequence_oracle(self, monkeypatch, config,
+                                                    trials, seed):
+        monkeypatch.chdir(ROOT)  # relative mu.allocation path
+        spec = load_spec(f"configs/{config}.cfg")
+        spec = replace(spec, trials=trials or spec.trials,
+                       seed=spec.seed if seed is None else seed)
+        tables = rows_to_csv(run(spec))
+        monkeypatch.setattr(harness, "seed_stream", seed_stream_by_sequence)
+        assert rows_to_csv(run(spec)) == tables
 
 
 class TestLinkTrial:
