@@ -15,6 +15,7 @@ diagonals are one product of the tap gains with a cached table of
 Doppler ramps, the table the estimate's gains are divided by.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -144,8 +145,13 @@ def estimate_channel(received: DelayDopplerGrid, pc: PilotConfig,
         if pc.guard_delay == 0:
             raise ValueError("cannot estimate the noise level without "
                              "leading guard rows; pass noise_std")
-        lead = D[mp - pc.guard_delay: mp, dop]
-        noise_std = float(np.sqrt(np.mean(np.abs(lead) ** 2)))
+        lead = np.abs(D[mp - pc.guard_delay: mp, dop])
+        # scaled by a power of two into [0.5, 1) at its largest, so no
+        # square overflows or falls below the normal range; the scaling is
+        # exact, so the bits are those of the unscaled floor wherever
+        # that one has normal squares
+        scale = math.ldexp(1.0, -max(math.frexp(lead.max())[1], -1021))
+        noise_std = float(np.sqrt(np.mean((lead * scale) ** 2))) / scale
 
     pilot = pc.amplitude if pilot_value is None else pilot_value
     region = D[mp: mp + pc.guard_delay + 1, dop]

@@ -4,8 +4,8 @@ import argparse
 import sys
 
 from .channel import CHANNEL_PROFILES
-from .config import ConfigError, load_config, spec_from_config
-from .harness import prepare, run, spread_warnings
+from .config import ConfigError, load_config, spec_from_config, spread_warnings
+from .harness import prepare, run
 
 REFERENCE_SCALE = (128, 32)
 

@@ -1,21 +1,39 @@
 """Experiment configuration: a flat ``key = value`` text format with dotted
-keys, a closed schema (unknown keys are errors, with line numbers), and the
-typed experiment spec the harness runs from.
+keys, a closed schema (unknown keys are errors, with line numbers), the
+typed experiment spec the harness runs from, and the rules a spec meets
+before a run's first trial.
+
+The rules come in two places. :func:`spec_from_config` and
+``ExperimentSpec`` check the range of each key as the spec is built.
+:func:`check` checks what takes more than one key, or a channel draw:
+the largest tap delay, which sync reads against the block search, the
+CFO range of sync, the guard row that estimated CSI reads, and the keys
+a spec leaves unread. One table, :data:`READS`, says which kinds read
+each key that some spec leaves unread, and on what further setting;
+:func:`check` rejects every such key set away from its default where
+the spec does not read it, and names the keys, the kind and that
+setting. :func:`spread_warnings` gives the ``warning:`` lines of a delay
+spread the CP or the pilot guard does not cover.
 """
 
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
 from .chanest import PilotConfig
-from .channel import CHANNEL_PROFILES
+from .channel import (CHANNEL_PROFILES, LtvChannel, make_channel,
+                      taps_from_profile)
 from .frame import FrameConfig
 from .modem import Waveform
-from .sync import Impairments
+from .sync import BLOCK_STARTS, Impairments
 
 EXPERIMENTS = ("threshold_sweep", "sync_vs_snr", "ber_vs_snr", "mu_uplink")
+_SYNC_KINDS = ("sync_vs_snr", "threshold_sweep")
+_DETECTION_KINDS = ("ber_vs_snr", "mu_uplink")
 
 
 class ConfigError(ValueError):
@@ -324,6 +342,142 @@ class ExperimentSpec:
                 raise ConfigError(f"channel.taps: tap delay_ns must be >= 0, "
                                   f"got {delay_ns:g}")
 
+    def draw_channel(self, rng: np.random.Generator) -> LtvChannel:
+        """One channel of the spec's profile, its gains and Doppler shifts
+        drawn from ``rng``."""
+        if self.channel_profile == "custom":
+            delays, powers, dopplers = zip(*self.custom_taps)
+            return taps_from_profile(delays, powers, self.frame, self.velocity_kmh,
+                                     rng, dopplers_hz=dopplers)
+        return make_channel(self.channel_profile, self.frame, self.velocity_kmh,
+                            rng)
+
+
+def _runs_sync(spec: ExperimentSpec) -> bool:
+    """Whether the trials of ``spec`` sync (an uplink's never do)."""
+    return spec.kind in _SYNC_KINDS or (spec.kind == "ber_vs_snr"
+                                        and spec.sync.enabled)
+
+
+def _largest_tap_delay(spec: ExperimentSpec) -> int:
+    """Largest tap delay of the spec's channel, in samples. The tap delays
+    of every profile follow from the spec alone (only gains and Doppler
+    are drawn), so one draw gives the largest delay of every trial."""
+    return spec.draw_channel(np.random.default_rng(0)).n_spread - 1
+
+
+# Which specs read a config key: those of ``kinds`` on which
+# ``condition`` (None: any) holds; ``setting`` names, after the kind, a
+# spec where it fails. ``value`` gives the spec's value of the key.
+_Read = namedtuple("_Read", "value kinds condition setting", defaults=(None, ""))
+
+# read where sync runs
+_SYNC_RUNS = ((*_SYNC_KINDS, "ber_vs_snr"), _runs_sync, " without sync.enabled = true")
+
+# every key that some spec leaves unread
+READS = {
+    "sweep.thresholds": _Read(attrgetter("sweep_thresholds"), ("threshold_sweep",)),
+    # sync_vs_snr and threshold_sweep sync whatever it says
+    "sync.enabled": _Read(attrgetter("sync.enabled"), (*_SYNC_KINDS, "ber_vs_snr")),
+    "sync.threshold": _Read(attrgetter("sync.threshold"), *_SYNC_RUNS),
+    "impair.theta_d": _Read(attrgetter("impair.theta_d"), *_SYNC_RUNS),
+    "impair.theta_t": _Read(attrgetter("impair.theta_t"), *_SYNC_RUNS),
+    "impair.epsilon": _Read(attrgetter("impair.epsilon"), *_SYNC_RUNS),
+    "detector.csi": _Read(attrgetter("csi"), _DETECTION_KINDS),
+    "est.threshold_sigma": _Read(attrgetter("pilot.detection_threshold"),
+                                 _DETECTION_KINDS, lambda s: s.csi == "estimated",
+                                 " with detector.csi = genie"),
+    "mu.q": _Read(attrgetter("mu_users"), ("mu_uplink",)),
+    "mu.allocation": _Read(attrgetter("mu_allocation_path"), ("mu_uplink",)),
+    "mu.relax_disjointness": _Read(attrgetter("mu_relax_disjointness"), ("mu_uplink",)),
+    "channel.taps": _Read(attrgetter("custom_taps"), EXPERIMENTS,
+                          lambda s: s.channel_profile == "custom",
+                          " with channel.profile = {s.channel_profile}"),
+    # a genie uplink sends no pilot, yet keeps these keys: the
+    # estimated-CSI uplink made from its config by changing detector.csi
+    # alone reuses them
+    "pilot.m_p": _Read(attrgetter("pilot.pilot_delay"), EXPERIMENTS),
+    "pilot.n_p": _Read(attrgetter("pilot.pilot_doppler"), EXPERIMENTS),
+    "pilot.power_db": _Read(attrgetter("pilot.power"), EXPERIMENTS),
+    "pilot.guards": _Read(attrgetter("pilot.guard_delay", "pilot.guard_doppler"),
+                          EXPERIMENTS),
+}
+
+
+def reads(spec: ExperimentSpec, key: str) -> bool:
+    """Whether the trials of ``spec`` read the :data:`READS` key ``key``."""
+    read = READS[key]
+    return spec.kind in read.kinds and (read.condition is None or read.condition(spec))
+
+
+def check(spec: ExperimentSpec) -> None:
+    """The rules ``spec`` meets before a run's first trial, beyond the
+    ranges of its own fields. Raises ConfigError for a tap delay whose
+    sample count overflows an int64; where the spec syncs, for a
+    one-column grid (no adjacent-sample pair in any metric row), a pilot
+    run that can start past the window starts the block search compares
+    (``sync.BLOCK_STARTS``), or a CFO outside the range the estimate
+    tells apart; for estimated CSI without a guard row ahead of the pilot
+    (the noise level comes from it); and for every :data:`READS` key set
+    away from its default that the spec does not read."""
+    frame = spec.frame
+    try:
+        longest = _largest_tap_delay(spec)
+    except ValueError as exc:
+        keys = ("frame.bandwidth_hz, channel.taps"
+                if spec.channel_profile == "custom" else "frame.bandwidth_hz")
+        raise ConfigError(f"{keys}: {exc}") from None
+    if _runs_sync(spec):
+        if frame.N == 1:
+            raise ConfigError("frame.N = 1 leaves the sync timing metric no "
+                              "adjacent-sample pair; sync needs frame.N >= 2")
+        # the largest theta_d: a fixed value, or the top of its range
+        terms = (frame.cp_len, spec.pilot.pilot_delay,
+                 int(spec.impair.theta_d[-1]), longest)
+        block = sum(terms) // frame.M + spec.impair.theta_t
+        if block >= BLOCK_STARTS:
+            raise ConfigError(
+                f"impair.theta_d, impair.theta_t: the pilot run starts in "
+                f"block (frame.L_cp + pilot.m_p + theta_d + largest tap "
+                f"delay) // frame.M + theta_t = ({' + '.join(map(str, terms))})"
+                f" // {frame.M} + {spec.impair.theta_t} = {block}; sync finds "
+                f"it only in blocks 0 to {BLOCK_STARTS - 1}")
+        # sync.cfo_estimate wraps the CFO into [-N/2, N/2)
+        for cfo in spec.impair.epsilon[1:]:
+            if not abs(cfo) < frame.N / 2:
+                raise ConfigError(
+                    f"impair.epsilon: a CFO of {cfo:g} Doppler bins is outside "
+                    f"(-frame.N/2, frame.N/2) = ({-frame.N / 2:g}, "
+                    f"{frame.N / 2:g}), the range sync estimates it in")
+    if (spec.kind in _DETECTION_KINDS and spec.csi == "estimated"
+            and spec.pilot.guard_delay == 0):
+        raise ConfigError("pilot.guards: detector.csi = estimated needs a "
+                          "delay guard >= 1, the guard rows ahead of the "
+                          "pilot that give the noise level")
+    unread = [key for key, read in READS.items()
+              if read.value(spec) != read.value(_DEFAULT) and not reads(spec, key)]
+    if unread:
+        settings = dict.fromkeys(READS[key].setting.format(s=spec) for key in unread
+                                 if spec.kind in READS[key].kinds)
+        raise ConfigError(f"{', '.join(unread)}: {spec.kind}{' and'.join(settings)} "
+                          f"never reads these keys; leave them at their defaults")
+
+
+def spread_warnings(spec: ExperimentSpec) -> list:
+    """``warning:`` lines for a delay spread beyond the CP or the pilot
+    delay guard."""
+    longest = _largest_tap_delay(spec)
+    out = []
+    if longest > spec.frame.cp_len:
+        out.append(f"warning: largest tap delay {longest} exceeds frame.L_cp "
+                   f"= {spec.frame.cp_len}; expect inter-block interference")
+    if ((spec.csi == "estimated" or _runs_sync(spec))
+            and longest > spec.pilot.guard_delay):
+        out.append(f"warning: largest tap delay {longest} exceeds the pilot "
+                   f"delay guard {spec.pilot.guard_delay}; channel estimation "
+                   f"and sync do not see the later taps")
+    return out
+
 
 # the config keys behind each FrameConfig and PilotConfig check, by the
 # start of its message
@@ -393,3 +547,7 @@ def spec_from_config(cfg: dict) -> ExperimentSpec:
 
 def load_spec(path: str) -> ExperimentSpec:
     return spec_from_config(load_config(path))
+
+
+# every key at its default, parsed once
+_DEFAULT = spec_from_config(_resolve({"experiment": EXPERIMENTS[0]}, {}))

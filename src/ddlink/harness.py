@@ -1,4 +1,6 @@
-"""Monte-Carlo experiment runner.
+"""Monte-Carlo experiment runner: the trials of each experiment kind and
+the run loop. The rules a spec meets before its first trial live with the
+spec, in :mod:`ddlink.config`.
 
 Experiments sweep SNR cells; within a cell every trial draws its channel,
 noise, data, and impairments from collision-free substreams of one master
@@ -24,7 +26,8 @@ own.
 Trial skeleton: ``prepare`` builds what the trials of a run share once,
 before the first trial: the uplink allocation and the run's layout
 (``_layout``: each transmitted grid's pilot and data bins, one grid for
-a link, one per uplink user), cached so every trial reads it. ``_draw``
+a link, one per uplink user), cached so every trial reads it, and then
+checks the spec's rules (:func:`ddlink.config.check`). ``_draw``
 draws one channel, bit array and grid per grid of the layout and stacks
 the grids; ``_ramps`` evaluates each drawn channel's tap ramps once, and
 ``_transmit`` gives one noisy record per waveform it is asked for, as a
@@ -32,9 +35,9 @@ batch: one modulation of the stacked grids of every waveform, one pass
 through each channel for all of them (reading those ramps, with one CFO
 ramp), the grids superposed and the one noise draw added to each record.
 A detection trial asks for the OTFS record alone, a sync trial for one
-record per waveform of its spec. ``_detection_trial``
-runs a link or uplink trial on one noisy record: impairments and sync
-only where ``_runs_sync`` says the spec syncs, then CSI, the trial's
+record per waveform of its spec. ``_detection_trial`` runs a link or
+uplink trial on one noisy record: impairments and sync only where
+``config._runs_sync`` says the spec syncs, then CSI, the trial's
 detector, SC-IFDMA derotation and demapping per grid. Genie CSI is the
 delay diagonals of the drawn channels, read from the same ramps, and
 serves every waveform, so the detector is called once for all of them;
@@ -77,11 +80,9 @@ from ._blas import _keep_freed_heap, _lapack, _openblas
 from ._seeds import seed_stream
 from .chanest import (PilotConfig, embed_pilot, estimate_channel,
                       estimated_diagonals, overlay_mask)
-from .channel import (DelayDiagonals, LtvChannel, apply_channel,
-                      delay_diagonals, draw_noise, make_channel,
-                      tap_ramps, taps_from_profile)
-from .config import (SCHEMA, ConfigError, ExperimentSpec, ImpairSettings,
-                     _noise_var)
+from .channel import (DelayDiagonals, apply_channel, delay_diagonals,
+                      draw_noise, tap_ramps)
+from .config import ConfigError, ExperimentSpec, _noise_var, _runs_sync, check
 from .equalize import equalize_time_domain
 from .frame import FrameConfig
 from .mapping import (GUARD, data_bins, full_data_mask, get_constellation,
@@ -90,7 +91,7 @@ from .modem import (DelayDopplerGrid, TimeSignal, Waveform, _mod_core,
                     demodulate_direct)
 from .multiuser import (Allocation, detect_users_time_domain,
                         even_split_allocation, load_allocation)
-from .sync import BLOCK_STARTS, correct, estimate_sync, fine_timing
+from .sync import correct, estimate_sync, fine_timing
 from .transforms import coupling_phases
 
 
@@ -103,16 +104,6 @@ class ResultRow:
     value: float
     trials: int
     seed: int
-
-
-def _draw_channel(spec: ExperimentSpec, rng: np.random.Generator) -> LtvChannel:
-    if spec.channel_profile == "custom":
-        delays = [t[0] for t in spec.custom_taps]
-        powers = [t[1] for t in spec.custom_taps]
-        dopplers = [t[2] for t in spec.custom_taps]
-        return taps_from_profile(delays, powers, spec.frame, spec.velocity_kmh,
-                                 rng, dopplers_hz=dopplers)
-    return make_channel(spec.channel_profile, spec.frame, spec.velocity_kmh, rng)
 
 
 @dataclass(frozen=True)
@@ -154,7 +145,7 @@ def _draw(spec: ExperimentSpec, trial_id: int, layout: _Layout):
     rng_data = seed_stream(spec.seed, trial_id, "data")
     channels, bits, grids = [], [], []
     for bins, pc in zip(layout.bins, layout.pilots):
-        channels.append(_draw_channel(spec, rng_ch))
+        channels.append(spec.draw_channel(rng_ch))
         b = rng_data.integers(0, 2, bins.size * const.bits_per_symbol)
         grid = map_bits(b, const, spec.frame, bins)
         bits.append(b)
@@ -221,16 +212,10 @@ def _received_grids(signal: TimeSignal) -> dict:
             Waveform.SC_IFDMA: DelayDopplerGrid(otfs.data * W, signal.frame)}
 
 
-def _runs_sync(spec: ExperimentSpec) -> bool:
-    """Whether the trials of ``spec`` sync (an uplink's never do)."""
-    return spec.kind in ("sync_vs_snr", "threshold_sweep") or (
-        spec.kind == "ber_vs_snr" and spec.sync.enabled)
-
-
 def _impairments(spec: ExperimentSpec, trial_id: int):
     """The trial's impairment draw and record length (its offset plus two
-    grids and a CP) where the spec syncs, else (None, one frame): only
-    sync undoes impairments. Fixed settings never read a generator, so
+    grids and a CP) where the spec syncs, else (None, one frame), since
+    nothing else would undo them. Fixed settings never read a generator, so
     the impairment substream is made only when a setting is uniform."""
     frame, impair = spec.frame, spec.impair
     if not _runs_sync(spec):
@@ -362,56 +347,15 @@ def sync_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
 
 
 def prepare(spec: ExperimentSpec) -> Allocation | None:
-    """Pre-flight of a run: the uplink allocation (None for other kinds),
-    checked before the first trial. Raises ConfigError for a tap delay
-    whose sample count overflows an int64, sync on a one-column grid (no
-    adjacent-sample pair in any metric row), sync whose pilot run can
-    start past the window starts the block search compares
-    (``sync.BLOCK_STARTS``), estimated CSI without a guard row
-    ahead of the pilot (the noise level comes from it), an unreadable or
-    invalid allocation, a ``mu.q`` that disagrees with the allocation
-    file, an estimated-CSI user whose bins cannot host its pilot, sync on
-    the uplink, whose trial has none, impairments where no sync runs to
-    undo them (an uplink, or a link without ``sync.enabled``), or a key
-    the kind never reads set away from its default (:func:`_unread_keys`).
-    Builds the run's :func:`_layout`, which its trials then share."""
-    frame = spec.frame
-    try:
-        longest = _largest_tap_delay(spec)
-    except ValueError as exc:
-        keys = ("frame.bandwidth_hz, channel.taps"
-                if spec.channel_profile == "custom" else "frame.bandwidth_hz")
-        raise ConfigError(f"{keys}: {exc}") from None
-    if _runs_sync(spec):
-        if frame.N == 1:
-            raise ConfigError("frame.N = 1 leaves the sync timing metric no "
-                              "adjacent-sample pair; sync needs frame.N >= 2")
-        # the largest theta_d: a fixed value, or the top of its range
-        terms = (frame.cp_len, spec.pilot.pilot_delay,
-                 int(spec.impair.theta_d[-1]), longest)
-        block = sum(terms) // frame.M + spec.impair.theta_t
-        if block >= BLOCK_STARTS:
-            raise ConfigError(
-                f"impair.theta_d, impair.theta_t: the pilot run starts in "
-                f"block (frame.L_cp + pilot.m_p + theta_d + largest tap "
-                f"delay) // frame.M + theta_t = ({' + '.join(map(str, terms))})"
-                f" // {frame.M} + {spec.impair.theta_t} = {block}; sync finds "
-                f"it only in blocks 0 to {BLOCK_STARTS - 1}")
-    if (spec.kind in ("ber_vs_snr", "mu_uplink") and spec.csi == "estimated"
-            and spec.pilot.guard_delay == 0):
-        raise ConfigError("pilot.guards: detector.csi = estimated needs a "
-                          "delay guard >= 1, the guard rows ahead of the "
-                          "pilot that give the noise level")
-    impaired = [] if _runs_sync(spec) else [
-        f"impair.{name}" for name in ("theta_d", "theta_t", "epsilon")
-        if getattr(spec.impair, name) != getattr(ImpairSettings(), name)]
-    if spec.kind != "mu_uplink":
-        if impaired:
-            raise ConfigError(f"{', '.join(impaired)}: only sync undoes "
-                              f"impairments, and ber_vs_snr syncs only with "
-                              f"sync.enabled = true")
-        alloc = None
-    else:
+    """Pre-flight of a run, before its first trial: the uplink allocation
+    (None for other kinds), the run's :func:`_layout`, which its trials
+    then share, and the spec's rules (:func:`ddlink.config.check`).
+    Raises ConfigError for an unreadable or invalid allocation, a
+    ``mu.q`` that disagrees with the allocation file, an estimated-CSI
+    user whose bins cannot host its pilot, or a spec that breaks a
+    rule."""
+    frame, alloc = spec.frame, None
+    if spec.kind == "mu_uplink":
         try:
             if spec.mu_allocation_path:
                 alloc = load_allocation(spec.mu_allocation_path, frame.M,
@@ -425,71 +369,9 @@ def prepare(spec: ExperimentSpec) -> Allocation | None:
         if alloc.n_users != spec.mu_users:
             raise ConfigError(f"mu.q = {spec.mu_users} but mu.allocation lists "
                               f"{alloc.n_users} users")
-        # each user's bins must host its pilot
-        _layout(frame, spec.pilot, spec.csi, alloc)
-        unused = ["sync.enabled"] * spec.sync.enabled + impaired
-        if unused:
-            raise ConfigError(f"{', '.join(unused)}: mu_uplink runs without "
-                              f"sync and impairments; leave these keys at "
-                              f"their defaults")
-    unread = _unread_keys(spec)
-    if unread:
-        # name the setting that leaves a detection kind's key unread
-        why = []
-        if spec.kind == "ber_vs_snr" and "sync.threshold" in unread:
-            why.append("without sync.enabled = true")
-        if spec.kind in ("ber_vs_snr", "mu_uplink") and "est.threshold_sigma" in unread:
-            why.append("with detector.csi = genie")
-        subject = f"{spec.kind} {' and '.join(why)}".rstrip()
-        raise ConfigError(f"{', '.join(unread)}: {subject} never reads "
-                          f"these keys; leave them at their defaults")
     _layout(frame, spec.pilot, spec.csi, alloc)
+    check(spec)
     return alloc
-
-
-def _unread_keys(spec: ExperimentSpec) -> list:
-    """The keys among ``sweep.thresholds``, ``sync.threshold``,
-    ``detector.csi``, ``est.threshold_sigma`` and ``mu.*`` that the
-    trials of ``spec`` never read, where set away from their defaults in
-    ``config.SCHEMA``. ``est.threshold_sigma`` is read only by the channel
-    estimate of a detection kind with ``detector.csi = estimated``."""
-    syncs = spec.kind in ("sync_vs_snr", "threshold_sweep")
-    uplink = spec.kind == "mu_uplink"
-    values = {
-        "sweep.thresholds": (spec.sweep_thresholds, spec.kind == "threshold_sweep"),
-        "sync.threshold": (spec.sync.threshold, _runs_sync(spec)),
-        "detector.csi": (spec.csi, not syncs),
-        "est.threshold_sigma": (spec.pilot.detection_threshold,
-                                not syncs and spec.csi == "estimated"),
-        "mu.q": (spec.mu_users, uplink),
-        "mu.allocation": (spec.mu_allocation_path or "", uplink),
-        "mu.relax_disjointness": (spec.mu_relax_disjointness, uplink),
-    }
-    return [key for key, (value, read) in values.items()
-            if not read and value != SCHEMA[key][0](SCHEMA[key][1])]
-
-
-def _largest_tap_delay(spec: ExperimentSpec) -> int:
-    """Largest tap delay of the spec's channel, in samples. The tap delays
-    of every profile follow from the spec alone (only gains and Doppler
-    are drawn), so one draw gives the largest delay of every trial."""
-    return _draw_channel(spec, np.random.default_rng(0)).n_spread - 1
-
-
-def spread_warnings(spec: ExperimentSpec) -> list:
-    """``warning:`` lines for a delay spread beyond the CP or the pilot
-    delay guard."""
-    longest = _largest_tap_delay(spec)
-    out = []
-    if longest > spec.frame.cp_len:
-        out.append(f"warning: largest tap delay {longest} exceeds frame.L_cp "
-                   f"= {spec.frame.cp_len}; expect inter-block interference")
-    if ((spec.csi == "estimated" or _runs_sync(spec))
-            and longest > spec.pilot.guard_delay):
-        out.append(f"warning: largest tap delay {longest} exceeds the pilot "
-                   f"delay guard {spec.pilot.guard_delay}; channel estimation "
-                   f"and sync do not see the later taps")
-    return out
 
 
 def _mu_user_pilot(pilot: PilotConfig, alloc: Allocation, q: int) -> PilotConfig:

@@ -147,7 +147,7 @@ def fine_timing(row_metric, threshold: float, pilot_delay: int, cp_len: int) -> 
 # the pilot run of its metric row starts in block 0 or has wrapped into
 # block 1: the CP, the pilot row, the delay part of the offset and the
 # channel's delay put it in one of the two, and a block part of the offset
-# (theta_t) moves it on by whole blocks. ``harness.prepare`` rejects
+# (theta_t) moves it on by whole blocks. ``config.check`` rejects
 # specs whose pilot run can start in a later block.
 BLOCK_STARTS = 2
 

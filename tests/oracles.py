@@ -8,6 +8,7 @@ from scipy.linalg import solveh_banded
 
 from ddlink import harness
 from ddlink._seeds import COMPONENTS
+from ddlink.config import SCHEMA, ImpairSettings
 from ddlink.chanest import EstimatedChannel, EstimatedTap
 from ddlink.channel import (ChannelTap, DdChannelMatrix, LtvChannel,
                             _cp_bounded, apply_channel, delay_diagonals,
@@ -28,6 +29,37 @@ def seed_stream_by_sequence(master_seed: int, trial: int,
     ss = np.random.SeedSequence(master_seed,
                                 spawn_key=(trial, COMPONENTS[component]))
     return np.random.default_rng(ss)
+
+
+def unread_keys_by_path(spec) -> set:
+    """The keys that ``harness.prepare`` rejected as unread, on its three
+    paths, before one table (:data:`ddlink.config.READS`) decided them:
+    impairments where no sync runs, ``sync.enabled`` and impairments on
+    the uplink, and the keys among ``sweep.thresholds``,
+    ``sync.threshold``, ``detector.csi``, ``est.threshold_sigma`` and
+    ``mu.*`` that the kind never reads, each where set away from its
+    default. The oracle of the table for every key but ``channel.taps``,
+    which no path read."""
+    syncs = spec.kind in ("sync_vs_snr", "threshold_sweep")
+    runs_sync = syncs or (spec.kind == "ber_vs_snr" and spec.sync.enabled)
+    uplink = spec.kind == "mu_uplink"
+    impaired = [] if runs_sync else [
+        f"impair.{name}" for name in ("theta_d", "theta_t", "epsilon")
+        if getattr(spec.impair, name) != getattr(ImpairSettings(), name)]
+    unused = ["sync.enabled"] * (uplink and spec.sync.enabled)
+    values = {
+        "sweep.thresholds": (spec.sweep_thresholds, spec.kind == "threshold_sweep"),
+        "sync.threshold": (spec.sync.threshold, runs_sync),
+        "detector.csi": (spec.csi, not syncs),
+        "est.threshold_sigma": (spec.pilot.detection_threshold,
+                                not syncs and spec.csi == "estimated"),
+        "mu.q": (spec.mu_users, uplink),
+        "mu.allocation": (spec.mu_allocation_path or "", uplink),
+        "mu.relax_disjointness": (spec.mu_relax_disjointness, uplink),
+    }
+    unread = [key for key, (value, read) in values.items()
+              if not read and value != SCHEMA[key][0](SCHEMA[key][1])]
+    return set(impaired + unused + unread)
 
 
 def dense_detect(received, channels, alloc, waveform, noise_var):

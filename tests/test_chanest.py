@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -295,3 +297,22 @@ class TestVectorizedEstimate:
             assert type(a.delay) is int and type(a.doppler) is int
             assert type(a.gain) is complex
             assert abs(a.gain - b.gain) <= 1e-14 * abs(b.gain)
+
+    @PROPERTY
+    @given(received_grids(), st.integers(-980, 1000))
+    def test_noise_floor_scales_by_powers_of_two_bit_for_bit(self, case, k):
+        # from grids whose squares are subnormal to grids whose squares
+        # overflow, with no warning: the floor of 2**k times a grid is
+        # 2**k times its floor, and the taps are the same
+        grid, pc, waveform, _, pilot_value = case
+        if not pc.guard_delay:
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            base = estimate_channel(grid, pc, waveform, pilot_value=pilot_value)
+            scaled = estimate_channel(DelayDopplerGrid(grid.data * 2.0 ** k,
+                                                       grid.frame),
+                                      pc, waveform, pilot_value=pilot_value)
+        assert scaled.noise_std == np.ldexp(base.noise_std, k)
+        assert ([(t.delay, t.doppler) for t in scaled.taps]
+                == [(t.delay, t.doppler) for t in base.taps])

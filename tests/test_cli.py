@@ -53,6 +53,35 @@ channel.profile = single_tap
 """
 
 
+# committed configs, each with keys its experiment reads set on top (for
+# a custom profile, its taps); every key that config.READS says a kind
+# reads is set on that kind here, in a committed config or a golden case
+KEYS_THE_KIND_READS = [
+    ("ber_vs_snr", "sync.enabled = true\nsync.threshold = 0.3\n"
+     "est.threshold_sigma = 4\nchannel.profile = custom\n"
+     "channel.taps = 0:0:0;300:-3:100"),
+    ("sync_vs_snr", "impair.theta_t = 1\nchannel.profile = custom\n"
+     "channel.taps = 0:0:0;300:-3:100"),
+    ("threshold_sweep", "sync.threshold = 0.3\nimpair.theta_t = 1\n"
+     "impair.epsilon = uniform:-0.4:0.4\nchannel.profile = custom\n"
+     "channel.taps = 0:0:0;300:-3:100"),
+    ("mu_uplink", "detector.csi = estimated\nest.threshold_sigma = 4\n"
+     "mu.relax_disjointness = true\nchannel.profile = custom\n"
+     "channel.taps = 0:0:0;300:-3:100"),
+]
+
+
+def committed_with(config, lines):
+    """The text of ``configs/<config>.cfg`` with each of ``lines``
+    replacing the config's own setting of its key, or added to it."""
+    text = (ROOT / "configs" / f"{config}.cfg").read_text()
+    for line in lines.split("\n"):
+        key = line.split("=", 1)[0].strip()
+        text, n = re.subn(rf"^{re.escape(key)} = .*$", line, text, flags=re.M)
+        text += "" if n else line + "\n"
+    return text
+
+
 def write(tmp_path, text, name="exp.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -237,13 +266,29 @@ class TestValidate:
          "non-negative integer sample count: 'uniform:-2:3'"),
         # the uplink trial has no sync and no impairments
         ("experiment = mu_uplink",
-         "config error: sync.enabled, impair.epsilon: mu_uplink runs without"),
+         "config error: sync.enabled, impair.epsilon: mu_uplink never reads "
+         "these keys; leave them at their defaults\n"),
         ("experiment = mu_uplink\nmu.allocation = configs/mu_allocation.txt\n"
          "impair.theta_d = 3\nimpair.epsilon = uniform:-0.4:0.4",
-         "config error: sync.enabled, impair.theta_d, impair.epsilon: mu_uplink"),
+         "config error: sync.enabled, impair.theta_d, impair.epsilon: mu_uplink "
+         "never reads these keys; leave them at their defaults\n"),
         ("experiment = mu_uplink\nsync.enabled = false\nimpair.epsilon = 0\n"
          "impair.theta_t = 1",
-         "config error: impair.theta_t: mu_uplink runs without sync"),
+         "config error: impair.theta_t: mu_uplink never reads these keys; "
+         "leave them at their defaults\n"),
+        # sync.cfo_estimate wraps the CFO into [-N/2, N/2)
+        ("impair.epsilon = 1e6",
+         "config error: impair.epsilon: a CFO of 1e+06 Doppler bins is outside "
+         "(-frame.N/2, frame.N/2) = (-8, 8), the range sync estimates it in\n"),
+        ("experiment = threshold_sweep\nimpair.epsilon = uniform:-1e300:1e300",
+         "config error: impair.epsilon: a CFO of -1e+300 Doppler bins is "
+         "outside (-frame.N/2, frame.N/2) = (-8, 8)"),
+        ("impair.epsilon = uniform:-8:0",
+         "config error: impair.epsilon: a CFO of -8 Doppler bins is outside"),
+        ("experiment = ber_vs_snr\nsync.enabled = true\nframe.N = 4\n"
+         "pilot.n_p = 2\npilot.guards = 4,1\nimpair.epsilon = 2",
+         "config error: impair.epsilon: a CFO of 2 Doppler bins is outside "
+         "(-frame.N/2, frame.N/2) = (-2, 2)"),
         # the block search sees a pilot run starting in block 0 or 1 only
         ("impair.theta_d = 20\nimpair.theta_t = 1",
          "config error: impair.theta_d, impair.theta_t: the pilot run starts "
@@ -288,7 +333,9 @@ class TestValidate:
         assert main(["validate", path]) == 2
         assert main(["run", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.count(f"config error: {key}: only sync undoes impairments") == 2
+        assert err.count(f"config error: {key}: ber_vs_snr without sync.enabled "
+                         f"= true never reads these keys; leave them at their "
+                         f"defaults\n") == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("config, lines, message", [
@@ -309,23 +356,41 @@ class TestValidate:
          "genie never reads these keys; leave them at their defaults"),
         ("mu_uplink", "est.threshold_sigma = 9",
          "config error: est.threshold_sigma: mu_uplink with detector.csi = "
-         "genie never reads these keys")])
+         "genie never reads these keys"),
+        # a named profile ignores the taps
+        ("ber_vs_snr", "channel.taps = 0:0:0;300:-3:100",
+         "config error: channel.taps: ber_vs_snr with channel.profile = eva3 "
+         "never reads these keys; leave them at their defaults\n")])
     def test_keys_the_kind_never_reads_exit_2(self, tmp_path, capsys, monkeypatch,
                                               config, lines, message):
-        # a committed config with keys its experiment ignores, each line
-        # replacing the config's own setting of its key or added to it
+        # a committed config with keys its experiment ignores
         monkeypatch.chdir(ROOT)
-        text = (ROOT / "configs" / f"{config}.cfg").read_text()
-        for line in lines.split("\n"):
-            key = line.split("=", 1)[0].strip()
-            text, n = re.subn(rf"^{re.escape(key)} = .*$", line, text, flags=re.M)
-            text += "" if n else line + "\n"
-        path = write(tmp_path, text)
+        path = write(tmp_path, committed_with(config, lines))
         out = tmp_path / "results"
         assert main(["validate", path]) == 2
         assert main(["run", path, "--out", str(out)]) == 2
         assert capsys.readouterr().err.count(message) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("config, lines", KEYS_THE_KIND_READS)
+    def test_keys_the_kind_reads_run(self, tmp_path, monkeypatch, config, lines):
+        monkeypatch.chdir(ROOT)
+        path = write(tmp_path, committed_with(config, lines))
+        out = tmp_path / "results"
+        assert main(["validate", path]) == 0
+        assert main(["run", path, "--trials", "1", "--out", str(out)]) == 0
+        with open(out / "results.csv", newline="") as fh:
+            assert all(math.isfinite(float(row["value"]))
+                       for row in csv.DictReader(fh))
+
+    def test_cfos_near_the_ends_of_the_range_are_estimated(self, tmp_path):
+        path = write(tmp_path, SYNC + "impair.epsilon = uniform:-7.99:7.99\n")
+        out = tmp_path / "results"
+        assert main(["run", path, "--out", str(out)]) == 0
+        with open(out / "results.csv", newline="") as fh:
+            mse = [float(row["value"]) for row in csv.DictReader(fh)
+                   if row["metric"] == "CFO_MSE"]
+        assert len(mse) == 2 and max(mse) < 1e-2
 
     def test_impairments_with_sync_run(self, tmp_path):
         path = write(tmp_path, LINK + "impair.theta_d = 5\nsync.enabled = true\n")
@@ -353,6 +418,24 @@ class TestValidate:
                    for row in csv.DictReader(fh)}
         for w in ("otfs", "sc_ifdma"):
             assert 0.3 < ber["-3082", w] < 0.7 and ber["3076", w] == 0.0
+
+    @pytest.mark.parametrize("config, lines", [
+        ("ber_vs_snr", "snr_db = -3082,3076\ntrials = 2"),
+        ("mu_uplink", "snr_db = -3082,3076\ntrials = 2\ndetector.csi = estimated")])
+    def test_estimated_csi_runs_at_the_ends_of_the_snr_range(self, tmp_path,
+                                                             monkeypatch, config,
+                                                             lines):
+        # the noise floor of an estimate sums squares of values near 1e154
+        # at -3082 dB; no float operation may overflow on the way
+        monkeypatch.chdir(ROOT)
+        path = write(tmp_path, committed_with(config, lines))
+        out = tmp_path / "results"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", path, "--out", str(out)]) == 0
+        with open(out / "results.csv", newline="") as fh:
+            ber = [float(row["value"]) for row in csv.DictReader(fh)]
+        assert len(ber) == 4 and all(0.0 <= b <= 1.0 for b in ber)
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.cfg")]) == 2

@@ -9,11 +9,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ddlink.channel import CHANNEL_PROFILES
-from ddlink.config import (EXPERIMENTS, SCHEMA, ConfigError, ExperimentSpec,
-                           ImpairSettings, SyncSettings, canonical_text,
-                           load_spec, parse_config_text, spec_from_config)
+from ddlink.config import (EXPERIMENTS, READS, SCHEMA, ConfigError,
+                           ExperimentSpec, ImpairSettings, SyncSettings,
+                           canonical_text, load_spec, parse_config_text, reads,
+                           spec_from_config)
 from ddlink.modem import Waveform
 from strategies import PROPERTY
+from test_cli import KEYS_THE_KIND_READS, committed_with
+from test_golden import CASES
 
 ROOT = Path(__file__).resolve().parents[1]
 MINIMAL = "experiment = ber_vs_snr\n"
@@ -55,6 +58,17 @@ def config_texts(draw):
     if draw(st.integers(0, 9)):
         lines.insert(0, f"experiment = {draw(st.sampled_from(EXPERIMENTS))}")
     return "\n".join(lines) + "\n"
+
+
+def _settings_of(kind):
+    """Specs of ``kind``, one per setting of sync.enabled, detector.csi and
+    a named or a custom profile: the settings the table's keys are read
+    on."""
+    return [spec_from_config(parse_config_text(
+        f"experiment = {kind}\nsync.enabled = {enabled}\ndetector.csi = {csi}\n"
+        f"channel.profile = {profile}\nchannel.taps = 0:0:0\n"))
+        for enabled in ("false", "true") for csi in ("genie", "estimated")
+        for profile in ("eva3", "custom")]
 
 
 class TestParsing:
@@ -144,6 +158,24 @@ class TestParsing:
         set_keys = {key for text in texts
                     for key in re.findall(r"^\s*([\w.]+)\s*=", text, re.M)}
         assert sorted(set(SCHEMA) - set_keys - {"experiment"}) == []
+        # and each key of config.READS on each kind the table says reads it
+        # (on some setting of sync.enabled, detector.csi and the profile)
+        # is set on that kind: a line of a committed config, or of one
+        # that a CLI case runs, or a golden spec away from the default
+        set_on = set()
+        for text in ([p.read_text() for p in (ROOT / "configs").glob("*.cfg")]
+                     + [committed_with(*case) for case in KEYS_THE_KIND_READS]):
+            kind = re.search(r"^experiment = (\w+)$", text, re.M).group(1)
+            set_on |= {(kind, key) for key in
+                       re.findall(r"^\s*([\w.]+)\s*=", text, re.M)}
+        for case in CASES.values():
+            spec = case()
+            default = spec_from_config(parse_config_text(f"experiment = {spec.kind}\n"))
+            set_on |= {(spec.kind, key) for key, read in READS.items()
+                       if read.value(spec) != read.value(default)}
+        read_on = {(kind, key) for kind in EXPERIMENTS for key in READS
+                   for spec in _settings_of(kind) if reads(spec, key)}
+        assert sorted(read_on - set_on) == []
 
     def test_canonical_text_is_sorted_and_stable(self):
         a = canonical_text(parse_config_text(MINIMAL + "seed = 5\n"))

@@ -13,12 +13,13 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddlink import (_blas, _seeds, chanest, channel, equalize, harness,
-                    mapping, multiuser)
+from ddlink import (_blas, _seeds, chanest, channel, config, equalize,
+                    harness, mapping, multiuser)
 from ddlink.chanest import PilotConfig
 from ddlink.channel import CHANNEL_PROFILES, build_dd_matrix
-from ddlink.config import (ConfigError, ExperimentSpec, ImpairSettings,
-                           SyncSettings, load_spec)
+from ddlink.config import (EXPERIMENTS, READS, ConfigError, ExperimentSpec,
+                           ImpairSettings, SyncSettings, load_spec,
+                           parse_config_text, reads, spec_from_config)
 from ddlink.equalize import equalize_mmse
 from ddlink.frame import FrameConfig
 from ddlink.harness import (link_trial, mu_trial, prepare, rows_to_csv, run,
@@ -28,7 +29,7 @@ from ddlink.multiuser import even_split_allocation
 from ddlink.sync import BLOCK_STARTS
 from oracles import (bits, dense_detect, seed_stream_by_sequence,
                      sync_trial_per_waveform, to_ltv_channel,
-                     transmit_one_waveform)
+                     transmit_one_waveform, unread_keys_by_path)
 from strategies import PROPERTY
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -381,7 +382,7 @@ def paired_specs(draw):
         custom_taps=custom, pilot=pilot, csi=csi)
     if not sync:
         return spec
-    top = min(3, longest - harness._largest_tap_delay(spec))
+    top = min(3, longest - config._largest_tap_delay(spec))
     return replace(spec, sync=SyncSettings(enabled=True), impair=ImpairSettings(
         theta_d=("uniform", 0, top), epsilon=("uniform", -0.3, 0.3)))
 
@@ -423,7 +424,7 @@ def sync_specs(draw):
         **({"sweep_thresholds": (0.05, 0.4, 1.0)} if kind == "threshold_sweep"
            else {}))
     # the pilot run starts in block (cp + m_p + theta_d + delay) // M + theta_t
-    lead = frame.cp_len + pilot.pilot_delay + harness._largest_tap_delay(spec)
+    lead = frame.cp_len + pilot.pilot_delay + config._largest_tap_delay(spec)
     theta_t = draw(st.integers(0, int(lead < M)))
     top = (M if theta_t else 2 * M) - 1 - lead
     lo = draw(st.integers(0, top))
@@ -641,7 +642,9 @@ class TestMuTrial:
     def test_sync_and_impairments_are_rejected(self, settings, keys):
         # mu_trial reads neither, so a run would ignore them
         spec = make_spec(kind="mu_uplink", csi="genie", **settings)
-        with pytest.raises(ConfigError, match=f"^{keys}: mu_uplink runs without"):
+        with pytest.raises(ConfigError, match=f"^{keys}: mu_uplink never reads "
+                                              f"these keys; leave them at their "
+                                              f"defaults$"):
             prepare(spec)
 
     def test_settings_equal_to_the_defaults_pass(self):
@@ -731,7 +734,11 @@ class TestUnreadKeys:
          "sync.threshold, est.threshold_sigma: ber_vs_snr without "
          "sync.enabled = true and with detector.csi = genie never"),
         ("mu_uplink", dict(pilot=replace(PILOT, detection_threshold=9.0)),
-         "est.threshold_sigma: mu_uplink with detector.csi = genie never")])
+         "est.threshold_sigma: mu_uplink with detector.csi = genie never"),
+        # only a custom profile reads its taps
+        ("sync_vs_snr", dict(custom_taps=((0.0, 0.0, 0.0),), mu_users=3),
+         "mu.q, channel.taps: sync_vs_snr with channel.profile = single_tap "
+         "never reads these keys; leave them at their defaults$")])
     def test_rejected(self, kind, settings, keys):
         base = dict(csi="genie", channel_profile="single_tap")
         if kind in ("sync_vs_snr", "threshold_sweep"):
@@ -753,6 +760,57 @@ class TestUnreadKeys:
                                              detection_threshold=4.0)))])
     def test_keys_the_kind_reads_pass(self, kind, settings):
         prepare(make_spec(kind=kind, **settings))
+
+    @PROPERTY
+    @given(st.sampled_from(EXPERIMENTS), st.sets(st.sampled_from(sorted(READS))),
+           st.booleans())
+    def test_the_table_decides_every_key(self, kind, keys, custom):
+        # every table key set away from its default, on any kind, is
+        # rejected exactly where the table says the spec does not read it,
+        # as the three paths prepare had before the table decided for every
+        # key but channel.taps; the genie uplink keeps its pilot.* keys
+        keys = set(keys)
+        if kind == "mu_uplink" and {"mu.q", "mu.allocation"} <= keys:
+            keys.discard("mu.q")   # the allocation file lists 2 users
+        if kind == "mu_uplink" and "detector.csi" in keys:
+            keys.add("pilot.guards")   # to fit each user's bins
+        text = (f"experiment = {kind}\ntrials = 1\nsnr_db = 20\n"
+                f"channel.profile = "
+                f"{'custom' if custom and 'channel.taps' in keys else 'single_tap'}\n")
+        spec = spec_from_config(parse_config_text(
+            text + "".join(f"{key} = {AWAY[key]}\n" for key in keys)))
+        unread = {key for key in keys if not reads(spec, key)}
+        assert unread - {"channel.taps"} == unread_keys_by_path(spec)
+        if not unread:
+            prepare(spec)
+            return
+        with pytest.raises(ConfigError) as exc:
+            prepare(spec)
+        named, rest = str(exc.value).split(": ", 1)
+        assert set(named.split(", ")) == unread
+        assert rest.endswith(" never reads these keys; leave them at their defaults")
+
+
+# a value away from its default for each key of the table, one a spec of
+# any kind runs with where it reads the key
+AWAY = {
+    "sweep.thresholds": "0.3,0.9",
+    "sync.enabled": "true",
+    "sync.threshold": "0.3",
+    "impair.theta_d": "uniform:0:3",
+    "impair.theta_t": "1",
+    "impair.epsilon": "uniform:-0.3:0.3",
+    "detector.csi": "estimated",
+    "est.threshold_sigma": "4",
+    "mu.q": "3",
+    "mu.allocation": str(ROOT / "configs" / "mu_allocation.txt"),
+    "mu.relax_disjointness": "true",
+    "channel.taps": "0:0:0;300:-3:100",
+    "pilot.m_p": "5",
+    "pilot.n_p": "7",
+    "pilot.power_db": "20",
+    "pilot.guards": "2,2",
+}
 
 
 class TestRun:
