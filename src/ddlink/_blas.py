@@ -4,12 +4,12 @@ and scipy's wheels bundle, and the C library's malloc.
 ``_openblas`` finds each package's library in its ``<package>.libs``
 directory, located from the package's import spec without importing the
 package, and binds the thread and config symbols :mod:`ddlink.harness`
-pins and reports. ``_lapack`` binds the two LAPACK routines of the band
-solve (:func:`ddlink.equalize._solve_band`): ``zpbsv`` and ``zptsv`` of
-scipy's library, the file scipy's own LAPACK wrappers link, so a solve
-gives the bits ``scipy.linalg`` would. Where scipy bundles no such
-library, ``_lapack`` returns ``scipy.linalg``'s wrappers of the same
-routines instead, and only then imports ``scipy.linalg``.
+pins and reports. ``_lapack`` binds the LAPACK routine of the band
+solve (:func:`ddlink.equalize._solve_band`): ``zpbsv`` of scipy's
+library, the file scipy's own LAPACK wrappers link, so a solve gives the
+bits ``scipy.linalg`` would. Where scipy bundles no such library,
+``_lapack`` returns ``scipy.linalg``'s wrapper of the same routine
+instead, and only then imports ``scipy.linalg``.
 ``_keep_freed_heap`` fixes glibc's malloc thresholds for a run.
 """
 
@@ -70,31 +70,29 @@ def _openblas() -> dict:
 
 @dataclass(frozen=True)
 class _Lapack:
-    """The band solve's LAPACK routines, each solving in place where its
-    arrays allow, and returning the solution and LAPACK's ``info``."""
+    """The band solve's LAPACK routine, solving in place where its arrays
+    allow, and returning the solution and LAPACK's ``info``."""
 
-    source: str      # where the routines come from, for the run report
+    source: str      # where the routine comes from, for the run report
     pbsv: object     # (ab, b) -> (x, info): zpbsv, lower band ab (kd + 1, n)
-    ptsv: object     # (d, e, b) -> (x, info): zptsv, real diagonal d
 
 
 def _bundled_lapack(blas: _Blas) -> _Lapack | None:
-    """``zpbsv`` and ``zptsv`` of ``blas`` through ctypes, or None when it
-    lacks them. An array the routines cannot take as it is (not
-    contiguous, or of another dtype) is copied first, as scipy's wrappers
-    copy it. A read-only or empty array raises TypeError or ValueError
-    (ctypes takes no pointer to either), and so do sizes that disagree
-    with ``b``, before LAPACK could read past an array."""
+    """``zpbsv`` of ``blas`` through ctypes, or None when it lacks it. An
+    array the routine cannot take as it is (not contiguous, or of another
+    dtype) is copied first, as scipy's wrapper copies it. A read-only or
+    empty array raises TypeError or ValueError (ctypes takes no pointer to
+    either), and so does a band whose size disagrees with ``b``, before
+    LAPACK could read past an array."""
     try:
-        zpbsv, zptsv = blas.lib.scipy_zpbsv_, blas.lib.scipy_zptsv_
+        zpbsv = blas.lib.scipy_zpbsv_
     except AttributeError:
         return None
     num, arr = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
     # gfortran passes the length of the character argument uplo last
     zpbsv.argtypes = [ctypes.c_char_p, num, num, num, arr, num, arr, num, num,
                       ctypes.c_size_t]
-    zptsv.argtypes = [num, num, arr, arr, arr, num, num]
-    zpbsv.restype = zptsv.restype = None
+    zpbsv.restype = None
     c_int, at = ctypes.c_int, ctypes.c_double.from_buffer
     one = c_int(1)
 
@@ -109,42 +107,26 @@ def _bundled_lapack(blas: _Blas) -> _Lapack | None:
               info, 1)
         return b, info.value
 
-    def ptsv(d, e, b):
-        b = np.ascontiguousarray(b, np.complex128)
-        d = np.ascontiguousarray(d, np.float64)
-        e = np.ascontiguousarray(e, np.complex128)
-        if (d.size, e.size + 1) != (b.size, b.size):
-            raise ValueError(f"diagonals of {d.size} and {e.size} entries for "
-                             f"{b.size} unknowns")
-        n, info = c_int(b.size), c_int()
-        zptsv(n, one, at(d), at(e), at(b), n, info)
-        return b, info.value
-
-    return _Lapack(f"{blas.name} through ctypes (scipy_zpbsv_, scipy_zptsv_)",
-                   pbsv, ptsv)
+    return _Lapack(f"{blas.name} through ctypes (scipy_zpbsv_)", pbsv)
 
 
 def _linalg_lapack() -> _Lapack:
-    """``scipy.linalg``'s wrappers of ``zpbsv`` and ``zptsv``, called with
-    the arguments ``scipy.linalg.solveh_banded`` gives them."""
+    """``scipy.linalg``'s wrapper of ``zpbsv``, called with the arguments
+    ``scipy.linalg.solveh_banded`` gives it."""
     from scipy.linalg import get_lapack_funcs
-    zpbsv, zptsv = get_lapack_funcs(("pbsv", "ptsv"), dtype=np.complex128)
+    (zpbsv,) = get_lapack_funcs(("pbsv",), dtype=np.complex128)
 
     def pbsv(ab, b):
         _, x, info = zpbsv(ab, b, lower=1, overwrite_ab=1, overwrite_b=1)
         return x, info
 
-    def ptsv(d, e, b):
-        _, _, x, info = zptsv(d, e, b, True, True, True)
-        return x, info
-
-    return _Lapack("scipy.linalg (get_lapack_funcs: zpbsv, zptsv)", pbsv, ptsv)
+    return _Lapack("scipy.linalg (get_lapack_funcs: zpbsv)", pbsv)
 
 
 @cache
 def _lapack() -> _Lapack:
-    """The band solve's routines: scipy's bundled OpenBLAS through ctypes
-    where :func:`_openblas` finds it with both routines, else
+    """The band solve's routine: scipy's bundled OpenBLAS through ctypes
+    where :func:`_openblas` finds it with ``zpbsv``, else
     ``scipy.linalg``'s."""
     blas = _openblas()["scipy"]
     return (blas is not None and _bundled_lapack(blas)) or _linalg_lapack()

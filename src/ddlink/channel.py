@@ -125,11 +125,16 @@ def _profile_constants(delays_ns: tuple, powers_db: tuple, frame: FrameConfig,
                          f"counts; the bandwidth must stay below "
                          f"{2.0 ** 63 / (longest * 1e-9):.6g} Hz")
     delays = delays.astype(int)
-    nu_max = frame.carrier_hz * (velocity_kmh / 3.6) / SPEED_OF_LIGHT
     amplitudes = np.sqrt(powers)
     for a in (delays, amplitudes):
         a.setflags(write=False)
-    return delays, amplitudes, nu_max
+    return delays, amplitudes, max_doppler_hz(frame, velocity_kmh)
+
+
+def max_doppler_hz(frame: FrameConfig, velocity_kmh: float) -> float:
+    """Largest Doppler shift nu_max in Hz of a profile's taps at
+    ``velocity_kmh`` on the frame's carrier; inf where it overflows."""
+    return frame.carrier_hz * (velocity_kmh / 3.6) / SPEED_OF_LIGHT
 
 
 def eva_channel(frame: FrameConfig, velocity_kmh: float,

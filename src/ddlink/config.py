@@ -26,7 +26,7 @@ import numpy as np
 
 from .chanest import PilotConfig
 from .channel import (CHANNEL_PROFILES, LtvChannel, make_channel,
-                      taps_from_profile)
+                      max_doppler_hz, taps_from_profile)
 from .frame import FrameConfig
 from .modem import Waveform
 from .sync import BLOCK_STARTS, Impairments
@@ -34,6 +34,8 @@ from .sync import BLOCK_STARTS, Impairments
 EXPERIMENTS = ("threshold_sweep", "sync_vs_snr", "ber_vs_snr", "mu_uplink")
 _SYNC_KINDS = ("sync_vs_snr", "threshold_sweep")
 _DETECTION_KINDS = ("ber_vs_snr", "mu_uplink")
+# the profiles whose taps take their Doppler from the velocity and carrier
+_FADING = ("eva", "eva3")
 
 
 class ConfigError(ValueError):
@@ -374,6 +376,10 @@ _Read = namedtuple("_Read", "value kinds condition setting", defaults=(None, "")
 # read where sync runs
 _SYNC_RUNS = ((*_SYNC_KINDS, "ber_vs_snr"), _runs_sync, " without sync.enabled = true")
 
+_WITH_PROFILE = " with channel.profile = {s.channel_profile}"
+# read where the profile's Doppler comes from the velocity and carrier
+_FADING_READS = (EXPERIMENTS, lambda s: s.channel_profile in _FADING, _WITH_PROFILE)
+
 # every key that some spec leaves unread
 READS = {
     "sweep.thresholds": _Read(attrgetter("sweep_thresholds"), ("threshold_sweep",)),
@@ -391,8 +397,9 @@ READS = {
     "mu.allocation": _Read(attrgetter("mu_allocation_path"), ("mu_uplink",)),
     "mu.relax_disjointness": _Read(attrgetter("mu_relax_disjointness"), ("mu_uplink",)),
     "channel.taps": _Read(attrgetter("custom_taps"), EXPERIMENTS,
-                          lambda s: s.channel_profile == "custom",
-                          " with channel.profile = {s.channel_profile}"),
+                          lambda s: s.channel_profile == "custom", _WITH_PROFILE),
+    "channel.velocity_kmh": _Read(attrgetter("velocity_kmh"), *_FADING_READS),
+    "frame.carrier_hz": _Read(attrgetter("frame.carrier_hz"), *_FADING_READS),
     # a genie uplink sends no pilot, yet keeps these keys: the
     # estimated-CSI uplink made from its config by changing detector.csi
     # alone reuses them
@@ -417,9 +424,11 @@ def check(spec: ExperimentSpec) -> None:
     one-column grid (no adjacent-sample pair in any metric row), a pilot
     run that can start past the window starts the block search compares
     (``sync.BLOCK_STARTS``), or a CFO outside the range the estimate
-    tells apart; for estimated CSI without a guard row ahead of the pilot
-    (the noise level comes from it); and for every :data:`READS` key set
-    away from its default that the spec does not read."""
+    tells apart; for an eva or eva3 spec whose largest Doppler shift
+    turns a tap ramp's phase over the longest record past the float
+    range; for estimated CSI without a guard row ahead of the pilot (the
+    noise level comes from it); and for every :data:`READS` key set away
+    from its default that the spec does not read."""
     frame = spec.frame
     try:
         longest = _largest_tap_delay(spec)
@@ -427,6 +436,7 @@ def check(spec: ExperimentSpec) -> None:
         keys = ("frame.bandwidth_hz, channel.taps"
                 if spec.channel_profile == "custom" else "frame.bandwidth_hz")
         raise ConfigError(f"{keys}: {exc}") from None
+    record = frame.frame_len
     if _runs_sync(spec):
         if frame.N == 1:
             raise ConfigError("frame.N = 1 leaves the sync timing metric no "
@@ -449,6 +459,21 @@ def check(spec: ExperimentSpec) -> None:
                     f"impair.epsilon: a CFO of {cfo:g} Doppler bins is outside "
                     f"(-frame.N/2, frame.N/2) = ({-frame.N / 2:g}, "
                     f"{frame.N / 2:g}), the range sync estimates it in")
+        # the longest record: the largest offset, two grids and a CP
+        record = (int(spec.impair.theta_d[-1]) + frame.M * spec.impair.theta_t
+                  + 2 * frame.grid_size + frame.cp_len)
+    if spec.channel_profile in _FADING:
+        # channel.tap_ramps turns 2 pi nu kappa for each record sample kappa
+        nu_hz = max_doppler_hz(frame, spec.velocity_kmh)
+        spacing = frame.doppler_spacing
+        nu_bins = nu_hz / spacing if spacing else math.inf
+        if not math.isfinite(2 * math.pi * nu_bins * record):
+            raise ConfigError(
+                f"channel.velocity_kmh, frame.carrier_hz: the largest Doppler "
+                f"shift, {nu_hz:g} Hz or {nu_bins:g} Doppler bins at "
+                f"frame.bandwidth_hz = {frame.bandwidth_hz:g}, puts the tap "
+                f"phase 2*pi*nu*kappa of a {record}-sample record beyond the "
+                f"float range; lower the velocity or the carrier")
     if (spec.kind in _DETECTION_KINDS and spec.csi == "estimated"
             and spec.pilot.guard_delay == 0):
         raise ConfigError("pilot.guards: detector.csi = estimated needs a "

@@ -19,12 +19,12 @@ band solve itself, :func:`_solve_band`, is shared with the uplink
 detector of :mod:`ddlink.multiuser`: it builds the band in place in one
 zeroed array, in the column-major layout LAPACK factors without a copy,
 consumes its right-hand side, which the solution overwrites, and calls
-LAPACK's ``zpbsv`` (``zptsv`` for a tridiagonal band) with the checks of
-``scipy.linalg.solveh_banded``. The routines are those of the OpenBLAS
+LAPACK's ``zpbsv`` for every band width with the checks of
+``scipy.linalg.solveh_banded``. The routine is that of the OpenBLAS
 scipy's wheel bundles, called through ctypes
 (:func:`ddlink._blas._lapack`), so no trial imports ``scipy.linalg``; a
-scipy without that library gives ``scipy.linalg``'s wrappers of the same
-routines. The dense direct :func:`equalize_mmse` and LSMR
+scipy without that library gives ``scipy.linalg``'s wrapper of the same
+routine. The dense direct :func:`equalize_mmse` and LSMR
 :func:`equalize_iterative` are its oracles.
 """
 
@@ -110,21 +110,19 @@ def _solve_band(slot: np.ndarray, vals: np.ndarray, width: int, noise_var: float
 
     The band is built in place: one zeroed column-major (width + 1, n)
     array, which LAPACK factors without a copy. ``rhs`` (complex, one
-    contiguous vector) is consumed: the solution overwrites it. The
-    LAPACK routines are those ``scipy.linalg.solveh_banded`` picks for a
-    lower band, from the library scipy's wrappers link (:func:`_lapack`),
-    called with its arguments, so the solution is its own, bit for bit.
+    contiguous vector) is consumed: the solution overwrites it. LAPACK's
+    ``zpbsv`` solves every width, from the library scipy's wrappers link
+    (:func:`_lapack`), called with the arguments
+    ``scipy.linalg.solveh_banded`` gives it; so the solution is
+    ``solveh_banded``'s own, bit for bit, at every width but 1, where
+    ``solveh_banded`` calls a tridiagonal routine instead.
     """
     ab = np.zeros((width + 1, rhs.size), dtype=complex, order="F")
     np.add.at(ab.reshape(-1, order="F"), slot, vals)
     ab[0] += noise_var
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    lapack = _lapack()
-    if width == 1:
-        x, info = lapack.ptsv(ab[0].real, ab[1, :-1], rhs)
-    else:
-        x, info = lapack.pbsv(ab, rhs)
+    x, info = _lapack().pbsv(ab, rhs)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
     if info < 0:

@@ -27,27 +27,28 @@ Trial skeleton: ``prepare`` builds what the trials of a run share once,
 before the first trial: the uplink allocation and the run's layout
 (``_layout``: each transmitted grid's pilot and data bins, one grid for
 a link, one per uplink user), cached so every trial reads it, and then
-checks the spec's rules (:func:`ddlink.config.check`). ``_draw``
-draws one channel, bit array and grid per grid of the layout and stacks
-the grids; ``_ramps`` evaluates each drawn channel's tap ramps once, and
-``_transmit`` gives one noisy record per waveform it is asked for, as a
-batch: one modulation of the stacked grids of every waveform, one pass
-through each channel for all of them (reading those ramps, with one CFO
-ramp), the grids superposed and the one noise draw added to each record.
-A detection trial asks for the OTFS record alone, a sync trial for one
-record per waveform of its spec. ``_detection_trial`` runs a link or
-uplink trial on one noisy record: impairments and sync only where
-``config._runs_sync`` says the spec syncs, then CSI, the trial's
-detector, SC-IFDMA derotation and demapping per grid. Genie CSI is the
-delay diagonals of the drawn channels, read from the same ramps, and
-serves every waveform, so the detector is called once for all of them;
-estimated CSI is per waveform, and so is the call. A trial demodulates
-its record at most once: estimated CSI reads both waveforms' received
-grids from one demodulation, and genie CSI reads none, since the
-detectors work on the time-domain record. ``_KINDS`` maps each kind to
-its trial and its result rows; it names ``link_trial``, ``sync_trial``
-and ``mu_trial`` at call time, so rebinding them on this module
-intercepts every trial.
+checks the spec's rules (:func:`ddlink.config.check`). Every trial sends
+through one stage, ``_send``: ``_draw`` draws one channel, bit array and
+grid per grid of the layout and stacks the grids; where the spec syncs,
+the impairments are drawn and lengthen the record; each drawn channel's
+tap ramps are evaluated once; and one noisy record per waveform it is
+asked for comes as a batch: one modulation of the stacked grids of every
+waveform, one pass through each channel for all of them (reading those
+ramps, with one CFO ramp), the grids superposed and the one noise draw
+added to each record. A detection trial asks for the OTFS record alone,
+a sync trial for one record per waveform of its spec.
+``_detection_trial`` runs a link or uplink trial on one noisy record:
+impairments and sync only where ``config._runs_sync`` says the spec
+syncs, then CSI, the trial's detector, SC-IFDMA derotation and demapping
+per grid. Genie CSI is the delay diagonals of the drawn channels, read
+from the same ramps, and serves every waveform, so the detector is
+called once for all of them; estimated CSI is per waveform, and so is
+the call. A trial demodulates its record at most once: estimated CSI
+reads both waveforms' received grids from one demodulation, and genie
+CSI reads none, since the detectors work on the time-domain record.
+``_KINDS`` maps each kind to its trial and its result rows; it names
+``link_trial``, ``sync_trial`` and ``mu_trial`` at call time, so
+rebinding them on this module intercepts every trial.
 
 BLAS threads: ``run`` holds every OpenBLAS that numpy and scipy load at
 one thread, in its own process and in each worker, and restores the
@@ -153,31 +154,44 @@ def _draw(spec: ExperimentSpec, trial_id: int, layout: _Layout):
     return channels, bits, np.array(grids)
 
 
-def _ramps(frame: FrameConfig, channels, impair, record_len: int) -> list:
-    """Each channel's :func:`~ddlink.channel.tap_ramps` over the record
-    samples its taps reach from a frame sent at the impairment's offset,
-    which cover the frame with its CP that genie CSI reads."""
-    shift = 0 if impair is None else impair.total_offset(frame.M)
-    return [tap_ramps(ch, min(record_len, shift + ch.n_spread - 1 + frame.frame_len))
-            for ch in channels]
+def _send(spec: ExperimentSpec, trial_id: int, snr_db: float, layout: _Layout,
+          waveforms):
+    """The trial's draws for ``layout`` (:func:`_draw`) sent with each
+    waveform of ``waveforms``: (channels, bits, ramps, impairments,
+    records). Where the spec syncs, the impairments are drawn (from their
+    substream only when a setting is uniform, since fixed settings read
+    no generator) and the record takes their offset plus two grids and a
+    CP; elsewhere they are None and the record is one frame. Each
+    channel's :func:`~ddlink.channel.tap_ramps` cover the record samples
+    its taps reach from a frame sent at that offset, which include the
+    frame with its CP that genie CSI reads.
 
-
-def _transmit(frame: FrameConfig, grids: np.ndarray, channels, ramps,
-              waveforms, impair, record_len: int, noise: np.ndarray) -> np.ndarray:
-    """Noisy received records of the stacked grids sent with each
-    waveform of ``waveforms``, as a (waveforms, record_len) batch. One
-    modulation covers every waveform and grid: SC-IFDMA grids are the
-    OTFS structure applied to the grids derotated by the coupling phases,
+    The records come as a (waveforms, record length) batch from one
+    modulation of every waveform and grid: SC-IFDMA grids are the OTFS
+    structure applied to the grids derotated by the coupling phases,
     which is the multiply ``_mod_core`` makes for them. Each channel then
     carries its grid of every waveform in one ``apply_channel`` call
     (reading its ramps, one CFO ramp for the batch), the grids superpose,
     and the one noise draw is added to every record."""
+    frame = spec.frame
+    channels, bits, grids = _draw(spec, trial_id, layout)
+    impair, shift, record_len = None, 0, frame.frame_len
+    if _runs_sync(spec):
+        impair = spec.impair.draw(seed_stream(spec.seed, trial_id, "impairment")
+                                  if spec.impair._random else None)
+        shift = impair.total_offset(frame.M)
+        record_len = shift + 2 * frame.grid_size + frame.cp_len
+    ramps = [tap_ramps(ch, min(record_len, shift + ch.n_spread - 1 + frame.frame_len))
+             for ch in channels]
+    noise = draw_noise(seed_stream(spec.seed, trial_id, "noise"),
+                       _noise_var(snr_db), record_len)
     W = coupling_phases(frame.M, frame.N)
     x = _mod_core(np.array([grids if w is Waveform.OTFS else grids * np.conj(W)
                             for w in waveforms]), frame, Waveform.OTFS, spread=False)
-    return sum(apply_channel(TimeSignal(x[:, g], frame), ch, impair=impair,
-                             record_len=record_len, ramps=r).samples
-               for g, (ch, r) in enumerate(zip(channels, ramps))) + noise
+    records = sum(apply_channel(TimeSignal(x[:, g], frame), ch, impair=impair,
+                                record_len=record_len, ramps=r).samples
+                  for g, (ch, r) in enumerate(zip(channels, ramps))) + noise
+    return channels, bits, ramps, impair, records
 
 
 def _estimate_sync(spec: ExperimentSpec, record: np.ndarray):
@@ -212,19 +226,6 @@ def _received_grids(signal: TimeSignal) -> dict:
             Waveform.SC_IFDMA: DelayDopplerGrid(otfs.data * W, signal.frame)}
 
 
-def _impairments(spec: ExperimentSpec, trial_id: int):
-    """The trial's impairment draw and record length (its offset plus two
-    grids and a CP) where the spec syncs, else (None, one frame), since
-    nothing else would undo them. Fixed settings never read a generator, so
-    the impairment substream is made only when a setting is uniform."""
-    frame, impair = spec.frame, spec.impair
-    if not _runs_sync(spec):
-        return None, frame.frame_len
-    drawn = impair.draw(seed_stream(spec.seed, trial_id, "impairment")
-                        if impair._random else None)
-    return drawn, drawn.total_offset(frame.M) + 2 * frame.grid_size + frame.cp_len
-
-
 def _detection_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
                      layout: _Layout, detect) -> dict:
     """One paired detection trial: each grid of ``layout`` (with its
@@ -249,19 +250,14 @@ def _detection_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
     estimate came back empty)."""
     frame = spec.frame
     noise_var = _noise_var(snr_db)
-    channels, bits, sent = _draw(spec, trial_id, layout)
-    impair, record_len = _impairments(spec, trial_id)
-    ramps = _ramps(frame, channels, impair, record_len)
-    noise = draw_noise(seed_stream(spec.seed, trial_id, "noise"), noise_var,
-                       record_len)
-    record = _transmit(frame, sent, channels, ramps, (Waveform.OTFS,), impair,
-                       record_len, noise)[0]
+    channels, bits, ramps, impair, (record,) = _send(spec, trial_id, snr_db,
+                                                     layout, (Waveform.OTFS,))
     if impair is None:
         signal = TimeSignal(record, frame, cp_included=True)
     else:
         est = _estimate_sync(spec, record)
         offset = min(max(est.total_offset(frame.M), 0),
-                     record_len - frame.frame_len)
+                     record.size - frame.frame_len)
         signal = correct(record, offset, est.cfo, frame)
     const = get_constellation(spec.constellation)
     W = coupling_phases(frame.M, frame.N)
@@ -314,19 +310,14 @@ def link_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
 def sync_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
     """One synchronization trial: one transmission per waveform with
     shared channel/noise/data/impairment realizations, all sent in one
-    batch (:func:`_transmit`), and one sync estimate per waveform.
+    batch (:func:`_send`), and one sync estimate per waveform.
     Returns per-waveform offset errors (samples) and the CFO estimate
     error, plus per-threshold fine errors for sweeps."""
     frame = spec.frame
-    channels, _, grids = _draw(spec, trial_id,
-                               _layout(frame, spec.pilot, spec.csi, None))
-    impair, record_len = _impairments(spec, trial_id)
-    ramps = _ramps(frame, channels, impair, record_len)
+    *_, impair, records = _send(spec, trial_id, snr_db,
+                                _layout(frame, spec.pilot, spec.csi, None),
+                                spec.waveforms)
     true_offset = impair.total_offset(frame.M)
-    eta = draw_noise(seed_stream(spec.seed, trial_id, "noise"),
-                     _noise_var(snr_db), record_len)
-    records = _transmit(frame, grids, channels, ramps, spec.waveforms, impair,
-                        record_len, eta)
 
     out = {}
     for w, record in zip(spec.waveforms, records):

@@ -5,14 +5,16 @@ from fractions import Fraction
 import numpy as np
 from scipy import sparse
 from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import zpbsv
 
-from ddlink import harness
 from ddlink._seeds import COMPONENTS
 from ddlink.config import SCHEMA, ImpairSettings
-from ddlink.chanest import EstimatedChannel, EstimatedTap
+from ddlink.chanest import (EstimatedChannel, EstimatedTap, embed_pilot,
+                            overlay_mask)
 from ddlink.channel import (ChannelTap, DdChannelMatrix, LtvChannel,
                             _cp_bounded, apply_channel, delay_diagonals,
-                            draw_noise)
+                            draw_noise, tap_ramps)
+from ddlink.mapping import data_bins, get_constellation, map_bits
 from ddlink.modem import TimeSignal, Waveform, _mod_core, demodulate_direct
 from ddlink.multiuser import compound_matrix, detect_users
 from ddlink.sync import BLOCK_STARTS, SyncEstimate, cfo_estimate
@@ -80,12 +82,21 @@ def solve_band_bincount(slot, vals, width, noise_var, rhs):
     """:func:`ddlink.equalize._solve_band` with the band assembled as
     before it was built in place: two float bincounts (each adding the
     values of a slot in value order) joined by ``1j * imag``, and a
-    solve that copies the band and the right-hand side."""
+    solve that copies the band and the right-hand side:
+    ``solveh_banded``, or at width 1, where that calls ``zptsv``,
+    ``zpbsv`` called with the arguments ``solveh_banded`` gives it."""
     length = (width + 1) * rhs.size
     ab = (np.bincount(slot, vals.real, length)
           + 1j * np.bincount(slot, vals.imag, length)).reshape(rhs.size, width + 1).T
     ab[0] += noise_var
-    return solveh_banded(ab, rhs, lower=True)
+    if width != 1:
+        return solveh_banded(ab, rhs, lower=True)
+    _, x, info = zpbsv(ab, rhs, lower=1, overwrite_ab=0, overwrite_b=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal pbsv")
+    return x
 
 
 def square_qam_points(bits_per_axis: int) -> np.ndarray:
@@ -327,30 +338,108 @@ def transmit_one_waveform(frame, grids, channels, ramps, waveform, impair=None,
                           record_len=None) -> np.ndarray:
     """Noiseless received record of one waveform: its own modulation of
     the stacked grids, each through its own channel (with its ramps, and
-    its own CFO ramp), superposed. The bit oracle of a row of
-    :func:`ddlink.harness._transmit` without its noise."""
+    its own CFO ramp), superposed. The bit oracle of a row of the
+    records :func:`transmit` gives, without their noise."""
     x = _mod_core(grids, frame, waveform, spread=False)
     return sum(apply_channel(TimeSignal(s, frame), ch, impair=impair,
                              record_len=record_len, ramps=r).samples
                for s, ch, r in zip(x, channels, ramps))
 
 
+# The send stage of a trial as four steps, each of them the code the
+# harness ran before one function, ``harness._send``, did all four:
+# draw, impairments, ramps, then the noise draw and transmit.
+
+def draw(spec, trial_id: int, pilots, bins):
+    """One channel, one bit array and one grid per grid of a layout (its
+    ``pilots``, None for a grid without one, and data ``bins``), in
+    layout order, from the trial's channel and data substreams; a grid
+    carries its pilot when it has one. The grids come stacked, (grids,
+    M, N)."""
+    const = get_constellation(spec.constellation)
+    rng_ch = seed_stream_by_sequence(spec.seed, trial_id, "channel")
+    rng_data = seed_stream_by_sequence(spec.seed, trial_id, "data")
+    channels, drawn_bits, grids = [], [], []
+    for b_idx, pc in zip(bins, pilots):
+        channels.append(spec.draw_channel(rng_ch))
+        b = rng_data.integers(0, 2, b_idx.size * const.bits_per_symbol)
+        grid = map_bits(b, const, spec.frame, b_idx)
+        drawn_bits.append(b)
+        grids.append((grid if pc is None else embed_pilot(grid, pc)).data)
+    return channels, drawn_bits, np.array(grids)
+
+
+def impairments(spec, trial_id: int):
+    """The trial's impairment draw and record length (its offset plus two
+    grids and a CP) where the spec syncs, else (None, one frame). Fixed
+    settings never read a generator, so the impairment substream is made
+    only when a setting is uniform."""
+    frame, impair = spec.frame, spec.impair
+    syncs = (spec.kind in ("sync_vs_snr", "threshold_sweep")
+             or (spec.kind == "ber_vs_snr" and spec.sync.enabled))
+    if not syncs:
+        return None, frame.frame_len
+    drawn = impair.draw(seed_stream_by_sequence(spec.seed, trial_id, "impairment")
+                        if impair._random else None)
+    return drawn, drawn.total_offset(frame.M) + 2 * frame.grid_size + frame.cp_len
+
+
+def ramps(frame, channels, impair, record_len: int) -> list:
+    """Each channel's :func:`~ddlink.channel.tap_ramps` over the record
+    samples its taps reach from a frame sent at the impairment's offset,
+    which cover the frame with its CP that genie CSI reads."""
+    shift = 0 if impair is None else impair.total_offset(frame.M)
+    return [tap_ramps(ch, min(record_len, shift + ch.n_spread - 1 + frame.frame_len))
+            for ch in channels]
+
+
+def transmit(frame, grids, channels, channel_ramps, waveforms, impair,
+             record_len: int, noise) -> np.ndarray:
+    """Noisy received records of the stacked grids sent with each
+    waveform of ``waveforms``, as a (waveforms, record_len) batch: one
+    modulation of every waveform and grid (SC-IFDMA as the OTFS
+    structure of the grids derotated by the coupling phases), each
+    channel's pass over its grid of every waveform, the grids superposed
+    and ``noise`` added to every record."""
+    W = coupling_phases(frame.M, frame.N)
+    x = _mod_core(np.array([grids if w is Waveform.OTFS else grids * np.conj(W)
+                            for w in waveforms]), frame, Waveform.OTFS, spread=False)
+    return sum(apply_channel(TimeSignal(x[:, g], frame), ch, impair=impair,
+                             record_len=record_len, ramps=r).samples
+               for g, (ch, r) in enumerate(zip(channels, channel_ramps))) + noise
+
+
+def send_by_parts(spec, trial_id: int, snr_db: float, pilots, bins, waveforms):
+    """What a trial sends, by the four steps: (channels, bits, ramps,
+    impairments, records), as ``harness._send`` returns them, and the
+    stacked grids and the noise record they came from."""
+    channels, drawn_bits, grids = draw(spec, trial_id, pilots, bins)
+    impair, record_len = impairments(spec, trial_id)
+    channel_ramps = ramps(spec.frame, channels, impair, record_len)
+    noise = draw_noise(seed_stream_by_sequence(spec.seed, trial_id, "noise"),
+                       10.0 ** (-snr_db / 10.0), record_len)
+    records = transmit(spec.frame, grids, channels, channel_ramps, waveforms,
+                       impair, record_len, noise)
+    return (channels, drawn_bits, channel_ramps, impair, records), grids, noise
+
+
 def sync_trial_per_waveform(spec, trial_id: int, snr_db: float) -> dict:
     """:func:`ddlink.harness.sync_trial` with one transmission and one
     estimate by rule per waveform (:func:`transmit_one_waveform`,
-    :func:`estimate_sync_by_rule`), from the same draws."""
-    frame = spec.frame
-    channels, _, grids = harness._draw(
-        spec, trial_id, harness._layout(frame, spec.pilot, spec.csi, None))
-    impair, record_len = harness._impairments(spec, trial_id)
-    ramps = harness._ramps(frame, channels, impair, record_len)
+    :func:`estimate_sync_by_rule`), from the same draws (:func:`draw`,
+    :func:`impairments`, :func:`ramps`) on the link's one grid."""
+    frame, pilot = spec.frame, spec.pilot
+    channels, _, grids = draw(spec, trial_id, (pilot,),
+                              (data_bins(overlay_mask(pilot, frame)),))
+    impair, record_len = impairments(spec, trial_id)
+    channel_ramps = ramps(frame, channels, impair, record_len)
     true_offset = impair.total_offset(frame.M)
-    eta = draw_noise(harness.seed_stream(spec.seed, trial_id, "noise"),
-                     harness._noise_var(snr_db), record_len)
+    eta = draw_noise(seed_stream_by_sequence(spec.seed, trial_id, "noise"),
+                     10.0 ** (-snr_db / 10.0), record_len)
     out = {}
     for w in spec.waveforms:
-        record = transmit_one_waveform(frame, grids, channels, ramps, w, impair,
-                                       record_len) + eta
+        record = transmit_one_waveform(frame, grids, channels, channel_ramps, w,
+                                       impair, record_len) + eta
         est = estimate_sync_by_rule(record, frame, spec.pilot.pilot_delay,
                                     pilot_doppler=spec.pilot.pilot_doppler,
                                     threshold=spec.sync.threshold)

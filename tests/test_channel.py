@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import LinearOperator
 
-from ddlink import channel, harness
+from ddlink import channel
 from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec, apply_channel,
                             build_dd_matrix, delay_diagonals, eva_channel,
                             linearized_io, make_channel, taps_from_profile)
@@ -13,6 +13,7 @@ from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform,
                           demodulate_direct, modulate_direct)
 from ddlink.sync import Impairments
 from ddlink.transforms import coupling_phases
+import oracles
 from oracles import (apply_taps_per_tap, cp_channel_matrix,
                      delay_diagonals_own_ramps, dft_matrix,
                      interleaver_source_index, time_domain_matrix)
@@ -451,7 +452,9 @@ class TestSharedRamps:
         ch, shift, record_len, x = case
         frame = ch.frame
         impair = Impairments(timing_delay=shift)
-        (ramps,) = harness._ramps(frame, [ch], impair, record_len)
+        # over the samples the taps reach, as a trial's send stage takes
+        # them (TestSend checks it takes these)
+        (ramps,) = oracles.ramps(frame, [ch], impair, record_len)
         old = apply_taps_per_tap(x, ch, shift, record_len)
         assert same_bits(channel._apply_taps(x, ch, ramps, shift, record_len), old)
         # apply_channel evaluates the ramps over the whole record itself

@@ -54,7 +54,8 @@ channel.profile = single_tap
 
 
 # committed configs, each with keys its experiment reads set on top (for
-# a custom profile, its taps); every key that config.READS says a kind
+# a custom profile, its taps, and the velocity back at its default, which
+# only eva and eva3 read); every key that config.READS says a kind
 # reads is set on that kind here, in a committed config or a golden case
 KEYS_THE_KIND_READS = [
     ("ber_vs_snr", "sync.enabled = true\nsync.threshold = 0.3\n"
@@ -67,7 +68,14 @@ KEYS_THE_KIND_READS = [
      "channel.taps = 0:0:0;300:-3:100"),
     ("mu_uplink", "detector.csi = estimated\nest.threshold_sigma = 4\n"
      "mu.relax_disjointness = true\nchannel.profile = custom\n"
-     "channel.taps = 0:0:0;300:-3:100"),
+     "channel.taps = 0:0:0;300:-3:100\nchannel.velocity_kmh = 500"),
+    # eva and eva3 draw their Doppler from the velocity and carrier
+    ("ber_vs_snr", "frame.carrier_hz = 2e9"),
+    ("sync_vs_snr", "channel.profile = eva3\nchannel.velocity_kmh = 300\n"
+     "frame.carrier_hz = 2e9"),
+    ("threshold_sweep", "channel.profile = eva\nchannel.velocity_kmh = 300\n"
+     "frame.carrier_hz = 2e9"),
+    ("mu_uplink", "frame.carrier_hz = 2e9"),
 ]
 
 
@@ -360,7 +368,12 @@ class TestValidate:
         # a named profile ignores the taps
         ("ber_vs_snr", "channel.taps = 0:0:0;300:-3:100",
          "config error: channel.taps: ber_vs_snr with channel.profile = eva3 "
-         "never reads these keys; leave them at their defaults\n")])
+         "never reads these keys; leave them at their defaults\n"),
+        # only the Doppler of eva and eva3 reads the velocity and carrier
+        ("sync_vs_snr", "channel.velocity_kmh = 300\nframe.carrier_hz = 2e9",
+         "config error: channel.velocity_kmh, frame.carrier_hz: sync_vs_snr "
+         "with channel.profile = single_tap never reads these keys; leave "
+         "them at their defaults\n")])
     def test_keys_the_kind_never_reads_exit_2(self, tmp_path, capsys, monkeypatch,
                                               config, lines, message):
         # a committed config with keys its experiment ignores
@@ -408,6 +421,62 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("config error: frame.bandwidth_hz: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("lines", [
+        # nu_max overflows to inf Hz
+        "channel.velocity_kmh = 1e300",
+        "frame.carrier_hz = 1e300\nchannel.velocity_kmh = 1e10",
+        # 2731 Hz is 1.4e306 Doppler bins of 2e-303 Hz, and its tap phase
+        # over the 520 samples of a record overflows
+        "frame.bandwidth_hz = 1e-300"])
+    def test_a_doppler_beyond_the_float_range_exits_2(self, tmp_path, capsys,
+                                                      monkeypatch, lines):
+        # the tap ramps would turn it into NaN
+        monkeypatch.chdir(ROOT)
+        path = write(tmp_path, committed_with("ber_vs_snr", lines))
+        out = tmp_path / "results"
+        assert main(["validate", path]) == 2
+        assert main(["run", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error: channel.velocity_kmh, frame.carrier_hz: "
+                         "the largest Doppler shift, ") == 2
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("config, reference", [("ber_vs_snr", False),
+                                                   ("mu_uplink", False),
+                                                   ("ber_vs_snr", True)])
+    def test_a_doppler_inside_the_float_range_runs(self, tmp_path, monkeypatch,
+                                                   config, reference):
+        # 5.5e299 Hz at 1e299 km/h keeps every tap phase finite, at 32x16
+        # and at 128x32
+        monkeypatch.chdir(ROOT)
+        path = write(tmp_path, committed_with(config, "channel.velocity_kmh = 1e299"))
+        out = tmp_path / "results"
+        args = ["run", path, "--trials", "2", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(args + ["--reference-scale"] * reference) == 0
+        with open(out / "results.csv", newline="") as fh:
+            assert all(math.isfinite(float(row["value"]))
+                       for row in csv.DictReader(fh))
+
+    @pytest.mark.parametrize("config, lines", [
+        ("sync_vs_snr", "snr_db = -3060,-3061,-3074,-3082"),
+        ("threshold_sweep", "snr_db = -3061,-3074,-3082"),
+        ("ber_vs_snr", "snr_db = -3082\nsync.enabled = true\n"
+         "impair.theta_d = uniform:0:6\nimpair.epsilon = uniform:-0.4:0.4")])
+    def test_sync_runs_at_the_low_end_of_the_snr_range(self, tmp_path,
+                                                       monkeypatch, config, lines):
+        # the sums of the sync metric of a pure-noise record would overflow
+        monkeypatch.chdir(ROOT)
+        path = write(tmp_path, committed_with(config, lines))
+        out = tmp_path / "results"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", path, "--trials", "20", "--out", str(out)]) == 0
+        with open(out / "results.csv", newline="") as fh:
+            assert all(math.isfinite(float(row["value"]))
+                       for row in csv.DictReader(fh))
 
     def test_the_ends_of_the_snr_range_run(self, tmp_path):
         path = write(tmp_path, LINK.replace("snr_db = 30", "snr_db = -3082,3076"))
@@ -630,7 +699,7 @@ class TestImport:
 
     def test_serial_runs_do_not_load_scipy_linalg(self):
         if _blas._lapack().source.startswith("scipy.linalg"):
-            pytest.skip("scipy bundles no OpenBLAS with zpbsv and zptsv here, "
+            pytest.skip("scipy bundles no OpenBLAS with zpbsv here, "
                         "so the band solve calls scipy.linalg")
         # ber_vs_snr.cfg estimates CSI; mu_uplink.cfg is the uplink
         assert loaded_after(SERIAL_RUNS) == "[]"

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg.lapack import zpbsv
 
 from ddlink import _blas, equalize
 from ddlink.channel import (ChannelTap, LtvChannel, build_dd_matrix,
@@ -11,7 +12,7 @@ from ddlink.equalize import (equalize_iterative, equalize_mmse,
 from ddlink.frame import FrameConfig
 from ddlink.modem import DelayDopplerGrid, TimeSignal, Waveform, demodulate_direct
 from ddlink.transforms import coupling_phases
-from oracles import solve_band_bincount
+from oracles import bits, solve_band_bincount
 from strategies import PROPERTY, channels
 
 rng = np.random.default_rng(21)
@@ -222,7 +223,8 @@ class TestSolveBand:
 
     @pytest.mark.parametrize("width", [0, 1, 4])
     def test_each_lapack_routine_matches_the_oracle(self, width):
-        # width 1 is the tridiagonal ptsv branch, the others pbsv
+        # zpbsv at every width; at width 1 solveh_banded would take zptsv,
+        # so the oracle calls zpbsv there as solveh_banded calls it
         slot, vals, noise_var, rhs = self.full_band(12, width, seed=width)
         expected = solve_band_bincount(slot, vals, width, noise_var, rhs.copy())
         got = equalize._solve_band(slot, vals, width, noise_var, rhs.copy())
@@ -246,9 +248,9 @@ class TestSolveBand:
 
     @PROPERTY
     @given(st.integers(1, 600), st.integers(0, 60), st.integers(0, 2**32 - 1))
-    @example(2, 1, 0)   # zptsv where ab[1, :-1] is contiguous, written in place
     def test_both_routes_match_solveh_banded_bit_for_bit(self, n, width, seed):
-        # each route builds its own band and consumes its own rhs copy
+        # each route builds its own band and consumes its own rhs copy; at
+        # width 1 the oracle is zpbsv with solveh_banded's arguments
         width = min(width, n - 1)
         slot, vals, noise_var, rhs = self.full_band(n, width, seed)
         expected = solve_band_bincount(slot, vals, width, noise_var, rhs.copy())
@@ -284,17 +286,21 @@ class TestSolveBand:
         scipy_blas = _blas._openblas()["scipy"]
         lapack = None if scipy_blas is None else _blas._bundled_lapack(scipy_blas)
         if lapack is None:
-            pytest.skip("scipy bundles no OpenBLAS with zpbsv and zptsv here")
+            pytest.skip("scipy bundles no OpenBLAS with zpbsv here")
         b = np.ones(4, dtype=complex)
-        with pytest.raises(ValueError, match="band of 3 columns for 4"):
-            lapack.pbsv(np.ones((2, 3), dtype=complex, order="F"), b)
-        with pytest.raises(ValueError, match="diagonals of 4 and 2 entries"):
-            lapack.ptsv(np.ones(4), np.zeros(2, dtype=complex), b)
+        for columns in (3, 5):
+            with pytest.raises(ValueError, match=f"band of {columns} columns for 4"):
+                lapack.pbsv(np.ones((2, columns), dtype=complex, order="F"), b)
         # a strided right-hand side is solved in a copy, as scipy's does
         strided = np.ones(8, dtype=complex)[::2]
         x, info = lapack.pbsv(np.full((1, 4), 4.0 + 0j, order="F"), strided)
         assert info == 0 and np.array_equal(x, np.full(4, 0.25))
         assert np.array_equal(strided, np.ones(4))
+        # and so is a band in C order, which LAPACK would read transposed
+        band = np.array([[2.0, 2.0, 2.0, 2.0], [1.0, 1.0, 1.0, 0.0]], dtype=complex)
+        x, info = lapack.pbsv(band, np.ones(4, dtype=complex))
+        _, want, _ = zpbsv(band, np.ones(4, dtype=complex), lower=1)
+        assert info == 0 and np.array_equal(bits(x), bits(want))
 
     @PROPERTY
     @given(channels(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))

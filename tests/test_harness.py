@@ -1,8 +1,10 @@
+import math
 import os
 import platform
 import re
 import subprocess
 import sys
+import warnings
 from concurrent import futures
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddlink import (_blas, _seeds, chanest, channel, config, equalize,
@@ -28,7 +30,7 @@ from ddlink.modem import TimeSignal, Waveform, demodulate_direct
 from ddlink.multiuser import even_split_allocation
 from ddlink.sync import BLOCK_STARTS
 from oracles import (bits, dense_detect, seed_stream_by_sequence,
-                     sync_trial_per_waveform, to_ltv_channel,
+                     send_by_parts, sync_trial_per_waveform, to_ltv_channel,
                      transmit_one_waveform, unread_keys_by_path)
 from strategies import PROPERTY
 
@@ -401,30 +403,13 @@ class TestPairedDecisions:
             assert out["otfs"]["bit_errors"] == out["sc_ifdma"]["bit_errors"]
 
 
-@st.composite
-def sync_specs(draw):
-    """A sync_vs_snr or threshold_sweep spec that ``prepare`` accepts, at
-    32x16 or 128x32 with CP 8, on single_tap, two_tap_biased or eva: a
-    fixed or uniform timing delay, a block offset where the pilot run
+def draw_impairments(draw, spec):
+    """``spec`` with impairments that ``prepare`` accepts where it syncs:
+    a fixed or uniform timing delay, a block offset where the pilot run
     leaves room for one, and a CFO that is zero, fixed or uniform."""
-    kind = draw(st.sampled_from(["sync_vs_snr", "threshold_sweep"]))
-    M, N = draw(st.sampled_from([(32, 16), (128, 32)]))
-    frame = FrameConfig(M, N, cp_len=8)
-    pilot = PilotConfig(draw(st.integers(4, 8)), N // 2, 1000.0, 4, 4)
-    spec = ExperimentSpec(
-        kind=kind, frame=frame,
-        waveforms=draw(st.sampled_from([BOTH, BOTH[::-1], BOTH[:1], BOTH[1:]])),
-        constellation=draw(st.sampled_from(["qpsk", "16qam"])),
-        snr_db=(draw(st.sampled_from([0.0, 10.0, 30.0])),), trials=2,
-        seed=draw(st.integers(0, 2 ** 16)),
-        channel_profile=draw(st.sampled_from(["single_tap", "two_tap_biased", "eva"])),
-        velocity_kmh=draw(st.sampled_from([0.0, 500.0])), pilot=pilot,
-        sync=SyncSettings(enabled=True,
-                          threshold=draw(st.sampled_from([0.3, 0.5, 1.0]))),
-        **({"sweep_thresholds": (0.05, 0.4, 1.0)} if kind == "threshold_sweep"
-           else {}))
+    frame, M = spec.frame, spec.frame.M
     # the pilot run starts in block (cp + m_p + theta_d + delay) // M + theta_t
-    lead = frame.cp_len + pilot.pilot_delay + config._largest_tap_delay(spec)
+    lead = frame.cp_len + spec.pilot.pilot_delay + config._largest_tap_delay(spec)
     theta_t = draw(st.integers(0, int(lead < M)))
     top = (M if theta_t else 2 * M) - 1 - lead
     lo = draw(st.integers(0, top))
@@ -436,6 +421,104 @@ def sync_specs(draw):
                                                epsilon=epsilon))
 
 
+def draw_profile(draw, profiles):
+    """(profile, velocity): the velocity drawn where the profile reads it,
+    else its default."""
+    profile = draw(st.sampled_from(profiles))
+    return profile, (draw(st.sampled_from([0.0, 500.0])) if profile in ("eva", "eva3")
+                     else 500.0)
+
+
+@st.composite
+def sync_specs(draw):
+    """A sync_vs_snr or threshold_sweep spec that ``prepare`` accepts, at
+    32x16 or 128x32 with CP 8, on single_tap, two_tap_biased or eva, with
+    impairments (:func:`draw_impairments`)."""
+    kind = draw(st.sampled_from(["sync_vs_snr", "threshold_sweep"]))
+    M, N = draw(st.sampled_from([(32, 16), (128, 32)]))
+    frame = FrameConfig(M, N, cp_len=8)
+    pilot = PilotConfig(draw(st.integers(4, 8)), N // 2, 1000.0, 4, 4)
+    profile, velocity = draw_profile(draw, ["single_tap", "two_tap_biased", "eva"])
+    spec = ExperimentSpec(
+        kind=kind, frame=frame,
+        waveforms=draw(st.sampled_from([BOTH, BOTH[::-1], BOTH[:1], BOTH[1:]])),
+        constellation=draw(st.sampled_from(["qpsk", "16qam"])),
+        snr_db=(draw(st.sampled_from([0.0, 10.0, 30.0])),), trials=2,
+        seed=draw(st.integers(0, 2 ** 16)),
+        channel_profile=profile, velocity_kmh=velocity, pilot=pilot,
+        sync=SyncSettings(enabled=True,
+                          threshold=draw(st.sampled_from([0.3, 0.5, 1.0]))),
+        **({"sweep_thresholds": (0.05, 0.4, 1.0)} if kind == "threshold_sweep"
+           else {}))
+    return draw_impairments(draw, spec)
+
+
+@st.composite
+def send_specs(draw):
+    """A spec of any kind that ``prepare`` accepts, at 32x16 or 128x32
+    with CP 8: a link with genie or estimated CSI, with or without sync
+    and its impairments, or a two-user uplink on an even split with
+    either CSI, on eva3, eva or single_tap; or a sync spec
+    (:func:`sync_specs`)."""
+    kind = draw(st.sampled_from(EXPERIMENTS))
+    if kind in ("sync_vs_snr", "threshold_sweep"):
+        return draw(sync_specs())
+    M, N = draw(st.sampled_from([(32, 16), (128, 32)]))
+    uplink = kind == "mu_uplink"
+    profile, velocity = draw_profile(draw, ["eva3", "eva", "single_tap"])
+    spec = ExperimentSpec(
+        kind=kind, frame=FrameConfig(M, N, cp_len=8), waveforms=BOTH,
+        constellation=draw(st.sampled_from(["qpsk", "16qam"])),
+        snr_db=(draw(st.sampled_from([0.0, 10.0, 30.0])),), trials=2,
+        seed=draw(st.integers(0, 2 ** 16)),
+        channel_profile=profile, velocity_kmh=velocity,
+        pilot=PilotConfig(4, N // 2, 1000.0, *((2, 2) if uplink else (4, 4))),
+        csi=draw(st.sampled_from(["genie", "estimated"])),
+        sync=SyncSettings(enabled=not uplink and draw(st.booleans())))
+    return draw_impairments(draw, spec) if spec.sync.enabled else spec
+
+
+def same_channel(a, b) -> bool:
+    """The same taps, each delay equal and each gain and Doppler the
+    same bits, on the same frame."""
+    def fields(ch):
+        return ([t.delay for t in ch.taps], bits(np.array([t.gain for t in ch.taps])),
+                bits(np.array([t.doppler for t in ch.taps])))
+
+    (da, ga, ka), (db, gb, kb) = fields(a), fields(b)
+    return (a.frame == b.frame and da == db and np.array_equal(ga, gb)
+            and np.array_equal(ka, kb))
+
+
+class TestSend:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(send_specs(), st.sampled_from([BOTH, BOTH[::-1], BOTH[:1], BOTH[1:]]))
+    def test_equals_the_draw_impairments_ramps_noise_and_transmit(self, spec,
+                                                                   waveforms):
+        # the one send stage gives what the four steps it replaced gave,
+        # bit for bit, for every kind, CSI, sync setting, grid and order
+        alloc = prepare(spec)
+        layout = harness._layout(spec.frame, spec.pilot, spec.csi, alloc)
+        snr = spec.snr_db[0]
+        for t in range(spec.trials):
+            channels, drawn, ramps, impair, records = harness._send(
+                spec, t, snr, layout, waveforms)
+            (w_channels, w_bits, w_ramps, w_impair, w_records), *_ = send_by_parts(
+                spec, t, snr, layout.pilots, layout.bins, waveforms)
+            assert len(channels) == len(w_channels) == len(layout.bins)
+            assert all(map(same_channel, channels, w_channels))
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                       for a, b in zip(drawn, w_bits, strict=True))
+            assert all(a.shape == b.shape and np.array_equal(bits(a), bits(b))
+                       for a, b in zip(ramps, w_ramps, strict=True))
+            assert impair == w_impair
+            if impair is not None:
+                assert bits(impair.cfo) == bits(w_impair.cfo)
+            assert records.shape == w_records.shape == (len(waveforms),
+                                                       records.shape[1])
+            assert np.array_equal(bits(records), bits(w_records))
+
+
 class TestSyncTrial:
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(sync_specs())
@@ -443,22 +526,20 @@ class TestSyncTrial:
         # one modulation, one pass per channel and one CFO ramp for every
         # waveform give each waveform's own record and trial, bit for bit
         prepare(spec)
-        frame = spec.frame
+        frame, snr = spec.frame, spec.snr_db[0]
+        layout = harness._layout(frame, spec.pilot, spec.csi, None)
         for t in range(spec.trials):
-            channels, _, grids = harness._draw(
-                spec, t, harness._layout(frame, spec.pilot, spec.csi, None))
-            impair, record_len = harness._impairments(spec, t)
-            ramps = harness._ramps(frame, channels, impair, record_len)
-            noise = channel.draw_noise(np.random.default_rng(t), 0.1, record_len)
-            records = harness._transmit(frame, grids, channels, ramps,
-                                        spec.waveforms, impair, record_len, noise)
+            *_, records = harness._send(spec, t, snr, layout, spec.waveforms)
+            (channels, _, ramps, impair, _), grids, noise = send_by_parts(
+                spec, t, snr, layout.pilots, layout.bins, spec.waveforms)
+            record_len = noise.size
             assert records.shape == (len(spec.waveforms), record_len)
             for w, record in zip(spec.waveforms, records):
                 want = transmit_one_waveform(frame, grids, channels, ramps, w,
                                              impair, record_len) + noise
                 assert np.array_equal(bits(record), bits(want))
-            got = sync_trial(spec, t, spec.snr_db[0])
-            want = sync_trial_per_waveform(spec, t, spec.snr_db[0])
+            got = sync_trial(spec, t, snr)
+            want = sync_trial_per_waveform(spec, t, snr)
             assert list(got) == list(want) == [w.value for w in spec.waveforms]
             for w in got:
                 assert list(got[w]) == list(want[w])
@@ -763,24 +844,26 @@ class TestUnreadKeys:
 
     @PROPERTY
     @given(st.sampled_from(EXPERIMENTS), st.sets(st.sampled_from(sorted(READS))),
-           st.booleans())
-    def test_the_table_decides_every_key(self, kind, keys, custom):
+           st.sampled_from(["single_tap", "eva3", "custom"]))
+    def test_the_table_decides_every_key(self, kind, keys, profile):
         # every table key set away from its default, on any kind, is
         # rejected exactly where the table says the spec does not read it,
         # as the three paths prepare had before the table decided for every
-        # key but channel.taps; the genie uplink keeps its pilot.* keys
+        # key but the profile's (channel.taps, channel.velocity_kmh and
+        # frame.carrier_hz); the genie uplink keeps its pilot.* keys
         keys = set(keys)
         if kind == "mu_uplink" and {"mu.q", "mu.allocation"} <= keys:
             keys.discard("mu.q")   # the allocation file lists 2 users
         if kind == "mu_uplink" and "detector.csi" in keys:
             keys.add("pilot.guards")   # to fit each user's bins
+        if profile == "custom" and "channel.taps" not in keys:
+            profile = "single_tap"   # a custom profile needs its taps
         text = (f"experiment = {kind}\ntrials = 1\nsnr_db = 20\n"
-                f"channel.profile = "
-                f"{'custom' if custom and 'channel.taps' in keys else 'single_tap'}\n")
+                f"channel.profile = {profile}\n")
         spec = spec_from_config(parse_config_text(
             text + "".join(f"{key} = {AWAY[key]}\n" for key in keys)))
         unread = {key for key in keys if not reads(spec, key)}
-        assert unread - {"channel.taps"} == unread_keys_by_path(spec)
+        assert unread - PROFILE_KEYS == unread_keys_by_path(spec)
         if not unread:
             prepare(spec)
             return
@@ -790,6 +873,9 @@ class TestUnreadKeys:
         assert set(named.split(", ")) == unread
         assert rest.endswith(" never reads these keys; leave them at their defaults")
 
+
+# the keys the profile decides, which no path of the oracle read
+PROFILE_KEYS = {"channel.taps", "channel.velocity_kmh", "frame.carrier_hz"}
 
 # a value away from its default for each key of the table, one a spec of
 # any kind runs with where it reads the key
@@ -806,11 +892,92 @@ AWAY = {
     "mu.allocation": str(ROOT / "configs" / "mu_allocation.txt"),
     "mu.relax_disjointness": "true",
     "channel.taps": "0:0:0;300:-3:100",
+    "channel.velocity_kmh": "300",
+    "frame.carrier_hz": "2e9",
     "pilot.m_p": "5",
     "pilot.n_p": "7",
     "pilot.power_db": "20",
     "pilot.guards": "2,2",
 }
+
+
+# a tiny grid every kind runs on: each of two users' 8x4 bins hosts a
+# pilot with guards 2,1
+TINY = """
+trials = 1
+seed = 5
+frame.M = 16
+frame.N = 8
+frame.L_cp = 4
+pilot.m_p = 4
+pilot.n_p = 4
+pilot.guards = 2,1
+"""
+
+# the lines each kind adds; ber_vs_snr_sync is the link with sync
+KIND_LINES = {
+    "ber_vs_snr": "experiment = ber_vs_snr\n",
+    "ber_vs_snr_sync": "experiment = ber_vs_snr\nsync.enabled = true\n"
+                       "impair.theta_d = uniform:0:3\n"
+                       "impair.epsilon = uniform:-0.4:0.4\n",
+    "sync_vs_snr": "experiment = sync_vs_snr\nimpair.theta_d = 2\n"
+                   "impair.epsilon = uniform:-0.4:0.4\n",
+    "threshold_sweep": "experiment = threshold_sweep\nimpair.theta_d = uniform:0:3\n",
+    "mu_uplink": "experiment = mu_uplink\nconstellation = qpsk\n",
+}
+
+# finite non-negative floats of every size: zero, the float maximum,
+# powers of ten and their neighbours, and any float; the defaults among them
+def magnitudes(default):
+    return st.one_of(st.just(default), st.sampled_from([0.0, sys.float_info.max]),
+                     st.integers(-320, 308).map(lambda e: float(f"1e{e}")),
+                     st.floats(0.0, sys.float_info.max))
+
+
+# SNRs at and past the ends of the range, inside it, and of every size
+SNRS = st.one_of(st.sampled_from([-1e308, -3083.0, -3082.0, -3074.0, -3061.0,
+                                  -3060.0, 3076.0, 3077.0, 1e308]),
+                 st.floats(-3082.0, 3076.0), st.floats(-1e308, 1e308))
+
+
+class TestAcceptedRuns:
+    """A spec that ``prepare`` accepts runs: extreme finite values of the
+    velocity, the carrier and the SNR either raise ConfigError before the
+    first trial, or give finite rows with no RuntimeWarning."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(KIND_LINES)), st.sampled_from(["genie", "estimated"]),
+           st.sampled_from(["eva3", "eva", "single_tap"]), magnitudes(500.0),
+           magnitudes(5.9e9), SNRS)
+    # single_tap never reads the velocity and the carrier
+    @example("sync_vs_snr", "genie", "single_tap", 300.0, 2e9, 10.0)
+    # the largest Doppler shift overflows, in Hz, on the committed eva3 link
+    @example("ber_vs_snr", "estimated", "eva3", 1e300, 5.9e9, 10.0)
+    @example("ber_vs_snr", "estimated", "eva3", 1e10, 1e300, 10.0)
+    # and stays finite a decade lower
+    @example("ber_vs_snr", "estimated", "eva3", 1e299, 5.9e9, 10.0)
+    # the sync metric's sums of pure noise overflow below -3060 dB
+    @example("sync_vs_snr", "genie", "single_tap", 500.0, 5.9e9, -3060.0)
+    @example("sync_vs_snr", "genie", "single_tap", 500.0, 5.9e9, -3061.0)
+    @example("sync_vs_snr", "genie", "single_tap", 500.0, 5.9e9, -3074.0)
+    @example("threshold_sweep", "genie", "single_tap", 500.0, 5.9e9, -3061.0)
+    @example("threshold_sweep", "genie", "single_tap", 500.0, 5.9e9, -3074.0)
+    @example("ber_vs_snr_sync", "estimated", "eva3", 500.0, 5.9e9, -3082.0)
+    def test_prepare_rejects_or_the_run_gives_finite_rows(self, kind, csi, profile,
+                                                          velocity, carrier, snr):
+        text = (TINY + KIND_LINES[kind] + f"channel.profile = {profile}\n"
+                f"channel.velocity_kmh = {velocity!r}\n"
+                f"frame.carrier_hz = {carrier!r}\nsnr_db = {snr!r}\n"
+                + (f"detector.csi = {csi}\n" if kind.startswith(("ber", "mu")) else ""))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                spec = spec_from_config(parse_config_text(text))
+                prepare(spec)
+            except ConfigError:
+                return
+            rows = run(spec)
+        assert rows and all(math.isfinite(r.value) for r in rows)
 
 
 class TestRun:

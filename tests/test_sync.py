@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -225,6 +227,26 @@ class TestEstimateSync:
         assert imp.total_offset(32) == 3 + 64
         with pytest.raises(ValueError):
             Impairments(timing_delay=-1)
+
+
+class TestHugeRecords:
+    @PROPERTY
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(-5.0, 5.0), st.integers(200, 1000),
+           st.floats(0.01, 1.0))
+    def test_a_power_of_two_changes_no_decision_and_no_cfo_bit(self, seed, decade,
+                                                               k, threshold):
+        # sums of the metric of a record of 2**k-sized samples would
+        # overflow; the estimate scales the record first, and the rules
+        # compare magnitudes, so the estimate is that of the record as it is
+        g = np.random.default_rng(seed)
+        record = (g.standard_normal(1035) + 1j * g.standard_normal(1035)) * 10.0 ** decade
+        want = estimate_sync(record, FRAME, 4, 3, threshold)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = estimate_sync(record * 2.0 ** k, FRAME, 4, 3, threshold)
+        for name in ("coarse_delay", "fine_delay", "block_offset"):
+            assert getattr(got, name) == getattr(want, name)
+        assert bits(got.cfo) == bits(want.cfo)
 
 
 class TestAgainstTheRuleOracles:
