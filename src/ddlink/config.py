@@ -265,14 +265,8 @@ class ImpairSettings:
             return int(rng.integers(int(lo), int(hi) + 1))
         return float(rng.uniform(lo, hi))
 
-    @property
-    def _random(self) -> bool:
-        """Whether :meth:`draw` reads its generator: some setting is
-        uniform."""
-        return "uniform" in (self.theta_d[0], self.epsilon[0])
-
-    def draw(self, rng: np.random.Generator | None):
-        """One draw; ``rng`` may be None when no setting is uniform."""
+    def draw(self, rng: np.random.Generator):
+        """One draw; fixed settings leave ``rng`` unread."""
         return Impairments(
             timing_delay=self._draw(self.theta_d, rng, integer=True),
             timing_blocks=self.theta_t,
@@ -424,8 +418,8 @@ def check(spec: ExperimentSpec) -> None:
     one-column grid (no adjacent-sample pair in any metric row), a pilot
     run that can start past the window starts the block search compares
     (``sync.BLOCK_STARTS``), or a CFO outside the range the estimate
-    tells apart; for an eva or eva3 spec whose largest Doppler shift
-    turns a tap ramp's phase over the longest record past the float
+    tells apart; for an eva, eva3 or custom spec whose largest Doppler
+    shift turns a tap ramp's phase over the longest record past the float
     range; for estimated CSI without a guard row ahead of the pilot (the
     noise level comes from it); and for every :data:`READS` key set away
     from its default that the spec does not read."""
@@ -459,21 +453,27 @@ def check(spec: ExperimentSpec) -> None:
                     f"impair.epsilon: a CFO of {cfo:g} Doppler bins is outside "
                     f"(-frame.N/2, frame.N/2) = ({-frame.N / 2:g}, "
                     f"{frame.N / 2:g}), the range sync estimates it in")
-        # the longest record: the largest offset, two grids and a CP
-        record = (int(spec.impair.theta_d[-1]) + frame.M * spec.impair.theta_t
-                  + 2 * frame.grid_size + frame.cp_len)
-    if spec.channel_profile in _FADING:
+        # the longest record, at the largest offset
+        record = Impairments(int(spec.impair.theta_d[-1]),
+                             spec.impair.theta_t).record_len(frame)
+    if spec.channel_profile in (*_FADING, "custom"):
         # channel.tap_ramps turns 2 pi nu kappa for each record sample kappa
-        nu_hz = max_doppler_hz(frame, spec.velocity_kmh)
+        if spec.channel_profile == "custom":
+            nu_hz = max(abs(doppler) for *_, doppler in spec.custom_taps)
+            keys, lower = "channel.taps", "the tap Doppler"
+        else:
+            nu_hz = max_doppler_hz(frame, spec.velocity_kmh)
+            keys, lower = ("channel.velocity_kmh, frame.carrier_hz",
+                           "the velocity or the carrier")
         spacing = frame.doppler_spacing
         nu_bins = nu_hz / spacing if spacing else math.inf
         if not math.isfinite(2 * math.pi * nu_bins * record):
             raise ConfigError(
-                f"channel.velocity_kmh, frame.carrier_hz: the largest Doppler "
-                f"shift, {nu_hz:g} Hz or {nu_bins:g} Doppler bins at "
-                f"frame.bandwidth_hz = {frame.bandwidth_hz:g}, puts the tap "
-                f"phase 2*pi*nu*kappa of a {record}-sample record beyond the "
-                f"float range; lower the velocity or the carrier")
+                f"{keys}: the largest Doppler shift, {nu_hz:g} Hz or "
+                f"{nu_bins:g} Doppler bins at frame.bandwidth_hz = "
+                f"{frame.bandwidth_hz:g}, puts the tap phase 2*pi*nu*kappa of "
+                f"a {record}-sample record beyond the float range; lower "
+                f"{lower}")
     if (spec.kind in _DETECTION_KINDS and spec.csi == "estimated"
             and spec.pilot.guard_delay == 0):
         raise ConfigError("pilot.guards: detector.csi = estimated needs a "

@@ -99,6 +99,9 @@ def _fold_positions(n: int) -> np.ndarray:
     return np.where(k <= (n - 1) // 2, 2 * k, 2 * (n - 1 - k) + 1)
 
 
+_EPS = np.finfo(float).eps
+
+
 def _solve_band(slot: np.ndarray, vals: np.ndarray, width: int, noise_var: float,
                 rhs: np.ndarray) -> np.ndarray:
     """Solve (A + noise_var I) x = rhs for Hermitian A whose lower band of
@@ -107,6 +110,14 @@ def _solve_band(slot: np.ndarray, vals: np.ndarray, width: int, noise_var: float
     order), by banded Cholesky. A matrix that is not positive definite
     raises numpy.linalg.LinAlgError; inf or NaN in the band or in ``rhs``
     raises ValueError.
+
+    A positive ``noise_var`` below the floor (width + 1) * eps * max_i a_ii
+    is raised to it: each factor entry is an inner product of at most
+    width + 1 terms, so the computed factor is exact for A + dA with
+    |dA_ij| <= gamma_(width+1) sqrt(a_ii a_jj) (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 10.5), and a smaller shift is
+    lost in that rounding, where a singular A meets a pivot that is not
+    positive (from about 160 dB on a 32x16 link). 0 is zero forcing.
 
     The band is built in place: one zeroed column-major (width + 1, n)
     array, which LAPACK factors without a copy. ``rhs`` (complex, one
@@ -119,6 +130,8 @@ def _solve_band(slot: np.ndarray, vals: np.ndarray, width: int, noise_var: float
     """
     ab = np.zeros((width + 1, rhs.size), dtype=complex, order="F")
     np.add.at(ab.reshape(-1, order="F"), slot, vals)
+    if noise_var > 0:
+        noise_var = max(noise_var, (width + 1) * _EPS * ab[0].real.max())
     ab[0] += noise_var
     if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")

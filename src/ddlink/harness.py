@@ -158,10 +158,10 @@ def _send(spec: ExperimentSpec, trial_id: int, snr_db: float, layout: _Layout,
           waveforms):
     """The trial's draws for ``layout`` (:func:`_draw`) sent with each
     waveform of ``waveforms``: (channels, bits, ramps, impairments,
-    records). Where the spec syncs, the impairments are drawn (from their
-    substream only when a setting is uniform, since fixed settings read
-    no generator) and the record takes their offset plus two grids and a
-    CP; elsewhere they are None and the record is one frame. Each
+    records). Where the spec syncs, the impairments are drawn from their
+    substream (a fixed setting leaves it unread) and the record is
+    :meth:`~ddlink.sync.Impairments.record_len` long; elsewhere they are
+    None and the record is one frame. Each
     channel's :func:`~ddlink.channel.tap_ramps` cover the record samples
     its taps reach from a frame sent at that offset, which include the
     frame with its CP that genie CSI reads.
@@ -177,10 +177,9 @@ def _send(spec: ExperimentSpec, trial_id: int, snr_db: float, layout: _Layout,
     channels, bits, grids = _draw(spec, trial_id, layout)
     impair, shift, record_len = None, 0, frame.frame_len
     if _runs_sync(spec):
-        impair = spec.impair.draw(seed_stream(spec.seed, trial_id, "impairment")
-                                  if spec.impair._random else None)
+        impair = spec.impair.draw(seed_stream(spec.seed, trial_id, "impairment"))
         shift = impair.total_offset(frame.M)
-        record_len = shift + 2 * frame.grid_size + frame.cp_len
+        record_len = impair.record_len(frame)
     ramps = [tap_ramps(ch, min(record_len, shift + ch.n_spread - 1 + frame.frame_len))
              for ch in channels]
     noise = draw_noise(seed_stream(spec.seed, trial_id, "noise"),

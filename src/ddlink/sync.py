@@ -12,18 +12,16 @@ The fine estimator refines the row choice: instead of the metric maximum
 that tap) it takes the earliest row whose metric clears a relative
 threshold, recovering the first arriving tap.
 
-The metric gathers its rows through an index cached per grid and record
-length, and reads them straight from the record when the record holds
-every indexed sample, M(2N-1) of them; every harness record does (it has
-at least 2MN + CP samples). Shorter records are zero-filled past their
-end. One estimate takes the metric magnitude once: the coarse and fine
-rows follow from it by the rules the public timing functions apply, and
-the block offset and CFO are read at the coarse row.
+The metric reads its rows r[m + M*l], l = 0 .. 2N-2, as a (2N-1, M) view
+of the record's first M(2N-1) samples, which every harness record
+(:meth:`Impairments.record_len`) holds; a shorter record is padded with
+zeros first. One estimate takes the metric magnitude once: the coarse
+and fine rows follow from it by the rules the public timing functions
+apply, and the block offset and CFO are read at the coarse row.
 """
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +46,11 @@ class Impairments:
     def total_offset(self, M: int) -> int:
         return self.timing_delay + M * self.timing_blocks
 
+    def record_len(self, frame: FrameConfig) -> int:
+        """Samples of a record received at this offset: the offset, two
+        grids and a CP."""
+        return self.total_offset(frame.M) + 2 * frame.grid_size + frame.cp_len
+
 
 @dataclass(frozen=True)
 class SyncEstimate:
@@ -61,43 +64,25 @@ class SyncEstimate:
         return self.fine_delay + M * self.block_offset
 
 
-@lru_cache(maxsize=16)
-def _gather(M: int, N: int, n: int):
-    """Read-only gather index of the metric rows in a record of ``n``
-    samples, one row per column: idx[l, m] = m + M*l, l = 0 .. 2N-2. With
-    it, the read-only mask of the indices inside the record, or None when
-    all are (a record of at least M(2N-1) samples); only an index with a
-    mask is clamped into the record."""
-    idx = np.arange(M)[None, :] + M * np.arange(2 * N - 1)[:, None]
-    inside = idx < n
-    if inside.all():
-        inside = None
-    else:
-        idx = np.minimum(idx, n - 1)
-        inside.setflags(write=False)
-    idx.setflags(write=False)
-    return idx, inside
-
-
 def timing_metric(record, frame: FrameConfig):
     """Sliding pilot-search correlation over the M delay rows.
 
     Returns (window_corr, row_metric): window_corr[m, l] sums the N-1
     adjacent-sample products of the length-N window starting at block l of
     row m; row_metric[m] sums window_corr[m, :] over the N window starts.
-    Rows are zero-filled past the end of the record. The rows are
-    gathered, one per column, through an index cached per grid and record
-    length (:func:`_gather`), straight from the record when it holds every
-    indexed sample, so the running sums along the rows run across all rows
-    at once.
+    Rows are zero-filled past the end of the record. Row m is column m of
+    the record's first M(2N-1) samples read as a (2N-1, M) view, so the
+    running sums along the rows run across all rows at once.
     """
     r = np.asarray(record)
     M, N = frame.M, frame.N
     if r.ndim != 1 or r.size < M * N:
         raise ValueError(f"record too short for the sliding window: "
                          f"{r.size} < {M * N}")
-    idx, inside = _gather(M, N, r.size)
-    cols = r[idx] if inside is None else np.where(inside, r[idx], 0.0)
+    n = M * (2 * N - 1)
+    if r.size < n:
+        r = np.concatenate((r, np.zeros(n - r.size, r.dtype)))
+    cols = r[:n].reshape(2 * N - 1, M)
     prod = np.conj(cols[:-1]) * cols[1:]
     csum = np.zeros((2 * N - 1, M), complex)
     np.cumsum(prod, axis=0, dtype=prod.dtype, out=csum[1:])

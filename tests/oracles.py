@@ -283,7 +283,7 @@ def timing_metric_by_rows(record, frame):
     """:func:`ddlink.sync.timing_metric` with the rows gathered by an
     index of its own, zero-filled past the record by ``np.where`` on every
     call, and the running sums taken along each row: the bit oracle of
-    the cached, transposed gather and its in-record fast path."""
+    the metric's view of the rows, one per column, and its zero padding."""
     r = np.asarray(record)
     M, N = frame.M, frame.N
     if r.ndim != 1 or r.size < M * N:
@@ -379,8 +379,9 @@ def impairments(spec, trial_id: int):
              or (spec.kind == "ber_vs_snr" and spec.sync.enabled))
     if not syncs:
         return None, frame.frame_len
+    uniform = "uniform" in (impair.theta_d[0], impair.epsilon[0])
     drawn = impair.draw(seed_stream_by_sequence(spec.seed, trial_id, "impairment")
-                        if impair._random else None)
+                        if uniform else None)
     return drawn, drawn.total_offset(frame.M) + 2 * frame.grid_size + frame.cp_len
 
 

@@ -90,6 +90,11 @@ def committed_with(config, lines):
     return text
 
 
+# a custom tap whose Doppler shift leaves the float range in the tap
+# phase over a 128x32 frame, not over a 32x16 one
+CUSTOM_1E308 = "channel.profile = custom\nchannel.taps = 0:0:1e308"
+
+
 def write(tmp_path, text, name="exp.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -442,15 +447,37 @@ class TestValidate:
                          "the largest Doppler shift, ") == 2
         assert "Traceback" not in err and not out.exists()
 
-    @pytest.mark.parametrize("config, reference", [("ber_vs_snr", False),
-                                                   ("mu_uplink", False),
-                                                   ("ber_vs_snr", True)])
-    def test_a_doppler_inside_the_float_range_runs(self, tmp_path, monkeypatch,
-                                                   config, reference):
-        # 5.5e299 Hz at 1e299 km/h keeps every tap phase finite, at 32x16
-        # and at 128x32
+    def test_a_custom_doppler_beyond_the_float_range_exits_2(self, tmp_path,
+                                                             capsys, monkeypatch):
+        # 1e308 Hz is 5.3e304 Doppler bins of 1875 Hz at 128x32, and the
+        # tap phase over the 4104 samples of a frame overflows
         monkeypatch.chdir(ROOT)
-        path = write(tmp_path, committed_with(config, "channel.velocity_kmh = 1e299"))
+        path = write(tmp_path, committed_with("ber_vs_snr", CUSTOM_1E308))
+        reference = write(tmp_path, committed_with(
+            "ber_vs_snr", CUSTOM_1E308 + "\nframe.M = 128\nframe.N = 32"),
+            "reference.cfg")
+        out = tmp_path / "results"
+        assert main(["validate", reference]) == 2
+        assert main(["run", path, "--reference-scale", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(
+            "config error: channel.taps: the largest Doppler shift, 1e+308 Hz "
+            "or 5.33333e+304 Doppler bins at frame.bandwidth_hz = 7.68e+06, "
+            "puts the tap phase 2*pi*nu*kappa of a 4104-sample record beyond "
+            "the float range; lower the tap Doppler\n") == 2
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("config, lines, reference", [
+        ("ber_vs_snr", "channel.velocity_kmh = 1e299", False),
+        ("mu_uplink", "channel.velocity_kmh = 1e299", False),
+        ("ber_vs_snr", "channel.velocity_kmh = 1e299", True),
+        ("ber_vs_snr", CUSTOM_1E308, False)])
+    def test_a_doppler_inside_the_float_range_runs(self, tmp_path, monkeypatch,
+                                                   config, lines, reference):
+        # 5.5e299 Hz at 1e299 km/h keeps every tap phase finite, at 32x16
+        # and at 128x32; a 1e308 Hz tap, 6.7e303 bins of 15 kHz, at 32x16
+        monkeypatch.chdir(ROOT)
+        path = write(tmp_path, committed_with(config, lines))
         out = tmp_path / "results"
         args = ["run", path, "--trials", "2", "--out", str(out)]
         with warnings.catch_warnings():

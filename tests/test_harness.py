@@ -20,15 +20,16 @@ from ddlink import (_blas, _seeds, chanest, channel, config, equalize,
 from ddlink.chanest import PilotConfig
 from ddlink.channel import CHANNEL_PROFILES, build_dd_matrix
 from ddlink.config import (EXPERIMENTS, READS, ConfigError, ExperimentSpec,
-                           ImpairSettings, SyncSettings, load_spec,
-                           parse_config_text, reads, spec_from_config)
+                           ImpairSettings, SyncSettings, load_config,
+                           load_spec, parse_config_text, reads,
+                           spec_from_config)
 from ddlink.equalize import equalize_mmse
 from ddlink.frame import FrameConfig
 from ddlink.harness import (link_trial, mu_trial, prepare, rows_to_csv, run,
                             seed_stream, sync_trial)
 from ddlink.modem import TimeSignal, Waveform, demodulate_direct
 from ddlink.multiuser import even_split_allocation
-from ddlink.sync import BLOCK_STARTS
+from ddlink.sync import BLOCK_STARTS, Impairments
 from oracles import (bits, dense_detect, seed_stream_by_sequence,
                      send_by_parts, sync_trial_per_waveform, to_ltv_channel,
                      transmit_one_waveform, unread_keys_by_path)
@@ -322,11 +323,16 @@ class TestTrialWork:
                                    lambda: mu_trial(spec, 0, 15.0, alloc))
         assert calls == (["ddlink.harness"] if csi == "estimated" else [])
 
-    @pytest.mark.parametrize("impair,drawn", [
-        (ImpairSettings(theta_d=("fixed", 2), epsilon=("fixed", 0.1)), False),
-        (ImpairSettings(theta_d=("uniform", 0, 3)), True),
-        (ImpairSettings(epsilon=("uniform", -0.2, 0.2)), True)])
-    def test_impairment_stream_only_when_drawn(self, monkeypatch, impair, drawn):
+    @pytest.mark.parametrize("impair", [
+        ImpairSettings(theta_d=("fixed", 2), epsilon=("fixed", 0.1)),
+        ImpairSettings(theta_d=("uniform", 0, 3), epsilon=("uniform", -0.2, 0.2))])
+    @pytest.mark.parametrize("kind, sync", [("ber_vs_snr", True),
+                                            ("ber_vs_snr", False),
+                                            ("sync_vs_snr", True),
+                                            ("threshold_sweep", True),
+                                            ("mu_uplink", False)])
+    def test_impairment_stream_wherever_sync_runs(self, monkeypatch, impair,
+                                                  kind, sync):
         components = []
         real = harness.seed_stream
 
@@ -335,12 +341,20 @@ class TestTrialWork:
             return real(seed, trial, component)
 
         monkeypatch.setattr(harness, "seed_stream", spy)
-        # impairments exist only where sync runs
-        link_trial(make_spec(impair=impair, sync=SyncSettings(enabled=True)),
-                   0, 15.0)
-        assert ("impairment" in components) == drawn
-        if not drawn:   # fixed settings never read the generator
-            assert impair.draw(None) == impair.draw(np.random.default_rng(0))
+        spec = make_spec(kind=kind, constellation="qpsk", csi="genie",
+                         impair=impair, sync=SyncSettings(enabled=sync))
+        harness._summary(spec, 15.0, even_split_allocation(FRAME.M, FRAME.N, 2),
+                         0)
+        # impairments exist only where sync runs, and an uplink never syncs
+        assert ("impairment" in components) == (kind != "mu_uplink" and sync)
+
+    @pytest.mark.parametrize("impair", [
+        ImpairSettings(),
+        ImpairSettings(theta_d=("fixed", 2), theta_t=1, epsilon=("fixed", 0.1))])
+    def test_fixed_settings_draw_the_same_from_any_generator(self, impair):
+        draws = {impair.draw(np.random.default_rng(seed)) for seed in range(5)}
+        assert draws == {Impairments(impair.theta_d[1], impair.theta_t,
+                                     impair.epsilon[1])}
 
 
 @st.composite
@@ -940,10 +954,34 @@ SNRS = st.one_of(st.sampled_from([-1e308, -3083.0, -3082.0, -3074.0, -3061.0,
                  st.floats(-3082.0, 3076.0), st.floats(-1e308, 1e308))
 
 
+# one to three custom taps, each with a delay, a power and a Doppler
+# shift of either sign and any size
+CUSTOM_TAPS = st.lists(
+    st.tuples(st.floats(0.0, 500.0), st.floats(-20.0, 0.0),
+              st.tuples(st.sampled_from([1.0, -1.0]), magnitudes(0.0))
+              .map(lambda pair: pair[0] * pair[1])),
+    min_size=1, max_size=3)
+
+
+def assert_rejected_or_finite(cfg):
+    """The parsed config ``cfg`` either raises ConfigError before its
+    first trial, or runs to finite rows with no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            spec = spec_from_config(cfg)
+            prepare(spec)
+        except ConfigError:
+            return
+        rows = run(spec)
+    assert rows and all(math.isfinite(r.value) for r in rows)
+
+
 class TestAcceptedRuns:
     """A spec that ``prepare`` accepts runs: extreme finite values of the
-    velocity, the carrier and the SNR either raise ConfigError before the
-    first trial, or give finite rows with no RuntimeWarning."""
+    velocity, the carrier, a custom tap's Doppler and the SNR either raise
+    ConfigError before the first trial, or give finite rows with no
+    RuntimeWarning."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(sorted(KIND_LINES)), st.sampled_from(["genie", "estimated"]),
@@ -965,19 +1003,39 @@ class TestAcceptedRuns:
     @example("ber_vs_snr_sync", "estimated", "eva3", 500.0, 5.9e9, -3082.0)
     def test_prepare_rejects_or_the_run_gives_finite_rows(self, kind, csi, profile,
                                                           velocity, carrier, snr):
-        text = (TINY + KIND_LINES[kind] + f"channel.profile = {profile}\n"
-                f"channel.velocity_kmh = {velocity!r}\n"
-                f"frame.carrier_hz = {carrier!r}\nsnr_db = {snr!r}\n"
-                + (f"detector.csi = {csi}\n" if kind.startswith(("ber", "mu")) else ""))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            try:
-                spec = spec_from_config(parse_config_text(text))
-                prepare(spec)
-            except ConfigError:
-                return
-            rows = run(spec)
-        assert rows and all(math.isfinite(r.value) for r in rows)
+        assert_rejected_or_finite(parse_config_text(
+            TINY + KIND_LINES[kind] + f"channel.profile = {profile}\n"
+            f"channel.velocity_kmh = {velocity!r}\n"
+            f"frame.carrier_hz = {carrier!r}\nsnr_db = {snr!r}\n"
+            + (f"detector.csi = {csi}\n" if kind.startswith(("ber", "mu")) else "")))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(KIND_LINES)), st.sampled_from(["genie", "estimated"]),
+           CUSTOM_TAPS, st.sampled_from([(16, 8), (128, 32)]), SNRS)
+    # 1e308 Hz is 5.3e304 Doppler bins at 128x32, and the tap phase over
+    # the 4100 samples of a frame leaves the float range; at 16x8 it does
+    # not
+    @example("ber_vs_snr", "estimated", [(0.0, 0.0, 1e308)], (128, 32), 10.0)
+    @example("ber_vs_snr", "estimated", [(0.0, 0.0, 1e308)], (16, 8), 10.0)
+    def test_custom_taps_of_any_doppler(self, kind, csi, taps, grid, snr):
+        (M, N), taps = grid, "; ".join(f"{d!r}:{p!r}:{nu!r}" for d, p, nu in taps)
+        assert_rejected_or_finite(parse_config_text(
+            TINY.replace("frame.M = 16\nframe.N = 8", f"frame.M = {M}\nframe.N = {N}")
+            + KIND_LINES[kind] + "channel.profile = custom\n"
+            f"channel.taps = {taps}\nsnr_db = {snr!r}\n"
+            + (f"detector.csi = {csi}\n" if kind.startswith(("ber", "mu")) else "")))
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["genie", "estimated"]), st.floats(100.0, 3076.0),
+           st.integers(0, 2 ** 32 - 1), st.just(20))
+    # the committed link's band solve failed its Cholesky at 200 dB
+    @example("genie", 200.0, 1, 300)
+    def test_a_desk_link_from_100_db_to_the_top_of_the_range(self, csi, snr, seed,
+                                                             trials):
+        cfg = load_config(ROOT / "configs" / "ber_vs_snr.cfg")
+        cfg.update({"detector.csi": csi, "snr_db": (snr,), "seed": seed,
+                    "trials": trials})
+        assert_rejected_or_finite(cfg)
 
 
 class TestRun:

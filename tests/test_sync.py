@@ -10,7 +10,7 @@ from ddlink.channel import (ChannelTap, LtvChannel, apply_channel, draw_noise,
                             make_channel)
 from ddlink.frame import FrameConfig
 from ddlink.modem import DelayDopplerGrid, Waveform, modulate_direct
-from ddlink.sync import (Impairments, _gather, block_offset, cfo_estimate,
+from ddlink.sync import (Impairments, block_offset, cfo_estimate,
                          coarse_timing, correct, estimate_sync, fine_timing,
                          metric_peak_set, timing_metric)
 from oracles import (bits, coarse_row, estimate_sync_by_rule, first_peak_row,
@@ -250,10 +250,10 @@ class TestHugeRecords:
 
 
 class TestAgainstTheRuleOracles:
-    """The metric from the cached gather index, and the estimate from one
-    metric magnitude, equal the oracles that build every row and apply
-    every rule on its own, bit for bit: on records long enough for the
-    in-record fast path, and on shorter ones that are zero-filled."""
+    """The metric from a view of the record's rows, and the estimate from
+    one metric magnitude, equal the oracles that build every row and
+    apply every rule on its own, bit for bit: on records that hold every
+    row sample, and on shorter ones that are zero-filled."""
 
     @PROPERTY
     @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 40),
@@ -303,12 +303,3 @@ class TestAgainstTheRuleOracles:
         for threshold in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError, match="threshold must be in"):
                 estimate_sync(record, FRAME, 4, threshold=threshold)
-
-    def test_gather_index_is_cached_and_read_only(self):
-        first = _gather(32, 16, 1035)
-        assert _gather(32, 16, 1035) is first
-        idx, inside = first
-        assert inside is None and not idx.flags.writeable
-        idx, inside = _gather(32, 16, 32 * 31 - 1)
-        assert inside is not None and not inside.all()
-        assert not idx.flags.writeable and not inside.flags.writeable
