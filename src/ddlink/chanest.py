@@ -8,20 +8,23 @@ transmitted pilot and by the tap's Doppler ramp at the pilot's sample (a
 known phase), gives the complex gain. Estimated gains are stored in one
 canonical phase convention (the OTFS one); estimates taken from an
 SC-IFDMA grid are converted using the known coupling phases, which makes
-a single tap store serve both waveforms. The receivers read an estimate
-as the delay diagonals of its taps (:func:`estimated_diagonals`): every
-tap sits on an integer Doppler bin of the guard rectangle, so the
-diagonals are one product of the tap gains with a cached table of
-Doppler ramps, the table the estimate's gains are divided by.
+a single tap store serve both waveforms. An estimate is a tuple of
+:class:`~ddlink.channel.ChannelTap` taps, each on an integer Doppler bin
+of the guard rectangle, with their tap ramps, so the receivers read it
+as the channel of those taps through
+:func:`~ddlink.channel.delay_diagonals`, the route of a drawn channel.
+The ramps of an integer-Doppler tap are its gain times a row of one
+cached table of Doppler ramps (:func:`_doppler_ramps`), the table the
+gains are divided by.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .channel import DelayDiagonals, _cp_bounded
+from .channel import ChannelTap
 from .frame import FrameConfig
 from .mapping import DATA, GUARD, PILOT, full_data_mask
 from .modem import DelayDopplerGrid, Waveform
@@ -90,17 +93,16 @@ def embed_pilot(grid: DelayDopplerGrid, pc: PilotConfig) -> DelayDopplerGrid:
 
 
 @dataclass(frozen=True)
-class EstimatedTap:
-    delay: int        # offset from the pilot delay bin = tap delay in samples
-    doppler: int      # offset from the pilot Doppler bin, in bins
-    gain: complex     # canonical (OTFS-convention) complex gain
-
-
-@dataclass(frozen=True)
 class EstimatedChannel:
+    """Detected taps and their :func:`~ddlink.channel.tap_ramps` over one
+    frame with its CP, (taps, frame_len). A tap's delay is its offset
+    from the pilot delay bin, its Doppler its offset from the pilot
+    Doppler bin, and its gain is in the canonical (OTFS) convention."""
+
     taps: tuple
     waveform: Waveform
     noise_std: float
+    ramps: np.ndarray = field(repr=False, compare=False)
 
     @property
     def is_empty(self) -> bool:
@@ -108,13 +110,14 @@ class EstimatedChannel:
 
 
 @lru_cache(maxsize=8)
-def _doppler_ramps(guard_doppler: int, grid: int, cp_len: int) -> np.ndarray:
-    """Read-only (2 * guard_doppler + 1, grid) table of the Doppler ramps
-    exp(2j*pi*k*(i + cp_len)/grid) over the CP-stripped samples i, for k
-    from -guard_doppler to guard_doppler."""
+def _doppler_ramps(guard_doppler: int, frame: FrameConfig) -> np.ndarray:
+    """Read-only (2 * guard_doppler + 1, frame_len) table of the Doppler
+    ramps exp(2j*pi*k*kappa/(M*N)) over the samples kappa of one frame
+    with its CP, for k from -guard_doppler to guard_doppler. A tap's gain
+    times its row is its :func:`~ddlink.channel.tap_ramps` bit for bit."""
     k = np.arange(-guard_doppler, guard_doppler + 1)
-    kappa = np.arange(cp_len, grid + cp_len)
-    ramps = np.exp((2j * np.pi * k)[:, None] * kappa / grid)
+    kappa = np.arange(frame.frame_len)
+    ramps = np.exp((2j * np.pi * k)[:, None] * kappa / frame.grid_size)
     ramps.setflags(write=False)
     return ramps
 
@@ -125,12 +128,14 @@ def estimate_channel(received: DelayDopplerGrid, pc: PilotConfig,
     """Threshold detection over the guard region around the pilot.
 
     Taps are searched on the causal delay side, [0, guard_delay] past the
-    pilot row, and listed by delay, then Doppler. A tap's gain is its bin
-    divided by the pilot and by its Doppler ramp at the pilot's sample,
-    read from the cached table (:func:`_doppler_ramps`) that
-    :func:`estimated_diagonals` multiplies the gains back by. When
-    ``noise_std`` is not given it is taken from the guard rows ahead of
-    the pilot; wrapped delay spread from far data bins can reach those
+    pilot row, and listed by delay, then Doppler, as channel taps of
+    integer Doppler. A tap's gain is its bin divided by the pilot and by
+    its Doppler ramp at the pilot's sample, kappa = cp_len + pilot_delay
+    + delay, read from the cached table (:func:`_doppler_ramps`); its tap
+    ramps are its gain times its row of the same table, and the
+    receivers read them through :func:`~ddlink.channel.delay_diagonals`.
+    When ``noise_std`` is not given it is taken from the guard rows ahead
+    of the pilot; wrapped delay spread from far data bins can reach those
     rows, so the estimate errs high (a conservative threshold).
     ``pilot_value`` overrides the transmitted pilot amplitude (the paired
     harness passes the waveform-domain pilot of a shared transmission).
@@ -162,31 +167,10 @@ def estimate_channel(received: DelayDopplerGrid, pc: PilotConfig,
         # convert to the canonical convention via the known phases
         W = coupling_phases(frame.M, frame.N)
         gains *= np.conj(W[mp + delay, npil + doppler]) * W[mp, npil]
-    gains /= _doppler_ramps(pc.guard_doppler, frame.grid_size,
-                            frame.cp_len)[col, mp + delay]
-    taps = tuple(EstimatedTap(d, k, g) for d, k, g in
-                 zip(delay.tolist(), doppler.tolist(), gains.tolist()))
-    return EstimatedChannel(taps, waveform, noise_std)
-
-
-def estimated_diagonals(est: EstimatedChannel, pc: PilotConfig,
-                        frame: FrameConfig) -> DelayDiagonals:
-    """Delay diagonals, in ascending delay order, of the taps of a
-    non-empty estimate made with pilot ``pc`` on ``frame``.
-
-    An estimated tap has an integer Doppler index k in [-guard_doppler,
-    guard_doppler], so each delay row is the (delays x Doppler taps)
-    matrix of the gains times the cached table of Doppler ramps. As in
-    :func:`~ddlink.channel.delay_diagonals`, which this equals for the
-    channel of the same taps, the gains are zero where i + cp_len < d.
-    An empty estimate raises ValueError.
-    """
-    if est.is_empty:
-        raise ValueError("empty channel estimate")
-    delays = sorted({t.delay for t in est.taps})
-    row = {d: p for p, d in enumerate(delays)}
-    taps = np.zeros((len(delays), 2 * pc.guard_doppler + 1), dtype=complex)
-    for t in est.taps:
-        taps[row[t.delay], t.doppler + pc.guard_doppler] = t.gain
-    ramps = _doppler_ramps(pc.guard_doppler, frame.grid_size, frame.cp_len)
-    return _cp_bounded(delays, taps @ ramps, frame)
+    table = _doppler_ramps(pc.guard_doppler, frame)
+    gains /= table[col, frame.cp_len + mp + delay]
+    taps = tuple(ChannelTap(d, g, float(k)) for d, g, k in
+                 zip(delay.tolist(), gains.tolist(), doppler.tolist()))
+    ramps = table[col]
+    np.multiply(gains[:, None], ramps, out=ramps)
+    return EstimatedChannel(taps, waveform, noise_std, ramps)

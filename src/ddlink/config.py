@@ -413,24 +413,53 @@ def reads(spec: ExperimentSpec, key: str) -> bool:
 
 def check(spec: ExperimentSpec) -> None:
     """The rules ``spec`` meets before a run's first trial, beyond the
-    ranges of its own fields. Raises ConfigError for a tap delay whose
+    ranges of its own fields. Raises ConfigError for an eva, eva3 or
+    custom spec whose Doppler bin spacing underflows to 0 Hz, or whose
+    largest Doppler shift turns a tap ramp's phase over the longest
+    record past the float range (both checked before a channel is drawn,
+    which divides the shifts by that spacing); for a tap delay whose
     sample count overflows an int64; where the spec syncs, for a
     one-column grid (no adjacent-sample pair in any metric row), a pilot
     run that can start past the window starts the block search compares
     (``sync.BLOCK_STARTS``), or a CFO outside the range the estimate
-    tells apart; for an eva, eva3 or custom spec whose largest Doppler
-    shift turns a tap ramp's phase over the longest record past the float
-    range; for estimated CSI without a guard row ahead of the pilot (the
-    noise level comes from it); and for every :data:`READS` key set away
-    from its default that the spec does not read."""
+    tells apart; for estimated CSI without a guard row ahead of the pilot
+    (the noise level comes from it); and for every :data:`READS` key set
+    away from its default that the spec does not read."""
     frame = spec.frame
+    # the longest record, at the largest offset
+    record = (Impairments(int(spec.impair.theta_d[-1]),
+                          spec.impair.theta_t).record_len(frame)
+              if _runs_sync(spec) else frame.frame_len)
+    if spec.channel_profile in (*_FADING, "custom"):
+        # channel.tap_ramps turns 2 pi nu kappa for each record sample kappa
+        spacing = frame.doppler_spacing
+        if spacing == 0:
+            raise ConfigError(
+                f"frame.bandwidth_hz: the Doppler bin spacing, "
+                f"frame.bandwidth_hz / (frame.M * frame.N) = "
+                f"{frame.bandwidth_hz:g} / {frame.grid_size}, underflows to "
+                f"0 Hz; raise frame.bandwidth_hz")
+        if spec.channel_profile == "custom":
+            nu_hz = max(abs(doppler) for *_, doppler in spec.custom_taps)
+            keys, lower = "channel.taps", "the tap Doppler"
+        else:
+            nu_hz = max_doppler_hz(frame, spec.velocity_kmh)
+            keys, lower = ("channel.velocity_kmh, frame.carrier_hz",
+                           "the velocity or the carrier")
+        nu_bins = nu_hz / spacing
+        if not math.isfinite(2 * math.pi * nu_bins * record):
+            raise ConfigError(
+                f"{keys}: the largest Doppler shift, {nu_hz:g} Hz or "
+                f"{nu_bins:g} Doppler bins at frame.bandwidth_hz = "
+                f"{frame.bandwidth_hz:g}, puts the tap phase 2*pi*nu*kappa of "
+                f"a {record}-sample record beyond the float range; lower "
+                f"{lower}")
     try:
         longest = _largest_tap_delay(spec)
     except ValueError as exc:
         keys = ("frame.bandwidth_hz, channel.taps"
                 if spec.channel_profile == "custom" else "frame.bandwidth_hz")
         raise ConfigError(f"{keys}: {exc}") from None
-    record = frame.frame_len
     if _runs_sync(spec):
         if frame.N == 1:
             raise ConfigError("frame.N = 1 leaves the sync timing metric no "
@@ -453,27 +482,6 @@ def check(spec: ExperimentSpec) -> None:
                     f"impair.epsilon: a CFO of {cfo:g} Doppler bins is outside "
                     f"(-frame.N/2, frame.N/2) = ({-frame.N / 2:g}, "
                     f"{frame.N / 2:g}), the range sync estimates it in")
-        # the longest record, at the largest offset
-        record = Impairments(int(spec.impair.theta_d[-1]),
-                             spec.impair.theta_t).record_len(frame)
-    if spec.channel_profile in (*_FADING, "custom"):
-        # channel.tap_ramps turns 2 pi nu kappa for each record sample kappa
-        if spec.channel_profile == "custom":
-            nu_hz = max(abs(doppler) for *_, doppler in spec.custom_taps)
-            keys, lower = "channel.taps", "the tap Doppler"
-        else:
-            nu_hz = max_doppler_hz(frame, spec.velocity_kmh)
-            keys, lower = ("channel.velocity_kmh, frame.carrier_hz",
-                           "the velocity or the carrier")
-        spacing = frame.doppler_spacing
-        nu_bins = nu_hz / spacing if spacing else math.inf
-        if not math.isfinite(2 * math.pi * nu_bins * record):
-            raise ConfigError(
-                f"{keys}: the largest Doppler shift, {nu_hz:g} Hz or "
-                f"{nu_bins:g} Doppler bins at frame.bandwidth_hz = "
-                f"{frame.bandwidth_hz:g}, puts the tap phase 2*pi*nu*kappa of "
-                f"a {record}-sample record beyond the float range; lower "
-                f"{lower}")
     if (spec.kind in _DETECTION_KINDS and spec.csi == "estimated"
             and spec.pilot.guard_delay == 0):
         raise ConfigError("pilot.guards: detector.csi = estimated needs a "

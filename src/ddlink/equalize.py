@@ -10,12 +10,12 @@ harness runs, solves for the transmitted block with H_t and demodulates
 once. H_t is nonzero only on the cyclic diagonals of the tap delays, and
 the equalizer takes the channel in that form, a
 :class:`~ddlink.channel.DelayDiagonals` (from
-:func:`~ddlink.channel.delay_diagonals` for a drawn channel, or
-:func:`~ddlink.chanest.estimated_diagonals` for an estimate); the
-periodic band H_t^H H_t + noise_var I is formed from them and solved by
-banded Cholesky. The index plan of that band depends only on the delays
-and the grid size and is cached, so a call does only value work. The
-band solve itself, :func:`_solve_band`, is shared with the uplink
+:func:`~ddlink.channel.delay_diagonals`, for a drawn channel and an
+estimate alike); the periodic band H_t^H H_t + noise_var I is formed
+from them and solved by banded Cholesky. The index plan of that band
+depends only on the delays and the grid size and is cached, so a call
+does only value work. The band solve itself, :func:`_solve_band`, is
+shared with the uplink
 detector of :mod:`ddlink.multiuser`: it builds the band in place in one
 zeroed array, in the column-major layout LAPACK factors without a copy,
 consumes its right-hand side, which the solution overwrites, and calls

@@ -79,10 +79,9 @@ import numpy as np
 from . import __version__
 from ._blas import _keep_freed_heap, _lapack, _openblas
 from ._seeds import seed_stream
-from .chanest import (PilotConfig, embed_pilot, estimate_channel,
-                      estimated_diagonals, overlay_mask)
-from .channel import (DelayDiagonals, apply_channel, delay_diagonals,
-                      draw_noise, tap_ramps)
+from .chanest import PilotConfig, embed_pilot, estimate_channel, overlay_mask
+from .channel import (DelayDiagonals, LtvChannel, apply_channel,
+                      delay_diagonals, draw_noise, tap_ramps)
 from .config import ConfigError, ExperimentSpec, _noise_var, _runs_sync, check
 from .equalize import equalize_time_domain
 from .frame import FrameConfig
@@ -203,15 +202,18 @@ def _estimated_channel(received: DelayDopplerGrid, pc: PilotConfig,
                        waveform: Waveform) -> DelayDiagonals | None:
     """Delay diagonals of the channel estimated from the pilot ``pc`` of
     the shared transmit record (built with the OTFS structure, so the
-    SC-IFDMA receiver sees the pilot rotated by its coupling phase); None
-    when the estimate comes back empty."""
+    SC-IFDMA receiver sees the pilot rotated by its coupling phase), read
+    from the estimate's tap ramps as genie CSI reads a drawn channel's;
+    None when the estimate comes back empty."""
     frame = received.frame
     pilot_value = complex(pc.amplitude)
     if waveform is Waveform.SC_IFDMA:
         W = coupling_phases(frame.M, frame.N)
         pilot_value = pc.amplitude * W[pc.pilot_delay, pc.pilot_doppler]
     est = estimate_channel(received, pc, waveform, pilot_value=pilot_value)
-    return None if est.is_empty else estimated_diagonals(est, pc, frame)
+    if est.is_empty:
+        return None
+    return delay_diagonals(LtvChannel(est.taps, frame), est.ramps)
 
 
 def _received_grids(signal: TimeSignal) -> dict:

@@ -9,8 +9,7 @@ from scipy.linalg.lapack import zpbsv
 
 from ddlink._seeds import COMPONENTS
 from ddlink.config import SCHEMA, ImpairSettings
-from ddlink.chanest import (EstimatedChannel, EstimatedTap, embed_pilot,
-                            overlay_mask)
+from ddlink.chanest import EstimatedChannel, embed_pilot, overlay_mask
 from ddlink.channel import (ChannelTap, DdChannelMatrix, LtvChannel,
                             _cp_bounded, apply_channel, delay_diagonals,
                             draw_noise, tap_ramps)
@@ -239,8 +238,30 @@ def to_ltv_channel(est: EstimatedChannel, frame) -> LtvChannel:
     """The channel of an estimate's taps, each at its integer Doppler."""
     if est.is_empty:
         raise ValueError("empty channel estimate")
-    return LtvChannel(tuple(ChannelTap(t.delay, t.gain, float(t.doppler))
-                            for t in est.taps), frame)
+    return LtvChannel(est.taps, frame)
+
+
+def estimated_diagonals(est: EstimatedChannel, pc, frame):
+    """Delay diagonals, in ascending delay order, of the taps of a
+    non-empty estimate made with pilot ``pc`` on ``frame``, by the route
+    estimates once took: each delay row is the (delays x Doppler taps)
+    matrix of the gains times a table of the Doppler ramps
+    exp(2j*pi*k*kappa/(M*N)) over the samples kappa = cp_len + i of the
+    CP-stripped frame, for k in [-guard_doppler, guard_doppler]. The
+    oracle of :func:`delay_diagonals` of the estimate's channel, which
+    sums the taps' own ramps by delay."""
+    if est.is_empty:
+        raise ValueError("empty channel estimate")
+    delays = sorted({t.delay for t in est.taps})
+    row = {d: p for p, d in enumerate(delays)}
+    g = pc.guard_doppler
+    taps = np.zeros((len(delays), 2 * g + 1), dtype=complex)
+    for t in est.taps:
+        taps[row[t.delay], int(t.doppler) + g] = t.gain
+    k = np.arange(-g, g + 1)
+    kappa = np.arange(frame.cp_len, frame.frame_len)
+    ramps = np.exp((2j * np.pi * k)[:, None] * kappa / frame.grid_size)
+    return _cp_bounded(delays, taps @ ramps, frame)
 
 
 def estimate_channel_loop(received, pc, waveform, noise_std=None,
@@ -269,8 +290,10 @@ def estimate_channel_loop(received, pc, waveform, noise_std=None,
                 gain *= np.conj(W[m, n]) * W[mp, npil]
             kappa = frame.cp_len + mp + d_off
             gain /= complex(np.exp(2j * np.pi * k_off * kappa / frame.grid_size))
-            taps.append(EstimatedTap(d_off, k_off, complex(gain)))
-    return EstimatedChannel(tuple(taps), waveform, noise_std)
+            taps.append(ChannelTap(d_off, complex(gain), float(k_off)))
+    ramps = (tap_ramps(LtvChannel(taps, frame), frame.frame_len) if taps
+             else np.zeros((0, frame.frame_len), dtype=complex))
+    return EstimatedChannel(tuple(taps), waveform, noise_std, ramps)
 
 
 def bits(x):

@@ -6,17 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ddlink import chanest
-from ddlink.chanest import (EstimatedChannel, EstimatedTap, PilotConfig,
-                            embed_pilot, estimate_channel, estimated_diagonals,
-                            overlay_mask)
+from ddlink.chanest import (EstimatedChannel, PilotConfig, embed_pilot,
+                            estimate_channel, overlay_mask)
 from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec, apply_channel,
-                            build_dd_matrix, delay_diagonals)
+                            build_dd_matrix, delay_diagonals, tap_ramps)
 from ddlink.frame import FrameConfig
 from ddlink.mapping import DATA, GUARD, PILOT
 from ddlink.modem import (DelayDopplerGrid, Waveform, demodulate_direct,
                           modulate_direct)
 from ddlink.transforms import coupling_phases
-from oracles import estimate_channel_loop, to_ltv_channel
+from oracles import estimate_channel_loop, estimated_diagonals, to_ltv_channel
 from strategies import PROPERTY
 
 FRAME = FrameConfig(16, 16, cp_len=6)
@@ -171,7 +170,8 @@ class TestReconstruct:
         assert rel / np.linalg.norm(Ho) <= 1e-9
 
     def test_empty_estimate_rejected(self):
-        est = EstimatedChannel((), Waveform.OTFS, 1.0)
+        est = estimate_channel(DelayDopplerGrid.zeros(FRAME), PC, Waveform.OTFS,
+                               noise_std=1.0)
         with pytest.raises(ValueError):
             to_ltv_channel(est, FRAME)
         with pytest.raises(ValueError, match="empty"):
@@ -195,55 +195,97 @@ def pilot_frames(draw):
     return FrameConfig(M, N, cp_len=cp_len), pc
 
 
+def estimate_of(taps, frame, waveform=Waveform.OTFS):
+    """An estimate of ``taps`` with their tap ramps over one frame with
+    its CP."""
+    return EstimatedChannel(tuple(taps), waveform, 1.0,
+                            tap_ramps(LtvChannel(taps, frame), frame.frame_len))
+
+
+def estimated_route(est, frame):
+    """The receivers' diagonals of a non-empty estimate, read as the
+    harness reads them."""
+    return delay_diagonals(LtvChannel(est.taps, frame), est.ramps)
+
+
 @st.composite
 def estimates(draw):
     """A random estimate on a random frame: distinct taps of the pilot's
-    guard rectangle in any order, with any gains."""
+    guard rectangle, listed by delay, then Doppler, as estimate_channel
+    lists them, with any gains."""
     frame, pc = draw(pilot_frames())
     bins = st.tuples(st.integers(0, pc.guard_delay),
                      st.integers(-pc.guard_doppler, pc.guard_doppler))
     finite = st.floats(-2.0, 2.0, allow_nan=False)
-    taps = tuple(EstimatedTap(d, k, draw(st.builds(complex, finite, finite)))
-                 for d, k in draw(st.lists(bins, min_size=1, max_size=12,
-                                           unique=True)))
     waveform = draw(st.sampled_from([Waveform.OTFS, Waveform.SC_IFDMA]))
-    return EstimatedChannel(taps, waveform, 1.0), pc, frame
+    taps = [ChannelTap(d, draw(st.builds(complex, finite, finite)), float(k))
+            for d, k in sorted(draw(st.lists(bins, min_size=1, max_size=12,
+                                             unique=True)))]
+    return estimate_of(taps, frame, waveform), pc, frame
 
 
 class TestEstimatedDiagonals:
+    """An estimate reaches the receivers as the delay diagonals of its
+    channel, read from the tap ramps it comes with; the gain-table
+    product estimates once took is the oracle."""
+
     @PROPERTY
     @given(estimates())
     def test_equals_the_diagonals_of_the_estimated_channel(self, case):
         est, pc, frame = case
-        got = estimated_diagonals(est, pc, frame)
-        want = delay_diagonals(to_ltv_channel(est, frame))
-        order = np.argsort(want.delays)
-        np.testing.assert_array_equal(got.delays, want.delays[order])
+        got = estimated_route(est, frame)
+        want = estimated_diagonals(est, pc, frame)
+        np.testing.assert_array_equal(got.delays, want.delays)
         assert got.frame == frame
-        err = np.linalg.norm(got.gains - want.gains[order])
+        err = np.linalg.norm(got.gains - want.gains)
         assert err <= 1e-12 * np.linalg.norm(want.gains)
+
+    @PROPERTY
+    @given(pilot_frames(), st.data())
+    def test_ramps_are_the_tap_ramps_bit_for_bit(self, case, data):
+        # estimate_channel forms a tap's ramps as its gain times its row
+        # of the cached table, in place of the exp tap_ramps evaluates;
+        # the guard bins hold values of magnitude 1e-200 to 1e200
+        frame, pc = case
+        region = np.zeros((pc.guard_delay + 1, 2 * pc.guard_doppler + 1),
+                          dtype=complex)
+        bins = st.tuples(st.integers(0, region.shape[0] - 1),
+                         st.integers(0, region.shape[1] - 1))
+        for b in data.draw(st.lists(bins, min_size=1, max_size=8, unique=True)):
+            region[b] = 10.0 ** data.draw(st.floats(-200, 200)) * np.exp(
+                1j * data.draw(st.floats(0, 2 * np.pi)))
+        D = np.zeros((frame.M, frame.N), dtype=complex)
+        D[pc.pilot_delay: pc.pilot_delay + pc.guard_delay + 1,
+          pc.pilot_doppler - pc.guard_doppler:
+          pc.pilot_doppler + pc.guard_doppler + 1] = region
+        waveform = data.draw(st.sampled_from([Waveform.OTFS, Waveform.SC_IFDMA]))
+        est = estimate_channel(DelayDopplerGrid(D, frame), pc, waveform,
+                               noise_std=1e-250)
+        assert len(est.taps) == np.count_nonzero(region)
+        want = tap_ramps(LtvChannel(est.taps, frame), frame.frame_len)
+        assert est.ramps.tobytes() == want.tobytes()
 
     def test_zeroes_the_samples_before_the_frame(self):
         # delay 3 past a CP of 1 reads nothing on samples 0 and 1
         frame = FrameConfig(8, 4, cp_len=1)
         pc = PilotConfig(3, 2, 10.0, 3, 1)
-        est = EstimatedChannel((EstimatedTap(0, 1, 0.5j), EstimatedTap(3, -1, 1.0),
-                                EstimatedTap(3, 0, -0.5)), Waveform.OTFS, 1.0)
-        got = estimated_diagonals(est, pc, frame)
+        est = estimate_of((ChannelTap(0, 0.5j, 1.0), ChannelTap(3, 1.0, -1.0),
+                           ChannelTap(3, -0.5, 0.0)), frame)
+        got = estimated_route(est, frame)
         np.testing.assert_array_equal(got.delays, [0, 3])
         assert not got.gains[1, :2].any() and got.gains[1, 2:].all()
         assert got.gains[0].all()
 
     def test_ramp_table_is_cached_and_read_only(self):
         chanest._doppler_ramps.cache_clear()
-        est = EstimatedChannel((EstimatedTap(1, 2, 1.0),), Waveform.OTFS, 1.0)
+        grid = received_grid(LtvChannel((ChannelTap(1, 1.0, 2.0),), FRAME),
+                             Waveform.OTFS)
         for _ in range(3):
-            estimated_diagonals(est, PC, FRAME)
+            estimate_channel(grid, PC, Waveform.OTFS, noise_std=1e-9)
         info = chanest._doppler_ramps.cache_info()
         assert (info.misses, info.hits) == (1, 2)
-        table = chanest._doppler_ramps(PC.guard_doppler, FRAME.grid_size,
-                                       FRAME.cp_len)
-        assert table.shape == (2 * PC.guard_doppler + 1, FRAME.grid_size)
+        table = chanest._doppler_ramps(PC.guard_doppler, FRAME)
+        assert table.shape == (2 * PC.guard_doppler + 1, FRAME.frame_len)
         with pytest.raises(ValueError):
             table[...] = 0
 
@@ -259,7 +301,7 @@ class TestEstimatedDiagonals:
         k, d = (a.ravel() for a in np.meshgrid(np.arange(-g, g + 1),
                                                np.arange(pc.guard_delay + 1)))
         want = np.exp(2j * np.pi * k * (frame.cp_len + mp + d) / frame.grid_size)
-        got = chanest._doppler_ramps(g, frame.grid_size, frame.cp_len)[k + g, mp + d]
+        got = chanest._doppler_ramps(g, frame)[k + g, frame.cp_len + mp + d]
         assert got.tobytes() == want.tobytes()
 
 
@@ -294,7 +336,7 @@ class TestVectorizedEstimate:
         assert ([(t.delay, t.doppler) for t in got.taps]
                 == [(t.delay, t.doppler) for t in want.taps])
         for a, b in zip(got.taps, want.taps):
-            assert type(a.delay) is int and type(a.doppler) is int
+            assert type(a.delay) is int and type(a.doppler) is float
             assert type(a.gain) is complex
             assert abs(a.gain - b.gain) <= 1e-14 * abs(b.gain)
 

@@ -467,6 +467,29 @@ class TestValidate:
             "the float range; lower the tap Doppler\n") == 2
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lines, message", [
+        # 1e300 Hz is inf Doppler bins of 2e-48 Hz
+        ("channel.taps = 0:0:1e300\nframe.bandwidth_hz = 1e-45",
+         "channel.taps: the largest Doppler shift, 1e+300 Hz or inf Doppler "
+         "bins at frame.bandwidth_hz = 1e-45, "),
+        # the Doppler bin spacing underflows to 0 Hz, where a 0 Hz tap
+        # would be 0/0 bins
+        ("channel.taps = 0:0:0\nframe.bandwidth_hz = 4.9e-324",
+         "frame.bandwidth_hz: the Doppler bin spacing, frame.bandwidth_hz / "
+         "(frame.M * frame.N) = 4.94066e-324 / 512, underflows to 0 Hz; "
+         "raise frame.bandwidth_hz\n")])
+    def test_a_custom_doppler_past_a_tiny_bandwidth_exits_2_before_a_draw(
+            self, tmp_path, capsys, lines, message):
+        # a channel draw divides the Doppler shifts by the bin spacing and
+        # would warn before the config error
+        path = write(tmp_path, "experiment = ber_vs_snr\n"
+                               "channel.profile = custom\n" + lines + "\n")
+        assert main(["validate", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + message)
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("config, lines, reference", [
         ("ber_vs_snr", "channel.velocity_kmh = 1e299", False),
         ("mu_uplink", "channel.velocity_kmh = 1e299", False),

@@ -242,9 +242,9 @@ class TestEqualizerOracle:
 
 
 class TestChannelForm:
-    """The receivers read delay diagonals; a trial computes those of a
-    drawn channel once for both waveforms, and an estimate becomes
-    diagonals without them."""
+    """The receivers read delay diagonals from one route: a trial computes
+    those of a drawn channel once for both waveforms, and those of each
+    estimate, one per pilot and waveform."""
 
     @staticmethod
     def diagonal_builds(monkeypatch, trial):
@@ -260,13 +260,13 @@ class TestChannelForm:
         trial()
         return len(built)
 
-    @pytest.mark.parametrize("csi,builds", [("genie", 1), ("estimated", 0)])
+    @pytest.mark.parametrize("csi,builds", [("genie", 1), ("estimated", 2)])
     def test_link_trial(self, monkeypatch, csi, builds):
         spec = make_spec(csi=csi)
         assert self.diagonal_builds(
             monkeypatch, lambda: link_trial(spec, 0, 15.0)) == builds
 
-    @pytest.mark.parametrize("csi,builds", [("genie", 2), ("estimated", 0)])
+    @pytest.mark.parametrize("csi,builds", [("genie", 2), ("estimated", 4)])
     def test_mu_trial(self, monkeypatch, csi, builds):
         spec = make_spec(kind="mu_uplink", constellation="qpsk", csi=csi,
                          pilot=PilotConfig(4, 8, 1000.0, 3, 3))
