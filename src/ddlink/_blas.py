@@ -1,15 +1,15 @@
-"""Native libraries a run uses through ctypes: the OpenBLAS that numpy's
-and scipy's wheels bundle, and the C library's malloc.
+"""Native libraries a run uses through ctypes: the OpenBLAS that scipy's
+wheel bundles, and the C library's malloc.
 
-``_openblas`` finds each package's library in its ``<package>.libs``
-directory, located from the package's import spec without importing the
-package, and binds the thread and config symbols :mod:`ddlink.harness`
-pins and reports. ``_lapack`` binds the LAPACK routine of the band
-solve (:func:`ddlink.equalize._solve_band`): ``zpbsv`` of scipy's
-library, the file scipy's own LAPACK wrappers link, so a solve gives the
-bits ``scipy.linalg`` would. Where scipy bundles no such library,
-``_lapack`` returns ``scipy.linalg``'s wrapper of the same routine
-instead, and only then imports ``scipy.linalg``.
+``_openblas`` finds scipy's library in its ``scipy.libs`` directory,
+located from scipy's import spec without importing scipy, and binds the
+thread and config symbols :mod:`ddlink.harness` pins and reports. It is
+the only BLAS a trial calls: ``_lapack`` binds the LAPACK routine of the
+band solve (:func:`ddlink.equalize._solve_band`) from it, ``zpbsv``, the
+file scipy's own LAPACK wrappers link, so a solve gives the bits
+``scipy.linalg`` would. Where scipy bundles no such library, ``_lapack``
+returns ``scipy.linalg``'s wrapper of the same routine instead, and only
+then imports ``scipy.linalg``.
 ``_keep_freed_heap`` fixes glibc's malloc thresholds for a run.
 """
 
@@ -21,11 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-# (package, OpenBLAS file in <package>.libs, symbol suffix) of the
-# OpenBLAS each wheel bundles; numpy's has 64-bit integers and suffixed
-# symbols.
-_OPENBLAS = (("numpy", "libscipy_openblas64_*.so", "64_"),
-             ("scipy", "libscipy_openblas-*.so", ""))
+# the OpenBLAS file scipy's wheel bundles in scipy.libs
+_OPENBLAS = "libscipy_openblas-*.so"
 
 
 @dataclass(frozen=True)
@@ -39,10 +36,10 @@ class _Blas:
     lib: object      # the ctypes.CDLL
 
 
-def _load_blas(path: Path, suffix: str) -> _Blas | None:
+def _load_blas(path: Path) -> _Blas | None:
     try:
         lib = ctypes.CDLL(str(path))
-        get, set_, config = (getattr(lib, f"scipy_openblas_{name}{suffix}")
+        get, set_, config = (getattr(lib, f"scipy_openblas_{name}")
                              for name in ("get_num_threads", "set_num_threads",
                                           "get_config"))
     except (OSError, AttributeError):
@@ -54,18 +51,15 @@ def _load_blas(path: Path, suffix: str) -> _Blas | None:
 
 
 @cache
-def _openblas() -> dict:
-    """Package -> its OpenBLAS, or None when the package's own ``.libs``
-    directory holds no loadable one with the thread and config symbols."""
-    found = {}
-    for package, pattern, suffix in _OPENBLAS:
-        spec = importlib.util.find_spec(package)
-        path = None
-        if spec is not None and spec.origin is not None:
-            libs = Path(spec.origin).parent.parent / f"{package}.libs"
-            path = next(libs.glob(pattern), None)
-        found[package] = None if path is None else _load_blas(path, suffix)
-    return found
+def _openblas() -> _Blas | None:
+    """scipy's OpenBLAS, or None when ``scipy.libs`` holds no loadable one
+    with the thread and config symbols."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        return None
+    path = next((Path(spec.origin).parent.parent / "scipy.libs").glob(_OPENBLAS),
+                None)
+    return None if path is None else _load_blas(path)
 
 
 @dataclass(frozen=True)
@@ -128,7 +122,7 @@ def _lapack() -> _Lapack:
     """The band solve's routine: scipy's bundled OpenBLAS through ctypes
     where :func:`_openblas` finds it with ``zpbsv``, else
     ``scipy.linalg``'s."""
-    blas = _openblas()["scipy"]
+    blas = _openblas()
     return (blas is not None and _bundled_lapack(blas)) or _linalg_lapack()
 
 

@@ -18,7 +18,6 @@ cached table of Doppler ramps (:func:`_doppler_ramps`), the table the
 gains are divided by.
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -27,7 +26,7 @@ import numpy as np
 from .channel import ChannelTap
 from .frame import FrameConfig
 from .mapping import DATA, GUARD, PILOT, full_data_mask
-from .modem import DelayDopplerGrid, Waveform
+from .modem import DelayDopplerGrid, Waveform, _unit_scale
 from .transforms import coupling_phases
 
 
@@ -151,11 +150,9 @@ def estimate_channel(received: DelayDopplerGrid, pc: PilotConfig,
             raise ValueError("cannot estimate the noise level without "
                              "leading guard rows; pass noise_std")
         lead = np.abs(D[mp - pc.guard_delay: mp, dop])
-        # scaled by a power of two into [0.5, 1) at its largest, so no
-        # square overflows or falls below the normal range; the scaling is
-        # exact, so the bits are those of the unscaled floor wherever
-        # that one has normal squares
-        scale = math.ldexp(1.0, -max(math.frexp(lead.max())[1], -1021))
+        # scaled into [0.5, 1) at its largest, so no square overflows or
+        # falls below the normal range
+        scale = _unit_scale(lead.max())
         noise_std = float(np.sqrt(np.mean((lead * scale) ** 2))) / scale
 
     pilot = pc.amplitude if pilot_value is None else pilot_value

@@ -17,6 +17,7 @@ spread the CP or the pilot guard does not cover.
 """
 
 import math
+import re
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -25,7 +26,7 @@ from operator import attrgetter
 import numpy as np
 
 from .chanest import PilotConfig
-from .channel import (CHANNEL_PROFILES, LtvChannel, make_channel,
+from .channel import (CHANNEL_PROFILES, LtvChannel, _amplitudes, make_channel,
                       max_doppler_hz, taps_from_profile)
 from .frame import FrameConfig
 from .modem import Waveform
@@ -52,6 +53,12 @@ def _noise_var(snr_db: float) -> float:
 # where 3200 dB gives the estimated-CSI floor of 0.029)
 _SNR_RANGE = (math.ceil(-10 * math.log10(sys.float_info.max)),
               math.floor(-10 * math.log10(sys.float_info.min)))
+
+
+# the smallest pilot amplitude estimated CSI takes, relative to the RMS of
+# a received sample: the gains of an estimate, up to a few times the RMS
+# over the amplitude, then stay 8 decades inside the float range
+_PILOT_FLOOR = 1e-300
 
 
 def _parse_bool(s):
@@ -185,9 +192,11 @@ _OPTIONAL_EMPTY = {"channel.taps", "mu.allocation"}
 
 def parse_config_text(text: str) -> dict:
     """Parse ``key = value`` lines into raw strings, # comments allowed.
-    Raises ConfigError with line numbers on malformed or unknown keys."""
+    Lines end at ``\n``, ``\r\n`` or ``\r``, as a file read in text mode
+    ends them. Raises ConfigError with line numbers on malformed or
+    unknown keys."""
     raw, lines = {}, {}
-    for lineno, src in enumerate(text.splitlines(), 1):
+    for lineno, src in enumerate(re.split(r"\r\n?|\n", text), 1):
         line = src.split("#", 1)[0].strip()
         if not line:
             continue
@@ -337,6 +346,11 @@ class ExperimentSpec:
             if delay_ns < 0:
                 raise ConfigError(f"channel.taps: tap delay_ns must be >= 0, "
                                   f"got {delay_ns:g}")
+        if self.custom_taps is not None:
+            try:
+                _amplitudes([power_db for _, power_db, _ in self.custom_taps])
+            except ValueError as exc:
+                raise ConfigError(f"channel.taps: {exc}") from None
 
     def draw_channel(self, rng: np.random.Generator) -> LtvChannel:
         """One channel of the spec's profile, its gains and Doppler shifts
@@ -423,8 +437,10 @@ def check(spec: ExperimentSpec) -> None:
     run that can start past the window starts the block search compares
     (``sync.BLOCK_STARTS``), or a CFO outside the range the estimate
     tells apart; for estimated CSI without a guard row ahead of the pilot
-    (the noise level comes from it); and for every :data:`READS` key set
-    away from its default that the spec does not read."""
+    (the noise level comes from it), or with a pilot more than 6000 dB
+    below the received power of its noisiest cell; and for every
+    :data:`READS` key set away from its default that the spec does not
+    read."""
     frame = spec.frame
     # the longest record, at the largest offset
     record = (Impairments(int(spec.impair.theta_d[-1]),
@@ -482,11 +498,23 @@ def check(spec: ExperimentSpec) -> None:
                     f"impair.epsilon: a CFO of {cfo:g} Doppler bins is outside "
                     f"(-frame.N/2, frame.N/2) = ({-frame.N / 2:g}, "
                     f"{frame.N / 2:g}), the range sync estimates it in")
-    if (spec.kind in _DETECTION_KINDS and spec.csi == "estimated"
-            and spec.pilot.guard_delay == 0):
-        raise ConfigError("pilot.guards: detector.csi = estimated needs a "
-                          "delay guard >= 1, the guard rows ahead of the "
-                          "pilot that give the noise level")
+    if spec.kind in _DETECTION_KINDS and spec.csi == "estimated":
+        if spec.pilot.guard_delay == 0:
+            raise ConfigError("pilot.guards: detector.csi = estimated needs a "
+                              "delay guard >= 1, the guard rows ahead of the "
+                              "pilot that give the noise level")
+        # the estimate divides received bins, a few times the received RMS
+        # sqrt(1 + noise_var) at most, by the pilot amplitude
+        snr = min(spec.snr_db)
+        received = 1.0 + _noise_var(snr)
+        if spec.pilot.amplitude < _PILOT_FLOOR * math.sqrt(received):
+            raise ConfigError(
+                f"pilot.power_db, snr_db: a pilot of "
+                f"{10 * math.log10(spec.pilot.power):.6g} dB is more than "
+                f"{-20 * math.log10(_PILOT_FLOOR):g} dB below the received power "
+                f"of {10 * math.log10(received):.6g} dB at snr_db = {snr:g}; the "
+                f"channel estimate divides received bins by its amplitude past "
+                f"the float range; raise pilot.power_db")
     unread = [key for key, read in READS.items()
               if read.value(spec) != read.value(_DEFAULT) and not reads(spec, key)]
     if unread:

@@ -50,17 +50,17 @@ CSI reads none, since the detectors work on the time-domain record.
 ``link_trial``, ``sync_trial`` and ``mu_trial`` at call time, so
 rebinding them on this module intercepts every trial.
 
-BLAS threads: ``run`` holds every OpenBLAS that numpy and scipy load at
-one thread, in its own process and in each worker, and restores the
-caller's counts when it returns. It finds them through
-:func:`ddlink._blas._openblas`, the finder that also gives the band
-solve its LAPACK routines. A trial's largest BLAS call is a band
-factorization of a few hundred to a few thousand unknowns, too small to
-gain from a second thread, whose helper spins and, in a pool, crowds out
-the other workers. ``run`` also fixes glibc's malloc thresholds in each
-process (:func:`ddlink._blas._keep_freed_heap`), so the arrays a trial
-frees stay in the heap for the next trial instead of being faulted in
-afresh.
+BLAS threads: ``run`` holds scipy's bundled OpenBLAS, the one BLAS a
+trial calls (:func:`ddlink._blas._openblas`, the library the band solve
+takes its LAPACK routine from), at one thread, in its own process and
+in each worker, and restores the caller's count when it returns. A
+trial's largest BLAS call is a band factorization of a few hundred to a
+few thousand unknowns, too small to gain from a second thread, whose
+helper spins and, in a pool, crowds out the other workers. numpy's
+OpenBLAS is left as the caller set it: no trial calls it. ``run`` also
+fixes glibc's malloc thresholds in each process
+(:func:`ddlink._blas._keep_freed_heap`), so the arrays a trial frees
+stay in the heap for the next trial instead of being faulted in afresh.
 """
 
 import csv
@@ -460,36 +460,31 @@ def _summary(spec: ExperimentSpec, snr_db: float, alloc: Allocation | None,
             for w, r in out.items()}
 
 
-def _set_blas_threads(count: int) -> None:
-    """Set every OpenBLAS found to ``count`` threads."""
-    for lib in _openblas().values():
-        if lib is not None:
-            lib.set(count)
-
-
 def _init_worker() -> None:
     """Initializer of ``run``'s worker processes."""
     _keep_freed_heap()
-    _set_blas_threads(1)
+    blas = _openblas()
+    if blas is not None:
+        blas.set(1)
 
 
 @contextmanager
 def _one_blas_thread():
-    """Hold every OpenBLAS found at one thread and restore the caller's
-    counts on exit. Yields one run-report line per package: the library's
-    file name, its config string and its thread count before and during
-    the run, or ``not found``."""
-    libs = _openblas()
-    before = {package: lib.get() for package, lib in libs.items() if lib is not None}
+    """Hold scipy's OpenBLAS at one thread and restore the caller's count
+    on exit. Yields its run-report line: the library's file name, its
+    config string and its thread count before and during the run, or
+    ``not found``."""
+    blas = _openblas()
+    if blas is None:
+        yield "openblas_scipy = not found"
+        return
+    before = blas.get()
     try:
-        _set_blas_threads(1)
-        yield [f"openblas_{package} = not found" if lib is None else
-               f"openblas_{package} = {lib.name} ({lib.config}); threads "
-               f"{before[package]} before the run, {lib.get()} during it"
-               for package, lib in libs.items()]
+        blas.set(1)
+        yield (f"openblas_scipy = {blas.name} ({blas.config}); threads "
+               f"{before} before the run, {blas.get()} during it")
     finally:
-        for package, count in before.items():
-            libs[package].set(count)
+        blas.set(before)
 
 
 def run(spec: ExperimentSpec, out_dir=None, parallelism: int = 1):
@@ -498,8 +493,8 @@ def run(spec: ExperimentSpec, out_dir=None, parallelism: int = 1):
 
     Every cell maps its trial ids through ``_summary``: in this process,
     or over ``parallelism`` worker processes in one chunk per worker.
-    Throughout, every OpenBLAS runs one thread per process; the caller's
-    counts come back on return.
+    Throughout, scipy's OpenBLAS runs one thread per process; the caller's
+    count comes back on return.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
@@ -529,7 +524,7 @@ def run(spec: ExperimentSpec, out_dir=None, parallelism: int = 1):
                        f"numpy = {np.__version__}",
                        f"scipy = {scipy.__version__}",
                        f"parallelism = {parallelism}",
-                       *blas_report,
+                       blas_report,
                        f"band_solve_lapack = {_lapack().source}"]
         write_outputs(spec, rows, Path(out_dir), elapsed, environment)
     return rows
@@ -563,7 +558,7 @@ def write_outputs(spec: ExperimentSpec, rows, out_dir: Path, elapsed: float,
                   environment=()):
     """results.csv, and metadata.txt with the run's facts, the lines of
     ``environment`` (``run`` passes the Python, numpy and scipy versions,
-    its parallelism, the OpenBLAS lines and the LAPACK of the band solves)
+    its parallelism, its OpenBLAS line and the LAPACK of the band solves)
     and the config echo."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

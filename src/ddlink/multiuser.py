@@ -27,6 +27,7 @@ the dense :func:`compound_matrix`, which stay as its oracles.
 """
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from .channel import (DdChannelMatrix, NoiseSpec, apply_channel,
                       build_dd_matrix, draw_noise)
-from .equalize import _fold_positions, _solve_band
+from .equalize import _fold_positions, _scaled_gains, _solve_band
 from .frame import FrameConfig
 from .modem import (DelayDopplerGrid, TimeSignal, Waveform, _strip,
                     demodulate_direct, modulate_direct)
@@ -325,9 +326,10 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
     A ``None`` channel leaves its user out of the solve, and its bins
     stay zero. Diagonals of another grid size or CP than the record's
     raise ValueError. Zero forcing (noise_var 0) on a singular C raises
-    numpy.linalg.LinAlgError. Equals, per waveform, :func:`detect_users`
-    on the demodulated record with the compound matrix of the same
-    channels.
+    numpy.linalg.LinAlgError. Huge gains are scaled first, as the link's
+    are (:func:`~ddlink.equalize._scaled_gains`). Equals, per waveform,
+    :func:`detect_users` on the demodulated record with the compound
+    matrix of the same channels.
     """
     if len(channels) != alloc.n_users:
         raise ValueError(f"{len(channels)} channels for {alloc.n_users} allocations")
@@ -341,7 +343,8 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
         return tuple(DelayDopplerGrid.zeros(frame) for _ in waveforms)
     plan = _uplink_plan(alloc, users,
                         tuple(tuple(channels[q].delays.tolist()) for q in users))
-    gains = np.concatenate([channels[q].gains for q in users])
+    gains, noise_var, back = _scaled_gains(
+        np.concatenate([channels[q].gains for q in users]), noise_var)
     flat = gains.ravel()
     h = np.add.reduceat(np.conj(flat[plan.left]) * flat[plan.right], plan.groups)
     entries = np.fft.fft(h).ravel()[plan.entry]
@@ -352,8 +355,9 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
     for w in waveforms:
         entry_phase, unknown_phase = plan.phases[w]
         out = np.zeros(frame.grid_size, dtype=complex)
-        out[plan.bins] = _solve_band(plan.slot, entries * entry_phase, plan.width,
-                                     noise_var, unknowns * unknown_phase)
+        out[plan.bins] = back * _solve_band(plan.slot, entries * entry_phase,
+                                            plan.width, noise_var,
+                                            unknowns * unknown_phase)
         grids.append(DelayDopplerGrid.from_vec(out, frame))
     return tuple(grids)
 
@@ -372,10 +376,11 @@ def load_allocation(path: str, M: int, N: int, relax: bool = False) -> Allocatio
 @lru_cache(maxsize=8)
 def _parse_allocation(path: str, text: str, M: int, N: int,
                       relax: bool) -> Allocation:
-    """The allocation of the text of the file at ``path``; errors name
-    ``path`` and the line."""
+    """The allocation of the text of the file at ``path``, whose lines end
+    at ``\n``, ``\r\n`` or ``\r``, as a file read in text mode ends them;
+    errors name ``path`` and the line."""
     entries, lines = {}, {}
-    for lineno, src in enumerate(text.split("\n"), 1):
+    for lineno, src in enumerate(re.split(r"\r\n?|\n", text), 1):
         line = src.split("#", 1)[0].strip()
         if not line:
             continue

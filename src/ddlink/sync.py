@@ -20,13 +20,12 @@ and fine rows follow from it by the rules the public timing functions
 apply, and the block offset and CFO are read at the coarse row.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .frame import FrameConfig
-from .modem import TimeSignal
+from .modem import _SCALE_FROM, TimeSignal, _unit_scale
 
 
 @dataclass(frozen=True)
@@ -175,11 +174,6 @@ def correct(record, offset: int, cfo: float, frame: FrameConfig):
     return TimeSignal(out, frame, cp_included=True)
 
 
-# A record with a sample of at least this magnitude is scaled by a power
-# of two before the metric, since sums of up to 2N^2 products of its
-# samples could overflow; smaller records keep their bits.
-_SCALE_FROM = 2.0 ** 256
-
 
 def estimate_sync(record, frame: FrameConfig, pilot_delay: int,
                   pilot_doppler: int = 0, threshold: float = 0.5) -> SyncEstimate:
@@ -187,14 +181,15 @@ def estimate_sync(record, frame: FrameConfig, pilot_delay: int,
     fine timing, the block offset and the CFO, all from one metric
     magnitude (the block offset and the CFO at the metric-peak row).
 
-    A record with a sample of magnitude 2**256 or more is first scaled by
-    the power of two that brings its largest magnitude into [0.5, 1):
-    exact, and the rules compare magnitudes, so the decisions do not
-    change; the returned metric is then that of the scaled record."""
+    A record with a sample of magnitude 2**256 or more, whose metric sums
+    up to 2N^2 products of samples, is first scaled by the power of two
+    that brings its largest magnitude into [0.5, 1): exact, and the rules
+    compare magnitudes, so the decisions do not change; the returned
+    metric is then that of the scaled record."""
     r = np.asarray(record)
     top = np.abs(r).max(initial=0.0)
     if top >= _SCALE_FROM:
-        r = r * 2.0 ** -math.frexp(top)[1]
+        r = r * _unit_scale(top)
     window_corr, row_metric = timing_metric(r, frame)
     mag = np.abs(row_metric)
     peak_row, rows = _peak_rows(mag, threshold)

@@ -53,6 +53,27 @@ channel.profile = single_tap
 """
 
 
+# an estimated-CSI uplink whose pilot is 3317 dB below the noise, with a
+# delay spread past the pilot guard
+WEAK_PILOT_UPLINK = """
+experiment = mu_uplink
+frame.M = 8
+frame.N = 8
+frame.L_cp = 5
+pilot.m_p = 2
+pilot.n_p = 4
+pilot.guards = 1,1
+pilot.power_db = -268.87
+channel.profile = eva3
+frame.carrier_hz = 560.16
+detector.csi = estimated
+constellation = qpsk
+trials = 1
+seed = 4343820536
+snr_db = -3047.9
+"""
+
+
 # committed configs, each with keys its experiment reads set on top (for
 # a custom profile, its taps, and the velocity back at its default, which
 # only eva and eva3 read); every key that config.READS says a kind
@@ -217,6 +238,13 @@ class TestValidate:
          "config error: pilot.guards: detector.csi = estimated needs"),
         ("experiment = mu_uplink\ndetector.csi = estimated\npilot.guards = 0,2",
          "config error: pilot.guards: detector.csi = estimated needs"),
+        # an estimate divides received bins by the pilot amplitude
+        ("experiment = ber_vs_snr\ndetector.csi = estimated\n"
+         "pilot.power_db = -3200\nsnr_db = 10,-3082",
+         "config error: pilot.power_db, snr_db: a pilot of -3200 dB is more "
+         "than 6000 dB below the received power of 3082 dB at snr_db = -3082; "
+         "the channel estimate divides received bins by its amplitude past the "
+         "float range; raise pilot.power_db\n"),
         ("eq.method = iterative", "unknown key 'eq.method'"),
         ("channel.profile = custom\nchannel.taps = -200:0:0; 0:-3:100",
          "config error: channel.taps: tap delay_ns must be >= 0, got -200"),
@@ -489,6 +517,42 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("config error: " + message)
         assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lines, message", [
+        # 10**(1e300/10) overflows and 10**(-1e300/10) underflows: the
+        # powers leave nothing to normalize by
+        ("channel.taps = 0:1e300:0",
+         "channel.taps: tap powers of 1e+300 dB add up to inf, not a positive "
+         "finite power to normalize by\n"),
+        ("channel.taps = 0:-1e300:0",
+         "channel.taps: tap powers of -1e+300 dB add up to 0, not a positive "
+         "finite power to normalize by\n"),
+        # 1e300 ns at 1e300 Hz is a sample count past the float range
+        ("channel.taps = 1e300:0:0\nframe.bandwidth_hz = 1e300",
+         "frame.bandwidth_hz, channel.taps: a tap delay of 1e+300 ns at 1e+300 "
+         "Hz is inf samples, more than an int64 counts; the bandwidth must stay "
+         "below 9.22337e-273 Hz\n")])
+    def test_a_custom_profile_past_the_float_range_exits_2(self, tmp_path, capsys,
+                                                           lines, message):
+        path = write(tmp_path, "experiment = ber_vs_snr\n"
+                               "channel.profile = custom\n" + lines + "\n")
+        out = tmp_path / "results"
+        assert main(["validate", path]) == 2
+        assert main(["run", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == 2 * ("config error: " + message)
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_an_estimate_of_a_pilot_far_below_the_noise_runs(self, tmp_path):
+        # the estimate's gains reach about 2e166, and the uplink detector's
+        # products of two of them overflowed before they were scaled
+        path = write(tmp_path, WEAK_PILOT_UPLINK)
+        out = tmp_path / "results"
+        assert main(["run", path, "--out", str(out)]) == 0
+        with open(out / "results.csv", newline="") as fh:
+            ber = [float(row["value"]) for row in csv.DictReader(fh)]
+        assert len(ber) == 2 and all(0.0 <= b <= 1.0 for b in ber)
 
     @pytest.mark.parametrize("config, lines, reference", [
         ("ber_vs_snr", "channel.velocity_kmh = 1e299", False),

@@ -83,6 +83,21 @@ class TestParsing:
         cfg = parse_config_text("# a comment\n\nexperiment = sync_vs_snr  # trailing\n")
         assert cfg["experiment"] == "sync_vs_snr"
 
+    # str.splitlines ends a line at each of these; a file read in text
+    # mode does not
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                      "\x85", "\u2028", "\u2029"])
+    def test_a_comment_runs_to_the_end_of_its_line(self, char):
+        cfg = parse_config_text(f"experiment = ber_vs_snr  # note{char}continued\n"
+                                f"seed = 3\n")
+        assert cfg["experiment"] == "ber_vs_snr" and cfg["seed"] == 3
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_lines_end_where_a_file_read_in_text_mode_ends_them(self, end):
+        with pytest.raises(ConfigError, match="line 3: duplicate key 'seed'"):
+            parse_config_text(end.join(["experiment = ber_vs_snr", "seed = 1",
+                                        "seed = 2", ""]))
+
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 2: unknown key 'frame.Q'"):
             parse_config_text(MINIMAL + "frame.Q = 3\n")

@@ -977,6 +977,28 @@ def assert_rejected_or_finite(cfg):
     assert rows and all(math.isfinite(r.value) for r in rows)
 
 
+# an 8x8 grid whose delay guard the eva3 spread passes, with estimated CSI
+SMALL_ESTIMATED = """
+trials = 1
+frame.M = 8
+frame.N = 8
+frame.L_cp = 5
+pilot.m_p = 2
+pilot.n_p = 4
+pilot.guards = 1,1
+channel.profile = eva3
+frame.carrier_hz = 560.16
+detector.csi = estimated
+constellation = qpsk
+"""
+
+# pilot powers past both ends of the float range, inside it, and of every
+# size
+PILOT_POWERS = st.one_of(st.sampled_from([-4000.0, -3239.0, -3200.0, -268.87, 30.0,
+                                          3082.0, 3083.0]),
+                         st.floats(-3300.0, 3100.0), st.floats(-1e308, 1e308))
+
+
 class TestAcceptedRuns:
     """A spec that ``prepare`` accepts runs: extreme finite values of the
     velocity, the carrier, a custom tap's Doppler and the SNR either raise
@@ -1024,6 +1046,19 @@ class TestAcceptedRuns:
             + KIND_LINES[kind] + "channel.profile = custom\n"
             f"channel.taps = {taps}\nsnr_db = {snr!r}\n"
             + (f"detector.csi = {csi}\n" if kind.startswith(("ber", "mu")) else "")))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(["ber_vs_snr", "mu_uplink"]), PILOT_POWERS, SNRS,
+           st.integers(0, 2 ** 40))
+    # a pilot 3317 dB below the noise: the estimate's gains, about 2e166,
+    # overflowed the uplink detector's products
+    @example("mu_uplink", -268.87, -3047.9, 4343820536)
+    # and at 6247.9 dB below, its division by the pilot amplitude
+    @example("mu_uplink", -3200.0, -3047.9, 4343820536)
+    def test_estimated_csi_of_any_pilot_power(self, kind, power_db, snr, seed):
+        assert_rejected_or_finite(parse_config_text(
+            f"experiment = {kind}\n" + SMALL_ESTIMATED
+            + f"pilot.power_db = {power_db!r}\nsnr_db = {snr!r}\nseed = {seed}\n"))
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(["genie", "estimated"]), st.floats(100.0, 3076.0),
@@ -1165,20 +1200,22 @@ class TestRun:
 
 
 def blas_threads():
-    """Thread count of every OpenBLAS the harness finds, by package."""
-    return {package: lib.get() for package, lib in harness._openblas().items()
-            if lib is not None}
+    """Thread count of scipy's OpenBLAS, or None where none is found."""
+    blas = harness._openblas()
+    return None if blas is None else blas.get()
 
 
 @pytest.fixture
 def caller_blas_threads():
-    """Every OpenBLAS found at 2 threads for the test (as the caller's
-    setting); the counts before the test come back after it."""
-    saved = blas_threads()
-    harness._set_blas_threads(2)
-    yield blas_threads()
-    for package, count in saved.items():
-        harness._openblas()[package].set(count)
+    """scipy's OpenBLAS at 2 threads for the test (as the caller's
+    setting); the count before the test comes back after it."""
+    blas = harness._openblas()
+    if blas is None:
+        pytest.skip("scipy bundles no OpenBLAS here")
+    saved = blas.get()
+    blas.set(2)
+    yield blas.get()
+    blas.set(saved)
 
 
 class TestBlasThreads:
@@ -1188,7 +1225,7 @@ class TestBlasThreads:
         real = harness.mu_trial
 
         def pinned(*args):
-            if any(count != 1 for count in blas_threads().values()):
+            if blas_threads() != 1:
                 raise RuntimeError(f"BLAS threads in a trial: {blas_threads()}")
             return real(*args)
 
@@ -1198,11 +1235,11 @@ class TestBlasThreads:
                          snr_db=(10.0, 20.0))
         assert len(run(spec, parallelism=parallelism)) == 4
 
-    def test_run_restores_the_caller_counts(self, monkeypatch,
-                                            caller_blas_threads):
+    def test_run_restores_the_caller_count(self, monkeypatch,
+                                           caller_blas_threads):
         spec = make_spec(trials=1, snr_db=(10.0,), channel_profile="single_tap")
         run(spec)
-        assert blas_threads() == caller_blas_threads
+        assert blas_threads() == caller_blas_threads == 2
 
         def fails(*args):
             raise RuntimeError("trial failed")
@@ -1212,35 +1249,28 @@ class TestBlasThreads:
             run(spec)
         assert blas_threads() == caller_blas_threads
 
-    def test_finds_the_openblas_each_package_bundles(self):
-        # a library file in a package's .libs directory is found, with
-        # its thread and config symbols
-        for package, pattern, _ in _blas._OPENBLAS:
-            mod = __import__(package)
-            libs = Path(mod.__file__).parent.parent / f"{package}.libs"
-            lib = harness._openblas()[package]
-            assert (lib is not None) == any(libs.glob(pattern))
-            if lib is not None:
-                assert lib.name in {p.name for p in libs.glob(pattern)}
-                assert "OpenBLAS" in lib.config and lib.get() >= 1
+    def test_finds_the_openblas_scipy_bundles(self):
+        # a library file in scipy.libs is found, with its thread and
+        # config symbols; numpy's, of another file name, is not
+        libs = Path(scipy.__file__).parent.parent / "scipy.libs"
+        files = {p.name for p in libs.glob(_blas._OPENBLAS)}
+        lib = harness._openblas()
+        assert (lib is not None) == bool(files)
+        if lib is not None:
+            assert lib.name in files and "openblas64_" not in lib.name
+            assert "OpenBLAS" in lib.config and lib.get() >= 1
 
-    def test_metadata_reports_each_library(self, tmp_path, caller_blas_threads):
+    def test_metadata_reports_the_library(self, tmp_path, caller_blas_threads):
         spec = make_spec(trials=1, snr_db=(10.0,), channel_profile="single_tap")
         run(spec, out_dir=tmp_path)
         meta = (tmp_path / "metadata.txt").read_text().splitlines()
-        for package, lib in harness._openblas().items():
-            line = next(m for m in meta if m.startswith(f"openblas_{package} = "))
-            if lib is None:
-                assert line == f"openblas_{package} = not found"
-            else:
-                assert line == (
-                    f"openblas_{package} = {lib.name} ({lib.config}); threads "
-                    f"{caller_blas_threads[package]} before the run, 1 during it")
+        lib = harness._openblas()
+        assert [m for m in meta if m.startswith("openblas_")] == [
+            f"openblas_scipy = {lib.name} ({lib.config}); threads "
+            f"{caller_blas_threads} before the run, 1 during it"]
         lapack = _blas._lapack()
         assert f"band_solve_lapack = {lapack.source}" in meta
-        scipy_blas = harness._openblas()["scipy"]
-        assert lapack.source.startswith(
-            "scipy.linalg" if scipy_blas is None else f"{scipy_blas.name} through ctypes")
+        assert lapack.source.startswith(f"{lib.name} through ctypes")
 
     def test_runs_and_reports_when_no_library_is_found(self, monkeypatch,
                                                        tmp_path):
@@ -1248,12 +1278,11 @@ class TestBlasThreads:
                          constellation="qpsk", csi="genie", trials=2,
                          snr_db=(10.0,))
         run(spec, out_dir=tmp_path / "found")
-        monkeypatch.setattr(harness, "_openblas",
-                            lambda: {"numpy": None, "scipy": None})
+        monkeypatch.setattr(harness, "_openblas", lambda: None)
         run(spec, out_dir=tmp_path / "none")
         meta = (tmp_path / "none/metadata.txt").read_text().splitlines()
-        assert "openblas_numpy = not found" in meta
-        assert "openblas_scipy = not found" in meta
+        assert [m for m in meta if m.startswith("openblas_")] == [
+            "openblas_scipy = not found"]
         assert ((tmp_path / "none/results.csv").read_bytes()
                 == (tmp_path / "found/results.csv").read_bytes())
 

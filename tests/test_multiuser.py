@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec, apply_channel,
                             delay_diagonals, linearized_io, make_channel)
 from ddlink.frame import FrameConfig
-from ddlink.modem import DelayDopplerGrid, TimeSignal, Waveform, modulate_direct
+from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform, _unit_scale,
+                          modulate_direct)
 from ddlink import multiuser
 from ddlink.multiuser import (Allocation, UserBins, compound_matrix,
                               compound_uplink, detect_users,
@@ -373,6 +375,30 @@ class TestTimeDomainDetector:
             assert np.array_equal(grid.vec.view(np.uint64),
                                   alone.vec.view(np.uint64))
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(uplinks())
+    def test_gains_whose_products_leave_the_float_range_are_scaled(self, uplink):
+        # every user's gains, the largest part of all in [0.5, 1), times
+        # 2**520 square past the float range; the detector scales them, and
+        # the noise variance, back by 2**-520 and the solution by the same
+        # factor
+        frame, alloc, channels, seed = uplink
+        g = np.random.default_rng(seed)
+        received = TimeSignal(g.standard_normal(frame.frame_len)
+                              + 1j * g.standard_normal(frame.frame_len), frame)
+        hs = diagonals(channels)
+        top = max((np.abs(h.gains.view(float)).max() for h in hs if h is not None),
+                  default=0.0)
+        hs = [None if h is None else replace(h, gains=h.gains * _unit_scale(top))
+              for h in hs]
+        huge = [None if h is None else replace(h, gains=h.gains * 2.0 ** 520)
+                for h in hs]
+        want = detect_users_time_domain(received, hs, alloc, BOTH, 2.0 ** -20)
+        got = detect_users_time_domain(received, huge, alloc, BOTH, 2.0 ** 1020)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.vec.view(np.uint64),
+                                  (b.vec * 2.0 ** -520).view(np.uint64))
+
     @pytest.mark.parametrize("case", ["none_user", "past_cp", "relaxed"])
     def test_one_call_on_silent_users_and_distinct_delay_sets(self, case):
         frame, alloc, channels = uplink_case(case)
@@ -503,6 +529,16 @@ class TestAllocationFile:
         p.write_text(line + "\nuser0.doppler_bins = 0,1\n")
         with pytest.raises(ValueError, match=message):
             load_allocation(str(p), 8, 8)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_lines_end_where_a_file_read_in_text_mode_ends_them(self, end):
+        # the text of a file opened in binary mode keeps its line ends; a
+        # comment runs on past a form feed
+        text = end.join(["# one user\x0cuser0.delay_bins = 9", "user0.delay_bins = 0,1",
+                         "user0.doppler_bins = 0,1", "user0.delay_bins = 3"])
+        with pytest.raises(ValueError, match=r"a.txt:4: duplicate key "
+                                             r"'user0.delay_bins' \(first set on line 2\)"):
+            multiuser._parse_allocation("a.txt", text, 8, 8, False)
 
     def test_parse_is_cached_and_an_edited_file_is_seen(self, tmp_path):
         p = tmp_path / "alloc.txt"
