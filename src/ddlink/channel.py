@@ -305,19 +305,23 @@ def delay_diagonals(ch: LtvChannel, ramps: np.ndarray | None = None) -> DelayDia
     """CP-bounded channel (CP removal, the banded time-varying
     convolution, CP addition) as cyclic diagonals, with the gains zero
     where no sample reaches (see :func:`_cp_bounded`). Taps sharing a
-    delay are summed in tap order, and the delays keep the order of their
-    first tap. The gains of CP-stripped sample i are the channel's
-    :func:`tap_ramps` at kappa = cp_len + i: ``ramps`` when given (over at
-    least one frame with its CP), else evaluated here.
+    delay are summed in tap order into its row of one preallocated array,
+    and the delays keep the order of their first tap. The gains of
+    CP-stripped sample i are the channel's :func:`tap_ramps` at kappa =
+    cp_len + i: ``ramps`` when given (over at least one frame with its
+    CP), else evaluated here.
     """
     frame = ch.frame
     grid, cp = frame.grid_size, frame.cp_len
     ramps = tap_ramps(ch, frame.frame_len) if ramps is None else ramps
-    sums = {}
+    rows = {}
+    gains = np.empty((len({tap.delay for tap in ch.taps}), grid), dtype=complex)
     for tap, g in zip(ch.taps, ramps[:, cp:grid + cp]):
-        sums[tap.delay] = sums[tap.delay] + g if tap.delay in sums else g
-    delays = np.fromiter(sums, dtype=int, count=len(sums))
-    return _cp_bounded(delays, np.array(list(sums.values())), frame)
+        if tap.delay in rows:
+            gains[rows[tap.delay]] += g
+        else:
+            gains[rows.setdefault(tap.delay, len(rows))] = g
+    return _cp_bounded(np.fromiter(rows, dtype=int, count=len(rows)), gains, frame)
 
 
 def build_dd_matrix(ch: LtvChannel, waveform: Waveform) -> DdChannelMatrix:

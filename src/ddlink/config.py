@@ -190,19 +190,29 @@ SCHEMA = {
 _OPTIONAL_EMPTY = {"channel.taps", "mu.allocation"}
 
 
-def parse_config_text(text: str) -> dict:
-    """Parse ``key = value`` lines into raw strings, # comments allowed.
-    Lines end at ``\n``, ``\r\n`` or ``\r``, as a file read in text mode
-    ends them. Raises ConfigError with line numbers on malformed or
-    unknown keys."""
-    raw, lines = {}, {}
+def _key_value_lines(text: str, malformed):
+    """(line number, key, value) of each ``key = value`` line of the
+    config and allocation formats; # comments allowed. Lines end at
+    ``\n``, ``\r\n`` or ``\r``, as a file read in text mode ends them. A
+    line with no ``=`` raises ``malformed(line number, line)``."""
     for lineno, src in enumerate(re.split(r"\r\n?|\n", text), 1):
         line = src.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {src!r}")
+            raise malformed(lineno, src)
         key, value = (p.strip() for p in line.split("=", 1))
+        yield lineno, key, value
+
+
+def parse_config_text(text: str) -> dict:
+    """Parse ``key = value`` lines (:func:`_key_value_lines`) into raw
+    strings. Raises ConfigError with line numbers on malformed or
+    unknown keys."""
+    raw, lines = {}, {}
+    for lineno, key, value in _key_value_lines(
+            text, lambda n, src: ConfigError(
+                f"line {n}: expected 'key = value', got {src!r}")):
         if key not in SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:

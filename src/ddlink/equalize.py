@@ -6,10 +6,11 @@ Every route solves the regularized problem
 
 The (de)modulators are unitary, so H = U H_t U^H with H_t the CP-bounded
 time-domain channel: :func:`equalize_time_domain`, the equalizer the
-harness runs, solves for the transmitted block with H_t and demodulates
-once. H_t is nonzero only on the cyclic diagonals of the tap delays, and
-the equalizer takes the channel in that form, a
-:class:`~ddlink.channel.DelayDiagonals` (from
+harness runs, solves once for the transmitted block with H_t and
+demodulates that one solution for each waveform of a tuple, which differ
+only by phases the channel absorbs. H_t is nonzero only on the cyclic
+diagonals of the tap delays, and the equalizer takes the channel in that
+form, a :class:`~ddlink.channel.DelayDiagonals` (from
 :func:`~ddlink.channel.delay_diagonals`, for a drawn channel and an
 estimate alike); the periodic band H_t^H H_t + noise_var I is formed
 from them and solved by banded Cholesky. The index plan of that band
@@ -36,7 +37,7 @@ import numpy as np
 
 from ._blas import _lapack
 from .channel import DdChannelMatrix, DelayDiagonals
-from .modem import (_SCALE_FROM, DelayDopplerGrid, TimeSignal, Waveform, _strip,
+from .modem import (_SCALE_FROM, DelayDopplerGrid, TimeSignal, _strip,
                     _unit_scale, demodulate_direct)
 
 
@@ -238,20 +239,22 @@ def _solve_banded(delays, gains, z: np.ndarray, noise_var: float) -> np.ndarray:
     return _solve_band(plan.slot, vals, plan.width, noise_var, folded)[plan.pos] * back
 
 
-def equalize_time_domain(received: TimeSignal, channel: DelayDiagonals,
-                         waveform: Waveform, noise_var: float) -> DelayDopplerGrid:
+def equalize_time_domain(received: TimeSignal, channel: DelayDiagonals | None,
+                         waveforms: tuple, noise_var: float) -> tuple:
     """Equalize one CP-included frame on a CP-bounded channel given as its
-    delay diagonals.
+    delay diagonals (None for an empty estimate: no equalization).
 
     Solves (H_t^H H_t + noise_var I) t = H_t^H z by banded Cholesky on
-    the diagonals and demodulates the estimate t of the transmitted block
-    in ``waveform``'s convention. This equals :func:`equalize_mmse` on the
-    demodulated frame with the dense delay-Doppler matrix of the same
-    channel. Diagonals of another grid size or CP raise ValueError; zero
-    forcing (noise_var 0) on a singular channel raises
-    numpy.linalg.LinAlgError.
+    the diagonals once, and demodulates the estimate t of the transmitted
+    block in the convention of each waveform of ``waveforms``, one grid
+    each. This equals :func:`equalize_mmse` on the demodulated frame with
+    the dense delay-Doppler matrix of the same channel. Diagonals of
+    another grid size or CP raise ValueError; zero forcing (noise_var 0)
+    on a singular channel raises numpy.linalg.LinAlgError.
     """
-    frame = received.frame
-    channel.check_frame(frame)
-    t = _solve_banded(channel.delays, channel.gains, _strip(received), noise_var)
-    return demodulate_direct(TimeSignal(t, frame, cp_included=False), waveform)
+    frame, block = received.frame, received
+    if channel is not None:
+        channel.check_frame(frame)
+        t = _solve_banded(channel.delays, channel.gains, _strip(received), noise_var)
+        block = TimeSignal(t, frame, cp_included=False)
+    return tuple(demodulate_direct(block, w) for w in waveforms)

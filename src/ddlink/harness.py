@@ -40,12 +40,12 @@ a sync trial for one record per waveform of its spec.
 ``_detection_trial`` runs a link or uplink trial on one noisy record:
 impairments and sync only where ``config._runs_sync`` says the spec
 syncs, then CSI, the trial's detector, SC-IFDMA derotation and demapping
-per grid. Genie CSI is the delay diagonals of the drawn channels, read
-from the same ramps, and serves every waveform, so the detector is
-called once for all of them; estimated CSI is per waveform, and so is
-the call. A trial demodulates its record at most once: estimated CSI
-reads both waveforms' received grids from one demodulation, and genie
-CSI reads none, since the detectors work on the time-domain record.
+per grid. The link's and the uplink's detectors both take the record,
+the CSI and a tuple of waveforms and give one grid per waveform. Genie
+CSI is the delay diagonals of the drawn channels, read from the same
+ramps, and serves every waveform, so the detector is called once for all
+of them; estimated CSI is per waveform, and so is the call. The harness
+demodulates a record only to estimate from it, once for both waveforms.
 ``_KINDS`` maps each kind to its trial and its result rows; it names
 ``link_trial``, ``sync_trial`` and ``mu_trial`` at call time, so
 rebinding them on this module intercepts every trial.
@@ -236,19 +236,16 @@ def _detection_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
     read the frame sync finds (clamped into the record), CFO undone.
 
     CSI is a list of delay diagonals, one per channel. Genie CSI reads
-    those of the drawn channels from the tap ramps the transmit used,
-    and, as they serve every waveform, makes one ``detect`` call for all
-    of them. Estimated CSI takes, per waveform, those of one estimate per
-    pilot (None for an empty estimate) from the waveform's received
-    grid, and makes one call per waveform. The frame is demodulated once
-    for both waveforms (:func:`_received_grids`), and only for estimated
-    CSI, so a genie ``detect`` gets None for ``received``.
-    ``detect(signal, received, hs, waveforms, noise_var)`` gives one
-    equalized delay-Doppler vec per waveform of ``waveforms``; SC-IFDMA
+    those of the drawn channels from the tap ramps the transmit used and
+    serves every waveform in one ``detect`` call. Estimated CSI takes,
+    per waveform, those of one estimate per pilot (None for an empty
+    estimate) from the waveform's received grid (both grids from one
+    demodulation, :func:`_received_grids`), and makes one call per
+    waveform. ``detect(signal, hs, waveforms, noise_var)`` gives one
+    equalized delay-Doppler grid per waveform of ``waveforms``; SC-IFDMA
     is derotated by the coupling phases, and hard decisions on the data
-    bins of each grid, sliced straight from that vec, are counted
-    against that grid's bits (returned with the decisions and whether an
-    estimate came back empty)."""
+    bins of each grid are counted against that grid's bits (returned
+    with the decisions and whether an estimate came back empty)."""
     frame = spec.frame
     noise_var = _noise_var(snr_db)
     channels, bits, ramps, impair, (record,) = _send(spec, trial_id, snr_db,
@@ -263,17 +260,17 @@ def _detection_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
     const = get_constellation(spec.constellation)
     W = coupling_phases(frame.M, frame.N)
     if spec.csi == "genie":
-        calls = [(spec.waveforms, None, [delay_diagonals(ch, r)
-                                         for ch, r in zip(channels, ramps)])]
+        calls = [(spec.waveforms, [delay_diagonals(ch, r)
+                                   for ch, r in zip(channels, ramps)])]
     else:
         grids = _received_grids(signal)
         # a generator: each waveform estimates just before it detects
-        calls = (((w,), grids[w], [_estimated_channel(grids[w], pc, w)
-                                   for pc in layout.pilots])
+        calls = (((w,), [_estimated_channel(grids[w], pc, w)
+                         for pc in layout.pilots])
                  for w in spec.waveforms)
     out = {}
-    for waveforms, received, hs in calls:
-        d_hats = detect(signal, received, hs, waveforms, noise_var)
+    for waveforms, hs in calls:
+        d_hats = [g.vec for g in detect(signal, hs, waveforms, noise_var)]
         for w, d_hat in zip(waveforms, d_hats, strict=True):
             if w is Waveform.SC_IFDMA:
                 d_hat = d_hat * np.conj(W).flatten(order="F")
@@ -293,19 +290,12 @@ def _detection_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
 
 def link_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
     """One paired link trial (:func:`_detection_trial`) around the
-    configured pilot: MMSE equalization on the one channel, or the
-    received grid as it is when the estimate (of the one waveform it was
-    taken for) comes back empty."""
-
-    def detect(signal, received, hs, waveforms, noise_var):
-        if hs[0] is None:
-            return [received.vec]
-        return [equalize_time_domain(signal, hs[0], w, noise_var).vec
-                for w in waveforms]
-
-    return _detection_trial(spec, trial_id, snr_db,
-                            _layout(spec.frame, spec.pilot, spec.csi, None),
-                            detect)
+    configured pilot: MMSE equalization on the one channel
+    (:func:`~ddlink.equalize.equalize_time_domain`)."""
+    return _detection_trial(
+        spec, trial_id, snr_db, _layout(spec.frame, spec.pilot, spec.csi, None),
+        lambda signal, hs, waveforms, noise_var: equalize_time_domain(
+            signal, hs[0], waveforms, noise_var))
 
 
 def sync_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
@@ -404,14 +394,10 @@ def mu_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
     inside each user's own bins (one call per waveform); a user whose
     estimate comes back empty contributes zero columns (regularized
     detection then drives its symbols toward zero)."""
-
-    def detect(signal, received, hs, waveforms, noise_var):
-        return [g.vec for g in detect_users_time_domain(signal, hs, alloc,
-                                                        waveforms, noise_var)]
-
-    return _detection_trial(spec, trial_id, snr_db,
-                            _layout(spec.frame, spec.pilot, spec.csi, alloc),
-                            detect)
+    return _detection_trial(
+        spec, trial_id, snr_db, _layout(spec.frame, spec.pilot, spec.csi, alloc),
+        lambda signal, hs, waveforms, noise_var: detect_users_time_domain(
+            signal, hs, alloc, waveforms, noise_var))
 
 
 def _ber_metrics(spec: ExperimentSpec, per_trial: list) -> list:

@@ -27,7 +27,6 @@ the dense :func:`compound_matrix`, which stay as its oracles.
 """
 
 import itertools
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +34,7 @@ import numpy as np
 
 from .channel import (DdChannelMatrix, NoiseSpec, apply_channel,
                       build_dd_matrix, draw_noise)
+from .config import _key_value_lines
 from .equalize import _fold_positions, _scaled_gains, _solve_band
 from .frame import FrameConfig
 from .modem import (DelayDopplerGrid, TimeSignal, Waveform, _strip,
@@ -376,17 +376,12 @@ def load_allocation(path: str, M: int, N: int, relax: bool = False) -> Allocatio
 @lru_cache(maxsize=8)
 def _parse_allocation(path: str, text: str, M: int, N: int,
                       relax: bool) -> Allocation:
-    """The allocation of the text of the file at ``path``, whose lines end
-    at ``\n``, ``\r\n`` or ``\r``, as a file read in text mode ends them;
+    """The allocation of the text of the file at ``path``, read by the
+    config format's line reader (:func:`ddlink.config._key_value_lines`);
     errors name ``path`` and the line."""
     entries, lines = {}, {}
-    for lineno, src in enumerate(re.split(r"\r\n?|\n", text), 1):
-        line = src.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = bins'")
-        key, value = (p.strip() for p in line.split("=", 1))
+    for lineno, key, value in _key_value_lines(
+            text, lambda n, src: ValueError(f"{path}:{n}: expected 'key = bins'")):
         if "." not in key:
             raise ValueError(f"{path}:{lineno}: bad key {key!r}")
         user, kind = key.split(".", 1)

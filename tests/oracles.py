@@ -202,6 +202,25 @@ def apply_taps_per_tap(x, ch: LtvChannel, shift: int, record_len: int) -> np.nda
     return r
 
 
+def _summed_by_delay(ch: LtvChannel, per_tap: np.ndarray):
+    """Diagonals of the taps' rows ``per_tap`` over the CP-stripped
+    samples: the rows of taps sharing a delay summed in a dict, in tap
+    order, and the sums copied into one array."""
+    sums = {}
+    for tap, g in zip(ch.taps, per_tap):
+        sums[tap.delay] = sums[tap.delay] + g if tap.delay in sums else g
+    delays = np.fromiter(sums, dtype=int, count=len(sums))
+    return _cp_bounded(delays, np.array(list(sums.values())), ch.frame)
+
+
+def delay_diagonals_by_dict(ch: LtvChannel, ramps: np.ndarray):
+    """:func:`ddlink.channel.delay_diagonals` on the tap ramps ``ramps``
+    (over at least one frame with its CP) by a dict of per-delay sums:
+    the bit oracle of its sums into one preallocated array."""
+    grid, cp = ch.frame.grid_size, ch.frame.cp_len
+    return _summed_by_delay(ch, ramps[:, cp:grid + cp])
+
+
 def delay_diagonals_own_ramps(ch: LtvChannel):
     """:func:`ddlink.channel.delay_diagonals` with the ramps evaluated
     over the CP-stripped samples alone, by one ``exp`` of its own: the
@@ -212,11 +231,7 @@ def delay_diagonals_own_ramps(ch: LtvChannel):
     turns = np.array([2j * np.pi * tap.doppler for tap in ch.taps])
     per_tap = (np.array([tap.gain for tap in ch.taps])[:, None]
                * np.exp(turns[:, None] * kappa / grid))
-    sums = {}
-    for tap, g in zip(ch.taps, per_tap):
-        sums[tap.delay] = sums[tap.delay] + g if tap.delay in sums else g
-    delays = np.fromiter(sums, dtype=int, count=len(sums))
-    return _cp_bounded(delays, np.array(list(sums.values())), frame)
+    return _summed_by_delay(ch, per_tap)
 
 
 def time_domain_matrix(ch: LtvChannel) -> sparse.csr_array:

@@ -15,8 +15,8 @@ from ddlink.sync import Impairments
 from ddlink.transforms import coupling_phases
 import oracles
 from oracles import (apply_taps_per_tap, cp_channel_matrix,
-                     delay_diagonals_own_ramps, dft_matrix,
-                     interleaver_source_index, time_domain_matrix)
+                     delay_diagonals_by_dict, delay_diagonals_own_ramps,
+                     dft_matrix, interleaver_source_index, time_domain_matrix)
 from strategies import PROPERTY, channels
 
 rng = np.random.default_rng(42)
@@ -435,6 +435,24 @@ def ramp_cases(draw):
     return ch, shift, record_len, x
 
 
+@st.composite
+def shared_delay_channels(draw):
+    """Up to eight taps on at most three delays, so taps share a delay
+    often; delays up to past the CP-included frame."""
+    M = draw(st.integers(1, 8))
+    N = draw(st.integers(1, 8))
+    frame = FrameConfig(M, N, cp_len=draw(st.integers(0, M * N - 1)))
+    delays = draw(st.lists(st.integers(0, frame.frame_len), min_size=1,
+                           max_size=3))
+    finite = st.floats(-2.0, 2.0, allow_nan=False)
+    taps = draw(st.lists(
+        st.builds(ChannelTap, delay=st.sampled_from(delays),
+                  gain=st.builds(complex, finite, finite),
+                  doppler=st.floats(-N, N, allow_nan=False)),
+        min_size=1, max_size=8))
+    return LtvChannel(tuple(taps), frame)
+
+
 def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(
         np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64))
@@ -465,6 +483,19 @@ class TestSharedRamps:
         for got in (delay_diagonals(ch, ramps), delay_diagonals(ch)):
             assert np.array_equal(got.delays, want.delays)
             assert same_bits(got.gains, want.gains)
+
+    @PROPERTY
+    @given(shared_delay_channels(), st.integers(0, 40))
+    def test_sums_by_delay_equal_the_dict_route(self, ch, extra):
+        # the taps' rows are summed, in tap order, into one preallocated
+        # row per delay: bit for bit the sums a dict of rows gives, the
+        # delays in the order of their first tap, from ramps over one
+        # frame or a longer record
+        ramps = channel.tap_ramps(ch, ch.frame.frame_len + extra)
+        want = delay_diagonals_by_dict(ch, ramps)
+        got = delay_diagonals(ch, ramps)
+        assert np.array_equal(got.delays, want.delays)
+        assert same_bits(got.gains, want.gains)
 
     def test_ramps_are_not_changed_by_their_readers(self):
         frame = FrameConfig(8, 4, cp_len=2)

@@ -115,7 +115,8 @@ class TestParsing:
             parse_config_text("seed = 4\n")
 
     def test_malformed_line(self):
-        with pytest.raises(ConfigError, match="line 1"):
+        with pytest.raises(ConfigError, match=r"^line 1: expected 'key = value', "
+                                              r"got 'just words'$"):
             parse_config_text("just words\n")
 
     def test_draw_specs(self):

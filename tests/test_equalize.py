@@ -17,6 +17,7 @@ from oracles import bits, solve_band_bincount
 from strategies import PROPERTY, channels
 
 rng = np.random.default_rng(21)
+BOTH = (Waveform.OTFS, Waveform.SC_IFDMA)
 
 
 def grid_of(v, frame):
@@ -106,7 +107,7 @@ class TestTimeDomain:
                        + 1j * rng.standard_normal(frame.frame_len), frame)
         for s2 in (0.0, 0.05, 1.0):
             oracle = equalize_mmse(demodulate_direct(r, w), build_dd_matrix(ch, w), s2)
-            td = equalize_time_domain(r, delay_diagonals(ch), w, s2)
+            (td,) = equalize_time_domain(r, delay_diagonals(ch), (w,), s2)
             err = np.linalg.norm(td.vec - oracle.vec) / np.linalg.norm(oracle.vec)
             assert err <= 1e-10
 
@@ -121,9 +122,32 @@ class TestTimeDomain:
                        + 1j * g.standard_normal(frame.frame_len), frame)
         for w in (Waveform.OTFS, Waveform.SC_IFDMA):
             oracle = equalize_mmse(demodulate_direct(r, w), build_dd_matrix(ch, w), s2)
-            td = equalize_time_domain(r, delay_diagonals(ch), w, s2)
+            (td,) = equalize_time_domain(r, delay_diagonals(ch), (w,), s2)
             assert (np.linalg.norm(td.vec - oracle.vec)
                     <= 1e-10 * np.linalg.norm(oracle.vec))
+
+    @PROPERTY
+    @given(channels(), st.booleans(),
+           st.sampled_from([BOTH, BOTH[::-1], BOTH[:1], BOTH[1:]]),
+           st.floats(1e-3, 1.0), st.integers(0, 2**32 - 1))
+    def test_one_call_equals_a_call_per_waveform(self, ch, empty, waveforms,
+                                                 s2, seed):
+        # the band is solved once per call; each waveform's grid is the one
+        # a call of its own gives, bit for bit, and an empty estimate
+        # (None) gives each waveform's demodulation of the record
+        frame = ch.frame
+        g = np.random.default_rng(seed)
+        r = TimeSignal(g.standard_normal(frame.frame_len)
+                       + 1j * g.standard_normal(frame.frame_len), frame)
+        diagonals = None if empty else delay_diagonals(ch)
+        joint = equalize_time_domain(r, diagonals, waveforms, s2)
+        assert len(joint) == len(waveforms)
+        for w, grid in zip(waveforms, joint):
+            (alone,) = equalize_time_domain(r, diagonals, (w,), s2)
+            assert np.array_equal(bits(grid.vec), bits(alone.vec))
+            if empty:
+                assert np.array_equal(bits(grid.vec),
+                                      bits(demodulate_direct(r, w).vec))
 
     @pytest.mark.parametrize("delay", [5, 18])
     def test_zero_forcing_on_a_singular_channel_raises(self, delay):
@@ -133,7 +157,7 @@ class TestTimeDomain:
         ch = LtvChannel((ChannelTap(delay, 1.0, 0.0),), frame)
         r = TimeSignal(np.ones(frame.frame_len), frame)
         with pytest.raises(np.linalg.LinAlgError):
-            equalize_time_domain(r, delay_diagonals(ch), Waveform.OTFS, 0.0)
+            equalize_time_domain(r, delay_diagonals(ch), (Waveform.OTFS,), 0.0)
         if delay >= frame.frame_len:
             with pytest.raises(np.linalg.LinAlgError):
                 equalize_mmse(demodulate_direct(r, Waveform.OTFS),
@@ -144,7 +168,7 @@ class TestTimeDomain:
         r = TimeSignal(np.ones(frame.frame_len), frame)
         other = LtvChannel((ChannelTap(0, 1.0, 0.0),), FrameConfig(4, 2))
         with pytest.raises(ValueError):
-            equalize_time_domain(r, delay_diagonals(other), Waveform.OTFS, 0.1)
+            equalize_time_domain(r, delay_diagonals(other), (Waveform.OTFS,), 0.1)
 
     def test_rejects_a_channel_with_another_cp(self):
         # same grid; the diagonals of another CP zero other samples
@@ -152,7 +176,7 @@ class TestTimeDomain:
         r = TimeSignal(np.ones(frame.frame_len), frame)
         other = LtvChannel((ChannelTap(3, 1.0, 0.0),), FrameConfig(4, 4, cp_len=3))
         with pytest.raises(ValueError, match="CP 3 does not match"):
-            equalize_time_domain(r, delay_diagonals(other), Waveform.OTFS, 0.1)
+            equalize_time_domain(r, delay_diagonals(other), (Waveform.OTFS,), 0.1)
 
     def test_plan_cache_follows_the_delay_sets(self):
         # delays (0, 1, 2) put the pairs (1, 0) and (2, 1) on one cyclic
@@ -173,7 +197,7 @@ class TestTimeDomain:
                     for s2 in (0.05, 1.0):
                         oracle = equalize_mmse(demodulate_direct(r, w),
                                                build_dd_matrix(ch, w), s2)
-                        td = equalize_time_domain(r, delay_diagonals(ch), w, s2)
+                        (td,) = equalize_time_domain(r, delay_diagonals(ch), (w,), s2)
                         assert (np.linalg.norm(td.vec - oracle.vec)
                                 <= 1e-10 * np.linalg.norm(oracle.vec))
         info = equalize._link_plan.cache_info()

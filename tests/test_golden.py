@@ -4,12 +4,12 @@ before the last refactor of the trial pipeline. A refactor that changes
 any result row fails here.
 
 The variants cover receive paths the committed configs leave out:
-estimated multiuser CSI (on the allocation file, and on an even
-split of three users that leaves bins unallocated), a link with
-sync and impairments, and the 128x32 reference grid: a link on the
-nine-tap ``eva`` profile with estimated CSI, and a two-user even-split
-uplink (2048 unknowns, band half-width 111) with genie and with
-estimated CSI.
+the link with genie CSI, estimated multiuser CSI (on the allocation
+file, and on an even split of three users that leaves bins
+unallocated), a link with sync and impairments, and the 128x32
+reference grid: a link on the nine-tap ``eva`` profile with estimated
+CSI, and a two-user even-split uplink (2048 unknowns, band half-width
+111) with genie and with estimated CSI.
 
 Print the digests of the current code with
 ``PYTHONPATH=src python tests/test_golden.py``
@@ -49,6 +49,7 @@ CASES = {
     "mu_uplink_estimated_3users": lambda: _spec(
         "mu_uplink", 3, csi="estimated", mu_allocation_path="", mu_users=3,
         pilot=PilotConfig(4, 8, 1000.0, 2, 2)),
+    "ber_vs_snr_genie": lambda: _spec("ber_vs_snr", 4, csi="genie"),
     "ber_vs_snr_sync": lambda: _spec(
         "ber_vs_snr", 3, snr_db=(10.0, 20.0),
         sync=SyncSettings(enabled=True, threshold=0.5),
@@ -67,6 +68,7 @@ CASES = {
 
 DIGESTS = {
     "ber_vs_snr": "634d85964522e8b0ff002069309fd52f7af71702fa78f36f4534e208371857de",
+    "ber_vs_snr_genie": "84a14cd84e170b5f494e9aa1c2d8e80d091e9b9d261fe6d2242f118faaed60ec",
     "ber_vs_snr_reference_eva": "6b396ebada32214983f31809d518c4deb2443560fb5377d1d1de97c244b06416",
     "ber_vs_snr_sync": "7d268a2dd42b62a78446fe8f91d24d4d2ed2a14ed1a1acbccc0a483c506fafb7",
     "mu_uplink": "5d8cc3b781fd8ea3fc9a6c8fe6c7ed9502fb4cffd25a3d49f80c1b11b7a921db",

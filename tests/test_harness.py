@@ -216,9 +216,11 @@ class TestEqualizerOracle:
         real = harness.equalize_time_domain
         sources = channel_sources(monkeypatch)
 
-        def spy(corrected, diagonals, waveform, noise_var):
-            out = real(corrected, diagonals, waveform, noise_var)
-            calls.append((corrected, sources[-1], waveform, noise_var, out.vec))
+        def spy(corrected, diagonals, waveforms, noise_var):
+            out = real(corrected, diagonals, waveforms, noise_var)
+            assert diagonals is not None and sources[-1] is not None
+            calls.extend((corrected, sources[-1], w, noise_var, grid.vec)
+                         for w, grid in zip(waveforms, out, strict=True))
             return out
 
         monkeypatch.setattr(harness, "equalize_time_domain", spy)
@@ -239,6 +241,25 @@ class TestEqualizerOracle:
             received = demodulate_direct(corrected, w)
             oracle = equalize_mmse(received, build_dd_matrix(ch, w), s2).vec
             assert np.linalg.norm(out - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("csi,solves", [("genie", 1), ("estimated", 2)])
+    def test_equalizer_and_band_solve_calls(self, monkeypatch, csi, solves):
+        # genie CSI serves both waveforms, so one equalizer call solves the
+        # band once and demodulates that solution per waveform; estimated
+        # CSI makes one call, and one solve, per waveform
+        spec = make_spec(csi=csi)
+        calls = []
+        for module, name in ((harness, "equalize_time_domain"),
+                             (equalize, "_solve_band")):
+            def counted(*args, real=getattr(module, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(module, name, counted)
+        for t in range(3):
+            calls.clear()
+            link_trial(spec, t, 15.0)
+            assert calls.count("equalize_time_domain") == solves
+            assert calls.count("_solve_band") == solves
 
 
 class TestChannelForm:
