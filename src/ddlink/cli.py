@@ -52,10 +52,9 @@ def _load(args):
         if (cfg["experiment"] == "mu_uplink" and cfg["mu.allocation"]
                 and grid != REFERENCE_SCALE):
             raise ConfigError(
-                f"mu.allocation = {cfg['mu.allocation']} lists bins of the "
-                f"{grid[0]}x{grid[1]} grid, not of the {REFERENCE_SCALE[0]}x"
-                f"{REFERENCE_SCALE[1]} reference grid; drop mu.allocation "
-                f"for an even split")
+                f"mu.allocation lists bins of the {grid[0]}x{grid[1]} grid, not "
+                f"of the {REFERENCE_SCALE[0]}x{REFERENCE_SCALE[1]} reference "
+                f"grid; drop mu.allocation for an even split")
         cfg["frame.M"], cfg["frame.N"] = REFERENCE_SCALE
     spec = spec_from_config(cfg)
     prepare(spec)

@@ -14,6 +14,10 @@ each key that some spec leaves unread, and on what further setting;
 the spec does not read it, and names the keys, the kind and that
 setting. :func:`spread_warnings` gives the ``warning:`` lines of a delay
 spread the CP or the pilot guard does not cover.
+
+An uplink's bins are a key too (``mu.allocation``), so
+:func:`canonical_text`, the echo a run's metadata carries and hashes,
+names every setting and parses back to the same config.
 """
 
 import math
@@ -113,20 +117,37 @@ def _parse_offset_draw(s):
     return (kind, *(int(v) for v in values))
 
 
+def _entries(s, what, fields, parse):
+    """The ``;``-separated entries of ``s``, empty ones skipped, each a
+    tuple of the ``:``-separated ``fields`` read by ``parse``."""
+    entries = []
+    for part in filter(None, (p.strip() for p in s.split(";"))):
+        values = part.split(":")
+        if len(values) != len(fields):
+            raise ValueError(f"{what} {part!r} is not {':'.join(fields)}")
+        entries.append(tuple(map(parse, values)))
+    if not entries:
+        raise ValueError(f"empty {what} list")
+    return tuple(entries)
+
+
 def _parse_taps(s):
     """Semicolon-separated 'delay_ns:power_db:doppler_hz' triples."""
-    taps = []
-    for part in s.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        fields = part.split(":")
-        if len(fields) != 3:
-            raise ValueError(f"tap {part!r} is not delay_ns:power_db:doppler_hz")
-        taps.append(tuple(_finite(f) for f in fields))
-    if not taps:
-        raise ValueError("empty tap list")
-    return tuple(taps)
+    return _entries(s, "tap", ("delay_ns", "power_db", "doppler_hz"), _finite)
+
+
+def _bins(s):
+    """Comma-separated integer bins; none at all is an empty bin set."""
+    try:
+        return tuple(int(b) for b in s.split(",") if b.strip())
+    except ValueError:
+        raise ValueError(f"bins must be integers, got {s.strip()!r}") from None
+
+
+def _parse_user_bins(s):
+    """Semicolon-separated 'delay bins:Doppler bins' entries, one per
+    uplink user in user order, each a comma-separated list of integers."""
+    return _entries(s, "user", ("delay_bins", "doppler_bins"), _bins)
 
 
 def _choice(*options):
@@ -182,7 +203,7 @@ SCHEMA = {
     "detector.csi": (_choice("genie", "estimated"), "genie"),
     "sweep.thresholds": (_parse_float_list, "0.1,0.2,0.3,0.4,0.5,0.6,0.8,1.0"),
     "mu.q": (int, "2"),
-    "mu.allocation": (str, ""),
+    "mu.allocation": (_parse_user_bins, ""),
     "mu.relax_disjointness": (_parse_bool, "false"),
 }
 
@@ -190,29 +211,19 @@ SCHEMA = {
 _OPTIONAL_EMPTY = {"channel.taps", "mu.allocation"}
 
 
-def _key_value_lines(text: str, malformed):
-    """(line number, key, value) of each ``key = value`` line of the
-    config and allocation formats; # comments allowed. Lines end at
-    ``\n``, ``\r\n`` or ``\r``, as a file read in text mode ends them. A
-    line with no ``=`` raises ``malformed(line number, line)``."""
+def parse_config_text(text: str) -> dict:
+    """Parse ``key = value`` lines, # comments allowed, into each key's
+    value (:func:`_resolve`). Lines end at ``\n``, ``\r\n`` or ``\r``,
+    as a file read in text mode ends them. Raises ConfigError with line
+    numbers on malformed lines and unknown or repeated keys."""
+    raw, lines = {}, {}
     for lineno, src in enumerate(re.split(r"\r\n?|\n", text), 1):
         line = src.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise malformed(lineno, src)
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {src!r}")
         key, value = (p.strip() for p in line.split("=", 1))
-        yield lineno, key, value
-
-
-def parse_config_text(text: str) -> dict:
-    """Parse ``key = value`` lines (:func:`_key_value_lines`) into raw
-    strings. Raises ConfigError with line numbers on malformed or
-    unknown keys."""
-    raw, lines = {}, {}
-    for lineno, key, value in _key_value_lines(
-            text, lambda n, src: ConfigError(
-                f"line {n}: expected 'key = value', got {src!r}")):
         if key not in SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
@@ -246,10 +257,20 @@ def load_config(path: str) -> dict:
 
 
 def canonical_text(cfg: dict) -> str:
-    """Deterministic echo of the fully resolved configuration."""
+    """Deterministic echo of the fully resolved configuration, in the
+    config format: :func:`parse_config_text` of it gives ``cfg`` back. A
+    fixed draw is written as its value and a uniform one as
+    ``uniform:lo:hi``; custom taps and uplink bins as ``;``-separated
+    entries of ``:``-separated fields; other lists ``,``-separated."""
     def fmt(v):
         if isinstance(v, tuple):
-            return ",".join(fmt(x) for x in v)
+            if v[:1] == ("fixed",):
+                return fmt(v[1])
+            if v[:1] == ("uniform",):
+                return ":".join(map(fmt, v))
+            if v and isinstance(v[0], tuple):   # taps, uplink bins
+                return "; ".join(":".join(map(fmt, e)) for e in v)
+            return ",".join(map(fmt, v))
         if isinstance(v, Waveform):
             return v.value
         if isinstance(v, bool):
@@ -317,7 +338,8 @@ class ExperimentSpec:
     csi: str = "genie"
     sweep_thresholds: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0)
     mu_users: int = 2
-    mu_allocation_path: str | None = None
+    # per uplink user, (delay bins, Doppler bins); None for an even split
+    mu_allocation: tuple | None = None
     mu_relax_disjointness: bool = False
     config_echo: str = ""
 
@@ -329,7 +351,7 @@ class ExperimentSpec:
         if self.mu_users < 1:
             raise ConfigError("mu.q must be >= 1")
         most = min(self.frame.M, self.frame.N)
-        if (self.kind == "mu_uplink" and not self.mu_allocation_path
+        if (self.kind == "mu_uplink" and self.mu_allocation is None
                 and self.mu_users > most):
             raise ConfigError(f"mu.q must be <= {most} for an even split of "
                               f"the {self.frame.M}x{self.frame.N} grid")
@@ -412,7 +434,7 @@ READS = {
                                  _DETECTION_KINDS, lambda s: s.csi == "estimated",
                                  " with detector.csi = genie"),
     "mu.q": _Read(attrgetter("mu_users"), ("mu_uplink",)),
-    "mu.allocation": _Read(attrgetter("mu_allocation_path"), ("mu_uplink",)),
+    "mu.allocation": _Read(attrgetter("mu_allocation"), ("mu_uplink",)),
     "mu.relax_disjointness": _Read(attrgetter("mu_relax_disjointness"), ("mu_uplink",)),
     "channel.taps": _Read(attrgetter("custom_taps"), EXPERIMENTS,
                           lambda s: s.channel_profile == "custom", _WITH_PROFILE),
@@ -610,7 +632,7 @@ def spec_from_config(cfg: dict) -> ExperimentSpec:
         csi=cfg["detector.csi"],
         sweep_thresholds=cfg["sweep.thresholds"],
         mu_users=cfg["mu.q"],
-        mu_allocation_path=cfg["mu.allocation"],
+        mu_allocation=cfg["mu.allocation"],
         mu_relax_disjointness=cfg["mu.relax_disjointness"],
         config_echo=canonical_text(cfg),
     )

@@ -24,7 +24,8 @@ waveforms come from one batched transmission, and each is synced on its
 own.
 
 Trial skeleton: ``prepare`` builds what the trials of a run share once,
-before the first trial: the uplink allocation and the run's layout
+before the first trial: the uplink allocation (the bins the config
+lists, or an even split) and the run's layout
 (``_layout``: each transmitted grid's pilot and data bins, one grid for
 a link, one per uplink user), cached so every trial reads it, and then
 checks the spec's rules (:func:`ddlink.config.check`). Every trial sends
@@ -43,9 +44,10 @@ syncs, then CSI, the trial's detector, SC-IFDMA derotation and demapping
 per grid. The link's and the uplink's detectors both take the record,
 the CSI and a tuple of waveforms and give one grid per waveform. Genie
 CSI is the delay diagonals of the drawn channels, read from the same
-ramps, and serves every waveform, so the detector is called once for all
-of them; estimated CSI is per waveform, and so is the call. The harness
-demodulates a record only to estimate from it, once for both waveforms.
+ramps from the sample the frame was sent at, and serves every waveform,
+so the detector is called once for all of them; estimated CSI is per
+waveform, and so is the call. The harness demodulates a record only to
+estimate from it, once for both waveforms.
 ``_KINDS`` maps each kind to its trial and its result rows; it names
 ``link_trial``, ``sync_trial`` and ``mu_trial`` at call time, so
 rebinding them on this module intercepts every trial.
@@ -89,8 +91,8 @@ from .mapping import (GUARD, data_bins, full_data_mask, get_constellation,
                       map_bits)
 from .modem import (DelayDopplerGrid, TimeSignal, Waveform, _mod_core,
                     demodulate_direct)
-from .multiuser import (Allocation, detect_users_time_domain,
-                        even_split_allocation, load_allocation)
+from .multiuser import (Allocation, UserBins, detect_users_time_domain,
+                        even_split_allocation)
 from .sync import correct, estimate_sync, fine_timing
 from .transforms import coupling_phases
 
@@ -163,7 +165,8 @@ def _send(spec: ExperimentSpec, trial_id: int, snr_db: float, layout: _Layout,
     None and the record is one frame. Each
     channel's :func:`~ddlink.channel.tap_ramps` cover the record samples
     its taps reach from a frame sent at that offset, which include the
-    frame with its CP that genie CSI reads.
+    frame with its CP that genie CSI reads: the ramps start at record
+    sample 0, so it reads them from the offset on.
 
     The records come as a (waveforms, record length) batch from one
     modulation of every waveform and grid: SC-IFDMA grids are the OTFS
@@ -236,14 +239,15 @@ def _detection_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
     read the frame sync finds (clamped into the record), CFO undone.
 
     CSI is a list of delay diagonals, one per channel. Genie CSI reads
-    those of the drawn channels from the tap ramps the transmit used and
-    serves every waveform in one ``detect`` call. Estimated CSI takes,
-    per waveform, those of one estimate per pilot (None for an empty
-    estimate) from the waveform's received grid (both grids from one
-    demodulation, :func:`_received_grids`), and makes one call per
-    waveform. ``detect(signal, hs, waveforms, noise_var)`` gives one
-    equalized delay-Doppler grid per waveform of ``waveforms``; SC-IFDMA
-    is derotated by the coupling phases, and hard decisions on the data
+    those of the drawn channels from the tap ramps the transmit used,
+    from the sample the frame was sent at, and serves every waveform in
+    one ``detect`` call. Estimated CSI takes, per waveform, those of one
+    estimate per pilot (None for an empty estimate) from the waveform's
+    received grid (both grids from one demodulation,
+    :func:`_received_grids`), and makes one call per waveform.
+    ``detect(signal, hs, waveforms, noise_var)`` gives one equalized
+    delay-Doppler grid per waveform of ``waveforms``; SC-IFDMA is
+    derotated by the coupling phases, and hard decisions on the data
     bins of each grid are counted against that grid's bits (returned
     with the decisions and whether an estimate came back empty)."""
     frame = spec.frame
@@ -260,7 +264,9 @@ def _detection_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
     const = get_constellation(spec.constellation)
     W = coupling_phases(frame.M, frame.N)
     if spec.csi == "genie":
-        calls = [(spec.waveforms, [delay_diagonals(ch, r)
+        # the frame starts at the offset, record sample 0 of the ramps
+        shift = 0 if impair is None else impair.total_offset(frame.M)
+        calls = [(spec.waveforms, [delay_diagonals(ch, r[:, shift:])
                                    for ch, r in zip(channels, ramps)])]
     else:
         grids = _received_grids(signal)
@@ -330,24 +336,25 @@ def sync_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
 
 def prepare(spec: ExperimentSpec) -> Allocation | None:
     """Pre-flight of a run, before its first trial: the uplink allocation
-    (None for other kinds), the run's :func:`_layout`, which its trials
-    then share, and the spec's rules (:func:`ddlink.config.check`).
-    Raises ConfigError for an unreadable or invalid allocation, a
-    ``mu.q`` that disagrees with the allocation file, an estimated-CSI
-    user whose bins cannot host its pilot, or a spec that breaks a
-    rule."""
+    (None for other kinds), built from the bins of ``mu.allocation`` or
+    as an even split of ``mu.q`` users, the run's :func:`_layout`, which
+    its trials then share, and the spec's rules
+    (:func:`ddlink.config.check`). Raises ConfigError for an invalid
+    allocation (an empty bin set, bins outside the grid, users sharing
+    bins), a ``mu.q`` that disagrees with the users ``mu.allocation``
+    lists, an estimated-CSI user whose bins cannot host its pilot, or a
+    spec that breaks a rule."""
     frame, alloc = spec.frame, None
     if spec.kind == "mu_uplink":
-        try:
-            if spec.mu_allocation_path:
-                alloc = load_allocation(spec.mu_allocation_path, frame.M,
-                                        frame.N, relax=spec.mu_relax_disjointness)
-            else:
-                alloc = even_split_allocation(frame.M, frame.N, spec.mu_users)
-        except OSError as exc:
-            raise ConfigError(f"cannot read mu.allocation: {exc}") from None
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        if spec.mu_allocation is None:
+            alloc = even_split_allocation(frame.M, frame.N, spec.mu_users)
+        else:
+            try:
+                alloc = Allocation(tuple(UserBins(*u) for u in spec.mu_allocation),
+                                   frame.M, frame.N,
+                                   relax_disjointness=spec.mu_relax_disjointness)
+            except ValueError as exc:
+                raise ConfigError(f"mu.allocation: {exc}") from None
         if alloc.n_users != spec.mu_users:
             raise ConfigError(f"mu.q = {spec.mu_users} but mu.allocation lists "
                               f"{alloc.n_users} users")

@@ -2,6 +2,8 @@
 
 Each user owns a set of delay bins and a set of Doppler bins; user data
 grids embed into the full frame on the Cartesian product of those sets.
+A run's allocation is built by ``harness.prepare`` from the bins its
+config lists (``mu.allocation``) or as :func:`even_split_allocation`.
 The base station sees the superposition of all users' transmissions, each
 through its own channel, and detects jointly against a compound model
 whose columns over a user's bins come from that user's channel.
@@ -34,7 +36,6 @@ import numpy as np
 
 from .channel import (DdChannelMatrix, NoiseSpec, apply_channel,
                       build_dd_matrix, draw_noise)
-from .config import _key_value_lines
 from .equalize import _fold_positions, _scaled_gains, _solve_band
 from .frame import FrameConfig
 from .modem import (DelayDopplerGrid, TimeSignal, Waveform, _strip,
@@ -360,55 +361,6 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
                                             unknowns * unknown_phase)
         grids.append(DelayDopplerGrid.from_vec(out, frame))
     return tuple(grids)
-
-
-def load_allocation(path: str, M: int, N: int, relax: bool = False) -> Allocation:
-    """Read per-user bin lists from a flat text file of
-    ``userK.delay_bins = ...`` / ``userK.doppler_bins = ...`` lines, each
-    key set once; disjointness is validated on construction. The file is
-    read on every call, so an edited file is seen; its parse is cached
-    per path, text, grid and rule (:func:`_parse_allocation`)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return _parse_allocation(path, text, M, N, relax)
-
-
-@lru_cache(maxsize=8)
-def _parse_allocation(path: str, text: str, M: int, N: int,
-                      relax: bool) -> Allocation:
-    """The allocation of the text of the file at ``path``, read by the
-    config format's line reader (:func:`ddlink.config._key_value_lines`);
-    errors name ``path`` and the line."""
-    entries, lines = {}, {}
-    for lineno, key, value in _key_value_lines(
-            text, lambda n, src: ValueError(f"{path}:{n}: expected 'key = bins'")):
-        if "." not in key:
-            raise ValueError(f"{path}:{lineno}: bad key {key!r}")
-        user, kind = key.split(".", 1)
-        if not user.startswith("user") or not user[4:].isdigit():
-            raise ValueError(f"{path}:{lineno}: bad user name {user!r}")
-        if kind not in ("delay_bins", "doppler_bins"):
-            raise ValueError(f"{path}:{lineno}: bad key {key!r}")
-        q = int(user[4:])
-        if (q, kind) in lines:
-            raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
-                             f"(first set on line {lines[q, kind]})")
-        lines[q, kind] = lineno
-        try:
-            bins = tuple(int(b) for b in value.split(",") if b.strip())
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: bins of {key!r} must be "
-                             f"integers, got {value!r}") from None
-        entries.setdefault(q, {})[kind] = bins
-    if not entries or sorted(entries) != list(range(len(entries))):
-        raise ValueError(f"{path}: users must be user0..user{{Q-1}} with no gaps")
-    users = []
-    for q in sorted(entries):
-        e = entries[q]
-        if "delay_bins" not in e or "doppler_bins" not in e:
-            raise ValueError(f"{path}: user{q} needs both delay_bins and doppler_bins")
-        users.append(UserBins(e["delay_bins"], e["doppler_bins"]))
-    return Allocation(tuple(users), M, N, relax_disjointness=relax)
 
 
 def even_split_allocation(M: int, N: int, n_users: int) -> Allocation:

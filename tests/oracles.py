@@ -55,11 +55,14 @@ def unread_keys_by_path(spec) -> set:
         "est.threshold_sigma": (spec.pilot.detection_threshold,
                                 not syncs and spec.csi == "estimated"),
         "mu.q": (spec.mu_users, uplink),
-        "mu.allocation": (spec.mu_allocation_path or "", uplink),
+        "mu.allocation": (spec.mu_allocation, uplink),
         "mu.relax_disjointness": (spec.mu_relax_disjointness, uplink),
     }
+    # mu.allocation's empty default text means None, an even split
+    defaults = {key: None if key == "mu.allocation"
+                else SCHEMA[key][0](SCHEMA[key][1]) for key in values}
     unread = [key for key, (value, read) in values.items()
-              if not read and value != SCHEMA[key][0](SCHEMA[key][1])]
+              if not read and value != defaults[key]]
     return set(impaired + unused + unread)
 
 

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from ddlink import _blas
 from ddlink.cli import main
+from ddlink.config import load_spec
+from ddlink.harness import prepare
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -218,9 +220,7 @@ class TestValidate:
         ("pilot.power_db = 4000", "pilot.power_db = 4000 is too large"),
         ("experiment = mu_uplink\nmu.q = 8\ndetector.csi = estimated",
          "user 0 allocation cannot host the pilot guard rectangle"),
-        ("experiment = mu_uplink\nmu.allocation = absent_allocation.txt",
-         "cannot read mu.allocation"),
-        ("experiment = mu_uplink\nmu.q = 5\nmu.allocation = configs/mu_allocation.txt",
+        ("experiment = mu_uplink\nmu.q = 5\nmu.allocation = 0,1:0,1; 2,3:2,3",
          "mu.q = 5 but mu.allocation lists 2 users"),
         ("sync.cfo_convention = wrap_to_negative",
          "unknown key 'sync.cfo_convention'"),
@@ -309,7 +309,7 @@ class TestValidate:
         ("experiment = mu_uplink",
          "config error: sync.enabled, impair.epsilon: mu_uplink never reads "
          "these keys; leave them at their defaults\n"),
-        ("experiment = mu_uplink\nmu.allocation = configs/mu_allocation.txt\n"
+        ("experiment = mu_uplink\nmu.allocation = 0,1:0,1; 2,3:2,3\n"
          "impair.theta_d = 3\nimpair.epsilon = uniform:-0.4:0.4",
          "config error: sync.enabled, impair.theta_d, impair.epsilon: mu_uplink "
          "never reads these keys; leave them at their defaults\n"),
@@ -346,9 +346,8 @@ class TestValidate:
         ("experiment = threshold_sweep\nchannel.profile = two_tap_biased\n"
          "impair.theta_d = 17\nimpair.theta_t = 1",
          "= (8 + 4 + 17 + 3) // 32 + 1 = 2; sync finds it only in blocks")])
-    def test_config_errors_exit_2_before_any_trial(self, tmp_path, capsys,
-                                                   monkeypatch, line, message):
-        monkeypatch.chdir(ROOT)  # relative mu.allocation paths, as in configs/
+    def test_config_errors_exit_2_before_any_trial(self, tmp_path, capsys, line,
+                                                   message):
         assert_exit_2(tmp_path, capsys, line, message)
 
     @pytest.mark.parametrize("theta_d, theta_t", [(19, 1), (51, 0)])
@@ -407,10 +406,9 @@ class TestValidate:
          "config error: channel.velocity_kmh, frame.carrier_hz: sync_vs_snr "
          "with channel.profile = single_tap never reads these keys; leave "
          "them at their defaults\n")])
-    def test_keys_the_kind_never_reads_exit_2(self, tmp_path, capsys, monkeypatch,
-                                              config, lines, message):
+    def test_keys_the_kind_never_reads_exit_2(self, tmp_path, capsys, config,
+                                              lines, message):
         # a committed config with keys its experiment ignores
-        monkeypatch.chdir(ROOT)
         path = write(tmp_path, committed_with(config, lines))
         out = tmp_path / "results"
         assert main(["validate", path]) == 2
@@ -419,8 +417,7 @@ class TestValidate:
         assert not out.exists()
 
     @pytest.mark.parametrize("config, lines", KEYS_THE_KIND_READS)
-    def test_keys_the_kind_reads_run(self, tmp_path, monkeypatch, config, lines):
-        monkeypatch.chdir(ROOT)
+    def test_keys_the_kind_reads_run(self, tmp_path, config, lines):
         path = write(tmp_path, committed_with(config, lines))
         out = tmp_path / "results"
         assert main(["validate", path]) == 0
@@ -445,8 +442,7 @@ class TestValidate:
         with open(out / "results.csv", newline="") as fh:
             assert [row["value"] for row in csv.DictReader(fh)] == ["0", "0"]
 
-    def test_bandwidth_beyond_an_int64_delay_exits_2(self, tmp_path, capsys,
-                                                      monkeypatch):
+    def test_bandwidth_beyond_an_int64_delay_exits_2(self, tmp_path, capsys):
         # its EVA taps reach 2.5e294 samples
         text = (ROOT / "configs" / "ber_vs_snr.cfg").read_text()
         path = write(tmp_path, text + "frame.bandwidth_hz = 1e300\n")
@@ -463,9 +459,8 @@ class TestValidate:
         # over the 520 samples of a record overflows
         "frame.bandwidth_hz = 1e-300"])
     def test_a_doppler_beyond_the_float_range_exits_2(self, tmp_path, capsys,
-                                                      monkeypatch, lines):
+                                                      lines):
         # the tap ramps would turn it into NaN
-        monkeypatch.chdir(ROOT)
         path = write(tmp_path, committed_with("ber_vs_snr", lines))
         out = tmp_path / "results"
         assert main(["validate", path]) == 2
@@ -476,10 +471,9 @@ class TestValidate:
         assert "Traceback" not in err and not out.exists()
 
     def test_a_custom_doppler_beyond_the_float_range_exits_2(self, tmp_path,
-                                                             capsys, monkeypatch):
+                                                             capsys):
         # 1e308 Hz is 5.3e304 Doppler bins of 1875 Hz at 128x32, and the
         # tap phase over the 4104 samples of a frame overflows
-        monkeypatch.chdir(ROOT)
         path = write(tmp_path, committed_with("ber_vs_snr", CUSTOM_1E308))
         reference = write(tmp_path, committed_with(
             "ber_vs_snr", CUSTOM_1E308 + "\nframe.M = 128\nframe.N = 32"),
@@ -559,11 +553,10 @@ class TestValidate:
         ("mu_uplink", "channel.velocity_kmh = 1e299", False),
         ("ber_vs_snr", "channel.velocity_kmh = 1e299", True),
         ("ber_vs_snr", CUSTOM_1E308, False)])
-    def test_a_doppler_inside_the_float_range_runs(self, tmp_path, monkeypatch,
-                                                   config, lines, reference):
+    def test_a_doppler_inside_the_float_range_runs(self, tmp_path, config, lines,
+                                                   reference):
         # 5.5e299 Hz at 1e299 km/h keeps every tap phase finite, at 32x16
         # and at 128x32; a 1e308 Hz tap, 6.7e303 bins of 15 kHz, at 32x16
-        monkeypatch.chdir(ROOT)
         path = write(tmp_path, committed_with(config, lines))
         out = tmp_path / "results"
         args = ["run", path, "--trials", "2", "--out", str(out)]
@@ -579,10 +572,9 @@ class TestValidate:
         ("threshold_sweep", "snr_db = -3061,-3074,-3082"),
         ("ber_vs_snr", "snr_db = -3082\nsync.enabled = true\n"
          "impair.theta_d = uniform:0:6\nimpair.epsilon = uniform:-0.4:0.4")])
-    def test_sync_runs_at_the_low_end_of_the_snr_range(self, tmp_path,
-                                                       monkeypatch, config, lines):
+    def test_sync_runs_at_the_low_end_of_the_snr_range(self, tmp_path, config,
+                                                       lines):
         # the sums of the sync metric of a pure-noise record would overflow
-        monkeypatch.chdir(ROOT)
         path = write(tmp_path, committed_with(config, lines))
         out = tmp_path / "results"
         with warnings.catch_warnings():
@@ -606,11 +598,9 @@ class TestValidate:
         ("ber_vs_snr", "snr_db = -3082,3076\ntrials = 2"),
         ("mu_uplink", "snr_db = -3082,3076\ntrials = 2\ndetector.csi = estimated")])
     def test_estimated_csi_runs_at_the_ends_of_the_snr_range(self, tmp_path,
-                                                             monkeypatch, config,
-                                                             lines):
+                                                             config, lines):
         # the noise floor of an estimate sums squares of values near 1e154
         # at -3082 dB; no float operation may overflow on the way
-        monkeypatch.chdir(ROOT)
         path = write(tmp_path, committed_with(config, lines))
         out = tmp_path / "results"
         with warnings.catch_warnings():
@@ -696,13 +686,9 @@ class TestRelaxedDisjointness:
     def test_users_sharing_delay_rows_run_only_when_relaxed(self, tmp_path,
                                                             capsys):
         # every delay row to both users, the Doppler bins split
-        alloc = tmp_path / "alloc.txt"
         rows = ",".join(map(str, range(32)))
-        alloc.write_text(f"user0.delay_bins = {rows}\n"
-                         f"user0.doppler_bins = 0,1,2,3,4,5,6,7\n"
-                         f"user1.delay_bins = {rows}\n"
-                         f"user1.doppler_bins = 8,9,10,11,12,13,14,15\n")
-        shared = MU + f"mu.allocation = {alloc}\n"
+        shared = MU + (f"mu.allocation = {rows}:0,1,2,3,4,5,6,7; "
+                       f"{rows}:8,9,10,11,12,13,14,15\n")
         assert main(["validate", write(tmp_path, shared)]) == 2
         assert "share delay bins" in capsys.readouterr().err
         out = tmp_path / "results"
@@ -714,31 +700,77 @@ class TestRelaxedDisjointness:
         assert all(math.isfinite(float(row["value"])) for row in rows)
 
 
-class TestAllocationFile:
-    def test_non_integer_bin_names_its_line(self, tmp_path, capsys):
-        alloc = tmp_path / "alloc.txt"
-        alloc.write_text("user0.delay_bins = 0,1\nuser0.doppler_bins = 0,1\n"
-                         "user1.delay_bins = 2,3,x\nuser1.doppler_bins = 2,3\n")
-        cfg = write(tmp_path, MU + f"mu.allocation = {alloc}\n")
+class TestAllocation:
+    """``mu.allocation`` lists each user's delay bins:Doppler bins,
+    users separated by ``;``."""
+
+    def test_bins_reach_the_run_allocation(self, tmp_path):
+        cfg = write(tmp_path, MU + "mu.allocation = 4,5,6,7:4,5,6,7; 3,0,1,2:0,1,2,3\n")
+        assert main(["validate", cfg]) == 0
+        alloc = prepare(load_spec(cfg))
+        assert [(u.delay_bins, u.doppler_bins) for u in alloc.users] == [
+            ((4, 5, 6, 7), (4, 5, 6, 7)), ((0, 1, 2, 3), (0, 1, 2, 3))]
+
+    @pytest.mark.parametrize("value, message", [
+        ("0,1:0,1; 1,2:2,3",
+         "config error: mu.allocation: users 0 and 1 share delay bins"),
+        ("0,1:0,1; 2,3:1,2",
+         "config error: mu.allocation: users 0 and 1 share Doppler bins"),
+        ("0,1:0,1; 2,3",
+         "config error: line 8: bad value for mu.allocation: user '2,3' is not "
+         "delay_bins:doppler_bins"),
+        ("0,1:0,1:2",
+         "config error: line 8: bad value for mu.allocation: user '0,1:0,1:2' "
+         "is not delay_bins:doppler_bins"),
+        ("0,1:0,1; 2,3,x:2,3",
+         "config error: line 8: bad value for mu.allocation: bins must be "
+         "integers, got '2,3,x'"),
+        ("0,1:0,1; 2,3:2.5", "bins must be integers, got '2.5'"),
+        (";", "config error: line 8: bad value for mu.allocation: empty user list"),
+        ("0,1:0,1; :2,3", "config error: mu.allocation: user 1 has an empty bin set"),
+        ("0,1:0,1; 2,3:", "config error: mu.allocation: user 1 has an empty bin set"),
+        ("0,1:0,1; 2,32:2,3",
+         "config error: mu.allocation: user 1 bins outside the 32x16 grid"),
+        ("0,1:0,1; 2,3:-1,2",
+         "config error: mu.allocation: user 1 bins outside the 32x16 grid")])
+    def test_bad_allocations_exit_2(self, tmp_path, capsys, value, message):
+        cfg = write(tmp_path, MU + f"mu.allocation = {value}\n")
         out = tmp_path / "results"
         assert main(["validate", cfg]) == 2
         assert main(["run", cfg, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.count(f"config error: {alloc}:3: bins of 'user1.delay_bins' "
-                         f"must be integers, got '2,3,x'") == 2
+        assert capsys.readouterr().err.count(message) == 2
         assert not out.exists()
+
+    def test_the_committed_uplink_validates_from_any_directory(self, tmp_path,
+                                                               monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate", str(ROOT / "configs" / "mu_uplink.cfg")]) == 0
+
+    def test_one_bin_changes_the_config_hash(self, tmp_path):
+        # the metadata names the bins a run used, and its hash covers them
+        def metadata(bins, name):
+            out = tmp_path / name
+            assert main(["run", write(tmp_path, MU + f"mu.allocation = {bins}\n"),
+                         "--out", str(out)]) == 0
+            return (out / "metadata.txt").read_text().splitlines()
+        a = metadata("0,1:0,1; 2,3:2,3", "a")
+        b = metadata("0,1:0,1; 2,4:2,3", "b")
+        assert "mu.allocation = 0,1:0,1; 2,3:2,3" in a
+        assert "mu.allocation = 0,1:0,1; 2,4:2,3" in b
+        hashes = [[line for line in meta if line.startswith("config_hash = ")]
+                  for meta in (a, b)]
+        assert len(hashes[0]) == 1 and hashes[0] != hashes[1]
 
 
 class TestReferenceScale:
-    def test_stale_allocation_file_is_a_config_error(self, tmp_path, capsys):
-        alloc = tmp_path / "alloc.txt"
-        alloc.write_text("user0.delay_bins = 0,1\nuser0.doppler_bins = 0,1\n"
-                         "user1.delay_bins = 2,3\nuser1.doppler_bins = 2,3\n")
-        cfg = write(tmp_path, MU + f"mu.allocation = {alloc}\n")
+    def test_stale_allocation_is_a_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, MU + "mu.allocation = 0,1:0,1; 2,3:2,3\n")
         out = tmp_path / "results"
         assert main(["run", cfg, "--out", str(out), "--reference-scale"]) == 2
         err = capsys.readouterr().err
-        assert "mu.allocation" in err and "128x32" in err
+        assert err == ("config error: mu.allocation lists bins of the 32x16 grid, "
+                       "not of the 128x32 reference grid; drop mu.allocation for "
+                       "an even split\n")
         assert not out.exists()
 
     def test_even_split_runs_on_the_reference_grid(self, tmp_path):

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from ddlink.channel import CHANNEL_PROFILES
 from ddlink.config import (EXPERIMENTS, READS, SCHEMA, ConfigError,
                            ExperimentSpec, ImpairSettings, SyncSettings,
-                           canonical_text, load_spec, parse_config_text, reads,
-                           spec_from_config)
+                           canonical_text, load_config, load_spec,
+                           parse_config_text, reads, spec_from_config)
 from ddlink.modem import Waveform
 from strategies import PROPERTY
 from test_cli import KEYS_THE_KIND_READS, committed_with
@@ -39,6 +39,9 @@ _VALUES = {
         _INT, _FLOAT, st.tuples(_INT, _INT).map(lambda p: f"uniform:{p[0]}:{p[1]}")),
     "_parse_taps": st.lists(st.tuples(_FLOAT, _FLOAT, _FLOAT).map(":".join),
                             max_size=3).map(";".join),
+    "_parse_user_bins": st.lists(
+        st.tuples(*[st.lists(_INT, max_size=4).map(",".join)] * 2).map(":".join),
+        max_size=3).map(";".join),
 }
 
 
@@ -58,6 +61,17 @@ def config_texts(draw):
     if draw(st.integers(0, 9)):
         lines.insert(0, f"experiment = {draw(st.sampled_from(EXPERIMENTS))}")
     return "\n".join(lines) + "\n"
+
+
+def _parses(line):
+    """Whether ``line`` is ``key = value`` with a value its key's parser
+    takes and no comment in it."""
+    key, _, value = line.partition(" = ")
+    try:
+        SCHEMA[key][0](value)
+    except (KeyError, ValueError, TypeError):
+        return False
+    return "#" not in value
 
 
 def _settings_of(kind):
@@ -153,6 +167,10 @@ class TestParsing:
         cfg = parse_config_text(MINIMAL + "channel.taps = 0:0:0; 300:-1.4:120.5\n")
         assert cfg["channel.taps"] == ((0.0, 0.0, 0.0), (300.0, -1.4, 120.5))
 
+    def test_uplink_bins(self):
+        cfg = parse_config_text(MINIMAL + "mu.allocation = 3, 1:2; 0:4,5 ;\n")
+        assert cfg["mu.allocation"] == (((3, 1), (2,)), ((0,), (4, 5)))
+
     def test_guard_pair(self):
         cfg = parse_config_text(MINIMAL + "pilot.guards = 3,2\n")
         assert cfg["pilot.guards"] == (3, 2)
@@ -199,6 +217,39 @@ class TestParsing:
         assert a == b
         keys = [line.split(" = ")[0] for line in a.strip().splitlines()]
         assert keys == sorted(keys)
+
+    def test_canonical_text_writes_each_value_as_a_config_line(self):
+        lines = canonical_text(parse_config_text(
+            MINIMAL + "impair.theta_d = uniform:0:7\nimpair.epsilon = 0.25\n"
+                      "channel.taps = 0:0:100; 300:-3:-50\n"
+                      "mu.allocation = 0,1:2,3; 4:5\n")).splitlines()
+        for line in ("impair.theta_d = uniform:0:7", "impair.epsilon = 0.25",
+                     "channel.taps = 0.0:0.0:100.0; 300.0:-3.0:-50.0",
+                     "mu.allocation = 0,1:2,3; 4:5", "pilot.guards = 4,4",
+                     "waveforms = otfs,sc_ifdma"):
+            assert line in lines
+        echo = canonical_text(load_config(str(ROOT / "configs" / "sync_vs_snr.cfg")))
+        assert {"impair.theta_d = 3", "impair.epsilon = uniform:-0.4:0.4",
+                "impair.theta_t = 0", "mu.allocation = "} <= set(echo.splitlines())
+
+    @PROPERTY
+    @given(config_texts())
+    def test_the_echo_parses_back_to_the_config(self, text):
+        # the first drawn line of each key whose value the key's parser
+        # takes, and an experiment line where none of them sets one
+        lines = {}
+        for line in text.splitlines():
+            if _parses(line):
+                lines.setdefault(line.partition(" = ")[0], line)
+        lines.setdefault("experiment", MINIMAL.strip())
+        cfg = parse_config_text("\n".join(lines.values()))
+        assert parse_config_text(canonical_text(cfg)) == cfg
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.cfg")),
+                             ids=lambda path: path.stem)
+    def test_the_echo_of_each_committed_config_parses_back(self, path):
+        cfg = load_config(str(path))
+        assert parse_config_text(canonical_text(cfg)) == cfg
 
 
 class TestSpecBuilding:

@@ -4,8 +4,8 @@ before the last refactor of the trial pipeline. A refactor that changes
 any result row fails here.
 
 The variants cover receive paths the committed configs leave out:
-the link with genie CSI, estimated multiuser CSI (on the allocation
-file, and on an even split of three users that leaves bins
+the link with genie CSI, estimated multiuser CSI (on the committed
+config's bins, and on an even split of three users that leaves bins
 unallocated), a link with sync and impairments, and the 128x32
 reference grid: a link on the nine-tap ``eva`` profile with estimated
 CSI, and a two-user even-split uplink (2048 unknowns, band half-width
@@ -34,9 +34,6 @@ REFERENCE = FrameConfig(128, 32, cp_len=8)
 
 def _spec(name, trials, **overrides):
     spec = load_spec(str(ROOT / "configs" / f"{name}.cfg"))
-    if spec.mu_allocation_path:
-        overrides.setdefault("mu_allocation_path",
-                             str(ROOT / spec.mu_allocation_path))
     return replace(spec, trials=trials, **overrides)
 
 
@@ -47,7 +44,7 @@ CASES = {
     "mu_uplink": lambda: _spec("mu_uplink", 3),
     "mu_uplink_estimated": lambda: _spec("mu_uplink", 3, csi="estimated"),
     "mu_uplink_estimated_3users": lambda: _spec(
-        "mu_uplink", 3, csi="estimated", mu_allocation_path="", mu_users=3,
+        "mu_uplink", 3, csi="estimated", mu_allocation=None, mu_users=3,
         pilot=PilotConfig(4, 8, 1000.0, 2, 2)),
     "ber_vs_snr_genie": lambda: _spec("ber_vs_snr", 4, csi="genie"),
     "ber_vs_snr_sync": lambda: _spec(
@@ -59,10 +56,10 @@ CASES = {
         "ber_vs_snr", 3, frame=REFERENCE, channel_profile="eva",
         snr_db=(10.0, 20.0)),
     "mu_uplink_reference": lambda: _spec(
-        "mu_uplink", 2, frame=REFERENCE, mu_allocation_path="",
+        "mu_uplink", 2, frame=REFERENCE, mu_allocation=None,
         snr_db=(10.0, 20.0)),
     "mu_uplink_reference_estimated": lambda: _spec(
-        "mu_uplink", 2, frame=REFERENCE, mu_allocation_path="",
+        "mu_uplink", 2, frame=REFERENCE, mu_allocation=None,
         csi="estimated", snr_db=(10.0, 20.0)),
 }
 

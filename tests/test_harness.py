@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from ddlink import (_blas, _seeds, chanest, channel, config, equalize,
                     harness, mapping, multiuser)
 from ddlink.chanest import PilotConfig
-from ddlink.channel import CHANNEL_PROFILES, build_dd_matrix
+from ddlink.channel import CHANNEL_PROFILES, LtvChannel, build_dd_matrix
 from ddlink.config import (EXPERIMENTS, READS, ConfigError, ExperimentSpec,
                            ImpairSettings, SyncSettings, load_config,
                            load_spec, parse_config_text, reads,
@@ -29,7 +29,7 @@ from ddlink.harness import (link_trial, mu_trial, prepare, rows_to_csv, run,
                             seed_stream, sync_trial)
 from ddlink.modem import TimeSignal, Waveform, demodulate_direct
 from ddlink.multiuser import even_split_allocation
-from ddlink.sync import BLOCK_STARTS, Impairments
+from ddlink.sync import BLOCK_STARTS, Impairments, SyncEstimate
 from oracles import (bits, dense_detect, seed_stream_by_sequence,
                      send_by_parts, sync_trial_per_waveform, to_ltv_channel,
                      transmit_one_waveform, unread_keys_by_path)
@@ -160,8 +160,7 @@ class TestSeedTablesInARun:
         ("mu_uplink", 20, 2 ** 32 + 3)])
     def test_results_equal_the_seed_sequence_oracle(self, monkeypatch, config,
                                                     trials, seed):
-        monkeypatch.chdir(ROOT)  # relative mu.allocation path
-        spec = load_spec(f"configs/{config}.cfg")
+        spec = load_spec(str(ROOT / "configs" / f"{config}.cfg"))
         spec = replace(spec, trials=trials or spec.trials,
                        seed=spec.seed if seed is None else seed)
         tables = rows_to_csv(run(spec))
@@ -193,6 +192,21 @@ class TestLinkTrial:
                                                epsilon=("fixed", 0.2)))
         out = link_trial(spec, 1, 30.0)
         assert out["otfs"]["bit_errors"] == 0
+
+    def test_genie_csi_under_exact_sync_is_error_free(self, monkeypatch):
+        # the frame is sent 6 samples into the record; with sync forced
+        # exact and no CFO, genie CSI must read each tap as it was at the
+        # frame's samples, where the fast eva3 taps have turned by their
+        # Doppler phase
+        offset = 6
+        spec = make_spec(csi="genie", snr_db=(100.0,),
+                         sync=SyncSettings(enabled=True, threshold=0.5),
+                         impair=ImpairSettings(theta_d=("fixed", offset)))
+        exact = SyncEstimate(offset, offset, 0, 0.0, np.zeros(FRAME.M))
+        monkeypatch.setattr(harness, "_estimate_sync", lambda spec, record: exact)
+        for t in range(10):
+            out = link_trial(spec, t, 100.0)
+            assert out["otfs"]["bit_errors"] == out["sc_ifdma"]["bit_errors"] == 0
 
     def test_ber_decreases_with_snr(self):
         spec = make_spec(channel_profile="single_tap", csi="genie")
@@ -238,6 +252,13 @@ class TestEqualizerOracle:
                            impair=ImpairSettings(theta_d=("fixed", 3),
                                                  epsilon=("uniform", -0.2, 0.2)))
         for corrected, ch, w, s2, out in self.equalizer_calls(monkeypatch, spec):
+            if csi == "genie" and sync:
+                # the frame is sent 3 samples into the record, where each
+                # drawn tap has turned by its Doppler phase
+                ch = LtvChannel(tuple(
+                    replace(tap, gain=tap.gain * np.exp(
+                        2j * np.pi * tap.doppler * 3 / FRAME.grid_size))
+                    for tap in ch.taps), ch.frame)
             received = demodulate_direct(corrected, w)
             oracle = equalize_mmse(received, build_dd_matrix(ch, w), s2).vec
             assert np.linalg.norm(out - oracle) <= 1e-10 * np.linalg.norm(oracle)
@@ -770,13 +791,6 @@ class TestMuTrial:
                                                epsilon=("fixed", 0.0)))
         assert prepare(spec).n_users == 2
 
-    def test_runs_share_the_parse_of_the_allocation_file(self):
-        # each run reads the file; an unchanged file is parsed once
-        path = Path(__file__).resolve().parents[1] / "configs" / "mu_allocation.txt"
-        spec = make_spec(kind="mu_uplink", csi="genie", constellation="qpsk",
-                         mu_allocation_path=str(path))
-        assert prepare(spec) is prepare(spec)
-
 
 class TestLayout:
     """``prepare`` builds the run's layout (each grid's pilot and data
@@ -838,7 +852,7 @@ class TestUnreadKeys:
         ("threshold_sweep", dict(pilot=replace(PILOT, detection_threshold=4.0)),
          "est.threshold_sigma: threshold_sweep"),
         ("sync_vs_snr", dict(sweep_thresholds=(0.5,)), "sweep.thresholds: sync_vs_snr"),
-        ("ber_vs_snr", dict(mu_allocation_path="configs/mu_allocation.txt",
+        ("ber_vs_snr", dict(mu_allocation=(((0, 1), (0, 1)),),
                             mu_relax_disjointness=True),
          "mu.allocation, mu.relax_disjointness: ber_vs_snr"),
         ("mu_uplink", dict(sync=SyncSettings(threshold=0.3)),
@@ -888,7 +902,7 @@ class TestUnreadKeys:
         # frame.carrier_hz); the genie uplink keeps its pilot.* keys
         keys = set(keys)
         if kind == "mu_uplink" and {"mu.q", "mu.allocation"} <= keys:
-            keys.discard("mu.q")   # the allocation file lists 2 users
+            keys.discard("mu.q")   # the committed allocation lists 2 users
         if kind == "mu_uplink" and "detector.csi" in keys:
             keys.add("pilot.guards")   # to fit each user's bins
         if profile == "custom" and "channel.taps" not in keys:
@@ -924,7 +938,10 @@ AWAY = {
     "detector.csi": "estimated",
     "est.threshold_sigma": "4",
     "mu.q": "3",
-    "mu.allocation": str(ROOT / "configs" / "mu_allocation.txt"),
+    # the committed uplink's two users
+    "mu.allocation": re.search(r"^mu\.allocation = (.*)$",
+                               (ROOT / "configs" / "mu_uplink.cfg").read_text(),
+                               re.M).group(1),
     "mu.relax_disjointness": "true",
     "channel.taps": "0:0:0;300:-3:100",
     "channel.velocity_kmh": "300",

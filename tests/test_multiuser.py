@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 
 from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec, apply_channel,
                             delay_diagonals, linearized_io, make_channel)
+from ddlink.config import load_spec
 from ddlink.frame import FrameConfig
+from ddlink.harness import prepare
 from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform, _unit_scale,
                           modulate_direct)
 from ddlink import multiuser
 from ddlink.multiuser import (Allocation, UserBins, compound_matrix,
                               compound_uplink, detect_users,
                               detect_users_time_domain, even_split_allocation,
-                              extract_user, load_allocation, place_user)
+                              extract_user, place_user)
 from ddlink.transforms import coupling_phases
 from oracles import dense_detect, even_split_chunks
 
@@ -23,7 +25,7 @@ rng = np.random.default_rng(33)
 
 FRAME = FrameConfig(8, 8, cp_len=4)
 BOTH = (Waveform.OTFS, Waveform.SC_IFDMA)
-ALLOCATION_FILE = Path(__file__).resolve().parents[1] / "configs" / "mu_allocation.txt"
+UPLINK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "mu_uplink.cfg"
 
 
 def selection_matrix(alloc: Allocation, q: int) -> np.ndarray:
@@ -240,10 +242,10 @@ def uplink_case(name):
     if name == "even_split":
         return FRAME, even_split_allocation(8, 8, 2), \
             [doppler_channel(FRAME, (0, 1, 3), s) for s in (1, 2)]
-    if name == "allocation_file":
+    if name == "committed_allocation":
         frame = FrameConfig(32, 16, cp_len=8)
         g = np.random.default_rng(3)
-        return frame, load_allocation(str(ALLOCATION_FILE), 32, 16), \
+        return frame, prepare(load_spec(str(UPLINK_CONFIG))), \
             [make_channel("eva3", frame, 500.0, g) for _ in range(2)]
     if name == "relaxed":
         # users 0 and 1 share delay bins, users 0 and 2 share Doppler bins
@@ -321,7 +323,7 @@ def uplinks(draw):
 class TestTimeDomainDetector:
     @pytest.mark.parametrize("noise_var", [0.0, 0.05])
     @pytest.mark.parametrize("w", [Waveform.OTFS, Waveform.SC_IFDMA])
-    @pytest.mark.parametrize("case", ["even_split", "allocation_file", "relaxed",
+    @pytest.mark.parametrize("case", ["even_split", "committed_allocation", "relaxed",
                                       "none_user", "past_cp"])
     def test_matches_dense_compound_detection(self, case, w, noise_var):
         frame, alloc, channels = uplink_case(case)
@@ -476,83 +478,3 @@ class TestTimeDomainDetector:
         mixed = [None, delay_diagonals(LtvChannel(channels[1].taps, other))]
         with pytest.raises(ValueError, match="does not match"):
             detect_users_time_domain(received, mixed, alloc, (Waveform.OTFS,), 0.1)
-
-
-class TestAllocationFile:
-    def test_load_and_validate(self, tmp_path):
-        p = tmp_path / "alloc.txt"
-        p.write_text("# two users\n"
-                     "user0.delay_bins = 0,1,2,3\n"
-                     "user0.doppler_bins = 0,1,2,3\n"
-                     "user1.delay_bins = 4,5,6,7\n"
-                     "user1.doppler_bins = 4,5,6,7\n")
-        a = load_allocation(str(p), 8, 8)
-        assert a.n_users == 2
-        assert a.users[1].delay_bins == (4, 5, 6, 7)
-
-    def test_overlapping_file_rejected(self, tmp_path):
-        p = tmp_path / "alloc.txt"
-        p.write_text("user0.delay_bins = 0,1\nuser0.doppler_bins = 0,1\n"
-                     "user1.delay_bins = 1,2\nuser1.doppler_bins = 2,3\n")
-        with pytest.raises(ValueError):
-            load_allocation(str(p), 8, 8)
-
-    def test_missing_user_keys_rejected(self, tmp_path):
-        p = tmp_path / "alloc.txt"
-        p.write_text("user0.delay_bins = 0,1\n")
-        with pytest.raises(ValueError):
-            load_allocation(str(p), 8, 8)
-
-    def test_gapped_user_numbering_rejected(self, tmp_path):
-        p = tmp_path / "alloc.txt"
-        p.write_text("user1.delay_bins = 0,1\nuser1.doppler_bins = 0,1\n")
-        with pytest.raises(ValueError):
-            load_allocation(str(p), 8, 8)
-
-    def test_repeated_key_rejected_with_both_lines(self, tmp_path):
-        p = tmp_path / "alloc.txt"
-        p.write_text("user0.delay_bins = 0,1\nuser0.doppler_bins = 0,1\n"
-                     "# a later line must not replace an earlier one\n"
-                     "user0.delay_bins = 2,3\n")
-        with pytest.raises(ValueError, match=r"alloc.txt:4: duplicate key "
-                                             r"'user0.delay_bins' \(first set on line 1\)"):
-            load_allocation(str(p), 8, 8)
-
-    @pytest.mark.parametrize("line, message", [
-        ("user0.delay_bins 0,1", r":1: expected 'key = bins'"),
-        ("user0 = 0,1", r":1: bad key 'user0'"),
-        ("user0.bins = 0,1", r":1: bad key 'user0.bins'"),
-        ("usr0.delay_bins = 0,1", r":1: bad user name 'usr0'"),
-        ("userA.delay_bins = 0,1", r":1: bad user name 'userA'")])
-    def test_malformed_line_rejected_with_its_number(self, tmp_path, line, message):
-        p = tmp_path / "alloc.txt"
-        p.write_text(line + "\nuser0.doppler_bins = 0,1\n")
-        with pytest.raises(ValueError, match=message):
-            load_allocation(str(p), 8, 8)
-
-    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
-    def test_lines_end_where_a_file_read_in_text_mode_ends_them(self, end):
-        # the text of a file opened in binary mode keeps its line ends; a
-        # comment runs on past a form feed
-        text = end.join(["# one user\x0cuser0.delay_bins = 9", "user0.delay_bins = 0,1",
-                         "user0.doppler_bins = 0,1", "user0.delay_bins = 3"])
-        with pytest.raises(ValueError, match=r"a.txt:4: duplicate key "
-                                             r"'user0.delay_bins' \(first set on line 2\)"):
-            multiuser._parse_allocation("a.txt", text, 8, 8, False)
-
-    def test_parse_is_cached_and_an_edited_file_is_seen(self, tmp_path):
-        p = tmp_path / "alloc.txt"
-        p.write_text("user0.delay_bins = 0,1\nuser0.doppler_bins = 0,1\n")
-        a = load_allocation(str(p), 8, 8)
-        assert load_allocation(str(p), 8, 8) is a
-        assert load_allocation(str(p), 8, 8, relax=True) is not a
-        assert load_allocation(str(p), 8, 16) is not a
-        p.write_text("user0.delay_bins = 2,3\nuser0.doppler_bins = 0,1\n")
-        assert load_allocation(str(p), 8, 8).users[0].delay_bins == (2, 3)
-
-    def test_a_bad_file_raises_on_every_read(self, tmp_path):
-        p = tmp_path / "alloc.txt"
-        p.write_text("user0.delay_bins = 0,1\r\nuser0.bins = 0,1\r\n")
-        for _ in range(2):
-            with pytest.raises(ValueError, match=r"alloc.txt:2: bad key 'user0.bins'"):
-                load_allocation(str(p), 8, 8)
