@@ -45,8 +45,12 @@ per grid. The link's and the uplink's detectors both take the record,
 the CSI and a tuple of waveforms and give one grid per waveform. Genie
 CSI is the delay diagonals of the drawn channels, read from the same
 ramps from the sample the frame was sent at, and serves every waveform,
-so the detector is called once for all of them; estimated CSI is per
-waveform, and so is the call. The harness demodulates a record only to
+so the detector is called once for all of them and solves its band
+once: the link's detector demodulates the one solution per waveform,
+the uplink's rotates it by the coupling phases into SC-IFDMA's. So
+under genie CSI the paired decisions agree by construction, up to the
+rounding of that rotation. Estimated CSI is per waveform, and so are
+the call and its solve. The harness demodulates a record only to
 estimate from it, once for both waveforms.
 ``_KINDS`` maps each kind to its trial and its result rows; it names
 ``link_trial``, ``sync_trial`` and ``mu_trial`` at call time, so
@@ -397,10 +401,11 @@ def mu_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
     """One multiuser uplink trial (:func:`_detection_trial`): one grid
     per user inside its own bins (the run's :func:`_layout`), joint MMSE
     detection in the time domain. Per-user CSI is either known (genie:
-    one detector call for both waveforms) or estimated from a pilot
-    inside each user's own bins (one call per waveform); a user whose
-    estimate comes back empty contributes zero columns (regularized
-    detection then drives its symbols toward zero)."""
+    one detector call and one band solve for both waveforms) or
+    estimated from a pilot inside each user's own bins (one call and one
+    solve per waveform); a user whose estimate comes back empty
+    contributes zero columns (regularized detection then drives its
+    symbols toward zero)."""
     return _detection_trial(
         spec, trial_id, snr_db, _layout(spec.frame, spec.pilot, spec.csi, alloc),
         lambda signal, hs, waveforms, noise_var: detect_users_time_domain(

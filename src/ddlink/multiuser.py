@@ -18,9 +18,9 @@ That matrix couples a delay row only to the rows a delay difference
 away, so ordered by folded delay row it is a band, solved by banded
 Cholesky. The waveforms differ only by linear phase shifts, which the
 paper absorbs into the channel, so one call detects for a tuple of
-waveforms: it forms the products that do not depend on the waveform
-once, and each waveform scales them by its own phases and runs its own
-band solve.
+waveforms from one band solve, in the OTFS convention: the SC-IFDMA
+system is that one with its unknowns rotated by the coupling phases,
+and so is its solution.
 The index plan of the band depends only on the allocation and the delay
 sets and is cached; the band solve is the link equalizer's
 (:func:`~ddlink.equalize._solve_band`). The demodulators are unitary, so
@@ -203,8 +203,9 @@ class _UplinkPlan:
     shift: np.ndarray   # (delays, MN): index of row p at (j + a_p) mod MN
     user_rows: np.ndarray  # first stacked delay row of each user
     rhs_entry: np.ndarray   # index into the raveled (user, f, m) FFT per unknown
+    phase: np.ndarray   # phase of each entry, over N
+    coupling: np.ndarray  # coupling phase of each unknown (SC-IFDMA over OTFS)
     width: int          # band half-width
-    phases: dict        # waveform -> (entry phases, unknown phases)
 
 
 @lru_cache(maxsize=8)
@@ -282,24 +283,22 @@ def _uplink_plan(alloc: Allocation, users: tuple, delays: tuple) -> _UplinkPlan:
              + (np.arange(grid) + stacked[:, None]) % grid)
 
     width = int(band.max())
-    w = coupling_phases(M, N)[m, n]
-    phases = {Waveform.OTFS: (phase, np.full(m.size, 1 / np.sqrt(N))),
-              Waveform.SC_IFDMA: (phase * w[row] * np.conj(w[col]), w / np.sqrt(N))}
     arrays = dict(
         bins=n * M + m, left=np.concatenate(left), right=np.concatenate(right),
         groups=np.concatenate(groups), entry=np.concatenate(entry),
         slot=col * (width + 1) + band, shift=shift, user_rows=first_gain[:-1],
-        rhs_entry=(who * N + n) * M + m)
-    for a in [*arrays.values(), *phases[Waveform.OTFS], *phases[Waveform.SC_IFDMA]]:
+        rhs_entry=(who * N + n) * M + m, phase=phase,
+        coupling=coupling_phases(M, N)[m, n])
+    for a in arrays.values():
         a.setflags(write=False)
-    return _UplinkPlan(width=width, phases=phases, **arrays)
+    return _UplinkPlan(width=width, **arrays)
 
 
 def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
                              waveforms: tuple, noise_var: float) -> tuple:
     """Joint MMSE detection over the allocated bins of one CP-included
-    superposed record, once per waveform of ``waveforms``, each in its
-    own delay-Doppler convention; returns one grid per waveform, in order.
+    superposed record, in the delay-Doppler convention of each waveform
+    of ``waveforms``; returns one grid per waveform, in order.
 
     ``channels[q]`` is user q's CP-bounded channel as its
     :class:`~ddlink.channel.DelayDiagonals`, or None. With C the
@@ -307,8 +306,8 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
     channel (user q's bins modulated and carried along the delay
     diagonals of ``channels[q]``) and z the record without its CP,
     solves (C^H C + noise_var I) x = C^H z by banded Cholesky. In the
-    delay-Doppler basis, the entry from bin (q, m, n) to bin (q', m', n')
-    sums, over the delay pairs (a of user q, b of user q') with
+    delay-Doppler basis of OTFS, the entry from bin (q, m, n) to bin
+    (q', m', n') sums, over the delay pairs (a of user q, b of user q') with
     m + a - b = m' + c*M, exp(2j*pi*n'*c/N) F[(n - n') mod N, m] / N,
     where F is the FFT over k of conj(g_qa[r]) g_q'b[r] at
     r = (k*M + m + a) mod MN; C^H z is the FFT over k of
@@ -316,13 +315,13 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
     the delay row, the matrix is an ordinary band; its index plan
     depends only on the allocation and the delay sets and is cached.
 
-    None of this depends on the waveform: the two waveforms differ only
-    by the coupling phases W of :func:`~ddlink.transforms.coupling_phases`,
-    which the paper absorbs into the channel. So the FFTs of the pair
-    products and of C^H z are formed once per call, gathered onto the
-    band entries and the unknowns, and each waveform scales them by its
-    own phases (for SC-IFDMA, entry (row, col) by W_row conj(W_col) and
-    C^H z by W) and runs its own band solve.
+    The two waveforms differ only by the coupling phases W of
+    :func:`~ddlink.transforms.coupling_phases`, which the paper absorbs
+    into the channel: with D = diag(W) over the unknowns, the SC-IFDMA
+    system is D A D^H x = D b for this OTFS system A x = b, so its
+    solution is D times the OTFS one. One band solve serves every
+    waveform of the call: OTFS takes its solution as it is, SC-IFDMA
+    times W.
 
     A ``None`` channel leaves its user out of the solve, and its bins
     stay zero. Diagonals of another grid size or CP than the record's
@@ -352,13 +351,12 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
     seen = (np.conj(gains) * _strip(received)).ravel()[plan.shift]
     y = np.add.reduceat(seen, plan.user_rows).reshape(len(users), alloc.N, alloc.M)
     unknowns = np.fft.fft(y, axis=1).ravel()[plan.rhs_entry]
+    x = back * _solve_band(plan.slot, entries * plan.phase, plan.width, noise_var,
+                           unknowns * (1 / np.sqrt(alloc.N)))
     grids = []
     for w in waveforms:
-        entry_phase, unknown_phase = plan.phases[w]
         out = np.zeros(frame.grid_size, dtype=complex)
-        out[plan.bins] = back * _solve_band(plan.slot, entries * entry_phase,
-                                            plan.width, noise_var,
-                                            unknowns * unknown_phase)
+        out[plan.bins] = x * plan.coupling if w is Waveform.SC_IFDMA else x
         grids.append(DelayDopplerGrid.from_vec(out, frame))
     return tuple(grids)
 

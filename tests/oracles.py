@@ -13,9 +13,11 @@ from ddlink.chanest import EstimatedChannel, embed_pilot, overlay_mask
 from ddlink.channel import (ChannelTap, DdChannelMatrix, LtvChannel,
                             _cp_bounded, apply_channel, delay_diagonals,
                             draw_noise, tap_ramps)
+from ddlink.equalize import _scaled_gains, _solve_band
 from ddlink.mapping import data_bins, get_constellation, map_bits
-from ddlink.modem import TimeSignal, Waveform, _mod_core, demodulate_direct
-from ddlink.multiuser import compound_matrix, detect_users
+from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform, _mod_core,
+                          _strip, demodulate_direct)
+from ddlink.multiuser import _uplink_plan, compound_matrix, detect_users
 from ddlink.sync import BLOCK_STARTS, SyncEstimate, cfo_estimate
 from ddlink.transforms import coupling_phases
 
@@ -78,6 +80,45 @@ def dense_detect(received, channels, alloc, waveform, noise_var):
             H[:, alloc.vec_indices(q)] = 0.0
     return detect_users(demodulate_direct(received, waveform),
                         DdChannelMatrix(H, waveform), alloc, noise_var)
+
+
+def detect_users_solve_per_waveform(received, channels, alloc, waveforms,
+                                    noise_var):
+    """:func:`ddlink.multiuser.detect_users_time_domain` with one band
+    solve per waveform, as it was before one solve served both: the
+    products that do not depend on the waveform are formed once, and
+    each waveform scales them by its own phases and solves its own band.
+    For SC-IFDMA, band entry (row, col) is scaled by W_row conj(W_col)
+    and the right-hand side by W, W the coupling phases of the unknowns;
+    OTFS scales neither. Checks no inputs."""
+    frame = received.frame
+    users = tuple(q for q, ch in enumerate(channels) if ch is not None)
+    if not users:
+        return tuple(DelayDopplerGrid.zeros(frame) for _ in waveforms)
+    plan = _uplink_plan(alloc, users,
+                        tuple(tuple(channels[q].delays.tolist()) for q in users))
+    gains, noise_var, back = _scaled_gains(
+        np.concatenate([channels[q].gains for q in users]), noise_var)
+    flat = gains.ravel()
+    h = np.add.reduceat(np.conj(flat[plan.left]) * flat[plan.right], plan.groups)
+    entries = np.fft.fft(h).ravel()[plan.entry]
+    seen = (np.conj(gains) * _strip(received)).ravel()[plan.shift]
+    y = np.add.reduceat(seen, plan.user_rows).reshape(len(users), alloc.N, alloc.M)
+    unknowns = np.fft.fft(y, axis=1).ravel()[plan.rhs_entry]
+    col, band = np.divmod(plan.slot, plan.width + 1)
+    w = plan.coupling
+    phases = {Waveform.OTFS: (plan.phase, np.full(w.size, 1 / np.sqrt(alloc.N))),
+              Waveform.SC_IFDMA: (plan.phase * w[col + band] * np.conj(w[col]),
+                                  w / np.sqrt(alloc.N))}
+    grids = []
+    for waveform in waveforms:
+        entry_phase, unknown_phase = phases[waveform]
+        out = np.zeros(frame.grid_size, dtype=complex)
+        out[plan.bins] = back * _solve_band(plan.slot, entries * entry_phase,
+                                            plan.width, noise_var,
+                                            unknowns * unknown_phase)
+        grids.append(DelayDopplerGrid.from_vec(out, frame))
+    return tuple(grids)
 
 
 def solve_band_bincount(slot, vals, width, noise_var, rhs):

@@ -24,19 +24,30 @@ MINIMAL = "experiment = ber_vs_snr\n"
 _WORDS = (*EXPERIMENTS, *CHANNEL_PROFILES, "custom", "qpsk", "16qam", "otfs",
           "sc_ifdma", "otfs,sc_ifdma", "genie", "estimated", "wrap_to_negative",
           "wrap_to_positive", "true", "false", "")
-_INT = st.one_of(st.integers(-2, 40), st.integers()).map(str)
-_FLOAT = st.floats().map(str)
-# value text by parser name; the choice parsers get words
+
+
+def _mostly(usual, rare):
+    """``usual``, but for about one time in thirty-two ``rare``."""
+    return st.integers(0, 31).flatmap(lambda i: rare if i == 31 else usual)
+
+
+# numbers mostly in the ranges a spec takes, the floats always finite
+_INT = _mostly(st.integers(1, 40), st.integers()).map(str)
+_FLOAT = _mostly(st.floats(0.0, 1.0, exclude_min=True),
+                 st.floats(-1e3, 1e3)).map(str)
+_RANGE = st.lists(_FLOAT, min_size=2, max_size=2).map(
+    lambda p: f"uniform:{min(p, key=float)}:{max(p, key=float)}")
+# value text by parser name; the choice parsers get words (_typed)
 _VALUES = {
     "int": _INT,
     "_finite": _FLOAT,
     "str": st.text(max_size=12),
-    "_parse_float_list": st.lists(_FLOAT, max_size=4).map(",".join),
-    "_parse_int_pair": st.lists(_INT, max_size=3).map(",".join),
-    "_parse_draw": st.one_of(
-        _FLOAT, st.tuples(_FLOAT, _FLOAT).map(lambda p: f"uniform:{p[0]}:{p[1]}")),
+    "_parse_float_list": st.lists(_FLOAT, min_size=1, max_size=4).map(",".join),
+    "_parse_int_pair": _mostly(st.tuples(*[st.integers(0, 3).map(str)] * 2),
+                               st.lists(_INT, max_size=3)).map(",".join),
+    "_parse_draw": st.one_of(_FLOAT, _RANGE),
     "_parse_offset_draw": st.one_of(
-        _INT, _FLOAT, st.tuples(_INT, _INT).map(lambda p: f"uniform:{p[0]}:{p[1]}")),
+        _INT, _INT.map(lambda i: f"uniform:0:{i}"), _FLOAT, _RANGE),
     "_parse_taps": st.lists(st.tuples(_FLOAT, _FLOAT, _FLOAT).map(":".join),
                             max_size=3).map(";".join),
     "_parse_user_bins": st.lists(
@@ -45,21 +56,25 @@ _VALUES = {
 }
 
 
+def _typed(key):
+    """Well-formed value text for ``key``, in range or not: a choice key
+    mostly takes one of its own words, now and then any word."""
+    parse = SCHEMA[key][0]
+    if parse.__name__ in _VALUES:
+        return _VALUES[parse.__name__]
+    own = [w for w in _WORDS if _parses(f"{key} = {w}")]
+    return _mostly(st.sampled_from(own), st.sampled_from(_WORDS))
+
+
 @st.composite
 def config_texts(draw):
-    """Lines over the schema's keys, each value well-formed for its key
-    (in range or not) or, one time in eight, garbage; the experiment key
-    is usually present and valid."""
-    keys = draw(st.lists(st.sampled_from(sorted(SCHEMA)), unique=True,
-                         max_size=10))
-    lines = []
-    for key in keys:
-        typed = _VALUES.get(SCHEMA[key][0].__name__, st.sampled_from(_WORDS))
-        garbage = st.text(max_size=12)
-        value = draw(garbage if draw(st.integers(0, 7)) == 0 else typed)
-        lines.append(f"{key} = {value}")
-    if draw(st.integers(0, 9)):
-        lines.insert(0, f"experiment = {draw(st.sampled_from(EXPERIMENTS))}")
+    """An experiment line and lines over the schema's other keys, each
+    value well-formed for its key, mostly in range, or, about one time in
+    thirty-two, garbage."""
+    keys = draw(st.lists(st.sampled_from(sorted(set(SCHEMA) - {"experiment"})),
+                         unique=True, max_size=10))
+    lines = [f"{key} = {draw(_mostly(_typed(key), st.text(max_size=12)))}"
+             for key in ["experiment", *keys]]
     return "\n".join(lines) + "\n"
 
 

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from ddlink.multiuser import (Allocation, UserBins, compound_matrix,
                               detect_users_time_domain, even_split_allocation,
                               extract_user, place_user)
 from ddlink.transforms import coupling_phases
-from oracles import dense_detect, even_split_chunks
+from oracles import (dense_detect, detect_users_solve_per_waveform,
+                     even_split_chunks)
 
 rng = np.random.default_rng(33)
 
@@ -347,7 +349,8 @@ class TestTimeDomainDetector:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(uplinks(), st.sampled_from([0.01, 0.5]))
     def test_sc_ifdma_is_otfs_times_the_coupling_phases(self, uplink, noise_var):
-        # the paper's phase absorption, each waveform from its own solve
+        # the paper's phase absorption, by which one solve serves both
+        # waveforms; the dense oracles check each waveform's grid on its own
         frame, alloc, channels, seed = uplink
         g = np.random.default_rng(seed)
         received = TimeSignal(g.standard_normal(frame.frame_len)
@@ -376,6 +379,32 @@ class TestTimeDomainDetector:
             (alone,) = detect_users_time_domain(received, hs, alloc, (w,), noise_var)
             assert np.array_equal(grid.vec.view(np.uint64),
                                   alone.vec.view(np.uint64))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(uplinks(), st.sampled_from([BOTH, BOTH[::-1], BOTH[:1], BOTH[1:]]),
+           st.sampled_from([0.01, 0.5]))
+    def test_one_solve_equals_a_solve_per_waveform(self, uplink, waveforms,
+                                                   noise_var):
+        # the oracle solves one band per waveform: OTFS is that very solve,
+        # and SC-IFDMA differs only in rounding, the OTFS solution rotated
+        # against the solution of the rotated band
+        frame, alloc, channels, seed = uplink
+        g = np.random.default_rng(seed)
+        received = TimeSignal(g.standard_normal(frame.frame_len)
+                              + 1j * g.standard_normal(frame.frame_len), frame)
+        hs = diagonals(channels)
+        with mock.patch.object(multiuser, "_solve_band",
+                               wraps=multiuser._solve_band) as solve:
+            got = detect_users_time_domain(received, hs, alloc, waveforms,
+                                           noise_var)
+        assert solve.call_count == int(any(h is not None for h in hs))
+        want = detect_users_solve_per_waveform(received, hs, alloc, waveforms,
+                                               noise_var)
+        for w, a, b in zip(waveforms, got, want, strict=True):
+            if w is Waveform.OTFS:
+                assert np.array_equal(a.vec.view(np.uint64), b.vec.view(np.uint64))
+            else:
+                assert np.linalg.norm(a.vec - b.vec) <= 1e-12 * np.linalg.norm(b.vec)
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(uplinks())
@@ -428,7 +457,6 @@ class TestTimeDomainDetector:
         assert (info.misses, info.hits) == (3, 13)
         plan = multiuser._uplink_plan(alloc, (1,), ((3,),))
         arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
-        arrays += [a for pair in plan.phases.values() for a in pair]
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
