@@ -26,7 +26,7 @@ import numpy as np
 from .channel import ChannelTap
 from .frame import FrameConfig
 from .mapping import DATA, GUARD, PILOT, full_data_mask
-from .modem import DelayDopplerGrid, Waveform, _unit_scale
+from .modem import DelayDopplerGrid, Waveform
 from .transforms import coupling_phases
 
 
@@ -150,10 +150,7 @@ def estimate_channel(received: DelayDopplerGrid, pc: PilotConfig,
             raise ValueError("cannot estimate the noise level without "
                              "leading guard rows; pass noise_std")
         lead = np.abs(D[mp - pc.guard_delay: mp, dop])
-        # scaled into [0.5, 1) at its largest, so no square overflows or
-        # falls below the normal range
-        scale = _unit_scale(lead.max())
-        noise_std = float(np.sqrt(np.mean((lead * scale) ** 2))) / scale
+        noise_std = float(np.sqrt(np.mean(lead ** 2)))
 
     pilot = pc.amplitude if pilot_value is None else pilot_value
     region = D[mp: mp + pc.guard_delay + 1, dop]

@@ -111,42 +111,21 @@ def taps_from_profile(delays_ns, powers_db, frame: FrameConfig, velocity_kmh: fl
 @lru_cache(maxsize=32)
 def _profile_constants(delays_ns: tuple, powers_db: tuple, frame: FrameConfig,
                        velocity_kmh: float):
-    """Read-only sample delays and tap amplitudes (:func:`_amplitudes`) of
-    a profile, and the largest Doppler shift nu_max in Hz."""
-    # Python floats: a sample count past the float range is inf, which
-    # the check below refuses
-    samples = [float(d) * 1e-9 * frame.bandwidth_hz for d in delays_ns]
-    if not max(samples) < 2.0 ** 63:
-        longest = max(delays_ns)
-        raise ValueError(f"a tap delay of {longest:g} ns at {frame.bandwidth_hz:g}"
-                         f" Hz is {max(samples):.3g} samples, more than an int64 "
-                         f"counts; the bandwidth must stay below "
-                         f"{2.0 ** 63 / (longest * 1e-9):.6g} Hz")
-    delays = np.rint(samples).astype(int)
-    amplitudes = _amplitudes(powers_db)
+    """Read-only sample delays and tap amplitudes (the square roots of the
+    powers normalized to unit total energy) of a profile, and the largest
+    Doppler shift nu_max in Hz."""
+    delays = np.rint(np.asarray(delays_ns, dtype=float) * 1e-9
+                     * frame.bandwidth_hz).astype(int)
+    powers = 10.0 ** (np.asarray(powers_db, dtype=float) / 10.0)
+    amplitudes = np.sqrt(powers / powers.sum())
     for a in (delays, amplitudes):
         a.setflags(write=False)
     return delays, amplitudes, max_doppler_hz(frame, velocity_kmh)
 
 
-def _amplitudes(powers_db) -> np.ndarray:
-    """Tap amplitudes of a profile: the square roots of its powers
-    normalized to unit total energy. Raises ValueError where the powers
-    add up to no positive finite float (a tap past the float range, or
-    every tap below it), which leaves no such normalization."""
-    with np.errstate(over="ignore"):
-        powers = 10.0 ** (np.asarray(powers_db, dtype=float) / 10.0)
-        total = powers.sum()
-    if not 0.0 < total < np.inf:
-        raise ValueError(f"tap powers of {', '.join(f'{p:g}' for p in powers_db)} "
-                         f"dB add up to {total:g}, not a positive finite power "
-                         f"to normalize by")
-    return np.sqrt(powers / total)
-
-
 def max_doppler_hz(frame: FrameConfig, velocity_kmh: float) -> float:
     """Largest Doppler shift nu_max in Hz of a profile's taps at
-    ``velocity_kmh`` on the frame's carrier; inf where it overflows."""
+    ``velocity_kmh`` on the frame's carrier."""
     return frame.carrier_hz * (velocity_kmh / 3.6) / SPEED_OF_LIGHT
 
 

@@ -3,9 +3,12 @@ keys, a closed schema (unknown keys are errors, with line numbers), the
 typed experiment spec the harness runs from, and the rules a spec meets
 before a run's first trial.
 
-The rules come in two places. :func:`spec_from_config` and
-``ExperimentSpec`` check the range of each key as the spec is built.
-:func:`check` checks what takes more than one key, or a channel draw:
+The rules come in three places. Each float key has a physical range,
+which its parser in :data:`SCHEMA` checks: a value outside it is an
+error that names the key, and inside the ranges every product a trial
+forms is a normal float without scaling. :func:`spec_from_config` and
+``ExperimentSpec`` check the other values of each key as the spec is
+built. :func:`check` checks what takes more than one key, or a channel draw:
 the largest tap delay, which sync reads against the block search, the
 CFO range of sync, the guard row that estimated CSI reads, and the keys
 a spec leaves unread. One table, :data:`READS`, says which kinds read
@@ -20,9 +23,7 @@ An uplink's bins are a key too (``mu.allocation``), so
 names every setting and parses back to the same config.
 """
 
-import math
 import re
-import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -30,8 +31,7 @@ from operator import attrgetter
 import numpy as np
 
 from .chanest import PilotConfig
-from .channel import (CHANNEL_PROFILES, LtvChannel, _amplitudes, make_channel,
-                      max_doppler_hz, taps_from_profile)
+from .channel import CHANNEL_PROFILES, LtvChannel, make_channel, taps_from_profile
 from .frame import FrameConfig
 from .modem import Waveform
 from .sync import BLOCK_STARTS, Impairments
@@ -52,19 +52,6 @@ def _noise_var(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-# the whole-dB SNRs whose noise variance is a finite float of normal
-# range: a subnormal one loses its precision (at 3233 dB, a BER of 0.17
-# where 3200 dB gives the estimated-CSI floor of 0.029)
-_SNR_RANGE = (math.ceil(-10 * math.log10(sys.float_info.max)),
-              math.floor(-10 * math.log10(sys.float_info.min)))
-
-
-# the smallest pilot amplitude estimated CSI takes, relative to the RMS of
-# a received sample: the gains of an estimate, up to a few times the RMS
-# over the amplitude, then stay 8 decades inside the float range
-_PILOT_FLOOR = 1e-300
-
-
 def _parse_bool(s):
     v = s.strip().lower()
     if v in ("true", "yes", "1", "on"):
@@ -81,11 +68,67 @@ def _finite(s):
     return v
 
 
-def _parse_float_list(s):
-    vals = tuple(_finite(p) for p in s.split(",") if p.strip())
-    if not vals:
-        raise ValueError("empty list")
-    return vals
+@dataclass(frozen=True)
+class _Range:
+    """Parser of a finite float in the physical range [lo, hi] of a key."""
+
+    lo: float
+    hi: float
+    unit: str = ""
+
+    def __call__(self, s):
+        v = _finite(s)
+        if not self.lo <= v <= self.hi:
+            raise ValueError(f"{v:g}{self.unit} is outside the range "
+                             f"{self.lo:g} to {self.hi:g}{self.unit}")
+        return v
+
+
+def _float_list(parse=_finite):
+    """Parser of a non-empty comma-separated list of ``parse``d floats."""
+    def _parse_float_list(s):
+        vals = tuple(parse(p) for p in s.split(",") if p.strip())
+        if not vals:
+            raise ValueError("empty list")
+        return vals
+    return _parse_float_list
+
+
+# The physical range of each float key that has one. Inside the ranges,
+# every product a trial forms is a normal float without scaling; the
+# comment at each bound names the product it protects. (sync.threshold
+# and sweep.thresholds lie in (0, 1], and impair.epsilon in (-N/2, N/2);
+# the spec and check() enforce those.)
+# noise variance 10**(-snr_db/10) from 1e10 down to 1e-30: noise samples
+# stay under about 1e5, so the sync metric's sums of 2N^2 products of
+# record samples and the squares of an estimate's noise floor stay far
+# inside the float range; 1e-30 is a normal float, and below the band
+# solve's rounding floor, which replaces it
+_SNR_DB = _Range(-100.0, 300.0, " dB")
+# pilot amplitudes from 1e-5 to 1e5: an estimate's gains, received bins
+# (a few times 1e5 at most) over the amplitude, stay under about 1e11, so
+# the band's products of two gains and the right-hand side's of a gain
+# and a record sample stay under about 1e22 and 1e16; custom tap powers
+# from 1e-10 to 1e10 sum to a positive finite power to normalize by
+_POWER_DB = _Range(-100.0, 100.0, " dB")
+# a Doppler bin spacing bandwidth / (M*N), which the Doppler shifts are
+# divided by, that stays a positive normal float
+_BANDWIDTH_HZ = _Range(1e3, 1e10, " Hz")
+# Doppler shifts of at most 1e8 Hz, over that bandwidth: the tap phase
+# 2*pi*nu*kappa/(M*N), nu in Doppler bins, turns at most 2*pi*1e5 rad
+# per sample kappa, finite over any record that fits in memory
+_DOPPLER_HZ = _Range(-1e8, 1e8, " Hz")
+# up to low-orbit satellite speeds, and carriers up to 1 THz: the eva and
+# eva3 Doppler carrier * velocity / c stays under 2.8e7 Hz, inside the
+# range above; a lower carrier only lowers the Doppler
+_VELOCITY_KMH = _Range(0.0, 3e4, " km/h")
+_CARRIER_HZ = _Range(1.0, 1e12, " Hz")
+# at most 1e7 samples at the top bandwidth: a tap delay is an int64 with
+# room to spare
+_DELAY_NS = _Range(0.0, 1e6, " ns")
+# a detection level threshold * noise std from a tenth to a hundred
+# noise standard deviations
+_THRESHOLD_SIGMA = _Range(0.1, 100.0)
 
 
 def _parse_int_pair(s):
@@ -117,15 +160,16 @@ def _parse_offset_draw(s):
     return (kind, *(int(v) for v in values))
 
 
-def _entries(s, what, fields, parse):
+def _entries(s, what, fields):
     """The ``;``-separated entries of ``s``, empty ones skipped, each a
-    tuple of the ``:``-separated ``fields`` read by ``parse``."""
+    tuple of the ``:``-separated values of ``fields``, a dict of each
+    field's name and parser."""
     entries = []
     for part in filter(None, (p.strip() for p in s.split(";"))):
         values = part.split(":")
         if len(values) != len(fields):
             raise ValueError(f"{what} {part!r} is not {':'.join(fields)}")
-        entries.append(tuple(map(parse, values)))
+        entries.append(tuple(parse(v) for parse, v in zip(fields.values(), values)))
     if not entries:
         raise ValueError(f"empty {what} list")
     return tuple(entries)
@@ -133,7 +177,8 @@ def _entries(s, what, fields, parse):
 
 def _parse_taps(s):
     """Semicolon-separated 'delay_ns:power_db:doppler_hz' triples."""
-    return _entries(s, "tap", ("delay_ns", "power_db", "doppler_hz"), _finite)
+    return _entries(s, "tap", {"delay_ns": _DELAY_NS, "power_db": _POWER_DB,
+                               "doppler_hz": _DOPPLER_HZ})
 
 
 def _bins(s):
@@ -147,7 +192,7 @@ def _bins(s):
 def _parse_user_bins(s):
     """Semicolon-separated 'delay bins:Doppler bins' entries, one per
     uplink user in user order, each a comma-separated list of integers."""
-    return _entries(s, "user", ("delay_bins", "doppler_bins"), _bins)
+    return _entries(s, "user", {"delay_bins": _bins, "doppler_bins": _bins})
 
 
 def _choice(*options):
@@ -179,29 +224,29 @@ SCHEMA = {
     "experiment": (_choice(*EXPERIMENTS), None),
     "trials": (int, "2000"),
     "seed": (int, "0"),
-    "snr_db": (_parse_float_list, "5,10,15"),
+    "snr_db": (_float_list(_SNR_DB), "5,10,15"),
     "waveforms": (_waveforms, "otfs,sc_ifdma"),
     "constellation": (_choice("qpsk", "16qam"), "16qam"),
     "frame.M": (int, "32"),
     "frame.N": (int, "16"),
     "frame.L_cp": (int, "8"),
-    "frame.bandwidth_hz": (_finite, "7.68e6"),
-    "frame.carrier_hz": (_finite, "5.9e9"),
+    "frame.bandwidth_hz": (_BANDWIDTH_HZ, "7.68e6"),
+    "frame.carrier_hz": (_CARRIER_HZ, "5.9e9"),
     "channel.profile": (_choice(*CHANNEL_PROFILES, "custom"), "eva3"),
-    "channel.velocity_kmh": (_finite, "500"),
+    "channel.velocity_kmh": (_VELOCITY_KMH, "500"),
     "channel.taps": (_parse_taps, ""),
     "pilot.m_p": (int, "4"),
     "pilot.n_p": (int, "8"),
-    "pilot.power_db": (_finite, "30"),
+    "pilot.power_db": (_POWER_DB, "30"),
     "pilot.guards": (_parse_int_pair, "4,4"),
-    "est.threshold_sigma": (_finite, "3.0"),
+    "est.threshold_sigma": (_THRESHOLD_SIGMA, "3.0"),
     "sync.enabled": (_parse_bool, "false"),
     "sync.threshold": (_finite, "0.5"),
     "impair.theta_d": (_parse_offset_draw, "0"),
     "impair.theta_t": (int, "0"),
     "impair.epsilon": (_parse_draw, "0"),
     "detector.csi": (_choice("genie", "estimated"), "genie"),
-    "sweep.thresholds": (_parse_float_list, "0.1,0.2,0.3,0.4,0.5,0.6,0.8,1.0"),
+    "sweep.thresholds": (_float_list(), "0.1,0.2,0.3,0.4,0.5,0.6,0.8,1.0"),
     "mu.q": (int, "2"),
     "mu.allocation": (_parse_user_bins, ""),
     "mu.relax_disjointness": (_parse_bool, "false"),
@@ -359,30 +404,8 @@ class ExperimentSpec:
         _check_thresholds("sweep.thresholds", self.sweep_thresholds)
         if not self.snr_db:
             raise ConfigError("snr_db must be non-empty")
-        for snr in self.snr_db:
-            try:
-                usable = sys.float_info.min <= _noise_var(snr) < math.inf
-            except OverflowError:
-                usable = False
-            if not usable:
-                lo, hi = _SNR_RANGE
-                raise ConfigError(f"snr_db = {snr:g}: the noise variance "
-                                  f"10**(-snr_db/10) is not a finite, normal "
-                                  f"float; use snr_db from {lo} to {hi} dB")
         if self.channel_profile == "custom" and self.custom_taps is None:
             raise ConfigError("channel.profile = custom requires channel.taps")
-        if self.velocity_kmh < 0:
-            raise ConfigError(f"channel.velocity_kmh must be >= 0, "
-                              f"got {self.velocity_kmh:g}")
-        for delay_ns, _, _ in self.custom_taps or ():
-            if delay_ns < 0:
-                raise ConfigError(f"channel.taps: tap delay_ns must be >= 0, "
-                                  f"got {delay_ns:g}")
-        if self.custom_taps is not None:
-            try:
-                _amplitudes([power_db for _, power_db, _ in self.custom_taps])
-            except ValueError as exc:
-                raise ConfigError(f"channel.taps: {exc}") from None
 
     def draw_channel(self, rng: np.random.Generator) -> LtvChannel:
         """One channel of the spec's profile, its gains and Doppler shifts
@@ -459,62 +482,22 @@ def reads(spec: ExperimentSpec, key: str) -> bool:
 
 def check(spec: ExperimentSpec) -> None:
     """The rules ``spec`` meets before a run's first trial, beyond the
-    ranges of its own fields. Raises ConfigError for an eva, eva3 or
-    custom spec whose Doppler bin spacing underflows to 0 Hz, or whose
-    largest Doppler shift turns a tap ramp's phase over the longest
-    record past the float range (both checked before a channel is drawn,
-    which divides the shifts by that spacing); for a tap delay whose
-    sample count overflows an int64; where the spec syncs, for a
-    one-column grid (no adjacent-sample pair in any metric row), a pilot
-    run that can start past the window starts the block search compares
-    (``sync.BLOCK_STARTS``), or a CFO outside the range the estimate
-    tells apart; for estimated CSI without a guard row ahead of the pilot
-    (the noise level comes from it), or with a pilot more than 6000 dB
-    below the received power of its noisiest cell; and for every
+    ranges of its own fields. Raises ConfigError where the spec syncs,
+    for a one-column grid (no adjacent-sample pair in any metric row), a
+    pilot run that can start past the window starts the block search
+    compares (``sync.BLOCK_STARTS``), or a CFO outside the range the
+    estimate tells apart; for estimated CSI without a guard row ahead of
+    the pilot (the noise level comes from it); and for every
     :data:`READS` key set away from its default that the spec does not
     read."""
     frame = spec.frame
-    # the longest record, at the largest offset
-    record = (Impairments(int(spec.impair.theta_d[-1]),
-                          spec.impair.theta_t).record_len(frame)
-              if _runs_sync(spec) else frame.frame_len)
-    if spec.channel_profile in (*_FADING, "custom"):
-        # channel.tap_ramps turns 2 pi nu kappa for each record sample kappa
-        spacing = frame.doppler_spacing
-        if spacing == 0:
-            raise ConfigError(
-                f"frame.bandwidth_hz: the Doppler bin spacing, "
-                f"frame.bandwidth_hz / (frame.M * frame.N) = "
-                f"{frame.bandwidth_hz:g} / {frame.grid_size}, underflows to "
-                f"0 Hz; raise frame.bandwidth_hz")
-        if spec.channel_profile == "custom":
-            nu_hz = max(abs(doppler) for *_, doppler in spec.custom_taps)
-            keys, lower = "channel.taps", "the tap Doppler"
-        else:
-            nu_hz = max_doppler_hz(frame, spec.velocity_kmh)
-            keys, lower = ("channel.velocity_kmh, frame.carrier_hz",
-                           "the velocity or the carrier")
-        nu_bins = nu_hz / spacing
-        if not math.isfinite(2 * math.pi * nu_bins * record):
-            raise ConfigError(
-                f"{keys}: the largest Doppler shift, {nu_hz:g} Hz or "
-                f"{nu_bins:g} Doppler bins at frame.bandwidth_hz = "
-                f"{frame.bandwidth_hz:g}, puts the tap phase 2*pi*nu*kappa of "
-                f"a {record}-sample record beyond the float range; lower "
-                f"{lower}")
-    try:
-        longest = _largest_tap_delay(spec)
-    except ValueError as exc:
-        keys = ("frame.bandwidth_hz, channel.taps"
-                if spec.channel_profile == "custom" else "frame.bandwidth_hz")
-        raise ConfigError(f"{keys}: {exc}") from None
     if _runs_sync(spec):
         if frame.N == 1:
             raise ConfigError("frame.N = 1 leaves the sync timing metric no "
                               "adjacent-sample pair; sync needs frame.N >= 2")
         # the largest theta_d: a fixed value, or the top of its range
         terms = (frame.cp_len, spec.pilot.pilot_delay,
-                 int(spec.impair.theta_d[-1]), longest)
+                 int(spec.impair.theta_d[-1]), _largest_tap_delay(spec))
         block = sum(terms) // frame.M + spec.impair.theta_t
         if block >= BLOCK_STARTS:
             raise ConfigError(
@@ -530,23 +513,11 @@ def check(spec: ExperimentSpec) -> None:
                     f"impair.epsilon: a CFO of {cfo:g} Doppler bins is outside "
                     f"(-frame.N/2, frame.N/2) = ({-frame.N / 2:g}, "
                     f"{frame.N / 2:g}), the range sync estimates it in")
-    if spec.kind in _DETECTION_KINDS and spec.csi == "estimated":
-        if spec.pilot.guard_delay == 0:
-            raise ConfigError("pilot.guards: detector.csi = estimated needs a "
-                              "delay guard >= 1, the guard rows ahead of the "
-                              "pilot that give the noise level")
-        # the estimate divides received bins, a few times the received RMS
-        # sqrt(1 + noise_var) at most, by the pilot amplitude
-        snr = min(spec.snr_db)
-        received = 1.0 + _noise_var(snr)
-        if spec.pilot.amplitude < _PILOT_FLOOR * math.sqrt(received):
-            raise ConfigError(
-                f"pilot.power_db, snr_db: a pilot of "
-                f"{10 * math.log10(spec.pilot.power):.6g} dB is more than "
-                f"{-20 * math.log10(_PILOT_FLOOR):g} dB below the received power "
-                f"of {10 * math.log10(received):.6g} dB at snr_db = {snr:g}; the "
-                f"channel estimate divides received bins by its amplitude past "
-                f"the float range; raise pilot.power_db")
+    if (spec.kind in _DETECTION_KINDS and spec.csi == "estimated"
+            and spec.pilot.guard_delay == 0):
+        raise ConfigError("pilot.guards: detector.csi = estimated needs a "
+                          "delay guard >= 1, the guard rows ahead of the "
+                          "pilot that give the noise level")
     unread = [key for key, read in READS.items()
               if read.value(spec) != read.value(_DEFAULT) and not reads(spec, key)]
     if unread:
@@ -577,11 +548,7 @@ def spread_warnings(spec: ExperimentSpec) -> list:
 _CHECK_KEYS = (
     ("grid dimensions", "frame.M, frame.N"),
     ("cp_len", "frame.L_cp"),
-    ("bandwidth_hz", "frame.bandwidth_hz"),
-    ("carrier_hz", "frame.carrier_hz"),
-    ("pilot power", "pilot.power_db"),
     ("guard widths", "pilot.guards"),
-    ("detection threshold", "est.threshold_sigma"),
     ("delay guard", "pilot.m_p, pilot.guards"),
     ("Doppler guard", "pilot.n_p, pilot.guards"),
 )
@@ -601,9 +568,6 @@ def spec_from_config(cfg: dict) -> ExperimentSpec:
             detection_threshold=cfg["est.threshold_sigma"],
         )
         pilot.validate_fit(frame)
-    except OverflowError:
-        raise ConfigError(f"pilot.power_db = {cfg['pilot.power_db']:g} is too "
-                          f"large a power") from None
     except ValueError as exc:
         message = str(exc)
         keys = next((k for start, k in _CHECK_KEYS if message.startswith(start)),

@@ -29,7 +29,6 @@ routine. The dense direct :func:`equalize_mmse` and LSMR
 :func:`equalize_iterative` are its oracles.
 """
 
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,8 +36,7 @@ import numpy as np
 
 from ._blas import _lapack
 from .channel import DdChannelMatrix, DelayDiagonals
-from .modem import (_SCALE_FROM, DelayDopplerGrid, TimeSignal, _strip,
-                    _unit_scale, demodulate_direct)
+from .modem import DelayDopplerGrid, TimeSignal, _strip, demodulate_direct
 
 
 def _as_matrix(H):
@@ -105,31 +103,6 @@ def _fold_positions(n: int) -> np.ndarray:
 _EPS = np.finfo(float).eps
 
 
-def _scaled_gains(gains: np.ndarray, noise_var: float):
-    """``gains`` and ``noise_var`` of the system a solve forms, and the
-    factor that takes its solution to the solution of the given system.
-
-    The band entries are products of two gains and the right-hand side
-    products of a gain and a record sample, so a gain with a real or
-    imaginary part of 2**256 or more (an estimate of a pilot far below
-    the noise) could overflow them. Such gains are scaled by the power of
-    two s that brings their largest part into [0.5, 1), the noise
-    variance by s**2, and the solution comes back times s: the scaling is
-    exact, and the regularization keeps its ratio to the band. A positive
-    variance stays positive: one that falls below the normal range is far
-    below the band's rounding floor, which replaces it
-    (:func:`_solve_band`). Other gains come back as they are, with the
-    factor 1.0.
-    """
-    top = np.abs(gains.ravel().view(np.float64)).max(initial=0.0)
-    if top < _SCALE_FROM:
-        return gains, noise_var, 1.0
-    s = _unit_scale(top)
-    if noise_var > 0:
-        noise_var = max(noise_var * s * s, sys.float_info.min)
-    return gains * s, noise_var, s
-
-
 def _solve_band(slot: np.ndarray, vals: np.ndarray, width: int, noise_var: float,
                 rhs: np.ndarray) -> np.ndarray:
     """Solve (A + noise_var I) x = rhs for Hermitian A whose lower band of
@@ -145,7 +118,10 @@ def _solve_band(slot: np.ndarray, vals: np.ndarray, width: int, noise_var: float
     |dA_ij| <= gamma_(width+1) sqrt(a_ii a_jj) (Higham, Accuracy and
     Stability of Numerical Algorithms, Thm 10.5), and a smaller shift is
     lost in that rounding, where a singular A meets a pivot that is not
-    positive (from about 160 dB on a 32x16 link). 0 is zero forcing.
+    positive (from about 160 dB on a 32x16 link, inside the 300 dB top
+    of ``snr_db``). 0 is zero forcing. The values are formed as they
+    are, unscaled: the ranges of the config keys keep them normal floats
+    (:data:`ddlink.config.SCHEMA`).
 
     The band is built in place: one zeroed column-major (width + 1, n)
     array, which LAPACK factors without a copy. ``rhs`` (complex, one
@@ -225,18 +201,16 @@ def _solve_banded(delays, gains, z: np.ndarray, noise_var: float) -> np.ndarray:
     The index plan (:func:`_link_plan`) depends only on the delays and n
     and is cached, so a call gathers the gain products of each delay pair
     into their band slots and solves. A singular normal matrix (zero
-    forcing on a singular H) raises numpy.linalg.LinAlgError. Huge gains
-    are scaled first (:func:`_scaled_gains`).
+    forcing on a singular H) raises numpy.linalg.LinAlgError.
     """
     n = z.size
     plan = _link_plan(tuple(delays.tolist()), n)
-    gains, noise_var, back = _scaled_gains(gains, noise_var)
     flat = gains.ravel()
     vals = flat[plan.left].conj() * flat[plan.right]
     rhs = (flat[plan.own].conj() * z[plan.rows]).sum(axis=0)
     folded = np.empty(n, dtype=complex)
     folded[plan.pos] = rhs
-    return _solve_band(plan.slot, vals, plan.width, noise_var, folded)[plan.pos] * back
+    return _solve_band(plan.slot, vals, plan.width, noise_var, folded)[plan.pos]
 
 
 def equalize_time_domain(received: TimeSignal, channel: DelayDiagonals | None,

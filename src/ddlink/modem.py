@@ -20,7 +20,6 @@ never sees them.
 """
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,21 +96,6 @@ def _strip(sig: TimeSignal) -> np.ndarray:
             f"{sig.expected_len}"
         )
     return sig.samples[sig.frame.cp_len:] if sig.cp_included else sig.samples
-
-
-# Values of at least this magnitude are scaled by :func:`_unit_scale`
-# before work that sums products of two of them, which could overflow;
-# smaller values keep their bits.
-_SCALE_FROM = 2.0 ** 256
-
-
-def _unit_scale(top: float) -> float:
-    """The power of two that brings a largest magnitude ``top`` into
-    [0.5, 1): at most 2**1021, so it stays finite for a subnormal ``top``,
-    and 1.0 for 0. Scaling by it is exact wherever the scaled values stay
-    normal, so work on values scaled by it and scaled back gives the bits
-    of the unscaled work wherever that one stays in the float range."""
-    return math.ldexp(1.0, -max(math.frexp(top)[1], -1021))
 
 
 # batch-aware cores: D has shape ([B,] M, N); s has shape ([B,] MN)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .channel import (DdChannelMatrix, NoiseSpec, apply_channel,
                       build_dd_matrix, draw_noise)
-from .equalize import _fold_positions, _scaled_gains, _solve_band
+from .equalize import _fold_positions, _solve_band
 from .frame import FrameConfig
 from .modem import (DelayDopplerGrid, TimeSignal, Waveform, _strip,
                     demodulate_direct, modulate_direct)
@@ -326,8 +326,7 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
     A ``None`` channel leaves its user out of the solve, and its bins
     stay zero. Diagonals of another grid size or CP than the record's
     raise ValueError. Zero forcing (noise_var 0) on a singular C raises
-    numpy.linalg.LinAlgError. Huge gains are scaled first, as the link's
-    are (:func:`~ddlink.equalize._scaled_gains`). Equals, per waveform,
+    numpy.linalg.LinAlgError. Equals, per waveform,
     :func:`detect_users` on the demodulated record with the compound
     matrix of the same channels.
     """
@@ -343,16 +342,15 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
         return tuple(DelayDopplerGrid.zeros(frame) for _ in waveforms)
     plan = _uplink_plan(alloc, users,
                         tuple(tuple(channels[q].delays.tolist()) for q in users))
-    gains, noise_var, back = _scaled_gains(
-        np.concatenate([channels[q].gains for q in users]), noise_var)
+    gains = np.concatenate([channels[q].gains for q in users])
     flat = gains.ravel()
     h = np.add.reduceat(np.conj(flat[plan.left]) * flat[plan.right], plan.groups)
     entries = np.fft.fft(h).ravel()[plan.entry]
     seen = (np.conj(gains) * _strip(received)).ravel()[plan.shift]
     y = np.add.reduceat(seen, plan.user_rows).reshape(len(users), alloc.N, alloc.M)
     unknowns = np.fft.fft(y, axis=1).ravel()[plan.rhs_entry]
-    x = back * _solve_band(plan.slot, entries * plan.phase, plan.width, noise_var,
-                           unknowns * (1 / np.sqrt(alloc.N)))
+    x = _solve_band(plan.slot, entries * plan.phase, plan.width, noise_var,
+                    unknowns * (1 / np.sqrt(alloc.N)))
     grids = []
     for w in waveforms:
         out = np.zeros(frame.grid_size, dtype=complex)

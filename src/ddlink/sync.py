@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frame import FrameConfig
-from .modem import _SCALE_FROM, TimeSignal, _unit_scale
+from .modem import TimeSignal
 
 
 @dataclass(frozen=True)
@@ -174,23 +174,16 @@ def correct(record, offset: int, cfo: float, frame: FrameConfig):
     return TimeSignal(out, frame, cp_included=True)
 
 
-
 def estimate_sync(record, frame: FrameConfig, pilot_delay: int,
                   pilot_doppler: int = 0, threshold: float = 0.5) -> SyncEstimate:
     """Run the full estimator chain on one received record: coarse and
     fine timing, the block offset and the CFO, all from one metric
     magnitude (the block offset and the CFO at the metric-peak row).
 
-    A record with a sample of magnitude 2**256 or more, whose metric sums
-    up to 2N^2 products of samples, is first scaled by the power of two
-    that brings its largest magnitude into [0.5, 1): exact, and the rules
-    compare magnitudes, so the decisions do not change; the returned
-    metric is then that of the scaled record."""
-    r = np.asarray(record)
-    top = np.abs(r).max(initial=0.0)
-    if top >= _SCALE_FROM:
-        r = r * _unit_scale(top)
-    window_corr, row_metric = timing_metric(r, frame)
+    The metric sums up to 2N^2 products of record samples as they are:
+    the ranges of ``snr_db`` and ``pilot.power_db`` keep a record's
+    samples under about 1e5, so no sum leaves the float range."""
+    window_corr, row_metric = timing_metric(record, frame)
     mag = np.abs(row_metric)
     peak_row, rows = _peak_rows(mag, threshold)
     lead = pilot_delay + frame.cp_len

@@ -13,7 +13,7 @@ from ddlink.chanest import EstimatedChannel, embed_pilot, overlay_mask
 from ddlink.channel import (ChannelTap, DdChannelMatrix, LtvChannel,
                             _cp_bounded, apply_channel, delay_diagonals,
                             draw_noise, tap_ramps)
-from ddlink.equalize import _scaled_gains, _solve_band
+from ddlink.equalize import _solve_band
 from ddlink.mapping import data_bins, get_constellation, map_bits
 from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform, _mod_core,
                           _strip, demodulate_direct)
@@ -97,8 +97,7 @@ def detect_users_solve_per_waveform(received, channels, alloc, waveforms,
         return tuple(DelayDopplerGrid.zeros(frame) for _ in waveforms)
     plan = _uplink_plan(alloc, users,
                         tuple(tuple(channels[q].delays.tolist()) for q in users))
-    gains, noise_var, back = _scaled_gains(
-        np.concatenate([channels[q].gains for q in users]), noise_var)
+    gains = np.concatenate([channels[q].gains for q in users])
     flat = gains.ravel()
     h = np.add.reduceat(np.conj(flat[plan.left]) * flat[plan.right], plan.groups)
     entries = np.fft.fft(h).ravel()[plan.entry]
@@ -114,9 +113,9 @@ def detect_users_solve_per_waveform(received, channels, alloc, waveforms,
     for waveform in waveforms:
         entry_phase, unknown_phase = phases[waveform]
         out = np.zeros(frame.grid_size, dtype=complex)
-        out[plan.bins] = back * _solve_band(plan.slot, entries * entry_phase,
-                                            plan.width, noise_var,
-                                            unknowns * unknown_phase)
+        out[plan.bins] = _solve_band(plan.slot, entries * entry_phase,
+                                     plan.width, noise_var,
+                                     unknowns * unknown_phase)
         grids.append(DelayDopplerGrid.from_vec(out, frame))
     return tuple(grids)
 

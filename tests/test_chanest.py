@@ -341,11 +341,11 @@ class TestVectorizedEstimate:
             assert abs(a.gain - b.gain) <= 1e-14 * abs(b.gain)
 
     @PROPERTY
-    @given(received_grids(), st.integers(-980, 1000))
+    @given(received_grids(), st.integers(-100, 100))
     def test_noise_floor_scales_by_powers_of_two_bit_for_bit(self, case, k):
-        # from grids whose squares are subnormal to grids whose squares
-        # overflow, with no warning: the floor of 2**k times a grid is
-        # 2**k times its floor, and the taps are the same
+        # over grids from 1e-30 to 1e30 times these, past the received
+        # bins the config ranges admit, with no warning: the floor of 2**k
+        # times a grid is 2**k times its floor, and the taps are the same
         grid, pc, waveform, _, pilot_value = case
         if not pc.guard_delay:
             return

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ddlink.channel import CHANNEL_PROFILES
 from ddlink.config import (EXPERIMENTS, READS, SCHEMA, ConfigError,
                            ExperimentSpec, ImpairSettings, SyncSettings,
-                           canonical_text, load_config, load_spec,
+                           _Range, canonical_text, load_config, load_spec,
                            parse_config_text, reads, spec_from_config)
 from ddlink.modem import Waveform
 from strategies import PROPERTY
@@ -57,9 +57,12 @@ _VALUES = {
 
 
 def _typed(key):
-    """Well-formed value text for ``key``, in range or not: a choice key
-    mostly takes one of its own words, now and then any word."""
+    """Well-formed value text for ``key``, in range or not: a key with a
+    physical range mostly takes a float in it, and a choice key one of its
+    own words; now and then either takes any float or word."""
     parse = SCHEMA[key][0]
+    if isinstance(parse, _Range):
+        return _mostly(st.floats(parse.lo, parse.hi).map(str), _FLOAT)
     if parse.__name__ in _VALUES:
         return _VALUES[parse.__name__]
     own = [w for w in _WORDS if _parses(f"{key} = {w}")]
@@ -170,7 +173,8 @@ class TestParsing:
 
     @pytest.mark.parametrize("key", sorted(
         k for k, (parser, _) in SCHEMA.items()
-        if parser.__name__ in ("_finite", "_parse_float_list", "_parse_draw",
+        if isinstance(parser, _Range)
+        or parser.__name__ in ("_finite", "_parse_float_list", "_parse_draw",
                                "_parse_offset_draw")))
     @pytest.mark.parametrize("text", ["nan", "-inf", "Infinity"])
     def test_every_float_key_rejects_non_finite_values(self, key, text):
