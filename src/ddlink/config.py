@@ -3,20 +3,20 @@ keys, a closed schema (unknown keys are errors, with line numbers), the
 typed experiment spec the harness runs from, and the rules a spec meets
 before a run's first trial.
 
-The rules come in three places. Each float key has a physical range,
-which its parser in :data:`SCHEMA` checks: a value outside it is an
-error that names the key, and inside the ranges every product a trial
-forms is a normal float without scaling. :func:`spec_from_config` and
-``ExperimentSpec`` check the other values of each key as the spec is
-built. :func:`check` checks what takes more than one key, or a channel draw:
-the largest tap delay, which sync reads against the block search, the
-CFO range of sync, the guard row that estimated CSI reads, and the keys
-a spec leaves unread. One table, :data:`READS`, says which kinds read
-each key that some spec leaves unread, and on what further setting;
-:func:`check` rejects every such key set away from its default where
-the spec does not read it, and names the keys, the kind and that
-setting. :func:`spread_warnings` gives the ``warning:`` lines of a delay
-spread the CP or the pilot guard does not cover.
+One table, :data:`SCHEMA`, holds a row per key: its parser, its default,
+the spec fields it sets and the specs that read it. A float key's parser
+checks its physical range: a value outside it is an error that names
+the key, and inside the ranges every product a trial forms is a normal
+float without scaling. :func:`spec_from_config` sets the rows' fields,
+the spec dataclasses take their defaults from the rows, and
+``ExperimentSpec`` checks the other values of each key. :func:`check`
+checks what takes more than one key, or a channel draw: the largest tap
+delay, which sync reads against the block search, the CFO range of
+sync, the guard row that estimated CSI reads, and every key set away
+from its default where its row says the spec does not read it, named
+with the kind and the setting. :func:`spread_warnings` gives the
+``warning:`` lines of a delay spread the CP or the pilot guard does not
+cover.
 
 An uplink's bins are a key too (``mu.allocation``), so
 :func:`canonical_text`, the echo a run's metadata carries and hashes,
@@ -219,41 +219,81 @@ def _waveforms(s):
     return tuple(dict.fromkeys(out))
 
 
-# key -> (parser, default-as-text or None when required)
+def _runs_sync(spec) -> bool:
+    """Whether the trials of ``spec`` sync (an uplink's never do)."""
+    return spec.kind in _SYNC_KINDS or (spec.kind == "ber_vs_snr" and spec.sync.enabled)
+
+
+# A config key's row. ``parse`` reads its text and checks its range;
+# ``default`` is the text of a config that leaves the key out (None:
+# required; "": unset, which is None). ``fields`` are the spec attributes
+# the key sets (given space-separated), and ``value`` gets them from a
+# spec. The specs of ``kinds`` on which ``condition`` (None: any) holds
+# read the key; ``setting`` names, after the kind, a spec where it fails.
+_Row = namedtuple("_Row", "parse default fields value kinds condition setting")
+
+
+def _row(parse, default, fields, kinds=EXPERIMENTS, condition=None, setting=""):
+    fields = tuple(fields.split())
+    return _Row(parse, default, fields, attrgetter(*fields), kinds, condition, setting)
+
+
+# read where sync runs
+_SYNC_RUNS = ((*_SYNC_KINDS, "ber_vs_snr"), _runs_sync, " without sync.enabled = true")
+
+_WITH_PROFILE = " with channel.profile = {s.channel_profile}"
+# read where the profile's Doppler comes from the velocity and carrier
+_FADING_READS = (EXPERIMENTS, lambda s: s.channel_profile in _FADING, _WITH_PROFILE)
+
+# every config key's row; every spec reads the keys down to pilot.guards
 SCHEMA = {
-    "experiment": (_choice(*EXPERIMENTS), None),
-    "trials": (int, "2000"),
-    "seed": (int, "0"),
-    "snr_db": (_float_list(_SNR_DB), "5,10,15"),
-    "waveforms": (_waveforms, "otfs,sc_ifdma"),
-    "constellation": (_choice("qpsk", "16qam"), "16qam"),
-    "frame.M": (int, "32"),
-    "frame.N": (int, "16"),
-    "frame.L_cp": (int, "8"),
-    "frame.bandwidth_hz": (_BANDWIDTH_HZ, "7.68e6"),
-    "frame.carrier_hz": (_CARRIER_HZ, "5.9e9"),
-    "channel.profile": (_choice(*CHANNEL_PROFILES, "custom"), "eva3"),
-    "channel.velocity_kmh": (_VELOCITY_KMH, "500"),
-    "channel.taps": (_parse_taps, ""),
-    "pilot.m_p": (int, "4"),
-    "pilot.n_p": (int, "8"),
-    "pilot.power_db": (_POWER_DB, "30"),
-    "pilot.guards": (_parse_int_pair, "4,4"),
-    "est.threshold_sigma": (_THRESHOLD_SIGMA, "3.0"),
-    "sync.enabled": (_parse_bool, "false"),
-    "sync.threshold": (_finite, "0.5"),
-    "impair.theta_d": (_parse_offset_draw, "0"),
-    "impair.theta_t": (int, "0"),
-    "impair.epsilon": (_parse_draw, "0"),
-    "detector.csi": (_choice("genie", "estimated"), "genie"),
-    "sweep.thresholds": (_float_list(), "0.1,0.2,0.3,0.4,0.5,0.6,0.8,1.0"),
-    "mu.q": (int, "2"),
-    "mu.allocation": (_parse_user_bins, ""),
-    "mu.relax_disjointness": (_parse_bool, "false"),
+    "experiment": _row(_choice(*EXPERIMENTS), None, "kind"),
+    "trials": _row(int, "2000", "trials"),
+    "seed": _row(int, "0", "seed"),
+    "snr_db": _row(_float_list(_SNR_DB), "5,10,15", "snr_db"),
+    "waveforms": _row(_waveforms, "otfs,sc_ifdma", "waveforms"),
+    "constellation": _row(_choice("qpsk", "16qam"), "16qam", "constellation"),
+    "frame.M": _row(int, "32", "frame.M"),
+    "frame.N": _row(int, "16", "frame.N"),
+    "frame.L_cp": _row(int, "8", "frame.cp_len"),
+    "frame.bandwidth_hz": _row(_BANDWIDTH_HZ, "7.68e6", "frame.bandwidth_hz"),
+    "channel.profile": _row(_choice(*CHANNEL_PROFILES, "custom"), "eva3",
+                            "channel_profile"),
+    # a genie uplink sends no pilot, yet keeps these keys: the
+    # estimated-CSI uplink made from its config by changing detector.csi
+    # alone reuses them
+    "pilot.m_p": _row(int, "4", "pilot.pilot_delay"),
+    "pilot.n_p": _row(int, "8", "pilot.pilot_doppler"),
+    "pilot.power_db": _row(_POWER_DB, "30", "pilot.power"),
+    "pilot.guards": _row(_parse_int_pair, "4,4",
+                         "pilot.guard_delay pilot.guard_doppler"),
+    "sweep.thresholds": _row(_float_list(), "0.1,0.2,0.3,0.4,0.5,0.6,0.8,1.0",
+                             "sweep_thresholds", ("threshold_sweep",)),
+    # sync_vs_snr and threshold_sweep sync whatever it says
+    "sync.enabled": _row(_parse_bool, "false", "sync.enabled",
+                         (*_SYNC_KINDS, "ber_vs_snr")),
+    "sync.threshold": _row(_finite, "0.5", "sync.threshold", *_SYNC_RUNS),
+    "impair.theta_d": _row(_parse_offset_draw, "0", "impair.theta_d", *_SYNC_RUNS),
+    "impair.theta_t": _row(int, "0", "impair.theta_t", *_SYNC_RUNS),
+    "impair.epsilon": _row(_parse_draw, "0", "impair.epsilon", *_SYNC_RUNS),
+    "detector.csi": _row(_choice("genie", "estimated"), "genie", "csi",
+                         _DETECTION_KINDS),
+    "est.threshold_sigma": _row(_THRESHOLD_SIGMA, "3.0", "pilot.detection_threshold",
+                                _DETECTION_KINDS, lambda s: s.csi == "estimated",
+                                " with detector.csi = genie"),
+    "mu.q": _row(int, "2", "mu_users", ("mu_uplink",)),
+    "mu.allocation": _row(_parse_user_bins, "", "mu_allocation", ("mu_uplink",)),
+    "mu.relax_disjointness": _row(_parse_bool, "false", "mu_relax_disjointness",
+                                  ("mu_uplink",)),
+    "channel.taps": _row(_parse_taps, "", "custom_taps", EXPERIMENTS,
+                         lambda s: s.channel_profile == "custom", _WITH_PROFILE),
+    "channel.velocity_kmh": _row(_VELOCITY_KMH, "500", "velocity_kmh", *_FADING_READS),
+    "frame.carrier_hz": _row(_CARRIER_HZ, "5.9e9", "frame.carrier_hz", *_FADING_READS),
 }
 
-# keys whose empty default means "not set"
-_OPTIONAL_EMPTY = {"channel.taps", "mu.allocation"}
+# the keys some spec leaves unread, in the order check() names them
+_UNREAD_BY_SOME = [(key, row) for key, row in SCHEMA.items()
+                   if row.kinds != EXPERIMENTS or row.condition]
 
 
 def parse_config_text(text: str) -> dict:
@@ -280,16 +320,13 @@ def parse_config_text(text: str) -> dict:
 
 
 def _resolve(raw: dict, lines: dict) -> dict:
-    if "experiment" not in raw:
-        raise ConfigError("missing required key 'experiment'")
     out = {}
-    for key, (parser, default) in SCHEMA.items():
-        text = raw.get(key, default)
-        if text is None or (text == "" and key in _OPTIONAL_EMPTY):
-            out[key] = None
-            continue
+    for key, row in SCHEMA.items():
+        text = raw.get(key, row.default)
+        if text is None:
+            raise ConfigError(f"missing required key {key!r}")
         try:
-            out[key] = parser(text)
+            out[key] = None if text == "" == row.default else row.parse(text)
         except (ValueError, TypeError) as exc:
             where = f"line {lines[key]}: " if key in lines else ""
             raise ConfigError(f"{where}bad value for {key}: {exc}") from None
@@ -326,10 +363,16 @@ def canonical_text(cfg: dict) -> str:
     return "".join(f"{k} = {fmt(cfg[k])}\n" for k in sorted(SCHEMA))
 
 
+# every key at its default, and by the one attribute it sets (pilot.power's in dB)
+_DEFAULT_CONFIG = _resolve({"experiment": EXPERIMENTS[0]}, {})
+_DEFAULT_OF = {row.fields[0]: _DEFAULT_CONFIG[key] for key, row in SCHEMA.items()
+               if len(row.fields) == 1}
+
+
 @dataclass(frozen=True)
 class SyncSettings:
-    enabled: bool = False
-    threshold: float = 0.5
+    enabled: bool = _DEFAULT_OF["sync.enabled"]
+    threshold: float = _DEFAULT_OF["sync.threshold"]
 
 
 @dataclass(frozen=True)
@@ -337,9 +380,9 @@ class ImpairSettings:
     """Per-trial impairment draws; each entry is ('fixed', x) or
     ('uniform', lo, hi)."""
 
-    theta_d: tuple = ("fixed", 0)
-    theta_t: int = 0
-    epsilon: tuple = ("fixed", 0.0)
+    theta_d: tuple = _DEFAULT_OF["impair.theta_d"]
+    theta_t: int = _DEFAULT_OF["impair.theta_t"]
+    epsilon: tuple = _DEFAULT_OF["impair.epsilon"]
 
     @staticmethod
     def _draw(spec, rng, integer=False):
@@ -375,17 +418,17 @@ class ExperimentSpec:
     trials: int
     seed: int
     pilot: PilotConfig
-    channel_profile: str = "eva3"
-    velocity_kmh: float = 500.0
-    custom_taps: tuple | None = None
+    channel_profile: str = _DEFAULT_OF["channel_profile"]
+    velocity_kmh: float = _DEFAULT_OF["velocity_kmh"]
+    custom_taps: tuple | None = _DEFAULT_OF["custom_taps"]
     sync: SyncSettings = field(default_factory=SyncSettings)
     impair: ImpairSettings = field(default_factory=ImpairSettings)
-    csi: str = "genie"
-    sweep_thresholds: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0)
-    mu_users: int = 2
+    csi: str = _DEFAULT_OF["csi"]
+    sweep_thresholds: tuple = _DEFAULT_OF["sweep_thresholds"]
+    mu_users: int = _DEFAULT_OF["mu_users"]
     # per uplink user, (delay bins, Doppler bins); None for an even split
-    mu_allocation: tuple | None = None
-    mu_relax_disjointness: bool = False
+    mu_allocation: tuple | None = _DEFAULT_OF["mu_allocation"]
+    mu_relax_disjointness: bool = _DEFAULT_OF["mu_relax_disjointness"]
     config_echo: str = ""
 
     def __post_init__(self):
@@ -395,6 +438,10 @@ class ExperimentSpec:
             raise ConfigError("seed must be >= 0")
         if self.mu_users < 1:
             raise ConfigError("mu.q must be >= 1")
+        if min(self.impair.theta_d[1:]) < 0:
+            raise ConfigError("impair.theta_d must be >= 0")
+        if self.impair.theta_t < 0:
+            raise ConfigError("impair.theta_t must be >= 0")
         most = min(self.frame.M, self.frame.N)
         if (self.kind == "mu_uplink" and self.mu_allocation is None
                 and self.mu_users > most):
@@ -418,12 +465,6 @@ class ExperimentSpec:
                             rng)
 
 
-def _runs_sync(spec: ExperimentSpec) -> bool:
-    """Whether the trials of ``spec`` sync (an uplink's never do)."""
-    return spec.kind in _SYNC_KINDS or (spec.kind == "ber_vs_snr"
-                                        and spec.sync.enabled)
-
-
 def _largest_tap_delay(spec: ExperimentSpec) -> int:
     """Largest tap delay of the spec's channel, in samples. The tap delays
     of every profile follow from the spec alone (only gains and Doppler
@@ -431,53 +472,10 @@ def _largest_tap_delay(spec: ExperimentSpec) -> int:
     return spec.draw_channel(np.random.default_rng(0)).n_spread - 1
 
 
-# Which specs read a config key: those of ``kinds`` on which
-# ``condition`` (None: any) holds; ``setting`` names, after the kind, a
-# spec where it fails. ``value`` gives the spec's value of the key.
-_Read = namedtuple("_Read", "value kinds condition setting", defaults=(None, ""))
-
-# read where sync runs
-_SYNC_RUNS = ((*_SYNC_KINDS, "ber_vs_snr"), _runs_sync, " without sync.enabled = true")
-
-_WITH_PROFILE = " with channel.profile = {s.channel_profile}"
-# read where the profile's Doppler comes from the velocity and carrier
-_FADING_READS = (EXPERIMENTS, lambda s: s.channel_profile in _FADING, _WITH_PROFILE)
-
-# every key that some spec leaves unread
-READS = {
-    "sweep.thresholds": _Read(attrgetter("sweep_thresholds"), ("threshold_sweep",)),
-    # sync_vs_snr and threshold_sweep sync whatever it says
-    "sync.enabled": _Read(attrgetter("sync.enabled"), (*_SYNC_KINDS, "ber_vs_snr")),
-    "sync.threshold": _Read(attrgetter("sync.threshold"), *_SYNC_RUNS),
-    "impair.theta_d": _Read(attrgetter("impair.theta_d"), *_SYNC_RUNS),
-    "impair.theta_t": _Read(attrgetter("impair.theta_t"), *_SYNC_RUNS),
-    "impair.epsilon": _Read(attrgetter("impair.epsilon"), *_SYNC_RUNS),
-    "detector.csi": _Read(attrgetter("csi"), _DETECTION_KINDS),
-    "est.threshold_sigma": _Read(attrgetter("pilot.detection_threshold"),
-                                 _DETECTION_KINDS, lambda s: s.csi == "estimated",
-                                 " with detector.csi = genie"),
-    "mu.q": _Read(attrgetter("mu_users"), ("mu_uplink",)),
-    "mu.allocation": _Read(attrgetter("mu_allocation"), ("mu_uplink",)),
-    "mu.relax_disjointness": _Read(attrgetter("mu_relax_disjointness"), ("mu_uplink",)),
-    "channel.taps": _Read(attrgetter("custom_taps"), EXPERIMENTS,
-                          lambda s: s.channel_profile == "custom", _WITH_PROFILE),
-    "channel.velocity_kmh": _Read(attrgetter("velocity_kmh"), *_FADING_READS),
-    "frame.carrier_hz": _Read(attrgetter("frame.carrier_hz"), *_FADING_READS),
-    # a genie uplink sends no pilot, yet keeps these keys: the
-    # estimated-CSI uplink made from its config by changing detector.csi
-    # alone reuses them
-    "pilot.m_p": _Read(attrgetter("pilot.pilot_delay"), EXPERIMENTS),
-    "pilot.n_p": _Read(attrgetter("pilot.pilot_doppler"), EXPERIMENTS),
-    "pilot.power_db": _Read(attrgetter("pilot.power"), EXPERIMENTS),
-    "pilot.guards": _Read(attrgetter("pilot.guard_delay", "pilot.guard_doppler"),
-                          EXPERIMENTS),
-}
-
-
 def reads(spec: ExperimentSpec, key: str) -> bool:
-    """Whether the trials of ``spec`` read the :data:`READS` key ``key``."""
-    read = READS[key]
-    return spec.kind in read.kinds and (read.condition is None or read.condition(spec))
+    """Whether the trials of ``spec`` read the config key ``key``."""
+    row = SCHEMA[key]
+    return spec.kind in row.kinds and (row.condition is None or row.condition(spec))
 
 
 def check(spec: ExperimentSpec) -> None:
@@ -487,9 +485,8 @@ def check(spec: ExperimentSpec) -> None:
     pilot run that can start past the window starts the block search
     compares (``sync.BLOCK_STARTS``), or a CFO outside the range the
     estimate tells apart; for estimated CSI without a guard row ahead of
-    the pilot (the noise level comes from it); and for every
-    :data:`READS` key set away from its default that the spec does not
-    read."""
+    the pilot (the noise level comes from it); and for every key set
+    away from its default that the spec does not read (:func:`reads`)."""
     frame = spec.frame
     if _runs_sync(spec):
         if frame.N == 1:
@@ -518,11 +515,11 @@ def check(spec: ExperimentSpec) -> None:
         raise ConfigError("pilot.guards: detector.csi = estimated needs a "
                           "delay guard >= 1, the guard rows ahead of the "
                           "pilot that give the noise level")
-    unread = [key for key, read in READS.items()
-              if read.value(spec) != read.value(_DEFAULT) and not reads(spec, key)]
+    unread = [key for key, row in _UNREAD_BY_SOME
+              if row.value(spec) != row.value(_DEFAULT) and not reads(spec, key)]
     if unread:
-        settings = dict.fromkeys(READS[key].setting.format(s=spec) for key in unread
-                                 if spec.kind in READS[key].kinds)
+        settings = dict.fromkeys(SCHEMA[key].setting.format(s=spec) for key in unread
+                                 if spec.kind in SCHEMA[key].kinds)
         raise ConfigError(f"{', '.join(unread)}: {spec.kind}{' and'.join(settings)} "
                           f"never reads these keys; leave them at their defaults")
 
@@ -553,58 +550,36 @@ _CHECK_KEYS = (
     ("Doppler guard", "pilot.n_p, pilot.guards"),
 )
 
+# the part of a spec that each dotted attribute of a row's fields sets
+_PARTS = {"frame": FrameConfig, "pilot": PilotConfig, "sync": SyncSettings,
+          "impair": ImpairSettings}
+
 
 def spec_from_config(cfg: dict) -> ExperimentSpec:
-    g_delay, g_doppler = cfg["pilot.guards"]
+    """The spec that sets each key's value of ``cfg`` on its row's
+    fields; a key of several fields spreads a tuple over them."""
+    args, parts = {}, {part: {} for part in _PARTS}
+    for key, row in SCHEMA.items():
+        value = cfg[key]
+        if key == "pilot.power_db":
+            value = 10 ** (value / 10.0)
+        for path, v in zip(row.fields, value if len(row.fields) > 1 else (value,)):
+            part, _, name = path.rpartition(".")
+            (parts[part] if part else args)[name] = v
     try:
-        frame = FrameConfig(
-            M=cfg["frame.M"], N=cfg["frame.N"], cp_len=cfg["frame.L_cp"],
-            bandwidth_hz=cfg["frame.bandwidth_hz"], carrier_hz=cfg["frame.carrier_hz"],
-        )
-        pilot = PilotConfig(
-            pilot_delay=cfg["pilot.m_p"], pilot_doppler=cfg["pilot.n_p"],
-            power=10 ** (cfg["pilot.power_db"] / 10.0),
-            guard_delay=g_delay, guard_doppler=g_doppler,
-            detection_threshold=cfg["est.threshold_sigma"],
-        )
-        pilot.validate_fit(frame)
+        args.update({part: make(**parts[part]) for part, make in _PARTS.items()})
+        args["pilot"].validate_fit(args["frame"])
     except ValueError as exc:
         message = str(exc)
         keys = next((k for start, k in _CHECK_KEYS if message.startswith(start)),
                     None)
         raise ConfigError(f"{keys}: {message}" if keys else message) from None
-    theta = cfg["impair.theta_t"]
-    if theta < 0:
-        raise ConfigError("impair.theta_t must be >= 0")
-    return ExperimentSpec(
-        kind=cfg["experiment"],
-        frame=frame,
-        waveforms=cfg["waveforms"],
-        constellation=cfg["constellation"],
-        snr_db=cfg["snr_db"],
-        trials=cfg["trials"],
-        seed=cfg["seed"],
-        channel_profile=cfg["channel.profile"],
-        velocity_kmh=cfg["channel.velocity_kmh"],
-        custom_taps=cfg["channel.taps"],
-        pilot=pilot,
-        sync=SyncSettings(
-            enabled=cfg["sync.enabled"], threshold=cfg["sync.threshold"]),
-        impair=ImpairSettings(theta_d=cfg["impair.theta_d"],
-                              theta_t=theta,
-                              epsilon=cfg["impair.epsilon"]),
-        csi=cfg["detector.csi"],
-        sweep_thresholds=cfg["sweep.thresholds"],
-        mu_users=cfg["mu.q"],
-        mu_allocation=cfg["mu.allocation"],
-        mu_relax_disjointness=cfg["mu.relax_disjointness"],
-        config_echo=canonical_text(cfg),
-    )
+    return ExperimentSpec(**args, config_echo=canonical_text(cfg))
 
 
 def load_spec(path: str) -> ExperimentSpec:
     return spec_from_config(load_config(path))
 
 
-# every key at its default, parsed once
-_DEFAULT = spec_from_config(_resolve({"experiment": EXPERIMENTS[0]}, {}))
+# every key at its default, in a spec
+_DEFAULT = spec_from_config(_DEFAULT_CONFIG)

@@ -120,8 +120,9 @@ def _solve_band(slot: np.ndarray, vals: np.ndarray, width: int, noise_var: float
     lost in that rounding, where a singular A meets a pivot that is not
     positive (from about 160 dB on a 32x16 link, inside the 300 dB top
     of ``snr_db``). 0 is zero forcing. The values are formed as they
-    are, unscaled: the ranges of the config keys keep them normal floats
-    (:data:`ddlink.config.SCHEMA`).
+    are, unscaled: the ranges of the config keys, which the parsers of
+    their rows in :data:`ddlink.config.SCHEMA` check, keep them normal
+    floats.
 
     The band is built in place: one zeroed column-major (width + 1, n)
     array, which LAPACK factors without a copy. ``rhs`` (complex, one

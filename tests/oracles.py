@@ -36,7 +36,8 @@ def seed_stream_by_sequence(master_seed: int, trial: int,
 
 def unread_keys_by_path(spec) -> set:
     """The keys that ``harness.prepare`` rejected as unread, on its three
-    paths, before one table (:data:`ddlink.config.READS`) decided them:
+    paths, before the rows of one table (:data:`ddlink.config.SCHEMA`)
+    decided them:
     impairments where no sync runs, ``sync.enabled`` and impairments on
     the uplink, and the keys among ``sweep.thresholds``,
     ``sync.threshold``, ``detector.csi``, ``est.threshold_sigma`` and
@@ -60,9 +61,11 @@ def unread_keys_by_path(spec) -> set:
         "mu.allocation": (spec.mu_allocation, uplink),
         "mu.relax_disjointness": (spec.mu_relax_disjointness, uplink),
     }
-    # mu.allocation's empty default text means None, an even split
-    defaults = {key: None if key == "mu.allocation"
-                else SCHEMA[key][0](SCHEMA[key][1]) for key in values}
+    # each key's default text, parsed; an empty one (mu.allocation's) means
+    # None, an even split
+    rows = {key: SCHEMA[key] for key in values}
+    defaults = {key: None if row.default == "" else row.parse(row.default)
+                for key, row in rows.items()}
     unread = [key for key, (value, read) in values.items()
               if not read and value != defaults[key]]
     return set(impaired + unused + unread)

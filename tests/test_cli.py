@@ -79,8 +79,9 @@ snr_db = -100
 
 # committed configs, each with keys its experiment reads set on top (for
 # a custom profile, its taps, and the velocity back at its default, which
-# only eva and eva3 read); every key that config.READS says a kind
-# reads is set on that kind here, in a committed config or a golden case
+# only eva and eva3 read); every key that its config.SCHEMA row says a
+# kind reads is set on that kind here, in a committed config or a golden
+# case
 KEYS_THE_KIND_READS = [
     ("ber_vs_snr", "sync.enabled = true\nsync.threshold = 0.3\n"
      "est.threshold_sigma = 4\nchannel.profile = custom\n"
@@ -93,13 +94,14 @@ KEYS_THE_KIND_READS = [
     ("mu_uplink", "detector.csi = estimated\nest.threshold_sigma = 4\n"
      "mu.relax_disjointness = true\nchannel.profile = custom\n"
      "channel.taps = 0:0:0;300:-3:100\nchannel.velocity_kmh = 500"),
-    # eva and eva3 draw their Doppler from the velocity and carrier
-    ("ber_vs_snr", "frame.carrier_hz = 2e9"),
+    # eva and eva3 draw their Doppler from the velocity and carrier; the
+    # bandwidth sets the sample rate and the Doppler bin spacing
+    ("ber_vs_snr", "frame.carrier_hz = 2e9\nframe.bandwidth_hz = 5e6"),
     ("sync_vs_snr", "channel.profile = eva3\nchannel.velocity_kmh = 300\n"
-     "frame.carrier_hz = 2e9"),
+     "frame.carrier_hz = 2e9\nframe.bandwidth_hz = 5e6"),
     ("threshold_sweep", "channel.profile = eva\nchannel.velocity_kmh = 300\n"
-     "frame.carrier_hz = 2e9"),
-    ("mu_uplink", "frame.carrier_hz = 2e9"),
+     "frame.carrier_hz = 2e9\nframe.bandwidth_hz = 5e6"),
+    ("mu_uplink", "frame.carrier_hz = 2e9\nframe.bandwidth_hz = 5e6"),
 ]
 
 
@@ -214,6 +216,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("key, line", [
         ("seed", "seed = -1"), ("mu.q", "mu.q = 0"),
+        ("impair.theta_t", "impair.theta_t = -1"),
         ("mu.q", "experiment = mu_uplink\nmu.q = 20"),
         ("sync.threshold", "sync.threshold = 0"),
         ("sweep.thresholds",

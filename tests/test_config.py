@@ -1,6 +1,6 @@
 import ast
 import re
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ddlink.channel import CHANNEL_PROFILES
-from ddlink.config import (EXPERIMENTS, READS, SCHEMA, ConfigError,
+from ddlink.config import (EXPERIMENTS, SCHEMA, ConfigError,
                            ExperimentSpec, ImpairSettings, SyncSettings,
                            _Range, canonical_text, load_config, load_spec,
                            parse_config_text, reads, spec_from_config)
@@ -60,7 +60,7 @@ def _typed(key):
     """Well-formed value text for ``key``, in range or not: a key with a
     physical range mostly takes a float in it, and a choice key one of its
     own words; now and then either takes any float or word."""
-    parse = SCHEMA[key][0]
+    parse = SCHEMA[key].parse
     if isinstance(parse, _Range):
         return _mostly(st.floats(parse.lo, parse.hi).map(str), _FLOAT)
     if parse.__name__ in _VALUES:
@@ -86,7 +86,7 @@ def _parses(line):
     takes and no comment in it."""
     key, _, value = line.partition(" = ")
     try:
-        SCHEMA[key][0](value)
+        SCHEMA[key].parse(value)
     except (KeyError, ValueError, TypeError):
         return False
     return "#" not in value
@@ -172,10 +172,10 @@ class TestParsing:
             parse_config_text(MINIMAL + f"impair.theta_d = {text}\n")
 
     @pytest.mark.parametrize("key", sorted(
-        k for k, (parser, _) in SCHEMA.items()
-        if isinstance(parser, _Range)
-        or parser.__name__ in ("_finite", "_parse_float_list", "_parse_draw",
-                               "_parse_offset_draw")))
+        k for k, row in SCHEMA.items()
+        if isinstance(row.parse, _Range)
+        or row.parse.__name__ in ("_finite", "_parse_float_list", "_parse_draw",
+                                  "_parse_offset_draw")))
     @pytest.mark.parametrize("text", ["nan", "-inf", "Infinity"])
     def test_every_float_key_rejects_non_finite_values(self, key, text):
         with pytest.raises(ConfigError, match=f"line 2: bad value for {key}: "
@@ -211,8 +211,8 @@ class TestParsing:
         set_keys = {key for text in texts
                     for key in re.findall(r"^\s*([\w.]+)\s*=", text, re.M)}
         assert sorted(set(SCHEMA) - set_keys - {"experiment"}) == []
-        # and each key of config.READS on each kind the table says reads it
-        # (on some setting of sync.enabled, detector.csi and the profile)
+        # and each key on each kind its SCHEMA row says reads it (on some
+        # setting of sync.enabled, detector.csi and the profile)
         # is set on that kind: a line of a committed config, or of one
         # that a CLI case runs, or a golden spec away from the default
         set_on = set()
@@ -224,9 +224,9 @@ class TestParsing:
         for case in CASES.values():
             spec = case()
             default = spec_from_config(parse_config_text(f"experiment = {spec.kind}\n"))
-            set_on |= {(spec.kind, key) for key, read in READS.items()
-                       if read.value(spec) != read.value(default)}
-        read_on = {(kind, key) for kind in EXPERIMENTS for key in READS
+            set_on |= {(spec.kind, key) for key, row in SCHEMA.items()
+                       if row.value(spec) != row.value(default)}
+        read_on = {(kind, key) for kind in EXPERIMENTS for key in SCHEMA
                    for spec in _settings_of(kind) if reads(spec, key)}
         assert sorted(read_on - set_on) == []
 
@@ -294,6 +294,24 @@ class TestSpecBuilding:
         cfg = parse_config_text(MINIMAL + "trials = 0\n")
         with pytest.raises(ConfigError, match="trials"):
             spec_from_config(cfg)
+
+    @pytest.mark.parametrize("impair, key", [
+        (ImpairSettings(theta_t=-1), "impair.theta_t"),
+        (ImpairSettings(theta_d=("fixed", -2)), "impair.theta_d"),
+        (ImpairSettings(theta_d=("uniform", -2, 3)), "impair.theta_d")])
+    def test_negative_offsets_rejected_on_a_spec_built_in_code(self, impair, key):
+        # the parser rejects a negative theta_d only in a config's text
+        spec = load_spec(str(ROOT / "configs" / "sync_vs_snr.cfg"))
+        with pytest.raises(ConfigError, match=f"^{key} must be >= 0$"):
+            replace(spec, impair=impair)
+
+    def test_a_spec_of_its_required_fields_has_every_default_of_the_table(self):
+        default = spec_from_config(parse_config_text(MINIMAL))
+        spec = ExperimentSpec(**{f.name: getattr(default, f.name)
+                                 for f in fields(ExperimentSpec)
+                                 if f.default is f.default_factory is MISSING})
+        for key, row in SCHEMA.items():
+            assert row.value(spec) == row.value(default), key
 
     @pytest.mark.parametrize("sync, sweep", [
         (0.0, (0.5,)), (-0.5, (0.5,)), (1.5, (0.5,)), (float("nan"), (0.5,)),

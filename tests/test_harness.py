@@ -19,7 +19,7 @@ from ddlink import (_blas, _seeds, chanest, channel, config, equalize,
                     harness, mapping, multiuser)
 from ddlink.chanest import PilotConfig
 from ddlink.channel import CHANNEL_PROFILES, LtvChannel, build_dd_matrix
-from ddlink.config import (EXPERIMENTS, READS, ConfigError, ExperimentSpec,
+from ddlink.config import (EXPERIMENTS, SCHEMA, ConfigError, ExperimentSpec,
                            ImpairSettings, SyncSettings, canonical_text,
                            load_config, load_spec, parse_config_text, reads,
                            spec_from_config)
@@ -836,6 +836,37 @@ class TestLayout:
             assert set(bins.tolist()) <= set(alloc.vec_indices(q).tolist())
 
 
+# the keys the profile decides, which no path of the oracle read
+PROFILE_KEYS = {"channel.taps", "channel.velocity_kmh", "frame.carrier_hz"}
+
+# a value away from its default for each key some spec leaves unread, and
+# for the pilot.* keys a genie uplink keeps: one a spec of any kind runs
+# with where it reads the key
+AWAY = {
+    "sweep.thresholds": "0.3,0.9",
+    "sync.enabled": "true",
+    "sync.threshold": "0.3",
+    "impair.theta_d": "uniform:0:3",
+    "impair.theta_t": "1",
+    "impair.epsilon": "uniform:-0.3:0.3",
+    "detector.csi": "estimated",
+    "est.threshold_sigma": "4",
+    "mu.q": "3",
+    # the committed uplink's two users
+    "mu.allocation": re.search(r"^mu\.allocation = (.*)$",
+                               (ROOT / "configs" / "mu_uplink.cfg").read_text(),
+                               re.M).group(1),
+    "mu.relax_disjointness": "true",
+    "channel.taps": "0:0:0;300:-3:100",
+    "channel.velocity_kmh": "300",
+    "frame.carrier_hz": "2e9",
+    "pilot.m_p": "5",
+    "pilot.n_p": "7",
+    "pilot.power_db": "20",
+    "pilot.guards": "2,2",
+}
+
+
 class TestUnreadKeys:
     """``prepare`` rejects a key the experiment kind never reads when it is
     set away from its default, and names it."""
@@ -891,11 +922,16 @@ class TestUnreadKeys:
     def test_keys_the_kind_reads_pass(self, kind, settings):
         prepare(make_spec(kind=kind, **settings))
 
+    def test_away_sets_every_key_some_spec_leaves_unread(self):
+        assert {key for key, row in SCHEMA.items()
+                if row.kinds != EXPERIMENTS or row.condition} <= set(AWAY)
+
     @PROPERTY
-    @given(st.sampled_from(EXPERIMENTS), st.sets(st.sampled_from(sorted(READS))),
+    @given(st.sampled_from(EXPERIMENTS),
+           st.sets(st.sampled_from([key for key in SCHEMA if key in AWAY])),
            st.sampled_from(["single_tap", "eva3", "custom"]))
     def test_the_table_decides_every_key(self, kind, keys, profile):
-        # every table key set away from its default, on any kind, is
+        # every key AWAY sets away from its default, on any kind, is
         # rejected exactly where the table says the spec does not read it,
         # as the three paths prepare had before the table decided for every
         # key but the profile's (channel.taps, channel.velocity_kmh and
@@ -921,36 +957,6 @@ class TestUnreadKeys:
         named, rest = str(exc.value).split(": ", 1)
         assert set(named.split(", ")) == unread
         assert rest.endswith(" never reads these keys; leave them at their defaults")
-
-
-# the keys the profile decides, which no path of the oracle read
-PROFILE_KEYS = {"channel.taps", "channel.velocity_kmh", "frame.carrier_hz"}
-
-# a value away from its default for each key of the table, one a spec of
-# any kind runs with where it reads the key
-AWAY = {
-    "sweep.thresholds": "0.3,0.9",
-    "sync.enabled": "true",
-    "sync.threshold": "0.3",
-    "impair.theta_d": "uniform:0:3",
-    "impair.theta_t": "1",
-    "impair.epsilon": "uniform:-0.3:0.3",
-    "detector.csi": "estimated",
-    "est.threshold_sigma": "4",
-    "mu.q": "3",
-    # the committed uplink's two users
-    "mu.allocation": re.search(r"^mu\.allocation = (.*)$",
-                               (ROOT / "configs" / "mu_uplink.cfg").read_text(),
-                               re.M).group(1),
-    "mu.relax_disjointness": "true",
-    "channel.taps": "0:0:0;300:-3:100",
-    "channel.velocity_kmh": "300",
-    "frame.carrier_hz": "2e9",
-    "pilot.m_p": "5",
-    "pilot.n_p": "7",
-    "pilot.power_db": "20",
-    "pilot.guards": "2,2",
-}
 
 
 # a tiny grid every kind runs on: each of two users' 8x4 bins hosts a
