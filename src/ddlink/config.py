@@ -438,8 +438,16 @@ class ExperimentSpec:
             raise ConfigError("seed must be >= 0")
         if self.mu_users < 1:
             raise ConfigError("mu.q must be >= 1")
-        if min(self.impair.theta_d[1:]) < 0:
+        theta_d = self.impair.theta_d[1:]
+        if min(theta_d) < 0:
             raise ConfigError("impair.theta_d must be >= 0")
+        if not all(float(v).is_integer() for v in theta_d):
+            raise ConfigError(f"impair.theta_d must be a whole number of "
+                              f"samples, got {', '.join(map(str, theta_d))}")
+        for key, draw in (("impair.theta_d", self.impair.theta_d),
+                          ("impair.epsilon", self.impair.epsilon)):
+            if draw[0] == "uniform" and not draw[1] <= draw[2]:
+                raise ConfigError(f"{key}: empty range {draw[1]:g} to {draw[2]:g}")
         if self.impair.theta_t < 0:
             raise ConfigError("impair.theta_t must be >= 0")
         most = min(self.frame.M, self.frame.N)

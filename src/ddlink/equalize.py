@@ -7,10 +7,13 @@ Every route solves the regularized problem
 The (de)modulators are unitary, so H = U H_t U^H with H_t the CP-bounded
 time-domain channel: :func:`equalize_time_domain`, the equalizer the
 harness runs, solves once for the transmitted block with H_t and
-demodulates that one solution for each waveform of a tuple, which differ
-only by phases the channel absorbs. H_t is nonzero only on the cyclic
-diagonals of the tap delays, and the equalizer takes the channel in that
-form, a :class:`~ddlink.channel.DelayDiagonals` (from
+demodulates that solution with the OTFS structure the record was sent
+with. The waveforms differ only by the coupling phases D of the unknowns,
+which the paper absorbs into the channel: the SC-IFDMA system is
+D A D^H d = D b for the OTFS system A d = b, so the one solution serves
+the receiver of either waveform, in OTFS's convention. H_t is nonzero
+only on the cyclic diagonals of the tap delays, and the equalizer takes
+the channel in that form, a :class:`~ddlink.channel.DelayDiagonals` (from
 :func:`~ddlink.channel.delay_diagonals`, for a drawn channel and an
 estimate alike); the periodic band H_t^H H_t + noise_var I is formed
 from them and solved by banded Cholesky. The index plan of that band
@@ -36,7 +39,8 @@ import numpy as np
 
 from ._blas import _lapack
 from .channel import DdChannelMatrix, DelayDiagonals
-from .modem import DelayDopplerGrid, TimeSignal, _strip, demodulate_direct
+from .modem import (DelayDopplerGrid, TimeSignal, Waveform, _strip,
+                    demodulate_direct)
 
 
 def _as_matrix(H):
@@ -215,15 +219,17 @@ def _solve_banded(delays, gains, z: np.ndarray, noise_var: float) -> np.ndarray:
 
 
 def equalize_time_domain(received: TimeSignal, channel: DelayDiagonals | None,
-                         waveforms: tuple, noise_var: float) -> tuple:
+                         noise_var: float) -> DelayDopplerGrid:
     """Equalize one CP-included frame on a CP-bounded channel given as its
     delay diagonals (None for an empty estimate: no equalization).
 
     Solves (H_t^H H_t + noise_var I) t = H_t^H z by banded Cholesky on
-    the diagonals once, and demodulates the estimate t of the transmitted
-    block in the convention of each waveform of ``waveforms``, one grid
-    each. This equals :func:`equalize_mmse` on the demodulated frame with
-    the dense delay-Doppler matrix of the same channel. Diagonals of
+    the diagonals, and demodulates the estimate t of the transmitted
+    block with the OTFS structure, the one the record was sent with.
+    This equals :func:`equalize_mmse` on the OTFS demodulation of the
+    frame with the dense OTFS delay-Doppler matrix of the same channel;
+    for SC-IFDMA, whose dense system is D A D^H d = D b for that one
+    (D the coupling phases), it equals D times this grid. Diagonals of
     another grid size or CP raise ValueError; zero forcing (noise_var 0)
     on a singular channel raises numpy.linalg.LinAlgError.
     """
@@ -232,4 +238,4 @@ def equalize_time_domain(received: TimeSignal, channel: DelayDiagonals | None,
         channel.check_frame(frame)
         t = _solve_banded(channel.delays, channel.gains, _strip(received), noise_var)
         block = TimeSignal(t, frame, cp_included=False)
-    return tuple(demodulate_direct(block, w) for w in waveforms)
+    return demodulate_direct(block, Waveform.OTFS)

@@ -14,9 +14,12 @@ noise variance 10**(-S/10).
 Waveform pairing: detection experiments (ber_vs_snr, mu_uplink) transmit
 one physical record per trial and hand it to both receivers; the OTFS
 signal of a grid is identical to the SC-IFDMA signal of the same grid
-pre-rotated by the known coupling phases, so each receiver simply
-accounts for those phases in its own bookkeeping. This makes the
-per-trial hard decisions of the two waveforms comparable one-to-one.
+pre-rotated by the known coupling phases. The paper absorbs those phases
+into the channel: the SC-IFDMA receiver estimates its channel from its
+own received grid, with the pilot rotated by its phase, and the
+detector's one solution, in the OTFS convention the record was sent
+with, serves either receiver. This makes the per-trial hard decisions
+of the two waveforms comparable one-to-one.
 Synchronization experiments instead send each waveform's own signal of
 the one drawn grid, with shared channel/noise/impairment draws, since the
 timing metric needs no cross-waveform coupling; the records of all
@@ -40,18 +43,16 @@ added to each record. A detection trial asks for the OTFS record alone,
 a sync trial for one record per waveform of its spec.
 ``_detection_trial`` runs a link or uplink trial on one noisy record:
 impairments and sync only where ``config._runs_sync`` says the spec
-syncs, then CSI, the trial's detector, SC-IFDMA derotation and demapping
-per grid. The link's and the uplink's detectors both take the record,
-the CSI and a tuple of waveforms and give one grid per waveform. Genie
-CSI is the delay diagonals of the drawn channels, read from the same
-ramps from the sample the frame was sent at, and serves every waveform,
-so the detector is called once for all of them and solves its band
-once: the link's detector demodulates the one solution per waveform,
-the uplink's rotates it by the coupling phases into SC-IFDMA's. So
-under genie CSI the paired decisions agree by construction, up to the
-rounding of that rotation. Estimated CSI is per waveform, and so are
-the call and its solve. The harness demodulates a record only to
-estimate from it, once for both waveforms.
+syncs, then CSI, the trial's detector and demapping per grid. The
+link's and the uplink's detectors both take the record and the CSI,
+solve their band once and give one grid in the OTFS convention, which
+the harness demaps as it is. Genie CSI is the delay diagonals of the
+drawn channels, read from the same ramps from the sample the frame was
+sent at, and serves every waveform, so the detector is called once and
+its grid serves all of them: under genie CSI the paired decisions agree
+by construction. Estimated CSI is per waveform, and so are the call and
+its solve. The harness demodulates a record only to estimate from it,
+once for both waveforms.
 ``_KINDS`` maps each kind to its trial and its result rows; it names
 ``link_trial``, ``sync_trial`` and ``mu_trial`` at call time, so
 rebinding them on this module intercepts every trial.
@@ -242,18 +243,19 @@ def _detection_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
     the spec syncs, the record carries the impairments and the receivers
     read the frame sync finds (clamped into the record), CFO undone.
 
-    CSI is a list of delay diagonals, one per channel. Genie CSI reads
-    those of the drawn channels from the tap ramps the transmit used,
-    from the sample the frame was sent at, and serves every waveform in
-    one ``detect`` call. Estimated CSI takes, per waveform, those of one
-    estimate per pilot (None for an empty estimate) from the waveform's
-    received grid (both grids from one demodulation,
-    :func:`_received_grids`), and makes one call per waveform.
-    ``detect(signal, hs, waveforms, noise_var)`` gives one equalized
-    delay-Doppler grid per waveform of ``waveforms``; SC-IFDMA is
-    derotated by the coupling phases, and hard decisions on the data
-    bins of each grid are counted against that grid's bits (returned
-    with the decisions and whether an estimate came back empty)."""
+    CSI is a list of delay diagonals, one per channel.
+    ``detect(signal, hs, noise_var)`` gives one equalized delay-Doppler
+    grid in the OTFS convention the record was sent with, which serves
+    the receiver of either waveform (the paper's phase absorption). Genie
+    CSI reads the diagonals of the drawn channels from the tap ramps the
+    transmit used, from the sample the frame was sent at; it is the same
+    for every waveform, so one ``detect`` call serves them all. Estimated
+    CSI takes, per waveform, those of one estimate per pilot (None for an
+    empty estimate) from the waveform's received grid (both grids from
+    one demodulation, :func:`_received_grids`), and makes one call per
+    waveform. Hard decisions on the data bins of the grid are counted
+    against the bits (returned with the decisions and whether an
+    estimate came back empty)."""
     frame = spec.frame
     noise_var = _noise_var(snr_db)
     channels, bits, ramps, impair, (record,) = _send(spec, trial_id, snr_db,
@@ -266,36 +268,29 @@ def _detection_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
                      record.size - frame.frame_len)
         signal = correct(record, offset, est.cfo, frame)
     const = get_constellation(spec.constellation)
-    W = coupling_phases(frame.M, frame.N)
+
+    def detected(hs):
+        d_hat = detect(signal, hs, noise_var).vec
+        errors, decisions = 0, []
+        for bins, b in zip(layout.bins, bits):
+            idx = const.nearest_indices(d_hat[bins])
+            errors += int(np.count_nonzero(const.indices_to_bits(idx) != b))
+            decisions.append(idx)
+        return {"bit_errors": errors,
+                "bits": sum(b.size for b in bits),
+                "decisions": np.concatenate(decisions),
+                "estimate_empty": any(h is None for h in hs)}
+
     if spec.csi == "genie":
         # the frame starts at the offset, record sample 0 of the ramps
         shift = 0 if impair is None else impair.total_offset(frame.M)
-        calls = [(spec.waveforms, [delay_diagonals(ch, r[:, shift:])
-                                   for ch, r in zip(channels, ramps)])]
-    else:
-        grids = _received_grids(signal)
-        # a generator: each waveform estimates just before it detects
-        calls = (((w,), [_estimated_channel(grids[w], pc, w)
-                         for pc in layout.pilots])
-                 for w in spec.waveforms)
-    out = {}
-    for waveforms, hs in calls:
-        d_hats = [g.vec for g in detect(signal, hs, waveforms, noise_var)]
-        for w, d_hat in zip(waveforms, d_hats, strict=True):
-            if w is Waveform.SC_IFDMA:
-                d_hat = d_hat * np.conj(W).flatten(order="F")
-            errors, decisions = 0, []
-            for bins, b in zip(layout.bins, bits):
-                idx = const.nearest_indices(d_hat[bins])
-                errors += int(np.count_nonzero(const.indices_to_bits(idx) != b))
-                decisions.append(idx)
-            out[w.value] = {
-                "bit_errors": errors,
-                "bits": sum(b.size for b in bits),
-                "decisions": np.concatenate(decisions),
-                "estimate_empty": any(h is None for h in hs),
-            }
-    return out
+        out = detected([delay_diagonals(ch, r[:, shift:])
+                        for ch, r in zip(channels, ramps)])
+        return {w.value: dict(out) for w in spec.waveforms}
+    grids = _received_grids(signal)
+    return {w.value: detected([_estimated_channel(grids[w], pc, w)
+                               for pc in layout.pilots])
+            for w in spec.waveforms}
 
 
 def link_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
@@ -304,8 +299,8 @@ def link_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
     (:func:`~ddlink.equalize.equalize_time_domain`)."""
     return _detection_trial(
         spec, trial_id, snr_db, _layout(spec.frame, spec.pilot, spec.csi, None),
-        lambda signal, hs, waveforms, noise_var: equalize_time_domain(
-            signal, hs[0], waveforms, noise_var))
+        lambda signal, hs, noise_var: equalize_time_domain(signal, hs[0],
+                                                           noise_var))
 
 
 def sync_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
@@ -408,8 +403,8 @@ def mu_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
     symbols toward zero)."""
     return _detection_trial(
         spec, trial_id, snr_db, _layout(spec.frame, spec.pilot, spec.csi, alloc),
-        lambda signal, hs, waveforms, noise_var: detect_users_time_domain(
-            signal, hs, alloc, waveforms, noise_var))
+        lambda signal, hs, noise_var: detect_users_time_domain(
+            signal, hs, alloc, noise_var))
 
 
 def _ber_metrics(spec: ExperimentSpec, per_trial: list) -> list:

@@ -17,15 +17,16 @@ delay-Doppler matrix is built.
 That matrix couples a delay row only to the rows a delay difference
 away, so ordered by folded delay row it is a band, solved by banded
 Cholesky. The waveforms differ only by linear phase shifts, which the
-paper absorbs into the channel, so one call detects for a tuple of
-waveforms from one band solve, in the OTFS convention: the SC-IFDMA
-system is that one with its unknowns rotated by the coupling phases,
-and so is its solution.
+paper absorbs into the channel, so one band solve serves the receiver of
+either waveform, in the OTFS convention the record was sent with: the
+SC-IFDMA system is that one with its unknowns rotated by the coupling
+phases, and so is its solution.
 The index plan of the band depends only on the allocation and the delay
 sets and is cached; the band solve is the link equalizer's
 (:func:`~ddlink.equalize._solve_band`). The demodulators are unitary, so
-the detector equals :func:`detect_users` on the demodulated record with
-the dense :func:`compound_matrix`, which stay as its oracles.
+the detector equals :func:`detect_users` on the OTFS demodulation of the
+record with the dense OTFS :func:`compound_matrix`, and the SC-IFDMA
+solution derotated by the coupling phases; both stay as its oracles.
 """
 
 import itertools
@@ -40,7 +41,6 @@ from .equalize import _fold_positions, _solve_band
 from .frame import FrameConfig
 from .modem import (DelayDopplerGrid, TimeSignal, Waveform, _strip,
                     demodulate_direct, modulate_direct)
-from .transforms import coupling_phases
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,6 @@ class _UplinkPlan:
     user_rows: np.ndarray  # first stacked delay row of each user
     rhs_entry: np.ndarray   # index into the raveled (user, f, m) FFT per unknown
     phase: np.ndarray   # phase of each entry, over N
-    coupling: np.ndarray  # coupling phase of each unknown (SC-IFDMA over OTFS)
     width: int          # band half-width
 
 
@@ -287,18 +286,17 @@ def _uplink_plan(alloc: Allocation, users: tuple, delays: tuple) -> _UplinkPlan:
         bins=n * M + m, left=np.concatenate(left), right=np.concatenate(right),
         groups=np.concatenate(groups), entry=np.concatenate(entry),
         slot=col * (width + 1) + band, shift=shift, user_rows=first_gain[:-1],
-        rhs_entry=(who * N + n) * M + m, phase=phase,
-        coupling=coupling_phases(M, N)[m, n])
+        rhs_entry=(who * N + n) * M + m, phase=phase)
     for a in arrays.values():
         a.setflags(write=False)
     return _UplinkPlan(width=width, **arrays)
 
 
 def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
-                             waveforms: tuple, noise_var: float) -> tuple:
+                             noise_var: float) -> DelayDopplerGrid:
     """Joint MMSE detection over the allocated bins of one CP-included
-    superposed record, in the delay-Doppler convention of each waveform
-    of ``waveforms``; returns one grid per waveform, in order.
+    superposed record, in the OTFS delay-Doppler convention the record
+    was sent with; returns one full grid.
 
     ``channels[q]`` is user q's CP-bounded channel as its
     :class:`~ddlink.channel.DelayDiagonals`, or None. With C the
@@ -319,16 +317,15 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
     :func:`~ddlink.transforms.coupling_phases`, which the paper absorbs
     into the channel: with D = diag(W) over the unknowns, the SC-IFDMA
     system is D A D^H x = D b for this OTFS system A x = b, so its
-    solution is D times the OTFS one. One band solve serves every
-    waveform of the call: OTFS takes its solution as it is, SC-IFDMA
-    times W.
+    solution is D times the OTFS one, and this one solve serves the
+    receiver of either waveform.
 
     A ``None`` channel leaves its user out of the solve, and its bins
     stay zero. Diagonals of another grid size or CP than the record's
     raise ValueError. Zero forcing (noise_var 0) on a singular C raises
-    numpy.linalg.LinAlgError. Equals, per waveform,
-    :func:`detect_users` on the demodulated record with the compound
-    matrix of the same channels.
+    numpy.linalg.LinAlgError. Equals :func:`detect_users` on the OTFS
+    demodulation of the record with the OTFS compound matrix of the same
+    channels, and conj(W) times its solution on the SC-IFDMA ones.
     """
     if len(channels) != alloc.n_users:
         raise ValueError(f"{len(channels)} channels for {alloc.n_users} allocations")
@@ -339,7 +336,7 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
     for q in users:
         channels[q].check_frame(frame)
     if not users:
-        return tuple(DelayDopplerGrid.zeros(frame) for _ in waveforms)
+        return DelayDopplerGrid.zeros(frame)
     plan = _uplink_plan(alloc, users,
                         tuple(tuple(channels[q].delays.tolist()) for q in users))
     gains = np.concatenate([channels[q].gains for q in users])
@@ -349,14 +346,10 @@ def detect_users_time_domain(received: TimeSignal, channels, alloc: Allocation,
     seen = (np.conj(gains) * _strip(received)).ravel()[plan.shift]
     y = np.add.reduceat(seen, plan.user_rows).reshape(len(users), alloc.N, alloc.M)
     unknowns = np.fft.fft(y, axis=1).ravel()[plan.rhs_entry]
-    x = _solve_band(plan.slot, entries * plan.phase, plan.width, noise_var,
-                    unknowns * (1 / np.sqrt(alloc.N)))
-    grids = []
-    for w in waveforms:
-        out = np.zeros(frame.grid_size, dtype=complex)
-        out[plan.bins] = x * plan.coupling if w is Waveform.SC_IFDMA else x
-        grids.append(DelayDopplerGrid.from_vec(out, frame))
-    return tuple(grids)
+    out = np.zeros(frame.grid_size, dtype=complex)
+    out[plan.bins] = _solve_band(plan.slot, entries * plan.phase, plan.width,
+                                 noise_var, unknowns * (1 / np.sqrt(alloc.N)))
+    return DelayDopplerGrid.from_vec(out, frame)
 
 
 def even_split_allocation(M: int, N: int, n_users: int) -> Allocation:

@@ -16,8 +16,8 @@ The metric reads its rows r[m + M*l], l = 0 .. 2N-2, as a (2N-1, M) view
 of the record's first M(2N-1) samples, which every harness record
 (:meth:`Impairments.record_len`) holds; a shorter record is padded with
 zeros first. One estimate takes the metric magnitude once: the coarse
-and fine rows follow from it by the rules the public timing functions
-apply, and the block offset and CFO are read at the coarse row.
+row (the metric peak) and the fine row (the rule of :func:`fine_timing`)
+follow from it, and the block offset and CFO are read at the coarse row.
 """
 
 from dataclasses import dataclass, field
@@ -103,16 +103,6 @@ def _peak_rows(mag, threshold: float):
     return int(np.argmax(mag)), np.flatnonzero(mag >= threshold * mag.max())
 
 
-def coarse_timing(row_metric, pilot_delay: int, cp_len: int) -> int:
-    """Metric-peak timing estimate in the delay dimension.
-
-    Follows the strongest channel tap, so it is biased by that tap's delay;
-    the result is only known modulo M (full blocks are resolved separately).
-    Ties resolve to the lowest row.
-    """
-    return _peak_rows(np.abs(np.asarray(row_metric)), 1.0)[0] - pilot_delay - cp_len
-
-
 def metric_peak_set(row_metric, threshold: float) -> np.ndarray:
     """Rows whose metric magnitude is within ``threshold`` of the maximum."""
     return _peak_rows(np.abs(np.asarray(row_metric)), threshold)[1]
@@ -122,7 +112,8 @@ def fine_timing(row_metric, threshold: float, pilot_delay: int, cp_len: int) -> 
     """First-peak timing estimate: earliest row above the relative threshold.
 
     The maximum always qualifies, so the peak set is never empty; with
-    threshold 1 this reduces to :func:`coarse_timing`.
+    threshold 1 this reduces to the metric-peak estimate, the coarse
+    delay of :func:`estimate_sync`.
     """
     rows = _peak_rows(np.abs(np.asarray(row_metric)), threshold)[1]
     return int(rows[0]) - pilot_delay - cp_len

@@ -13,11 +13,9 @@ from ddlink.chanest import EstimatedChannel, embed_pilot, overlay_mask
 from ddlink.channel import (ChannelTap, DdChannelMatrix, LtvChannel,
                             _cp_bounded, apply_channel, delay_diagonals,
                             draw_noise, tap_ramps)
-from ddlink.equalize import _solve_band
 from ddlink.mapping import data_bins, get_constellation, map_bits
-from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform, _mod_core,
-                          _strip, demodulate_direct)
-from ddlink.multiuser import _uplink_plan, compound_matrix, detect_users
+from ddlink.modem import TimeSignal, Waveform, _mod_core, demodulate_direct
+from ddlink.multiuser import compound_matrix, detect_users
 from ddlink.sync import BLOCK_STARTS, SyncEstimate, cfo_estimate
 from ddlink.transforms import coupling_phases
 
@@ -71,6 +69,16 @@ def unread_keys_by_path(spec) -> set:
     return set(impaired + unused + unread)
 
 
+def in_otfs_convention(grid, waveform) -> np.ndarray:
+    """The vec of a delay-Doppler solution of ``waveform``'s system in
+    the OTFS convention: an SC-IFDMA one derotated by the coupling
+    phases, an OTFS one as it is."""
+    if waveform is Waveform.OTFS:
+        return grid.vec
+    frame = grid.frame
+    return grid.vec * np.conj(coupling_phases(frame.M, frame.N)).flatten(order="F")
+
+
 def dense_detect(received, channels, alloc, waveform, noise_var):
     """Joint detection on the demodulated record with the dense compound
     delay-Doppler matrix; a ``None`` channel leaves its user's columns
@@ -83,44 +91,6 @@ def dense_detect(received, channels, alloc, waveform, noise_var):
             H[:, alloc.vec_indices(q)] = 0.0
     return detect_users(demodulate_direct(received, waveform),
                         DdChannelMatrix(H, waveform), alloc, noise_var)
-
-
-def detect_users_solve_per_waveform(received, channels, alloc, waveforms,
-                                    noise_var):
-    """:func:`ddlink.multiuser.detect_users_time_domain` with one band
-    solve per waveform, as it was before one solve served both: the
-    products that do not depend on the waveform are formed once, and
-    each waveform scales them by its own phases and solves its own band.
-    For SC-IFDMA, band entry (row, col) is scaled by W_row conj(W_col)
-    and the right-hand side by W, W the coupling phases of the unknowns;
-    OTFS scales neither. Checks no inputs."""
-    frame = received.frame
-    users = tuple(q for q, ch in enumerate(channels) if ch is not None)
-    if not users:
-        return tuple(DelayDopplerGrid.zeros(frame) for _ in waveforms)
-    plan = _uplink_plan(alloc, users,
-                        tuple(tuple(channels[q].delays.tolist()) for q in users))
-    gains = np.concatenate([channels[q].gains for q in users])
-    flat = gains.ravel()
-    h = np.add.reduceat(np.conj(flat[plan.left]) * flat[plan.right], plan.groups)
-    entries = np.fft.fft(h).ravel()[plan.entry]
-    seen = (np.conj(gains) * _strip(received)).ravel()[plan.shift]
-    y = np.add.reduceat(seen, plan.user_rows).reshape(len(users), alloc.N, alloc.M)
-    unknowns = np.fft.fft(y, axis=1).ravel()[plan.rhs_entry]
-    col, band = np.divmod(plan.slot, plan.width + 1)
-    w = plan.coupling
-    phases = {Waveform.OTFS: (plan.phase, np.full(w.size, 1 / np.sqrt(alloc.N))),
-              Waveform.SC_IFDMA: (plan.phase * w[col + band] * np.conj(w[col]),
-                                  w / np.sqrt(alloc.N))}
-    grids = []
-    for waveform in waveforms:
-        entry_phase, unknown_phase = phases[waveform]
-        out = np.zeros(frame.grid_size, dtype=complex)
-        out[plan.bins] = _solve_band(plan.slot, entries * entry_phase,
-                                     plan.width, noise_var,
-                                     unknowns * unknown_phase)
-        grids.append(DelayDopplerGrid.from_vec(out, frame))
-    return tuple(grids)
 
 
 def solve_band_bincount(slot, vals, width, noise_var, rhs):
@@ -390,6 +360,17 @@ def coarse_row(row_metric) -> int:
     if not mag.any():
         raise ValueError("timing metric is identically zero")
     return int(np.argmax(mag))
+
+
+def coarse_timing(row_metric, pilot_delay: int, cp_len: int) -> int:
+    """Metric-peak timing estimate in the delay dimension, the coarse
+    delay of :func:`ddlink.sync.estimate_sync` on its own metric.
+
+    Follows the strongest channel tap, so it is biased by that tap's delay;
+    the result is only known modulo M (full blocks are resolved separately).
+    Ties resolve to the lowest row.
+    """
+    return coarse_row(row_metric) - pilot_delay - cp_len
 
 
 def first_peak_row(row_metric, threshold: float) -> int:

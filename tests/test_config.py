@@ -305,6 +305,39 @@ class TestSpecBuilding:
         with pytest.raises(ConfigError, match=f"^{key} must be >= 0$"):
             replace(spec, impair=impair)
 
+    @pytest.mark.parametrize("impair, message", [
+        pytest.param(ImpairSettings(theta_d=("fixed", 2.5)),
+                     "impair.theta_d must be a whole number of samples, got 2.5",
+                     id="fractional_theta_d"),
+        pytest.param(ImpairSettings(theta_d=("uniform", 0.5, 2.5)),
+                     "impair.theta_d must be a whole number of samples, got "
+                     "0.5, 2.5", id="fractional_theta_d_range"),
+        pytest.param(ImpairSettings(theta_d=("uniform", 1, 2.5)),
+                     "impair.theta_d must be a whole number of samples, got "
+                     "1, 2.5", id="fractional_theta_d_top"),
+        pytest.param(ImpairSettings(theta_d=("uniform", 3, 1)),
+                     "impair.theta_d: empty range 3 to 1",
+                     id="reversed_theta_d"),
+        pytest.param(ImpairSettings(epsilon=("uniform", 0.3, -0.3)),
+                     "impair.epsilon: empty range 0.3 to -0.3",
+                     id="reversed_epsilon")])
+    def test_draws_a_trial_cannot_make_rejected_on_a_spec_built_in_code(
+            self, impair, message):
+        # the parsers reject these only in a config's text; a spec built in
+        # code used to truncate the fraction or raise numpy's ValueError in
+        # its first trial
+        spec = load_spec(str(ROOT / "configs" / "sync_vs_snr.cfg"))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            replace(spec, impair=impair)
+
+    @pytest.mark.parametrize("impair", [
+        ImpairSettings(theta_d=("fixed", 3.0)),
+        ImpairSettings(theta_d=("uniform", 2, 2), epsilon=("uniform", 0.1, 0.1)),
+        ImpairSettings(theta_d=("uniform", 0, 3), epsilon=("uniform", -0.3, 0.3))])
+    def test_whole_offsets_and_ordered_ranges_pass(self, impair):
+        spec = load_spec(str(ROOT / "configs" / "sync_vs_snr.cfg"))
+        assert replace(spec, impair=impair).impair == impair
+
     def test_a_spec_of_its_required_fields_has_every_default_of_the_table(self):
         default = spec_from_config(parse_config_text(MINIMAL))
         spec = ExperimentSpec(**{f.name: getattr(default, f.name)

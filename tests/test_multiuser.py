@@ -19,8 +19,7 @@ from ddlink.multiuser import (Allocation, UserBins, compound_matrix,
                               detect_users_time_domain, even_split_allocation,
                               extract_user, place_user)
 from ddlink.transforms import coupling_phases
-from oracles import (dense_detect, detect_users_solve_per_waveform,
-                     even_split_chunks)
+from oracles import dense_detect, even_split_chunks, in_otfs_convention
 
 rng = np.random.default_rng(33)
 
@@ -285,10 +284,12 @@ def diagonals(channels):
 
 
 def assert_matches_dense(received, channels, alloc, w, noise_var):
-    (out,) = detect_users_time_domain(received, diagonals(channels), alloc,
-                                      (w,), noise_var)
-    out = out.vec
-    oracle = dense_detect(received, channels, alloc, w, noise_var).vec
+    """The detector's one grid against the dense detection of waveform
+    ``w``, SC-IFDMA's derotated into the OTFS convention."""
+    out = detect_users_time_domain(received, diagonals(channels), alloc,
+                                   noise_var).vec
+    oracle = in_otfs_convention(dense_detect(received, channels, alloc, w,
+                                             noise_var), w)
     assert np.linalg.norm(out - oracle) <= 1e-10 * np.linalg.norm(oracle)
     return out
 
@@ -347,46 +348,9 @@ class TestTimeDomainDetector:
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(uplinks(), st.sampled_from([0.01, 0.5]))
-    def test_sc_ifdma_is_otfs_times_the_coupling_phases(self, uplink, noise_var):
-        # the paper's phase absorption, by which one solve serves both
-        # waveforms; the dense oracles check each waveform's grid on its own
-        frame, alloc, channels, seed = uplink
-        g = np.random.default_rng(seed)
-        received = TimeSignal(g.standard_normal(frame.frame_len)
-                              + 1j * g.standard_normal(frame.frame_len), frame)
-        otfs, sc = (g.data for g in detect_users_time_domain(
-            received, diagonals(channels), alloc, BOTH, noise_var))
-        absorbed = coupling_phases(frame.M, frame.N) * otfs
-        assert np.linalg.norm(sc - absorbed) <= 1e-10 * np.linalg.norm(absorbed)
-
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(uplinks(), st.sampled_from([BOTH, BOTH[::-1], BOTH[:1], BOTH[1:]]),
-           st.sampled_from([0.01, 0.5]))
-    def test_one_call_equals_a_call_per_waveform(self, uplink, waveforms,
-                                                 noise_var):
-        # the waveform-independent products are formed once per call; each
-        # waveform's grid is the one a call of its own gives, bit for bit,
-        # with silent users and users of different delay sets
-        frame, alloc, channels, seed = uplink
-        g = np.random.default_rng(seed)
-        received = TimeSignal(g.standard_normal(frame.frame_len)
-                              + 1j * g.standard_normal(frame.frame_len), frame)
-        hs = diagonals(channels)
-        joint = detect_users_time_domain(received, hs, alloc, waveforms, noise_var)
-        assert len(joint) == len(waveforms)
-        for w, grid in zip(waveforms, joint):
-            (alone,) = detect_users_time_domain(received, hs, alloc, (w,), noise_var)
-            assert np.array_equal(grid.vec.view(np.uint64),
-                                  alone.vec.view(np.uint64))
-
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(uplinks(), st.sampled_from([BOTH, BOTH[::-1], BOTH[:1], BOTH[1:]]),
-           st.sampled_from([0.01, 0.5]))
-    def test_one_solve_equals_a_solve_per_waveform(self, uplink, waveforms,
-                                                   noise_var):
-        # the oracle solves one band per waveform: OTFS is that very solve,
-        # and SC-IFDMA differs only in rounding, the OTFS solution rotated
-        # against the solution of the rotated band
+    def test_one_band_solve_per_call(self, uplink, noise_var):
+        # one solve per call, none when every user is silent, with users
+        # of different delay sets
         frame, alloc, channels, seed = uplink
         g = np.random.default_rng(seed)
         received = TimeSignal(g.standard_normal(frame.frame_len)
@@ -394,28 +358,17 @@ class TestTimeDomainDetector:
         hs = diagonals(channels)
         with mock.patch.object(multiuser, "_solve_band",
                                wraps=multiuser._solve_band) as solve:
-            got = detect_users_time_domain(received, hs, alloc, waveforms,
-                                           noise_var)
+            detect_users_time_domain(received, hs, alloc, noise_var)
         assert solve.call_count == int(any(h is not None for h in hs))
-        want = detect_users_solve_per_waveform(received, hs, alloc, waveforms,
-                                               noise_var)
-        for w, a, b in zip(waveforms, got, want, strict=True):
-            if w is Waveform.OTFS:
-                assert np.array_equal(a.vec.view(np.uint64), b.vec.view(np.uint64))
-            else:
-                assert np.linalg.norm(a.vec - b.vec) <= 1e-12 * np.linalg.norm(b.vec)
 
     @pytest.mark.parametrize("case", ["none_user", "past_cp", "relaxed"])
-    def test_one_call_on_silent_users_and_distinct_delay_sets(self, case):
+    def test_silent_users_and_distinct_delay_sets(self, case):
         frame, alloc, channels = uplink_case(case)
         received = superposed_record(frame, alloc, channels, 0.05, 13)
-        hs = diagonals(channels)
-        joint = detect_users_time_domain(received, hs, alloc, BOTH, 0.05)
-        for w, grid in zip(BOTH, joint):
-            (alone,) = detect_users_time_domain(received, hs, alloc, (w,), 0.05)
-            assert np.array_equal(grid.vec.view(np.uint64),
-                                  alone.vec.view(np.uint64))
-            assert_matches_dense(received, channels, alloc, w, 0.05)
+        for w in BOTH:
+            out = assert_matches_dense(received, channels, alloc, w, 0.05)
+        for q, ch in enumerate(channels):
+            assert (ch is None) == (not np.any(out[alloc.vec_indices(q)]))
 
     def test_plan_cache_follows_the_delay_sets(self):
         alloc = two_user_alloc()
@@ -445,9 +398,8 @@ class TestTimeDomainDetector:
         rx = sum(apply_channel(modulate_direct(place_user(d, alloc, q, frame),
                                                Waveform.OTFS), ch).samples
                  for q, (d, ch) in enumerate(zip(datas, channels)))
-        (hat,) = detect_users_time_domain(TimeSignal(rx, frame),
-                                          diagonals(channels), alloc,
-                                          (Waveform.OTFS,), 0.0)
+        hat = detect_users_time_domain(TimeSignal(rx, frame),
+                                       diagonals(channels), alloc, 0.0)
         for q, d in enumerate(datas):
             assert np.max(np.abs(extract_user(hat, alloc, q) - d)) <= 1e-8
 
@@ -457,19 +409,17 @@ class TestTimeDomainDetector:
         channels = [channels[0], LtvChannel((ChannelTap(2, 0.0, 0.0),), frame)]
         received = superposed_record(frame, alloc, channels, 0.0, 3)
         with pytest.raises(np.linalg.LinAlgError):
-            detect_users_time_domain(received, diagonals(channels), alloc,
-                                     (Waveform.OTFS,), 0.0)
+            detect_users_time_domain(received, diagonals(channels), alloc, 0.0)
 
     def test_mismatched_inputs_rejected(self):
         frame, alloc, channels = uplink_case("even_split")
         channels = diagonals(channels)
         received = TimeSignal(np.zeros(frame.frame_len, dtype=complex), frame)
         with pytest.raises(ValueError):
-            detect_users_time_domain(received, channels[:1], alloc,
-                                     (Waveform.OTFS,), 0.1)
+            detect_users_time_domain(received, channels[:1], alloc, 0.1)
         with pytest.raises(ValueError):
-            detect_users_time_domain(received, channels, even_split_allocation(4, 8, 2),
-                                     (Waveform.OTFS,), 0.1)
+            detect_users_time_domain(received, channels,
+                                     even_split_allocation(4, 8, 2), 0.1)
 
     @pytest.mark.parametrize("other", [FrameConfig(8, 4, cp_len=4),
                                        FrameConfig(8, 8, cp_len=5)])
@@ -480,4 +430,4 @@ class TestTimeDomainDetector:
         received = TimeSignal(np.zeros(frame.frame_len, dtype=complex), frame)
         mixed = [None, delay_diagonals(LtvChannel(channels[1].taps, other))]
         with pytest.raises(ValueError, match="does not match"):
-            detect_users_time_domain(received, mixed, alloc, (Waveform.OTFS,), 0.1)
+            detect_users_time_domain(received, mixed, alloc, 0.1)

@@ -10,11 +10,11 @@ from ddlink.channel import (ChannelTap, LtvChannel, apply_channel, draw_noise,
                             make_channel)
 from ddlink.frame import FrameConfig
 from ddlink.modem import DelayDopplerGrid, Waveform, modulate_direct
-from ddlink.sync import (Impairments, block_offset, cfo_estimate,
-                         coarse_timing, correct, estimate_sync, fine_timing,
-                         metric_peak_set, timing_metric)
-from oracles import (bits, coarse_row, estimate_sync_by_rule, first_peak_row,
-                     timing_metric_by_rows)
+from ddlink.sync import (Impairments, block_offset, cfo_estimate, correct,
+                         estimate_sync, fine_timing, metric_peak_set,
+                         timing_metric)
+from oracles import (bits, coarse_timing, estimate_sync_by_rule,
+                     first_peak_row, timing_metric_by_rows)
 from strategies import PROPERTY
 
 FRAME = FrameConfig(32, 16, cp_len=8)
@@ -73,20 +73,20 @@ class TestTimingMetric:
 
 
 class TestCoarseTiming:
+    """The metric-peak rule, the coarse delay of an estimate."""
+
     def test_recovers_offset_on_single_tap(self):
         r = pilot_record(single_tap(), Impairments(timing_delay=5))
-        _, m = timing_metric(r, FRAME)
-        assert coarse_timing(m, PILOT.pilot_delay, FRAME.cp_len) == 5
+        assert estimate_sync(r, FRAME, PILOT.pilot_delay).coarse_delay == 5
 
     def test_bias_follows_strongest_tap(self):
         for seed in range(5):
             r = pilot_record(biased_two_tap(seed), Impairments(timing_delay=2))
-            _, m = timing_metric(r, FRAME)
-            assert coarse_timing(m, PILOT.pilot_delay, FRAME.cp_len) == 2 + 3
+            assert estimate_sync(r, FRAME, PILOT.pilot_delay).coarse_delay == 2 + 3
 
     def test_zero_metric_rejected(self):
-        with pytest.raises(ValueError):
-            coarse_timing(np.zeros(8), 0, 0)
+        with pytest.raises(ValueError, match="identically zero"):
+            estimate_sync(np.zeros(FRAME.grid_size, dtype=complex), FRAME, 0)
         # every rule reads the magnitude through the same checks
         with pytest.raises(ValueError, match="identically zero"):
             fine_timing(np.zeros(8), 0.5, 0, 0)
@@ -286,7 +286,6 @@ class TestAgainstTheRuleOracles:
         assert bits(got.cfo) == bits(want.cfo)
         assert np.array_equal(bits(got.metric), bits(want.metric))
         lead = pilot_delay + frame.cp_len
-        assert coarse_timing(rm, pilot_delay, frame.cp_len) == coarse_row(orm) - lead
         assert (fine_timing(rm, threshold, pilot_delay, frame.cp_len)
                 == first_peak_row(orm, threshold) - lead)
         peaks = metric_peak_set(rm, threshold)
