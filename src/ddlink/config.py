@@ -283,8 +283,6 @@ SCHEMA = {
                                 " with detector.csi = genie"),
     "mu.q": _row(int, "2", "mu_users", ("mu_uplink",)),
     "mu.allocation": _row(_parse_user_bins, "", "mu_allocation", ("mu_uplink",)),
-    "mu.relax_disjointness": _row(_parse_bool, "false", "mu_relax_disjointness",
-                                  ("mu_uplink",)),
     "channel.taps": _row(_parse_taps, "", "custom_taps", EXPERIMENTS,
                          lambda s: s.channel_profile == "custom", _WITH_PROFILE),
     "channel.velocity_kmh": _row(_VELOCITY_KMH, "500", "velocity_kmh", *_FADING_READS),
@@ -428,7 +426,6 @@ class ExperimentSpec:
     mu_users: int = _DEFAULT_OF["mu_users"]
     # per uplink user, (delay bins, Doppler bins); None for an even split
     mu_allocation: tuple | None = _DEFAULT_OF["mu_allocation"]
-    mu_relax_disjointness: bool = _DEFAULT_OF["mu_relax_disjointness"]
     config_echo: str = ""
 
     def __post_init__(self):

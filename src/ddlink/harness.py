@@ -350,8 +350,7 @@ def prepare(spec: ExperimentSpec) -> Allocation | None:
         else:
             try:
                 alloc = Allocation(tuple(UserBins(*u) for u in spec.mu_allocation),
-                                   frame.M, frame.N,
-                                   relax_disjointness=spec.mu_relax_disjointness)
+                                   frame.M, frame.N)
             except ValueError as exc:
                 raise ConfigError(f"mu.allocation: {exc}") from None
         if alloc.n_users != spec.mu_users:

@@ -2,6 +2,8 @@
 
 Each user owns a set of delay bins and a set of Doppler bins; user data
 grids embed into the full frame on the Cartesian product of those sets.
+The one rule an allocation meets is that no delay-Doppler bin belongs to
+two users: users may share delay rows or Doppler columns.
 A run's allocation is built by ``harness.prepare`` from the bins its
 config lists (``mu.allocation``) or as :func:`even_split_allocation`.
 The base station sees the superposition of all users' transmissions, each
@@ -53,15 +55,15 @@ class UserBins:
 class Allocation:
     """Per-user bin sets over an M-by-N grid.
 
-    Bin sets are kept sorted; users must not share delay bins nor Doppler
-    bins (the per-dimension rule). ``relax_disjointness`` weakens this to
-    disjointness of the Cartesian products only.
+    Bin sets are kept sorted. A user holds the Cartesian product of its
+    delay and Doppler bins, and no bin may belong to two users; users may
+    share delay rows or Doppler columns, so full-grid tilings (each user
+    on every Doppler bin, or on every delay row) are allocations.
     """
 
     users: tuple
     M: int
     N: int
-    relax_disjointness: bool = False
 
     def __post_init__(self):
         norm = []
@@ -77,20 +79,10 @@ class Allocation:
         self._check_disjoint()
 
     def _check_disjoint(self):
-        for i in range(len(self.users)):
-            for j in range(i + 1, len(self.users)):
-                a, b = self.users[i], self.users[j]
-                if self.relax_disjointness:
-                    shared = (set(a.delay_bins) & set(b.delay_bins)) and \
-                             (set(a.doppler_bins) & set(b.doppler_bins))
-                    if shared:
-                        raise ValueError(
-                            f"users {i} and {j} share delay-Doppler resources")
-                else:
-                    if set(a.delay_bins) & set(b.delay_bins):
-                        raise ValueError(f"users {i} and {j} share delay bins")
-                    if set(a.doppler_bins) & set(b.doppler_bins):
-                        raise ValueError(f"users {i} and {j} share Doppler bins")
+        for (i, a), (j, b) in itertools.combinations(enumerate(self.users), 2):
+            if set(a.delay_bins) & set(b.delay_bins) and \
+                    set(a.doppler_bins) & set(b.doppler_bins):
+                raise ValueError(f"users {i} and {j} share delay-Doppler bins")
 
     @property
     def n_users(self) -> int:

@@ -73,7 +73,7 @@ def timing_metric(record, frame: FrameConfig):
     the record's first M(2N-1) samples read as a (2N-1, M) view, so the
     running sums along the rows run across all rows at once.
     """
-    r = np.asarray(record)
+    r = np.asarray(record, dtype=complex)
     M, N = frame.M, frame.N
     if r.ndim != 1 or r.size < M * N:
         raise ValueError(f"record too short for the sliding window: "

@@ -57,7 +57,6 @@ def unread_keys_by_path(spec) -> set:
                                 not syncs and spec.csi == "estimated"),
         "mu.q": (spec.mu_users, uplink),
         "mu.allocation": (spec.mu_allocation, uplink),
-        "mu.relax_disjointness": (spec.mu_relax_disjointness, uplink),
     }
     # each key's default text, parsed; an empty one (mu.allocation's) means
     # None, an even split

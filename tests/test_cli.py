@@ -92,7 +92,7 @@ KEYS_THE_KIND_READS = [
      "impair.epsilon = uniform:-0.4:0.4\nchannel.profile = custom\n"
      "channel.taps = 0:0:0;300:-3:100"),
     ("mu_uplink", "detector.csi = estimated\nest.threshold_sigma = 4\n"
-     "mu.relax_disjointness = true\nchannel.profile = custom\n"
+     "channel.profile = custom\n"
      "channel.taps = 0:0:0;300:-3:100\nchannel.velocity_kmh = 500"),
     # eva and eva3 draw their Doppler from the velocity and carrier; the
     # bandwidth sets the sample rate and the Doppler bin spacing
@@ -273,6 +273,9 @@ class TestValidate:
         ("experiment = mu_uplink\ndetector.csi = estimated\npilot.guards = 0,2",
          "config error: pilot.guards: detector.csi = estimated needs"),
         ("eq.method = iterative", "unknown key 'eq.method'"),
+        # users may share rows or columns, never a bin, with no key to say so
+        ("experiment = mu_uplink\nmu.relax_disjointness = true",
+         "unknown key 'mu.relax_disjointness'"),
         ("channel.profile = custom\nchannel.taps = -200:0:0; 0:-3:100",
          "bad value for channel.taps: -200 ns is outside the range 0 to 1e+06 "
          "ns\n"),
@@ -403,7 +406,7 @@ class TestValidate:
          "keys; leave them at their defaults"),
         ("threshold_sweep", "est.threshold_sigma = 4",
          "config error: est.threshold_sigma: threshold_sweep never reads"),
-        ("mu_uplink", "mu.relax_disjointness = true\nsync.threshold = 0.3",
+        ("mu_uplink", "sync.threshold = 0.3",
          "config error: sync.threshold: mu_uplink never reads these keys"),
         # genie CSI estimates no channel, so no detection threshold applies
         ("ber_vs_snr", "detector.csi = genie\nest.threshold_sigma = 7",
@@ -653,18 +656,22 @@ channel.profile = single_tap
 """
 
 
-class TestRelaxedDisjointness:
-    def test_users_sharing_delay_rows_run_only_when_relaxed(self, tmp_path,
-                                                            capsys):
-        # every delay row to both users, the Doppler bins split
-        rows = ",".join(map(str, range(32)))
-        shared = MU + (f"mu.allocation = {rows}:0,1,2,3,4,5,6,7; "
-                       f"{rows}:8,9,10,11,12,13,14,15\n")
-        assert main(["validate", write(tmp_path, shared)]) == 2
-        assert "share delay bins" in capsys.readouterr().err
+def bin_range(lo, hi):
+    return ",".join(map(str, range(lo, hi)))
+
+
+class TestFullGridTilings:
+    @pytest.mark.parametrize("value", [
+        # each user on every Doppler bin
+        f"{bin_range(0, 16)}:{bin_range(0, 16)}; {bin_range(16, 32)}:{bin_range(0, 16)}",
+        # each user on every delay row
+        f"{bin_range(0, 32)}:{bin_range(0, 8)}; {bin_range(0, 32)}:{bin_range(8, 16)}"],
+        ids=["delay_split", "doppler_split"])
+    def test_users_sharing_rows_or_columns_run(self, tmp_path, value):
+        cfg = write(tmp_path, MU + f"mu.allocation = {value}\n")
         out = tmp_path / "results"
-        relaxed = write(tmp_path, shared + "mu.relax_disjointness = true\n")
-        assert main(["run", relaxed, "--out", str(out)]) == 0
+        assert main(["validate", cfg]) == 0
+        assert main(["run", cfg, "--out", str(out)]) == 0
         with open(out / "results.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [row["metric"] for row in rows] == ["BER", "BER"]
@@ -683,10 +690,11 @@ class TestAllocation:
             ((4, 5, 6, 7), (4, 5, 6, 7)), ((0, 1, 2, 3), (0, 1, 2, 3))]
 
     @pytest.mark.parametrize("value, message", [
-        ("0,1:0,1; 1,2:2,3",
-         "config error: mu.allocation: users 0 and 1 share delay bins"),
-        ("0,1:0,1; 2,3:1,2",
-         "config error: mu.allocation: users 0 and 1 share Doppler bins"),
+        ("0,1:0,1; 1,2:1,2",
+         "config error: mu.allocation: users 0 and 1 share delay-Doppler bins"),
+        # user 0's Doppler column 0 and user 1's delay row 3 cross in one bin
+        ("0,1,2,3:0; 3:0,1,2",
+         "config error: mu.allocation: users 0 and 1 share delay-Doppler bins"),
         ("0,1:0,1; 2,3",
          "config error: line 8: bad value for mu.allocation: user '2,3' is not "
          "delay_bins:doppler_bins"),

@@ -42,6 +42,7 @@ CASES = {
     "sync_vs_snr": lambda: _spec("sync_vs_snr", 8),
     "threshold_sweep": lambda: _spec("threshold_sweep", 8),
     "mu_uplink": lambda: _spec("mu_uplink", 3),
+    "mu_uplink_doppler_split": lambda: _spec("mu_uplink_doppler_split", 3),
     "mu_uplink_estimated": lambda: _spec("mu_uplink", 3, csi="estimated"),
     "mu_uplink_estimated_3users": lambda: _spec(
         "mu_uplink", 3, csi="estimated", mu_allocation=None, mu_users=3,
@@ -69,6 +70,7 @@ DIGESTS = {
     "ber_vs_snr_reference_eva": "6b396ebada32214983f31809d518c4deb2443560fb5377d1d1de97c244b06416",
     "ber_vs_snr_sync": "7d268a2dd42b62a78446fe8f91d24d4d2ed2a14ed1a1acbccc0a483c506fafb7",
     "mu_uplink": "5d8cc3b781fd8ea3fc9a6c8fe6c7ed9502fb4cffd25a3d49f80c1b11b7a921db",
+    "mu_uplink_doppler_split": "05e5f360bf78d578f5782bbb68b5150b6d66a601c9163e0a71320308bd1050ff",
     "mu_uplink_estimated": "769e4a6be32d46a609547d579f7112da3818c192cef349abac298a52a3615191",
     "mu_uplink_estimated_3users": "c19ac258776f8aec6473a992996f4e24d1fe153f1d93e7bc64527a85f17cacd7",
     "mu_uplink_reference": "503b7f689ebac36c5bbdf6876528f6d26e82235b2b9403842bd9383c530aeef3",

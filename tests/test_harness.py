@@ -861,7 +861,6 @@ AWAY = {
     "mu.allocation": re.search(r"^mu\.allocation = (.*)$",
                                (ROOT / "configs" / "mu_uplink.cfg").read_text(),
                                re.M).group(1),
-    "mu.relax_disjointness": "true",
     "channel.taps": "0:0:0;300:-3:100",
     "channel.velocity_kmh": "300",
     "frame.carrier_hz": "2e9",
@@ -888,9 +887,8 @@ class TestUnreadKeys:
         ("threshold_sweep", dict(pilot=replace(PILOT, detection_threshold=4.0)),
          "est.threshold_sigma: threshold_sweep"),
         ("sync_vs_snr", dict(sweep_thresholds=(0.5,)), "sweep.thresholds: sync_vs_snr"),
-        ("ber_vs_snr", dict(mu_allocation=(((0, 1), (0, 1)),),
-                            mu_relax_disjointness=True),
-         "mu.allocation, mu.relax_disjointness: ber_vs_snr"),
+        ("ber_vs_snr", dict(mu_allocation=(((0, 1), (0, 1)),)),
+         "mu.allocation: ber_vs_snr"),
         ("mu_uplink", dict(sync=SyncSettings(threshold=0.3)),
          "sync.threshold: mu_uplink never reads these keys"),
         ("ber_vs_snr", dict(pilot=replace(PILOT, detection_threshold=7.0)),

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -60,20 +61,40 @@ class TestAllocation:
         with pytest.raises(ValueError):
             Allocation((UserBins((0, 4), (0,)),), 4, 4)
 
-    def test_per_dimension_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            Allocation((UserBins((0, 1), (0, 1)), UserBins((1, 2), (2, 3))), 4, 4)
-        with pytest.raises(ValueError):
-            Allocation((UserBins((0, 1), (0, 1)), UserBins((2, 3), (1, 2))), 4, 4)
+    def test_shared_bin_rejected(self):
+        # bin (1, 1); then bin (3, 0), where one user's column crosses the
+        # other's row
+        with pytest.raises(ValueError, match="users 0 and 1 share"):
+            Allocation((UserBins((0, 1), (0, 1)), UserBins((1, 2), (1, 2))), 4, 4)
+        with pytest.raises(ValueError, match="users 0 and 1 share"):
+            Allocation((UserBins((0, 1, 2, 3), (0,)), UserBins((3,), (0, 1, 2))),
+                       4, 4)
 
-    def test_relaxed_rule_allows_shared_rows(self):
-        # shared delay bins but disjoint Doppler bins: allowed when relaxed
-        a = Allocation((UserBins((0, 1), (0, 1)), UserBins((0, 1), (2, 3))),
-                       4, 4, relax_disjointness=True)
-        assert a.n_users == 2
-        with pytest.raises(ValueError):
-            Allocation((UserBins((0, 1), (0, 1)), UserBins((1, 2), (1, 2))),
-                       4, 4, relax_disjointness=True)
+    def test_shared_rows_or_columns_allowed(self):
+        a = Allocation((UserBins((0, 1), (0, 1)), UserBins((0, 1), (2, 3)),
+                        UserBins((2, 3), (0, 1, 2, 3))), 4, 4)
+        assert a.n_users == 3
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_one_rule_no_bin_of_two_users(self, data):
+        M, N = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        bins = lambda n: st.sets(st.integers(0, n - 1), min_size=1)
+        users = data.draw(st.lists(st.builds(UserBins, bins(M), bins(N)),
+                                   min_size=1, max_size=4))
+        grids = []
+        for u in users:
+            grid = np.zeros((M, N), dtype=int)
+            grid[np.ix_(sorted(u.delay_bins), sorted(u.doppler_bins))] = 1
+            grids.append(grid)
+        if sum(grids).max() <= 1:
+            assert Allocation(tuple(users), M, N).n_users == len(users)
+            return
+        with pytest.raises(ValueError) as err:
+            Allocation(tuple(users), M, N)
+        i, j = map(int, re.fullmatch(r"users (\d+) and (\d+) share "
+                                     r"delay-Doppler bins", str(err.value)).groups())
+        assert i < j and np.any(grids[i] & grids[j])
 
     def test_even_split_covers_grid(self):
         a = even_split_allocation(8, 8, 3)
@@ -247,12 +268,11 @@ def uplink_case(name):
         g = np.random.default_rng(3)
         return frame, prepare(load_spec(str(UPLINK_CONFIG))), \
             [make_channel("eva3", frame, 500.0, g) for _ in range(2)]
-    if name == "relaxed":
+    if name == "shared_rows_columns":
         # users 0 and 1 share delay bins, users 0 and 2 share Doppler bins
         alloc = Allocation((UserBins((0, 1, 2), (0, 1, 2, 3)),
                             UserBins((0, 1, 2), (4, 5, 6)),
-                            UserBins((4, 5, 6, 7), (0, 1, 2))), 8, 8,
-                           relax_disjointness=True)
+                            UserBins((4, 5, 6, 7), (0, 1, 2))), 8, 8)
         return FRAME, alloc, [doppler_channel(FRAME, (0, 2), s) for s in (4, 5, 6)]
     if name == "none_user":
         return FRAME, two_user_alloc(), [doppler_channel(FRAME, (0, 2), 7), None]
@@ -296,22 +316,24 @@ def assert_matches_dense(received, channels, alloc, w, noise_var):
 
 @st.composite
 def uplinks(draw):
-    """Random geometry, a random disjoint allocation of 1-3 users (bins may
-    stay unallocated), and per-user random tap sets with delays up to past
-    the CP-included frame and fractional Doppler; a user may be silent."""
+    """Random geometry, a random allocation of 1-3 users, who may share
+    delay rows or Doppler columns but no bin (bins may stay unallocated),
+    and per-user random tap sets with delays up to past the CP-included
+    frame and fractional Doppler; a user may be silent."""
     M = draw(st.integers(1, 8))
     N = draw(st.integers(1, 8))
     frame = FrameConfig(M, N, cp_len=draw(st.integers(0, M * N - 1)))
-    Q = draw(st.integers(1, min(M, N, 3)))
-
-    def split(total):
-        bins = draw(st.permutations(range(total)))[:draw(st.integers(Q, total))]
-        cuts = sorted(draw(st.lists(st.integers(1, len(bins) - 1), min_size=Q - 1,
-                                    max_size=Q - 1, unique=True))) if Q > 1 else []
-        return [tuple(bins[a:b]) for a, b in zip([0] + cuts, cuts + [len(bins)])]
-
-    alloc = Allocation(tuple(UserBins(d, v) for d, v in zip(split(M), split(N))),
-                       M, N)
+    users = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.sets(st.integers(0, M - 1), min_size=1))
+        # the Doppler bins of the users before it that share one of its rows
+        taken = {v for u in users if d & set(u.delay_bins) for v in u.doppler_bins}
+        free = sorted(set(range(N)) - taken)
+        if free:
+            users.append(UserBins(tuple(d), tuple(draw(
+                st.sets(st.sampled_from(free), min_size=1)))))
+    alloc = Allocation(tuple(users), M, N)
+    Q = alloc.n_users
     finite = st.floats(-2.0, 2.0, allow_nan=False)
     taps = st.lists(st.builds(ChannelTap, delay=st.integers(0, frame.frame_len),
                               gain=st.builds(complex, finite, finite),
@@ -325,8 +347,8 @@ def uplinks(draw):
 class TestTimeDomainDetector:
     @pytest.mark.parametrize("noise_var", [0.0, 0.05])
     @pytest.mark.parametrize("w", [Waveform.OTFS, Waveform.SC_IFDMA])
-    @pytest.mark.parametrize("case", ["even_split", "committed_allocation", "relaxed",
-                                      "none_user", "past_cp"])
+    @pytest.mark.parametrize("case", ["even_split", "committed_allocation",
+                                      "shared_rows_columns", "none_user", "past_cp"])
     def test_matches_dense_compound_detection(self, case, w, noise_var):
         frame, alloc, channels = uplink_case(case)
         received = superposed_record(frame, alloc, channels, noise_var, 11)
@@ -361,7 +383,7 @@ class TestTimeDomainDetector:
             detect_users_time_domain(received, hs, alloc, noise_var)
         assert solve.call_count == int(any(h is not None for h in hs))
 
-    @pytest.mark.parametrize("case", ["none_user", "past_cp", "relaxed"])
+    @pytest.mark.parametrize("case", ["none_user", "past_cp", "shared_rows_columns"])
     def test_silent_users_and_distinct_delay_sets(self, case):
         frame, alloc, channels = uplink_case(case)
         received = superposed_record(frame, alloc, channels, 0.05, 13)

@@ -85,13 +85,25 @@ class TestCoarseTiming:
             assert estimate_sync(r, FRAME, PILOT.pilot_delay).coarse_delay == 2 + 3
 
     def test_zero_metric_rejected(self):
-        with pytest.raises(ValueError, match="identically zero"):
-            estimate_sync(np.zeros(FRAME.grid_size, dtype=complex), FRAME, 0)
+        # a complex record, and a real one, read as complex
+        for dtype in (complex, float):
+            with pytest.raises(ValueError, match="identically zero"):
+                estimate_sync(np.zeros(FRAME.grid_size, dtype=dtype), FRAME, 0)
         # every rule reads the magnitude through the same checks
         with pytest.raises(ValueError, match="identically zero"):
             fine_timing(np.zeros(8), 0.5, 0, 0)
         with pytest.raises(ValueError, match="identically zero"):
             metric_peak_set(np.zeros(8), 0.5)
+
+    def test_real_record_estimates_as_its_complex_copy(self):
+        r = np.random.default_rng(6).standard_normal(2 * FRAME.grid_size)
+        real, cplx = (estimate_sync(x, FRAME, PILOT.pilot_delay)
+                      for x in (r, r.astype(complex)))
+        assert (real.coarse_delay, real.fine_delay, real.block_offset) == \
+            (cplx.coarse_delay, cplx.fine_delay, cplx.block_offset)
+        assert np.float64(real.cfo).tobytes() == np.float64(cplx.cfo).tobytes()
+        assert real.metric.dtype == cplx.metric.dtype
+        assert real.metric.tobytes() == cplx.metric.tobytes()
 
 
 class TestFineTiming:
