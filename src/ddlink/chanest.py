@@ -5,17 +5,14 @@ guard-region bin whose magnitude clears a threshold (a multiple of the
 noise standard deviation) is a channel tap: its delay/Doppler offset from
 the pilot bin gives the tap coordinates and its value, divided by the
 transmitted pilot and by the tap's Doppler ramp at the pilot's sample (a
-known phase), gives the complex gain. Estimated gains are stored in one
-canonical phase convention (the OTFS one); estimates taken from an
-SC-IFDMA grid are converted using the known coupling phases, which makes
-a single tap store serve both waveforms. An estimate is a tuple of
-:class:`~ddlink.channel.ChannelTap` taps, each on an integer Doppler bin
-of the guard rectangle, with their tap ramps, so the receivers read it
-as the channel of those taps through
-:func:`~ddlink.channel.delay_diagonals`, the route of a drawn channel.
-The ramps of an integer-Doppler tap are its gain times a row of one
-cached table of Doppler ramps (:func:`_doppler_ramps`), the table the
-gains are divided by.
+known phase), gives the complex gain, in the OTFS phase convention (an
+SC-IFDMA grid's bins are converted by the known coupling phases). An
+estimate holds its :class:`~ddlink.channel.ChannelTap` taps, on integer
+Doppler bins of the guard rectangle, and the delay diagonals the
+receivers read, built through :func:`~ddlink.channel.tap_diagonals` as
+a drawn channel's are: a tap's row over the CP-stripped samples is its
+gain times its row of one cached table of Doppler ramps
+(:func:`_doppler_ramps`), the table the gains are divided by.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelTap
+from .channel import ChannelTap, DelayDiagonals, tap_diagonals
 from .frame import FrameConfig
 from .mapping import DATA, GUARD, PILOT, full_data_mask
 from .modem import DelayDopplerGrid, Waveform
@@ -93,15 +90,14 @@ def embed_pilot(grid: DelayDopplerGrid, pc: PilotConfig) -> DelayDopplerGrid:
 
 @dataclass(frozen=True)
 class EstimatedChannel:
-    """Detected taps and their :func:`~ddlink.channel.tap_ramps` over one
-    frame with its CP, (taps, frame_len). A tap's delay is its offset
-    from the pilot delay bin, its Doppler its offset from the pilot
-    Doppler bin, and its gain is in the canonical (OTFS) convention."""
+    """Detected taps, the noise level they were detected against, and
+    their :class:`~ddlink.channel.DelayDiagonals` (None without taps). A
+    tap's delay and Doppler are its offsets from the pilot's delay and
+    Doppler bins, and its gain is in the OTFS convention."""
 
     taps: tuple
-    waveform: Waveform
     noise_std: float
-    ramps: np.ndarray = field(repr=False, compare=False)
+    diagonals: DelayDiagonals | None = field(repr=False, compare=False)
 
     @property
     def is_empty(self) -> bool:
@@ -130,9 +126,9 @@ def estimate_channel(received: DelayDopplerGrid, pc: PilotConfig,
     pilot row, and listed by delay, then Doppler, as channel taps of
     integer Doppler. A tap's gain is its bin divided by the pilot and by
     its Doppler ramp at the pilot's sample, kappa = cp_len + pilot_delay
-    + delay, read from the cached table (:func:`_doppler_ramps`); its tap
-    ramps are its gain times its row of the same table, and the
-    receivers read them through :func:`~ddlink.channel.delay_diagonals`.
+    + delay, read from the cached table (:func:`_doppler_ramps`). The
+    diagonals sum, through :func:`~ddlink.channel.tap_diagonals`, each
+    tap's gain times its table row over the CP-stripped samples.
     When ``noise_std`` is not given it is taken from the guard rows ahead
     of the pilot; wrapped delay spread from far data bins can reach those
     rows, so the estimate errs high (a conservative threshold).
@@ -165,6 +161,8 @@ def estimate_channel(received: DelayDopplerGrid, pc: PilotConfig,
     gains /= table[col, frame.cp_len + mp + delay]
     taps = tuple(ChannelTap(d, g, float(k)) for d, g, k in
                  zip(delay.tolist(), gains.tolist(), doppler.tolist()))
-    ramps = table[col]
-    np.multiply(gains[:, None], ramps, out=ramps)
-    return EstimatedChannel(taps, waveform, noise_std, ramps)
+    # gain on the left, as tap_ramps multiplies: numpy's complex product
+    # is not bitwise commutative
+    rows = (g * table[c, frame.cp_len:frame.frame_len] for g, c in zip(gains, col))
+    return EstimatedChannel(taps, noise_std, tap_diagonals(delay, rows, frame)
+                            if taps else None)

@@ -280,27 +280,32 @@ def _cp_bounded(delays, gains: np.ndarray, frame: FrameConfig) -> DelayDiagonals
     return DelayDiagonals(np.asarray(delays), gains, frame)
 
 
-def delay_diagonals(ch: LtvChannel, ramps: np.ndarray | None = None) -> DelayDiagonals:
+def tap_diagonals(delays, rows, frame: FrameConfig) -> DelayDiagonals:
     """CP-bounded channel (CP removal, the banded time-varying
-    convolution, CP addition) as cyclic diagonals, with the gains zero
-    where no sample reaches (see :func:`_cp_bounded`). Taps sharing a
-    delay are summed in tap order into its row of one preallocated array,
-    and the delays keep the order of their first tap. The gains of
-    CP-stripped sample i are the channel's :func:`tap_ramps` at kappa =
-    cp_len + i: ``ramps`` when given (over at least one frame with its
-    CP), else evaluated here.
-    """
-    frame = ch.frame
-    grid, cp = frame.grid_size, frame.cp_len
-    ramps = tap_ramps(ch, frame.frame_len) if ramps is None else ramps
-    rows = {}
-    gains = np.empty((len({tap.delay for tap in ch.taps}), grid), dtype=complex)
-    for tap, g in zip(ch.taps, ramps[:, cp:grid + cp]):
-        if tap.delay in rows:
-            gains[rows[tap.delay]] += g
+    convolution, CP addition) as cyclic diagonals, from one gain row per
+    tap over the CP-stripped samples (any iterable of ``rows``, read
+    once) and the taps' ``delays``. Rows of a shared delay are summed in
+    tap order into one preallocated array, the delays keep the order of
+    their first tap, and :func:`_cp_bounded` zeroes what no sample
+    reaches: the one route of a drawn channel and an estimate alike."""
+    slot = {}
+    gains = np.empty((len(set(delays)), frame.grid_size), dtype=complex)
+    for d, g in zip(delays, rows, strict=True):
+        if d in slot:
+            gains[slot[d]] += g
         else:
-            gains[rows.setdefault(tap.delay, len(rows))] = g
-    return _cp_bounded(np.fromiter(rows, dtype=int, count=len(rows)), gains, frame)
+            gains[slot.setdefault(d, len(slot))] = g
+    return _cp_bounded(np.fromiter(slot, dtype=int, count=len(slot)), gains, frame)
+
+
+def delay_diagonals(ch: LtvChannel, ramps: np.ndarray | None = None) -> DelayDiagonals:
+    """:func:`tap_diagonals` of a channel, reading its :func:`tap_ramps`
+    at kappa = cp_len + i for CP-stripped sample i: ``ramps`` when given
+    (over at least one frame with its CP), else evaluated here."""
+    frame = ch.frame
+    ramps = tap_ramps(ch, frame.frame_len) if ramps is None else ramps
+    return tap_diagonals([tap.delay for tap in ch.taps],
+                         ramps[:, frame.cp_len:frame.frame_len], frame)
 
 
 def build_dd_matrix(ch: LtvChannel, waveform: Waveform) -> DdChannelMatrix:

@@ -14,7 +14,7 @@ D A D^H d = D b for the OTFS system A d = b, so the one solution serves
 the receiver of either waveform, in OTFS's convention. H_t is nonzero
 only on the cyclic diagonals of the tap delays, and the equalizer takes
 the channel in that form, a :class:`~ddlink.channel.DelayDiagonals` (from
-:func:`~ddlink.channel.delay_diagonals`, for a drawn channel and an
+:func:`~ddlink.channel.tap_diagonals`, for a drawn channel and an
 estimate alike); the periodic band H_t^H H_t + noise_var I is formed
 from them and solved by banded Cholesky. The index plan of that band
 depends only on the delays and the grid size and is cached, so a call

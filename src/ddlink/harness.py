@@ -46,13 +46,14 @@ impairments and sync only where ``config._runs_sync`` says the spec
 syncs, then CSI, the trial's detector and demapping per grid. The
 link's and the uplink's detectors both take the record and the CSI,
 solve their band once and give one grid in the OTFS convention, which
-the harness demaps as it is. Genie CSI is the delay diagonals of the
-drawn channels, read from the same ramps from the sample the frame was
-sent at, and serves every waveform, so the detector is called once and
-its grid serves all of them: under genie CSI the paired decisions agree
-by construction. Estimated CSI is per waveform, and so are the call and
-its solve. The harness demodulates a record only to estimate from it,
-once for both waveforms.
+the harness demaps as it is. CSI is delay diagonals built through
+``channel.tap_diagonals``. Genie CSI, those of the drawn channels read
+from the same ramps from the sample the frame was sent at, serves every
+waveform, so the detector is called once and its grid serves all of
+them: the paired decisions agree by construction. Estimated CSI, those
+each estimate builds from its taps, is per waveform, and so are the call
+and its solve. The harness demodulates a record only to estimate from
+it, once for both waveforms.
 ``_KINDS`` maps each kind to its trial and its result rows; it names
 ``link_trial``, ``sync_trial`` and ``mu_trial`` at call time, so
 rebinding them on this module intercepts every trial.
@@ -87,8 +88,8 @@ from . import __version__
 from ._blas import _keep_freed_heap, _lapack, _openblas
 from ._seeds import seed_stream
 from .chanest import PilotConfig, embed_pilot, estimate_channel, overlay_mask
-from .channel import (DelayDiagonals, LtvChannel, apply_channel,
-                      delay_diagonals, draw_noise, tap_ramps)
+from .channel import (DelayDiagonals, apply_channel, delay_diagonals,
+                      draw_noise, tap_ramps)
 from .config import ConfigError, ExperimentSpec, _noise_var, _runs_sync, check
 from .equalize import equalize_time_domain
 from .frame import FrameConfig
@@ -210,18 +211,14 @@ def _estimated_channel(received: DelayDopplerGrid, pc: PilotConfig,
                        waveform: Waveform) -> DelayDiagonals | None:
     """Delay diagonals of the channel estimated from the pilot ``pc`` of
     the shared transmit record (built with the OTFS structure, so the
-    SC-IFDMA receiver sees the pilot rotated by its coupling phase), read
-    from the estimate's tap ramps as genie CSI reads a drawn channel's;
-    None when the estimate comes back empty."""
-    frame = received.frame
+    SC-IFDMA receiver sees the pilot rotated by its coupling phase), as
+    the estimate builds them; None when the estimate comes back empty."""
     pilot_value = complex(pc.amplitude)
     if waveform is Waveform.SC_IFDMA:
-        W = coupling_phases(frame.M, frame.N)
+        W = coupling_phases(received.frame.M, received.frame.N)
         pilot_value = pc.amplitude * W[pc.pilot_delay, pc.pilot_doppler]
-    est = estimate_channel(received, pc, waveform, pilot_value=pilot_value)
-    if est.is_empty:
-        return None
-    return delay_diagonals(LtvChannel(est.taps, frame), est.ramps)
+    return estimate_channel(received, pc, waveform,
+                            pilot_value=pilot_value).diagonals
 
 
 def _received_grids(signal: TimeSignal) -> dict:

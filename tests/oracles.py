@@ -296,8 +296,10 @@ def estimated_diagonals(est: EstimatedChannel, pc, frame):
 
 def estimate_channel_loop(received, pc, waveform, noise_std=None,
                           pilot_value=None) -> EstimatedChannel:
-    """Threshold detection bin by bin over the guard rectangle: the scalar
-    reference of :func:`ddlink.chanest.estimate_channel`."""
+    """Threshold detection bin by bin over the guard rectangle, with the
+    diagonals of the channel of its taps, their ramps evaluated by
+    :func:`ddlink.channel.tap_ramps`: the scalar reference of
+    :func:`ddlink.chanest.estimate_channel`."""
     frame = received.frame
     pc.validate_fit(frame)
     D = received.data
@@ -321,9 +323,8 @@ def estimate_channel_loop(received, pc, waveform, noise_std=None,
             kappa = frame.cp_len + mp + d_off
             gain /= complex(np.exp(2j * np.pi * k_off * kappa / frame.grid_size))
             taps.append(ChannelTap(d_off, complex(gain), float(k_off)))
-    ramps = (tap_ramps(LtvChannel(taps, frame), frame.frame_len) if taps
-             else np.zeros((0, frame.frame_len), dtype=complex))
-    return EstimatedChannel(tuple(taps), waveform, noise_std, ramps)
+    return EstimatedChannel(tuple(taps), noise_std, delay_diagonals(
+        LtvChannel(taps, frame)) if taps else None)
 
 
 def bits(x):

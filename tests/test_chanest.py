@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ddlink import chanest
-from ddlink.chanest import (EstimatedChannel, PilotConfig, embed_pilot,
-                            estimate_channel, overlay_mask)
+from ddlink.chanest import (PilotConfig, embed_pilot, estimate_channel,
+                            overlay_mask)
 from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec, apply_channel,
                             build_dd_matrix, delay_diagonals, tap_ramps)
 from ddlink.frame import FrameConfig
@@ -141,7 +141,7 @@ class TestEstimateChannel:
     def test_empty_estimate_flagged(self):
         grid = DelayDopplerGrid.zeros(FRAME)
         est = estimate_channel(grid, PC, Waveform.OTFS, noise_std=1.0)
-        assert est.is_empty
+        assert est.is_empty and est.diagonals is None
 
     def test_missing_noise_floor_requires_guards(self):
         pc = PilotConfig(0, 8, 10.0, 0, 4)
@@ -195,45 +195,51 @@ def pilot_frames(draw):
     return FrameConfig(M, N, cp_len=cp_len), pc
 
 
-def estimate_of(taps, frame, waveform=Waveform.OTFS):
-    """An estimate of ``taps`` with their tap ramps over one frame with
-    its CP."""
-    return EstimatedChannel(tuple(taps), waveform, 1.0,
-                            tap_ramps(LtvChannel(taps, frame), frame.frame_len))
+WAVEFORMS = st.sampled_from([Waveform.OTFS, Waveform.SC_IFDMA])
 
 
-def estimated_route(est, frame):
-    """The receivers' diagonals of a non-empty estimate, read as the
-    harness reads them."""
-    return delay_diagonals(LtvChannel(est.taps, frame), est.ramps)
+def estimate_on(region, pc, frame, waveform):
+    """The estimate of a grid that is zero but for ``region`` on the
+    pilot's guard rectangle from the pilot row on, at a noise level far
+    below every nonzero bin."""
+    D = np.zeros((frame.M, frame.N), dtype=complex)
+    D[pc.pilot_delay: pc.pilot_delay + pc.guard_delay + 1,
+      pc.pilot_doppler - pc.guard_doppler:
+      pc.pilot_doppler + pc.guard_doppler + 1] = region
+    return estimate_channel(DelayDopplerGrid(D, frame), pc, waveform,
+                            noise_std=1e-250)
 
 
 @st.composite
-def estimates(draw):
-    """A random estimate on a random frame: distinct taps of the pilot's
-    guard rectangle, listed by delay, then Doppler, as estimate_channel
-    lists them, with any gains."""
+def estimates(draw, decades=(-3.0, 3.0)):
+    """A random estimate on a random frame and pilot, of either waveform:
+    1-12 distinct bins of the guard rectangle from the pilot row on hold
+    values of any phase and of magnitude 10**e, e in ``decades``."""
     frame, pc = draw(pilot_frames())
-    bins = st.tuples(st.integers(0, pc.guard_delay),
-                     st.integers(-pc.guard_doppler, pc.guard_doppler))
-    finite = st.floats(-2.0, 2.0, allow_nan=False)
-    waveform = draw(st.sampled_from([Waveform.OTFS, Waveform.SC_IFDMA]))
-    taps = [ChannelTap(d, draw(st.builds(complex, finite, finite)), float(k))
-            for d, k in sorted(draw(st.lists(bins, min_size=1, max_size=12,
-                                             unique=True)))]
-    return estimate_of(taps, frame, waveform), pc, frame
+    region = np.zeros((pc.guard_delay + 1, 2 * pc.guard_doppler + 1),
+                      dtype=complex)
+    bins = st.tuples(st.integers(0, region.shape[0] - 1),
+                     st.integers(0, region.shape[1] - 1))
+    for b in draw(st.lists(bins, min_size=1, max_size=12, unique=True)):
+        region[b] = 10.0 ** draw(st.floats(*decades)) * np.exp(
+            1j * draw(st.floats(0, 2 * np.pi)))
+    est = estimate_on(region, pc, frame, draw(WAVEFORMS))
+    assert len(est.taps) == np.count_nonzero(region)
+    return est, pc, frame
 
 
 class TestEstimatedDiagonals:
-    """An estimate reaches the receivers as the delay diagonals of its
-    channel, read from the tap ramps it comes with; the gain-table
-    product estimates once took is the oracle."""
+    """An estimate comes with the delay diagonals the receivers read,
+    built from its taps' rows of the cached table; the diagonals of the
+    channel of its taps, read from their exp tap ramps, are the bit
+    oracle, and the gain-table product estimates once took the oracle of
+    their values."""
 
     @PROPERTY
     @given(estimates())
     def test_equals_the_diagonals_of_the_estimated_channel(self, case):
         est, pc, frame = case
-        got = estimated_route(est, frame)
+        got = est.diagonals
         want = estimated_diagonals(est, pc, frame)
         np.testing.assert_array_equal(got.delays, want.delays)
         assert got.frame == frame
@@ -241,37 +247,32 @@ class TestEstimatedDiagonals:
         assert err <= 1e-12 * np.linalg.norm(want.gains)
 
     @PROPERTY
-    @given(pilot_frames(), st.data())
-    def test_ramps_are_the_tap_ramps_bit_for_bit(self, case, data):
-        # estimate_channel forms a tap's ramps as its gain times its row
-        # of the cached table, in place of the exp tap_ramps evaluates;
-        # the guard bins hold values of magnitude 1e-200 to 1e200
-        frame, pc = case
-        region = np.zeros((pc.guard_delay + 1, 2 * pc.guard_doppler + 1),
-                          dtype=complex)
-        bins = st.tuples(st.integers(0, region.shape[0] - 1),
-                         st.integers(0, region.shape[1] - 1))
-        for b in data.draw(st.lists(bins, min_size=1, max_size=8, unique=True)):
-            region[b] = 10.0 ** data.draw(st.floats(-200, 200)) * np.exp(
-                1j * data.draw(st.floats(0, 2 * np.pi)))
-        D = np.zeros((frame.M, frame.N), dtype=complex)
-        D[pc.pilot_delay: pc.pilot_delay + pc.guard_delay + 1,
-          pc.pilot_doppler - pc.guard_doppler:
-          pc.pilot_doppler + pc.guard_doppler + 1] = region
-        waveform = data.draw(st.sampled_from([Waveform.OTFS, Waveform.SC_IFDMA]))
-        est = estimate_channel(DelayDopplerGrid(D, frame), pc, waveform,
-                               noise_std=1e-250)
-        assert len(est.taps) == np.count_nonzero(region)
-        want = tap_ramps(LtvChannel(est.taps, frame), frame.frame_len)
-        assert est.ramps.tobytes() == want.tobytes()
+    @given(estimates(decades=(-200.0, 200.0)))
+    def test_diagonals_are_those_of_the_tap_ramps_bit_for_bit(self, case):
+        # estimate_channel forms a tap's row as its gain times its row of
+        # the cached table over the CP-stripped samples, in place of the
+        # exp tap_ramps evaluates over the frame with its CP; the guard
+        # bins hold values of magnitude 1e-200 to 1e200
+        est, pc, frame = case
+        ch = LtvChannel(est.taps, frame)
+        want = delay_diagonals(ch, tap_ramps(ch, frame.frame_len))
+        got = est.diagonals
+        assert got.frame == frame
+        np.testing.assert_array_equal(got.delays, want.delays)
+        np.testing.assert_array_equal(got.gains.view(np.uint64),
+                                      want.gains.view(np.uint64))
 
     def test_zeroes_the_samples_before_the_frame(self):
-        # delay 3 past a CP of 1 reads nothing on samples 0 and 1
+        # delay 3 past a CP of 1 reads nothing on samples 0 and 1; the two
+        # taps of delay 3 share its row
         frame = FrameConfig(8, 4, cp_len=1)
         pc = PilotConfig(3, 2, 10.0, 3, 1)
-        est = estimate_of((ChannelTap(0, 0.5j, 1.0), ChannelTap(3, 1.0, -1.0),
-                           ChannelTap(3, -0.5, 0.0)), frame)
-        got = estimated_route(est, frame)
+        region = np.zeros((4, 3), dtype=complex)
+        region[0, 2], region[3, 0], region[3, 1] = 0.5j, 1.0, -0.5
+        est = estimate_on(region, pc, frame, Waveform.OTFS)
+        assert [(t.delay, t.doppler) for t in est.taps] == [(0, 1.0), (3, -1.0),
+                                                              (3, 0.0)]
+        got = est.diagonals
         np.testing.assert_array_equal(got.delays, [0, 3])
         assert not got.gains[1, :2].any() and got.gains[1, 2:].all()
         assert got.gains[0].all()
@@ -332,13 +333,21 @@ class TestVectorizedEstimate:
                                pilot_value=pilot_value)
         want = estimate_channel_loop(grid, pc, waveform, noise_std=noise_std,
                                      pilot_value=pilot_value)
-        assert got.noise_std == want.noise_std and got.waveform is want.waveform
+        assert got.noise_std == want.noise_std
         assert ([(t.delay, t.doppler) for t in got.taps]
                 == [(t.delay, t.doppler) for t in want.taps])
         for a, b in zip(got.taps, want.taps):
             assert type(a.delay) is int and type(a.doppler) is float
             assert type(a.gain) is complex
             assert abs(a.gain - b.gain) <= 1e-14 * abs(b.gain)
+        # the diagonals of those taps, None when there are none
+        if not want.taps:
+            assert got.is_empty and got.diagonals is None
+            return
+        np.testing.assert_array_equal(got.diagonals.delays, want.diagonals.delays)
+        assert got.diagonals.frame == grid.frame
+        err = np.linalg.norm(got.diagonals.gains - want.diagonals.gains)
+        assert err <= 1e-12 * np.linalg.norm(want.diagonals.gains)
 
     @PROPERTY
     @given(received_grids(), st.integers(-100, 100))

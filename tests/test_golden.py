@@ -13,16 +13,21 @@ CSI, and a two-user even-split uplink (2048 unknowns, band half-width
 
 Print the digests of the current code with
 ``PYTHONPATH=src python tests/test_golden.py``
-from the repository root; record them only from a commit whose results are
-known good.
+from the repository root, after a header line naming the Python, numpy,
+scipy, LAPACK and OpenBLAS that produced them; record them only from a
+commit whose results are known good.
 """
 
 import hashlib
+import platform
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
+from ddlink._blas import _lapack, _openblas
 from ddlink.chanest import PilotConfig
 from ddlink.config import ImpairSettings, SyncSettings, load_spec
 from ddlink.frame import FrameConfig
@@ -89,6 +94,16 @@ def test_results_csv_bytes(case):
     assert digest(case) == DIGESTS[case]
 
 
+def environment() -> str:
+    """One line naming what produced the digests: the Python, numpy and
+    scipy versions, the band solve's LAPACK and the OpenBLAS config."""
+    blas = _openblas()
+    return (f"# Python {platform.python_version()}, numpy {np.__version__}, "
+            f"scipy {scipy.__version__}; LAPACK: {_lapack().source}; "
+            f"OpenBLAS: {blas.config if blas else 'none found'}")
+
+
 if __name__ == "__main__":
+    print(environment())
     for case in sorted(CASES):
         print(f'    "{case}": "{digest(case)}",')

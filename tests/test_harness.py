@@ -286,22 +286,37 @@ class TestEqualizerOracle:
 
 
 class TestChannelForm:
-    """The receivers read delay diagonals from one route: a trial computes
-    those of a drawn channel once for both waveforms, and those of each
-    estimate, one per pilot and waveform."""
+    """The receivers read delay diagonals from one route,
+    ``channel.tap_diagonals``: a trial builds those of a drawn channel
+    once for both waveforms, and those of each estimate, one per pilot
+    and waveform, within the estimate. The only channel objects a trial
+    makes are the ones it draws: none is made of an estimate."""
 
     @staticmethod
     def diagonal_builds(monkeypatch, trial):
-        built = []
-        real = channel.delay_diagonals
+        built, made, drawn = [], [], []
+        real, real_draw = channel.tap_diagonals, harness._draw
+        post_init = channel.LtvChannel.__post_init__
 
-        def counted(ch, *args):
-            built.append(ch)
-            return real(ch, *args)
+        def counted(delays, rows, frame):
+            built.append(delays)
+            return real(delays, rows, frame)
+
+        def draw(*args):
+            out = real_draw(*args)
+            drawn.extend(out[0])
+            return out
+
+        def made_one(ch):
+            post_init(ch)
+            made.append(ch)
 
         for module in (harness, channel, chanest, equalize, multiuser):
-            monkeypatch.setattr(module, "delay_diagonals", counted, raising=False)
+            monkeypatch.setattr(module, "tap_diagonals", counted, raising=False)
+        monkeypatch.setattr(harness, "_draw", draw)
+        monkeypatch.setattr(channel.LtvChannel, "__post_init__", made_one)
         trial()
+        assert drawn and [id(ch) for ch in made] == [id(ch) for ch in drawn]
         return len(built)
 
     @pytest.mark.parametrize("csi,builds", [("genie", 1), ("estimated", 2)])
@@ -729,7 +744,8 @@ class TestMuTrial:
 
         def estimate(received, pc, waveform, **kw):
             est = real(received, pc, waveform, **kw)
-            return replace(est, taps=()) if pc == silenced else est
+            return (replace(est, taps=(), diagonals=None) if pc == silenced
+                    else est)
 
         monkeypatch.setattr(harness, "estimate_channel", estimate)
         for received, channels, s2, out in self.detector_calls(monkeypatch,

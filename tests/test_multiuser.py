@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec, apply_channel,
-                            delay_diagonals, linearized_io, make_channel)
+                            delay_diagonals, draw_noise, linearized_io,
+                            make_channel)
 from ddlink.config import load_spec
 from ddlink.frame import FrameConfig
 from ddlink.harness import prepare
+from ddlink.mapping import get_constellation
 from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform,
-                          modulate_direct)
+                          demodulate_direct, modulate_direct)
 from ddlink import multiuser
 from ddlink.multiuser import (Allocation, UserBins, compound_matrix,
                               compound_uplink, detect_users,
@@ -274,6 +276,15 @@ def uplink_case(name):
                             UserBins((0, 1, 2), (4, 5, 6)),
                             UserBins((4, 5, 6, 7), (0, 1, 2))), 8, 8)
         return FRAME, alloc, [doppler_channel(FRAME, (0, 2), s) for s in (4, 5, 6)]
+    if name == "delay_split":
+        # configs/mu_uplink.cfg with its users on delay rows 0-15 and 16-31:
+        # they share every Doppler column
+        frame = FrameConfig(32, 16, cp_len=8)
+        g = np.random.default_rng(4)
+        alloc = Allocation((UserBins(tuple(range(16)), tuple(range(16))),
+                            UserBins(tuple(range(16, 32)), tuple(range(16)))),
+                           32, 16)
+        return frame, alloc, [make_channel("eva3", frame, 120.0, g) for _ in range(2)]
     if name == "none_user":
         return FRAME, two_user_alloc(), [doppler_channel(FRAME, (0, 2), 7), None]
     if name == "past_cp":
@@ -316,39 +327,51 @@ def assert_matches_dense(received, channels, alloc, w, noise_var):
 
 @st.composite
 def uplinks(draw):
-    """Random geometry, a random allocation of 1-3 users, who may share
-    delay rows or Doppler columns but no bin (bins may stay unallocated),
-    and per-user random tap sets with delays up to past the CP-included
-    frame and fractional Doppler; a user may be silent."""
-    M = draw(st.integers(1, 8))
-    N = draw(st.integers(1, 8))
+    """Random geometry of 2-8 delay by 2-8 Doppler bins, and a random
+    allocation of 1-3 users, who may share delay rows or Doppler columns
+    but no bin (bins may stay unallocated). The user count and a distinct
+    bin of each user are drawn first, and a user's rows and columns grow
+    around its bin past no bin of another user, so every user finds bins.
+    Per user a random tap set with delays up to past the CP-included
+    frame and fractional Doppler. A lone user may be silent, and where
+    there are more, all but two may be: users couple in most examples."""
+    M = draw(st.integers(2, 8))
+    N = draw(st.integers(2, 8))
     frame = FrameConfig(M, N, cp_len=draw(st.integers(0, M * N - 1)))
-    users = []
-    for _ in range(draw(st.integers(1, 3))):
-        d = draw(st.sets(st.integers(0, M - 1), min_size=1))
-        # the Doppler bins of the users before it that share one of its rows
-        taken = {v for u in users if d & set(u.delay_bins) for v in u.doppler_bins}
-        free = sorted(set(range(N)) - taken)
-        if free:
-            users.append(UserBins(tuple(d), tuple(draw(
-                st.sets(st.sampled_from(free), min_size=1)))))
-    alloc = Allocation(tuple(users), M, N)
-    Q = alloc.n_users
+    Q = draw(st.integers(1, 3) | st.integers(2, 3))
+    own = draw(st.lists(st.tuples(st.integers(0, M - 1), st.integers(0, N - 1)),
+                        min_size=Q, max_size=Q, unique=True))
+    taken, users = set(), []
+    for m, k in own:
+        barred = taken | (set(own) - {(m, k)})
+        rows = {m} | {r for r in draw(st.sets(st.integers(0, M - 1)))
+                      if (r, k) not in barred}
+        cols = {k} | {c for c in draw(st.sets(st.integers(0, N - 1)))
+                      if not any((r, c) in barred for r in rows)}
+        users.append(UserBins(tuple(sorted(rows)), tuple(sorted(cols))))
+        taken |= {(r, c) for r in rows for c in cols}
     finite = st.floats(-2.0, 2.0, allow_nan=False)
     taps = st.lists(st.builds(ChannelTap, delay=st.integers(0, frame.frame_len),
                               gain=st.builds(complex, finite, finite),
                               doppler=st.floats(-N, N, allow_nan=False)),
                     min_size=1, max_size=4)
-    channels = [draw(st.none() | taps.map(lambda t: LtvChannel(tuple(t), frame)))
-                for _ in range(Q)]
-    return frame, alloc, channels, draw(st.integers(0, 2 ** 32 - 1))
+    silent = draw(st.sets(st.integers(0, Q - 1), max_size=1 if Q == 1 else Q - 2))
+    channels = [None if q in silent else LtvChannel(tuple(draw(taps)), frame)
+                for q in range(Q)]
+    return (frame, Allocation(tuple(users), M, N), channels,
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+UPLINK_EXAMPLES = settings(max_examples=150, deadline=None, derandomize=True,
+                           database=None)
 
 
 class TestTimeDomainDetector:
     @pytest.mark.parametrize("noise_var", [0.0, 0.05])
     @pytest.mark.parametrize("w", [Waveform.OTFS, Waveform.SC_IFDMA])
     @pytest.mark.parametrize("case", ["even_split", "committed_allocation",
-                                      "shared_rows_columns", "none_user", "past_cp"])
+                                      "shared_rows_columns", "none_user", "past_cp",
+                                      "delay_split"])
     def test_matches_dense_compound_detection(self, case, w, noise_var):
         frame, alloc, channels = uplink_case(case)
         received = superposed_record(frame, alloc, channels, noise_var, 11)
@@ -357,7 +380,7 @@ class TestTimeDomainDetector:
             if ch is None:
                 assert not np.any(out[alloc.vec_indices(q)])
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @UPLINK_EXAMPLES
     @given(uplinks(), st.sampled_from([Waveform.OTFS, Waveform.SC_IFDMA]),
            st.sampled_from([0.01, 0.5]))
     def test_random_uplinks_match_dense_compound_detection(self, uplink, w,
@@ -368,7 +391,7 @@ class TestTimeDomainDetector:
                               + 1j * g.standard_normal(frame.frame_len), frame)
         assert_matches_dense(received, channels, alloc, w, noise_var)
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @UPLINK_EXAMPLES
     @given(uplinks(), st.sampled_from([0.01, 0.5]))
     def test_one_band_solve_per_call(self, uplink, noise_var):
         # one solve per call, none when every user is silent, with users
@@ -382,6 +405,49 @@ class TestTimeDomainDetector:
                                wraps=multiuser._solve_band) as solve:
             detect_users_time_domain(received, hs, alloc, noise_var)
         assert solve.call_count == int(any(h is not None for h in hs))
+
+    def test_delay_split_decides_as_the_dense_detector(self):
+        # QPSK at 30 dB, 10 trials of data and noise: the hard decisions of
+        # the time-domain detector equal those of the dense compound
+        # detection on every bin, though each user's delay spread runs
+        # into the other's rows
+        frame, alloc, channels = uplink_case("delay_split")
+        H = compound_matrix(channels, alloc, Waveform.OTFS)
+        hs = diagonals(channels)
+        const = get_constellation("qpsk")
+        noise_var = 1e-3
+        g = np.random.default_rng(30)
+        for _ in range(10):
+            rx = sum(apply_channel(modulate_direct(place_user(
+                const.points[g.integers(0, 4, alloc.user_shape(q))], alloc, q,
+                frame), Waveform.OTFS), ch).samples
+                for q, ch in enumerate(channels))
+            received = TimeSignal(rx + draw_noise(g, noise_var, rx.size), frame)
+            got = detect_users_time_domain(received, hs, alloc, noise_var).vec
+            want = detect_users(demodulate_direct(received, Waveform.OTFS), H,
+                                alloc, noise_var).vec
+            for q in range(2):
+                idx = alloc.vec_indices(q)
+                np.testing.assert_array_equal(const.nearest_indices(got[idx]),
+                                              const.nearest_indices(want[idx]))
+
+    def test_random_uplinks_mostly_couple_users(self):
+        # the examples of the properties above: at least half carry two or
+        # more users with a channel, and each user has bins
+        speaking = []
+
+        @UPLINK_EXAMPLES
+        @given(uplinks(), st.sampled_from([Waveform.OTFS, Waveform.SC_IFDMA]),
+               st.sampled_from([0.01, 0.5]))
+        def count(uplink, w, noise_var):
+            _, alloc, channels, _ = uplink
+            assert alloc.n_users == len(channels)
+            assert all(alloc.vec_indices(q).size for q in range(alloc.n_users))
+            speaking.append(sum(ch is not None for ch in channels))
+
+        count()
+        assert len(speaking) == 150
+        assert sum(n >= 2 for n in speaking) >= 75
 
     @pytest.mark.parametrize("case", ["none_user", "past_cp", "shared_rows_columns"])
     def test_silent_users_and_distinct_delay_sets(self, case):
