@@ -228,8 +228,11 @@ def apply_channel(sig: TimeSignal, ch: LtvChannel, noise: NoiseSpec | None = Non
     frame length (one-shot model: the multipath tail beyond it is
     dropped, matching the square CP-bounded channel matrix).
 
-    Delay spreads exceeding the CP are allowed (inter-block interference
-    studies); a spread beyond the CP is the caller's concern, not an error.
+    Delay spreads exceeding the CP are allowed, and are not an error: the
+    frame goes out alone, with zeros before it, so a spread past the CP
+    leaves a channel that is no longer cyclic over the block (the
+    CP-bounded model of :func:`tap_diagonals` is exact for it), with no
+    earlier frame to interfere.
     ``ramps`` are the channel's :func:`tap_ramps` (see :func:`_apply_taps`
     for the samples they must cover), evaluated over the record when not
     given. The samples may carry leading batch axes, one frame each: every

@@ -536,7 +536,9 @@ def spread_warnings(spec: ExperimentSpec) -> list:
     out = []
     if longest > spec.frame.cp_len:
         out.append(f"warning: largest tap delay {longest} exceeds frame.L_cp "
-                   f"= {spec.frame.cp_len}; expect inter-block interference")
+                   f"= {spec.frame.cp_len}; the channel is no longer cyclic over "
+                   "the block, a case the detectors' channel model includes (a "
+                   "trial sends one frame, with zeros before it)")
     if ((spec.csi == "estimated" or _runs_sync(spec))
             and longest > spec.pilot.guard_delay):
         out.append(f"warning: largest tap delay {longest} exceeds the pilot "

@@ -1,7 +1,6 @@
 import csv
 import math
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -16,6 +15,7 @@ from ddlink import _blas
 from ddlink.cli import main
 from ddlink.config import load_spec
 from ddlink.harness import prepare
+from variants import committed_with, with_lines
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -105,21 +105,6 @@ KEYS_THE_KIND_READS = [
 ]
 
 
-def with_lines(text, lines):
-    """Config ``text`` with each of ``lines`` replacing the config's own
-    setting of its key, or added to it."""
-    for line in lines.split("\n"):
-        key = line.split("=", 1)[0].strip()
-        text, n = re.subn(rf"^{re.escape(key)} = .*$", line, text, flags=re.M)
-        text += "" if n else line + "\n"
-    return text
-
-
-def committed_with(config, lines):
-    """The text of ``configs/<config>.cfg`` :func:`with_lines`."""
-    return with_lines((ROOT / "configs" / f"{config}.cfg").read_text(), lines)
-
-
 # every key with a physical range: lines that make LINK read it, the line
 # of its value, the two ends of its range, and a value just past each
 RANGES = [
@@ -192,6 +177,11 @@ class TestValidate:
         spread = capsys.readouterr().err.splitlines()
         assert len(spread) == 2 and all(line.startswith("warning:") for line in spread)
         assert "frame.L_cp = 8" in spread[0] and "guard 4" in spread[1]
+        # one frame goes out with zeros before it: no earlier frame interferes
+        assert spread[0].endswith("the channel is no longer cyclic over the "
+                                  "block, a case the detectors' channel model "
+                                  "includes (a trial sends one frame, with zeros "
+                                  "before it)")
         # a link with genie CSI (the default) and no sync reads no pilot
         no_pilot = LINK.replace("single_tap", "eva")
         assert main(["validate", write(tmp_path, no_pilot)]) == 0
@@ -793,11 +783,11 @@ def cli_argv(draw):
 # a serial run of every committed config, one trial per SNR cell, with
 # outputs; then the modules it left loaded among the listed ones
 SERIAL_RUNS = """
-import sys, tempfile
+import glob, sys, tempfile
 from ddlink.config import load_config, spec_from_config
 from ddlink.harness import run
-for name in ("ber_vs_snr", "sync_vs_snr", "threshold_sweep", "mu_uplink"):
-    cfg = load_config(f"configs/{name}.cfg")
+for path in sorted(glob.glob("configs/*.cfg")):
+    cfg = load_config(path)
     cfg["trials"] = 1
     with tempfile.TemporaryDirectory() as out:
         run(spec_from_config(cfg), out_dir=out)
@@ -822,11 +812,18 @@ class TestImport:
             "'scipy.linalg', 'concurrent.futures.process') if m in sys.modules])"
         ) == "[]"
 
+    def test_the_variants_table_loads_no_ddlink_numpy_or_scipy(self):
+        # pure data, for tools that do not import ddlink
+        assert loaded_after(
+            "import sys; sys.path.insert(0, 'tests'); import variants; "
+            "print([m for m in sys.modules if m.split('.')[0] in "
+            "('ddlink', 'numpy', 'scipy')])") == "[]"
+
     def test_serial_runs_do_not_load_scipy_linalg(self):
         if _blas._lapack().source.startswith("scipy.linalg"):
             pytest.skip("scipy bundles no OpenBLAS with zpbsv here, "
                         "so the band solve calls scipy.linalg")
-        # ber_vs_snr.cfg estimates CSI; mu_uplink.cfg is the uplink
+        # ber_vs_snr.cfg estimates CSI; the mu_uplink configs are uplinks
         assert loaded_after(SERIAL_RUNS) == "[]"
 
 

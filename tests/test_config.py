@@ -15,8 +15,8 @@ from ddlink.config import (EXPERIMENTS, SCHEMA, ConfigError,
                            parse_config_text, reads, spec_from_config)
 from ddlink.modem import Waveform
 from strategies import PROPERTY
-from test_cli import KEYS_THE_KIND_READS, committed_with
-from test_golden import CASES
+from test_cli import KEYS_THE_KIND_READS
+from variants import VARIANTS, committed_with, config_text
 
 ROOT = Path(__file__).resolve().parents[1]
 MINIMAL = "experiment = ber_vs_snr\n"
@@ -200,32 +200,26 @@ class TestParsing:
 
     def test_every_key_is_set_by_a_config_or_a_cli_or_golden_case(self):
         # a key that nothing runs with is dead weight: give it a case or
-        # delete it. Keys are read from the configs' lines and from the
-        # lines of every string literal in the two test modules.
-        texts = [p.read_text() for p in (ROOT / "configs").glob("*.cfg")]
-        for name in ("test_cli.py", "test_golden.py"):
-            tree = ast.parse((ROOT / "tests" / name).read_text())
-            texts += [node.value for node in ast.walk(tree)
-                      if isinstance(node, ast.Constant)
-                      and isinstance(node.value, str)]
+        # delete it. Keys are read from the lines of each row of the
+        # variants table (the committed configs and the golden cases among
+        # them) and of every string literal in test_cli.py.
+        variants = [config_text(name) for name in VARIANTS]
+        tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text())
+        texts = variants + [node.value for node in ast.walk(tree)
+                            if isinstance(node, ast.Constant)
+                            and isinstance(node.value, str)]
         set_keys = {key for text in texts
                     for key in re.findall(r"^\s*([\w.]+)\s*=", text, re.M)}
         assert sorted(set(SCHEMA) - set_keys - {"experiment"}) == []
         # and each key on each kind its SCHEMA row says reads it (on some
         # setting of sync.enabled, detector.csi and the profile)
-        # is set on that kind: a line of a committed config, or of one
-        # that a CLI case runs, or a golden spec away from the default
+        # is set on that kind: a line of a row of the variants table, or of
+        # a committed config that a CLI case runs
         set_on = set()
-        for text in ([p.read_text() for p in (ROOT / "configs").glob("*.cfg")]
-                     + [committed_with(*case) for case in KEYS_THE_KIND_READS]):
+        for text in variants + [committed_with(*case) for case in KEYS_THE_KIND_READS]:
             kind = re.search(r"^experiment = (\w+)$", text, re.M).group(1)
             set_on |= {(kind, key) for key in
                        re.findall(r"^\s*([\w.]+)\s*=", text, re.M)}
-        for case in CASES.values():
-            spec = case()
-            default = spec_from_config(parse_config_text(f"experiment = {spec.kind}\n"))
-            set_on |= {(spec.kind, key) for key, row in SCHEMA.items()
-                       if row.value(spec) != row.value(default)}
         read_on = {(kind, key) for kind in EXPERIMENTS for key in SCHEMA
                    for spec in _settings_of(kind) if reads(spec, key)}
         assert sorted(read_on - set_on) == []

@@ -1,15 +1,10 @@
-"""Golden bytes: ``results.csv`` of every committed config, at its own seed
-with a few trials per cell, hashed and compared with digests recorded
-before the last refactor of the trial pipeline. A refactor that changes
-any result row fails here.
-
-The variants cover receive paths the committed configs leave out:
-the link with genie CSI, estimated multiuser CSI (on the committed
-config's bins, and on an even split of three users that leaves bins
-unallocated), a link with sync and impairments, and the 128x32
-reference grid: a link on the nine-tap ``eva`` profile with estimated
-CSI, and a two-user even-split uplink (2048 unknowns, band half-width
-111) with genie and with estimated CSI.
+"""Golden bytes: ``results.csv`` of every committed config and of the
+variants in ``tests/variants.py`` that cover receive paths the committed
+configs leave out, each at its own seed with a few trials per cell
+(:data:`TRIALS`), hashed and compared with digests recorded before the
+last refactor of the trial pipeline. A refactor that changes any result
+row fails here. Each case is its row's config text, read by the config
+parser.
 
 Print the digests of the current code with
 ``PYTHONPATH=src python tests/test_golden.py``
@@ -20,53 +15,30 @@ commit whose results are known good.
 
 import hashlib
 import platform
-from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
 from ddlink._blas import _lapack, _openblas
-from ddlink.chanest import PilotConfig
-from ddlink.config import ImpairSettings, SyncSettings, load_spec
-from ddlink.frame import FrameConfig
+from ddlink.config import parse_config_text, spec_from_config
 from ddlink.harness import rows_to_csv, run
+from variants import config_text, with_lines
 
-ROOT = Path(__file__).resolve().parent.parent
-REFERENCE = FrameConfig(128, 32, cp_len=8)
-
-
-def _spec(name, trials, **overrides):
-    spec = load_spec(str(ROOT / "configs" / f"{name}.cfg"))
-    return replace(spec, trials=trials, **overrides)
-
-
-CASES = {
-    "ber_vs_snr": lambda: _spec("ber_vs_snr", 4),
-    "sync_vs_snr": lambda: _spec("sync_vs_snr", 8),
-    "threshold_sweep": lambda: _spec("threshold_sweep", 8),
-    "mu_uplink": lambda: _spec("mu_uplink", 3),
-    "mu_uplink_doppler_split": lambda: _spec("mu_uplink_doppler_split", 3),
-    "mu_uplink_estimated": lambda: _spec("mu_uplink", 3, csi="estimated"),
-    "mu_uplink_estimated_3users": lambda: _spec(
-        "mu_uplink", 3, csi="estimated", mu_allocation=None, mu_users=3,
-        pilot=PilotConfig(4, 8, 1000.0, 2, 2)),
-    "ber_vs_snr_genie": lambda: _spec("ber_vs_snr", 4, csi="genie"),
-    "ber_vs_snr_sync": lambda: _spec(
-        "ber_vs_snr", 3, snr_db=(10.0, 20.0),
-        sync=SyncSettings(enabled=True, threshold=0.5),
-        impair=ImpairSettings(theta_d=("uniform", 0, 6), theta_t=1,
-                              epsilon=("uniform", -0.3, 0.3))),
-    "ber_vs_snr_reference_eva": lambda: _spec(
-        "ber_vs_snr", 3, frame=REFERENCE, channel_profile="eva",
-        snr_db=(10.0, 20.0)),
-    "mu_uplink_reference": lambda: _spec(
-        "mu_uplink", 2, frame=REFERENCE, mu_allocation=None,
-        snr_db=(10.0, 20.0)),
-    "mu_uplink_reference_estimated": lambda: _spec(
-        "mu_uplink", 2, frame=REFERENCE, mu_allocation=None,
-        csi="estimated", snr_db=(10.0, 20.0)),
+# the trials per cell of each case, a row of the variants table
+TRIALS = {
+    "ber_vs_snr": 4,
+    "ber_vs_snr_genie": 4,
+    "ber_vs_snr_reference_eva": 3,
+    "ber_vs_snr_sync": 3,
+    "mu_uplink": 3,
+    "mu_uplink_doppler_split": 3,
+    "mu_uplink_estimated": 3,
+    "mu_uplink_estimated_3users": 3,
+    "mu_uplink_reference": 2,
+    "mu_uplink_reference_estimated": 2,
+    "sync_vs_snr": 8,
+    "threshold_sweep": 8,
 }
 
 DIGESTS = {
@@ -86,10 +58,12 @@ DIGESTS = {
 
 
 def digest(case: str) -> str:
-    return hashlib.sha256(rows_to_csv(run(CASES[case]())).encode()).hexdigest()
+    text = with_lines(config_text(case), f"trials = {TRIALS[case]}")
+    rows = run(spec_from_config(parse_config_text(text)))
+    return hashlib.sha256(rows_to_csv(rows).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("case", sorted(TRIALS))
 def test_results_csv_bytes(case):
     assert digest(case) == DIGESTS[case]
 
@@ -105,5 +79,5 @@ def environment() -> str:
 
 if __name__ == "__main__":
     print(environment())
-    for case in sorted(CASES):
+    for case in sorted(TRIALS):
         print(f'    "{case}": "{digest(case)}",')
