@@ -4,8 +4,8 @@ import argparse
 import sys
 
 from .channel import CHANNEL_PROFILES
-from .config import ConfigError, load_config, spec_from_config, spread_warnings
-from .harness import prepare, run
+from .config import ConfigError, check, load_config, spec_from_config, spread_warnings
+from .harness import run
 
 REFERENCE_SCALE = (128, 32)
 
@@ -40,8 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args):
     """The run's spec: the config file with the command-line overrides
     applied to its keys, so the metadata echoes what ran, checked by
-    :func:`harness.prepare` so a run cannot fail on it after its first
-    trial."""
+    :func:`ddlink.config.check` so a run cannot fail on it after its
+    first trial."""
     cfg = load_config(args.config)
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
@@ -57,7 +57,7 @@ def _load(args):
                 f"grid; drop mu.allocation for an even split")
         cfg["frame.M"], cfg["frame.N"] = REFERENCE_SCALE
     spec = spec_from_config(cfg)
-    prepare(spec)
+    check(spec)
     return spec
 
 

@@ -9,12 +9,14 @@ checks its physical range: a value outside it is an error that names
 the key, and inside the ranges every product a trial forms is a normal
 float without scaling. :func:`spec_from_config` sets the rows' fields,
 the spec dataclasses take their defaults from the rows, and
-``ExperimentSpec`` checks the other values of each key. :func:`check`
-checks what takes more than one key, or a channel draw: the largest tap
-delay, which sync reads against the block search, the CFO range of
-sync, the guard row that estimated CSI reads, and every key set away
-from its default where its row says the spec does not read it, named
-with the kind and the setting. :func:`spread_warnings` gives the
+``ExperimentSpec`` checks the other values of each key, and an uplink
+spec builds its allocation from them (``ExperimentSpec.allocation``).
+:func:`check` checks what takes more than one key, or a channel draw:
+the largest tap delay, which sync reads against the block search, the
+CFO range of sync, the guard row that estimated CSI reads, the pilot
+guard rectangle each user of an estimated uplink holds, and every key
+set away from its default where its row says the spec does not read it,
+named with the kind and the setting. :func:`spread_warnings` gives the
 ``warning:`` lines of a delay spread the CP or the pilot guard does not
 cover.
 
@@ -34,10 +36,13 @@ from .chanest import PilotConfig
 from .channel import CHANNEL_PROFILES, LtvChannel, make_channel, taps_from_profile
 from .frame import FrameConfig
 from .modem import Waveform
+from .multiuser import Allocation, UserBins, _mu_user_pilot, even_split_allocation
 from .sync import BLOCK_STARTS, Impairments
 
 EXPERIMENTS = ("threshold_sweep", "sync_vs_snr", "ber_vs_snr", "mu_uplink")
 _SYNC_KINDS = ("sync_vs_snr", "threshold_sweep")
+# the kinds of one link, which place the configured pilot and may sync
+_LINK_KINDS = (*_SYNC_KINDS, "ber_vs_snr")
 _DETECTION_KINDS = ("ber_vs_snr", "mu_uplink")
 # the profiles whose taps take their Doppler from the velocity and carrier
 _FADING = ("eva", "eva3")
@@ -239,13 +244,13 @@ def _row(parse, default, fields, kinds=EXPERIMENTS, condition=None, setting=""):
 
 
 # read where sync runs
-_SYNC_RUNS = ((*_SYNC_KINDS, "ber_vs_snr"), _runs_sync, " without sync.enabled = true")
+_SYNC_RUNS = (_LINK_KINDS, _runs_sync, " without sync.enabled = true")
 
 _WITH_PROFILE = " with channel.profile = {s.channel_profile}"
 # read where the profile's Doppler comes from the velocity and carrier
 _FADING_READS = (EXPERIMENTS, lambda s: s.channel_profile in _FADING, _WITH_PROFILE)
 
-# every config key's row; every spec reads the keys down to pilot.guards
+# every config key's row; every spec reads the rows that name no kinds
 SCHEMA = {
     "experiment": _row(_choice(*EXPERIMENTS), None, "kind"),
     "trials": _row(int, "2000", "trials"),
@@ -259,19 +264,19 @@ SCHEMA = {
     "frame.bandwidth_hz": _row(_BANDWIDTH_HZ, "7.68e6", "frame.bandwidth_hz"),
     "channel.profile": _row(_choice(*CHANNEL_PROFILES, "custom"), "eva3",
                             "channel_profile"),
+    # an uplink centers each user's pilot in the user's own bins
+    "pilot.m_p": _row(int, "4", "pilot.pilot_delay", _LINK_KINDS),
+    "pilot.n_p": _row(int, "8", "pilot.pilot_doppler", _LINK_KINDS),
     # a genie uplink sends no pilot, yet keeps these keys: the
     # estimated-CSI uplink made from its config by changing detector.csi
     # alone reuses them
-    "pilot.m_p": _row(int, "4", "pilot.pilot_delay"),
-    "pilot.n_p": _row(int, "8", "pilot.pilot_doppler"),
     "pilot.power_db": _row(_POWER_DB, "30", "pilot.power"),
     "pilot.guards": _row(_parse_int_pair, "4,4",
                          "pilot.guard_delay pilot.guard_doppler"),
     "sweep.thresholds": _row(_float_list(), "0.1,0.2,0.3,0.4,0.5,0.6,0.8,1.0",
                              "sweep_thresholds", ("threshold_sweep",)),
     # sync_vs_snr and threshold_sweep sync whatever it says
-    "sync.enabled": _row(_parse_bool, "false", "sync.enabled",
-                         (*_SYNC_KINDS, "ber_vs_snr")),
+    "sync.enabled": _row(_parse_bool, "false", "sync.enabled", _LINK_KINDS),
     "sync.threshold": _row(_finite, "0.5", "sync.threshold", *_SYNC_RUNS),
     "impair.theta_d": _row(_parse_offset_draw, "0", "impair.theta_d", *_SYNC_RUNS),
     "impair.theta_t": _row(int, "0", "impair.theta_t", *_SYNC_RUNS),
@@ -427,6 +432,8 @@ class ExperimentSpec:
     # per uplink user, (delay bins, Doppler bins); None for an even split
     mu_allocation: tuple | None = _DEFAULT_OF["mu_allocation"]
     config_echo: str = ""
+    # the uplink's bins, built from the two above; None for other kinds
+    allocation: Allocation | None = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -447,17 +454,34 @@ class ExperimentSpec:
                 raise ConfigError(f"{key}: empty range {draw[1]:g} to {draw[2]:g}")
         if self.impair.theta_t < 0:
             raise ConfigError("impair.theta_t must be >= 0")
-        most = min(self.frame.M, self.frame.N)
-        if (self.kind == "mu_uplink" and self.mu_allocation is None
-                and self.mu_users > most):
-            raise ConfigError(f"mu.q must be <= {most} for an even split of "
-                              f"the {self.frame.M}x{self.frame.N} grid")
+        object.__setattr__(self, "allocation", self._allocation())
         _check_thresholds("sync.threshold", (self.sync.threshold,))
         _check_thresholds("sweep.thresholds", self.sweep_thresholds)
         if not self.snr_db:
             raise ConfigError("snr_db must be non-empty")
         if self.channel_profile == "custom" and self.custom_taps is None:
             raise ConfigError("channel.profile = custom requires channel.taps")
+
+    def _allocation(self) -> Allocation | None:
+        """The uplink's bins: the ``mu.q`` users' bins ``mu.allocation``
+        lists, or an even split of ``mu.q`` users; None for other kinds."""
+        if self.kind != "mu_uplink":
+            return None
+        M, N, users = self.frame.M, self.frame.N, self.mu_allocation
+        if users is None:
+            try:
+                return even_split_allocation(M, N, self.mu_users)
+            except ValueError:   # more users than bins
+                raise ConfigError(f"mu.q must be <= {min(M, N)} for an even "
+                                  f"split of the {M}x{N} grid") from None
+        try:
+            alloc = Allocation(tuple(UserBins(*u) for u in users), M, N)
+        except ValueError as exc:
+            raise ConfigError(f"mu.allocation: {exc}") from None
+        if alloc.n_users != self.mu_users:
+            raise ConfigError(f"mu.q = {self.mu_users} but mu.allocation lists "
+                              f"{alloc.n_users} users")
+        return alloc
 
     def draw_channel(self, rng: np.random.Generator) -> LtvChannel:
         """One channel of the spec's profile, its gains and Doppler shifts
@@ -490,7 +514,8 @@ def check(spec: ExperimentSpec) -> None:
     pilot run that can start past the window starts the block search
     compares (``sync.BLOCK_STARTS``), or a CFO outside the range the
     estimate tells apart; for estimated CSI without a guard row ahead of
-    the pilot (the noise level comes from it); and for every key set
+    the pilot (the noise level comes from it), or with a user's bins
+    that cannot hold its pilot's guard rectangle; and for every key set
     away from its default that the spec does not read (:func:`reads`)."""
     frame = spec.frame
     if _runs_sync(spec):
@@ -520,6 +545,13 @@ def check(spec: ExperimentSpec) -> None:
         raise ConfigError("pilot.guards: detector.csi = estimated needs a "
                           "delay guard >= 1, the guard rows ahead of the "
                           "pilot that give the noise level")
+    if spec.kind == "mu_uplink" and spec.csi == "estimated":
+        for q in range(spec.allocation.n_users):
+            try:
+                _mu_user_pilot(spec.pilot, spec.allocation, q)
+            except ValueError as exc:
+                raise ConfigError(f"pilot.guards: {exc}; shrink pilot.guards or "
+                                  f"use detector.csi = genie") from None
     unread = [key for key, row in _UNREAD_BY_SOME
               if row.value(spec) != row.value(_DEFAULT) and not reads(spec, key)]
     if unread:
@@ -575,7 +607,9 @@ def spec_from_config(cfg: dict) -> ExperimentSpec:
             (parts[part] if part else args)[name] = v
     try:
         args.update({part: make(**parts[part]) for part, make in _PARTS.items()})
-        args["pilot"].validate_fit(args["frame"])
+        # an uplink places no pilot at pilot.m_p, pilot.n_p
+        if args["kind"] in SCHEMA["pilot.m_p"].kinds:
+            args["pilot"].validate_fit(args["frame"])
     except ValueError as exc:
         message = str(exc)
         keys = next((k for start, k in _CHECK_KEYS if message.startswith(start)),

@@ -26,21 +26,21 @@ timing metric needs no cross-waveform coupling; the records of all
 waveforms come from one batched transmission, and each is synced on its
 own.
 
-Trial skeleton: ``prepare`` builds what the trials of a run share once,
-before the first trial: the uplink allocation (the bins the config
-lists, or an even split) and the run's layout
-(``_layout``: each transmitted grid's pilot and data bins, one grid for
-a link, one per uplink user), cached so every trial reads it, and then
-checks the spec's rules (:func:`ddlink.config.check`). Every trial sends
-through one stage, ``_send``: ``_draw`` draws one channel, bit array and
-grid per grid of the layout and stacks the grids; where the spec syncs,
-the impairments are drawn and lengthen the record; each drawn channel's
-tap ramps are evaluated once; and one noisy record per waveform it is
-asked for comes as a batch: one modulation of the stacked grids of every
-waveform, one pass through each channel for all of them (reading those
-ramps, with one CFO ramp), the grids superposed and the one noise draw
-added to each record. A detection trial asks for the OTFS record alone,
-a sync trial for one record per waveform of its spec.
+Trial skeleton: ``run`` checks the spec (:func:`ddlink.config.check`)
+before the first trial, and every trial takes ``(spec, trial_id,
+snr_db)``. The first builds the run's layout (``_layout``: each
+transmitted grid's pilot and data bins, one grid for a link, one per
+uplink user inside ``spec.allocation``), cached so every later trial
+reads it. Every trial sends through one stage, ``_send``: ``_draw``
+draws one channel, bit array and grid per grid of the layout and stacks
+the grids; where the spec syncs, the impairments are drawn and lengthen
+the record; each drawn channel's tap ramps are evaluated once; and one
+noisy record per waveform it is asked for comes as a batch: one
+modulation of the stacked grids of every waveform, one pass through each
+channel for all of them (reading those ramps, with one CFO ramp), the
+grids superposed and the one noise draw added to each record. A
+detection trial asks for the OTFS record alone, a sync trial for one
+record per waveform of its spec.
 ``_detection_trial`` runs a link or uplink trial on one noisy record:
 impairments and sync only where ``config._runs_sync`` says the spec
 syncs, then CSI, the trial's detector and demapping per grid. The
@@ -90,15 +90,14 @@ from ._seeds import seed_stream
 from .chanest import PilotConfig, embed_pilot, estimate_channel, overlay_mask
 from .channel import (DelayDiagonals, apply_channel, delay_diagonals,
                       draw_noise, tap_ramps)
-from .config import ConfigError, ExperimentSpec, _noise_var, _runs_sync, check
+from .config import ExperimentSpec, _noise_var, _runs_sync, check
 from .equalize import equalize_time_domain
 from .frame import FrameConfig
 from .mapping import (GUARD, data_bins, full_data_mask, get_constellation,
                       map_bits)
 from .modem import (DelayDopplerGrid, TimeSignal, Waveform, _mod_core,
                     demodulate_direct)
-from .multiuser import (Allocation, UserBins, detect_users_time_domain,
-                        even_split_allocation)
+from .multiuser import Allocation, _mu_user_pilot, detect_users_time_domain
 from .sync import correct, estimate_sync, fine_timing
 from .transforms import coupling_phases
 
@@ -128,8 +127,7 @@ def _layout(frame: FrameConfig, pilot: PilotConfig, csi: str,
             alloc: Allocation | None) -> _Layout:
     """Layout of a link (``alloc`` None: one grid around ``pilot``) or
     of an uplink (one grid per user, inside its own bins, with its own
-    pilot under estimated CSI). Built once per run and cached; raises
-    ConfigError for a user whose bins cannot host its pilot."""
+    pilot under estimated CSI). Built by a run's first trial and cached."""
     if alloc is None:
         pilots = (pilot,)
         masks = [overlay_mask(pilot, frame)]
@@ -330,52 +328,6 @@ def sync_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
     return out
 
 
-def prepare(spec: ExperimentSpec) -> Allocation | None:
-    """Pre-flight of a run, before its first trial: the uplink allocation
-    (None for other kinds), built from the bins of ``mu.allocation`` or
-    as an even split of ``mu.q`` users, the run's :func:`_layout`, which
-    its trials then share, and the spec's rules
-    (:func:`ddlink.config.check`). Raises ConfigError for an invalid
-    allocation (an empty bin set, bins outside the grid, users sharing
-    bins), a ``mu.q`` that disagrees with the users ``mu.allocation``
-    lists, an estimated-CSI user whose bins cannot host its pilot, or a
-    spec that breaks a rule."""
-    frame, alloc = spec.frame, None
-    if spec.kind == "mu_uplink":
-        if spec.mu_allocation is None:
-            alloc = even_split_allocation(frame.M, frame.N, spec.mu_users)
-        else:
-            try:
-                alloc = Allocation(tuple(UserBins(*u) for u in spec.mu_allocation),
-                                   frame.M, frame.N)
-            except ValueError as exc:
-                raise ConfigError(f"mu.allocation: {exc}") from None
-        if alloc.n_users != spec.mu_users:
-            raise ConfigError(f"mu.q = {spec.mu_users} but mu.allocation lists "
-                              f"{alloc.n_users} users")
-    _layout(frame, spec.pilot, spec.csi, alloc)
-    check(spec)
-    return alloc
-
-
-def _mu_user_pilot(pilot: PilotConfig, alloc: Allocation, q: int) -> PilotConfig:
-    """Per-user pilot for estimated multiuser CSI: the guard rectangle of
-    ``pilot``, centered on the user's own bins; it must fit inside them."""
-    u = alloc.users[q]
-    pc = pilot
-    m_c = u.delay_bins[len(u.delay_bins) // 2]
-    n_c = u.doppler_bins[len(u.doppler_bins) // 2]
-    rect_d = set(range(m_c - pc.guard_delay, m_c + pc.guard_delay + 1))
-    rect_v = set(range(n_c - pc.guard_doppler, n_c + pc.guard_doppler + 1))
-    if not (rect_d <= set(u.delay_bins) and rect_v <= set(u.doppler_bins)):
-        raise ConfigError(
-            f"user {q} allocation cannot host the pilot guard rectangle "
-            f"({2 * pc.guard_delay + 1}x{2 * pc.guard_doppler + 1}); shrink "
-            f"pilot.guards or use detector.csi = genie")
-    return PilotConfig(m_c, n_c, pc.power, pc.guard_delay, pc.guard_doppler,
-                       pc.detection_threshold)
-
-
 def _mu_user_mask(frame: FrameConfig, alloc: Allocation, q: int,
                   pc: PilotConfig | None) -> np.ndarray:
     """Full-frame overlay of user q: its pilot and guards when ``pc`` is
@@ -387,16 +339,16 @@ def _mu_user_mask(frame: FrameConfig, alloc: Allocation, q: int,
     return mask
 
 
-def mu_trial(spec: ExperimentSpec, trial_id: int, snr_db: float,
-             alloc: Allocation) -> dict:
+def mu_trial(spec: ExperimentSpec, trial_id: int, snr_db: float) -> dict:
     """One multiuser uplink trial (:func:`_detection_trial`): one grid
-    per user inside its own bins (the run's :func:`_layout`), joint MMSE
-    detection in the time domain. Per-user CSI is either known (genie:
-    one detector call and one band solve for both waveforms) or
-    estimated from a pilot inside each user's own bins (one call and one
-    solve per waveform); a user whose estimate comes back empty
-    contributes zero columns (regularized detection then drives its
-    symbols toward zero)."""
+    per user inside its own bins of ``spec.allocation`` (the run's
+    :func:`_layout`), joint MMSE detection in the time domain. Per-user
+    CSI is either known (genie: one detector call and one band solve for
+    both waveforms) or estimated from a pilot inside each user's own bins
+    (one call and one solve per waveform); a user whose estimate comes
+    back empty contributes zero columns (regularized detection then
+    drives its symbols toward zero)."""
+    alloc = spec.allocation
     return _detection_trial(
         spec, trial_id, snr_db, _layout(spec.frame, spec.pilot, spec.csi, alloc),
         lambda signal, hs, noise_var: detect_users_time_domain(
@@ -428,23 +380,18 @@ def _sweep_metrics(spec: ExperimentSpec, per_trial: list) -> list:
 # kind -> (trial, per-waveform (metric, value) rows); the lambdas look the
 # trial functions up at call time (see the module docstring).
 _KINDS = {
-    "ber_vs_snr": (lambda spec, t, snr, alloc: link_trial(spec, t, snr),
-                   _ber_metrics),
-    "sync_vs_snr": (lambda spec, t, snr, alloc: sync_trial(spec, t, snr),
-                    _sync_metrics),
-    "threshold_sweep": (lambda spec, t, snr, alloc: sync_trial(spec, t, snr),
-                        _sweep_metrics),
-    "mu_uplink": (lambda spec, t, snr, alloc: mu_trial(spec, t, snr, alloc),
-                  _ber_metrics),
+    "ber_vs_snr": (lambda *args: link_trial(*args), _ber_metrics),
+    "sync_vs_snr": (lambda *args: sync_trial(*args), _sync_metrics),
+    "threshold_sweep": (lambda *args: sync_trial(*args), _sweep_metrics),
+    "mu_uplink": (lambda *args: mu_trial(*args), _ber_metrics),
 }
 
 
-def _summary(spec: ExperimentSpec, snr_db: float, alloc: Allocation | None,
-             trial_id: int) -> dict:
+def _summary(spec: ExperimentSpec, snr_db: float, trial_id: int) -> dict:
     """One trial, reduced to new per-waveform dicts of its scalars (what
     ``_aggregate`` reads); the dict the trial returned keeps its decisions."""
     trial, _ = _KINDS[spec.kind]
-    out = trial(spec, trial_id, snr_db, alloc)
+    out = trial(spec, trial_id, snr_db)
     return {w: {k: v for k, v in r.items() if k != "decisions"}
             for w, r in out.items()}
 
@@ -490,7 +437,7 @@ def run(spec: ExperimentSpec, out_dir=None, parallelism: int = 1):
     t0 = time.monotonic()
     _keep_freed_heap()
     with _one_blas_thread() as blas_report:
-        alloc = prepare(spec)
+        check(spec)
         rows = []
         pool = nullcontext()
         if parallelism > 1:
@@ -503,7 +450,7 @@ def run(spec: ExperimentSpec, out_dir=None, parallelism: int = 1):
                          partial(pool.map, chunksize=math.ceil(spec.trials / parallelism)))
             for si, snr in enumerate(spec.snr_db):
                 ids = range(si * spec.trials, (si + 1) * spec.trials)
-                trials = list(trial_map(partial(_summary, spec, snr, alloc), ids))
+                trials = list(trial_map(partial(_summary, spec, snr), ids))
                 rows.extend(_aggregate(spec, snr, trials))
     elapsed = time.monotonic() - t0
     if out_dir is not None:

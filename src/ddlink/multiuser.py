@@ -4,8 +4,8 @@ Each user owns a set of delay bins and a set of Doppler bins; user data
 grids embed into the full frame on the Cartesian product of those sets.
 The one rule an allocation meets is that no delay-Doppler bin belongs to
 two users: users may share delay rows or Doppler columns.
-A run's allocation is built by ``harness.prepare`` from the bins its
-config lists (``mu.allocation``) or as :func:`even_split_allocation`.
+A spec builds its allocation (``ExperimentSpec.allocation``) from the
+bins its config lists (``mu.allocation``) or as :func:`even_split_allocation`.
 The base station sees the superposition of all users' transmissions, each
 through its own channel, and detects jointly against a compound model
 whose columns over a user's bins come from that user's channel.
@@ -32,11 +32,12 @@ solution derotated by the coupling phases; both stay as its oracles.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
+from .chanest import PilotConfig
 from .channel import (DdChannelMatrix, NoiseSpec, apply_channel,
                       build_dd_matrix, draw_noise)
 from .equalize import _fold_positions, _solve_band
@@ -353,3 +354,19 @@ def even_split_allocation(M: int, N: int, n_users: int) -> Allocation:
         raise ValueError(f"cannot split {min(M, N)} bins across {n_users} users")
     return Allocation(tuple(map(UserBins, np.array_split(np.arange(M), n_users),
                                 np.array_split(np.arange(N), n_users))), M, N)
+
+
+def _mu_user_pilot(pc: PilotConfig, alloc: Allocation, q: int) -> PilotConfig:
+    """Per-user pilot for estimated multiuser CSI: the guard rectangle of
+    ``pc``, centered on the user's own bins. Raises ValueError where the
+    rectangle does not fit inside them."""
+    u = alloc.users[q]
+    m_c = u.delay_bins[len(u.delay_bins) // 2]
+    n_c = u.doppler_bins[len(u.doppler_bins) // 2]
+    rect_d = set(range(m_c - pc.guard_delay, m_c + pc.guard_delay + 1))
+    rect_v = set(range(n_c - pc.guard_doppler, n_c + pc.guard_doppler + 1))
+    if not (rect_d <= set(u.delay_bins) and rect_v <= set(u.doppler_bins)):
+        raise ValueError(
+            f"user {q} allocation cannot host the pilot guard rectangle "
+            f"({2 * pc.guard_delay + 1}x{2 * pc.guard_doppler + 1})")
+    return replace(pc, pilot_delay=m_c, pilot_doppler=n_c)

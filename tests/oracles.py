@@ -33,14 +33,16 @@ def seed_stream_by_sequence(master_seed: int, trial: int,
 
 
 def unread_keys_by_path(spec) -> set:
-    """The keys that ``harness.prepare`` rejected as unread, on its three
-    paths, before the rows of one table (:data:`ddlink.config.SCHEMA`)
-    decided them:
-    impairments where no sync runs, ``sync.enabled`` and impairments on
-    the uplink, and the keys among ``sweep.thresholds``,
-    ``sync.threshold``, ``detector.csi``, ``est.threshold_sigma`` and
-    ``mu.*`` that the kind never reads, each where set away from its
-    default. The oracle of the table for every key but ``channel.taps``,
+    """The keys a spec leaves unread, written out path by path as the
+    checks of a run found them before the rows of one table
+    (:data:`ddlink.config.SCHEMA`) decided them: impairments where no
+    sync runs, ``sync.enabled`` and impairments on the uplink, the keys
+    among ``sweep.thresholds``, ``sync.threshold``, ``detector.csi``,
+    ``est.threshold_sigma`` and ``mu.*`` that the kind never reads, and
+    the pilot position (``pilot.m_p``, ``pilot.n_p``) on the uplink,
+    whose users center their own pilots, each where set away from its
+    default. The oracle of the table for every key but the profile's
+    (``channel.taps``, ``channel.velocity_kmh``, ``frame.carrier_hz``),
     which no path read."""
     syncs = spec.kind in ("sync_vs_snr", "threshold_sweep")
     runs_sync = syncs or (spec.kind == "ber_vs_snr" and spec.sync.enabled)
@@ -57,6 +59,8 @@ def unread_keys_by_path(spec) -> set:
                                 not syncs and spec.csi == "estimated"),
         "mu.q": (spec.mu_users, uplink),
         "mu.allocation": (spec.mu_allocation, uplink),
+        "pilot.m_p": (spec.pilot.pilot_delay, not uplink),
+        "pilot.n_p": (spec.pilot.pilot_doppler, not uplink),
     }
     # each key's default text, parsed; an empty one (mu.allocation's) means
     # None, an even split

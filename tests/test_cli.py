@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from ddlink import _blas
 from ddlink.cli import main
 from ddlink.config import load_spec
-from ddlink.harness import prepare
 from variants import committed_with, with_lines
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,8 +62,6 @@ experiment = mu_uplink
 frame.M = 8
 frame.N = 8
 frame.L_cp = 5
-pilot.m_p = 2
-pilot.n_p = 4
 pilot.guards = 1,1
 pilot.power_db = -100
 channel.profile = eva3
@@ -243,7 +240,8 @@ class TestValidate:
         ("pilot.power_db = 4000",
          "bad value for pilot.power_db: 4000 dB is outside the range"),
         ("experiment = mu_uplink\nmu.q = 8\ndetector.csi = estimated",
-         "user 0 allocation cannot host the pilot guard rectangle"),
+         "config error: pilot.guards: user 0 allocation cannot host the pilot "
+         "guard rectangle (9x9); shrink pilot.guards or use detector.csi = genie\n"),
         ("experiment = mu_uplink\nmu.q = 5\nmu.allocation = 0,1:0,1; 2,3:2,3",
          "mu.q = 5 but mu.allocation lists 2 users"),
         ("sync.cfo_convention = wrap_to_negative",
@@ -675,7 +673,7 @@ class TestAllocation:
     def test_bins_reach_the_run_allocation(self, tmp_path):
         cfg = write(tmp_path, MU + "mu.allocation = 4,5,6,7:4,5,6,7; 3,0,1,2:0,1,2,3\n")
         assert main(["validate", cfg]) == 0
-        alloc = prepare(load_spec(cfg))
+        alloc = load_spec(cfg).allocation
         assert [(u.delay_bins, u.doppler_bins) for u in alloc.users] == [
             ((4, 5, 6, 7), (4, 5, 6, 7)), ((0, 1, 2, 3), (0, 1, 2, 3))]
 

@@ -14,6 +14,7 @@ from ddlink.config import (EXPERIMENTS, SCHEMA, ConfigError,
                            _Range, canonical_text, load_config, load_spec,
                            parse_config_text, reads, spec_from_config)
 from ddlink.modem import Waveform
+from ddlink.multiuser import UserBins, even_split_allocation
 from strategies import PROPERTY
 from test_cli import KEYS_THE_KIND_READS
 from variants import VARIANTS, committed_with, config_text
@@ -332,11 +333,33 @@ class TestSpecBuilding:
         spec = load_spec(str(ROOT / "configs" / "sync_vs_snr.cfg"))
         assert replace(spec, impair=impair).impair == impair
 
+    @pytest.mark.parametrize("settings, message", [
+        (dict(mu_users=17, mu_allocation=None),
+         "mu.q must be <= 16 for an even split of the 32x16 grid"),
+        (dict(mu_allocation=(((0, 1), (0, 1)), ((1, 2), (1, 2)))),
+         "mu.allocation: users 0 and 1 share delay-Doppler bins"),
+        (dict(mu_allocation=(((0, 1), (0, 16)), ((2, 3), (2, 3)))),
+         "mu.allocation: user 0 bins outside the 32x16 grid"),
+        (dict(mu_users=3), "mu.q = 3 but mu.allocation lists 2 users")])
+    def test_an_uplink_spec_built_in_code_builds_its_allocation(self, settings,
+                                                                message):
+        spec = load_spec(str(ROOT / "configs" / "mu_uplink.cfg"))
+        assert spec.allocation.users == tuple(map(UserBins, *zip(*spec.mu_allocation)))
+        assert replace(spec, mu_allocation=None).allocation == even_split_allocation(
+            32, 16, 2)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            replace(spec, **settings)
+
+    def test_only_an_uplink_spec_has_an_allocation(self):
+        assert all(load_spec(str(path)).allocation is None
+                   for path in sorted((ROOT / "configs").glob("*.cfg"))
+                   if "mu_uplink" not in path.stem)
+
     def test_a_spec_of_its_required_fields_has_every_default_of_the_table(self):
         default = spec_from_config(parse_config_text(MINIMAL))
         spec = ExperimentSpec(**{f.name: getattr(default, f.name)
                                  for f in fields(ExperimentSpec)
-                                 if f.default is f.default_factory is MISSING})
+                                 if f.init and f.default is f.default_factory is MISSING})
         for key, row in SCHEMA.items():
             assert row.value(spec) == row.value(default), key
 

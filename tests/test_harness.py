@@ -20,13 +20,13 @@ from ddlink import (_blas, _seeds, chanest, channel, config, equalize,
 from ddlink.chanest import PilotConfig
 from ddlink.channel import CHANNEL_PROFILES, LtvChannel, build_dd_matrix
 from ddlink.config import (EXPERIMENTS, SCHEMA, ConfigError, ExperimentSpec,
-                           ImpairSettings, SyncSettings, canonical_text,
+                           ImpairSettings, SyncSettings, canonical_text, check,
                            load_config, load_spec, parse_config_text, reads,
                            spec_from_config)
 from ddlink.equalize import equalize_mmse
 from ddlink.frame import FrameConfig
-from ddlink.harness import (link_trial, mu_trial, prepare, rows_to_csv, run,
-                            seed_stream, sync_trial)
+from ddlink.harness import (link_trial, mu_trial, rows_to_csv, run, seed_stream,
+                            sync_trial)
 from ddlink.modem import TimeSignal, Waveform, demodulate_direct
 from ddlink.multiuser import even_split_allocation
 from ddlink.sync import BLOCK_STARTS, Impairments, SyncEstimate
@@ -329,9 +329,8 @@ class TestChannelForm:
     def test_mu_trial(self, monkeypatch, csi, builds):
         spec = make_spec(kind="mu_uplink", constellation="qpsk", csi=csi,
                          pilot=PilotConfig(4, 8, 1000.0, 3, 3))
-        alloc = even_split_allocation(FRAME.M, FRAME.N, 2)
         assert self.diagonal_builds(
-            monkeypatch, lambda: mu_trial(spec, 0, 15.0, alloc)) == builds
+            monkeypatch, lambda: mu_trial(spec, 0, 15.0)) == builds
 
 
 class TestTrialWork:
@@ -378,9 +377,7 @@ class TestTrialWork:
     def test_mu_trial(self, monkeypatch, csi):
         spec = make_spec(kind="mu_uplink", constellation="qpsk", csi=csi,
                          pilot=PilotConfig(4, 8, 1000.0, 3, 3))
-        alloc = even_split_allocation(FRAME.M, FRAME.N, 2)
-        calls = self.demodulations(monkeypatch,
-                                   lambda: mu_trial(spec, 0, 15.0, alloc))
+        calls = self.demodulations(monkeypatch, lambda: mu_trial(spec, 0, 15.0))
         assert calls == (["ddlink.harness"] if csi == "estimated" else [])
 
     @pytest.mark.parametrize("impair", [
@@ -403,8 +400,7 @@ class TestTrialWork:
         monkeypatch.setattr(harness, "seed_stream", spy)
         spec = make_spec(kind=kind, constellation="qpsk", csi="genie",
                          impair=impair, sync=SyncSettings(enabled=sync))
-        harness._summary(spec, 15.0, even_split_allocation(FRAME.M, FRAME.N, 2),
-                         0)
+        harness._summary(spec, 15.0, 0)
         # impairments exist only where sync runs, and an uplink never syncs
         assert ("impairment" in components) == (kind != "mu_uplink" and sync)
 
@@ -424,7 +420,7 @@ def paired_specs(draw):
     profile or random custom taps (delays up to past the whole frame),
     genie or estimated CSI, and on the link sync on or off (with a timing
     offset and CFO when on). Estimated CSI gets a leading guard row,
-    which its noise floor needs. A spec with sync is one that ``prepare``
+    which its noise floor needs. A spec with sync is one that ``check``
     accepts: two or more columns, and a CP, pilot row, timing delay and
     largest tap delay that together stay under 2M samples, so the pilot
     run starts in a block the block search sees."""
@@ -436,8 +432,11 @@ def paired_specs(draw):
     N = draw(st.integers(max(users, 1 + sync), 8))
     gd = draw(st.integers(int(csi == "estimated"), (M // users - 1) // 2))
     gk = draw(st.integers(0, (N // users - 1) // 2))
-    pilot = PilotConfig(draw(st.integers(gd, M - 1 - gd)),
-                        draw(st.integers(gk, N - 1 - gk)), 1000.0, gd, gk)
+    # an uplink's users center their own pilots; it keeps pilot.m_p, pilot.n_p
+    # at their defaults
+    position = ((4, 8) if kind == "mu_uplink" else
+                (draw(st.integers(gd, M - 1 - gd)), draw(st.integers(gk, N - 1 - gk))))
+    pilot = PilotConfig(*position, 1000.0, gd, gk)
     room = M * BLOCK_STARTS - 1 - pilot.pilot_delay if sync else None
     frame = FrameConfig(M, N, cp_len=draw(st.integers(0, room if sync else M * N - 1)))
     longest = room - frame.cp_len if sync else frame.frame_len
@@ -468,17 +467,17 @@ class TestPairedDecisions:
     @given(paired_specs())
     def test_waveforms_decide_alike(self, spec):
         # the paper's central claim, trial by trial, on random small specs
-        alloc = prepare(spec)
+        check(spec)
         for t in range(spec.trials):
-            out = (link_trial(spec, t, spec.snr_db[0]) if alloc is None
-                   else mu_trial(spec, t, spec.snr_db[0], alloc))
+            out = (link_trial(spec, t, spec.snr_db[0]) if spec.allocation is None
+                   else mu_trial(spec, t, spec.snr_db[0]))
             np.testing.assert_array_equal(out["otfs"]["decisions"],
                                           out["sc_ifdma"]["decisions"])
             assert out["otfs"]["bit_errors"] == out["sc_ifdma"]["bit_errors"]
 
 
 def draw_impairments(draw, spec):
-    """``spec`` with impairments that ``prepare`` accepts where it syncs:
+    """``spec`` with impairments that ``check`` accepts where it syncs:
     a fixed or uniform timing delay, a block offset where the pilot run
     leaves room for one, and a CFO that is zero, fixed or uniform."""
     frame, M = spec.frame, spec.frame.M
@@ -505,7 +504,7 @@ def draw_profile(draw, profiles):
 
 @st.composite
 def sync_specs(draw):
-    """A sync_vs_snr or threshold_sweep spec that ``prepare`` accepts, at
+    """A sync_vs_snr or threshold_sweep spec that ``check`` accepts, at
     32x16 or 128x32 with CP 8, on single_tap, two_tap_biased or eva, with
     impairments (:func:`draw_impairments`)."""
     kind = draw(st.sampled_from(["sync_vs_snr", "threshold_sweep"]))
@@ -529,7 +528,7 @@ def sync_specs(draw):
 
 @st.composite
 def send_specs(draw):
-    """A spec of any kind that ``prepare`` accepts, at 32x16 or 128x32
+    """A spec of any kind that ``check`` accepts, at 32x16 or 128x32
     with CP 8: a link with genie or estimated CSI, with or without sync
     and its impairments, or a two-user uplink on an even split with
     either CSI, on eva3, eva or single_tap; or a sync spec
@@ -546,7 +545,8 @@ def send_specs(draw):
         snr_db=(draw(st.sampled_from([0.0, 10.0, 30.0])),), trials=2,
         seed=draw(st.integers(0, 2 ** 16)),
         channel_profile=profile, velocity_kmh=velocity,
-        pilot=PilotConfig(4, N // 2, 1000.0, *((2, 2) if uplink else (4, 4))),
+        pilot=(PilotConfig(4, 8, 1000.0, 2, 2) if uplink
+               else PilotConfig(4, N // 2, 1000.0, 4, 4)),
         csi=draw(st.sampled_from(["genie", "estimated"])),
         sync=SyncSettings(enabled=not uplink and draw(st.booleans())))
     return draw_impairments(draw, spec) if spec.sync.enabled else spec
@@ -571,8 +571,8 @@ class TestSend:
                                                                    waveforms):
         # the one send stage gives what the four steps it replaced gave,
         # bit for bit, for every kind, CSI, sync setting, grid and order
-        alloc = prepare(spec)
-        layout = harness._layout(spec.frame, spec.pilot, spec.csi, alloc)
+        check(spec)
+        layout = harness._layout(spec.frame, spec.pilot, spec.csi, spec.allocation)
         snr = spec.snr_db[0]
         for t in range(spec.trials):
             channels, drawn, ramps, impair, records = harness._send(
@@ -599,7 +599,7 @@ class TestSyncTrial:
     def test_batch_equals_a_transmission_and_estimate_per_waveform(self, spec):
         # one modulation, one pass per channel and one CFO ramp for every
         # waveform give each waveform's own record and trial, bit for bit
-        prepare(spec)
+        check(spec)
         frame, snr = spec.frame, spec.snr_db[0]
         layout = harness._layout(frame, spec.pilot, spec.csi, None)
         for t in range(spec.trials):
@@ -669,8 +669,7 @@ class TestMuTrial:
     def test_paired_decisions_across_waveforms(self):
         spec = make_spec(kind="mu_uplink", channel_profile="single_tap",
                          constellation="qpsk", snr_db=(25.0,), csi="genie")
-        alloc = even_split_allocation(FRAME.M, FRAME.N, 2)
-        out = mu_trial(spec, 0, 25.0, alloc)
+        out = mu_trial(spec, 0, 25.0)
         np.testing.assert_array_equal(out["otfs"]["decisions"],
                                       out["sc_ifdma"]["decisions"])
         assert out["otfs"]["bit_errors"] == 0
@@ -680,10 +679,9 @@ class TestMuTrial:
                          velocity_kmh=120.0, constellation="qpsk",
                          snr_db=(20.0,), csi="estimated",
                          pilot=PilotConfig(4, 8, 1000.0, 3, 3))
-        alloc = even_split_allocation(FRAME.M, FRAME.N, 2)
         errors = bits = 0
         for t in range(3):
-            out = mu_trial(spec, t, 20.0, alloc)
+            out = mu_trial(spec, t, 20.0)
             np.testing.assert_array_equal(out["otfs"]["decisions"],
                                           out["sc_ifdma"]["decisions"])
             errors += out["otfs"]["bit_errors"]
@@ -691,7 +689,7 @@ class TestMuTrial:
         assert errors / bits < 0.05
 
     @staticmethod
-    def detector_calls(monkeypatch, spec, alloc, trials=2):
+    def detector_calls(monkeypatch, spec, trials=2):
         """Run mu_trial with the joint detector spied on and every dense
         delay-Doppler build made to fail; one entry per call."""
         calls = []
@@ -713,7 +711,7 @@ class TestMuTrial:
             for module in (harness, channel, chanest, multiuser):
                 m.setattr(module, "build_dd_matrix", no_dd_matrix, raising=False)
             for t in range(trials):
-                mu_trial(spec, t, 15.0, alloc)
+                mu_trial(spec, t, 15.0)
         assert calls
         return calls
 
@@ -727,9 +725,8 @@ class TestMuTrial:
     def test_detector_matches_dense_compound(self, monkeypatch, csi):
         spec = (self.estimated_spec() if csi == "estimated" else
                 make_spec(kind="mu_uplink", constellation="qpsk", csi="genie"))
-        alloc = even_split_allocation(FRAME.M, FRAME.N, 2)
-        for received, channels, s2, out in self.detector_calls(monkeypatch,
-                                                               spec, alloc):
+        alloc = spec.allocation
+        for received, channels, s2, out in self.detector_calls(monkeypatch, spec):
             assert all(ch is not None for ch in channels)
             for w in BOTH:
                 oracle = in_otfs_convention(
@@ -738,8 +735,8 @@ class TestMuTrial:
 
     def test_empty_user_estimate_contributes_zero_columns(self, monkeypatch):
         spec = self.estimated_spec()
-        alloc = even_split_allocation(FRAME.M, FRAME.N, 2)
-        silenced = harness._mu_user_pilot(spec.pilot, alloc, 1)
+        alloc = spec.allocation
+        silenced = multiuser._mu_user_pilot(spec.pilot, alloc, 1)
         real = harness.estimate_channel
 
         def estimate(received, pc, waveform, **kw):
@@ -748,8 +745,7 @@ class TestMuTrial:
                     else est)
 
         monkeypatch.setattr(harness, "estimate_channel", estimate)
-        for received, channels, s2, out in self.detector_calls(monkeypatch,
-                                                               spec, alloc):
+        for received, channels, s2, out in self.detector_calls(monkeypatch, spec):
             assert channels[0] is not None and channels[1] is None
             assert not np.any(out[alloc.vec_indices(1)])
             for w in BOTH:
@@ -766,7 +762,6 @@ class TestMuTrial:
         # the call and its solve
         spec = (self.estimated_spec() if csi == "estimated" else
                 make_spec(kind="mu_uplink", constellation="qpsk", csi="genie"))
-        alloc = even_split_allocation(FRAME.M, FRAME.N, 2)
         calls = []
         for module, name in ((harness, "detect_users_time_domain"),
                              (multiuser, "_solve_band")):
@@ -776,16 +771,22 @@ class TestMuTrial:
             monkeypatch.setattr(module, name, counted)
         for t in range(3):
             calls.clear()
-            mu_trial(spec, t, 15.0, alloc)
+            mu_trial(spec, t, 15.0)
             assert calls.count("detect_users_time_domain") == detector
             assert calls.count("_solve_band") == solves
 
     def test_guards_must_fit_inside_the_allocation(self):
-        spec = make_spec(kind="mu_uplink", csi="estimated",
+        spec = make_spec(kind="mu_uplink", csi="estimated", mu_users=4,
                          pilot=PilotConfig(4, 8, 1000.0, 4, 4))
-        alloc = even_split_allocation(FRAME.M, FRAME.N, 4)  # 4 Doppler bins each
-        with pytest.raises(ConfigError, match="guard rectangle"):
-            mu_trial(spec, 0, 20.0, alloc)
+        # 8 delay rows and 4 Doppler bins each
+        assert spec.allocation == even_split_allocation(FRAME.M, FRAME.N, 4)
+        with pytest.raises(ConfigError, match=r"^pilot\.guards: user 0 allocation "
+                           r"cannot host the pilot guard rectangle \(9x9\); shrink "
+                           r"pilot\.guards or use detector\.csi = genie$"):
+            check(spec)
+        with pytest.raises(ValueError, match=r"^user 0 allocation cannot host "
+                                             r"the pilot guard rectangle \(9x9\)$"):
+            mu_trial(spec, 0, 20.0)
 
     @pytest.mark.parametrize("settings, keys", [
         (dict(sync=SyncSettings(enabled=True)), "sync.enabled"),
@@ -803,55 +804,58 @@ class TestMuTrial:
         with pytest.raises(ConfigError, match=f"^{keys}: mu_uplink never reads "
                                               f"these keys; leave them at their "
                                               f"defaults$"):
-            prepare(spec)
+            check(spec)
 
     def test_settings_equal_to_the_defaults_pass(self):
         spec = make_spec(kind="mu_uplink", csi="genie",
                          sync=SyncSettings(enabled=False, threshold=0.5),
                          impair=ImpairSettings(theta_d=("fixed", 0.0),
                                                epsilon=("fixed", 0.0)))
-        assert prepare(spec).n_users == 2
+        check(spec)
+        assert spec.allocation.n_users == 2
 
 
 class TestLayout:
-    """``prepare`` builds the run's layout (each grid's pilot and data
-    bins) once; the trials read it and build no mask and no bin list."""
+    """A run's first trial builds its layout (each grid's pilot and data
+    bins); the later trials read it and build no mask, pilot or bin list."""
 
-    @pytest.mark.parametrize("spec", [
-        make_spec(kind="mu_uplink", constellation="qpsk", csi="genie"),
-        make_spec(kind="mu_uplink", constellation="qpsk", csi="estimated",
-                  pilot=PilotConfig(4, 8, 1000.0, 3, 3)),
-        make_spec(),
-        make_spec(kind="sync_vs_snr", csi="genie", channel_profile="single_tap",
-                  sync=SyncSettings(enabled=True))],
+    @pytest.mark.parametrize("spec, built", [
+        (make_spec(kind="mu_uplink", constellation="qpsk", csi="genie"),
+         ["_mu_user_mask", "data_bins"] * 2),
+        (make_spec(kind="mu_uplink", constellation="qpsk", csi="estimated",
+                   pilot=PilotConfig(4, 8, 1000.0, 3, 3)),
+         ["_mu_user_pilot"] * 2 + ["_mu_user_mask", "overlay_mask", "data_bins"] * 2),
+        (make_spec(), ["overlay_mask", "data_bins"]),
+        (make_spec(kind="sync_vs_snr", csi="genie", channel_profile="single_tap",
+                   sync=SyncSettings(enabled=True)), ["overlay_mask", "data_bins"])],
         ids=["mu_genie", "mu_estimated", "link", "sync"])
-    def test_trials_build_no_mask_and_no_bins(self, monkeypatch, spec):
-        alloc = prepare(spec)
-        trial, _ = harness._KINDS[spec.kind]
+    def test_only_the_first_trial_builds_the_layout(self, monkeypatch, spec, built):
         calls = []
         for module, name in ((harness, "_mu_user_mask"), (harness, "_mu_user_pilot"),
                              (harness, "data_bins"), (mapping, "data_bins"),
-                             (harness, "overlay_mask")):
+                             (harness, "overlay_mask"), (harness, "link_trial"),
+                             (harness, "sync_trial"), (harness, "mu_trial")):
             def counted(*args, real=getattr(module, name), name=name):
-                calls.append(name)
+                calls.append("trial" if name.endswith("_trial") else name)
                 return real(*args)
             monkeypatch.setattr(module, name, counted)
-        for t in range(3):
-            trial(spec, t, 15.0, alloc)
-        assert calls == []
-        layout = harness._layout(spec.frame, spec.pilot, spec.csi, alloc)
+        harness._layout.cache_clear()
+        run(replace(spec, trials=3))
+        assert calls[0] == "trial" and sorted(calls[1:-2]) == sorted(built)
+        assert calls[-2:] == ["trial", "trial"]
+        layout = harness._layout(spec.frame, spec.pilot, spec.csi, spec.allocation)
         assert len(layout.bins) == len(layout.pilots) == (
-            1 if alloc is None else alloc.n_users)
+            1 if spec.allocation is None else spec.allocation.n_users)
         for bins in layout.bins:
             assert not bins.flags.writeable
 
     def test_uplink_layout_matches_the_user_masks(self):
         spec = make_spec(kind="mu_uplink", constellation="qpsk", csi="estimated",
                          pilot=PilotConfig(4, 8, 1000.0, 3, 3))
-        alloc = prepare(spec)
+        alloc = spec.allocation
         layout = harness._layout(spec.frame, spec.pilot, spec.csi, alloc)
         for q, (pc, bins) in enumerate(zip(layout.pilots, layout.bins)):
-            assert pc == harness._mu_user_pilot(spec.pilot, alloc, q)
+            assert pc == multiuser._mu_user_pilot(spec.pilot, alloc, q)
             mask = harness._mu_user_mask(spec.frame, alloc, q, pc)
             np.testing.assert_array_equal(bins, mapping.data_bins(mask))
             assert set(bins.tolist()) <= set(alloc.vec_indices(q).tolist())
@@ -861,8 +865,8 @@ class TestLayout:
 PROFILE_KEYS = {"channel.taps", "channel.velocity_kmh", "frame.carrier_hz"}
 
 # a value away from its default for each key some spec leaves unread, and
-# for the pilot.* keys a genie uplink keeps: one a spec of any kind runs
-# with where it reads the key
+# for pilot.power_db and pilot.guards, which a genie uplink keeps: one a
+# spec of any kind runs with where it reads the key
 AWAY = {
     "sweep.thresholds": "0.3,0.9",
     "sync.enabled": "true",
@@ -888,7 +892,7 @@ AWAY = {
 
 
 class TestUnreadKeys:
-    """``prepare`` rejects a key the experiment kind never reads when it is
+    """``check`` rejects a key the experiment kind never reads when it is
     set away from its default, and names it."""
 
     @pytest.mark.parametrize("kind,settings,keys", [
@@ -927,7 +931,7 @@ class TestUnreadKeys:
             base["constellation"] = "qpsk"
         spec = make_spec(kind=kind, **{**base, **settings})
         with pytest.raises(ConfigError, match=f"^{keys}"):
-            prepare(spec)
+            check(spec)
 
     @pytest.mark.parametrize("kind,settings", [
         ("threshold_sweep", dict(sweep_thresholds=(0.3, 0.9), csi="genie",
@@ -939,7 +943,7 @@ class TestUnreadKeys:
                            pilot=PilotConfig(4, 8, 1000.0, 1, 1,
                                              detection_threshold=4.0)))])
     def test_keys_the_kind_reads_pass(self, kind, settings):
-        prepare(make_spec(kind=kind, **settings))
+        check(make_spec(kind=kind, **settings))
 
     def test_away_sets_every_key_some_spec_leaves_unread(self):
         assert {key for key, row in SCHEMA.items()
@@ -952,9 +956,9 @@ class TestUnreadKeys:
     def test_the_table_decides_every_key(self, kind, keys, profile):
         # every key AWAY sets away from its default, on any kind, is
         # rejected exactly where the table says the spec does not read it,
-        # as the three paths prepare had before the table decided for every
-        # key but the profile's (channel.taps, channel.velocity_kmh and
-        # frame.carrier_hz); the genie uplink keeps its pilot.* keys
+        # as the paths of the oracle decide every key but the profile's
+        # (channel.taps, channel.velocity_kmh and frame.carrier_hz); the
+        # genie uplink keeps pilot.power_db and pilot.guards
         keys = set(keys)
         if kind == "mu_uplink" and {"mu.q", "mu.allocation"} <= keys:
             keys.discard("mu.q")   # the committed allocation lists 2 users
@@ -969,10 +973,10 @@ class TestUnreadKeys:
         unread = {key for key in keys if not reads(spec, key)}
         assert unread - PROFILE_KEYS == unread_keys_by_path(spec)
         if not unread:
-            prepare(spec)
+            check(spec)
             return
         with pytest.raises(ConfigError) as exc:
-            prepare(spec)
+            check(spec)
         named, rest = str(exc.value).split(": ", 1)
         assert set(named.split(", ")) == unread
         assert rest.endswith(" never reads these keys; leave them at their defaults")
@@ -986,20 +990,21 @@ seed = 5
 frame.M = 16
 frame.N = 8
 frame.L_cp = 4
-pilot.m_p = 4
-pilot.n_p = 4
 pilot.guards = 2,1
 """
 
-# the lines each kind adds; ber_vs_snr_sync is the link with sync
+# the lines each kind adds; ber_vs_snr_sync is the link with sync. A link
+# places its pilot; an uplink's users center their own in their bins.
+LINK_PILOT = "pilot.m_p = 4\npilot.n_p = 4\n"
 KIND_LINES = {
-    "ber_vs_snr": "experiment = ber_vs_snr\n",
+    "ber_vs_snr": "experiment = ber_vs_snr\n" + LINK_PILOT,
     "ber_vs_snr_sync": "experiment = ber_vs_snr\nsync.enabled = true\n"
                        "impair.theta_d = uniform:0:3\n"
-                       "impair.epsilon = uniform:-0.4:0.4\n",
+                       "impair.epsilon = uniform:-0.4:0.4\n" + LINK_PILOT,
     "sync_vs_snr": "experiment = sync_vs_snr\nimpair.theta_d = 2\n"
-                   "impair.epsilon = uniform:-0.4:0.4\n",
-    "threshold_sweep": "experiment = threshold_sweep\nimpair.theta_d = uniform:0:3\n",
+                   "impair.epsilon = uniform:-0.4:0.4\n" + LINK_PILOT,
+    "threshold_sweep": "experiment = threshold_sweep\nimpair.theta_d = uniform:0:3\n"
+                       + LINK_PILOT,
     "mu_uplink": "experiment = mu_uplink\nconstellation = qpsk\n",
 }
 
@@ -1037,27 +1042,26 @@ CUSTOM_TAPS = st.lists(
 
 def assert_rejected_or_finite(text):
     """The config ``text`` either raises ConfigError before its first
-    trial, as it is parsed or prepared, or runs to finite rows with no
+    trial, as it is parsed or checked, or runs to finite rows with no
     RuntimeWarning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
             spec = spec_from_config(parse_config_text(text))
-            prepare(spec)
+            check(spec)
         except ConfigError:
             return
         rows = run(spec)
     assert rows and all(math.isfinite(r.value) for r in rows)
 
 
-# an 8x8 grid whose delay guard the eva3 spread passes, with estimated CSI
+# an 8x8 grid whose delay guard the eva3 spread passes, with estimated
+# CSI; the link adds its pilot's position, pilot.m_p = 2 and pilot.n_p = 4
 SMALL_ESTIMATED = """
 trials = 1
 frame.M = 8
 frame.N = 8
 frame.L_cp = 5
-pilot.m_p = 2
-pilot.n_p = 4
 pilot.guards = 1,1
 channel.profile = eva3
 frame.carrier_hz = 560.16
@@ -1074,7 +1078,7 @@ PILOT_POWERS = mostly(st.floats(-100.0, 100.0),
 
 
 class TestAcceptedRuns:
-    """A config that parses and that ``prepare`` accepts runs: finite
+    """A config that parses and that ``check`` accepts runs: finite
     values of the velocity, the carrier, a custom tap's Doppler, the pilot
     power and the SNR, mostly in their ranges and now and then of any
     size, either raise ConfigError before the first trial, or give finite
@@ -1096,8 +1100,8 @@ class TestAcceptedRuns:
     @example("threshold_sweep", "genie", "single_tap", 500.0, 5.9e9, -100.0)
     @example("ber_vs_snr_sync", "estimated", "eva3", 500.0, 5.9e9, -100.0)
     @example("sync_vs_snr", "genie", "single_tap", 500.0, 5.9e9, -3074.0)
-    def test_prepare_rejects_or_the_run_gives_finite_rows(self, kind, csi, profile,
-                                                          velocity, carrier, snr):
+    def test_check_rejects_or_the_run_gives_finite_rows(self, kind, csi, profile,
+                                                        velocity, carrier, snr):
         assert_rejected_or_finite(
             TINY + KIND_LINES[kind] + f"channel.profile = {profile}\n"
             f"channel.velocity_kmh = {velocity!r}\n"
@@ -1132,6 +1136,7 @@ class TestAcceptedRuns:
     def test_estimated_csi_of_any_pilot_power(self, kind, power_db, snr, seed):
         assert_rejected_or_finite(
             f"experiment = {kind}\n" + SMALL_ESTIMATED
+            + ("pilot.m_p = 2\npilot.n_p = 4\n" if kind == "ber_vs_snr" else "")
             + f"pilot.power_db = {power_db!r}\nsnr_db = {snr!r}\nseed = {seed}\n")
 
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)

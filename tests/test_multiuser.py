@@ -12,7 +12,6 @@ from ddlink.channel import (ChannelTap, LtvChannel, NoiseSpec, apply_channel,
                             make_channel)
 from ddlink.config import load_spec
 from ddlink.frame import FrameConfig
-from ddlink.harness import prepare
 from ddlink.mapping import get_constellation
 from ddlink.modem import (DelayDopplerGrid, TimeSignal, Waveform,
                           demodulate_direct, modulate_direct)
@@ -268,7 +267,7 @@ def uplink_case(name):
     if name == "committed_allocation":
         frame = FrameConfig(32, 16, cp_len=8)
         g = np.random.default_rng(3)
-        return frame, prepare(load_spec(str(UPLINK_CONFIG))), \
+        return frame, load_spec(str(UPLINK_CONFIG)).allocation, \
             [make_channel("eva3", frame, 500.0, g) for _ in range(2)]
     if name == "shared_rows_columns":
         # users 0 and 1 share delay bins, users 0 and 2 share Doppler bins

@@ -50,8 +50,12 @@ VARIANTS = {
     "ber_vs_snr_high_snr_genie": ("ber_vs_snr", "snr_db = 160,200,300\n"
                                   "detector.csi = genie"),
     # the uplink with estimated CSI runs one detector call per waveform;
-    # it reuses the genie config's pilot.* keys
+    # it reuses the genie config's pilot.power_db and pilot.guards
     "mu_uplink_estimated": ("mu_uplink", "detector.csi = estimated"),
+    # each user centers its own pilot in its bins, where these guards fit,
+    # though they would not fit around the link's pilot.m_p = 4
+    "mu_uplink_estimated_wide_guards": ("mu_uplink", "detector.csi = estimated\n"
+                                        "pilot.guards = 5,3"),
     # the even splits leave no bin out: one solve per genie trial serves
     # both waveforms on every bin
     "mu_uplink_even": ("mu_uplink", "mu.allocation ="),
@@ -92,6 +96,23 @@ EXIT_2 = {
     "mu_uplink_relaxed": (
         "mu_uplink", "mu.relax_disjointness = true",
         "unknown key 'mu.relax_disjointness'"),
+    "mu_uplink_shared_bin": (
+        "mu_uplink", "mu.allocation = 0,1:0,1; 1,2:1,2",
+        "config error: mu.allocation: users 0 and 1 share delay-Doppler bins"),
+    # mu.q counts the users mu.allocation lists
+    "mu_uplink_q_3": (
+        "mu_uplink", "mu.q = 3",
+        "config error: mu.q = 3 but mu.allocation lists 2 users"),
+    # under estimated CSI each user's bins hold its pilot's guard rectangle
+    "mu_uplink_estimated_guards_3_4": (
+        "mu_uplink", "detector.csi = estimated\npilot.guards = 3,4",
+        "config error: pilot.guards: user 0 allocation cannot host the pilot "
+        "guard rectangle (7x9); shrink pilot.guards or use detector.csi = genie"),
+    # each user centers its own pilot, so the uplink reads no pilot position
+    "mu_uplink_pilot_m_p": (
+        "mu_uplink", "pilot.m_p = 20",
+        "config error: pilot.m_p: mu_uplink never reads these keys; leave them "
+        "at their defaults"),
 }
 
 
